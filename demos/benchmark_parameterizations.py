@@ -28,7 +28,7 @@ def main() -> int:
     os.makedirs(OUT, exist_ok=True)
     path = os.path.join(OUT, f"{spec.name}.curves.csv")
     with open(path, "w") as fh:
-        fh.write(benchmark_curves_csv(spec, seeds, config=OptimizerConfig()))
+        fh.write(benchmark_curves_csv(results))
     print(f"smoothed per-iteration curves written to {path}")
     return 0
 

@@ -139,7 +139,7 @@ def _cmd_bench(args) -> int:
         wins = sum(1 for r in ok if r.reparam_iterations <= r.baseline_iterations)
         print(f"mean speedup {mean:.2f}x, hierarchical wins {wins}/{len(results)} seeds")
     if args.curves:
-        csv = benchmark_curves_csv(spec, seeds, config=config)
+        csv = benchmark_curves_csv(results)
         _write_atomic(args.curves, csv.encode("utf-8"))
     return 0
 

@@ -9,6 +9,8 @@ zero at the kink (hinges) or the tie-broken branch (selections).
 Two aggregation levels mirror the pose parameterization: unit-local terms are
 evaluated in the unit frame and never touch the unit pose; scene-level terms
 see independent assets and whole units through their enclosing oriented box.
+Both read poses from one flat parameter vector and add their gradients into a
+flat array of the same layout, through the slot table `ParamIndex`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .scene_model import (
     SceneSpec,
     Unit,
     around_groups,
+    shared_param_priors,
 )
 
 FACING_EPS = 1e-8
@@ -38,7 +41,11 @@ FACING_EPS = 1e-8
 
 @dataclass
 class LossValue:
-    """Scalar penalty with partial derivatives keyed by slot name."""
+    """Scalar penalty with its partial derivatives.
+
+    A penalty term keys its derivatives by slot name ("a", "box", "d", ...);
+    the aggregates return one flat array laid out by a ParamIndex.
+    """
 
     value: float
     grads: dict = field(default_factory=dict)
@@ -285,7 +292,7 @@ def gap_loss(a: FootprintBox, b: FootprintBox, g: float) -> LossValue:
     return LossValue(r * r, out)
 
 
-_WALL_RULES = {
+WALL_RULES = {
     # wall: (axis index, sign of half-extent in target, wall coordinate, theta*)
     "L": (0, 1.0, 0.0, 0.0),
     "R": (0, -1.0, None, math.pi),
@@ -297,7 +304,7 @@ _WALL_RULES = {
 def against_wall_loss(box: FootprintBox, wall: str, room: Room) -> LossValue:
     """Flush-to-wall penalty: squared offset from the wall by the footprint's
     half extent, plus 1 - cos(theta - theta_wall)."""
-    axis_i, sign, base, theta_star = _WALL_RULES[wall]
+    axis_i, sign, base, theta_star = WALL_RULES[wall]
     ax, ay, dax, day = _half_extent_derivs(box)
     half = ax if axis_i == 0 else ay
     dhalf = dax if axis_i == 0 else day
@@ -326,7 +333,7 @@ def corner_loss(box: FootprintBox, corner_tag: str, wall: str, room: Room) -> Lo
     y_base = 0.0 if sy > 0.0 else room.width
     x_target = x_base + sx * ax
     y_target = y_base + sy * ay
-    theta_star = _WALL_RULES[wall][3]
+    theta_star = WALL_RULES[wall][3]
     rx = box.pose.x - x_target
     ry = box.pose.y - y_target
     dth = box.pose.theta - theta_star
@@ -368,7 +375,7 @@ def facing_loss(a: FootprintBox, b: FootprintBox) -> LossValue:
 
 # Directional side rules: primary axis (0 = target-local x, 1 = y) and the
 # sign sigma such that the hinge reads sigma * coord + r + e <= 0 at zero loss.
-_SIDE_RULES = {
+SIDE_RULES = {
     "left_of": (0, 1.0),
     "right_of": (0, -1.0),
     "behind_of": (1, 1.0),
@@ -385,7 +392,7 @@ def directional_loss(src: FootprintBox, tgt: FootprintBox, direction: str, p: fl
     (absolute deviation).  Sides: left/right along target-local x,
     behind/front along target-local y.
     """
-    axis_i, sigma = _SIDE_RULES[direction]
+    axis_i, sigma = SIDE_RULES[direction]
     ct, st = math.cos(tgt.pose.theta), math.sin(tgt.pose.theta)
     dx = src.pose.x - tgt.pose.x
     dy = src.pose.y - tgt.pose.y
@@ -628,58 +635,62 @@ def resolved_param(rel: Relation, key: str, shared: dict) -> float:
     return rel.params[key]
 
 
-def _relation_loss_on_boxes(
-    rel: Relation, box_of, shared: dict, room: Room
-) -> tuple[LossValue, dict]:
-    """Evaluate one (non-around) relation given a box lookup.
+# Loss slots of each relation kind: source pose, target pose (None when the
+# target is the room), scalar parameter (None when the kind has none).
+_RELATION_SLOTS = {
+    "distance": ("a", "b", "d"),
+    "gap": ("a", "b", "g"),
+    "against_wall": ("box", None, None),
+    "corner": ("box", None, None),
+    "facing": ("a", "b", None),
+    "angle_offset": ("a", "b", "alpha"),
+    "h_place": ("box", None, "target"),
+    "v_place": ("box", None, "target"),
+    **{kind: ("src", "tgt", "p") for kind in DIRECTIONAL_KINDS},
+}
 
-    Returns the loss and a map slot -> entity id ('' for parameter slots that
-    should be forwarded to the shared parameter).
-    """
+
+def _relation_loss_on_boxes(rel: Relation, box_of, shared: dict, room: Room) -> LossValue:
+    """Evaluate one (non-around) relation given a box lookup."""
     kind = rel.kind
     if kind == "distance":
-        lv = distance_loss(box_of(rel.source), box_of(rel.target), resolved_param(rel, "d", shared))
-        return lv, {"a": rel.source, "b": rel.target, "d": "param"}
+        return distance_loss(box_of(rel.source), box_of(rel.target), resolved_param(rel, "d", shared))
     if kind == "gap":
-        lv = gap_loss(box_of(rel.source), box_of(rel.target), resolved_param(rel, "g", shared))
-        return lv, {"a": rel.source, "b": rel.target, "g": "param"}
+        return gap_loss(box_of(rel.source), box_of(rel.target), resolved_param(rel, "g", shared))
     if kind == "against_wall":
-        wall = rel.target.removeprefix("wall:")
-        lv = against_wall_loss(box_of(rel.source), wall, room)
-        return lv, {"box": rel.source}
+        return against_wall_loss(box_of(rel.source), rel.target.removeprefix("wall:"), room)
     if kind == "corner":
         tag = rel.target.removeprefix("corner:")
-        lv = corner_loss(box_of(rel.source), tag, rel.params["wall"], room)
-        return lv, {"box": rel.source}
+        return corner_loss(box_of(rel.source), tag, rel.params["wall"], room)
     if kind == "facing":
-        lv = facing_loss(box_of(rel.source), box_of(rel.target))
-        return lv, {"a": rel.source, "b": rel.target}
+        return facing_loss(box_of(rel.source), box_of(rel.target))
     if kind in DIRECTIONAL_KINDS:
-        lv = directional_loss(
+        return directional_loss(
             box_of(rel.source), box_of(rel.target), kind, resolved_param(rel, "p", shared)
         )
-        return lv, {"src": rel.source, "tgt": rel.target, "p": "param"}
     if kind == "angle_offset":
-        lv = angle_offset_loss(
+        return angle_offset_loss(
             box_of(rel.source), box_of(rel.target), resolved_param(rel, "alpha", shared)
         )
-        return lv, {"a": rel.source, "b": rel.target, "alpha": "param"}
     if kind == "h_place":
-        lv = placement_loss(
+        return placement_loss(
             box_of(rel.source), "x", resolved_param(rel, "x", shared), room, rel.params["margin"]
         )
-        return lv, {"box": rel.source, "target": "param"}
     if kind == "v_place":
-        lv = placement_loss(
+        return placement_loss(
             box_of(rel.source), "y", resolved_param(rel, "y", shared), room, rel.params["margin"]
         )
-        return lv, {"box": rel.source, "target": "param"}
     raise ValueError(f"unhandled relation kind {kind!r}")
 
 
 def iter_relation_penalties(spec: SceneSpec, relations, box_of, shared: dict):
-    """Yield (label, relation-or-group, LossValue, slot->entity map) for the
-    given relations; around relations are grouped into joint penalties."""
+    """Yield (label, LossValue, pose gradients, parameter gradient) for the
+    given relations; around relations are grouped into joint penalties.
+
+    Pose gradients are (entity id, gradient) pairs.  The parameter gradient
+    is (shared parameter name, value), or None when the relation binds no
+    shared parameter.
+    """
     groups = around_groups(spec)
     emitted_groups = set()
     rel_index = {id(r): i for i, r in enumerate(spec.relations)}
@@ -692,78 +703,112 @@ def iter_relation_penalties(spec: SceneSpec, relations, box_of, shared: dict):
             members = groups[key]
             sources = [box_of(r.source) for r in members]
             lv = around_loss(sources, box_of(rel.target), rel.params["sweep"], rel.params["center"])
-            slots = {"sources": [r.source for r in members], "focal": rel.target}
-            yield f"around:{key[3]}", members, lv, slots
+            poses = [(r.source, lv.grads["sources"][k]) for k, r in enumerate(members)]
+            poses.append((rel.target, lv.grads["focal"]))
+            yield f"around:{key[3]}", lv, poses, None
             continue
         idx = rel_index.get(id(rel))
         label = f"relations[{idx}]" if idx is not None else f"{rel.kind}:{rel.source}"
-        lv, slots = _relation_loss_on_boxes(rel, box_of, shared, spec.room)
-        yield label, rel, lv, slots
+        lv = _relation_loss_on_boxes(rel, box_of, shared, spec.room)
+        src_slot, tgt_slot, param_slot = _RELATION_SLOTS[rel.kind]
+        poses = [(rel.source, lv.grads[src_slot])]
+        if tgt_slot is not None:
+            poses.append((rel.target, lv.grads[tgt_slot]))
+        param = None
+        if rel.shared_param is not None:
+            param = (rel.shared_param, lv.grads[param_slot])
+        yield label, lv, poses, param
 
 
 # ---------------------------------------------------------------------------
-# Aggregation
+# Flat parameter vector and aggregation
 # ---------------------------------------------------------------------------
 
 
-def _add_grad(store: dict, key: str, grad, scale: float):
-    if key not in store:
-        store[key] = np.zeros(3) if np.shape(grad) == (3,) else 0.0
-    store[key] = store[key] + scale * grad
+@dataclass(frozen=True)
+class ParamIndex:
+    """Slot table of the flat parameter vector, built once per scene.
 
-
-def _accumulate_relation_grads(
-    lv: LossValue,
-    slots: dict,
-    rel_or_group,
-    scale: float,
-    grads: dict,
-    entity_key,
-):
-    """Route a relation loss's slot gradients into the aggregate store.
-
-    entity_key(eid) -> store key or None (gradient discarded, e.g. anchors
-    inside their own unit frame).
+    The vector holds one (x, y, theta) row per unit frame, unit member and
+    independent asset, then one entry per shared parameter.  `pose` maps
+    each of those entity ids to the slice of its row; an anchor has no row
+    of its own, its pose being its unit's frame.  `param` maps each shared
+    parameter name to its position.
     """
-    for slot, g in lv.grads.items():
-        tag = slots.get(slot)
-        if tag is None:
-            continue
-        if tag == "param":
-            rel = rel_or_group
-            if rel.shared_param is not None:
-                _add_grad(grads, f"param:{rel.shared_param}", g, scale)
-        elif slot == "sources":
-            for row, eid in enumerate(tag):
-                key = entity_key(eid)
-                if key is not None:
-                    _add_grad(grads, key, g[row], scale)
-        else:
-            key = entity_key(tag)
-            if key is not None:
-                _add_grad(grads, key, g, scale)
+
+    pose: dict
+    param: dict
+    size: int
+
+    @property
+    def pose_size(self) -> int:
+        return self.size - len(self.param)
+
+    def shared(self, x) -> dict:
+        """Shared parameter values held in `x`, by name."""
+        return {name: float(x[k]) for name, k in self.param.items()}
+
+    def pack(self, poses: dict, shared: dict) -> np.ndarray:
+        """Flat vector from entity id -> (x, y, theta) and name -> value."""
+        x = np.empty(self.size)
+        for eid, rows in self.pose.items():
+            x[rows] = poses[eid]
+        for name, k in self.param.items():
+            x[k] = shared[name]
+        return x
+
+
+def param_index(spec: SceneSpec) -> ParamIndex:
+    """Rows in draw order: each unit's frame then its members, then the
+    independent assets; shared parameters in order of first occurrence."""
+    ids = []
+    for u in spec.units:
+        ids.append(u.id)
+        ids.extend(u.members)
+    ids.extend(a.id for a in spec.independent_assets())
+    pose = {eid: slice(3 * r, 3 * r + 3) for r, eid in enumerate(ids)}
+    n = 3 * len(ids)
+    param = {name: n + k for k, name in enumerate(shared_param_priors(spec))}
+    return ParamIndex(pose, param, n + len(param))
+
+
+def _member_poses(index: ParamIndex, x, unit: Unit) -> dict:
+    return {mid: x[index.pose[mid]] for mid in unit.members}
+
+
+def _scene_boxes(spec: SceneSpec, index: ParamIndex, x):
+    """Scene-level boxes of units and independent assets, and each unit's
+    stand-in box offset in its frame."""
+    boxes: dict = {}
+    offsets: dict = {}
+    for u in spec.units:
+        boxes[u.id], offsets[u.id] = unit_obb(
+            spec, u, x[index.pose[u.id]], _member_poses(index, x, u)
+        )
+    for a in spec.independent_assets():
+        boxes[a.id] = asset_box(spec, a.id, x[index.pose[a.id]])
+    return boxes, offsets
 
 
 def aggregate_local(
     spec: SceneSpec,
     unit_id: str,
-    member_locals: dict,
-    shared: dict,
+    index: ParamIndex,
+    x,
     weights: Weights = Weights(),
 ) -> LossValue:
     """Unit-frame objective: member pairwise collisions plus intra relations.
 
-    Gradients are keyed 'local:<asset>' for members and 'param:<name>' for
-    shared parameters.  The unit's own pose never appears: every term depends
-    only on relative geometry inside the frame, so the block is exactly zero.
-    The anchor is frame-fixed and receives no gradient.
+    Member rows of `x` hold poses in the unit frame.  The gradient is a flat
+    array laid out by `index`, nonzero only on member rows and shared
+    parameters.  The unit's own pose never appears: every term depends only
+    on relative geometry inside the frame, so its row is exactly zero.  The
+    anchor is frame-fixed and receives no gradient.
     """
     unit = spec.unit(unit_id)
-    boxes = unit_local_boxes(spec, unit, member_locals)
-    grads: dict = {}
-
-    def entity_key(eid: str):
-        return None if eid == unit.anchor else f"local:{eid}"
+    rows = {mid: index.pose[mid] for mid in unit.members}
+    boxes = unit_local_boxes(spec, unit, _member_poses(index, x, unit))
+    grad = np.zeros(index.size)
 
     collision_total = 0.0
     ids = list(boxes)
@@ -772,98 +817,76 @@ def aggregate_local(
             for j in range(i + 1, len(ids)):
                 lv = collision_loss(boxes[ids[i]], boxes[ids[j]])
                 collision_total += lv.value
-                for slot, eid in (("a", ids[i]), ("b", ids[j])):
-                    key = entity_key(eid)
-                    if key is not None:
-                        _add_grad(grads, key, lv.grads[slot], weights.collision)
+                for eid, g in ((ids[i], lv.grads["a"]), (ids[j], lv.grads["b"])):
+                    if eid in rows:
+                        grad[rows[eid]] += weights.collision * g
 
     relation_total = 0.0
     if weights.relation != 0.0:
-        for _, rel_or_group, lv, slots in iter_relation_penalties(
-            spec, spec.intra_relations(unit_id), boxes.__getitem__, shared
+        for _, lv, poses, param in iter_relation_penalties(
+            spec, spec.intra_relations(unit_id), boxes.__getitem__, index.shared(x)
         ):
             relation_total += lv.value
-            rel = rel_or_group[0] if isinstance(rel_or_group, list) else rel_or_group
-            _accumulate_relation_grads(lv, slots, rel, weights.relation, grads, entity_key)
+            for eid, g in poses:
+                if eid in rows:
+                    grad[rows[eid]] += weights.relation * g
+            if param is not None:
+                grad[index.param[param[0]]] += weights.relation * param[1]
 
     value = weights.collision * collision_total + weights.relation * relation_total
     return LossValue(
-        value, grads, {"collision": collision_total, "relation": relation_total}
+        value, grad, {"collision": collision_total, "relation": relation_total}
     )
 
 
 def aggregate_global(
     spec: SceneSpec,
-    independent: dict,
-    unit_poses: dict,
-    member_locals: dict,
-    shared: dict,
+    index: ParamIndex,
+    x,
     weights: Weights = Weights(),
 ) -> LossValue:
     """Scene-level objective over independent assets and unit stand-in boxes.
 
     Terms: room-boundary excursions, pairwise collisions, and inter
-    relations.  Gradients are keyed 'pose:<asset>' for independents,
-    'unit:<unit>' for unit poses, and 'param:<name>' for shared parameters.
+    relations.  The gradient is a flat array laid out by `index`, nonzero
+    only on unit frames, independent assets and shared parameters.
     """
-    entity_boxes: dict = {}
-    obb_offsets: dict = {}
-    for u in spec.units:
-        box, offset = unit_obb(spec, u, unit_poses[u.id], member_locals)
-        entity_boxes[u.id] = box
-        obb_offsets[u.id] = offset
-    for a in spec.independent_assets():
-        entity_boxes[a.id] = asset_box(spec, a.id, independent[a.id])
+    boxes, offsets = _scene_boxes(spec, index, x)
+    grad = np.zeros(index.size)
 
-    grads: dict = {}
-
-    def route(eid: str, grad, scale: float):
-        if eid in obb_offsets:
-            pulled = chain_obb_grad_to_unit(
-                grad, obb_offsets[eid], entity_boxes[eid].pose.theta
-            )
-            _add_grad(grads, f"unit:{eid}", pulled, scale)
-        else:
-            _add_grad(grads, f"pose:{eid}", grad, scale)
+    def pull(eid: str, g):
+        """Carry a gradient on the entity's scene-level box to its pose."""
+        if eid in offsets:
+            return chain_obb_grad_to_unit(g, offsets[eid], boxes[eid].pose.theta)
+        return g
 
     boundary_total = 0.0
     if weights.boundary != 0.0:
-        for eid, box in entity_boxes.items():
+        for eid, box in boxes.items():
             lv = boundary_loss(box, spec.room)
             boundary_total += lv.value
-            route(eid, lv.grads["box"], weights.boundary)
+            grad[index.pose[eid]] += weights.boundary * pull(eid, lv.grads["box"])
 
     collision_total = 0.0
-    ids = list(entity_boxes)
+    ids = list(boxes)
     if weights.collision != 0.0:
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
-                lv = collision_loss(entity_boxes[ids[i]], entity_boxes[ids[j]])
+                lv = collision_loss(boxes[ids[i]], boxes[ids[j]])
                 collision_total += lv.value
-                route(ids[i], lv.grads["a"], weights.collision)
-                route(ids[j], lv.grads["b"], weights.collision)
+                grad[index.pose[ids[i]]] += weights.collision * pull(ids[i], lv.grads["a"])
+                grad[index.pose[ids[j]]] += weights.collision * pull(ids[j], lv.grads["b"])
 
     relation_total = 0.0
     if weights.relation != 0.0:
-        param_grads: dict = {}
-
-        def entity_key(eid: str):
-            return eid  # routed below
-
-        for _, rel_or_group, lv, slots in iter_relation_penalties(
-            spec, spec.inter_relations(), entity_boxes.__getitem__, shared
+        for _, lv, poses, param in iter_relation_penalties(
+            spec, spec.inter_relations(), boxes.__getitem__, index.shared(x)
         ):
             relation_total += lv.value
-            rel = rel_or_group[0] if isinstance(rel_or_group, list) else rel_or_group
-            staged: dict = {}
-            _accumulate_relation_grads(lv, slots, rel, weights.relation, staged, entity_key)
-            for key, g in staged.items():
-                if key.startswith("param:"):
-                    _add_grad(param_grads, key, g, 1.0)
-                else:
-                    route(key, g, 1.0)
-        for key, g in param_grads.items():
-            _add_grad(grads, key, g, 1.0)
+            for eid, g in poses:
+                grad[index.pose[eid]] += pull(eid, weights.relation * g)
+            if param is not None:
+                grad[index.param[param[0]]] += weights.relation * param[1]
 
     value = (
         weights.boundary * boundary_total
@@ -872,7 +895,7 @@ def aggregate_global(
     )
     return LossValue(
         value,
-        grads,
+        grad,
         {
             "boundary": boundary_total,
             "collision": collision_total,
@@ -881,13 +904,7 @@ def aggregate_global(
     )
 
 
-def relation_penalties(
-    spec: SceneSpec,
-    independent: dict,
-    unit_poses: dict,
-    member_locals: dict,
-    shared: dict,
-) -> dict:
+def relation_penalties(spec: SceneSpec, index: ParamIndex, x) -> dict:
     """Raw (unweighted) penalty of every relation at the given configuration.
 
     Around groups appear once under 'around:<group>'; other relations under
@@ -895,19 +912,16 @@ def relation_penalties(
     inter relations on scene-level boxes.
     """
     out: dict = {}
+    shared = index.shared(x)
     for u in spec.units:
-        boxes = unit_local_boxes(spec, u, member_locals)
-        for label, _, lv, _slots in iter_relation_penalties(
+        boxes = unit_local_boxes(spec, u, _member_poses(index, x, u))
+        for label, lv, _, _ in iter_relation_penalties(
             spec, spec.intra_relations(u.id), boxes.__getitem__, shared
         ):
-            out[label] = lv.value
-    entity_boxes: dict = {}
-    for u in spec.units:
-        entity_boxes[u.id], _ = unit_obb(spec, u, unit_poses[u.id], member_locals)
-    for a in spec.independent_assets():
-        entity_boxes[a.id] = asset_box(spec, a.id, independent[a.id])
-    for label, _, lv, _slots in iter_relation_penalties(
-        spec, spec.inter_relations(), entity_boxes.__getitem__, shared
+            out[label] = float(lv.value)
+    boxes, _ = _scene_boxes(spec, index, x)
+    for label, lv, _, _ in iter_relation_penalties(
+        spec, spec.inter_relations(), boxes.__getitem__, shared
     ):
-        out[label] = lv.value
+        out[label] = float(lv.value)
     return out

@@ -26,11 +26,6 @@ def normalize_angle(theta: float) -> float:
     return a
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 @dataclass(frozen=True)
 class Pose2D:
     """Planar pose (x, y, theta).  theta is stored unnormalized."""
@@ -45,18 +40,6 @@ class Pose2D:
     @staticmethod
     def from_array(v) -> "Pose2D":
         return Pose2D(float(v[0]), float(v[1]), float(v[2]))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-    @property
-    def heading(self) -> np.ndarray:
-        """Unit vector the pose faces: (cos theta, sin theta)."""
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
-
-
-IDENTITY = Pose2D(0.0, 0.0, 0.0)
 
 
 def compose(outer: Pose2D, inner: Pose2D) -> Pose2D:
@@ -104,9 +87,6 @@ class Interval:
     def overlap(self, other: "Interval") -> float:
         """Signed overlap length; negative when the intervals are disjoint."""
         return min(self.hi, other.hi) - max(self.lo, other.lo)
-
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
 
 @dataclass(frozen=True)

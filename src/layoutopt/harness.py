@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constraints import Weights
+from .errors import DivergenceError
 from .geometry import ConvexPolygon, FootprintBox, corners, polygon_intersection_area
 from .optimizer import OptimizerConfig, solve, solve_global_baseline
 from .scene_model import Layout, SceneSpec
@@ -161,12 +162,17 @@ def render_svg(spec: SceneSpec, layout: Layout) -> bytes:
 
 @dataclass(frozen=True)
 class BenchmarkResult:
+    """One seed's comparison; each curve holds the per-iteration totals of
+    its run, and stays empty when that run diverged or was not reached."""
+
     scene: str
     seed: int
     reparam_iterations: int
     baseline_iterations: int
     speedup: float  # baseline / reparam, in iterations to threshold
     diverged: bool = False
+    reparam_curve: tuple = ()
+    baseline_curve: tuple = ()
 
 
 def ema_smooth(values, alpha: float = 0.85) -> np.ndarray:
@@ -202,7 +208,7 @@ def convergence_benchmark(
     Both runs share the seed, so they start from the same configuration and
     the same initial loss; the reported speedup is baseline iterations over
     re-parameterized iterations.  A diverged run is recorded as a failure
-    with the full iteration budget.
+    with the full iteration budget; any other error propagates.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
@@ -212,39 +218,47 @@ def convergence_benchmark(
         cfg = replace(config, seed=int(seed))
         try:
             _, trace_re = solve(spec, cfg, weights)
-            re_iters = _iterations_to_threshold(trace_re.totals(), threshold)
-        except Exception:
+        except DivergenceError:
             results.append(BenchmarkResult(spec.name, int(seed), cap, cap, 1.0, True))
             continue
+        curve_re = tuple(r.total for r in trace_re.rows)
+        re_iters = _iterations_to_threshold(trace_re.totals(), threshold)
         try:
             _, trace_gl = solve_global_baseline(spec, cfg, weights)
-            gl_iters = _iterations_to_threshold(trace_gl.totals(), threshold)
-        except Exception:
-            results.append(BenchmarkResult(spec.name, int(seed), re_iters, cap, 1.0, True))
+        except DivergenceError:
+            results.append(
+                BenchmarkResult(spec.name, int(seed), re_iters, cap, 1.0, True, curve_re)
+            )
             continue
+        gl_iters = _iterations_to_threshold(trace_gl.totals(), threshold)
         speedup = gl_iters / max(re_iters, 1)
-        results.append(BenchmarkResult(spec.name, int(seed), re_iters, gl_iters, speedup))
+        results.append(
+            BenchmarkResult(
+                spec.name,
+                int(seed),
+                re_iters,
+                gl_iters,
+                speedup,
+                reparam_curve=curve_re,
+                baseline_curve=tuple(r.total for r in trace_gl.rows),
+            )
+        )
     return results
 
 
-def benchmark_curves_csv(
-    spec: SceneSpec,
-    seeds,
-    config: OptimizerConfig = OptimizerConfig(),
-    weights: Weights = Weights(),
-    alpha: float = 0.85,
-) -> str:
-    """Per-iteration loss curves for both parameterizations, EMA smoothed."""
+def benchmark_curves_csv(results, alpha: float = 0.85) -> str:
+    """Per-iteration loss curves of both parameterizations, EMA smoothed,
+    from the runs `convergence_benchmark` recorded.  Seeds with a diverged
+    run have no rows."""
     lines = ["seed,iteration,reparam,reparam_ema,baseline,baseline_ema"]
-    for seed in seeds:
-        cfg = replace(config, seed=int(seed))
-        _, trace_re = solve(spec, cfg, weights)
-        _, trace_gl = solve_global_baseline(spec, cfg, weights)
-        raw_re, raw_gl = trace_re.totals(), trace_gl.totals()
+    for r in results:
+        if r.diverged:
+            continue
+        raw_re, raw_gl = np.array(r.reparam_curve), np.array(r.baseline_curve)
         ema_re, ema_gl = ema_smooth(raw_re, alpha), ema_smooth(raw_gl, alpha)
         for i in range(len(raw_re)):
             lines.append(
-                f"{int(seed)},{i},{float(raw_re[i])!r},{float(ema_re[i])!r},"
+                f"{r.seed},{i},{float(raw_re[i])!r},{float(ema_re[i])!r},"
                 f"{float(raw_gl[i])!r},{float(ema_gl[i])!r}"
             )
     return "\n".join(lines) + "\n"

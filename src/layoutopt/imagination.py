@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import _WALL_RULES, unit_local_aabb, unit_obb
+from .constraints import SIDE_RULES, WALL_RULES, unit_local_aabb, unit_obb
 from .errors import RevisionError, SceneSemanticError, SceneSyntaxError
 from .geometry import (
     FootprintBox,
@@ -143,7 +143,7 @@ def _apply_relation(board: _Board, rel: Relation, room, shared: dict):
         board.pin(src, 1, resolved("y"))
         return
     if kind == "against_wall":
-        axis_i, sign, base, theta_star = _WALL_RULES[rel.target.removeprefix("wall:")]
+        axis_i, sign, base, theta_star = WALL_RULES[rel.target.removeprefix("wall:")]
         board.pin(src, 2, theta_star)
         if base is None:
             base = room.length if axis_i == 0 else room.width
@@ -151,12 +151,12 @@ def _apply_relation(board: _Board, rel: Relation, room, shared: dict):
         board.pin(src, axis_i, base + sign * ext[axis_i])
         return
     if kind == "corner":
-        theta_star = _WALL_RULES[rel.params["wall"]][3]
+        theta_star = WALL_RULES[rel.params["wall"]][3]
         board.pin(src, 2, theta_star)
         ext = board.half_extents(src, theta_star)
         tag = rel.target.removeprefix("corner:")
         for wall in CORNER_WALLS[tag]:
-            axis_i, sign, base, _ = _WALL_RULES[wall]
+            axis_i, sign, base, _ = WALL_RULES[wall]
             if base is None:
                 base = room.length if axis_i == 0 else room.width
             board.pin(src, axis_i, base + sign * ext[axis_i])
@@ -186,9 +186,10 @@ def _apply_relation(board: _Board, rel: Relation, room, shared: dict):
         board.pin(src, 1 - axis_i, (ty, tx)[axis_i])
         return
     if kind in DIRECTIONAL_KINDS:
-        # Place at the hinge threshold plus clearance, aligned at fraction p.
-        sides = {"left_of": (0, -1.0), "right_of": (0, 1.0), "in_front_of": (1, 1.0), "behind_of": (1, -1.0)}
-        axis_i, side = sides[kind]
+        # Place at the hinge threshold plus clearance, aligned at fraction p:
+        # the zero-loss side is opposite the hinge sign sigma.
+        axis_i, sigma = SIDE_RULES[kind]
+        side = -sigma
         p = resolved("p")
         rel_angle = board.theta(src) - t_theta
         r = board.half_extents(src, rel_angle)

@@ -1,13 +1,19 @@
-"""Two-stage momentum descent over scene poses.
+"""Two-stage momentum descent over one flat parameter vector.
 
-The default parameterization is hierarchical: independent assets and unit
-frames carry global poses, unit members carry poses local to their frame.
-Unit-internal terms therefore never produce gradient on the frame, and
-scene-level terms never reach into members: the two blocks decouple.
+Both parameterizations run the same loop and the same `step` over a vector
+laid out by `ParamIndex`: one pose row per unit frame, unit member and
+independent asset, then the shared constraint parameters.  They differ only
+in the map from that vector to the poses the objective reads, and in that
+map's chain rule:
 
-`solve_global_baseline` optimizes the same objective with every asset pose
-global (member locals derived on the fly), which re-couples the blocks and
-serves as the reference point for convergence comparisons.
+- two-level (`solve`): a member's row is its pose local to its unit's
+  frame, and the map is the identity.  Unit-internal terms therefore never
+  produce gradient on the frame, and scene-level terms never reach into
+  members: the two blocks decouple.
+- flat (`solve_global_baseline`): every row is a global asset pose.
+  `_derived_view` re-expresses members in their anchor's frame and
+  `_pull_back` carries their gradients back, which re-couples the blocks.
+  This serves as the reference point for convergence comparisons.
 
 Stage 1 optimizes poses under relation terms only, with constraint parameters
 frozen.  Stage 2 enables collision and boundary terms, and lets shared
@@ -22,7 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import Weights, aggregate_global, aggregate_local, relation_penalties
+from .constraints import (
+    ParamIndex,
+    Weights,
+    aggregate_global,
+    aggregate_local,
+    param_index,
+    relation_penalties,
+)
 from .errors import DivergenceError, InfeasibleRoomError
 from .geometry import Pose2D, compose, relative
 from .scene_model import Layout, SceneSpec, shared_param_priors
@@ -89,52 +102,44 @@ class Trace:
 
 @dataclass
 class ParamState:
-    """Optimizable configuration under the hierarchical parameterization."""
+    """The parameter vector `x`, laid out by `index`, and its velocity.
+
+    A member's row holds its pose in its unit's frame, or its global pose
+    when `flat` is set; every other row holds a global pose.
+    """
 
     spec: SceneSpec
-    independent: dict
-    unit_poses: dict
-    member_local: dict
-    shared: dict
+    index: ParamIndex
+    x: np.ndarray
     shared_prior: dict
-    vel_independent: dict = field(default_factory=dict)
-    vel_unit: dict = field(default_factory=dict)
-    vel_member: dict = field(default_factory=dict)
-    vel_shared: dict = field(default_factory=dict)
-    step_index: int = 0
+    flat: bool = False
+    vel: np.ndarray = field(init=False)
+    step_index: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if not self.vel_independent:
-            self.vel_independent = {k: np.zeros(3) for k in self.independent}
-        if not self.vel_unit:
-            self.vel_unit = {k: np.zeros(3) for k in self.unit_poses}
-        if not self.vel_member:
-            self.vel_member = {k: np.zeros(3) for k in self.member_local}
-        if not self.vel_shared:
-            self.vel_shared = {k: 0.0 for k in self.shared}
+        self.vel = np.zeros_like(self.x)
 
     def reset_momentum(self):
-        for store in (self.vel_independent, self.vel_unit, self.vel_member):
-            for k in store:
-                store[k] = np.zeros(3)
-        for k in self.vel_shared:
-            self.vel_shared[k] = 0.0
+        self.vel[:] = 0.0
         self.step_index = 0
+
+    def pose(self, entity_id: str) -> np.ndarray:
+        """Writable view of the pose row of a unit, member or independent asset."""
+        return self.x[self.index.pose[entity_id]]
+
+    @property
+    def shared(self) -> dict:
+        return self.index.shared(self.x)
 
     def global_pose(self, asset_id: str) -> Pose2D:
         uid = self.spec.unit_of(asset_id)
         if uid is None:
-            return Pose2D(*self.independent[asset_id])
-        unit = self.spec.unit(uid)
-        frame = Pose2D(*self.unit_poses[uid])
-        if asset_id == unit.anchor:
+            return Pose2D.from_array(self.pose(asset_id))
+        frame = Pose2D.from_array(self.pose(uid))
+        if asset_id == self.spec.unit(uid).anchor:
             return frame
-        return compose(frame, Pose2D(*self.member_local[asset_id]))
-
-    def dof_count(self) -> int:
-        return 3 * (len(self.independent) + len(self.unit_poses) + len(self.member_local)) + len(
-            self.shared
-        )
+        own = Pose2D.from_array(self.pose(asset_id))
+        return own if self.flat else compose(frame, own)
 
 
 def init_state(spec: SceneSpec, seed: int) -> ParamState:
@@ -164,32 +169,26 @@ def init_state(spec: SceneSpec, seed: int) -> ParamState:
         y = rng.uniform(margin, room.width - margin)
         return x, y
 
-    unit_poses: dict = {}
-    member_local: dict = {}
+    poses: dict = {}
     for u in spec.units:
         anchor = spec.asset(u.anchor)
         margin = max(anchor.half_l, anchor.half_w)
         x, y = draw_position(margin)
-        unit_poses[u.id] = np.array([x, y, rng.uniform(-math.pi, math.pi)])
+        poses[u.id] = (x, y, rng.uniform(-math.pi, math.pi))
         for mid in u.members:
-            member_local[mid] = np.array(
-                [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi)]
+            poses[mid] = (
+                rng.uniform(-1.0, 1.0),
+                rng.uniform(-1.0, 1.0),
+                rng.uniform(-math.pi, math.pi),
             )
-    independent: dict = {}
     for a in spec.independent_assets():
         margin = max(a.half_l, a.half_w)
         x, y = draw_position(margin)
-        independent[a.id] = np.array([x, y, rng.uniform(-math.pi, math.pi)])
+        poses[a.id] = (x, y, rng.uniform(-math.pi, math.pi))
 
+    index = param_index(spec)
     priors = shared_param_priors(spec)
-    return ParamState(
-        spec=spec,
-        independent=independent,
-        unit_poses=unit_poses,
-        member_local=member_local,
-        shared=dict(priors),
-        shared_prior=priors,
-    )
+    return ParamState(spec, index, index.pack(poses, priors), priors)
 
 
 def _stage_weights(weights: Weights, stage: int) -> Weights:
@@ -198,62 +197,81 @@ def _stage_weights(weights: Weights, stage: int) -> Weights:
     return weights
 
 
+def _derived_view(state: ParamState) -> np.ndarray:
+    """The two-level vector the objective reads: `x` itself, or for a flat
+    state a copy with each member row re-expressed in its anchor's frame."""
+    if not state.flat:
+        return state.x
+    view = state.x.copy()
+    for u in state.spec.units:
+        frame = Pose2D.from_array(state.pose(u.id))
+        for mid in u.members:
+            local = relative(frame, Pose2D.from_array(state.pose(mid)))
+            view[state.index.pose[mid]] = (local.x, local.y, local.theta)
+    return view
+
+
+def _pull_back(state: ParamState, view: np.ndarray, grad: np.ndarray):
+    """Chain rule of `_derived_view`, in place: each member-local gradient
+    becomes a gradient on the global member pose and on its anchor's."""
+    index = state.index
+    for u in state.spec.units:
+        theta = state.pose(u.id)[2]
+        ca, sa = math.cos(theta), math.sin(theta)
+        frame = index.pose[u.id]
+        for mid in u.members:
+            rows = index.pose[mid]
+            g0, g1, g2 = grad[rows].tolist()
+            lx, ly, _ = view[rows].tolist()
+            gm0, gm1 = ca * g0 - sa * g1, sa * g0 + ca * g1
+            grad[rows] = (gm0, gm1, g2)
+            grad[frame] += np.array([-gm0, -gm1, g0 * ly - g1 * lx - g2])
+
+
 def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerConfig):
-    """Objective value, flat gradient map, and per-term breakdown."""
-    spec = state.spec
+    """Objective value, its gradient over `state.x`, and per-term breakdown."""
+    spec, index = state.spec, state.index
     eff = _stage_weights(weights, stage)
-    grads: dict = {}
+    x = _derived_view(state)
     terms = {"collision": 0.0, "boundary": 0.0, "relation": 0.0, "prior": 0.0}
 
-    glob = aggregate_global(
-        spec, state.independent, state.unit_poses, state.member_local, state.shared, eff
-    )
-    total = glob.value
+    glob = aggregate_global(spec, index, x, eff)
+    total, grad = glob.value, glob.grads
     for k, v in glob.terms.items():
         terms[k] += v
-    for k, g in glob.grads.items():
-        grads[k] = grads.get(k, 0.0) + g
 
     for u in spec.units:
-        loc = aggregate_local(spec, u.id, state.member_local, state.shared, eff)
+        loc = aggregate_local(spec, u.id, index, x, eff)
         total += loc.value
+        grad += loc.grads
         for k, v in loc.terms.items():
             terms[k] += v
-        for k, g in loc.grads.items():
-            grads[k] = grads.get(k, 0.0) + g
 
     if stage == 2 and config.prior_weight != 0.0:
         prior = 0.0
-        for name, value in state.shared.items():
+        for name, value in index.shared(x).items():
             r = value - state.shared_prior[name]
             prior += r * r
-            key = f"param:{name}"
-            grads[key] = grads.get(key, 0.0) + 2.0 * config.prior_weight * r
+            grad[index.param[name]] += 2.0 * config.prior_weight * r
         terms["prior"] = prior
         total += config.prior_weight * prior
 
-    return total, grads, terms
+    if state.flat:
+        _pull_back(state, x, grad)
+    return total, grad, terms
 
 
-def _clipped_pose_grad(g, config: OptimizerConfig) -> np.ndarray:
-    out = np.asarray(g, dtype=float).copy()
-    norm = math.hypot(out[0], out[1])
-    if norm > config.clip_position:
-        out[:2] *= config.clip_position / norm
-    if out[2] > config.clip_rotation:
-        out[2] = config.clip_rotation
-    elif out[2] < -config.clip_rotation:
-        out[2] = -config.clip_rotation
-    return out
-
-
-def _apply_pose_update(pose, vel, g, config: OptimizerConfig, factor: float):
-    g = _clipped_pose_grad(g, config)
-    vel *= config.momentum
-    vel += g
-    pose[0] -= config.lr_position * factor * vel[0]
-    pose[1] -= config.lr_position * factor * vel[1]
-    pose[2] -= config.lr_rotation * factor * vel[2]
+def _slot_constants(config: OptimizerConfig, index: ParamIndex):
+    """Clip limit and learning rate of every slot.  The (x, y) slots have no
+    limit of their own: they are clipped by their row's norm."""
+    n_pose = index.pose_size
+    limit = np.full(index.size, config.clip_position)
+    limit[:n_pose] = math.inf
+    limit[2:n_pose:3] = config.clip_rotation
+    lr = np.full(index.size, config.lr_shared)
+    lr[:n_pose] = config.lr_position
+    lr[2:n_pose:3] = config.lr_rotation
+    return limit, lr
 
 
 def step(
@@ -262,43 +280,29 @@ def step(
     weights: Weights,
     stage: int,
 ):
-    """One descent step in place; returns (loss, terms) at the pre-step state."""
-    total, grads, terms = evaluate(state, weights, stage, config)
+    """One descent step in place; returns (loss, terms, lr factor) at the
+    pre-step state.  Stage 1 leaves the shared parameters untouched."""
+    total, grad, terms = evaluate(state, weights, stage, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
     factor = cosine_factor(state.step_index, config.iterations)
 
-    for key, pose in state.independent.items():
-        _apply_pose_update(
-            pose, state.vel_independent[key], grads.get(f"pose:{key}", np.zeros(3)), config, factor
-        )
-    for key, pose in state.unit_poses.items():
-        _apply_pose_update(
-            pose, state.vel_unit[key], grads.get(f"unit:{key}", np.zeros(3)), config, factor
-        )
-    for key, pose in state.member_local.items():
-        _apply_pose_update(
-            pose, state.vel_member[key], grads.get(f"local:{key}", np.zeros(3)), config, factor
-        )
-    if stage == 2:
-        for name in state.shared:
-            g = float(grads.get(f"param:{name}", 0.0))
-            if g > config.clip_position:
-                g = config.clip_position
-            elif g < -config.clip_position:
-                g = -config.clip_position
-            v = config.momentum * state.vel_shared[name] + g
-            state.vel_shared[name] = v
-            state.shared[name] -= config.lr_shared * factor * v
+    # Each row's (x, y) gradient is scaled down to norm clip_position.  The
+    # norm uses math.hypot: np.hypot can differ in the last bit, and the
+    # difference grows over a run.
+    rows = grad[: state.index.pose_size].reshape(-1, 3)
+    norms = np.array([math.hypot(gx, gy) for gx, gy, _ in rows.tolist()])
+    over = norms > config.clip_position
+    rows[over, :2] *= (config.clip_position / norms[over])[:, None]
+    limit, lr = _slot_constants(config, state.index)
+    n = state.index.pose_size if stage == 1 else state.index.size
+    g = np.clip(grad[:n], -limit[:n], limit[:n])
+    state.vel[:n] = config.momentum * state.vel[:n] + g
+    state.x[:n] -= lr[:n] * factor * state.vel[:n]
 
     state.step_index += 1
-    for store in (state.independent, state.unit_poses, state.member_local):
-        for arr in store.values():
-            if not np.all(np.isfinite(arr)):
-                raise DivergenceError("pose is not finite", state.step_index)
-    for v in state.shared.values():
-        if not math.isfinite(v):
-            raise DivergenceError("shared parameter is not finite", state.step_index)
+    if not np.all(np.isfinite(state.x)):
+        raise DivergenceError("parameter is not finite", state.step_index)
     return total, terms, factor
 
 
@@ -310,16 +314,32 @@ def _state_layout(state: ParamState) -> Layout:
     return Layout(poses)
 
 
-def _finalize_trace(trace: Trace, state: ParamState, started: float):
-    trace.final_shared = dict(state.shared)
-    trace.final_penalties = relation_penalties(
-        state.spec,
-        state.independent,
-        state.unit_poses,
-        state.member_local,
-        state.shared,
-    )
+def _descend(state: ParamState, config: OptimizerConfig, weights: Weights) -> Trace:
+    """Run both stages from `state` in place and record the trace."""
+    if config.iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {config.iterations}")
+    started = time.perf_counter()
+    trace = Trace()
+    for stage in (1, 2):
+        state.reset_momentum()
+        for _ in range(config.iterations):
+            total, terms, factor = step(state, config, weights, stage)
+            trace.rows.append(
+                TraceRow(
+                    len(trace.rows),
+                    stage,
+                    float(total),
+                    float(terms["collision"]),
+                    float(terms["boundary"]),
+                    float(terms["relation"]),
+                    float(terms["prior"]),
+                    factor,
+                )
+            )
+    trace.final_shared = state.shared
+    trace.final_penalties = relation_penalties(state.spec, state.index, _derived_view(state))
     trace.wall_time = time.perf_counter() - started
+    return trace
 
 
 def solve(
@@ -330,52 +350,13 @@ def solve(
     """Optimize a scene from its seeded random initialization.
 
     Returns the final layout and the per-iteration trace.  Raises
-    InfeasibleRoomError for rooms that cannot contain their assets and
-    DivergenceError if the objective or a parameter becomes non-finite.
+    ValueError when `config.iterations` is below 1, InfeasibleRoomError for
+    rooms that cannot contain their assets and DivergenceError if the
+    objective or a parameter becomes non-finite.
     """
-    started = time.perf_counter()
     state = init_state(spec, config.seed)
-    trace = Trace()
-    iteration = 0
-    for stage in (1, 2):
-        state.reset_momentum()
-        for _ in range(config.iterations):
-            total, terms, factor = step(state, config, weights, stage)
-            trace.rows.append(
-                TraceRow(
-                    iteration,
-                    stage,
-                    total,
-                    terms["collision"],
-                    terms["boundary"],
-                    terms["relation"],
-                    terms["prior"],
-                    factor,
-                )
-            )
-            iteration += 1
-    _finalize_trace(trace, state, started)
+    trace = _descend(state, config, weights)
     return _state_layout(state), trace
-
-
-# ---------------------------------------------------------------------------
-# Flat global baseline
-# ---------------------------------------------------------------------------
-
-
-def _derived_view(spec: SceneSpec, poses: dict):
-    """Split flat global poses into the hierarchical evaluation view."""
-    independent = {a.id: poses[a.id] for a in spec.independent_assets()}
-    unit_poses = {}
-    member_local = {}
-    for u in spec.units:
-        anchor_pose = poses[u.anchor]
-        unit_poses[u.id] = anchor_pose
-        frame = Pose2D(*anchor_pose)
-        for mid in u.members:
-            local = relative(frame, Pose2D(*poses[mid]))
-            member_local[mid] = np.array([local.x, local.y, local.theta])
-    return independent, unit_poses, member_local
 
 
 def solve_global_baseline(
@@ -390,101 +371,11 @@ def solve_global_baseline(
     which is transported from the same seeded draw).  Gradients of
     unit-internal terms now flow to both the member and the anchor.
     """
-    started = time.perf_counter()
-    seed_state = init_state(spec, config.seed)
-    poses: dict = {}
-    for a in spec.assets:
-        p = seed_state.global_pose(a.id)
-        poses[a.id] = np.array([p.x, p.y, p.theta])
-    vel = {aid: np.zeros(3) for aid in poses}
-    shared = dict(seed_state.shared)
-    shared_prior = dict(seed_state.shared_prior)
-    vel_shared = {k: 0.0 for k in shared}
-
-    trace = Trace()
-    iteration = 0
-    for stage in (1, 2):
-        for v in vel.values():
-            v[:] = 0.0
-        for k in vel_shared:
-            vel_shared[k] = 0.0
-        for t in range(config.iterations):
-            independent, unit_poses, member_local = _derived_view(spec, poses)
-            view = ParamState(
-                spec=spec,
-                independent=independent,
-                unit_poses=unit_poses,
-                member_local=member_local,
-                shared=shared,
-                shared_prior=shared_prior,
-            )
-            total, grads, terms = evaluate(view, weights, stage, config)
-            if not math.isfinite(total):
-                raise DivergenceError("objective is not finite", iteration)
-            factor = cosine_factor(t, config.iterations)
-
-            flat = {aid: np.zeros(3) for aid in poses}
-            for a in spec.independent_assets():
-                flat[a.id] += grads.get(f"pose:{a.id}", 0.0)
-            for u in spec.units:
-                flat[u.anchor] += grads.get(f"unit:{u.id}", 0.0)
-                ca, sa = math.cos(poses[u.anchor][2]), math.sin(poses[u.anchor][2])
-                for mid in u.members:
-                    gl = grads.get(f"local:{mid}", None)
-                    if gl is None:
-                        continue
-                    lx, ly, _ = member_local[mid]
-                    gm = np.array(
-                        [
-                            ca * gl[0] - sa * gl[1],
-                            sa * gl[0] + ca * gl[1],
-                            gl[2],
-                        ]
-                    )
-                    flat[mid] += gm
-                    flat[u.anchor] += np.array(
-                        [-gm[0], -gm[1], gl[0] * ly - gl[1] * lx - gl[2]]
-                    )
-
-            for aid, pose in poses.items():
-                _apply_pose_update(pose, vel[aid], flat[aid], config, factor)
-            if stage == 2:
-                for name in shared:
-                    g = float(grads.get(f"param:{name}", 0.0))
-                    g = max(-config.clip_position, min(config.clip_position, g))
-                    v = config.momentum * vel_shared[name] + g
-                    vel_shared[name] = v
-                    shared[name] -= config.lr_shared * factor * v
-
-            for arr in poses.values():
-                if not np.all(np.isfinite(arr)):
-                    raise DivergenceError("pose is not finite", iteration)
-            trace.rows.append(
-                TraceRow(
-                    iteration,
-                    stage,
-                    total,
-                    terms["collision"],
-                    terms["boundary"],
-                    terms["relation"],
-                    terms["prior"],
-                    factor,
-                )
-            )
-            iteration += 1
-
-    independent, unit_poses, member_local = _derived_view(spec, poses)
-    final_view = ParamState(
-        spec=spec,
-        independent=independent,
-        unit_poses=unit_poses,
-        member_local=member_local,
-        shared=shared,
-        shared_prior=shared_prior,
-    )
-    _finalize_trace(trace, final_view, started)
-    layout_poses = {}
-    for a in spec.assets:
-        x, y, theta = poses[a.id]
-        layout_poses[a.id] = (float(x), float(y), 0.5 * a.size[2], float(theta))
-    return Layout(layout_poses), trace
+    state = init_state(spec, config.seed)
+    for u in spec.units:
+        for mid in u.members:
+            p = state.global_pose(mid)
+            state.pose(mid)[:] = (p.x, p.y, p.theta)
+    state.flat = True
+    trace = _descend(state, config, weights)
+    return _state_layout(state), trace

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from layoutopt.constraints import Weights, aggregate_global
+from layoutopt.constraints import Weights, aggregate_global, param_index
 from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from layoutopt.geometry import (
     FootprintBox,
@@ -126,7 +126,8 @@ def _world_relation_total(twin, frame_arr, locals_map) -> float:
     for mid, loc in locals_map.items():
         w = compose(frame, Pose2D(*loc))
         poses[mid] = np.array([w.x, w.y, w.theta])
-    lv = aggregate_global(twin, poses, {}, {}, {}, Weights(collision=0.0, relation=1.0, boundary=0.0))
+    index = param_index(twin)
+    lv = aggregate_global(twin, index, index.pack(poses, {}), Weights(collision=0.0, relation=1.0, boundary=0.0))
     return lv.value
 
 
@@ -138,16 +139,10 @@ def test_intra_relations_are_invariant_to_unit_pose():
     worst_gap = 0.0
     for _ in range(20):
         spec, twin, locals_map, frame = _random_unit_scene(rng)
-        state = ParamState(
-            spec=spec,
-            independent={},
-            unit_poses={"u": frame.copy()},
-            member_local={k: v.copy() for k, v in locals_map.items()},
-            shared={},
-            shared_prior={},
-        )
+        index = param_index(spec)
+        state = ParamState(spec, index, index.pack({"u": frame, **locals_map}, {}), {})
         total, grads, _ = evaluate(state, Weights(), 1, OptimizerConfig())
-        g = np.atleast_1d(np.asarray(grads.get("unit:u", np.zeros(3)), dtype=float))
+        g = grads[index.pose["u"]]
         worst_grad = max(worst_grad, float(np.abs(g).max()))
 
         world = _world_relation_total(twin, frame, locals_map)
@@ -213,8 +208,9 @@ def _star_grad_x(m: int, shift: float) -> float:
     poses = {"anchor": np.array([20.0 + shift, 20.0, 0.0])}
     for i in range(m):
         poses[f"m{i}"] = np.array([21.0, 20.0, 0.0])
-    lv = aggregate_global(spec, poses, {}, {}, {}, Weights(collision=0.0, relation=1.0, boundary=0.0))
-    return float(np.asarray(lv.grads["pose:anchor"])[0])
+    index = param_index(spec)
+    lv = aggregate_global(spec, index, index.pack(poses, {}), Weights(collision=0.0, relation=1.0, boundary=0.0))
+    return float(lv.grads[index.pose["anchor"]][0])
 
 
 def test_anchor_gradient_scales_with_member_count():

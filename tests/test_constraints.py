@@ -24,6 +24,7 @@ from layoutopt.constraints import (
     facing_loss,
     gap_loss,
     iter_relation_penalties,
+    param_index,
     placement_loss,
     relation_penalties,
     unit_local_aabb,
@@ -301,6 +302,17 @@ def test_gradients_match_finite_differences(op):
 # ---------------------------------------------------------------------------
 
 
+def _vector(spec, poses, shared):
+    """Flat parameter vector holding the given poses and shared values."""
+    index = param_index(spec)
+    x = np.zeros(index.size)
+    for eid, pose in poses.items():
+        x[index.pose[eid]] = pose
+    for name, value in shared.items():
+        x[index.param[name]] = value
+    return index, x
+
+
 def _dining_locals(rng):
     spec = load_fixture("dining_set")
     unit = spec.units[0]
@@ -314,9 +326,11 @@ def _dining_locals(rng):
 def test_aggregate_local_never_touches_unit_pose():
     rng = np.random.default_rng(RNG_SEED + 5)
     spec, unit, locals_ = _dining_locals(rng)
-    lv = aggregate_local(spec, unit.id, locals_, {"seat_radius": 1.1})
-    assert all(k.startswith(("local:", "param:")) for k in lv.grads)
-    assert f"local:{unit.anchor}" not in lv.grads
+    index, x = _vector(spec, locals_, {"seat_radius": 1.1})
+    lv = aggregate_local(spec, unit.id, index, x)
+    member_slots = {k for mid in unit.members for k in range(index.pose[mid].start, index.pose[mid].stop)}
+    assert set(np.flatnonzero(lv.grads)) <= member_slots | set(index.param.values())
+    assert unit.anchor not in index.pose
     assert set(lv.terms) == {"collision", "relation"}
 
 
@@ -328,7 +342,8 @@ def test_aggregate_local_relations_are_rigid_invariant():
     rng = np.random.default_rng(RNG_SEED + 6)
     spec, unit, locals_ = _dining_locals(rng)
     shared = {"seat_radius": 1.1}
-    base = aggregate_local(spec, unit.id, locals_, shared, Weights(collision=0.0))
+    index, x = _vector(spec, locals_, shared)
+    base = aggregate_local(spec, unit.id, index, x, Weights(collision=0.0))
 
     def global_relation_total(unit_pose_arr):
         frame = Pose2D(*unit_pose_arr)
@@ -340,7 +355,7 @@ def test_aggregate_local_relations_are_rigid_invariant():
             pose = compose(frame, Pose2D(*locals_[mid]))
             boxes[mid] = FootprintBox(pose, a.half_l, a.half_w)
         total = 0.0
-        for _, _, lv, _ in iter_relation_penalties(
+        for _, lv, _, _ in iter_relation_penalties(
             spec, spec.intra_relations(unit.id), boxes.__getitem__, shared
         ):
             total += lv.value
@@ -356,7 +371,8 @@ def test_aggregate_local_shared_param_grad_accumulates():
     rng = np.random.default_rng(RNG_SEED + 7)
     spec, unit, locals_ = _dining_locals(rng)
     shared = {"seat_radius": 0.9}
-    lv = aggregate_local(spec, unit.id, locals_, shared)
+    index, x = _vector(spec, locals_, shared)
+    lv = aggregate_local(spec, unit.id, index, x)
     # Independent check: sum of the individual d-gradients.
     expect = 0.0
     boxes = {unit.anchor: FootprintBox(Pose2D(0, 0, 0), 0.8, 0.45)}
@@ -366,7 +382,7 @@ def test_aggregate_local_shared_param_grad_accumulates():
     for rel in spec.intra_relations(unit.id):
         if rel.kind == "distance":
             expect += distance_loss(boxes[rel.source], boxes[rel.target], 0.9).grads["d"]
-    assert lv.grads["param:seat_radius"] == pytest.approx(expect, abs=1e-12)
+    assert lv.grads[index.param["seat_radius"]] == pytest.approx(expect, abs=1e-12)
 
 
 def test_aggregate_global_fd_on_unit_pose_and_independents():
@@ -402,23 +418,24 @@ def test_aggregate_global_fd_on_unit_pose_and_independents():
     }
     shared = {"reach": 0.9}
     weights = Weights(collision=1.3, relation=0.8, boundary=1.7)
-    lv = aggregate_global(scene, independent, unit_poses, member_locals, shared, weights)
+    index, x = _vector(scene, {**independent, **unit_poses, **member_locals}, shared)
+    lv = aggregate_global(scene, index, x, weights)
 
-    def value_at(**over):
-        up = {**unit_poses, **{k: v for k, v in over.items() if k == "work"}}
-        ind = {**independent, **{k: v for k, v in over.items() if k in independent}}
-        return aggregate_global(scene, ind, up, member_locals, shared, weights).value
+    def value_at(name, pose):
+        moved = x.copy()
+        moved[index.pose[name]] = pose
+        return aggregate_global(scene, index, moved, weights).value
 
     h = 1e-6
-    for name, store_key in (("work", "unit:work"), ("lamp", "pose:lamp"), ("rug", "pose:rug")):
+    for name in ("work", "lamp", "rug"):
         base_arr = unit_poses[name] if name == "work" else independent[name]
         for idx in range(3):
             up = base_arr.copy()
             up[idx] += h
             dn = base_arr.copy()
             dn[idx] -= h
-            fd = (value_at(**{name: up}) - value_at(**{name: dn})) / (2 * h)
-            assert lv.grads[store_key][idx] == pytest.approx(fd, rel=1e-4, abs=1e-6), (
+            fd = (value_at(name, up) - value_at(name, dn)) / (2 * h)
+            assert lv.grads[index.pose[name]][idx] == pytest.approx(fd, rel=1e-4, abs=1e-6), (
                 name,
                 idx,
             )
@@ -457,7 +474,8 @@ def test_relation_penalties_labels_and_values():
     member_locals = {
         mid: np.array([0.8, 0.0, 0.0]) for u in spec.units for mid in u.members
     }
-    pens = relation_penalties(spec, independent, unit_poses, member_locals, {})
+    index, x = _vector(spec, {**independent, **unit_poses, **member_locals}, {})
+    pens = relation_penalties(spec, index, x)
     assert "around:stools" in pens
     # One entry per non-around relation plus one per group.
     n_around = sum(1 for r in spec.relations if r.kind == "around")

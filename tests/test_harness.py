@@ -268,7 +268,7 @@ def test_benchmark_rejects_bad_threshold():
 
 def test_curves_csv_rows_and_equal_start():
     spec = load_fixture("dining_set")
-    csv = benchmark_curves_csv(spec, (0,), config=OptimizerConfig(iterations=10))
+    csv = benchmark_curves_csv(convergence_benchmark(spec, (0,), config=OptimizerConfig(iterations=10)))
     lines = csv.strip().splitlines()
     assert lines[0] == "seed,iteration,reparam,reparam_ema,baseline,baseline_ema"
     assert len(lines) == 1 + 20
@@ -342,6 +342,25 @@ def test_cli_bench_prints_speedups(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "mean speedup" in stdout
     assert open(curves).read().startswith("seed,iteration,")
+
+
+def _json_errors(err: str) -> list:
+    return [json.loads(line)["error"] for line in err.strip().splitlines() if line.startswith("{")]
+
+
+def test_cli_solve_rejects_iterations_below_one(tmp_path, capsys):
+    scene = _write_fixture(tmp_path, "star_unit")
+    assert main(["solve", scene, "--iterations", "0"]) == 1
+    assert main(["solve", scene, "--iterations", "-3"]) == 1
+    assert _json_errors(capsys.readouterr().err) == ["ValueError", "ValueError"]
+
+
+def test_cli_bench_rejects_iterations_below_one(tmp_path, capsys):
+    scene = _write_fixture(tmp_path, "star_unit")
+    assert main(["bench", scene, "--seeds", "0", "--iterations", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "diverged" not in captured.out
+    assert _json_errors(captured.err) == ["ValueError"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

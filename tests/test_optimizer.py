@@ -1,6 +1,7 @@
 """Descent mechanics: initialization, gradient assembly, staging, baseline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,23 +50,16 @@ def _assembled_scene():
     state = init_state(spec, seed=0)
     # Hand-placed: a overlaps the unit's stand-in box (collision active), b
     # pokes past the right wall (boundary active), everything off kinks.
-    state.independent["a"][:] = (3.0, 3.6, 0.4)
-    state.independent["b"][:] = (6.1, 2.2, -0.3)
-    state.unit_poses["u"][:] = (4.0, 4.3, 0.7)
-    state.member_local["c"][:] = (1.1, 0.2, 2.9)
-    state.shared["sep"] = 1.45
+    state.pose("a")[:] = (3.0, 3.6, 0.4)
+    state.pose("b")[:] = (6.1, 2.2, -0.3)
+    state.pose("u")[:] = (4.0, 4.3, 0.7)
+    state.pose("c")[:] = (1.1, 0.2, 2.9)
+    state.x[state.index.param["sep"]] = 1.45
     return state
 
 
 def _clone(state):
-    return ParamState(
-        spec=state.spec,
-        independent={k: v.copy() for k, v in state.independent.items()},
-        unit_poses={k: v.copy() for k, v in state.unit_poses.items()},
-        member_local={k: v.copy() for k, v in state.member_local.items()},
-        shared=dict(state.shared),
-        shared_prior=dict(state.shared_prior),
-    )
+    return ParamState(state.spec, state.index, state.x.copy(), dict(state.shared_prior))
 
 
 def test_cosine_factor_endpoints():
@@ -78,21 +72,20 @@ def test_init_state_is_deterministic_and_in_bounds():
     spec = load_fixture("mixed_ten")
     s1 = init_state(spec, seed=7)
     s2 = init_state(spec, seed=7)
-    for store in ("independent", "unit_poses", "member_local"):
-        d1, d2 = getattr(s1, store), getattr(s2, store)
-        assert list(d1) == list(d2)
-        for k in d1:
-            assert np.array_equal(d1[k], d2[k])
+    assert list(s1.index.pose) == list(s2.index.pose)
+    for k in s1.index.pose:
+        assert np.array_equal(s1.pose(k), s2.pose(k))
     assert s1.shared == s2.shared
+    members = [mid for u in spec.units for mid in u.members]
     for seed in range(30):
         s = init_state(spec, seed=seed)
         for a in spec.independent_assets():
-            x, y, theta = s.independent[a.id]
+            x, y, theta = s.pose(a.id)
             m = max(a.half_l, a.half_w)
             assert m <= x <= spec.room.length - m
             assert m <= y <= spec.room.width - m
             assert -math.pi <= theta < math.pi
-        for local in s.member_local.values():
+        for local in (s.pose(mid) for mid in members):
             assert -1.0 <= local[0] <= 1.0 and -1.0 <= local[1] <= 1.0
 
 
@@ -100,7 +93,7 @@ def test_init_state_draws_differ_across_seeds():
     spec = load_fixture("dining_set")
     a = init_state(spec, seed=0)
     b = init_state(spec, seed=1)
-    assert not np.array_equal(a.unit_poses["dining"], b.unit_poses["dining"])
+    assert not np.array_equal(a.pose("dining"), b.pose("dining"))
 
 
 def test_oversized_asset_raises():
@@ -116,8 +109,8 @@ def test_global_pose_composes_member_locals():
         units=(Unit("u", "t", ("c",)),),
     )
     state = init_state(spec, seed=0)
-    state.unit_poses["u"][:] = (1.0, 2.0, 0.5 * math.pi)
-    state.member_local["c"][:] = (1.0, 0.0, 0.3)
+    state.pose("u")[:] = (1.0, 2.0, 0.5 * math.pi)
+    state.pose("c")[:] = (1.0, 0.0, 0.3)
     anchor = state.global_pose("t")
     member = state.global_pose("c")
     assert (anchor.x, anchor.y, anchor.theta) == (1.0, 2.0, 0.5 * math.pi)
@@ -128,23 +121,19 @@ def test_global_pose_composes_member_locals():
 
 
 def _flat_entries(state):
+    """(is member row, name, slot of x) for every slot of the vector."""
     entries = []
-    for store_name in ("independent", "unit_poses", "member_local"):
-        store = getattr(state, store_name)
-        for key in store:
-            for i in range(3):
-                entries.append((store_name, key, i))
-    for name in state.shared:
-        entries.append(("shared", name, None))
+    for key, rows in state.index.pose.items():
+        member = state.spec.unit_of(key) is not None
+        for slot in range(rows.start, rows.stop):
+            entries.append((member, key, slot))
+    for name, slot in state.index.param.items():
+        entries.append((False, name, slot))
     return entries
 
 
 def _nudge(state, entry, h):
-    store_name, key, i = entry
-    if store_name == "shared":
-        state.shared[key] += h
-    else:
-        getattr(state, store_name)[key][i] += h
+    state.x[entry[2]] += h
 
 
 def test_evaluate_gradients_match_finite_differences():
@@ -162,28 +151,21 @@ def test_evaluate_gradients_match_finite_differences():
         from layoutopt.constraints import aggregate_local
 
         return sum(
-            aggregate_local(s.spec, u.id, s.member_local, s.shared, weights).value
+            aggregate_local(s.spec, u.id, s.index, s.x, weights).value
             for u in s.spec.units
         )
 
     h = 1e-5
     for entry in _flat_entries(state):
-        store_name, key, i = entry
-        fn = local_total if store_name == "member_local" else (
+        member, key, slot = entry
+        fn = local_total if member else (
             lambda s: evaluate(s, weights, 2, config)[0]
         )
         plus, minus = _clone(state), _clone(state)
         _nudge(plus, entry, h)
         _nudge(minus, entry, -h)
         fd = (fn(plus) - fn(minus)) / (2 * h)
-        if store_name == "shared":
-            an = float(grads.get(f"param:{key}", 0.0))
-        else:
-            prefix = {"independent": "pose", "unit_poses": "unit", "member_local": "local"}[
-                store_name
-            ]
-            g = grads.get(f"{prefix}:{key}")
-            an = 0.0 if g is None else float(g[i])
+        an = float(grads[slot])
         assert an == pytest.approx(fd, rel=2e-4, abs=1e-6), entry
 
 
@@ -200,16 +182,22 @@ def test_stage1_disables_collision_boundary_and_prior():
     assert terms2["boundary"] > 0.0
     assert terms2["prior"] == pytest.approx((1.45 - 1.3) ** 2)
     assert total2 == pytest.approx(sum(terms2.values()))
-    assert not any(k.startswith("param:") and False for k in grads1)
+    # The stage-1 shared-parameter gradient carries no prior term: it is the
+    # stage-2 gradient with collision, boundary and prior switched off.
+    _, grads_free, _ = evaluate(
+        state, Weights(collision=0.0, boundary=0.0), stage=2, config=replace(config, prior_weight=0.0)
+    )
+    params = list(state.index.param.values())
+    assert params and np.array_equal(grads1[params], grads_free[params])
 
 
 def test_zero_gradient_step_is_noop():
     spec = _scene(Room(10.0, 10.0, 3.0), (Asset("box", "box", (1.0, 1.0, 1.0)),))
     state = init_state(spec, seed=0)
-    state.independent["box"][:] = (5.0, 5.0, 0.3)
-    before = state.independent["box"].copy()
+    state.pose("box")[:] = (5.0, 5.0, 0.3)
+    before = state.pose("box").copy()
     step(state, OptimizerConfig(), Weights(), stage=2)
-    assert np.array_equal(state.independent["box"], before)
+    assert np.array_equal(state.pose("box"), before)
     assert state.step_index == 1
 
 
@@ -220,7 +208,7 @@ def test_step_raises_on_nonfinite():
         relations=(Relation("distance", "a", "b", {"d": 1.0}),),
     )
     state = init_state(spec, seed=0)
-    state.independent["a"][0] = math.nan
+    state.pose("a")[0] = math.nan
     with pytest.raises(DivergenceError):
         step(state, OptimizerConfig(), Weights(), stage=2)
 
@@ -238,12 +226,12 @@ def test_unit_frame_fixed_under_intra_terms():
     # Unit-internal terms are expressed in the unit frame, so the frame pose
     # receives no gradient at all while members keep moving.
     state = init_state(_intra_only_scene(), seed=3)
-    frame_before = state.unit_poses["u"].copy()
-    local_before = state.member_local["c"].copy()
+    frame_before = state.pose("u").copy()
+    local_before = state.pose("c").copy()
     for _ in range(5):
         step(state, OptimizerConfig(), Weights(), stage=1)
-    assert np.array_equal(state.unit_poses["u"], frame_before)
-    assert not np.array_equal(state.member_local["c"], local_before)
+    assert np.array_equal(state.pose("u"), frame_before)
+    assert not np.array_equal(state.pose("c"), local_before)
 
 
 def test_baseline_moves_anchor_under_intra_terms():
@@ -268,7 +256,7 @@ def test_solver_matches_scalar_recursion_on_axis_target():
     )
     config = OptimizerConfig(seed=5)
     init = init_state(spec, config.seed)
-    x0, y0 = init.independent["slider"][0], init.independent["slider"][1]
+    x0, y0 = init.pose("slider")[0], init.pose("slider")[1]
     # Preconditions for the 1-d reduction: interior start so the boundary
     # term stays identically zero along the trajectory.
     assert 1.0 < y0 < 19.0 and 1.0 < x0 < 19.0
@@ -332,6 +320,11 @@ def test_trace_rows_and_csv_determinism():
     header, first = csv1.splitlines()[:2]
     assert header == "iteration,stage,total,collision,boundary,relation,prior,lr"
     assert first.startswith("0,1,")
+    for line in csv1.splitlines()[1:]:
+        cells = line.split(",")
+        assert len(cells) == 8
+        for cell in cells:
+            float(cell)
     assert t1.final_shared == t2.final_shared
     assert set(t1.final_penalties) == {f"relations[{i}]" for i in range(len(spec.relations))}
 
