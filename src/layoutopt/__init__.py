@@ -14,6 +14,7 @@ from .errors import (
     DivergenceError,
     InfeasibleRoomError,
     LayoutError,
+    MissingEntityError,
     RevisionError,
     SceneSemanticError,
     SceneSyntaxError,
@@ -80,6 +81,7 @@ __all__ = [
     "InfeasibleRoomError",
     "Layout",
     "LayoutError",
+    "MissingEntityError",
     "OptimizerConfig",
     "PhysicalReport",
     "Pose2D",

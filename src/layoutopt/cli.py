@@ -5,9 +5,10 @@ validate and revise it before solving, analyze its relation structure,
 evaluate a stored layout, and benchmark the two parameterizations.
 
 Exit codes: 0 success, 1 usage or I/O problems, 2 optimization failures
-(infeasible room, divergence), 3 validation failures (malformed scenes,
-unresolved conflicts).  Errors are emitted as JSON objects on stderr so
-wrapping tools can parse them.
+(infeasible room, divergence), 3 validation failures (malformed scenes, a
+layout or id naming an entity that is not there, unresolved conflicts).
+Errors are emitted as JSON objects on stderr so wrapping tools can parse
+them; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import replace
 from .errors import (
     DivergenceError,
     InfeasibleRoomError,
+    MissingEntityError,
     RevisionError,
     SceneSemanticError,
     SceneSyntaxError,
@@ -192,7 +194,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (SceneSyntaxError, SceneSemanticError, RevisionError, KeyError) as exc:
+    except (SceneSyntaxError, SceneSemanticError, RevisionError, MissingEntityError) as exc:
         _emit_error(exc)
         return 3
     except (InfeasibleRoomError, DivergenceError) as exc:

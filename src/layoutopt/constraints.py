@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     FootprintBox,
     Pose2D,
-    boundary_sample_points,
+    boundary_probes,
     corners,
 )
 from .scene_model import (
@@ -182,6 +183,20 @@ def collision_loss(a: FootprintBox, b: FootprintBox) -> LossValue:
     return LossValue(value, {"a": ga, "b": gb})
 
 
+def _proxy_pairs(boxes: dict) -> list:
+    """Id pairs of `boxes` in nested-loop order over its keys, less the pairs
+    whose proxies are disjoint or touch: `collision_loss` is exactly 0 there,
+    with a gradient of signed zeros.  Bounds use the half extents and the
+    expressions of `collision_loss`, so the two agree bit for bit."""
+    ids = list(boxes)
+    lo, hi = [], []
+    for box in boxes.values():
+        ax, ay, _, _ = _half_extent_derivs(box)
+        lo.append((box.pose.x - ax, box.pose.y - ay))
+        hi.append((box.pose.x + ax, box.pose.y + ay))
+    return [(ids[i], ids[j]) for i, j in geometry.overlapping_pairs(lo, hi)]
+
+
 def boundary_loss(box: FootprintBox, room: Room) -> LossValue:
     """L1 excursion of the footprint corners outside the room rectangle."""
     c = math.cos(box.pose.theta)
@@ -225,11 +240,35 @@ def distance_loss(a: FootprintBox, b: FootprintBox, d_star: float) -> LossValue:
     return LossValue(r * r, {"a": ga, "b": gb, "d": -2.0 * r})
 
 
+def _local_sdf(ux: float, uy: float, half_l: float, half_w: float) -> float:
+    """Signed distance from the point (ux, uy) of a box's frame to its
+    boundary; the value part of `_local_sdf_grad`."""
+    ex = abs(ux) - half_l
+    ey = abs(uy) - half_w
+    if ex > 0.0 or ey > 0.0:
+        return math.hypot(max(ex, 0.0), max(ey, 0.0))
+    return ex if ex >= ey else ey
+
+
+def _local_sdf_grad(ux: float, uy: float, half_l: float, half_w: float):
+    """d `_local_sdf` / d (ux, uy), tie-broken toward the x face inside."""
+    ex = abs(ux) - half_l
+    ey = abs(uy) - half_w
+    if ex > 0.0 or ey > 0.0:
+        px_, py_ = max(ex, 0.0), max(ey, 0.0)
+        norm = math.hypot(px_, py_)
+        return math.copysign(1.0, ux) * px_ / norm, math.copysign(1.0, uy) * py_ / norm
+    if ex >= ey:
+        return math.copysign(1.0, ux), 0.0
+    return 0.0, math.copysign(1.0, uy)
+
+
 def _point_box_sdf_grads(point_box: FootprintBox, offset, other: FootprintBox):
     """Signed distance from a boundary point of `point_box` to `other`,
     with derivatives w.r.t. both poses.
 
-    `offset` is the probe point in point_box's local frame.
+    `offset` is the probe point in point_box's local frame.  The value is
+    the one `gap_loss` scans for, from the same float expressions.
     """
     pp = point_box.pose
     cp, sp = math.cos(pp.theta), math.sin(pp.theta)
@@ -241,23 +280,8 @@ def _point_box_sdf_grads(point_box: FootprintBox, offset, other: FootprintBox):
     dx, dy = qx - po.x, qy - po.y
     ux = co * dx + so * dy
     uy = -so * dx + co * dy
-    ex = abs(ux) - other.half_l
-    ey = abs(uy) - other.half_w
-
-    # d value / d (ux, uy)
-    if ex > 0.0 or ey > 0.0:
-        px_, py_ = max(ex, 0.0), max(ey, 0.0)
-        norm = math.hypot(px_, py_)
-        gux = math.copysign(1.0, ux) * px_ / norm
-        guy = math.copysign(1.0, uy) * py_ / norm
-        value = norm
-    else:
-        if ex >= ey:
-            gux, guy = math.copysign(1.0, ux), 0.0
-            value = ex
-        else:
-            gux, guy = 0.0, math.copysign(1.0, uy)
-            value = ey
+    value = _local_sdf(ux, uy, other.half_l, other.half_w)
+    gux, guy = _local_sdf_grad(ux, uy, other.half_l, other.half_w)
 
     # World-frame gradient at the probe point.
     gq = np.array([co * gux - so * guy, so * gux + co * guy])
@@ -272,22 +296,32 @@ def gap_loss(a: FootprintBox, b: FootprintBox, g: float) -> LossValue:
     """Squared error between the smallest boundary separation and target g.
 
     The separation is the minimum signed point-to-box distance over boundary
-    probes of both boxes; derivatives follow the winning probe.
+    probes of both boxes; derivatives follow the winning probe, the first
+    one strictly below all before it.  The scan computes values only: a
+    probe that does not win contributes exactly nothing to the gradient, so
+    only the winner's derivatives are computed.
     """
     best = math.inf
-    best_grads = None
+    winner = None
     for box, other, slot_box, slot_other in ((a, b, "a", "b"), (b, a, "b", "a")):
-        cb, sb = math.cos(box.pose.theta), math.sin(box.pose.theta)
-        for p in boundary_sample_points(box):
-            # Back out the probe's local offset to chain through the pose.
-            wx, wy = p[0] - box.pose.x, p[1] - box.pose.y
-            offset = (cb * wx + sb * wy, -sb * wx + cb * wy)
-            value, g_point, g_other = _point_box_sdf_grads(box, offset, other)
+        pp, po = box.pose, other.pose
+        cp, sp = math.cos(pp.theta), math.sin(pp.theta)
+        co, so = math.cos(po.theta), math.sin(po.theta)
+        for px, py in boundary_probes(box):
+            # Back out the probe's local offset to chain through the pose,
+            # then carry it into other's frame as `_point_box_sdf_grads` does.
+            wx, wy = px - pp.x, py - pp.y
+            offset = (cp * wx + sp * wy, -sp * wx + cp * wy)
+            dx = pp.x + cp * offset[0] - sp * offset[1] - po.x
+            dy = pp.y + sp * offset[0] + cp * offset[1] - po.y
+            value = _local_sdf(co * dx + so * dy, -so * dx + co * dy, other.half_l, other.half_w)
             if value < best:
                 best = value
-                best_grads = {slot_box: g_point, slot_other: g_other}
+                winner = (box, offset, other, slot_box, slot_other)
+    box, offset, other, slot_box, slot_other = winner
+    _, g_point, g_other = _point_box_sdf_grads(box, offset, other)
     r = best - g
-    out = {k: 2.0 * r * v for k, v in best_grads.items()}
+    out = {slot_box: 2.0 * r * g_point, slot_other: 2.0 * r * g_other}
     out["g"] = -2.0 * r
     return LossValue(r * r, out)
 
@@ -803,7 +837,9 @@ def aggregate_local(
     array laid out by `index`, nonzero only on member rows and shared
     parameters.  The unit's own pose never appears: every term depends only
     on relative geometry inside the frame, so its row is exactly zero.  The
-    anchor is frame-fixed and receives no gradient.
+    anchor is frame-fixed and receives no gradient.  Member pairs whose
+    proxies are disjoint or touch are skipped: their collision value and
+    gradient are exact zeros, so every sum keeps its bits.
     """
     unit = spec.unit(unit_id)
     rows = {mid: index.pose[mid] for mid in unit.members}
@@ -811,15 +847,13 @@ def aggregate_local(
     grad = np.zeros(index.size)
 
     collision_total = 0.0
-    ids = list(boxes)
     if weights.collision != 0.0:
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                lv = collision_loss(boxes[ids[i]], boxes[ids[j]])
-                collision_total += lv.value
-                for eid, g in ((ids[i], lv.grads["a"]), (ids[j], lv.grads["b"])):
-                    if eid in rows:
-                        grad[rows[eid]] += weights.collision * g
+        for a, b in _proxy_pairs(boxes):
+            lv = collision_loss(boxes[a], boxes[b])
+            collision_total += lv.value
+            for eid, g in ((a, lv.grads["a"]), (b, lv.grads["b"])):
+                if eid in rows:
+                    grad[rows[eid]] += weights.collision * g
 
     relation_total = 0.0
     if weights.relation != 0.0:
@@ -849,7 +883,9 @@ def aggregate_global(
 
     Terms: room-boundary excursions, pairwise collisions, and inter
     relations.  The gradient is a flat array laid out by `index`, nonzero
-    only on unit frames, independent assets and shared parameters.
+    only on unit frames, independent assets and shared parameters.  Pairs
+    whose proxies are disjoint or touch are skipped, as in `aggregate_local`:
+    they contribute exact zeros.
     """
     boxes, offsets = _scene_boxes(spec, index, x)
     grad = np.zeros(index.size)
@@ -868,14 +904,12 @@ def aggregate_global(
             grad[index.pose[eid]] += weights.boundary * pull(eid, lv.grads["box"])
 
     collision_total = 0.0
-    ids = list(boxes)
     if weights.collision != 0.0:
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                lv = collision_loss(boxes[ids[i]], boxes[ids[j]])
-                collision_total += lv.value
-                grad[index.pose[ids[i]]] += weights.collision * pull(ids[i], lv.grads["a"])
-                grad[index.pose[ids[j]]] += weights.collision * pull(ids[j], lv.grads["b"])
+        for a, b in _proxy_pairs(boxes):
+            lv = collision_loss(boxes[a], boxes[b])
+            collision_total += lv.value
+            grad[index.pose[a]] += weights.collision * pull(a, lv.grads["a"])
+            grad[index.pose[b]] += weights.collision * pull(b, lv.grads["b"])
 
     relation_total = 0.0
     if weights.relation != 0.0:

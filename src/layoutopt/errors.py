@@ -7,6 +7,19 @@ class LayoutError(Exception):
     """Base class for all package-specific errors."""
 
 
+class MissingEntityError(LayoutError, KeyError):
+    """An id taken from a scene, a layout or the command line names nothing
+    there (no such asset, pose, node or fixture).
+
+    A KeyError too, so callers that catch KeyError keep working; the CLI
+    reports only this one as a validation failure, not every KeyError.
+    """
+
+    def __str__(self) -> str:
+        # KeyError's own __str__ would quote the message like a key.
+        return Exception.__str__(self)
+
+
 class SceneSyntaxError(LayoutError):
     """Scene text is not well-formed (bad JSON, wrong top-level shape)."""
 

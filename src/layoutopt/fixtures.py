@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
+from .errors import MissingEntityError
 from .scene_model import SceneSpec, parse_scene
 
 FIXTURE_NAMES = (
@@ -17,7 +18,7 @@ FIXTURE_NAMES = (
 
 def fixture_text(name: str) -> str:
     if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+        raise MissingEntityError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     return (
         resources.files("layoutopt") / "scenes" / f"{name}.json"
     ).read_text(encoding="utf-8")

@@ -129,6 +129,29 @@ def axis_bounds(box: FootprintBox) -> tuple[Interval, Interval]:
     )
 
 
+def overlapping_pairs(lo, hi) -> list:
+    """Pairs (i, j), i < j, of axis-aligned boxes whose overlap can be positive.
+
+    `lo` and `hi` are (n, 2) arrays of box bounds.  A pair is dropped only
+    when min(hi_i, hi_j) - max(lo_i, lo_j) <= 0 on some axis, the test that
+    `collide_proxy` negates.  A row with a non-finite bound is set to NaN
+    first, so every pair involving it is kept.  Pairs come in row-major
+    order, the order of `for i in range(n): for j in range(i + 1, n)`.
+    """
+    lo = np.array(lo, dtype=float).reshape(-1, 2)
+    hi = np.array(hi, dtype=float).reshape(-1, 2)
+    bad = ~(np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1))
+    lo[bad] = np.nan
+    apart = np.zeros((len(lo), len(lo)), dtype=bool)
+    for k in (0, 1):
+        l, h = lo[:, k].copy(), hi[:, k].copy()
+        overlap = np.minimum(h[:, None], h)
+        overlap -= np.maximum(l[:, None], l)
+        apart |= overlap <= 0.0
+    i, j = np.nonzero(np.triu(~apart, 1))
+    return list(zip(i.tolist(), j.tolist()))
+
+
 def collide_proxy(a: FootprintBox, b: FootprintBox) -> bool:
     """True when the axis-aligned proxies overlap with positive area.
 
@@ -251,15 +274,21 @@ def signed_distance_point_box(point, box: FootprintBox) -> float:
 _EDGE_FRACTIONS = (0.125, 0.375, 0.625, 0.875)
 
 
-def boundary_sample_points(box: FootprintBox) -> np.ndarray:
-    """Probe points on the box boundary: 4 corners + 4 samples per edge."""
-    cs = corners(box)
-    pts = [cs[k] for k in range(4)]
+def boundary_probes(box: FootprintBox) -> list:
+    """Probe points on the box boundary as (x, y) float pairs: the 4 corners
+    of `corners`, then 4 samples per edge."""
+    cs = corners(box).tolist()
+    pts = list(cs)
     for k in range(4):
-        p, q = cs[k], cs[(k + 1) % 4]
+        (px, py), (qx, qy) = cs[k], cs[(k + 1) % 4]
         for t in _EDGE_FRACTIONS:
-            pts.append(p + t * (q - p))
-    return np.asarray(pts)
+            pts.append((px + t * (qx - px), py + t * (qy - py)))
+    return pts
+
+
+def boundary_sample_points(box: FootprintBox) -> np.ndarray:
+    """Probe points on the box boundary, shape (20, 2); see `boundary_probes`."""
+    return np.asarray(boundary_probes(box))
 
 
 def min_boundary_distance(a: FootprintBox, b: FootprintBox) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import UnreachableNodeError
+from .errors import MissingEntityError, UnreachableNodeError
 from .scene_model import SceneSpec
 
 ROOT = "scene"
@@ -32,7 +32,7 @@ class RelationGraph:
         known = set(nodes)
         for u, v in edges:
             if u not in known or v not in known:
-                raise KeyError(f"edge ({u!r}, {v!r}) references an unknown node")
+                raise MissingEntityError(f"edge ({u!r}, {v!r}) references an unknown node")
         adj: dict = {n: [] for n in nodes}
         for u, v in edges:
             if v not in adj[u]:
@@ -174,7 +174,7 @@ def hop_histogram(g: RelationGraph, flagged) -> dict:
     assets = {n for n in g.nodes if n != ROOT}
     stray = flagged - assets
     if stray:
-        raise KeyError(f"flagged ids outside the graph: {sorted(stray)}")
+        raise MissingEntityError(f"flagged ids outside the graph: {sorted(stray)}")
     root_dist = _hops_from(g, ROOT)
     buckets: dict = {}
     for n in sorted(assets):

@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import geometry
 from .constraints import Weights
-from .errors import DivergenceError
+from .errors import DivergenceError, MissingEntityError
 from .geometry import ConvexPolygon, FootprintBox, corners, polygon_intersection_area
 from .optimizer import OptimizerConfig, solve, solve_global_baseline
 from .scene_model import Layout, SceneSpec
@@ -48,7 +49,7 @@ class PhysicalReport:
 
 def asset_polygon(spec: SceneSpec, asset_id: str, layout: Layout) -> ConvexPolygon:
     if asset_id not in layout.poses:
-        raise KeyError(f"no pose for {asset_id!r}")
+        raise MissingEntityError(f"no pose for {asset_id!r}")
     a = spec.asset(asset_id)
     return ConvexPolygon.from_box(FootprintBox(layout.pose2d(asset_id), a.half_l, a.half_w))
 
@@ -63,21 +64,24 @@ def eval_physical(spec: SceneSpec, layout: Layout) -> PhysicalReport:
 
     An object collides when some pairwise footprint intersection exceeds
     tau_c; it is out of bounds when more than tau_o of its footprint area
-    lies outside the room rectangle.
+    lies outside the room rectangle.  Pairs whose vertex bounding boxes are
+    disjoint or touch are not clipped: their intersection area is zero, so
+    they never reach tau_c.
     """
     ids = [a.id for a in spec.assets]
-    polys = {aid: asset_polygon(spec, aid, layout) for aid in ids}
+    polys = [asset_polygon(spec, aid, layout) for aid in ids]
     room = room_polygon(spec)
 
+    lo = [p.vertices.min(axis=0) for p in polys]
+    hi = [p.vertices.max(axis=0) for p in polys]
     colliding = set()
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if polygon_intersection_area(polys[a], polys[b]) > COLLISION_TOLERANCE:
-                colliding.add(a)
-                colliding.add(b)
+    for i, j in geometry.overlapping_pairs(lo, hi):
+        if polygon_intersection_area(polys[i], polys[j]) > COLLISION_TOLERANCE:
+            colliding.add(ids[i])
+            colliding.add(ids[j])
     oob = []
-    for aid in ids:
-        outside = polys[aid].area - polygon_intersection_area(polys[aid], room)
+    for aid, poly in zip(ids, polys):
+        outside = poly.area - polygon_intersection_area(poly, room)
         if outside > OOB_TOLERANCE:
             oob.append(aid)
 
@@ -133,7 +137,7 @@ def render_svg(spec: SceneSpec, layout: Layout) -> bytes:
     ]
     for a in spec.assets:
         if a.id not in layout.poses:
-            raise KeyError(f"no pose for {a.id!r}")
+            raise MissingEntityError(f"no pose for {a.id!r}")
         pose = layout.pose2d(a.id)
         box = FootprintBox(pose, a.half_l, a.half_w)
         pts = " ".join(f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in corners(box))

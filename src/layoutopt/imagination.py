@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .constraints import SIDE_RULES, WALL_RULES, unit_local_aabb, unit_obb
-from .errors import RevisionError, SceneSemanticError, SceneSyntaxError
+from .errors import MissingEntityError, RevisionError, SceneSemanticError, SceneSyntaxError
 from .geometry import (
     FootprintBox,
     Pose2D,
@@ -318,7 +319,7 @@ def build_maps(spec: SceneSpec, poses: dict):
         entries = {u.anchor: _entry(origin, FootprintBox(origin, anchor.half_l, anchor.half_w))}
         for mid in u.members:
             if mid not in poses:
-                raise KeyError(f"no pose for {mid!r}")
+                raise MissingEntityError(f"no pose for {mid!r}")
             m = spec.asset(mid)
             entries[mid] = _entry(poses[mid], FootprintBox(poses[mid], m.half_l, m.half_w))
         local_maps[u.id] = CognitiveMap(u.id, entries)
@@ -326,7 +327,7 @@ def build_maps(spec: SceneSpec, poses: dict):
     gentries: dict = {}
     for u in spec.units:
         if u.id not in poses:
-            raise KeyError(f"no pose for {u.id!r}")
+            raise MissingEntityError(f"no pose for {u.id!r}")
         p = poses[u.id]
         locals_arr = {
             mid: np.array([poses[mid].x, poses[mid].y, poses[mid].theta]) for mid in u.members
@@ -335,7 +336,7 @@ def build_maps(spec: SceneSpec, poses: dict):
         gentries[u.id] = _entry(p, box)
     for a in spec.independent_assets():
         if a.id not in poses:
-            raise KeyError(f"no pose for {a.id!r}")
+            raise MissingEntityError(f"no pose for {a.id!r}")
         p = poses[a.id]
         gentries[a.id] = _entry(p, FootprintBox(p, a.half_l, a.half_w))
     return local_maps, CognitiveMap("scene", gentries)
@@ -347,6 +348,15 @@ def _proxy_overlap(ea: MapEntry, eb: MapEntry):
     if ox > 0.0 and oy > 0.0:
         return ox, oy
     return None
+
+
+def _candidate_pairs(entries: dict) -> list:
+    """Id pairs (a, b), a < b, in lexicographic order, less the pairs whose
+    proxy bounds are disjoint or touch, which `_proxy_overlap` rejects."""
+    ids = sorted(entries)
+    lo = [(entries[e].bounds[0].lo, entries[e].bounds[1].lo) for e in ids]
+    hi = [(entries[e].bounds[0].hi, entries[e].bounds[1].hi) for e in ids]
+    return [(ids[i], ids[j]) for i, j in geometry.overlapping_pairs(lo, hi)]
 
 
 def _global_member_boxes(frame: Pose2D, local_map) -> list:
@@ -367,27 +377,23 @@ def detect_conflicts(spec: SceneSpec, local_maps: dict, global_map: CognitiveMap
     out = []
     for u in spec.units:
         entries = local_maps[u.id].entries
-        ids = sorted(entries)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                ov = _proxy_overlap(entries[a], entries[b])
-                if ov is not None:
-                    out.append(Conflict("intra", u.id, (a, b), ov, entries[a].box, entries[b].box))
+        for a, b in _candidate_pairs(entries):
+            ov = _proxy_overlap(entries[a], entries[b])
+            if ov is not None:
+                out.append(Conflict("intra", u.id, (a, b), ov, entries[a].box, entries[b].box))
 
     entries = global_map.entries
-    ids = sorted(entries)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            ov = _proxy_overlap(entries[a], entries[b])
-            if ov is None:
+    for a, b in _candidate_pairs(entries):
+        ov = _proxy_overlap(entries[a], entries[b])
+        if ov is None:
+            continue
+        if spec.is_unit(a) and spec.is_unit(b):
+            boxes_a = _global_member_boxes(entries[a].pose, local_maps[a])
+            boxes_b = _global_member_boxes(entries[b].pose, local_maps[b])
+            refined = any(collide_proxy(x, y) for x in boxes_a for y in boxes_b)
+            if not refined:
                 continue
-            if spec.is_unit(a) and spec.is_unit(b):
-                boxes_a = _global_member_boxes(entries[a].pose, local_maps[a])
-                boxes_b = _global_member_boxes(entries[b].pose, local_maps[b])
-                refined = any(collide_proxy(x, y) for x in boxes_a for y in boxes_b)
-                if not refined:
-                    continue
-            out.append(Conflict("inter", None, (a, b), ov, entries[a].box, entries[b].box))
+        out.append(Conflict("inter", None, (a, b), ov, entries[a].box, entries[b].box))
     return out
 
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import SceneSemanticError, SceneSyntaxError
+from .errors import MissingEntityError, SceneSemanticError, SceneSyntaxError
 from .geometry import Pose2D
 
 RELATION_KINDS = frozenset(
@@ -185,7 +185,7 @@ def assignment(spec: SceneSpec, asset_id: str) -> int:
     uid = spec.unit_of(asset_id)
     if uid is None:
         if not spec.is_asset(asset_id):
-            raise KeyError(f"unknown asset {asset_id!r}")
+            raise MissingEntityError(f"unknown asset {asset_id!r}")
         return 0
     for k, u in enumerate(spec.units):
         if u.id == uid:

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from layoutopt import geometry
 from layoutopt.constraints import (
     LossValue,
+    _point_box_sdf_grads,
     Weights,
     aggregate_global,
     aggregate_local,
@@ -34,11 +36,13 @@ from layoutopt.fixtures import load_fixture
 from layoutopt.geometry import (
     FootprintBox,
     Pose2D,
+    boundary_sample_points,
     collide_proxy,
     compose,
     corners,
     min_boundary_distance,
 )
+from layoutopt.optimizer import init_state
 from layoutopt.scene_model import Room, parse_scene
 
 from gradcheck import OP_SAMPLERS, assert_grads_close, fd_slots, run_op_fd
@@ -481,3 +485,84 @@ def test_relation_penalties_labels_and_values():
     n_around = sum(1 for r in spec.relations if r.kind == "around")
     assert len(pens) == len(spec.relations) - n_around + 1
     assert all(v >= -1e-12 for v in pens.values())
+
+
+# ---------------------------------------------------------------------------
+# Pruned work is exactly zero work
+# ---------------------------------------------------------------------------
+
+
+def _all_pairs(lo, hi):
+    n = len(lo)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@pytest.mark.parametrize("name", ["mixed_ten", "bookstore_rows"])
+def test_broadphase_keeps_aggregates_bit_exact(name, monkeypatch):
+    spec = load_fixture(name)
+    index = param_index(spec)
+    kept = []
+    broadphase = geometry.overlapping_pairs
+
+    def spy(lo, hi):
+        pairs = broadphase(lo, hi)
+        kept.append((len(pairs), len(_all_pairs(lo, hi))))
+        return pairs
+
+    rng = np.random.default_rng(RNG_SEED + 30)
+    for seed in range(4):
+        x = init_state(spec, seed).x.copy()
+        x[: index.pose_size] += rng.normal(0.0, 0.4, index.pose_size)
+
+        def run():
+            out = [aggregate_global(spec, index, x)]
+            out += [aggregate_local(spec, u.id, index, x) for u in spec.units]
+            return out
+
+        monkeypatch.setattr(geometry, "overlapping_pairs", spy)
+        pruned = run()
+        monkeypatch.setattr(geometry, "overlapping_pairs", _all_pairs)
+        every = run()
+        for p, e in zip(pruned, every):
+            assert p.value == e.value
+            assert p.terms == e.terms
+            assert np.array_equal(p.grads, e.grads)
+    # The comparison means something only if pairs were both kept and dropped.
+    assert sum(k for k, _ in kept) > 0
+    assert sum(k for k, _ in kept) < sum(t for _, t in kept)
+
+
+def _eager_gap(a, b, g):
+    # The probe scan before it went value-only: gradients at every probe.
+    best, best_grads = math.inf, None
+    for box, other, slot_box, slot_other in ((a, b, "a", "b"), (b, a, "b", "a")):
+        cb, sb = math.cos(box.pose.theta), math.sin(box.pose.theta)
+        for p in boundary_sample_points(box):
+            wx, wy = p[0] - box.pose.x, p[1] - box.pose.y
+            offset = (cb * wx + sb * wy, -sb * wx + cb * wy)
+            value, g_point, g_other = _point_box_sdf_grads(box, offset, other)
+            if value < best:
+                best, best_grads = value, {slot_box: g_point, slot_other: g_other}
+    r = best - g
+    out = {k: 2.0 * r * v for k, v in best_grads.items()}
+    out["g"] = -2.0 * r
+    return r * r, out
+
+
+def test_gap_scan_matches_eager_reference_bitwise():
+    rng = np.random.default_rng(RNG_SEED + 31)
+    for k in range(500):
+        if k % 4 == 0:
+            # Axis-aligned side by side: many probes tie for the minimum.
+            hl, hw = 0.25 * float(rng.integers(1, 5)), 0.25 * float(rng.integers(1, 5))
+            a = box(1.0, 2.0, 0.0, hl, hw)
+            b = box(1.0 + 2.0 * hl + 0.25 * float(rng.integers(0, 4)), 2.0, float(rng.choice([0.0, math.pi])), hl, hw)
+        else:
+            a, b = random_box(rng), random_box(rng)
+        g = float(rng.uniform(0.0, 0.6))
+        value, grads = _eager_gap(a, b, g)
+        lv = gap_loss(a, b, g)
+        assert lv.value == value
+        assert list(lv.grads) == list(grads)
+        for key, ref in grads.items():
+            assert np.array_equal(lv.grads[key], ref)

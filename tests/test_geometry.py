@@ -27,6 +27,7 @@ from layoutopt.geometry import (
     invert,
     min_boundary_distance,
     normalize_angle,
+    overlapping_pairs,
     polygon_intersection_area,
     relative,
     signed_distance_point_box,
@@ -198,6 +199,48 @@ def test_collide_proxy_matches_interval_oracle():
         ox = min(ca[:, 0].max(), cb[:, 0].max()) - max(ca[:, 0].min(), cb[:, 0].min())
         oy = min(ca[:, 1].max(), cb[:, 1].max()) - max(ca[:, 1].min(), cb[:, 1].min())
         assert collide_proxy(a, b) == (ox > 0.0 and oy > 0.0)
+
+
+def _grid_boxes(rng, n):
+    # Integer-grid centers and half sizes at theta = 0 make proxy bounds
+    # exact, so some pairs touch with an overlap of exactly zero.
+    return [
+        FootprintBox(
+            Pose2D(float(rng.integers(0, 6)), float(rng.integers(0, 6)), 0.0),
+            0.5 * float(rng.integers(1, 4)),
+            0.5 * float(rng.integers(1, 4)),
+        )
+        for _ in range(n)
+    ]
+
+
+def test_overlapping_pairs_matches_brute_force():
+    rng = np.random.default_rng(RNG_SEED + 20)
+    touching = 0
+    for n in (0, 1, 2, 3, 12, 40):
+        for trial in range(4):
+            boxes = _grid_boxes(rng, n) if trial % 2 == 0 else [random_box(rng, 4.0) for _ in range(n)]
+            bounds = [axis_bounds(b) for b in boxes]
+            lo = np.array([[bx.lo, by.lo] for bx, by in bounds]).reshape(-1, 2)
+            hi = np.array([[bx.hi, by.hi] for bx, by in bounds]).reshape(-1, 2)
+            brute = [(i, j) for i in range(n) for j in range(i + 1, n) if collide_proxy(boxes[i], boxes[j])]
+            assert overlapping_pairs(lo, hi) == brute
+            touching += sum(
+                1
+                for i in range(n)
+                for j in range(i + 1, n)
+                if min(bounds[i][0].overlap(bounds[j][0]), bounds[i][1].overlap(bounds[j][1])) == 0.0
+            )
+            if n == 0:
+                continue
+            # A row with a NaN (or infinite) bound pairs with every other row.
+            k = int(rng.integers(0, n))
+            for bad in (math.nan, math.inf):
+                lo_bad = lo.copy()
+                lo_bad[k, trial % 2] = bad
+                expect = sorted(set(brute) | {(min(i, k), max(i, k)) for i in range(n) if i != k})
+                assert overlapping_pairs(lo_bad, hi) == expect
+    assert touching > 0
 
 
 def test_footprint_box_rejects_bad_sizes():

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from layoutopt import cli, geometry
 from layoutopt.cli import main
 from layoutopt.fixtures import fixture_text, load_fixture
 from layoutopt.geometry import FootprintBox, Pose2D, corners
@@ -122,6 +123,22 @@ def test_missing_pose_raises():
     spec2 = _scene(spec.room, spec.assets + (Asset("ghost", "box", (1.0, 1.0, 1.0)),))
     with pytest.raises(KeyError):
         eval_physical(spec2, layout)
+
+
+def test_broadphase_keeps_physical_report(monkeypatch):
+    rng = np.random.default_rng(17)
+    cases = [random_scene_with_layout(rng) for _ in range(40)]
+    # Exactly touching squares, and slivers just under and over tau, sit at
+    # the pruning edge.
+    cases.append(_boxes(a=(1.0, 1.0, 1.0, 1.0, 0.0), b=(1.0, 1.0, 2.0, 1.0, 0.0), c=(1.0, 1.0, 2.0, 2.0, 0.0)))
+    for gap in (2e-4, 4e-4):
+        cases.append(_boxes(a=(1.0, 1.0, 1.0, 1.0, 0.0), b=(1.0, 1.0, 2.0 - gap, 1.0, 0.0)))
+    pruned = [eval_physical(spec, layout) for spec, layout in cases]
+    monkeypatch.setattr(
+        geometry, "overlapping_pairs", lambda lo, hi: [(i, j) for i in range(len(lo)) for j in range(i + 1, len(lo))]
+    )
+    assert [eval_physical(spec, layout) for spec, layout in cases] == pruned
+    assert sum(len(r.colliding_ids) for r in pruned) > 0
 
 
 def test_flags_match_membership_oracle_sample():
@@ -386,6 +403,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert [e["error"] for e in errs] == [
         "FileNotFoundError", "SceneSyntaxError", "InfeasibleRoomError",
     ]
+
+
+def test_cli_missing_pose_is_exit_3(tmp_path, capsys):
+    scene = _write_fixture(tmp_path, "dining_set")
+    out = str(tmp_path / "l.json")
+    main(["solve", scene, "--seed", "0", "--iterations", "20", "--out", out])
+    data = json.loads(open(out).read())
+    del data["poses"]["chair_w"]
+    open(out, "w").write(json.dumps(data))
+    capsys.readouterr()
+    assert main(["eval", scene, out]) == 3
+    (err,) = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert err == {"error": "MissingEntityError", "message": "no pose for 'chair_w'"}
+
+
+def test_cli_does_not_report_a_bug_as_bad_input(tmp_path, capsys, monkeypatch):
+    # A KeyError from a bug is not a validation failure: no exit 3.
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "_cmd_analyze", broken)
+    scene = _write_fixture(tmp_path, "dining_set")
+    with pytest.raises(KeyError, match="bug"):
+        main(["analyze", scene])
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_seed_sources(tmp_path, capsys, monkeypatch):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from layoutopt import geometry
 from layoutopt.errors import RevisionError
-from layoutopt.fixtures import load_fixture
+from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import (
     ConvexPolygon,
     FootprintBox,
@@ -191,6 +192,26 @@ def test_unit_overlap_without_member_overlap_not_confirmed():
     bx = gm.entries["ub"].bounds[0]
     assert ax.overlap(bx) > 0.0  # coarse boxes do overlap
     assert detect_conflicts(spec, local_maps, gm) == []
+
+
+def test_broadphase_keeps_conflicts(monkeypatch):
+    # Jittered imagined poses: some pairs collide, most do not.
+    rng = np.random.default_rng(21)
+    cases = []
+    for name in FIXTURE_NAMES:
+        spec = load_fixture(name)
+        for _ in range(5):
+            poses = {
+                eid: Pose2D(p.x + rng.normal(0.0, 0.5), p.y + rng.normal(0.0, 0.5), p.theta + rng.normal(0.0, 0.5))
+                for eid, p in interpret_scene(spec).items()
+            }
+            cases.append((spec, build_maps(spec, poses)))
+    found = [detect_conflicts(spec, *maps) for spec, maps in cases]
+    monkeypatch.setattr(
+        geometry, "overlapping_pairs", lambda lo, hi: [(i, j) for i in range(len(lo)) for j in range(i + 1, len(lo))]
+    )
+    assert [detect_conflicts(spec, *maps) for spec, maps in cases] == found
+    assert sum(len(f) for f in found) > 0
 
 
 def test_axis_aligned_proxy_matches_exact_polygons():
