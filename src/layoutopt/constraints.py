@@ -11,6 +11,13 @@ evaluated in the unit frame and never touch the unit pose; scene-level terms
 see independent assets and whole units through their enclosing oriented box.
 Both read poses from one flat parameter vector and add their gradients into a
 flat array of the same layout, through the slot table `ParamIndex`.
+
+`param_index` also compiles the scene's relation plan, once per solve: one
+`Block` per unit frame, then the scene's, each listing its boxes and its
+relation terms in evaluation order (label, box positions, shared-parameter
+position; an around group is one term, see `scene_model.relation_terms`).
+Both aggregates and `relation_penalties` read that plan through one box
+builder and one term evaluator.
 """
 
 from __future__ import annotations
@@ -25,15 +32,17 @@ from .geometry import (
     FootprintBox,
     Pose2D,
     boundary_probes,
-    corners,
+    corner_points,
+    half_extents,
 )
 from .scene_model import (
     DIRECTIONAL_KINDS,
+    SHARED_PARAM_SLOTS,
     Relation,
     Room,
     SceneSpec,
     Unit,
-    around_groups,
+    relation_terms,
     shared_param_priors,
 )
 
@@ -66,21 +75,6 @@ def _zero3() -> np.ndarray:
     return np.zeros(3)
 
 
-def _half_extent_derivs(box: FootprintBox):
-    """Half extents (ax, ay) of the rotated footprint and their theta
-    derivatives.  ax = hl*|cos t| + hw*|sin t|, ay = hl*|sin t| + hw*|cos t|."""
-    c = math.cos(box.pose.theta)
-    s = math.sin(box.pose.theta)
-    hl, hw = box.half_l, box.half_w
-    sc = math.copysign(1.0, c)
-    ss = math.copysign(1.0, s)
-    ax = hl * abs(c) + hw * abs(s)
-    ay = hl * abs(s) + hw * abs(c)
-    dax = -hl * sc * s + hw * ss * c
-    day = hl * ss * c - hw * sc * s
-    return ax, ay, dax, day
-
-
 # ---------------------------------------------------------------------------
 # Collision and boundary
 # ---------------------------------------------------------------------------
@@ -94,8 +88,8 @@ def collision_loss(a: FootprintBox, b: FootprintBox) -> LossValue:
     smallest axis-aligned box enclosing both proxies.  Zero exactly when the
     proxies are disjoint; bounded below by -1.
     """
-    ax_a, ay_a, dax_a, day_a = _half_extent_derivs(a)
-    ax_b, ay_b, dax_b, day_b = _half_extent_derivs(b)
+    ax_a, ay_a, dax_a, day_a = half_extents(a.half_l, a.half_w, a.pose.theta)
+    ax_b, ay_b, dax_b, day_b = half_extents(b.half_l, b.half_w, b.pose.theta)
 
     def axis(ca, ha, cb, hb):
         alo, ahi = ca - ha, ca + ha
@@ -183,18 +177,17 @@ def collision_loss(a: FootprintBox, b: FootprintBox) -> LossValue:
     return LossValue(value, {"a": ga, "b": gb})
 
 
-def _proxy_pairs(boxes: dict) -> list:
-    """Id pairs of `boxes` in nested-loop order over its keys, less the pairs
-    whose proxies are disjoint or touch: `collision_loss` is exactly 0 there,
-    with a gradient of signed zeros.  Bounds use the half extents and the
+def _proxy_pairs(boxes: list) -> list:
+    """Position pairs of `boxes` in nested-loop order, less the pairs whose
+    proxies are disjoint or touch: `collision_loss` is exactly 0 there, with
+    a gradient of signed zeros.  Bounds use the half extents and the
     expressions of `collision_loss`, so the two agree bit for bit."""
-    ids = list(boxes)
     lo, hi = [], []
-    for box in boxes.values():
-        ax, ay, _, _ = _half_extent_derivs(box)
+    for box in boxes:
+        ax, ay, _, _ = half_extents(box.half_l, box.half_w, box.pose.theta)
         lo.append((box.pose.x - ax, box.pose.y - ay))
         hi.append((box.pose.x + ax, box.pose.y + ay))
-    return [(ids[i], ids[j]) for i, j in geometry.overlapping_pairs(lo, hi)]
+    return geometry.overlapping_pairs(lo, hi)
 
 
 def boundary_loss(box: FootprintBox, room: Room) -> LossValue:
@@ -299,7 +292,8 @@ def gap_loss(a: FootprintBox, b: FootprintBox, g: float) -> LossValue:
     probes of both boxes; derivatives follow the winning probe, the first
     one strictly below all before it.  The scan computes values only: a
     probe that does not win contributes exactly nothing to the gradient, so
-    only the winner's derivatives are computed.
+    only the winner's derivatives are computed.  When no probe wins, every
+    probe being NaN (a pose is not finite), value and gradients are NaN.
     """
     best = math.inf
     winner = None
@@ -318,6 +312,9 @@ def gap_loss(a: FootprintBox, b: FootprintBox, g: float) -> LossValue:
             if value < best:
                 best = value
                 winner = (box, offset, other, slot_box, slot_other)
+    if winner is None:
+        nan = np.full(3, math.nan)
+        return LossValue(math.nan, {"a": nan, "b": nan.copy(), "g": math.nan})
     box, offset, other, slot_box, slot_other = winner
     _, g_point, g_other = _point_box_sdf_grads(box, offset, other)
     r = best - g
@@ -339,7 +336,7 @@ def against_wall_loss(box: FootprintBox, wall: str, room: Room) -> LossValue:
     """Flush-to-wall penalty: squared offset from the wall by the footprint's
     half extent, plus 1 - cos(theta - theta_wall)."""
     axis_i, sign, base, theta_star = WALL_RULES[wall]
-    ax, ay, dax, day = _half_extent_derivs(box)
+    ax, ay, dax, day = half_extents(box.half_l, box.half_w, box.pose.theta)
     half = ax if axis_i == 0 else ay
     dhalf = dax if axis_i == 0 else day
     if base is None:
@@ -362,7 +359,7 @@ def corner_loss(box: FootprintBox, corner_tag: str, wall: str, room: Room) -> Lo
     """Tuck-into-corner penalty: squared offsets from both adjacent walls by
     the half extents, plus orientation toward the named wall's target angle."""
     sx, sy = _CORNER_SIGNS_XY[corner_tag]
-    ax, ay, dax, day = _half_extent_derivs(box)
+    ax, ay, dax, day = half_extents(box.half_l, box.half_w, box.pose.theta)
     x_base = 0.0 if sx > 0.0 else room.length
     y_base = 0.0 if sy > 0.0 else room.width
     x_target = x_base + sx * ax
@@ -433,14 +430,7 @@ def directional_loss(src: FootprintBox, tgt: FootprintBox, direction: str, p: fl
     xp = ct * dx + st * dy
     yp = -st * dx + ct * dy
 
-    delta = src.pose.theta - tgt.pose.theta
-    c, s = math.cos(delta), math.sin(delta)
-    sc = math.copysign(1.0, c)
-    ss = math.copysign(1.0, s)
-    rx = src.half_l * abs(c) + src.half_w * abs(s)
-    ry = src.half_l * abs(s) + src.half_w * abs(c)
-    drx = -src.half_l * sc * s + src.half_w * ss * c
-    dry = src.half_l * ss * c - src.half_w * sc * s
+    rx, ry, drx, dry = half_extents(src.half_l, src.half_w, src.pose.theta - tgt.pose.theta)
 
     ex, ey = tgt.half_l, tgt.half_w
     coords = (xp, yp)
@@ -594,26 +584,26 @@ def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float)
 
 
 # ---------------------------------------------------------------------------
-# Relation dispatch over scene entities
+# Boxes of entities and units
 # ---------------------------------------------------------------------------
+
+
+_ORIGIN = Pose2D(0.0, 0.0, 0.0)
 
 
 def box_from_array(arr, half_l: float, half_w: float) -> FootprintBox:
     return FootprintBox(Pose2D(float(arr[0]), float(arr[1]), float(arr[2])), half_l, half_w)
 
 
-def asset_box(spec: SceneSpec, asset_id: str, pose_arr) -> FootprintBox:
-    a = spec.asset(asset_id)
-    return box_from_array(pose_arr, a.half_l, a.half_w)
-
-
-def unit_local_boxes(spec: SceneSpec, unit: Unit, member_locals: dict) -> dict:
-    """Unit-frame boxes: the anchor sits at the frame origin."""
-    anchor = spec.asset(unit.anchor)
-    boxes = {unit.anchor: FootprintBox(Pose2D(0.0, 0.0, 0.0), anchor.half_l, anchor.half_w)}
-    for mid in unit.members:
-        boxes[mid] = asset_box(spec, mid, member_locals[mid])
-    return boxes
+def _enclosing_box(poses, halves):
+    """Center (2,), half_l and half_w of the axis-aligned box enclosing the
+    footprints with the given (x, y, theta) poses and (half_l, half_w)."""
+    pts = np.array(
+        [p for (x, y, t), (hl, hw) in zip(poses, halves) for p in corner_points(x, y, t, hl, hw)]
+    )
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi), float(half[0]), float(half[1])
 
 
 def unit_local_aabb(spec: SceneSpec, unit: Unit, member_locals: dict):
@@ -622,30 +612,23 @@ def unit_local_aabb(spec: SceneSpec, unit: Unit, member_locals: dict):
     Returns (center offset (2,), half_l, half_w).  Treated as fixed geometry
     by the scene-level losses: derivatives flow through the unit pose only.
     """
-    boxes = unit_local_boxes(spec, unit, member_locals)
-    lo = np.array([math.inf, math.inf])
-    hi = -lo.copy()
-    for box in boxes.values():
-        cs = corners(box)
-        lo = np.minimum(lo, cs.min(axis=0))
-        hi = np.maximum(hi, cs.max(axis=0))
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return center, float(half[0]), float(half[1])
+    poses = [(0.0, 0.0, 0.0)] + [member_locals[mid] for mid in unit.members]
+    return _enclosing_box(poses, [_halves(spec, aid) for aid in unit.assets])
+
+
+def _carried(pose: Pose2D, offset, half_l: float, half_w: float) -> FootprintBox:
+    """A unit's local enclosing box carried by the unit pose."""
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    x = pose.x + c * offset[0] - s * offset[1]
+    y = pose.y + s * offset[0] + c * offset[1]
+    return FootprintBox(Pose2D(x, y, pose.theta), half_l, half_w)
 
 
 def unit_obb(spec: SceneSpec, unit: Unit, unit_pose, member_locals: dict):
     """Scene-level stand-in box for a unit: its local enclosing box carried
     by the unit pose.  Returns (box, local center offset)."""
     offset, half_l, half_w = unit_local_aabb(spec, unit, member_locals)
-    pose = Pose2D(float(unit_pose[0]), float(unit_pose[1]), float(unit_pose[2]))
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    center = Pose2D(
-        pose.x + c * offset[0] - s * offset[1],
-        pose.y + s * offset[0] + c * offset[1],
-        pose.theta,
-    )
-    return FootprintBox(center, half_l, half_w), offset
+    return _carried(Pose2D.from_array(unit_pose), offset, half_l, half_w), offset
 
 
 def chain_obb_grad_to_unit(grad, offset, theta: float) -> np.ndarray:
@@ -663,95 +646,112 @@ def chain_obb_grad_to_unit(grad, offset, theta: float) -> np.ndarray:
     return out
 
 
-def resolved_param(rel: Relation, key: str, shared: dict) -> float:
-    if rel.shared_param is not None:
-        return shared[rel.shared_param]
-    return rel.params[key]
+# ---------------------------------------------------------------------------
+# The relation plan
+# ---------------------------------------------------------------------------
 
 
-# Loss slots of each relation kind: source pose, target pose (None when the
-# target is the room), scalar parameter (None when the kind has none).
-_RELATION_SLOTS = {
-    "distance": ("a", "b", "d"),
-    "gap": ("a", "b", "g"),
-    "against_wall": ("box", None, None),
-    "corner": ("box", None, None),
-    "facing": ("a", "b", None),
-    "angle_offset": ("a", "b", "alpha"),
-    "h_place": ("box", None, "target"),
-    "v_place": ("box", None, "target"),
-    **{kind: ("src", "tgt", "p") for kind in DIRECTIONAL_KINDS},
+# Per relation kind other than around: its loss on (the boxes it names,
+# parameter value, relation, room), the loss slots of those boxes' poses,
+# and the loss slot of its scalar parameter.  The lambdas look each loss up
+# by name at call time, so a wrapper set on the module attribute (a tracer,
+# a test spy) sees every call.
+_RELATIONS = {
+    "distance": (lambda b, v, rel, room: distance_loss(*b, v), ("a", "b"), "d"),
+    "gap": (lambda b, v, rel, room: gap_loss(*b, v), ("a", "b"), "g"),
+    "against_wall": (
+        lambda b, v, rel, room: against_wall_loss(*b, rel.target.removeprefix("wall:"), room),
+        ("box",),
+        None,
+    ),
+    "corner": (
+        lambda b, v, rel, room: corner_loss(
+            *b, rel.target.removeprefix("corner:"), rel.params["wall"], room
+        ),
+        ("box",),
+        None,
+    ),
+    "facing": (lambda b, v, rel, room: facing_loss(*b), ("a", "b"), None),
+    "angle_offset": (lambda b, v, rel, room: angle_offset_loss(*b, v), ("a", "b"), "alpha"),
+    "h_place": (
+        lambda b, v, rel, room: placement_loss(*b, "x", v, room, rel.params["margin"]),
+        ("box",),
+        "target",
+    ),
+    "v_place": (
+        lambda b, v, rel, room: placement_loss(*b, "y", v, room, rel.params["margin"]),
+        ("box",),
+        "target",
+    ),
+    **{
+        kind: (lambda b, v, rel, room: directional_loss(*b, rel.kind, v), ("src", "tgt"), "p")
+        for kind in DIRECTIONAL_KINDS
+    },
 }
 
 
-def _relation_loss_on_boxes(rel: Relation, box_of, shared: dict, room: Room) -> LossValue:
-    """Evaluate one (non-around) relation given a box lookup."""
-    kind = rel.kind
-    if kind == "distance":
-        return distance_loss(box_of(rel.source), box_of(rel.target), resolved_param(rel, "d", shared))
-    if kind == "gap":
-        return gap_loss(box_of(rel.source), box_of(rel.target), resolved_param(rel, "g", shared))
-    if kind == "against_wall":
-        return against_wall_loss(box_of(rel.source), rel.target.removeprefix("wall:"), room)
-    if kind == "corner":
-        tag = rel.target.removeprefix("corner:")
-        return corner_loss(box_of(rel.source), tag, rel.params["wall"], room)
-    if kind == "facing":
-        return facing_loss(box_of(rel.source), box_of(rel.target))
-    if kind in DIRECTIONAL_KINDS:
-        return directional_loss(
-            box_of(rel.source), box_of(rel.target), kind, resolved_param(rel, "p", shared)
-        )
-    if kind == "angle_offset":
-        return angle_offset_loss(
-            box_of(rel.source), box_of(rel.target), resolved_param(rel, "alpha", shared)
-        )
-    if kind == "h_place":
-        return placement_loss(
-            box_of(rel.source), "x", resolved_param(rel, "x", shared), room, rel.params["margin"]
-        )
-    if kind == "v_place":
-        return placement_loss(
-            box_of(rel.source), "y", resolved_param(rel, "y", shared), room, rel.params["margin"]
-        )
-    raise ValueError(f"unhandled relation kind {kind!r}")
-
-
-def iter_relation_penalties(spec: SceneSpec, relations, box_of, shared: dict):
-    """Yield (label, LossValue, pose gradients, parameter gradient) for the
-    given relations; around relations are grouped into joint penalties.
-
-    Pose gradients are (entity id, gradient) pairs.  The parameter gradient
-    is (shared parameter name, value), or None when the relation binds no
-    shared parameter.
+@dataclass(frozen=True)
+class Term:
+    """One relation term of a block: a relation, or a whole around group
+    (`rel` is then its first member).  `ends` are box positions: source,
+    then target if it is an entity; an around group's sources, then its
+    focal.  The scalar parameter is `x[param]` when shared, else `value`.
     """
-    groups = around_groups(spec)
-    emitted_groups = set()
-    rel_index = {id(r): i for i, r in enumerate(spec.relations)}
-    for rel in relations:
-        if rel.kind == "around":
-            key = (rel.scope, rel.unit, rel.target, rel.params["group"])
-            if key in emitted_groups:
-                continue
-            emitted_groups.add(key)
-            members = groups[key]
-            sources = [box_of(r.source) for r in members]
-            lv = around_loss(sources, box_of(rel.target), rel.params["sweep"], rel.params["center"])
-            poses = [(r.source, lv.grads["sources"][k]) for k, r in enumerate(members)]
-            poses.append((rel.target, lv.grads["focal"]))
-            yield f"around:{key[3]}", lv, poses, None
+
+    label: str
+    rel: Relation
+    ends: tuple
+    param: int | None = None
+    value: float | None = None
+
+
+@dataclass
+class Block:
+    """The boxes and relation terms of one frame: a unit's, or the scene's
+    (`unit` None).  Per box: entity id, row slice of the flat vector (None
+    for an anchor, at the frame origin), half sizes, and for a unit's
+    stand-in the unit's block, whose footprints it encloses (its half sizes
+    are then None).
+    """
+
+    unit: str | None
+    ids: tuple
+    rows: tuple
+    halves: tuple
+    frames: tuple
+    terms: list
+
+
+def _halves(spec: SceneSpec, asset_id: str) -> tuple:
+    a = spec.asset(asset_id)
+    return a.half_l, a.half_w
+
+
+def _relation_plan(spec: SceneSpec, pose: dict, param: dict) -> dict:
+    """One Block per unit frame, by unit id, then the scene's under None.
+    Intra relations go to their unit's block and inter ones to the scene's,
+    in the term order of `relation_terms`."""
+    blocks: dict = {}
+    for u in spec.units:
+        rows = (None,) + tuple(pose[mid] for mid in u.members)
+        halves = tuple(_halves(spec, aid) for aid in u.assets)
+        blocks[u.id] = Block(u.id, u.assets, rows, halves, (None,) * len(rows), [])
+    ids = spec.entities()
+    halves = tuple(None if eid in blocks else _halves(spec, eid) for eid in ids)
+    frames = tuple(blocks.get(eid) for eid in ids)
+    blocks[None] = Block(None, ids, tuple(pose[eid] for eid in ids), halves, frames, [])
+    for group, members in relation_terms(spec.relations):
+        rel = spec.relations[members[0]]
+        block = blocks[rel.unit if rel.scope == "intra" else None]
+        if group is not None:
+            ends = [spec.relations[i].source for i in members] + [rel.target]
+            block.terms.append(Term(f"around:{group}", rel, tuple(map(block.ids.index, ends))))
             continue
-        idx = rel_index.get(id(rel))
-        label = f"relations[{idx}]" if idx is not None else f"{rel.kind}:{rel.source}"
-        lv = _relation_loss_on_boxes(rel, box_of, shared, spec.room)
-        src_slot, tgt_slot, param_slot = _RELATION_SLOTS[rel.kind]
-        poses = [(rel.source, lv.grads[src_slot])]
-        if tgt_slot is not None:
-            poses.append((rel.target, lv.grads[tgt_slot]))
-        param = None
-        if rel.shared_param is not None:
-            param = (rel.shared_param, lv.grads[param_slot])
-        yield label, lv, poses, param
+        ends = tuple(map(block.ids.index, (rel.source, rel.target)[: len(_RELATIONS[rel.kind][1])]))
+        value = rel.params.get(SHARED_PARAM_SLOTS.get(rel.kind))
+        term = Term(f"relations[{members[0]}]", rel, ends, param.get(rel.shared_param), value)
+        block.terms.append(term)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -761,18 +761,21 @@ def iter_relation_penalties(spec: SceneSpec, relations, box_of, shared: dict):
 
 @dataclass(frozen=True)
 class ParamIndex:
-    """Slot table of the flat parameter vector, built once per scene.
+    """Slot table of the flat parameter vector, and the scene's relation
+    plan, built once per scene.
 
     The vector holds one (x, y, theta) row per unit frame, unit member and
     independent asset, then one entry per shared parameter.  `pose` maps
     each of those entity ids to the slice of its row; an anchor has no row
     of its own, its pose being its unit's frame.  `param` maps each shared
-    parameter name to its position.
+    parameter name to its position.  `blocks` is the relation plan: one
+    Block per unit frame, by unit id, then the scene's under None.
     """
 
     pose: dict
     param: dict
     size: int
+    blocks: dict
 
     @property
     def pose_size(self) -> int:
@@ -803,25 +806,95 @@ def param_index(spec: SceneSpec) -> ParamIndex:
     pose = {eid: slice(3 * r, 3 * r + 3) for r, eid in enumerate(ids)}
     n = 3 * len(ids)
     param = {name: n + k for k, name in enumerate(shared_param_priors(spec))}
-    return ParamIndex(pose, param, n + len(param))
+    return ParamIndex(pose, param, n + len(param), _relation_plan(spec, pose, param))
 
 
-def _member_poses(index: ParamIndex, x, unit: Unit) -> dict:
-    return {mid: x[index.pose[mid]] for mid in unit.members}
-
-
-def _scene_boxes(spec: SceneSpec, index: ParamIndex, x):
-    """Scene-level boxes of units and independent assets, and each unit's
-    stand-in box offset in its frame."""
-    boxes: dict = {}
-    offsets: dict = {}
-    for u in spec.units:
-        boxes[u.id], offsets[u.id] = unit_obb(
-            spec, u, x[index.pose[u.id]], _member_poses(index, x, u)
-        )
-    for a in spec.independent_assets():
-        boxes[a.id] = asset_box(spec, a.id, x[index.pose[a.id]])
+def _block_boxes(block: Block, xs) -> tuple:
+    """The boxes of `block` at the flat vector `xs`, and per box the center
+    offset of a unit's stand-in in the unit frame, or None."""
+    boxes, offsets = [], []
+    for rows, halves, frame in zip(block.rows, block.halves, block.frames):
+        pose = _ORIGIN if rows is None else Pose2D(*xs[rows])
+        if frame is None:
+            boxes.append(FootprintBox(pose, *halves))
+            offsets.append(None)
+            continue
+        members = [(0.0, 0.0, 0.0) if r is None else xs[r] for r in frame.rows]
+        offset, half_l, half_w = _enclosing_box(members, frame.halves)
+        boxes.append(_carried(pose, offset, half_l, half_w))
+        offsets.append(offset)
     return boxes, offsets
+
+
+def term_loss(term: Term, boxes: list, xs, room: Room):
+    """Penalty of one term on its block's `boxes`, its pose gradients as
+    (box position, gradient) pairs, and its gradient on the shared
+    parameter (None when the term binds none)."""
+    rel = term.rel
+    if rel.kind == "around":
+        *sources, focal = term.ends
+        lv = around_loss(
+            [boxes[k] for k in sources], boxes[focal], rel.params["sweep"], rel.params["center"]
+        )
+        return lv, [*zip(sources, lv.grads["sources"]), (focal, lv.grads["focal"])], None
+    loss, pose_slots, param_slot = _RELATIONS[rel.kind]
+    value = term.value if term.param is None else xs[term.param]
+    lv = loss([boxes[k] for k in term.ends], value, rel, room)
+    poses = [(k, lv.grads[slot]) for k, slot in zip(term.ends, pose_slots)]
+    return lv, poses, None if term.param is None else lv.grads[param_slot]
+
+
+def _aggregate(block: Block, x, weights: Weights, room: Room) -> LossValue:
+    """Weighted collision and relation terms of one block, plus the
+    boundary term for the scene, with the gradient over `x`."""
+    xs = x.tolist()
+    boxes, offsets = _block_boxes(block, xs)
+    rows = block.rows
+    grad = np.zeros(len(xs))
+
+    def pull(k: int, g):
+        """Carry a gradient on box `k` to its entity's pose."""
+        if offsets[k] is None:
+            return g
+        return chain_obb_grad_to_unit(g, offsets[k], boxes[k].pose.theta)
+
+    boundary_total = 0.0
+    if block.unit is None and weights.boundary != 0.0:
+        for k, box in enumerate(boxes):
+            lv = boundary_loss(box, room)
+            boundary_total += lv.value
+            grad[rows[k]] += weights.boundary * pull(k, lv.grads["box"])
+
+    collision_total = 0.0
+    if weights.collision != 0.0:
+        for a, b in _proxy_pairs(boxes):
+            lv = collision_loss(boxes[a], boxes[b])
+            collision_total += lv.value
+            for k, g in ((a, lv.grads["a"]), (b, lv.grads["b"])):
+                if rows[k] is not None:
+                    grad[rows[k]] += weights.collision * pull(k, g)
+
+    relation_total = 0.0
+    if weights.relation != 0.0:
+        for term in block.terms:
+            lv, poses, param_grad = term_loss(term, boxes, xs, room)
+            relation_total += lv.value
+            for k, g in poses:
+                if rows[k] is not None:
+                    grad[rows[k]] += pull(k, weights.relation * g)
+            if param_grad is not None:
+                grad[term.param] += weights.relation * param_grad
+
+    terms = {"collision": collision_total, "relation": relation_total}
+    if block.unit is not None:
+        value = weights.collision * collision_total + weights.relation * relation_total
+        return LossValue(value, grad, terms)
+    value = (
+        weights.boundary * boundary_total
+        + weights.collision * collision_total
+        + weights.relation * relation_total
+    )
+    return LossValue(value, grad, {"boundary": boundary_total, **terms})
 
 
 def aggregate_local(
@@ -841,36 +914,7 @@ def aggregate_local(
     proxies are disjoint or touch are skipped: their collision value and
     gradient are exact zeros, so every sum keeps its bits.
     """
-    unit = spec.unit(unit_id)
-    rows = {mid: index.pose[mid] for mid in unit.members}
-    boxes = unit_local_boxes(spec, unit, _member_poses(index, x, unit))
-    grad = np.zeros(index.size)
-
-    collision_total = 0.0
-    if weights.collision != 0.0:
-        for a, b in _proxy_pairs(boxes):
-            lv = collision_loss(boxes[a], boxes[b])
-            collision_total += lv.value
-            for eid, g in ((a, lv.grads["a"]), (b, lv.grads["b"])):
-                if eid in rows:
-                    grad[rows[eid]] += weights.collision * g
-
-    relation_total = 0.0
-    if weights.relation != 0.0:
-        for _, lv, poses, param in iter_relation_penalties(
-            spec, spec.intra_relations(unit_id), boxes.__getitem__, index.shared(x)
-        ):
-            relation_total += lv.value
-            for eid, g in poses:
-                if eid in rows:
-                    grad[rows[eid]] += weights.relation * g
-            if param is not None:
-                grad[index.param[param[0]]] += weights.relation * param[1]
-
-    value = weights.collision * collision_total + weights.relation * relation_total
-    return LossValue(
-        value, grad, {"collision": collision_total, "relation": relation_total}
-    )
+    return _aggregate(index.blocks[unit_id], x, weights, spec.room)
 
 
 def aggregate_global(
@@ -883,59 +927,12 @@ def aggregate_global(
 
     Terms: room-boundary excursions, pairwise collisions, and inter
     relations.  The gradient is a flat array laid out by `index`, nonzero
-    only on unit frames, independent assets and shared parameters.  Pairs
-    whose proxies are disjoint or touch are skipped, as in `aggregate_local`:
-    they contribute exact zeros.
+    only on unit frames, independent assets and shared parameters: a
+    gradient on a unit's stand-in box is pulled back to the unit pose.
+    Pairs whose proxies are disjoint or touch are skipped, as in
+    `aggregate_local`: they contribute exact zeros.
     """
-    boxes, offsets = _scene_boxes(spec, index, x)
-    grad = np.zeros(index.size)
-
-    def pull(eid: str, g):
-        """Carry a gradient on the entity's scene-level box to its pose."""
-        if eid in offsets:
-            return chain_obb_grad_to_unit(g, offsets[eid], boxes[eid].pose.theta)
-        return g
-
-    boundary_total = 0.0
-    if weights.boundary != 0.0:
-        for eid, box in boxes.items():
-            lv = boundary_loss(box, spec.room)
-            boundary_total += lv.value
-            grad[index.pose[eid]] += weights.boundary * pull(eid, lv.grads["box"])
-
-    collision_total = 0.0
-    if weights.collision != 0.0:
-        for a, b in _proxy_pairs(boxes):
-            lv = collision_loss(boxes[a], boxes[b])
-            collision_total += lv.value
-            grad[index.pose[a]] += weights.collision * pull(a, lv.grads["a"])
-            grad[index.pose[b]] += weights.collision * pull(b, lv.grads["b"])
-
-    relation_total = 0.0
-    if weights.relation != 0.0:
-        for _, lv, poses, param in iter_relation_penalties(
-            spec, spec.inter_relations(), boxes.__getitem__, index.shared(x)
-        ):
-            relation_total += lv.value
-            for eid, g in poses:
-                grad[index.pose[eid]] += pull(eid, weights.relation * g)
-            if param is not None:
-                grad[index.param[param[0]]] += weights.relation * param[1]
-
-    value = (
-        weights.boundary * boundary_total
-        + weights.collision * collision_total
-        + weights.relation * relation_total
-    )
-    return LossValue(
-        value,
-        grad,
-        {
-            "boundary": boundary_total,
-            "collision": collision_total,
-            "relation": relation_total,
-        },
-    )
+    return _aggregate(index.blocks[None], x, weights, spec.room)
 
 
 def relation_penalties(spec: SceneSpec, index: ParamIndex, x) -> dict:
@@ -943,19 +940,12 @@ def relation_penalties(spec: SceneSpec, index: ParamIndex, x) -> dict:
 
     Around groups appear once under 'around:<group>'; other relations under
     'relations[<index>]'.  Intra relations are evaluated in their unit frame,
-    inter relations on scene-level boxes.
+    inter relations on scene-level boxes, from the plan in `index`.
     """
+    xs = x.tolist()
     out: dict = {}
-    shared = index.shared(x)
-    for u in spec.units:
-        boxes = unit_local_boxes(spec, u, _member_poses(index, x, u))
-        for label, lv, _, _ in iter_relation_penalties(
-            spec, spec.intra_relations(u.id), boxes.__getitem__, shared
-        ):
-            out[label] = float(lv.value)
-    boxes, _ = _scene_boxes(spec, index, x)
-    for label, lv, _, _ in iter_relation_penalties(
-        spec, spec.inter_relations(), boxes.__getitem__, shared
-    ):
-        out[label] = float(lv.value)
+    for block in index.blocks.values():
+        boxes, _ = _block_boxes(block, xs)
+        for term in block.terms:
+            out[term.label] = float(term_loss(term, boxes, xs, spec.room)[0].value)
     return out

@@ -93,7 +93,8 @@ class Interval:
 class FootprintBox:
     """Rectangle footprint: pose plus half sizes along the local axes.
 
-    half_l spans local +x/-x, half_w spans local +y/-y.
+    half_l spans local +x/-x, half_w spans local +y/-y.  A NaN half size
+    (a stand-in box of non-finite poses) passes, so its losses turn NaN.
     """
 
     pose: Pose2D
@@ -101,7 +102,7 @@ class FootprintBox:
     half_w: float
 
     def __post_init__(self):
-        if not (self.half_l > 0.0 and self.half_w > 0.0):
+        if self.half_l <= 0.0 or self.half_w <= 0.0:
             raise ValueError("footprint half sizes must be positive")
 
     @property
@@ -109,23 +110,34 @@ class FootprintBox:
         return 4.0 * self.half_l * self.half_w
 
 
-def footprint_extents(box: FootprintBox) -> tuple[float, float]:
-    """Full extents (e_x, e_y) of the rotated footprint's bounding box.
+def half_extents(hl: float, hw: float, theta: float):
+    """Half extents (ax, ay) of a footprint with half sizes (hl, hw) turned
+    by theta, and their theta derivatives (dax, day):
+    ax = hl*|cos t| + hw*|sin t|, ay = hl*|sin t| + hw*|cos t|."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    sc = math.copysign(1.0, c)
+    ss = math.copysign(1.0, s)
+    ax = hl * abs(c) + hw * abs(s)
+    ay = hl * abs(s) + hw * abs(c)
+    dax = -hl * sc * s + hw * ss * c
+    day = hl * ss * c - hw * sc * s
+    return ax, ay, dax, day
 
-    e_x = l*|cos t| + w*|sin t|, e_y = l*|sin t| + w*|cos t| for size (l, w).
-    """
-    c = abs(math.cos(box.pose.theta))
-    s = abs(math.sin(box.pose.theta))
-    l, w = 2.0 * box.half_l, 2.0 * box.half_w
-    return l * c + w * s, l * s + w * c
+
+def footprint_extents(box: FootprintBox) -> tuple[float, float]:
+    """Full extents (e_x, e_y) of the rotated footprint's bounding box,
+    twice its `half_extents`."""
+    ax, ay, _, _ = half_extents(box.half_l, box.half_w, box.pose.theta)
+    return 2.0 * ax, 2.0 * ay
 
 
 def axis_bounds(box: FootprintBox) -> tuple[Interval, Interval]:
     """Axis-aligned proxy bounds: center +/- half extents on each axis."""
-    ex, ey = footprint_extents(box)
+    ax, ay, _, _ = half_extents(box.half_l, box.half_w, box.pose.theta)
     return (
-        Interval(box.pose.x - 0.5 * ex, box.pose.x + 0.5 * ex),
-        Interval(box.pose.y - 0.5 * ey, box.pose.y + 0.5 * ey),
+        Interval(box.pose.x - ax, box.pose.x + ax),
+        Interval(box.pose.y - ay, box.pose.y + ay),
     )
 
 
@@ -166,15 +178,20 @@ def collide_proxy(a: FootprintBox, b: FootprintBox) -> bool:
 _CORNER_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
+def corner_points(x: float, y: float, theta: float, half_l: float, half_w: float) -> list:
+    """Corners of the footprint with pose (x, y, theta) and the given half
+    sizes, as (x, y) float pairs, counter-clockwise."""
+    c, s = math.cos(theta), math.sin(theta)
+    out = []
+    for sx, sy in _CORNER_SIGNS:
+        ox, oy = sx * half_l, sy * half_w
+        out.append((x + c * ox - s * oy, y + s * ox + c * oy))
+    return out
+
+
 def corners(box: FootprintBox) -> np.ndarray:
     """World-frame corners of the footprint, counter-clockwise, shape (4, 2)."""
-    c, s = math.cos(box.pose.theta), math.sin(box.pose.theta)
-    out = np.empty((4, 2))
-    for k, (sx, sy) in enumerate(_CORNER_SIGNS):
-        ox, oy = sx * box.half_l, sy * box.half_w
-        out[k, 0] = box.pose.x + c * ox - s * oy
-        out[k, 1] = box.pose.y + s * ox + c * oy
-    return out
+    return np.array(corner_points(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w))
 
 
 def _polygon_area(points: np.ndarray) -> float:
@@ -277,7 +294,7 @@ _EDGE_FRACTIONS = (0.125, 0.375, 0.625, 0.875)
 def boundary_probes(box: FootprintBox) -> list:
     """Probe points on the box boundary as (x, y) float pairs: the 4 corners
     of `corners`, then 4 samples per edge."""
-    cs = corners(box).tolist()
+    cs = corner_points(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w)
     pts = list(cs)
     for k in range(4):
         (px, py), (qx, qy) = cs[k], cs[(k + 1) % 4]

@@ -27,6 +27,7 @@ from .geometry import (
     collide_proxy,
     compose,
     footprint_extents,
+    half_extents,
     normalize_angle,
 )
 from .scene_model import (
@@ -35,6 +36,7 @@ from .scene_model import (
     Relation,
     SceneSpec,
     parse_scene,
+    relation_terms,
     serialize_scene,
     shared_param_priors,
 )
@@ -82,11 +84,6 @@ def _entry(pose: Pose2D, box: FootprintBox) -> MapEntry:
     return MapEntry(pose, box, footprint_extents(box), axis_bounds(box))
 
 
-def _half_extents(hl: float, hw: float, theta: float) -> tuple[float, float]:
-    c, s = abs(math.cos(theta)), abs(math.sin(theta))
-    return hl * c + hw * s, hl * s + hw * c
-
-
 class _Board:
     """Coordinate slots for one interpretation frame (scene or unit local)."""
 
@@ -112,7 +109,7 @@ class _Board:
 
     def half_extents(self, eid: str, theta=None) -> tuple[float, float]:
         hl, hw = self.halves[eid]
-        return _half_extents(hl, hw, self.theta(eid) if theta is None else theta)
+        return half_extents(hl, hw, self.theta(eid) if theta is None else theta)[:2]
 
     def next_direction(self, eid: str, cycle) -> float:
         k = self.counters.get(eid, 0)
@@ -242,20 +239,11 @@ def _run_pass(spec, relations, halves, default_xy, pinned: dict):
     for eid, pose in pinned.items():
         board.slots[eid] = [pose[0], pose[1], pose[2]]
     shared = shared_param_priors(spec)
-    seen_groups = set()
-    group_members: dict = {}
-    for rel in relations:
-        if rel.kind == "around":
-            key = (rel.scope, rel.unit, rel.target, rel.params["group"])
-            group_members.setdefault(key, []).append(rel)
-    for rel in relations:
-        if rel.kind == "around":
-            key = (rel.scope, rel.unit, rel.target, rel.params["group"])
-            if key not in seen_groups:
-                seen_groups.add(key)
-                _apply_around_group(board, group_members[key])
-            continue
-        _apply_relation(board, rel, spec.room, shared)
+    for group, members in relation_terms(relations):
+        if group is None:
+            _apply_relation(board, relations[members[0]], spec.room, shared)
+        else:
+            _apply_around_group(board, [relations[i] for i in members])
     return board.resolved()
 
 

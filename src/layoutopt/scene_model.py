@@ -202,18 +202,27 @@ def shared_param_priors(spec: SceneSpec) -> dict:
     return priors
 
 
-def around_groups(spec: SceneSpec) -> dict:
-    """Around relations grouped by (scope, unit, target, group name).
+def relation_terms(relations) -> list:
+    """Terms of a relation sequence in evaluation order, as (group, indices).
 
-    Each group acts as one joint constraint over all its sources.
+    A relation other than around is a term of its own: (None, [i]).  The
+    around relations sharing (scope, unit, target, group name) form one
+    joint term over all their sources, (group name, [i, j, ...]), placed at
+    its first member.
     """
+    terms: list = []
     groups: dict = {}
-    for r in spec.relations:
-        if r.kind != "around":
+    for i, rel in enumerate(relations):
+        if rel.kind != "around":
+            terms.append((None, [i]))
             continue
-        key = (r.scope, r.unit, r.target, r.params["group"])
-        groups.setdefault(key, []).append(r)
-    return groups
+        name = rel.params["group"]
+        key = (rel.scope, rel.unit, rel.target, name)
+        if key not in groups:
+            groups[key] = []
+            terms.append((name, groups[key]))
+        groups[key].append(i)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -446,30 +455,21 @@ def _validate_relation(spec_units, assets, unit_lookup, rel: Relation, location:
 
 
 def _validate_around_groups(relations, locations):
-    groups: dict = {}
-    for rel, loc in zip(relations, locations):
-        if rel.kind != "around":
+    for group, members in relation_terms(relations):
+        if group is None:
             continue
-        key = (rel.scope, rel.unit, rel.target, rel.params["group"])
-        groups.setdefault(key, []).append((rel, loc))
-    for key, members in groups.items():
-        rels = [r for r, _ in members]
-        loc = members[-1][1]
+        rels = [relations[i] for i in members]
+        loc = locations[members[-1]]
         if len(rels) < 2:
-            _err(
-                f"around group {key[3]!r} needs at least two sources",
-                loc,
-            )
+            _err(f"around group {group!r} needs at least two sources", loc)
         sources = [r.source for r in rels]
         if len(set(sources)) != len(sources):
-            _err(f"around group {key[3]!r} repeats a source", loc)
+            _err(f"around group {group!r} repeats a source", loc)
         first = rels[0].params
-        for r, rloc in members[1:]:
+        for i in members[1:]:
+            r = relations[i]
             if r.params["sweep"] != first["sweep"] or r.params["center"] != first["center"]:
-                _err(
-                    f"around group {key[3]!r} mixes sweep/center values",
-                    rloc,
-                )
+                _err(f"around group {group!r} mixes sweep/center values", locations[i])
 
 
 def _validate_shared_params(relations, locations):

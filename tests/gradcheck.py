@@ -100,6 +100,10 @@ ROOM = Room(5.0, 4.0, 3.0)
 def sample_collision(rng):
     hl_a, hw_a = rng.uniform(0.3, 1.2, size=2)
     hl_b, hw_b = rng.uniform(0.3, 1.2, size=2)
+    # Near-equal areas put every pose on the min-area kink; no pose could
+    # pass, so draw b's size again instead of looping forever.
+    while abs(4.0 * hl_a * hw_a - 4.0 * hl_b * hw_b) < KINK_MARGIN:
+        hl_b, hw_b = rng.uniform(0.3, 1.2, size=2)
     while True:
         a = _pose(rng, 1.5)
         b = _pose(rng, 1.5)
@@ -122,10 +126,6 @@ def sample_collision(rng):
             ):
                 ok = False
                 break
-        area_a = 4.0 * hl_a * hw_a
-        area_b = 4.0 * hl_b * hw_b
-        if abs(area_a - area_b) < KINK_MARGIN:
-            ok = False
         if not ok:
             continue
 

@@ -25,14 +25,14 @@ from layoutopt.constraints import (
     distance_loss,
     facing_loss,
     gap_loss,
-    iter_relation_penalties,
     param_index,
     placement_loss,
     relation_penalties,
+    term_loss,
     unit_local_aabb,
     unit_obb,
 )
-from layoutopt.fixtures import load_fixture
+from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import (
     FootprintBox,
     Pose2D,
@@ -42,7 +42,8 @@ from layoutopt.geometry import (
     corners,
     min_boundary_distance,
 )
-from layoutopt.optimizer import init_state
+from layoutopt.imagination import imagine_and_revise
+from layoutopt.optimizer import OptimizerConfig, evaluate, init_state
 from layoutopt.scene_model import Room, parse_scene
 
 from gradcheck import OP_SAMPLERS, assert_grads_close, fd_slots, run_op_fd
@@ -358,10 +359,11 @@ def test_aggregate_local_relations_are_rigid_invariant():
             a = spec.asset(mid)
             pose = compose(frame, Pose2D(*locals_[mid]))
             boxes[mid] = FootprintBox(pose, a.half_l, a.half_w)
+        block = index.blocks[unit.id]
+        ordered = [boxes[eid] for eid in block.ids]
         total = 0.0
-        for _, lv, _, _ in iter_relation_penalties(
-            spec, spec.intra_relations(unit.id), boxes.__getitem__, shared
-        ):
+        for term in block.terms:
+            lv, _, _ = term_loss(term, ordered, x, spec.room)
             total += lv.value
         return total
 
@@ -460,6 +462,11 @@ def test_unit_obb_encloses_members():
         for cx, cy in corners(b):
             assert center[0] - hl - 1e-9 <= cx <= center[0] + hl + 1e-9
             assert center[1] - hw - 1e-9 <= cy <= center[1] + hw + 1e-9
+    # Bit for bit the per-footprint reduction over `corners`.
+    lo = np.minimum.reduce([corners(b).min(axis=0) for b in boxes])
+    hi = np.maximum.reduce([corners(b).max(axis=0) for b in boxes])
+    assert np.array_equal(center, 0.5 * (lo + hi))
+    assert (hl, hw) == tuple((0.5 * (hi - lo)).tolist())
     # The scene-level box carries the unit pose.
     pose = np.array([3.0, 2.0, 0.6])
     obb, offset = unit_obb(spec, unit, pose, locals_)
@@ -485,6 +492,72 @@ def test_relation_penalties_labels_and_values():
     n_around = sum(1 for r in spec.relations if r.kind == "around")
     assert len(pens) == len(spec.relations) - n_around + 1
     assert all(v >= -1e-12 for v in pens.values())
+
+
+def _bundled(name):
+    """A bundled scene as the solver sees it: conflict_pair after revision."""
+    spec = load_fixture(name)
+    if name == "conflict_pair":
+        spec, _ = imagine_and_revise(spec)
+    return spec
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_relation_penalties_agree_with_the_objective(name):
+    spec = _bundled(name)
+    index = param_index(spec)
+    labels = {f"relations[{i}]" for i, r in enumerate(spec.relations) if r.kind != "around"}
+    groups = {(r.scope, r.unit, r.target, r.params["group"]) for r in spec.relations if r.kind == "around"}
+    labels |= {f"around:{key[3]}" for key in groups}
+    rng = np.random.default_rng(RNG_SEED + 11)
+    for seed in range(4):
+        state = init_state(spec, seed)
+        state.x[: index.pose_size] += rng.normal(0.0, 0.4, index.pose_size)
+        pens = relation_penalties(spec, index, state.x)
+        # One label per relation and per around group, none twice.
+        assert set(pens) == labels
+        assert len(pens) == len(spec.relations) - sum(r.kind == "around" for r in spec.relations) + len(groups)
+        _, _, terms = evaluate(state, Weights(), 1, OptimizerConfig())
+        assert math.fsum(pens.values()) == pytest.approx(terms["relation"], rel=1e-12)
+    if name == "conflict_pair":
+        # The reviser's appended relations are labelled by their index.
+        appended = range(len(load_fixture(name).relations), len(spec.relations))
+        assert appended and all(f"relations[{i}]" in pens for i in appended)
+
+
+def test_gap_loss_is_nan_on_a_nan_pose():
+    a = box(math.nan, 0.0, 0.0, 0.5, 0.3)
+    b = box(2.0, 0.0, 0.4, 0.4, 0.2)
+    for lv in (gap_loss(a, b, 0.2), gap_loss(b, a, 0.2)):
+        assert math.isnan(lv.value)
+        assert set(lv.grads) == {"a", "b", "g"}
+        assert all(np.isnan(g).all() for g in lv.grads.values())
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_relation_penalties_turn_nan_instead_of_raising(name):
+    spec = _bundled(name)
+    index = param_index(spec)
+    x = init_state(spec, 0).x
+    finite = relation_penalties(spec, index, x)
+    assert all(math.isfinite(v) for v in finite.values())
+
+    def label(i):
+        r = spec.relations[i]
+        return f"around:{r.params['group']}" if r.kind == "around" else f"relations[{i}]"
+
+    # Each pose row, then each shared parameter, holds the NaN in turn.
+    for key, slot in list(index.pose.items()) + list(index.param.items()):
+        bad = x.copy()
+        bad[slot] = math.nan
+        pens = relation_penalties(spec, index, bad)
+        assert set(pens) == set(finite)
+        touched = {
+            label(i)
+            for i, r in enumerate(spec.relations)
+            if key in (r.source, r.target, r.shared_param)
+        }
+        assert all(math.isnan(pens[k]) for k in touched), key
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from layoutopt.scene_model import (
     Layout,
     Relation,
-    around_groups,
     assignment,
     parse_layout,
     parse_scene,
+    relation_terms,
     serialize_layout,
     serialize_scene,
 )
@@ -223,10 +223,10 @@ def test_around_group_rules():
     }
     ok = dict(base, relations=[around("s1"), around("s2")])
     spec = parse(ok)
-    groups = around_groups(spec)
+    groups = [members for group, members in relation_terms(spec.relations) if group is not None]
     assert len(groups) == 1
-    (rels,) = groups.values()
-    assert [r.source for r in rels] == ["s1", "s2"]
+    (rels,) = groups
+    assert [spec.relations[i].source for i in rels] == ["s1", "s2"]
 
     lonely = dict(base, relations=[around("s1")])
     with pytest.raises(SceneSemanticError) as e:
