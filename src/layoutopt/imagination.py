@@ -37,6 +37,7 @@ from .scene_model import (
     SceneSpec,
     parse_scene,
     relation_terms,
+    replace_relations,
     serialize_scene,
     shared_param_priors,
 )
@@ -234,14 +235,13 @@ def _apply_around_group(board: _Board, members: list):
         board.pin(rel.source, 2, heading)
 
 
-def _run_pass(spec, relations, halves, default_xy, pinned: dict):
+def _run_pass(relations, halves, default_xy, pinned: dict, room, shared: dict):
     board = _Board(halves, default_xy)
     for eid, pose in pinned.items():
         board.slots[eid] = [pose[0], pose[1], pose[2]]
-    shared = shared_param_priors(spec)
     for group, members in relation_terms(relations):
         if group is None:
-            _apply_relation(board, relations[members[0]], spec.room, shared)
+            _apply_relation(board, relations[members[0]], room, shared)
         else:
             _apply_around_group(board, [relations[i] for i in members])
     return board.resolved()
@@ -250,16 +250,27 @@ def _run_pass(spec, relations, halves, default_xy, pinned: dict):
 def interpret_scene(spec: SceneSpec) -> dict:
     """Candidate poses for every entity: unit frames and independent assets
     in world coordinates, unit members in their frame's coordinates."""
+    shared = shared_param_priors(spec)
+    # spec.intra_relations and spec.inter_relations, in one pass.
+    intra: dict = {}
+    inter = []
+    for rel in spec.relations:
+        if rel.scope == "inter":
+            inter.append(rel)
+        elif rel.scope == "intra":
+            intra.setdefault(rel.unit, []).append(rel)
+
     poses: dict = {}
     standins: dict = {}
     for u in spec.units:
         halves = {aid: (spec.asset(aid).half_l, spec.asset(aid).half_w) for aid in u.assets}
         centers = _run_pass(
-            spec,
-            spec.intra_relations(u.id),
+            intra.get(u.id, []),
             halves,
             (0.0, 0.0),
-            pinned={u.anchor: (0.0, 0.0, 0.0)},
+            {u.anchor: (0.0, 0.0, 0.0)},
+            spec.room,
+            shared,
         )
         locals_arr = {}
         for mid in u.members:
@@ -277,11 +288,12 @@ def interpret_scene(spec: SceneSpec) -> dict:
         halves[a.id] = (a.half_l, a.half_w)
 
     centers = _run_pass(
-        spec,
-        spec.inter_relations(),
+        inter,
         halves,
         (0.5 * spec.room.length, 0.5 * spec.room.width),
-        pinned={},
+        {},
+        spec.room,
+        shared,
     )
     for eid, c in centers.items():
         if spec.is_unit(eid):
@@ -410,43 +422,42 @@ def _required_center_distance(conflict: Conflict, source_id: str) -> float:
     return best
 
 
-def _linking_metric_relation(relations: list, conflict: Conflict):
-    pair = set(conflict.pair)
-    for i, rel in enumerate(relations):
-        if rel.kind not in ("distance", "gap"):
-            continue
-        if conflict.level == "intra" and (rel.scope != "intra" or rel.unit != conflict.unit):
-            continue
-        if conflict.level == "inter" and rel.scope != "inter":
-            continue
-        if {rel.source, rel.target} == pair:
-            return i
-    return None
+def _link_key(scope: str, unit, a: str, b: str) -> tuple:
+    """What a conflict and the metric relation linking its pair share: the
+    scope, the unit of an intra scope, and the unordered pair."""
+    return scope, unit if scope == "intra" else None, frozenset((a, b))
 
 
 def baseline_reviser(spec: SceneSpec, conflicts: list) -> tuple:
     """Deterministic conflict repair: bump the linking metric relation to the
     required separation plus a margin, or append a small gap requirement when
-    no metric relation links the pair.  No conflicts, no edits."""
+    no metric relation links the pair.  No conflicts, no edits.
+
+    The linking relation of a pair is the first distance or gap relation of
+    the conflict's scope between the two; a gap appended for one conflict
+    links its pair for the conflicts after it.
+    """
     relations = list(spec.relations)
-    appended = set()
+    linking: dict = {}
+    for i, rel in enumerate(relations):
+        if rel.kind in ("distance", "gap") and rel.scope in ("intra", "inter"):
+            linking.setdefault(_link_key(rel.scope, rel.unit, rel.source, rel.target), i)
     for c in conflicts:
-        idx = _linking_metric_relation(relations, c)
+        key = _link_key(c.level, c.unit, *c.pair)
+        idx = linking.get(key)
         if idx is not None:
             rel = relations[idx]
             params = dict(rel.params)
+            # Stand-in boxes carry numpy coordinates; edits hold plain floats.
             if rel.kind == "distance":
-                params["d"] = _required_center_distance(c, rel.source) + REVISE_MARGIN
+                params["d"] = float(_required_center_distance(c, rel.source) + REVISE_MARGIN)
             else:
-                params["g"] = min(c.overlap) + rel.params["g"] + REVISE_MARGIN
+                params["g"] = float(min(c.overlap) + rel.params["g"] + REVISE_MARGIN)
             relations[idx] = Relation(
                 rel.kind, rel.source, rel.target, params, rel.scope, rel.unit, rel.shared_param
             )
             continue
-        key = (c.level, c.unit, c.pair)
-        if key in appended:
-            continue
-        appended.add(key)
+        linking[key] = len(relations)
         first, second = sorted(c.pair)
         relations.append(
             Relation(
@@ -473,6 +484,17 @@ def _rel_key(rel: Relation):
     )
 
 
+def _same_items(items, params: dict) -> bool:
+    """Whether `params` holds the very key and value objects of `items`.
+
+    Identity, not equality: the parser turns an int 2 into 2.0, so a value
+    equal to the one it replaced may still need parsing.
+    """
+    if items is None or len(items) != len(params):
+        return False
+    return all(k is k2 and v is v2 for (k, v), (k2, v2) in zip(items, params.items()))
+
+
 def _describe(rel: Relation) -> str:
     scope = rel.scope if rel.unit is None else f"{rel.scope}:{rel.unit}"
     params = ", ".join(f"{k}={v!r}" for k, v in sorted(rel.params.items()))
@@ -480,10 +502,17 @@ def _describe(rel: Relation) -> str:
 
 
 def _relation_diff(old: tuple, new: tuple):
+    """Relations of `old` whose key `new` lacks and the reverse, in list
+    order, with one edit line each."""
     old_keys = [_rel_key(r) for r in old]
     new_keys = [_rel_key(r) for r in new]
-    removed = [r for r, k in zip(old, old_keys) if k not in new_keys]
-    added = [r for r, k in zip(new, new_keys) if k not in old_keys]
+    try:
+        old_in, new_in = set(old_keys), set(new_keys)
+    except TypeError:
+        # An unhashable param value, which the parser rejects afterwards.
+        old_in, new_in = old_keys, new_keys
+    removed = [r for r, k in zip(old, old_keys) if k not in new_in]
+    added = [r for r, k in zip(new, new_keys) if k not in old_in]
     edits = [f"- {_describe(r)}" for r in removed] + [f"+ {_describe(r)}" for r in added]
     return removed, added, edits
 
@@ -541,9 +570,15 @@ def _check_locality(removed, added, conflicts):
 def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 10):
     """Imagine, detect, revise until conflict-free or out of budget.
 
-    Returns (possibly revised spec, RevisionReport).  Revised relation lists
-    are re-validated through the scene parser; schema violations and edits
-    outside the conflicting scopes raise RevisionError.
+    Returns (possibly revised spec, RevisionReport).  Edits outside the
+    conflicting scopes raise RevisionError, and so does a revised relation
+    list the scene parser rejects.  The first revision runs the whole scene
+    through the parser (serialize_scene, then parse_scene), which validates
+    and normalizes a spec that never came out of it.  Each later revision
+    parses and validates only the relations the reviser added or replaced,
+    plus any whose params it changed in place, and checks the around groups
+    and shared parameters over the whole list: the same result and the same
+    error as the round trip, at the cost of what changed.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -556,12 +591,21 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
         if not conflicts:
             rounds.append(RevisionRound(t, (), ()))
             return current, RevisionReport(True, t, tuple(rounds))
+        # Taken before the reviser runs, to catch params it edits in place.
+        checked = {id(r): tuple(r.params.items()) for r in current.relations}
         new_relations = tuple(reviser(current, conflicts))
         removed, added, edits = _relation_diff(current.relations, new_relations)
         _check_locality(removed, added, conflicts)
-        candidate = current.with_relations(new_relations)
         try:
-            current = parse_scene(serialize_scene(candidate))
+            if t == 1:
+                current = parse_scene(serialize_scene(current.with_relations(new_relations)))
+            else:
+                fresh = [
+                    k
+                    for k, r in enumerate(new_relations)
+                    if not _same_items(checked.get(id(r)), r.params)
+                ]
+                current = replace_relations(current, new_relations, fresh)
         except (SceneSyntaxError, SceneSemanticError) as exc:
             raise RevisionError(f"reviser produced an invalid scene: {exc}") from exc
         rounds.append(RevisionRound(t, tuple(conflicts), tuple(edits)))

@@ -486,6 +486,23 @@ def _validate_shared_params(relations, locations):
             )
 
 
+def _read_relation(raw, location: str, units_by_id, asset_ids, claimed) -> Relation:
+    """One relation entry through the parser: parse, then check it against
+    the scene's units and assets."""
+    rel = _parse_relation(raw, location)
+    if rel.scope == "intra" and rel.unit not in units_by_id:
+        _err(f"unknown unit {rel.unit!r}", f"{location}.unit")
+    _validate_relation(units_by_id, asset_ids, claimed, rel, location)
+    return rel
+
+
+def _validate_relation_list(relations):
+    """The rules that span relations: around groups and shared parameters."""
+    locations = [f"relations[{k}]" for k in range(len(relations))]
+    _validate_around_groups(relations, locations)
+    _validate_shared_params(relations, locations)
+
+
 def parse_scene(text: str) -> SceneSpec:
     """Parse and validate scene JSON.
 
@@ -543,19 +560,11 @@ def parse_scene(text: str) -> SceneSpec:
     raw_relations = data.get("relations", [])
     if not isinstance(raw_relations, list):
         _err("relations must be a list", "relations")
-    relations = []
-    locations = []
-    for k, raw in enumerate(raw_relations):
-        loc = f"relations[{k}]"
-        rel = _parse_relation(raw, loc)
-        if rel.scope == "intra" and rel.unit not in units_by_id:
-            _err(f"unknown unit {rel.unit!r}", f"{loc}.unit")
-        _validate_relation(units_by_id, ids, claimed, rel, loc)
-        relations.append(rel)
-        locations.append(loc)
-
-    _validate_around_groups(relations, locations)
-    _validate_shared_params(relations, locations)
+    relations = [
+        _read_relation(raw, f"relations[{k}]", units_by_id, ids, claimed)
+        for k, raw in enumerate(raw_relations)
+    ]
+    _validate_relation_list(relations)
 
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -589,26 +598,53 @@ def serialize_scene(spec: SceneSpec) -> str:
             {"id": u.id, "anchor": u.anchor, "members": list(u.members)}
             for u in spec.units
         ],
-        "relations": [],
+        "relations": [_relation_entry(r) for r in spec.relations],
         "seed": spec.seed,
     }
     if spec.name:
         data["name"] = spec.name
-    for r in spec.relations:
-        entry: dict = {
-            "kind": r.kind,
-            "source": r.source,
-            "target": r.target,
-            "scope": r.scope,
-        }
-        if r.params:
-            entry["params"] = dict(r.params)
-        if r.unit is not None:
-            entry["unit"] = r.unit
-        if r.shared_param is not None:
-            entry["shared_param"] = r.shared_param
-        data["relations"].append(entry)
     return json.dumps(data, indent=2, sort_keys=False) + "\n"
+
+
+def _relation_entry(r: Relation) -> dict:
+    """The JSON object serialize_scene writes for one relation."""
+    entry: dict = {
+        "kind": r.kind,
+        "source": r.source,
+        "target": r.target,
+        "scope": r.scope,
+    }
+    if r.params:
+        entry["params"] = dict(r.params)
+    if r.unit is not None:
+        entry["unit"] = r.unit
+    if r.shared_param is not None:
+        entry["shared_param"] = r.shared_param
+    return entry
+
+
+def replace_relations(spec: SceneSpec, relations, fresh) -> SceneSpec:
+    """`spec` with `relations`, validated as a scene parser round trip of it
+    would validate them, without the round trip.
+
+    `spec` must be a parse_scene output.  The relations at the indices in
+    `fresh` go through the parser's per-relation path, entry written as
+    serialize_scene writes it, and come back as parser outputs; the others
+    must be parser outputs for `spec`'s assets and units and are kept as
+    they are.  The rules that span relations run over the whole list.
+    Raises SceneSemanticError with the location the round trip would report.
+    """
+    relations = list(relations)
+    for k in sorted(fresh):
+        relations[k] = _read_relation(
+            _relation_entry(relations[k]),
+            f"relations[{k}]",
+            spec._units_by_id,
+            spec._assets_by_id,
+            spec._unit_of,
+        )
+    _validate_relation_list(relations)
+    return spec.with_relations(relations)
 
 
 # ---------------------------------------------------------------------------

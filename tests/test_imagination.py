@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from layoutopt import geometry
-from layoutopt.errors import RevisionError
+from layoutopt.errors import RevisionError, SceneSemanticError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import (
     ConvexPolygon,
@@ -17,13 +17,26 @@ from layoutopt.geometry import (
     polygon_intersection_area,
 )
 from layoutopt.imagination import (
+    RevisionReport,
+    RevisionRound,
+    _check_locality,
+    _describe,
+    _rel_key,
     baseline_reviser,
     build_maps,
     detect_conflicts,
     imagine_and_revise,
     interpret_scene,
 )
-from layoutopt.scene_model import Asset, Relation, Room, SceneSpec, Unit
+from layoutopt.scene_model import (
+    Asset,
+    Relation,
+    Room,
+    SceneSpec,
+    Unit,
+    parse_scene,
+    serialize_scene,
+)
 
 
 def _scene(room, assets, units=(), relations=()):
@@ -318,3 +331,199 @@ def test_baseline_reviser_idempotent_without_conflicts():
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
         imagine_and_revise(load_fixture("dining_set"), budget=0)
+
+
+# --- incremental revision against the whole-scene round trip ---------------
+
+
+def _reference_imagine_and_revise(spec, reviser=baseline_reviser, budget=10):
+    """Reference revision loop: every round runs the whole scene through
+    the parser, and the relation diff tests membership in lists."""
+    current = spec
+    rounds = []
+    for t in range(1, budget + 1):
+        poses = interpret_scene(current)
+        conflicts = detect_conflicts(current, *build_maps(current, poses))
+        if not conflicts:
+            rounds.append(RevisionRound(t, (), ()))
+            return current, RevisionReport(True, t, tuple(rounds))
+        new_relations = tuple(reviser(current, conflicts))
+        old_keys = [_rel_key(r) for r in current.relations]
+        new_keys = [_rel_key(r) for r in new_relations]
+        removed = [r for r, k in zip(current.relations, old_keys) if k not in new_keys]
+        added = [r for r, k in zip(new_relations, new_keys) if k not in old_keys]
+        edits = [f"- {_describe(r)}" for r in removed] + [f"+ {_describe(r)}" for r in added]
+        _check_locality(removed, added, conflicts)
+        try:
+            current = parse_scene(serialize_scene(current.with_relations(new_relations)))
+        except (SceneSyntaxError, SceneSemanticError) as exc:
+            raise RevisionError(f"reviser produced an invalid scene: {exc}") from exc
+        rounds.append(RevisionRound(t, tuple(conflicts), tuple(edits)))
+    return current, RevisionReport(False, budget, tuple(rounds))
+
+
+def _crowded_scene():
+    """Unparsed scene that revises in every round: intra and inter
+    conflicts, int params, an omitted optional p (its shared parameter is
+    declared on an earlier relation) and an around group."""
+    box = (1.0, 1.0, 1.0)
+    stool = (0.4, 0.4, 0.5)
+    return _scene(
+        Room(6.0, 5.0, 3.0),
+        (
+            Asset("a", "box", box),
+            Asset("b", "box", box),
+            Asset("c", "box", (0.6, 0.6, 0.6)),
+            Asset("e", "box", (0.5, 0.5, 0.5)),
+            Asset("t", "table", (1.2, 0.8, 0.7)),
+            Asset("s1", "stool", stool),
+            Asset("s2", "stool", stool),
+            Asset("s3", "stool", stool),
+            Asset("k1", "chair", stool),
+            Asset("k2", "chair", stool),
+        ),
+        units=(Unit("u", "t", ("s1", "s2", "s3", "k1", "k2")),),
+        relations=(
+            Relation("h_place", "a", "scene", {"x": 3, "margin": 0}, "inter"),
+            Relation("v_place", "a", "scene", {"y": 2}, "inter"),
+            Relation("distance", "s1", "t", {"d": 0.2}, "intra", "u"),
+            Relation("distance", "b", "a", {"d": 0}, "inter"),
+            Relation("left_of", "c", "a", {"p": 0.3}, "inter", shared_param="s"),
+            Relation("left_of", "e", "b", {}, "inter", shared_param="s"),
+            Relation("right_of", "s2", "t", {"p": 1}, "intra", "u"),
+            Relation("distance", "s3", "s2", {"d": 0.1}, "intra", "u"),
+            Relation("around", "k1", "t", {"group": "ring", "sweep": 1, "center": 0}, "intra", "u"),
+            Relation("around", "k2", "t", {"group": "ring", "sweep": 1, "center": 0}, "intra", "u"),
+            Relation("h_place", "u", "scene", {"x": 2.8}, "inter"),
+        ),
+    )
+
+
+def _reversed_reviser(s, conflicts):
+    return tuple(reversed(baseline_reviser(s, conflicts)))
+
+
+def _copying_reviser(s, conflicts):
+    """Equal relations, every one a new object."""
+    return tuple(
+        Relation(r.kind, r.source, r.target, dict(r.params), r.scope, r.unit, r.shared_param)
+        for r in baseline_reviser(s, conflicts)
+    )
+
+
+def _relation_index(relations, kind, source, target):
+    return next(
+        i for i, r in enumerate(relations) if (r.kind, r.source, r.target) == (kind, source, target)
+    )
+
+
+def _in_place_reviser(s, conflicts):
+    """Also sets a carried-over distance to the int 2, in place: the parser
+    turns it into 2.0, so only a revalidated relation reads the same."""
+    out = baseline_reviser(s, conflicts)
+    out[_relation_index(out, "distance", "s3", "s2")].params["d"] = 2
+    return out
+
+
+@pytest.mark.parametrize("parsed", [True, False], ids=["parsed", "hand_built"])
+@pytest.mark.parametrize(
+    "reviser",
+    [baseline_reviser, _reversed_reviser, _copying_reviser, _in_place_reviser],
+    ids=["baseline", "reversed", "copying", "in_place"],
+)
+def test_revision_matches_whole_scene_round_trip(parsed, reviser):
+    outputs = []
+    for loop in (imagine_and_revise, _reference_imagine_and_revise):
+        spec = _crowded_scene()
+        if parsed:
+            spec = parse_scene(serialize_scene(spec))
+        revised, report = loop(spec, reviser=reviser)
+        outputs.append(_outputs(revised, report))
+        assert sum(1 for r in report.rounds if r.edits) >= 3
+    assert outputs[0] == outputs[1]
+
+
+def _outputs(revised, report):
+    return repr(revised), serialize_scene(revised), report.to_text()
+
+
+def test_revision_matches_round_trip_on_fixtures():
+    for name in FIXTURE_NAMES:
+        new = imagine_and_revise(load_fixture(name))
+        ref = _reference_imagine_and_revise(load_fixture(name))
+        assert _outputs(*new) == _outputs(*ref), name
+    noop = lambda s, c: s.relations  # noqa: E731
+    new = imagine_and_revise(load_fixture("conflict_pair"), reviser=noop, budget=4)
+    ref = _reference_imagine_and_revise(load_fixture("conflict_pair"), reviser=noop, budget=4)
+    assert _outputs(*new) == _outputs(*ref)
+
+
+def test_revision_edits_hold_plain_floats():
+    # A unit's stand-in box has numpy coordinates; the edits derived from
+    # it must not carry numpy scalars into the relations or the report.
+    types = set()
+
+    def recording(s, conflicts):
+        out = baseline_reviser(s, conflicts)
+        types.update(type(v) for r in out for v in r.params.values())
+        return out
+
+    _, report = imagine_and_revise(parse_scene(serialize_scene(_crowded_scene())), recording)
+    assert types == {float, str}
+    text = report.to_text()
+    assert "+ inter gap u->a (g=" in text
+    assert "np." not in text
+
+
+def _late(bad):
+    """Reviser that acts as the baseline one, then applies `bad` to its
+    output from round 2 on."""
+    calls = []
+
+    def reviser(s, conflicts):
+        calls.append(None)
+        out = list(baseline_reviser(s, conflicts))
+        if len(calls) >= 2:
+            bad(out)
+        return tuple(out)
+
+    return reviser
+
+
+def _mutate_d(out):
+    out[_relation_index(out, "distance", "s3", "s2")].params["d"] = -1
+
+
+@pytest.mark.parametrize(
+    "bad, location",
+    [
+        (lambda o: o.append(Relation("distance", "ghost", "a", {"d": 1.0})), "].source"),
+        (lambda o: o.append(Relation("distance", "c", "a", {"d": -0.5})), "].params.d"),
+        (lambda o: o.append(Relation("distance", "c", "a", {"d": math.nan})), "].params.d"),
+        (lambda o: o.append(Relation("distance", "c", "a", {"d": [1.0]})), "].params.d"),
+        (lambda o: o.append(Relation("gap", "s1", "a", {"g": 0.1})), "].source"),
+        (lambda o: o.pop(_relation_index(o, "around", "k2", "t")), "]"),
+        (lambda o: o.append(Relation("gap", "c", "b", {"g": 0.1}, shared_param="s")), "shared_param"),
+        (_mutate_d, "].params.d"),
+    ],
+    ids=[
+        "unknown_entity",
+        "negative_d",
+        "nan_d",
+        "unhashable_d",
+        "inter_names_member",
+        "around_one_source",
+        "shared_mixes_kinds",
+        "mutated_in_place",
+    ],
+)
+def test_late_invalid_revision_raises_as_round_trip(bad, location):
+    messages = []
+    for loop in (imagine_and_revise, _reference_imagine_and_revise):
+        spec = parse_scene(serialize_scene(_crowded_scene()))
+        with pytest.raises(RevisionError) as info:
+            loop(spec, reviser=_late(bad))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("reviser produced an invalid scene: relations[")
+    assert location in messages[0]
