@@ -1,23 +1,32 @@
 """Differentiable penalty terms over planar footprints.
 
-Every loss returns a LossValue: a scalar plus analytic partial derivatives
-with respect to the poses involved (arrays [d/dx, d/dy, d/dtheta]) and any
-scalar constraint parameters.  Gradients are hand-derived; kinks coming from
-hinges, absolute values, and min/max selections use the subgradient that is
-zero at the kink (hinges) or the tie-broken branch (selections).
+Each penalty family is one scalar kernel on plain floats, `_<family>`
+behind `<family>_loss`.  A kernel takes its boxes as (x, y, theta, half_l,
+half_w) tuples, the term's scalar parameter, then the constants that
+`_<family>_rule` (or `SIDE_RULES`) resolves, and returns (value, one
+(d/dx, d/dy, d/dtheta) tuple per box, d/d parameter or None).  Gradients are
+hand-derived; kinks coming from hinges, absolute values, and min/max
+selections use the subgradient that is zero at the kink (hinges) or the
+tie-broken branch (selections).  A heading that is not finite reads as NaN.
+The `*_loss` functions are thin FootprintBox adapters returning a LossValue
+keyed by slot name ("a", "box", "d", ...), so their tests check the math the
+solver runs.
 
 Two aggregation levels mirror the pose parameterization: unit-local terms are
 evaluated in the unit frame and never touch the unit pose; scene-level terms
 see independent assets and whole units through their enclosing oriented box.
 Both read poses from one flat parameter vector and add their gradients into a
-flat array of the same layout, through the slot table `ParamIndex`.
+flat array of the same layout, by index, through the slot table `ParamIndex`.
 
 `param_index` also compiles the scene's relation plan, once per solve: one
 `Block` per unit frame, then the scene's, each listing its boxes and its
-relation terms in evaluation order (label, box positions, shared-parameter
-position; an around group is one term, see `scene_model.relation_terms`).
-Both aggregates and `relation_penalties` read that plan through one box
-builder and one term evaluator.
+relation terms in evaluation order (an around group is one term, see
+`scene_model.relation_terms`), each term naming its kernel and holding its
+constants.  Both aggregates and `relation_penalties` read that plan through
+`_block_boxes` and one term evaluator, `term_loss`; collisions go through
+`collision_loss`, once per pair the broadphase keeps.  Kernels and
+`collision_loss` are looked up by module attribute at call time, so a wrapper
+set on one sees every call.
 """
 
 from __future__ import annotations
@@ -36,7 +45,9 @@ from .geometry import (
     half_extents,
 )
 from .scene_model import (
+    DEFAULT_P,
     DIRECTIONAL_KINDS,
+    SCENE_ANCHORED_KINDS,
     SHARED_PARAM_SLOTS,
     Relation,
     Room,
@@ -47,6 +58,8 @@ from .scene_model import (
 )
 
 FACING_EPS = 1e-8
+_ZERO = (0.0, 0.0, 0.0)
+_NAN = (math.nan, math.nan, math.nan)
 
 
 @dataclass
@@ -71,8 +84,24 @@ class Weights:
     boundary: float = 1.0
 
 
-def _zero3() -> np.ndarray:
-    return np.zeros(3)
+def _heading(theta: float) -> float:
+    return theta if math.isfinite(theta) else math.nan
+
+
+def _tuple(box) -> tuple:
+    """A FootprintBox as a kernel box; a kernel box as itself."""
+    if isinstance(box, tuple):
+        return box
+    return (box.pose.x, box.pose.y, _heading(box.pose.theta), box.half_l, box.half_w)
+
+
+def _loss_value(out: tuple, slots: tuple, param_slot: str | None = None) -> LossValue:
+    """A kernel's (value, grads, parameter gradient) keyed by slot name."""
+    value, grads, param_grad = out
+    lv = LossValue(value, {slot: np.array(g) for slot, g in zip(slots, grads)})
+    if param_slot is not None:
+        lv.grads[param_slot] = param_grad
+    return lv
 
 
 # ---------------------------------------------------------------------------
@@ -80,43 +109,23 @@ def _zero3() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def collision_loss(a: FootprintBox, b: FootprintBox) -> LossValue:
-    """Overlap penalty on axis-aligned proxies.
+def _proxy_axis(ca, ha, cb, hb):
+    """Overlap and span of two proxies on one axis, with their derivatives
+    (d / d center_a, d / d half_a, same for b)."""
+    alo, ahi = ca - ha, ca + ha
+    blo, bhi = cb - hb, cb + hb
+    ov = min(ahi, bhi) - max(alo, blo)
+    span = max(ahi, bhi) - min(alo, blo)
+    u, l = float(ahi <= bhi), float(alo >= blo)  # 1.0 where a's hi, lo ends the overlap
+    su, sl = float(ahi >= bhi), float(alo <= blo)  # 1.0 where a's hi, lo ends the span
+    return ov, span, (u - l, u + l, l - u, 2.0 - u - l), (su - sl, su + sl, sl - su, 2.0 - su - sl)
 
-    value = IoU - (d^2 / c^2) * rho, where rho is intersection over the
-    smaller proxy area, d the center distance, and c the diagonal of the
-    smallest axis-aligned box enclosing both proxies.  Zero exactly when the
-    proxies are disjoint; bounded below by -1.
-    """
-    ax_a, ay_a, dax_a, day_a = half_extents(a.half_l, a.half_w, a.pose.theta)
-    ax_b, ay_b, dax_b, day_b = half_extents(b.half_l, b.half_w, b.pose.theta)
 
-    def axis(ca, ha, cb, hb):
-        alo, ahi = ca - ha, ca + ha
-        blo, bhi = cb - hb, cb + hb
-        ov = min(ahi, bhi) - max(alo, blo)
-        span = max(ahi, bhi) - min(alo, blo)
-        a_hi = ahi <= bhi
-        a_lo = alo >= blo
-        # (d ov / d center_a, d ov / d half_a, same for b)
-        dov = (
-            (1.0 if a_hi else 0.0) - (1.0 if a_lo else 0.0),
-            (1.0 if a_hi else 0.0) + (1.0 if a_lo else 0.0),
-            (0.0 if a_hi else 1.0) - (0.0 if a_lo else 1.0),
-            (0.0 if a_hi else 1.0) + (0.0 if a_lo else 1.0),
-        )
-        s_hi = ahi >= bhi
-        s_lo = alo <= blo
-        dspan = (
-            (1.0 if s_hi else 0.0) - (1.0 if s_lo else 0.0),
-            (1.0 if s_hi else 0.0) + (1.0 if s_lo else 0.0),
-            (0.0 if s_hi else 1.0) - (0.0 if s_lo else 1.0),
-            (0.0 if s_hi else 1.0) + (0.0 if s_lo else 1.0),
-        )
-        return ov, span, dov, dspan
-
-    ovx, cx, dovx, dcx = axis(a.pose.x, ax_a, b.pose.x, ax_b)
-    ovy, cy, dovy, dcy = axis(a.pose.y, ay_a, b.pose.y, ay_b)
+def _collision(a: tuple, b: tuple):
+    ax_a, ay_a, dax_a, day_a = half_extents(a[3], a[4], a[2])
+    ax_b, ay_b, dax_b, day_b = half_extents(b[3], b[4], b[2])
+    ovx, cx, dovx, dcx = _proxy_axis(a[0], ax_a, b[0], ax_b)
+    ovy, cy, dovy, dcy = _proxy_axis(a[1], ay_a, b[1], ay_b)
     px, py = max(ovx, 0.0), max(ovy, 0.0)
     inter = px * py
 
@@ -125,8 +134,7 @@ def collision_loss(a: FootprintBox, b: FootprintBox) -> LossValue:
     min_area = area_a if area_a <= area_b else area_b
     a_is_min = area_a <= area_b
 
-    dx = a.pose.x - b.pose.x
-    dy = a.pose.y - b.pose.y
+    dx, dy = a[0] - b[0], a[1] - b[1]
     d2 = dx * dx + dy * dy
     c2 = cx * cx + cy * cy
 
@@ -137,81 +145,81 @@ def collision_loss(a: FootprintBox, b: FootprintBox) -> LossValue:
     darea_a = 4.0 * (dax_a * ay_a + ax_a * day_a)  # d area_a / d theta_a
     darea_b = 4.0 * (dax_b * ay_b + ax_b * day_b)
 
-    gate_x = 1.0 if ovx > 0.0 else 0.0
-    gate_y = 1.0 if ovy > 0.0 else 0.0
+    gate_x, gate_y = (1.0 if ovx > 0.0 else 0.0), (1.0 if ovy > 0.0 else 0.0)
 
-    ga, gb = _zero3(), _zero3()
-    # Per-variable derivative bundles: (d inter, d area_a, d area_b, d d2, d c2).
+    # Per-variable derivative bundles: (d inter, d area_a, d area_b, d d2, d c2),
+    # for a's x, y, theta, then b's.
     rows = (
-        (ga, 0, gate_x * py * dovx[0], 0.0, 0.0, 2.0 * dx, 2.0 * cx * dcx[0]),
-        (ga, 1, gate_y * px * dovy[0], 0.0, 0.0, 2.0 * dy, 2.0 * cy * dcy[0]),
-        (
-            ga,
-            2,
-            gate_x * py * dovx[1] * dax_a + gate_y * px * dovy[1] * day_a,
-            darea_a,
-            0.0,
-            0.0,
-            2.0 * cx * dcx[1] * dax_a + 2.0 * cy * dcy[1] * day_a,
-        ),
-        (gb, 0, gate_x * py * dovx[2], 0.0, 0.0, -2.0 * dx, 2.0 * cx * dcx[2]),
-        (gb, 1, gate_y * px * dovy[2], 0.0, 0.0, -2.0 * dy, 2.0 * cy * dcy[2]),
-        (
-            gb,
-            2,
-            gate_x * py * dovx[3] * dax_b + gate_y * px * dovy[3] * day_b,
-            0.0,
-            darea_b,
-            0.0,
-            2.0 * cx * dcx[3] * dax_b + 2.0 * cy * dcy[3] * day_b,
-        ),
+        (gate_x * py * dovx[0], 0.0, 0.0, 2.0 * dx, 2.0 * cx * dcx[0]),
+        (gate_y * px * dovy[0], 0.0, 0.0, 2.0 * dy, 2.0 * cy * dcy[0]),
+        (gate_x * py * dovx[1] * dax_a + gate_y * px * dovy[1] * day_a, darea_a, 0.0, 0.0,
+         2.0 * cx * dcx[1] * dax_a + 2.0 * cy * dcy[1] * day_a),
+        (gate_x * py * dovx[2], 0.0, 0.0, -2.0 * dx, 2.0 * cx * dcx[2]),
+        (gate_y * px * dovy[2], 0.0, 0.0, -2.0 * dy, 2.0 * cy * dcy[2]),
+        (gate_x * py * dovx[3] * dax_b + gate_y * px * dovy[3] * day_b, 0.0, darea_b, 0.0,
+         2.0 * cx * dcx[3] * dax_b + 2.0 * cy * dcy[3] * day_b),
     )
-    for out, idx, d_inter, d_area_a, d_area_b, d_d2, d_c2 in rows:
+    g = []
+    for d_inter, d_area_a, d_area_b, d_d2, d_c2 in rows:
         d_union = d_area_a + d_area_b - d_inter
         d_iou = (d_inter * union - inter * d_union) / (union * union)
         d_min = d_area_a if a_is_min else d_area_b
         d_rho = (d_inter * min_area - inter * d_min) / (min_area * min_area)
         d_ratio = (d_d2 * c2 - d2 * d_c2) / (c2 * c2)
-        out[idx] = d_iou - d_ratio * rho - (d2 / c2) * d_rho
+        g.append(d_iou - d_ratio * rho - (d2 / c2) * d_rho)
+    return value, ((g[0], g[1], g[2]), (g[3], g[4], g[5])), None
 
-    return LossValue(value, {"a": ga, "b": gb})
+
+def collision_loss(a, b) -> LossValue:
+    """Overlap penalty on axis-aligned proxies.
+
+    value = IoU - (d^2 / c^2) * rho, where rho is intersection over the
+    smaller proxy area, d the center distance, and c the diagonal of the
+    smallest axis-aligned box enclosing both proxies.  Zero exactly when the
+    proxies are disjoint; bounded below by -1.  A box is a FootprintBox or a
+    kernel box; the aggregates pass kernel boxes, one call per pair that the
+    broadphase keeps.
+    """
+    return _loss_value(_collision(_tuple(a), _tuple(b)), ("a", "b"))
 
 
 def _proxy_pairs(boxes: list) -> list:
     """Position pairs of `boxes` in nested-loop order, less the pairs whose
-    proxies are disjoint or touch: `collision_loss` is exactly 0 there, with
+    proxies are disjoint or touch: `_collision` is exactly 0 there, with
     a gradient of signed zeros.  Bounds use the half extents and the
-    expressions of `collision_loss`, so the two agree bit for bit."""
+    expressions of `_collision`, so the two agree bit for bit."""
     lo, hi = [], []
-    for box in boxes:
-        ax, ay, _, _ = half_extents(box.half_l, box.half_w, box.pose.theta)
-        lo.append((box.pose.x - ax, box.pose.y - ay))
-        hi.append((box.pose.x + ax, box.pose.y + ay))
+    for x, y, theta, half_l, half_w in boxes:
+        ax, ay, _, _ = half_extents(half_l, half_w, theta)
+        lo.append((x - ax, y - ay))
+        hi.append((x + ax, y + ay))
     return geometry.overlapping_pairs(lo, hi)
 
 
-def boundary_loss(box: FootprintBox, room: Room) -> LossValue:
-    """L1 excursion of the footprint corners outside the room rectangle."""
-    c = math.cos(box.pose.theta)
-    s = math.sin(box.pose.theta)
-    limits = (room.length, room.width)
-    value = 0.0
-    g = _zero3()
+def _boundary(box: tuple, length: float, width: float):
+    x, y, theta, half_l, half_w = box
+    c, s = math.cos(theta), math.sin(theta)
+    limits = (length, width)
+    value, g = 0.0, [0.0, 0.0, 0.0]
     for sx, sy in ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)):
-        ox, oy = sx * box.half_l, sy * box.half_w
-        corner = (box.pose.x + c * ox - s * oy, box.pose.y + s * ox + c * oy)
-        dtheta = (-s * ox - c * oy, c * ox - s * oy)
+        ox, oy = sx * half_l, sy * half_w
+        corner = (x + c * ox - s * oy, y + s * ox + c * oy)
         for axis_i in (0, 1):
             v = corner[axis_i]
             if v < 0.0:
                 value += -v
                 g[axis_i] -= 1.0
-                g[2] -= dtheta[axis_i]
+                g[2] -= -s * ox - c * oy if axis_i == 0 else c * ox - s * oy
             elif v > limits[axis_i]:
                 value += v - limits[axis_i]
                 g[axis_i] += 1.0
-                g[2] += dtheta[axis_i]
-    return LossValue(value, {"box": g})
+                g[2] += -s * ox - c * oy if axis_i == 0 else c * ox - s * oy
+    return value, ((g[0], g[1], g[2]),), None
+
+
+def boundary_loss(box: FootprintBox, room: Room) -> LossValue:
+    """L1 excursion of the footprint corners outside the room rectangle."""
+    return _loss_value(_boundary(_tuple(box), room.length, room.width), ("box",))
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +227,20 @@ def boundary_loss(box: FootprintBox, room: Room) -> LossValue:
 # ---------------------------------------------------------------------------
 
 
-def distance_loss(a: FootprintBox, b: FootprintBox, d_star: float) -> LossValue:
-    """Squared error between center distance and the target d_star."""
-    dx = a.pose.x - b.pose.x
-    dy = a.pose.y - b.pose.y
+def _distance(boxes: list, d_star: float):
+    a, b = boxes
+    dx, dy = a[0] - b[0], a[1] - b[1]
     dist = math.hypot(dx, dy)
     r = dist - d_star
-    ga, gb = _zero3(), _zero3()
     if dist > 1e-12:
         k = 2.0 * r / dist
-        ga[0], ga[1] = k * dx, k * dy
-        gb[0], gb[1] = -k * dx, -k * dy
-    return LossValue(r * r, {"a": ga, "b": gb, "d": -2.0 * r})
+        return r * r, ((k * dx, k * dy, 0.0), (-k * dx, -k * dy, 0.0)), -2.0 * r
+    return r * r, (_ZERO, _ZERO), -2.0 * r
+
+
+def distance_loss(a: FootprintBox, b: FootprintBox, d_star: float) -> LossValue:
+    """Squared error between center distance and the target d_star."""
+    return _loss_value(_distance([_tuple(a), _tuple(b)], d_star), ("a", "b"), "d")
 
 
 def _local_sdf(ux: float, uy: float, half_l: float, half_w: float) -> float:
@@ -256,33 +266,64 @@ def _local_sdf_grad(ux: float, uy: float, half_l: float, half_w: float):
     return 0.0, math.copysign(1.0, uy)
 
 
-def _point_box_sdf_grads(point_box: FootprintBox, offset, other: FootprintBox):
-    """Signed distance from a boundary point of `point_box` to `other`,
-    with derivatives w.r.t. both poses.
+def _point_box_sdf_grads(point_box: tuple, offset, other: tuple):
+    """Derivatives, w.r.t. both poses, of the signed distance from a
+    boundary point of `point_box` to `other`.
 
-    `offset` is the probe point in point_box's local frame.  The value is
-    the one `gap_loss` scans for, from the same float expressions.
+    `offset` is the probe point in point_box's local frame; the distance is
+    the one `_gap_scan` scans for, from the same float expressions.
     """
-    pp = point_box.pose
-    cp, sp = math.cos(pp.theta), math.sin(pp.theta)
-    qx = pp.x + cp * offset[0] - sp * offset[1]
-    qy = pp.y + sp * offset[0] + cp * offset[1]
+    cp, sp = math.cos(point_box[2]), math.sin(point_box[2])
+    qx = point_box[0] + cp * offset[0] - sp * offset[1]
+    qy = point_box[1] + sp * offset[0] + cp * offset[1]
 
-    po = other.pose
-    co, so = math.cos(po.theta), math.sin(po.theta)
-    dx, dy = qx - po.x, qy - po.y
+    co, so = math.cos(other[2]), math.sin(other[2])
+    dx, dy = qx - other[0], qy - other[1]
     ux = co * dx + so * dy
     uy = -so * dx + co * dy
-    value = _local_sdf(ux, uy, other.half_l, other.half_w)
-    gux, guy = _local_sdf_grad(ux, uy, other.half_l, other.half_w)
+    gux, guy = _local_sdf_grad(ux, uy, other[3], other[4])
 
     # World-frame gradient at the probe point.
-    gq = np.array([co * gux - so * guy, so * gux + co * guy])
-    g_point = np.array(
-        [gq[0], gq[1], gq[0] * (-sp * offset[0] - cp * offset[1]) + gq[1] * (cp * offset[0] - sp * offset[1])]
-    )
-    g_other = np.array([-gq[0], -gq[1], gux * uy - guy * ux])
-    return value, g_point, g_other
+    gq0, gq1 = co * gux - so * guy, so * gux + co * guy
+    g_point = (gq0, gq1, gq0 * (-sp * offset[0] - cp * offset[1]) + gq1 * (cp * offset[0] - sp * offset[1]))
+    return g_point, (-gq0, -gq1, gux * uy - guy * ux)
+
+
+def _gap_scan(boxes: list, g: float):
+    """`_gap`'s result with the gradients in probe order (probed box, other
+    box), and whether the winning probe lies on the second box."""
+    a, b = boxes
+    best = math.inf
+    winner = None
+    for box, other, swapped in ((a, b, False), (b, a, True)):
+        x, y, theta = box[0], box[1], box[2]
+        cp, sp = math.cos(theta), math.sin(theta)
+        co, so = math.cos(other[2]), math.sin(other[2])
+        for px, py in boundary_probes(*box):
+            # Back out the probe's local offset to chain through the pose,
+            # then carry it into other's frame as `_point_box_sdf_grads` does.
+            wx, wy = px - x, py - y
+            offset = (cp * wx + sp * wy, -sp * wx + cp * wy)
+            dx = x + cp * offset[0] - sp * offset[1] - other[0]
+            dy = y + sp * offset[0] + cp * offset[1] - other[1]
+            value = _local_sdf(co * dx + so * dy, -so * dx + co * dy, other[3], other[4])
+            if value < best:
+                best = value
+                winner = (box, offset, other, swapped)
+    if winner is None:
+        return (math.nan, (_NAN, _NAN), math.nan), False
+    box, offset, other, swapped = winner
+    g_point, g_other = _point_box_sdf_grads(box, offset, other)
+    r = best - g
+    k = 2.0 * r
+    g_point = (k * g_point[0], k * g_point[1], k * g_point[2])
+    g_other = (k * g_other[0], k * g_other[1], k * g_other[2])
+    return (r * r, (g_point, g_other), -2.0 * r), swapped
+
+
+def _gap(boxes: list, g: float):
+    (value, grads, param_grad), swapped = _gap_scan(boxes, g)
+    return value, grads[::-1] if swapped else grads, param_grad
 
 
 def gap_loss(a: FootprintBox, b: FootprintBox, g: float) -> LossValue:
@@ -294,33 +335,10 @@ def gap_loss(a: FootprintBox, b: FootprintBox, g: float) -> LossValue:
     probe that does not win contributes exactly nothing to the gradient, so
     only the winner's derivatives are computed.  When no probe wins, every
     probe being NaN (a pose is not finite), value and gradients are NaN.
+    The gradients are keyed in probe order: "b" first when b's probe wins.
     """
-    best = math.inf
-    winner = None
-    for box, other, slot_box, slot_other in ((a, b, "a", "b"), (b, a, "b", "a")):
-        pp, po = box.pose, other.pose
-        cp, sp = math.cos(pp.theta), math.sin(pp.theta)
-        co, so = math.cos(po.theta), math.sin(po.theta)
-        for px, py in boundary_probes(box):
-            # Back out the probe's local offset to chain through the pose,
-            # then carry it into other's frame as `_point_box_sdf_grads` does.
-            wx, wy = px - pp.x, py - pp.y
-            offset = (cp * wx + sp * wy, -sp * wx + cp * wy)
-            dx = pp.x + cp * offset[0] - sp * offset[1] - po.x
-            dy = pp.y + sp * offset[0] + cp * offset[1] - po.y
-            value = _local_sdf(co * dx + so * dy, -so * dx + co * dy, other.half_l, other.half_w)
-            if value < best:
-                best = value
-                winner = (box, offset, other, slot_box, slot_other)
-    if winner is None:
-        nan = np.full(3, math.nan)
-        return LossValue(math.nan, {"a": nan, "b": nan.copy(), "g": math.nan})
-    box, offset, other, slot_box, slot_other = winner
-    _, g_point, g_other = _point_box_sdf_grads(box, offset, other)
-    r = best - g
-    out = {slot_box: 2.0 * r * g_point, slot_other: 2.0 * r * g_other}
-    out["g"] = -2.0 * r
-    return LossValue(r * r, out)
+    out, swapped = _gap_scan([_tuple(a), _tuple(b)], g)
+    return _loss_value(out, ("b", "a") if swapped else ("a", "b"), "g")
 
 
 WALL_RULES = {
@@ -332,76 +350,81 @@ WALL_RULES = {
 }
 
 
+def _against_wall_rule(wall: str, room: Room) -> tuple:
+    """`WALL_RULES[wall]` with the wall coordinate resolved in `room`."""
+    axis_i, sign, base, theta_star = WALL_RULES[wall]
+    if base is None:
+        base = room.length if axis_i == 0 else room.width
+    return axis_i, sign, base, theta_star
+
+
+def _against_wall(boxes: list, _, axis_i: int, sign: float, base: float, theta_star: float):
+    x, y, theta, half_l, half_w = boxes[0]
+    ax, ay, dax, day = half_extents(half_l, half_w, theta)
+    half, dhalf = (ax, dax) if axis_i == 0 else (ay, day)
+    target = base + sign * half
+    r = (x if axis_i == 0 else y) - target
+    dth = theta - theta_star
+    value = r * r + 1.0 - math.cos(dth)
+    g_theta = 2.0 * r * (-sign * dhalf) + math.sin(dth)
+    g = (2.0 * r, 0.0, g_theta) if axis_i == 0 else (0.0, 2.0 * r, g_theta)
+    return value, (g,), None
+
+
 def against_wall_loss(box: FootprintBox, wall: str, room: Room) -> LossValue:
     """Flush-to-wall penalty: squared offset from the wall by the footprint's
     half extent, plus 1 - cos(theta - theta_wall)."""
-    axis_i, sign, base, theta_star = WALL_RULES[wall]
-    ax, ay, dax, day = half_extents(box.half_l, box.half_w, box.pose.theta)
-    half = ax if axis_i == 0 else ay
-    dhalf = dax if axis_i == 0 else day
-    if base is None:
-        base = room.length if axis_i == 0 else room.width
-    target = base + sign * half
-    coord = box.pose.x if axis_i == 0 else box.pose.y
-    r = coord - target
-    dth = box.pose.theta - theta_star
-    value = r * r + 1.0 - math.cos(dth)
-    g = _zero3()
-    g[axis_i] = 2.0 * r
-    g[2] = 2.0 * r * (-sign * dhalf) + math.sin(dth)
-    return LossValue(value, {"box": g})
+    return _loss_value(_against_wall([_tuple(box)], None, *_against_wall_rule(wall, room)), ("box",))
 
 
 _CORNER_SIGNS_XY = {"BL": (1.0, 1.0), "BR": (-1.0, 1.0), "TR": (-1.0, -1.0), "TL": (1.0, -1.0)}
 
 
+def _corner_rule(corner_tag: str, wall: str, room: Room) -> tuple:
+    """Signs and wall coordinates of a room corner, and the named wall's
+    target angle."""
+    sx, sy = _CORNER_SIGNS_XY[corner_tag]
+    x_base = 0.0 if sx > 0.0 else room.length
+    y_base = 0.0 if sy > 0.0 else room.width
+    return sx, sy, x_base, y_base, WALL_RULES[wall][3]
+
+
+def _corner(boxes: list, _, sx: float, sy: float, x_base: float, y_base: float, theta_star: float):
+    x, y, theta, half_l, half_w = boxes[0]
+    ax, ay, dax, day = half_extents(half_l, half_w, theta)
+    rx = x - (x_base + sx * ax)
+    ry = y - (y_base + sy * ay)
+    dth = theta - theta_star
+    value = rx * rx + ry * ry + 1.0 - math.cos(dth)
+    g = (2.0 * rx, 2.0 * ry, 2.0 * rx * (-sx * dax) + 2.0 * ry * (-sy * day) + math.sin(dth))
+    return value, (g,), None
+
+
 def corner_loss(box: FootprintBox, corner_tag: str, wall: str, room: Room) -> LossValue:
     """Tuck-into-corner penalty: squared offsets from both adjacent walls by
     the half extents, plus orientation toward the named wall's target angle."""
-    sx, sy = _CORNER_SIGNS_XY[corner_tag]
-    ax, ay, dax, day = half_extents(box.half_l, box.half_w, box.pose.theta)
-    x_base = 0.0 if sx > 0.0 else room.length
-    y_base = 0.0 if sy > 0.0 else room.width
-    x_target = x_base + sx * ax
-    y_target = y_base + sy * ay
-    theta_star = WALL_RULES[wall][3]
-    rx = box.pose.x - x_target
-    ry = box.pose.y - y_target
-    dth = box.pose.theta - theta_star
-    value = rx * rx + ry * ry + 1.0 - math.cos(dth)
-    g = np.array(
-        [
-            2.0 * rx,
-            2.0 * ry,
-            2.0 * rx * (-sx * dax) + 2.0 * ry * (-sy * day) + math.sin(dth),
-        ]
-    )
-    return LossValue(value, {"box": g})
+    return _loss_value(_corner([_tuple(box)], None, *_corner_rule(corner_tag, wall, room)), ("box",))
 
 
-def facing_loss(a: FootprintBox, b: FootprintBox) -> LossValue:
-    """1 - cosine between a's heading and the direction from a to b."""
-    ca, sa = math.cos(a.pose.theta), math.sin(a.pose.theta)
-    dx = b.pose.x - a.pose.x
-    dy = b.pose.y - a.pose.y
+def _facing(boxes: list, _):
+    a, b = boxes
+    ca, sa = math.cos(a[2]), math.sin(a[2])
+    dx, dy = b[0] - a[0], b[1] - a[1]
     n = math.hypot(dx, dy)
-    ga, gb = _zero3(), _zero3()
     if n < 1e-12:
-        return LossValue(1.0, {"a": ga, "b": gb})
+        return 1.0, (_ZERO, _ZERO), None
     denom = n + FACING_EPS
     f = ca * dx + sa * dy
     value = 1.0 - f / denom
     # d value / d (dx, dy)
-    gd = np.array(
-        [
-            -(ca * denom - f * dx / n) / (denom * denom),
-            -(sa * denom - f * dy / n) / (denom * denom),
-        ]
-    )
-    ga[0], ga[1] = -gd[0], -gd[1]
-    ga[2] = -(-sa * dx + ca * dy) / denom
-    gb[0], gb[1] = gd[0], gd[1]
-    return LossValue(value, {"a": ga, "b": gb})
+    gd0 = -(ca * denom - f * dx / n) / (denom * denom)
+    gd1 = -(sa * denom - f * dy / n) / (denom * denom)
+    return value, ((-gd0, -gd1, -(-sa * dx + ca * dy) / denom), (gd0, gd1, 0.0)), None
+
+
+def facing_loss(a: FootprintBox, b: FootprintBox) -> LossValue:
+    """1 - cosine between a's heading and the direction from a to b."""
+    return _loss_value(_facing([_tuple(a), _tuple(b)], None), ("a", "b"))
 
 
 # Directional side rules: primary axis (0 = target-local x, 1 = y) and the
@@ -414,29 +437,16 @@ SIDE_RULES = {
 }
 
 
-def directional_loss(src: FootprintBox, tgt: FootprintBox, direction: str, p: float) -> LossValue:
-    """Side placement in the target's frame.
-
-    The source center, expressed in the target frame, must clear the shared
-    half extents along the side's axis (squared hinge) and line up on the
-    perpendicular axis at the fraction p between the two touch extremes
-    (absolute deviation).  Sides: left/right along target-local x,
-    behind/front along target-local y.
-    """
-    axis_i, sigma = SIDE_RULES[direction]
-    ct, st = math.cos(tgt.pose.theta), math.sin(tgt.pose.theta)
-    dx = src.pose.x - tgt.pose.x
-    dy = src.pose.y - tgt.pose.y
+def _directional(boxes: list, p: float, axis_i: int, sigma: float):
+    src, tgt = boxes
+    ct, st = math.cos(tgt[2]), math.sin(tgt[2])
+    dx, dy = src[0] - tgt[0], src[1] - tgt[1]
     xp = ct * dx + st * dy
     yp = -st * dx + ct * dy
 
-    rx, ry, drx, dry = half_extents(src.half_l, src.half_w, src.pose.theta - tgt.pose.theta)
+    rx, ry, drx, dry = half_extents(src[3], src[4], src[2] - tgt[2])
 
-    ex, ey = tgt.half_l, tgt.half_w
-    coords = (xp, yp)
-    rr = (rx, ry)
-    ee = (ex, ey)
-    drr = (drx, dry)
+    coords, rr, ee, drr = (xp, yp), (rx, ry), (tgt[3], tgt[4]), (drx, dry)
     other = 1 - axis_i
 
     z = sigma * coords[axis_i] + rr[axis_i] + ee[axis_i]
@@ -449,74 +459,89 @@ def directional_loss(src: FootprintBox, tgt: FootprintBox, direction: str, p: fl
     h2 = 2.0 * hinge
     sw = math.copysign(1.0, w) if w != 0.0 else 0.0
 
-    # Derivatives of the target-frame coordinates.
-    dxp_src = np.array([ct, st])
-    dyp_src = np.array([-st, ct])
-    dxp_tth = yp
-    dyp_tth = -xp
-    dcoord_src = (dxp_src, dyp_src)
-    dcoord_tth = (dxp_tth, dyp_tth)
+    # Derivatives of the target-frame coordinates w.r.t. the source position
+    # and the target heading.
+    (da0, da1), (do0, do1) = ((ct, st), (-st, ct)) if axis_i == 0 else ((-st, ct), (ct, st))
+    dcoord_tth = (yp, -xp)
 
-    gsrc, gtgt = _zero3(), _zero3()
-    # Hinge term.
-    gsrc[:2] += h2 * sigma * dcoord_src[axis_i]
-    gtgt[:2] -= h2 * sigma * dcoord_src[axis_i]
-    gsrc[2] += h2 * drr[axis_i]
-    gtgt[2] += h2 * (sigma * dcoord_tth[axis_i] - drr[axis_i])
-    # Alignment term; bar depends on theta through the source's half extent.
-    gsrc[:2] += sw * dcoord_src[other]
-    gtgt[:2] -= sw * dcoord_src[other]
-    gsrc[2] += sw * (2.0 * p - 1.0) * drr[other]
-    gtgt[2] += sw * (dcoord_tth[other] - (2.0 * p - 1.0) * drr[other])
+    # Hinge term, then the alignment term, whose bar depends on theta
+    # through the source's half extent.  Each sum starts from +0.0, so a
+    # zero gradient is +0.0.
+    hs = h2 * sigma
+    gsrc = (
+        0.0 + hs * da0 + sw * do0,
+        0.0 + hs * da1 + sw * do1,
+        0.0 + h2 * drr[axis_i] + sw * (2.0 * p - 1.0) * drr[other],
+    )
+    gtgt = (
+        0.0 - hs * da0 - sw * do0,
+        0.0 - hs * da1 - sw * do1,
+        0.0
+        + h2 * (sigma * dcoord_tth[axis_i] - drr[axis_i])
+        + sw * (dcoord_tth[other] - (2.0 * p - 1.0) * drr[other]),
+    )
+    return value, (gsrc, gtgt), sw * (-2.0) * (ee[other] - rr[other])
 
-    gp = sw * (-2.0) * (ee[other] - rr[other])
-    return LossValue(value, {"src": gsrc, "tgt": gtgt, "p": gp})
+
+def directional_loss(src: FootprintBox, tgt: FootprintBox, direction: str, p: float) -> LossValue:
+    """Side placement in the target's frame.
+
+    The source center, expressed in the target frame, must clear the shared
+    half extents along the side's axis (squared hinge) and line up on the
+    perpendicular axis at the fraction p between the two touch extremes
+    (absolute deviation).  Sides: left/right along target-local x,
+    behind/front along target-local y.
+    """
+    out = _directional([_tuple(src), _tuple(tgt)], p, *SIDE_RULES[direction])
+    return _loss_value(out, ("src", "tgt"), "p")
+
+
+def _angle_offset(boxes: list, alpha: float):
+    d = boxes[0][2] - boxes[1][2] - alpha
+    sd = math.sin(d)
+    return 1.0 - math.cos(d), ((0.0, 0.0, sd), (0.0, 0.0, -sd)), -sd
 
 
 def angle_offset_loss(a: FootprintBox, b: FootprintBox, alpha: float) -> LossValue:
     """1 - cos of the heading difference minus the target offset alpha."""
-    d = a.pose.theta - b.pose.theta - alpha
-    sd = math.sin(d)
-    ga, gb = _zero3(), _zero3()
-    ga[2] = sd
-    gb[2] = -sd
-    return LossValue(1.0 - math.cos(d), {"a": ga, "b": gb, "alpha": -sd})
+    return _loss_value(_angle_offset([_tuple(a), _tuple(b)], alpha), ("a", "b"), "alpha")
+
+
+def _placement_rule(axis: str, room: Room, margin: float) -> tuple:
+    """Axis index and slack margin * span of a placement."""
+    axis_i = 0 if axis == "x" else 1
+    return axis_i, margin * (room.length if axis_i == 0 else room.width)
+
+
+def _placement(boxes: list, target: float, axis_i: int, slack: float):
+    dev = boxes[0][axis_i] - target
+    hinge = max(abs(dev) - slack, 0.0)
+    sd = math.copysign(1.0, dev) if dev != 0.0 else 0.0
+    g_axis = 2.0 * hinge * sd
+    g = (g_axis, 0.0, 0.0) if axis_i == 0 else (0.0, g_axis, 0.0)
+    return hinge * hinge, (g,), -2.0 * hinge * sd
 
 
 def placement_loss(box: FootprintBox, axis: str, target: float, room: Room, margin: float) -> LossValue:
     """Squared hinge on the center coordinate's deviation beyond margin*span."""
-    axis_i = 0 if axis == "x" else 1
-    span = room.length if axis_i == 0 else room.width
-    coord = box.pose.x if axis_i == 0 else box.pose.y
-    dev = coord - target
-    z = abs(dev) - margin * span
-    hinge = max(z, 0.0)
-    g = _zero3()
-    sd = math.copysign(1.0, dev) if dev != 0.0 else 0.0
-    g[axis_i] = 2.0 * hinge * sd
-    return LossValue(hinge * hinge, {"box": g, "target": -2.0 * hinge * sd})
+    out = _placement([_tuple(box)], target, *_placement_rule(axis, room, margin))
+    return _loss_value(out, ("box",), "target")
 
 
-def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float) -> LossValue:
-    """Even angular spread around a focal object plus a circular-mean
-    orientation target.
-
-    Directions to the sources, measured in the focal frame, are sorted; the
-    consecutive gaps should all equal sweep/(N-1).  Source headings relative
-    to the focal should average (in the embedded sin/cos sense) to the mean
-    resultant of N headings evenly spread over the sweep centered at `center`.
-    """
+def _around(boxes: list, _, sweep: float, center: float):
+    """The sources then the focal; the parameter gradient is (d/d sweep,
+    d/d center).  The reductions stay numpy's, and so their summation order."""
+    *sources, focal = boxes
     n = len(sources)
     if n < 2:
         raise ValueError("around needs at least two sources")
-    cf = math.cos(focal.pose.theta)
-    sf = math.sin(focal.pose.theta)
+    fx, fy, ftheta = focal[0], focal[1], focal[2]
+    cf, sf = math.cos(ftheta), math.sin(ftheta)
 
     phis = np.empty(n)
     dphi_sources = np.zeros((n, 2))
     for i, box in enumerate(sources):
-        dx = box.pose.x - focal.pose.x
-        dy = box.pose.y - focal.pose.y
+        dx, dy = box[0] - fx, box[1] - fy
         xp = cf * dx + sf * dy
         yp = -sf * dx + cf * dy
         r2 = xp * xp + yp * yp
@@ -532,7 +557,7 @@ def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float)
     term1 = float(np.dot(resid, resid)) / (n - 1)
 
     g_sources = np.zeros((n, 3))
-    g_focal = _zero3()
+    g_focal = np.zeros(3)
     dterm1_sorted = np.zeros(n)
     for k in range(n):
         left = resid[k - 1] if k > 0 else 0.0
@@ -546,7 +571,7 @@ def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float)
     d_term1_dsweep = -2.0 * float(resid.sum()) / ((n - 1) * (n - 1))
 
     # Orientation embedding: mean of (sin, cos) of relative headings.
-    rel = np.array([box.pose.theta - focal.pose.theta for box in sources])
+    rel = np.array([box[2] - ftheta for box in sources])
     emb = np.array([np.sin(rel).mean(), np.cos(rel).mean()])
     delta = sweep / (2.0 * (n - 1))
     if abs(delta) < 1e-9:
@@ -561,7 +586,7 @@ def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float)
     err = emb - target_emb
     term2 = float(np.dot(err, err))
 
-    for i, box in enumerate(sources):
+    for i in range(n):
         de = np.array([math.cos(rel[i]), -math.sin(rel[i])]) / n
         g_sources[i, 2] += 2.0 * float(np.dot(err, de))
         g_focal[2] -= 2.0 * float(np.dot(err, de))
@@ -571,15 +596,24 @@ def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float)
     d_term2_dsweep = -2.0 * float(np.dot(err, np.array([math.sin(center), math.cos(center)]))) * (
         dm_ddelta / (2.0 * (n - 1))
     )
+    grads = (*map(tuple, g_sources.tolist()), tuple(g_focal.tolist()))
+    return term1 + term2, grads, (d_term1_dsweep + d_term2_dsweep, d_term2_dcenter)
 
+
+def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float) -> LossValue:
+    """Even angular spread around a focal object plus a circular-mean
+    orientation target.
+
+    Directions to the sources, measured in the focal frame, are sorted; the
+    consecutive gaps should all equal sweep/(N-1).  Source headings relative
+    to the focal should average (in the embedded sin/cos sense) to the mean
+    resultant of N headings evenly spread over the sweep centered at `center`.
+    """
+    value, grads, (d_sweep, d_center) = _around([*map(_tuple, sources), _tuple(focal)], None, sweep, center)
+    g_sources = np.array(grads[:-1]).reshape(-1, 3)
     return LossValue(
-        term1 + term2,
-        {
-            "sources": g_sources,
-            "focal": g_focal,
-            "sweep": d_term1_dsweep + d_term2_dsweep,
-            "center": d_term2_dcenter,
-        },
+        value,
+        {"sources": g_sources, "focal": np.array(grads[-1]), "sweep": d_sweep, "center": d_center},
     )
 
 
@@ -588,62 +622,40 @@ def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float)
 # ---------------------------------------------------------------------------
 
 
-_ORIGIN = Pose2D(0.0, 0.0, 0.0)
-
-
-def box_from_array(arr, half_l: float, half_w: float) -> FootprintBox:
-    return FootprintBox(Pose2D(float(arr[0]), float(arr[1]), float(arr[2])), half_l, half_w)
-
-
 def _enclosing_box(poses, halves):
-    """Center (2,), half_l and half_w of the axis-aligned box enclosing the
-    footprints with the given (x, y, theta) poses and (half_l, half_w)."""
-    pts = np.array(
-        [p for (x, y, t), (hl, hw) in zip(poses, halves) for p in corner_points(x, y, t, hl, hw)]
-    )
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    half = 0.5 * (hi - lo)
-    return 0.5 * (lo + hi), float(half[0]), float(half[1])
+    """Center (x, y), half_l and half_w of the axis-aligned box enclosing
+    the footprints with the given (x, y, theta) poses and (half_l, half_w);
+    NaN on an axis where a corner coordinate is NaN."""
+    points = [p for (x, y, t), (hl, hw) in zip(poses, halves) for p in corner_points(x, y, t, hl, hw)]
+    lo, hi = [], []
+    for axis in ([p[0] for p in points], [p[1] for p in points]):
+        total = sum(axis)
+        nan = total != total and any(v != v for v in axis)
+        lo.append(math.nan if nan else min(axis))
+        hi.append(math.nan if nan else max(axis))
+    return (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])), 0.5 * (hi[0] - lo[0]), 0.5 * (hi[1] - lo[1])
 
 
 def unit_local_aabb(spec: SceneSpec, unit: Unit, member_locals: dict):
     """Enclosing axis-aligned box of the unit in its own frame.
 
-    Returns (center offset (2,), half_l, half_w).  Treated as fixed geometry
-    by the scene-level losses: derivatives flow through the unit pose only.
+    Returns (center offset (x, y), half_l, half_w).  Treated as fixed
+    geometry by the scene-level losses: derivatives flow through the unit
+    pose only.
     """
     poses = [(0.0, 0.0, 0.0)] + [member_locals[mid] for mid in unit.members]
     return _enclosing_box(poses, [_halves(spec, aid) for aid in unit.assets])
-
-
-def _carried(pose: Pose2D, offset, half_l: float, half_w: float) -> FootprintBox:
-    """A unit's local enclosing box carried by the unit pose."""
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    x = pose.x + c * offset[0] - s * offset[1]
-    y = pose.y + s * offset[0] + c * offset[1]
-    return FootprintBox(Pose2D(x, y, pose.theta), half_l, half_w)
 
 
 def unit_obb(spec: SceneSpec, unit: Unit, unit_pose, member_locals: dict):
     """Scene-level stand-in box for a unit: its local enclosing box carried
     by the unit pose.  Returns (box, local center offset)."""
     offset, half_l, half_w = unit_local_aabb(spec, unit, member_locals)
-    return _carried(Pose2D.from_array(unit_pose), offset, half_l, half_w), offset
-
-
-def chain_obb_grad_to_unit(grad, offset, theta: float) -> np.ndarray:
-    """Pull a gradient on the unit's stand-in box back to the unit pose."""
-    c, s = math.cos(theta), math.sin(theta)
-    out = np.array(
-        [
-            grad[0],
-            grad[1],
-            grad[0] * (-s * offset[0] - c * offset[1])
-            + grad[1] * (c * offset[0] - s * offset[1])
-            + grad[2],
-        ]
-    )
-    return out
+    pose = Pose2D.from_array(unit_pose)
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    x = pose.x + c * offset[0] - s * offset[1]
+    y = pose.y + s * offset[0] + c * offset[1]
+    return FootprintBox(Pose2D(x, y, pose.theta), half_l, half_w), offset
 
 
 # ---------------------------------------------------------------------------
@@ -651,56 +663,20 @@ def chain_obb_grad_to_unit(grad, offset, theta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Per relation kind other than around: its loss on (the boxes it names,
-# parameter value, relation, room), the loss slots of those boxes' poses,
-# and the loss slot of its scalar parameter.  The lambdas look each loss up
-# by name at call time, so a wrapper set on the module attribute (a tracer,
-# a test spy) sees every call.
-_RELATIONS = {
-    "distance": (lambda b, v, rel, room: distance_loss(*b, v), ("a", "b"), "d"),
-    "gap": (lambda b, v, rel, room: gap_loss(*b, v), ("a", "b"), "g"),
-    "against_wall": (
-        lambda b, v, rel, room: against_wall_loss(*b, rel.target.removeprefix("wall:"), room),
-        ("box",),
-        None,
-    ),
-    "corner": (
-        lambda b, v, rel, room: corner_loss(
-            *b, rel.target.removeprefix("corner:"), rel.params["wall"], room
-        ),
-        ("box",),
-        None,
-    ),
-    "facing": (lambda b, v, rel, room: facing_loss(*b), ("a", "b"), None),
-    "angle_offset": (lambda b, v, rel, room: angle_offset_loss(*b, v), ("a", "b"), "alpha"),
-    "h_place": (
-        lambda b, v, rel, room: placement_loss(*b, "x", v, room, rel.params["margin"]),
-        ("box",),
-        "target",
-    ),
-    "v_place": (
-        lambda b, v, rel, room: placement_loss(*b, "y", v, room, rel.params["margin"]),
-        ("box",),
-        "target",
-    ),
-    **{
-        kind: (lambda b, v, rel, room: directional_loss(*b, rel.kind, v), ("src", "tgt"), "p")
-        for kind in DIRECTIONAL_KINDS
-    },
-}
-
-
 @dataclass(frozen=True)
 class Term:
-    """One relation term of a block: a relation, or a whole around group
-    (`rel` is then its first member).  `ends` are box positions: source,
-    then target if it is an entity; an around group's sources, then its
-    focal.  The scalar parameter is `x[param]` when shared, else `value`.
+    """One relation term of a block: a relation, or a whole around group.
+    `ends` are box positions: source, then target if it is an entity; an
+    around group's sources, then its focal.  The term's value is
+    `kernel(boxes at ends, parameter, *consts)`, the kernel being named by
+    its module attribute.  The scalar parameter is `x[param]` when shared,
+    else `value`.
     """
 
     label: str
-    rel: Relation
     ends: tuple
+    kernel: str
+    consts: tuple = ()
     param: int | None = None
     value: float | None = None
 
@@ -708,10 +684,10 @@ class Term:
 @dataclass
 class Block:
     """The boxes and relation terms of one frame: a unit's, or the scene's
-    (`unit` None).  Per box: entity id, row slice of the flat vector (None
-    for an anchor, at the frame origin), half sizes, and for a unit's
-    stand-in the unit's block, whose footprints it encloses (its half sizes
-    are then None).
+    (`unit` None).  Per box: entity id, first slot of its row in the flat
+    vector (None for an anchor, at the frame origin), half sizes, and for a
+    unit's stand-in the unit's block, whose footprints it encloses (its half
+    sizes are then None).
     """
 
     unit: str | None
@@ -727,30 +703,47 @@ def _halves(spec: SceneSpec, asset_id: str) -> tuple:
     return a.half_l, a.half_w
 
 
+def _kernel(rel: Relation, room: Room) -> tuple:
+    """Kernel name and constants of a relation other than around."""
+    kind = rel.kind
+    if kind == "against_wall":
+        return "_against_wall", _against_wall_rule(rel.target.removeprefix("wall:"), room)
+    if kind == "corner":
+        return "_corner", _corner_rule(rel.target.removeprefix("corner:"), rel.params["wall"], room)
+    if kind in ("h_place", "v_place"):
+        return "_placement", _placement_rule("x" if kind == "h_place" else "y", room, rel.params["margin"])
+    if kind in DIRECTIONAL_KINDS:
+        return "_directional", SIDE_RULES[kind]
+    return f"_{kind}", ()
+
+
 def _relation_plan(spec: SceneSpec, pose: dict, param: dict) -> dict:
     """One Block per unit frame, by unit id, then the scene's under None.
     Intra relations go to their unit's block and inter ones to the scene's,
     in the term order of `relation_terms`."""
     blocks: dict = {}
     for u in spec.units:
-        rows = (None,) + tuple(pose[mid] for mid in u.members)
+        rows = (None,) + tuple(pose[mid].start for mid in u.members)
         halves = tuple(_halves(spec, aid) for aid in u.assets)
         blocks[u.id] = Block(u.id, u.assets, rows, halves, (None,) * len(rows), [])
     ids = spec.entities()
     halves = tuple(None if eid in blocks else _halves(spec, eid) for eid in ids)
     frames = tuple(blocks.get(eid) for eid in ids)
-    blocks[None] = Block(None, ids, tuple(pose[eid] for eid in ids), halves, frames, [])
+    blocks[None] = Block(None, ids, tuple(pose[eid].start for eid in ids), halves, frames, [])
     for group, members in relation_terms(spec.relations):
         rel = spec.relations[members[0]]
         block = blocks[rel.unit if rel.scope == "intra" else None]
         if group is not None:
             ends = [spec.relations[i].source for i in members] + [rel.target]
-            block.terms.append(Term(f"around:{group}", rel, tuple(map(block.ids.index, ends))))
+            consts = (rel.params["sweep"], rel.params["center"])
+            block.terms.append(Term(f"around:{group}", tuple(map(block.ids.index, ends)), "_around", consts))
             continue
-        ends = tuple(map(block.ids.index, (rel.source, rel.target)[: len(_RELATIONS[rel.kind][1])]))
-        value = rel.params.get(SHARED_PARAM_SLOTS.get(rel.kind))
-        term = Term(f"relations[{members[0]}]", rel, ends, param.get(rel.shared_param), value)
-        block.terms.append(term)
+        one_box = rel.kind in SCENE_ANCHORED_KINDS
+        ends = tuple(map(block.ids.index, (rel.source,) if one_box else (rel.source, rel.target)))
+        default = DEFAULT_P if rel.kind in DIRECTIONAL_KINDS else None
+        value = rel.params.get(SHARED_PARAM_SLOTS.get(rel.kind), default)
+        label = f"relations[{members[0]}]"
+        block.terms.append(Term(label, ends, *_kernel(rel, spec.room), param.get(rel.shared_param), value))
     return blocks
 
 
@@ -809,91 +802,83 @@ def param_index(spec: SceneSpec) -> ParamIndex:
     return ParamIndex(pose, param, n + len(param), _relation_plan(spec, pose, param))
 
 
-def _block_boxes(block: Block, xs) -> tuple:
-    """The boxes of `block` at the flat vector `xs`, and per box the center
-    offset of a unit's stand-in in the unit frame, or None."""
-    boxes, offsets = [], []
-    for rows, halves, frame in zip(block.rows, block.halves, block.frames):
-        pose = _ORIGIN if rows is None else Pose2D(*xs[rows])
+def _block_boxes(block: Block, xs: list) -> tuple:
+    """The kernel boxes of `block` at the flat vector `xs` (a list), and per
+    box the lever of a unit's stand-in, or None: the pair (d/dtheta of the
+    stand-in center's x, of its y), which carries a gradient on the
+    stand-in back to the unit pose."""
+    boxes, levers = [], []
+    for r, halves, frame in zip(block.rows, block.halves, block.frames):
+        x, y, theta = (0.0, 0.0, 0.0) if r is None else (xs[r], xs[r + 1], _heading(xs[r + 2]))
         if frame is None:
-            boxes.append(FootprintBox(pose, *halves))
-            offsets.append(None)
+            boxes.append((x, y, theta, *halves))
+            levers.append(None)
             continue
-        members = [(0.0, 0.0, 0.0) if r is None else xs[r] for r in frame.rows]
-        offset, half_l, half_w = _enclosing_box(members, frame.halves)
-        boxes.append(_carried(pose, offset, half_l, half_w))
-        offsets.append(offset)
-    return boxes, offsets
+        members = [(0.0, 0.0, 0.0) if m is None else (xs[m], xs[m + 1], _heading(xs[m + 2])) for m in frame.rows]
+        (o0, o1), half_l, half_w = _enclosing_box(members, frame.halves)
+        c, s = math.cos(theta), math.sin(theta)
+        boxes.append((x + c * o0 - s * o1, y + s * o0 + c * o1, theta, half_l, half_w))
+        levers.append((-s * o0 - c * o1, c * o0 - s * o1))
+    return boxes, levers
 
 
-def term_loss(term: Term, boxes: list, xs, room: Room):
-    """Penalty of one term on its block's `boxes`, its pose gradients as
-    (box position, gradient) pairs, and its gradient on the shared
-    parameter (None when the term binds none)."""
-    rel = term.rel
-    if rel.kind == "around":
-        *sources, focal = term.ends
-        lv = around_loss(
-            [boxes[k] for k in sources], boxes[focal], rel.params["sweep"], rel.params["center"]
-        )
-        return lv, [*zip(sources, lv.grads["sources"]), (focal, lv.grads["focal"])], None
-    loss, pose_slots, param_slot = _RELATIONS[rel.kind]
+def term_loss(term: Term, boxes: list, xs) -> tuple:
+    """(value, pose gradient per end box, parameter gradient) of one term on
+    its block's kernel boxes, its parameter read from `xs` when shared."""
     value = term.value if term.param is None else xs[term.param]
-    lv = loss([boxes[k] for k in term.ends], value, rel, room)
-    poses = [(k, lv.grads[slot]) for k, slot in zip(term.ends, pose_slots)]
-    return lv, poses, None if term.param is None else lv.grads[param_slot]
+    return globals()[term.kernel]([boxes[k] for k in term.ends], value, *term.consts)
 
 
 def _aggregate(block: Block, x, weights: Weights, room: Room) -> LossValue:
     """Weighted collision and relation terms of one block, plus the
     boundary term for the scene, with the gradient over `x`."""
     xs = x.tolist()
-    boxes, offsets = _block_boxes(block, xs)
+    boxes, levers = _block_boxes(block, xs)
     rows = block.rows
-    grad = np.zeros(len(xs))
+    grad = [0.0] * len(xs)
 
-    def pull(k: int, g):
-        """Carry a gradient on box `k` to its entity's pose."""
-        if offsets[k] is None:
-            return g
-        return chain_obb_grad_to_unit(g, offsets[k], boxes[k].pose.theta)
+    def add(k: int, g0: float, g1: float, g2: float, w: float):
+        # w times a gradient on box k, carried to the unit pose for a stand-in.
+        r = rows[k]
+        if r is None:
+            return
+        grad[r] += w * g0
+        grad[r + 1] += w * g1
+        lever = levers[k]
+        grad[r + 2] += w * (g2 if lever is None else g0 * lever[0] + g1 * lever[1] + g2)
 
-    boundary_total = 0.0
-    if block.unit is None and weights.boundary != 0.0:
+    boundary_total, wb = 0.0, weights.boundary
+    if block.unit is None and wb != 0.0:
         for k, box in enumerate(boxes):
-            lv = boundary_loss(box, room)
-            boundary_total += lv.value
-            grad[rows[k]] += weights.boundary * pull(k, lv.grads["box"])
+            value, ((g0, g1, g2),), _ = _boundary(box, room.length, room.width)
+            boundary_total += value
+            add(k, g0, g1, g2, wb)
 
-    collision_total = 0.0
-    if weights.collision != 0.0:
+    collision_total, wc = 0.0, weights.collision
+    if wc != 0.0:
         for a, b in _proxy_pairs(boxes):
             lv = collision_loss(boxes[a], boxes[b])
             collision_total += lv.value
-            for k, g in ((a, lv.grads["a"]), (b, lv.grads["b"])):
-                if rows[k] is not None:
-                    grad[rows[k]] += weights.collision * pull(k, g)
+            add(a, *lv.grads["a"].tolist(), wc)
+            add(b, *lv.grads["b"].tolist(), wc)
 
-    relation_total = 0.0
-    if weights.relation != 0.0:
+    relation_total, wr = 0.0, weights.relation
+    if wr != 0.0:
         for term in block.terms:
-            lv, poses, param_grad = term_loss(term, boxes, xs, room)
-            relation_total += lv.value
-            for k, g in poses:
-                if rows[k] is not None:
-                    grad[rows[k]] += pull(k, weights.relation * g)
-            if param_grad is not None:
-                grad[term.param] += weights.relation * param_grad
+            value, grads, param_grad = term_loss(term, boxes, xs)
+            relation_total += value
+            # The weight goes on before the stand-in pull-back.
+            for k, (g0, g1, g2) in zip(term.ends, grads):
+                add(k, wr * g0, wr * g1, wr * g2, 1.0)
+            if term.param is not None:
+                grad[term.param] += wr * param_grad
 
+    grad = np.array(grad)
     terms = {"collision": collision_total, "relation": relation_total}
     if block.unit is not None:
-        value = weights.collision * collision_total + weights.relation * relation_total
+        value = wc * collision_total + wr * relation_total
         return LossValue(value, grad, terms)
-    value = (
-        weights.boundary * boundary_total
-        + weights.collision * collision_total
-        + weights.relation * relation_total
-    )
+    value = wb * boundary_total + wc * collision_total + wr * relation_total
     return LossValue(value, grad, {"boundary": boundary_total, **terms})
 
 
@@ -947,5 +932,5 @@ def relation_penalties(spec: SceneSpec, index: ParamIndex, x) -> dict:
     for block in index.blocks.values():
         boxes, _ = _block_boxes(block, xs)
         for term in block.terms:
-            out[term.label] = float(term_loss(term, boxes, xs, spec.room)[0].value)
+            out[term.label] = float(term_loss(term, boxes, xs)[0])
     return out

@@ -80,10 +80,6 @@ class Interval:
     lo: float
     hi: float
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
     def overlap(self, other: "Interval") -> float:
         """Signed overlap length; negative when the intervals are disjoint."""
         return min(self.hi, other.hi) - max(self.lo, other.lo)
@@ -114,10 +110,8 @@ def half_extents(hl: float, hw: float, theta: float):
     """Half extents (ax, ay) of a footprint with half sizes (hl, hw) turned
     by theta, and their theta derivatives (dax, day):
     ax = hl*|cos t| + hw*|sin t|, ay = hl*|sin t| + hw*|cos t|."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    sc = math.copysign(1.0, c)
-    ss = math.copysign(1.0, s)
+    c, s = math.cos(theta), math.sin(theta)
+    sc, ss = math.copysign(1.0, c), math.copysign(1.0, s)
     ax = hl * abs(c) + hw * abs(s)
     ay = hl * abs(s) + hw * abs(c)
     dax = -hl * sc * s + hw * ss * c
@@ -144,24 +138,32 @@ def axis_bounds(box: FootprintBox) -> tuple[Interval, Interval]:
 def overlapping_pairs(lo, hi) -> list:
     """Pairs (i, j), i < j, of axis-aligned boxes whose overlap can be positive.
 
-    `lo` and `hi` are (n, 2) arrays of box bounds.  A pair is dropped only
+    `lo` and `hi` hold the (x, y) bounds of each box.  A pair is dropped only
     when min(hi_i, hi_j) - max(lo_i, lo_j) <= 0 on some axis, the test that
-    `collide_proxy` negates.  A row with a non-finite bound is set to NaN
-    first, so every pair involving it is kept.  Pairs come in row-major
-    order, the order of `for i in range(n): for j in range(i + 1, n)`.
+    `collide_proxy` negates; for finite floats, when a box is empty on the
+    axis or one's hi is at most the other's lo.  One sort-and-sweep on x
+    (Ericson, Real-Time Collision Detection, ch. 7) meets each box with the
+    later ones in lo_x order whose lo_x is below its hi_x.  A box with a
+    non-finite bound pairs with every other box.  Pairs come in row-major
+    order, that of `for i in range(n): for j in range(i + 1, n)`.
     """
-    lo = np.array(lo, dtype=float).reshape(-1, 2)
-    hi = np.array(hi, dtype=float).reshape(-1, 2)
-    bad = ~(np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1))
-    lo[bad] = np.nan
-    apart = np.zeros((len(lo), len(lo)), dtype=bool)
-    for k in (0, 1):
-        l, h = lo[:, k].copy(), hi[:, k].copy()
-        overlap = np.minimum(h[:, None], h)
-        overlap -= np.maximum(l[:, None], l)
-        apart |= overlap <= 0.0
-    i, j = np.nonzero(np.triu(~apart, 1))
-    return list(zip(i.tolist(), j.tolist()))
+    live, bad = [], []
+    for i, ((lx, ly), (hx, hy)) in enumerate(zip(lo, hi)):
+        bounds = (float(lx), float(hx), float(ly), float(hy))
+        if not all(map(math.isfinite, bounds)):
+            bad.append(i)
+        elif bounds[1] > bounds[0] and bounds[3] > bounds[2]:
+            live.append((*bounds, i))
+    live.sort()
+    pairs = [(min(i, k), max(i, k)) for k in bad for i in range(len(lo)) if i != k]
+    for p, (_, hx, ly, hy, i) in enumerate(live):
+        for q in range(p + 1, len(live)):
+            lx2, _, ly2, hy2, j = live[q]
+            if lx2 >= hx:
+                break
+            if ly2 < hy and ly < hy2:
+                pairs.append((i, j) if i < j else (j, i))
+    return sorted(set(pairs))
 
 
 def collide_proxy(a: FootprintBox, b: FootprintBox) -> bool:
@@ -291,10 +293,11 @@ def signed_distance_point_box(point, box: FootprintBox) -> float:
 _EDGE_FRACTIONS = (0.125, 0.375, 0.625, 0.875)
 
 
-def boundary_probes(box: FootprintBox) -> list:
-    """Probe points on the box boundary as (x, y) float pairs: the 4 corners
-    of `corners`, then 4 samples per edge."""
-    cs = corner_points(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w)
+def boundary_probes(x: float, y: float, theta: float, half_l: float, half_w: float) -> list:
+    """Probe points on the boundary of the footprint with pose (x, y, theta)
+    and the given half sizes, as (x, y) float pairs: the 4 corners of
+    `corner_points`, then 4 samples per edge."""
+    cs = corner_points(x, y, theta, half_l, half_w)
     pts = list(cs)
     for k in range(4):
         (px, py), (qx, qy) = cs[k], cs[(k + 1) % 4]
@@ -305,7 +308,7 @@ def boundary_probes(box: FootprintBox) -> list:
 
 def boundary_sample_points(box: FootprintBox) -> np.ndarray:
     """Probe points on the box boundary, shape (20, 2); see `boundary_probes`."""
-    return np.asarray(boundary_probes(box))
+    return np.asarray(boundary_probes(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w))
 
 
 def min_boundary_distance(a: FootprintBox, b: FootprintBox) -> float:

@@ -32,6 +32,7 @@ from .geometry import (
 )
 from .scene_model import (
     CORNER_WALLS,
+    DEFAULT_P,
     DIRECTIONAL_KINDS,
     Relation,
     SceneSpec,
@@ -133,7 +134,7 @@ def _apply_relation(board: _Board, rel: Relation, room, shared: dict):
     def resolved(key):
         if rel.shared_param is not None:
             return shared[rel.shared_param]
-        return rel.params[key]
+        return rel.params.get(key, DEFAULT_P) if key == "p" else rel.params[key]
 
     if kind == "h_place":
         board.pin(src, 0, resolved("x"))

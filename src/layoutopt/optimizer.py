@@ -115,6 +115,7 @@ class ParamState:
     flat: bool = False
     vel: np.ndarray = field(init=False)
     step_index: int = field(default=0, init=False)
+    _slots: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vel = np.zeros_like(self.x)
@@ -130,6 +131,12 @@ class ParamState:
     @property
     def shared(self) -> dict:
         return self.index.shared(self.x)
+
+    def slot_constants(self, config) -> tuple:
+        """`_slot_constants(config, self.index)`, kept for the last config."""
+        if self._slots[0] is not config:
+            self._slots = (config, _slot_constants(config, self.index))
+        return self._slots[1]
 
     def global_pose(self, asset_id: str) -> Pose2D:
         uid = self.spec.unit_of(asset_id)
@@ -294,7 +301,7 @@ def step(
     norms = np.array([math.hypot(gx, gy) for gx, gy, _ in rows.tolist()])
     over = norms > config.clip_position
     rows[over, :2] *= (config.clip_position / norms[over])[:, None]
-    limit, lr = _slot_constants(config, state.index)
+    limit, lr = state.slot_constants(config)
     n = state.index.pose_size if stage == 1 else state.index.size
     g = np.clip(grad[:n], -limit[:n], limit[:n])
     state.vel[:n] = config.momentum * state.vel[:n] + g

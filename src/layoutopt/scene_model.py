@@ -37,6 +37,9 @@ RELATION_KINDS = frozenset(
 
 DIRECTIONAL_KINDS = frozenset({"left_of", "right_of", "in_front_of", "behind_of"})
 
+# Alignment fraction p of a directional relation that does not give one.
+DEFAULT_P = 0.5
+
 # Kinds anchored to the room itself; these only make sense at scene level.
 SCENE_ANCHORED_KINDS = frozenset({"against_wall", "corner", "h_place", "v_place"})
 
@@ -321,10 +324,10 @@ _PARAM_SPEC: dict = {
     "against_wall": (set(), {}),
     "corner": ({"wall"}, {}),
     "facing": (set(), {}),
-    "left_of": (set(), {"p": 0.5}),
-    "right_of": (set(), {"p": 0.5}),
-    "in_front_of": (set(), {"p": 0.5}),
-    "behind_of": (set(), {"p": 0.5}),
+    "left_of": (set(), {"p": DEFAULT_P}),
+    "right_of": (set(), {"p": DEFAULT_P}),
+    "in_front_of": (set(), {"p": DEFAULT_P}),
+    "behind_of": (set(), {"p": DEFAULT_P}),
     "angle_offset": ({"alpha"}, {}),
     "h_place": ({"x"}, {"margin": 0.0}),
     "v_place": ({"y"}, {"margin": 0.0}),

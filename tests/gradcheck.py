@@ -17,7 +17,6 @@ from layoutopt.constraints import (
     against_wall_loss,
     around_loss,
     boundary_loss,
-    box_from_array,
     collision_loss,
     corner_loss,
     directional_loss,
@@ -34,6 +33,10 @@ from layoutopt.geometry import (
     signed_distance_point_box,
 )
 from layoutopt.scene_model import Room
+
+def box_from_array(arr, half_l: float, half_w: float) -> FootprintBox:
+    return FootprintBox(Pose2D(float(arr[0]), float(arr[1]), float(arr[2])), half_l, half_w)
+
 
 H = 1e-5
 KINK_MARGIN = 1e-3

@@ -3,22 +3,27 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from layoutopt import geometry
 from layoutopt.constraints import (
+    _CORNER_SIGNS_XY,
+    FACING_EPS,
+    SIDE_RULES,
+    WALL_RULES,
     LossValue,
-    _point_box_sdf_grads,
     Weights,
+    _local_sdf,
+    _local_sdf_grad,
     aggregate_global,
     aggregate_local,
     angle_offset_loss,
     against_wall_loss,
     around_loss,
     boundary_loss,
-    box_from_array,
     collision_loss,
     corner_loss,
     directional_loss,
@@ -40,11 +45,12 @@ from layoutopt.geometry import (
     collide_proxy,
     compose,
     corners,
+    half_extents,
     min_boundary_distance,
 )
 from layoutopt.imagination import imagine_and_revise
 from layoutopt.optimizer import OptimizerConfig, evaluate, init_state
-from layoutopt.scene_model import Room, parse_scene
+from layoutopt.scene_model import SHARED_PARAM_SLOTS, Room, parse_scene
 
 from gradcheck import OP_SAMPLERS, assert_grads_close, fd_slots, run_op_fd
 
@@ -53,6 +59,11 @@ RNG_SEED = 915
 
 def box(x, y, theta, hl, hw) -> FootprintBox:
     return FootprintBox(Pose2D(x, y, theta), hl, hw)
+
+
+def as_tuple(b: FootprintBox) -> tuple:
+    """The kernel form of a footprint, (x, y, theta, half_l, half_w)."""
+    return (b.pose.x, b.pose.y, b.pose.theta, b.half_l, b.half_w)
 
 
 def random_box(rng, span=2.0) -> FootprintBox:
@@ -360,11 +371,11 @@ def test_aggregate_local_relations_are_rigid_invariant():
             pose = compose(frame, Pose2D(*locals_[mid]))
             boxes[mid] = FootprintBox(pose, a.half_l, a.half_w)
         block = index.blocks[unit.id]
-        ordered = [boxes[eid] for eid in block.ids]
+        ordered = [as_tuple(boxes[eid]) for eid in block.ids]
         total = 0.0
         for term in block.terms:
-            lv, _, _ = term_loss(term, ordered, x, spec.room)
-            total += lv.value
+            value, _, _ = term_loss(term, ordered, x.tolist())
+            total += value
         return total
 
     for pose_arr in ([0.0, 0.0, 0.0], [2.0, -1.0, 0.8], [-0.5, 3.0, -2.4]):
@@ -559,6 +570,24 @@ def test_relation_penalties_turn_nan_instead_of_raising(name):
         }
         assert all(math.isnan(pens[k]) for k in touched), key
 
+    # An infinite heading reads as a NaN one, in the penalties and in both
+    # aggregates, instead of raising from math.cos.
+    def outputs(x_):
+        out = list(relation_penalties(spec, index, x_).values())
+        for lv in [aggregate_global(spec, index, x_)] + [aggregate_local(spec, u.id, index, x_) for u in spec.units]:
+            out += [lv.value, *lv.grads.tolist(), *lv.terms.values()]
+        return out
+
+    for key, rows in index.pose.items():
+        nan_heading = x.copy()
+        nan_heading[rows.start + 2] = math.nan
+        expect = outputs(nan_heading)
+        for inf in (math.inf, -math.inf):
+            bad = x.copy()
+            bad[rows.start + 2] = inf
+            got = outputs(bad)
+            assert all(_same(g, e) for g, e in zip(got, expect)) and len(got) == len(expect), (key, inf)
+
 
 # ---------------------------------------------------------------------------
 # Pruned work is exactly zero work
@@ -613,7 +642,7 @@ def _eager_gap(a, b, g):
         for p in boundary_sample_points(box):
             wx, wy = p[0] - box.pose.x, p[1] - box.pose.y
             offset = (cb * wx + sb * wy, -sb * wx + cb * wy)
-            value, g_point, g_other = _point_box_sdf_grads(box, offset, other)
+            value, g_point, g_other = _reference_point_box_sdf_grads(box, offset, other)
             if value < best:
                 best, best_grads = value, {slot_box: g_point, slot_other: g_other}
     r = best - g
@@ -639,3 +668,765 @@ def test_gap_scan_matches_eager_reference_bitwise():
         assert list(lv.grads) == list(grads)
         for key, ref in grads.items():
             assert np.array_equal(lv.grads[key], ref)
+
+
+# ---------------------------------------------------------------------------
+# Kernels against the per-term numpy bodies they replaced
+# ---------------------------------------------------------------------------
+# The `_reference_*` functions are the numpy bodies of the `*_loss` functions
+# before those became adapters over scalar kernels, kept verbatim.  Every
+# adapter, and `term_loss` on kernel boxes, must reproduce them bit for bit.
+
+
+def _probes(box):
+    return geometry.boundary_probes(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w)
+
+
+def _reference_collision(a: FootprintBox, b: FootprintBox) -> LossValue:
+    ax_a, ay_a, dax_a, day_a = half_extents(a.half_l, a.half_w, a.pose.theta)
+    ax_b, ay_b, dax_b, day_b = half_extents(b.half_l, b.half_w, b.pose.theta)
+
+    def axis(ca, ha, cb, hb):
+        alo, ahi = ca - ha, ca + ha
+        blo, bhi = cb - hb, cb + hb
+        ov = min(ahi, bhi) - max(alo, blo)
+        span = max(ahi, bhi) - min(alo, blo)
+        a_hi = ahi <= bhi
+        a_lo = alo >= blo
+        # (d ov / d center_a, d ov / d half_a, same for b)
+        dov = (
+            (1.0 if a_hi else 0.0) - (1.0 if a_lo else 0.0),
+            (1.0 if a_hi else 0.0) + (1.0 if a_lo else 0.0),
+            (0.0 if a_hi else 1.0) - (0.0 if a_lo else 1.0),
+            (0.0 if a_hi else 1.0) + (0.0 if a_lo else 1.0),
+        )
+        s_hi = ahi >= bhi
+        s_lo = alo <= blo
+        dspan = (
+            (1.0 if s_hi else 0.0) - (1.0 if s_lo else 0.0),
+            (1.0 if s_hi else 0.0) + (1.0 if s_lo else 0.0),
+            (0.0 if s_hi else 1.0) - (0.0 if s_lo else 1.0),
+            (0.0 if s_hi else 1.0) + (0.0 if s_lo else 1.0),
+        )
+        return ov, span, dov, dspan
+
+    ovx, cx, dovx, dcx = axis(a.pose.x, ax_a, b.pose.x, ax_b)
+    ovy, cy, dovy, dcy = axis(a.pose.y, ay_a, b.pose.y, ay_b)
+    px, py = max(ovx, 0.0), max(ovy, 0.0)
+    inter = px * py
+
+    area_a, area_b = 4.0 * ax_a * ay_a, 4.0 * ax_b * ay_b
+    union = area_a + area_b - inter
+    min_area = area_a if area_a <= area_b else area_b
+    a_is_min = area_a <= area_b
+
+    dx = a.pose.x - b.pose.x
+    dy = a.pose.y - b.pose.y
+    d2 = dx * dx + dy * dy
+    c2 = cx * cx + cy * cy
+
+    iou = inter / union
+    rho = inter / min_area
+    value = iou - (d2 / c2) * rho
+
+    darea_a = 4.0 * (dax_a * ay_a + ax_a * day_a)  # d area_a / d theta_a
+    darea_b = 4.0 * (dax_b * ay_b + ax_b * day_b)
+
+    gate_x = 1.0 if ovx > 0.0 else 0.0
+    gate_y = 1.0 if ovy > 0.0 else 0.0
+
+    ga, gb = np.zeros(3), np.zeros(3)
+    # Per-variable derivative bundles: (d inter, d area_a, d area_b, d d2, d c2).
+    rows = (
+        (ga, 0, gate_x * py * dovx[0], 0.0, 0.0, 2.0 * dx, 2.0 * cx * dcx[0]),
+        (ga, 1, gate_y * px * dovy[0], 0.0, 0.0, 2.0 * dy, 2.0 * cy * dcy[0]),
+        (
+            ga,
+            2,
+            gate_x * py * dovx[1] * dax_a + gate_y * px * dovy[1] * day_a,
+            darea_a,
+            0.0,
+            0.0,
+            2.0 * cx * dcx[1] * dax_a + 2.0 * cy * dcy[1] * day_a,
+        ),
+        (gb, 0, gate_x * py * dovx[2], 0.0, 0.0, -2.0 * dx, 2.0 * cx * dcx[2]),
+        (gb, 1, gate_y * px * dovy[2], 0.0, 0.0, -2.0 * dy, 2.0 * cy * dcy[2]),
+        (
+            gb,
+            2,
+            gate_x * py * dovx[3] * dax_b + gate_y * px * dovy[3] * day_b,
+            0.0,
+            darea_b,
+            0.0,
+            2.0 * cx * dcx[3] * dax_b + 2.0 * cy * dcy[3] * day_b,
+        ),
+    )
+    for out, idx, d_inter, d_area_a, d_area_b, d_d2, d_c2 in rows:
+        d_union = d_area_a + d_area_b - d_inter
+        d_iou = (d_inter * union - inter * d_union) / (union * union)
+        d_min = d_area_a if a_is_min else d_area_b
+        d_rho = (d_inter * min_area - inter * d_min) / (min_area * min_area)
+        d_ratio = (d_d2 * c2 - d2 * d_c2) / (c2 * c2)
+        out[idx] = d_iou - d_ratio * rho - (d2 / c2) * d_rho
+
+    return LossValue(value, {"a": ga, "b": gb})
+
+
+def _reference_boundary(box: FootprintBox, room: Room) -> LossValue:
+    c = math.cos(box.pose.theta)
+    s = math.sin(box.pose.theta)
+    limits = (room.length, room.width)
+    value = 0.0
+    g = np.zeros(3)
+    for sx, sy in ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)):
+        ox, oy = sx * box.half_l, sy * box.half_w
+        corner = (box.pose.x + c * ox - s * oy, box.pose.y + s * ox + c * oy)
+        dtheta = (-s * ox - c * oy, c * ox - s * oy)
+        for axis_i in (0, 1):
+            v = corner[axis_i]
+            if v < 0.0:
+                value += -v
+                g[axis_i] -= 1.0
+                g[2] -= dtheta[axis_i]
+            elif v > limits[axis_i]:
+                value += v - limits[axis_i]
+                g[axis_i] += 1.0
+                g[2] += dtheta[axis_i]
+    return LossValue(value, {"box": g})
+
+
+def _reference_distance(a: FootprintBox, b: FootprintBox, d_star: float) -> LossValue:
+    dx = a.pose.x - b.pose.x
+    dy = a.pose.y - b.pose.y
+    dist = math.hypot(dx, dy)
+    r = dist - d_star
+    ga, gb = np.zeros(3), np.zeros(3)
+    if dist > 1e-12:
+        k = 2.0 * r / dist
+        ga[0], ga[1] = k * dx, k * dy
+        gb[0], gb[1] = -k * dx, -k * dy
+    return LossValue(r * r, {"a": ga, "b": gb, "d": -2.0 * r})
+
+
+def _reference_point_box_sdf_grads(point_box: FootprintBox, offset, other: FootprintBox):
+    pp = point_box.pose
+    cp, sp = math.cos(pp.theta), math.sin(pp.theta)
+    qx = pp.x + cp * offset[0] - sp * offset[1]
+    qy = pp.y + sp * offset[0] + cp * offset[1]
+
+    po = other.pose
+    co, so = math.cos(po.theta), math.sin(po.theta)
+    dx, dy = qx - po.x, qy - po.y
+    ux = co * dx + so * dy
+    uy = -so * dx + co * dy
+    value = _local_sdf(ux, uy, other.half_l, other.half_w)
+    gux, guy = _local_sdf_grad(ux, uy, other.half_l, other.half_w)
+
+    # World-frame gradient at the probe point.
+    gq = np.array([co * gux - so * guy, so * gux + co * guy])
+    g_point = np.array(
+        [gq[0], gq[1], gq[0] * (-sp * offset[0] - cp * offset[1]) + gq[1] * (cp * offset[0] - sp * offset[1])]
+    )
+    g_other = np.array([-gq[0], -gq[1], gux * uy - guy * ux])
+    return value, g_point, g_other
+
+
+def _reference_gap(a: FootprintBox, b: FootprintBox, g: float) -> LossValue:
+    best = math.inf
+    winner = None
+    for box, other, slot_box, slot_other in ((a, b, "a", "b"), (b, a, "b", "a")):
+        pp, po = box.pose, other.pose
+        cp, sp = math.cos(pp.theta), math.sin(pp.theta)
+        co, so = math.cos(po.theta), math.sin(po.theta)
+        for px, py in _probes(box):
+            # Back out the probe's local offset to chain through the pose,
+            # then carry it into other's frame as `_point_box_sdf_grads` does.
+            wx, wy = px - pp.x, py - pp.y
+            offset = (cp * wx + sp * wy, -sp * wx + cp * wy)
+            dx = pp.x + cp * offset[0] - sp * offset[1] - po.x
+            dy = pp.y + sp * offset[0] + cp * offset[1] - po.y
+            value = _local_sdf(co * dx + so * dy, -so * dx + co * dy, other.half_l, other.half_w)
+            if value < best:
+                best = value
+                winner = (box, offset, other, slot_box, slot_other)
+    if winner is None:
+        nan = np.full(3, math.nan)
+        return LossValue(math.nan, {"a": nan, "b": nan.copy(), "g": math.nan})
+    box, offset, other, slot_box, slot_other = winner
+    _, g_point, g_other = _reference_point_box_sdf_grads(box, offset, other)
+    r = best - g
+    out = {slot_box: 2.0 * r * g_point, slot_other: 2.0 * r * g_other}
+    out["g"] = -2.0 * r
+    return LossValue(r * r, out)
+
+
+def _reference_against_wall(box: FootprintBox, wall: str, room: Room) -> LossValue:
+    axis_i, sign, base, theta_star = WALL_RULES[wall]
+    ax, ay, dax, day = half_extents(box.half_l, box.half_w, box.pose.theta)
+    half = ax if axis_i == 0 else ay
+    dhalf = dax if axis_i == 0 else day
+    if base is None:
+        base = room.length if axis_i == 0 else room.width
+    target = base + sign * half
+    coord = box.pose.x if axis_i == 0 else box.pose.y
+    r = coord - target
+    dth = box.pose.theta - theta_star
+    value = r * r + 1.0 - math.cos(dth)
+    g = np.zeros(3)
+    g[axis_i] = 2.0 * r
+    g[2] = 2.0 * r * (-sign * dhalf) + math.sin(dth)
+    return LossValue(value, {"box": g})
+
+
+def _reference_corner(box: FootprintBox, corner_tag: str, wall: str, room: Room) -> LossValue:
+    sx, sy = _CORNER_SIGNS_XY[corner_tag]
+    ax, ay, dax, day = half_extents(box.half_l, box.half_w, box.pose.theta)
+    x_base = 0.0 if sx > 0.0 else room.length
+    y_base = 0.0 if sy > 0.0 else room.width
+    x_target = x_base + sx * ax
+    y_target = y_base + sy * ay
+    theta_star = WALL_RULES[wall][3]
+    rx = box.pose.x - x_target
+    ry = box.pose.y - y_target
+    dth = box.pose.theta - theta_star
+    value = rx * rx + ry * ry + 1.0 - math.cos(dth)
+    g = np.array(
+        [
+            2.0 * rx,
+            2.0 * ry,
+            2.0 * rx * (-sx * dax) + 2.0 * ry * (-sy * day) + math.sin(dth),
+        ]
+    )
+    return LossValue(value, {"box": g})
+
+
+def _reference_facing(a: FootprintBox, b: FootprintBox) -> LossValue:
+    ca, sa = math.cos(a.pose.theta), math.sin(a.pose.theta)
+    dx = b.pose.x - a.pose.x
+    dy = b.pose.y - a.pose.y
+    n = math.hypot(dx, dy)
+    ga, gb = np.zeros(3), np.zeros(3)
+    if n < 1e-12:
+        return LossValue(1.0, {"a": ga, "b": gb})
+    denom = n + FACING_EPS
+    f = ca * dx + sa * dy
+    value = 1.0 - f / denom
+    # d value / d (dx, dy)
+    gd = np.array(
+        [
+            -(ca * denom - f * dx / n) / (denom * denom),
+            -(sa * denom - f * dy / n) / (denom * denom),
+        ]
+    )
+    ga[0], ga[1] = -gd[0], -gd[1]
+    ga[2] = -(-sa * dx + ca * dy) / denom
+    gb[0], gb[1] = gd[0], gd[1]
+    return LossValue(value, {"a": ga, "b": gb})
+
+
+def _reference_directional(src: FootprintBox, tgt: FootprintBox, direction: str, p: float) -> LossValue:
+    axis_i, sigma = SIDE_RULES[direction]
+    ct, st = math.cos(tgt.pose.theta), math.sin(tgt.pose.theta)
+    dx = src.pose.x - tgt.pose.x
+    dy = src.pose.y - tgt.pose.y
+    xp = ct * dx + st * dy
+    yp = -st * dx + ct * dy
+
+    rx, ry, drx, dry = half_extents(src.half_l, src.half_w, src.pose.theta - tgt.pose.theta)
+
+    ex, ey = tgt.half_l, tgt.half_w
+    coords = (xp, yp)
+    rr = (rx, ry)
+    ee = (ex, ey)
+    drr = (drx, dry)
+    other = 1 - axis_i
+
+    z = sigma * coords[axis_i] + rr[axis_i] + ee[axis_i]
+    bar = (2.0 * p - 1.0) * (ee[other] - rr[other])
+    w = coords[other] - bar
+
+    hinge = max(z, 0.0)
+    value = hinge * hinge + abs(w)
+
+    h2 = 2.0 * hinge
+    sw = math.copysign(1.0, w) if w != 0.0 else 0.0
+
+    # Derivatives of the target-frame coordinates.
+    dxp_src = np.array([ct, st])
+    dyp_src = np.array([-st, ct])
+    dxp_tth = yp
+    dyp_tth = -xp
+    dcoord_src = (dxp_src, dyp_src)
+    dcoord_tth = (dxp_tth, dyp_tth)
+
+    gsrc, gtgt = np.zeros(3), np.zeros(3)
+    # Hinge term.
+    gsrc[:2] += h2 * sigma * dcoord_src[axis_i]
+    gtgt[:2] -= h2 * sigma * dcoord_src[axis_i]
+    gsrc[2] += h2 * drr[axis_i]
+    gtgt[2] += h2 * (sigma * dcoord_tth[axis_i] - drr[axis_i])
+    # Alignment term; bar depends on theta through the source's half extent.
+    gsrc[:2] += sw * dcoord_src[other]
+    gtgt[:2] -= sw * dcoord_src[other]
+    gsrc[2] += sw * (2.0 * p - 1.0) * drr[other]
+    gtgt[2] += sw * (dcoord_tth[other] - (2.0 * p - 1.0) * drr[other])
+
+    gp = sw * (-2.0) * (ee[other] - rr[other])
+    return LossValue(value, {"src": gsrc, "tgt": gtgt, "p": gp})
+
+
+def _reference_angle_offset(a: FootprintBox, b: FootprintBox, alpha: float) -> LossValue:
+    d = a.pose.theta - b.pose.theta - alpha
+    sd = math.sin(d)
+    ga, gb = np.zeros(3), np.zeros(3)
+    ga[2] = sd
+    gb[2] = -sd
+    return LossValue(1.0 - math.cos(d), {"a": ga, "b": gb, "alpha": -sd})
+
+
+def _reference_placement(box: FootprintBox, axis: str, target: float, room: Room, margin: float) -> LossValue:
+    axis_i = 0 if axis == "x" else 1
+    span = room.length if axis_i == 0 else room.width
+    coord = box.pose.x if axis_i == 0 else box.pose.y
+    dev = coord - target
+    z = abs(dev) - margin * span
+    hinge = max(z, 0.0)
+    g = np.zeros(3)
+    sd = math.copysign(1.0, dev) if dev != 0.0 else 0.0
+    g[axis_i] = 2.0 * hinge * sd
+    return LossValue(hinge * hinge, {"box": g, "target": -2.0 * hinge * sd})
+
+
+def _reference_around(sources: list, focal: FootprintBox, sweep: float, center: float) -> LossValue:
+    n = len(sources)
+    if n < 2:
+        raise ValueError("around needs at least two sources")
+    cf = math.cos(focal.pose.theta)
+    sf = math.sin(focal.pose.theta)
+
+    phis = np.empty(n)
+    dphi_sources = np.zeros((n, 2))
+    for i, box in enumerate(sources):
+        dx = box.pose.x - focal.pose.x
+        dy = box.pose.y - focal.pose.y
+        xp = cf * dx + sf * dy
+        yp = -sf * dx + cf * dy
+        r2 = xp * xp + yp * yp
+        phis[i] = math.atan2(yp, xp)
+        if r2 > 1e-18:
+            dphi_dxp, dphi_dyp = -yp / r2, xp / r2
+            dphi_sources[i, 0] = dphi_dxp * cf + dphi_dyp * (-sf)
+            dphi_sources[i, 1] = dphi_dxp * sf + dphi_dyp * cf
+    order = np.argsort(phis, kind="stable")
+    sorted_phi = phis[order]
+    t_gap = sweep / (n - 1)
+    resid = np.diff(sorted_phi) - t_gap
+    term1 = float(np.dot(resid, resid)) / (n - 1)
+
+    g_sources = np.zeros((n, 3))
+    g_focal = np.zeros(3)
+    dterm1_sorted = np.zeros(n)
+    for k in range(n):
+        left = resid[k - 1] if k > 0 else 0.0
+        right = resid[k] if k < n - 1 else 0.0
+        dterm1_sorted[k] = 2.0 * (left - right) / (n - 1)
+    for k in range(n):
+        i = int(order[k])
+        g_sources[i, :2] += dterm1_sorted[k] * dphi_sources[i]
+        g_focal[:2] -= dterm1_sorted[k] * dphi_sources[i]
+        g_focal[2] += dterm1_sorted[k] * (-1.0)
+    d_term1_dsweep = -2.0 * float(resid.sum()) / ((n - 1) * (n - 1))
+
+    # Orientation embedding: mean of (sin, cos) of relative headings.
+    rel = np.array([box.pose.theta - focal.pose.theta for box in sources])
+    emb = np.array([np.sin(rel).mean(), np.cos(rel).mean()])
+    delta = sweep / (2.0 * (n - 1))
+    if abs(delta) < 1e-9:
+        m_res = 1.0
+        dm_ddelta = 0.0
+    else:
+        m_res = math.sin(n * delta) / (n * math.sin(delta))
+        dm_ddelta = (
+            n * math.cos(n * delta) * math.sin(delta) - math.sin(n * delta) * math.cos(delta)
+        ) / (n * math.sin(delta) ** 2)
+    target_emb = m_res * np.array([math.sin(center), math.cos(center)])
+    err = emb - target_emb
+    term2 = float(np.dot(err, err))
+
+    for i, box in enumerate(sources):
+        de = np.array([math.cos(rel[i]), -math.sin(rel[i])]) / n
+        g_sources[i, 2] += 2.0 * float(np.dot(err, de))
+        g_focal[2] -= 2.0 * float(np.dot(err, de))
+    d_term2_dcenter = -2.0 * m_res * float(
+        err[0] * math.cos(center) - err[1] * math.sin(center)
+    )
+    d_term2_dsweep = -2.0 * float(np.dot(err, np.array([math.sin(center), math.cos(center)]))) * (
+        dm_ddelta / (2.0 * (n - 1))
+    )
+
+    return LossValue(
+        term1 + term2,
+        {
+            "sources": g_sources,
+            "focal": g_focal,
+            "sweep": d_term1_dsweep + d_term2_dsweep,
+            "center": d_term2_dcenter,
+        },
+    )
+
+
+def _same(a, b) -> bool:
+    """Equal float bits, the sign of zero included; any NaN equals any NaN."""
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _assert_same_floats(got, want, context):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, context
+    for g, w in zip(got.ravel().tolist(), want.ravel().tolist()):
+        assert _same(g, w), (context, g, w)
+
+
+def _assert_same_loss(lv, ref, context):
+    _assert_same_floats(lv.value, ref.value, context)
+    assert set(lv.grads) == set(ref.grads), context
+    for key, want in ref.grads.items():
+        _assert_same_floats(lv.grads[key], want, (context, key))
+
+
+_QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi, 1.5 * math.pi, 2.0 * math.pi)
+
+
+def _kink_box(rng) -> FootprintBox:
+    """A random box, half the time on a quarter-unit grid (exact touching,
+    coincident centers), with a heading at a multiple of pi/2 a third of
+    the time, and now and then a NaN in its pose."""
+    if rng.random() < 0.5:
+        x, y = 0.25 * float(rng.integers(-6, 7)), 0.25 * float(rng.integers(-6, 7))
+        hl, hw = 0.25 * float(rng.integers(1, 5)), 0.25 * float(rng.integers(1, 5))
+    else:
+        x, y = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-1.5, 1.5))
+        hl, hw = float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 1.0))
+    theta = float(rng.choice(_QUARTER_TURNS)) if rng.random() < 1 / 3 else float(rng.uniform(-6, 6))
+    pose = [x, y, theta]
+    if rng.random() < 0.05:
+        pose[int(rng.integers(0, 3))] = math.nan
+    return box(*pose, hl, hw)
+
+
+KINK_ROOM = Room(4.0, 3.0, 3.0)
+
+# Per family: the adapter and the reference on (boxes, params), a draw of
+# (boxes, params), and hand-picked kink cases.
+_FAMILIES = {
+    "collision": (
+        lambda b, q: collision_loss(*b),
+        lambda b, q: _reference_collision(*b),
+        lambda rng: ([_kink_box(rng), _kink_box(rng)], ()),
+        [
+            ([box(0.0, 0.0, 0.0, 0.5, 0.5), box(1.0, 0.0, 0.0, 0.5, 0.5)], ()),  # touching on x
+            ([box(0.0, 0.0, 0.5 * math.pi, 0.5, 0.25), box(0.0, 0.75, 0.0, 0.5, 0.5)], ()),  # touching on y
+            ([box(1.0, 1.0, 0.0, 0.5, 0.25), box(1.0, 1.0, math.pi, 0.5, 0.25)], ()),  # coincident
+            ([box(1.0, 1.0, 0.0, 0.5, 0.25), box(1.0, 1.0, 0.0, 0.25, 0.25)], ()),  # equal x extent
+        ],
+    ),
+    "boundary": (
+        lambda b, q: boundary_loss(*b, KINK_ROOM),
+        lambda b, q: _reference_boundary(*b, KINK_ROOM),
+        lambda rng: ([_kink_box(rng)], ()),
+        [
+            ([box(0.5, 1.0, 0.0, 0.5, 0.25)], ()),  # flush with the left wall
+            ([box(3.75, 2.5, 0.5 * math.pi, 0.5, 0.25)], ()),  # flush with two walls
+        ],
+    ),
+    "distance": (
+        lambda b, q: distance_loss(*b, *q),
+        lambda b, q: _reference_distance(*b, *q),
+        lambda rng: ([_kink_box(rng), _kink_box(rng)], (float(rng.uniform(0.0, 2.0)),)),
+        [([box(1.0, 1.0, 0.0, 0.5, 0.5), box(1.0, 1.0, 0.3, 0.25, 0.5)], (0.75,))],  # coincident
+    ),
+    "gap": (
+        lambda b, q: gap_loss(*b, *q),
+        lambda b, q: _reference_gap(*b, *q),
+        lambda rng: ([_kink_box(rng), _kink_box(rng)], (float(rng.uniform(0.0, 0.6)),)),
+        [
+            ([box(0.0, 0.0, 0.0, 0.5, 0.5), box(1.0, 0.0, math.pi, 0.5, 0.5)], (0.0,)),  # touching
+            ([box(0.0, 0.0, 0.0, 0.5, 0.5), box(0.0, 0.0, 0.0, 0.5, 0.5)], (0.25,)),  # coincident
+        ],
+    ),
+    "against_wall": (
+        lambda b, q: against_wall_loss(*b, q[0], KINK_ROOM),
+        lambda b, q: _reference_against_wall(*b, q[0], KINK_ROOM),
+        lambda rng: ([_kink_box(rng)], (str(rng.choice(list(WALL_RULES))),)),
+        [([box(0.5, 1.0, 0.0, 0.5, 0.25)], ("L",)), ([box(3.5, 1.0, math.pi, 0.5, 0.25)], ("R",))],
+    ),
+    "corner": (
+        lambda b, q: corner_loss(*b, *q, KINK_ROOM),
+        lambda b, q: _reference_corner(*b, *q, KINK_ROOM),
+        lambda rng: ([_kink_box(rng)], (str(rng.choice(list(_CORNER_SIGNS_XY))), str(rng.choice(list(WALL_RULES))))),
+        [([box(0.5, 0.25, 0.0, 0.5, 0.25)], ("BL", "L")), ([box(3.75, 2.5, 0.5 * math.pi, 0.5, 0.25)], ("TR", "R"))],
+    ),
+    "facing": (
+        lambda b, q: facing_loss(*b),
+        lambda b, q: _reference_facing(*b),
+        lambda rng: ([_kink_box(rng), _kink_box(rng)], ()),
+        [([box(1.0, 1.0, 0.5 * math.pi, 0.5, 0.5), box(1.0, 1.0, 0.0, 0.25, 0.5)], ())],  # coincident
+    ),
+    "directional": (
+        lambda b, q: directional_loss(*b, *q),
+        lambda b, q: _reference_directional(*b, *q),
+        lambda rng: ([_kink_box(rng), _kink_box(rng)], (str(rng.choice(list(SIDE_RULES))), float(rng.uniform(0, 1)))),
+        [
+            # Hinge exactly 0 and w == 0: just clear of the left edge, centered.
+            ([box(-0.75, 0.0, 0.0, 0.25, 0.25), box(0.0, 0.0, 0.0, 0.5, 0.5)], ("left_of", 0.5)),
+            ([box(0.0, 0.75, math.pi, 0.25, 0.25), box(0.0, 0.0, 0.0, 0.5, 0.5)], ("behind_of", 0.5)),
+            ([box(0.75, 0.25, 0.0, 0.25, 0.25), box(0.0, 0.0, 0.0, 0.5, 0.5)], ("right_of", 1.0)),
+        ],
+    ),
+    "angle_offset": (
+        lambda b, q: angle_offset_loss(*b, *q),
+        lambda b, q: _reference_angle_offset(*b, *q),
+        lambda rng: ([_kink_box(rng), _kink_box(rng)], (float(rng.choice([0.0, 0.5 * math.pi, rng.uniform(-3, 3)])),)),
+        [([box(0.0, 0.0, 0.5 * math.pi, 0.5, 0.5), box(1.0, 0.0, 0.0, 0.5, 0.5)], (0.5 * math.pi,))],
+    ),
+    "placement": (
+        lambda b, q: placement_loss(*b, q[0], q[1], KINK_ROOM, q[2]),
+        lambda b, q: _reference_placement(*b, q[0], q[1], KINK_ROOM, q[2]),
+        lambda rng: (
+            [_kink_box(rng)],
+            (str(rng.choice(["x", "y"])), 0.25 * float(rng.integers(-4, 5)), 0.125 * float(rng.integers(0, 3))),
+        ),
+        [
+            ([box(2.5, 1.0, 0.0, 0.5, 0.5)], ("x", 2.0, 0.125)),  # hinge exactly 0
+            ([box(2.0, 1.0, 0.0, 0.5, 0.5)], ("x", 2.0, 0.0)),  # deviation exactly 0
+            ([box(2.0, 1.375, 0.0, 0.5, 0.5)], ("y", 1.0, 0.125)),
+        ],
+    ),
+    "around": (
+        lambda b, q: around_loss(b[:-1], b[-1], *q),
+        lambda b, q: _reference_around(b[:-1], b[-1], *q),
+        lambda rng: (
+            [_kink_box(rng) for _ in range(int(rng.integers(3, 6)))],
+            (float(rng.uniform(0.0, 3.0)), float(rng.uniform(-1.0, 1.0))),
+        ),
+        [
+            # A source on the focal's center, and two on one ray.
+            ([box(0.0, 0.0, 0.0, 0.2, 0.2), box(1.0, 0.0, 0.0, 0.2, 0.2), box(2.0, 0.0, 0.0, 0.2, 0.2),
+              box(0.0, 0.0, 0.5 * math.pi, 0.4, 0.4)], (2.0, 0.0)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_adapters_match_the_numpy_reference_bitwise(family):
+    adapter, reference, draw, kinks = _FAMILIES[family]
+    rng = np.random.default_rng(RNG_SEED + 40 + sorted(_FAMILIES).index(family))
+    cases = kinks + [draw(rng) for _ in range(400)]
+    for boxes, params in cases:
+        _assert_same_loss(adapter(boxes, params), reference(boxes, params), (family, boxes, params))
+
+
+def _every_kind_scene():
+    """One relation of every kind between independent assets; a distance
+    and a directional relation bind shared parameters."""
+    return parse_scene(
+        """
+        {
+          "room": {"length": 6.0, "width": 5.0, "height": 3.0},
+          "assets": [
+            {"id": "a", "size": [1.0, 0.5, 0.5]},
+            {"id": "b", "size": [0.5, 0.5, 0.5]},
+            {"id": "c", "size": [1.5, 1.0, 0.5]},
+            {"id": "d", "size": [0.5, 1.0, 0.5]},
+            {"id": "e", "size": [1.0, 1.0, 0.5]}
+          ],
+          "relations": [
+            {"kind": "distance", "source": "b", "target": "a", "params": {"d": 1.0}, "shared_param": "reach"},
+            {"kind": "gap", "source": "c", "target": "a", "params": {"g": 0.25}},
+            {"kind": "against_wall", "source": "d", "target": "wall:R"},
+            {"kind": "corner", "source": "e", "target": "corner:TL", "params": {"wall": "T"}},
+            {"kind": "facing", "source": "a", "target": "c"},
+            {"kind": "left_of", "source": "b", "target": "a", "params": {"p": 0.25}, "shared_param": "side"},
+            {"kind": "right_of", "source": "c", "target": "b"},
+            {"kind": "in_front_of", "source": "d", "target": "e", "params": {"p": 0.75}},
+            {"kind": "behind_of", "source": "e", "target": "d", "params": {"p": 0.0}},
+            {"kind": "angle_offset", "source": "a", "target": "b", "params": {"alpha": 0.5}},
+            {"kind": "h_place", "source": "a", "target": "scene", "params": {"x": 2.0, "margin": 0.125}},
+            {"kind": "v_place", "source": "b", "target": "scene", "params": {"y": 3.0}},
+            {"kind": "around", "source": "c", "target": "a",
+             "params": {"group": "ring", "sweep": 2.0, "center": 0.25}},
+            {"kind": "around", "source": "d", "target": "a",
+             "params": {"group": "ring", "sweep": 2.0, "center": 0.25}},
+            {"kind": "around", "source": "e", "target": "a",
+             "params": {"group": "ring", "sweep": 2.0, "center": 0.25}}
+          ]
+        }
+        """
+    )
+
+
+def _reference_term(spec, block, term, boxes, xs):
+    """The reference loss of a plan term on FootprintBoxes by entity id, its
+    gradient per end box, and its parameter gradient (None if unshared)."""
+    if term.kernel == "_around":
+        *sources, focal = (block.ids[k] for k in term.ends)
+        rel = next(r for r in spec.relations if r.kind == "around" and r.source == sources[0])
+        ref = _reference_around([boxes[e] for e in sources], boxes[focal], rel.params["sweep"], rel.params["center"])
+        return ref, [*ref.grads["sources"], ref.grads["focal"]], None
+    rel = spec.relations[int(term.label[len("relations[") : -1])]
+    v = xs[term.param] if term.param is not None else rel.params.get(SHARED_PARAM_SLOTS.get(rel.kind))
+    src, tgt, room, kind = boxes[rel.source], boxes.get(rel.target), spec.room, rel.kind
+    if kind == "against_wall":
+        ref, slots = _reference_against_wall(src, rel.target.removeprefix("wall:"), room), ("box",)
+    elif kind == "corner":
+        ref, slots = _reference_corner(src, rel.target.removeprefix("corner:"), rel.params["wall"], room), ("box",)
+    elif kind in ("h_place", "v_place"):
+        axis = "x" if kind == "h_place" else "y"
+        ref, slots = _reference_placement(src, axis, v, room, rel.params["margin"]), ("box", "target")
+    elif kind in SIDE_RULES:
+        ref, slots = _reference_directional(src, tgt, kind, v), ("src", "tgt", "p")
+    elif kind == "facing":
+        ref, slots = _reference_facing(src, tgt), ("a", "b")
+    else:
+        loss = {"distance": _reference_distance, "gap": _reference_gap, "angle_offset": _reference_angle_offset}[kind]
+        ref, slots = loss(src, tgt, v), ("a", "b", SHARED_PARAM_SLOTS[kind])
+    n = len(term.ends)
+    param_grad = ref.grads[slots[n]] if term.param is not None else None
+    return ref, [ref.grads[slot] for slot in slots[:n]], param_grad
+
+
+def _reference_aggregate(spec, index, block, x, weights):
+    """A block's objective on FootprintBoxes through the reference losses,
+    over all pairs, adding numpy gradient rows: the aggregation the kernels
+    replaced."""
+    xs = x.tolist()
+    boxes, offsets, rows = {}, {}, {}
+    for eid, r, halves, frame in zip(block.ids, block.rows, block.halves, block.frames):
+        rows[eid] = None if r is None else slice(r, r + 3)
+        pose = Pose2D(0.0, 0.0, 0.0) if r is None else Pose2D(*xs[r : r + 3])
+        if frame is None:
+            boxes[eid] = FootprintBox(pose, *halves)
+            continue
+        members = [(0.0, 0.0, 0.0) if m is None else xs[m : m + 3] for m in frame.rows]
+        pts = np.array(
+            [p for (mx, my, mt), (hl, hw) in zip(members, frame.halves) for p in geometry.corner_points(mx, my, mt, hl, hw)]
+        )
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        offsets[eid] = off = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        c, s = math.cos(pose.theta), math.sin(pose.theta)
+        carried = Pose2D(pose.x + c * off[0] - s * off[1], pose.y + s * off[0] + c * off[1], pose.theta)
+        boxes[eid] = FootprintBox(carried, float(half[0]), float(half[1]))
+
+    def pull(eid, g):
+        if eid not in offsets:
+            return g
+        off = offsets[eid]
+        c, s = math.cos(boxes[eid].pose.theta), math.sin(boxes[eid].pose.theta)
+        return np.array([g[0], g[1], g[0] * (-s * off[0] - c * off[1]) + g[1] * (c * off[0] - s * off[1]) + g[2]])
+
+    grad = np.zeros(len(xs))
+    totals = {"boundary": 0.0, "collision": 0.0, "relation": 0.0}
+    if block.unit is None and weights.boundary != 0.0:
+        for eid in block.ids:
+            lv = _reference_boundary(boxes[eid], spec.room)
+            totals["boundary"] += lv.value
+            grad[rows[eid]] += weights.boundary * pull(eid, lv.grads["box"])
+    if weights.collision != 0.0:
+        for i, a in enumerate(block.ids):
+            for b in block.ids[i + 1 :]:
+                lv = _reference_collision(boxes[a], boxes[b])
+                totals["collision"] += lv.value
+                for eid, g in ((a, lv.grads["a"]), (b, lv.grads["b"])):
+                    if rows[eid] is not None:
+                        grad[rows[eid]] += weights.collision * pull(eid, g)
+    if weights.relation != 0.0:
+        for term in block.terms:
+            ref, end_grads, param_grad = _reference_term(spec, block, term, boxes, xs)
+            totals["relation"] += ref.value
+            for k, g in zip(term.ends, end_grads):
+                eid = block.ids[k]
+                if rows[eid] is not None:
+                    grad[rows[eid]] += pull(eid, weights.relation * np.asarray(g))
+            if param_grad is not None:
+                grad[term.param] += weights.relation * param_grad
+    if block.unit is None:
+        value = (
+            weights.boundary * totals["boundary"]
+            + weights.collision * totals["collision"]
+            + weights.relation * totals["relation"]
+        )
+        return value, grad, totals
+    del totals["boundary"]
+    return weights.collision * totals["collision"] + weights.relation * totals["relation"], grad, totals
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_aggregates_match_the_numpy_reference_bitwise(name):
+    spec = _bundled(name)
+    index = param_index(spec)
+    rng = np.random.default_rng(RNG_SEED + 61)
+    for seed in range(3):
+        x = init_state(spec, seed).x.copy()
+        x[: index.pose_size] += rng.normal(0.0, 0.4, index.pose_size)
+        for weights in (Weights(), Weights(collision=0.0, boundary=0.0), Weights(collision=1.3, relation=0.8, boundary=1.7)):
+            for unit_id, block in index.blocks.items():
+                lv = aggregate_global(spec, index, x, weights) if unit_id is None else aggregate_local(spec, unit_id, index, x, weights)
+                value, grad, terms = _reference_aggregate(spec, index, block, x, weights)
+                context = (seed, weights, unit_id)
+                _assert_same_floats(lv.value, value, context)
+                _assert_same_floats(lv.grads, grad, context)
+                assert lv.terms.keys() == terms.keys(), context
+                _assert_same_floats(list(lv.terms.values()), [terms[k] for k in lv.terms], context)
+
+
+def test_term_loss_matches_the_numpy_reference_bitwise():
+    spec = _every_kind_scene()
+    index = param_index(spec)
+    block = index.blocks[None]
+    assert {t.kernel for t in block.terms} == {
+        "_distance", "_gap", "_against_wall", "_corner", "_facing", "_directional",
+        "_angle_offset", "_placement", "_around",
+    }
+    rng = np.random.default_rng(RNG_SEED + 60)
+    for trial in range(200):
+        poses = {}
+        for a in spec.assets:
+            b = _kink_box(rng)
+            poses[a.id] = (b.pose.x + 3.0, b.pose.y + 2.5, b.pose.theta)
+        shared = {"reach": float(rng.uniform(0.5, 1.5)), "side": float(rng.choice([0.0, 0.5, rng.uniform()]))}
+        _, x = _vector(spec, poses, shared)
+        xs = x.tolist()
+        boxes = {eid: box(*poses[eid], *_halves_of(spec, eid)) for eid in block.ids}
+        kernel_boxes = [as_tuple(boxes[eid]) for eid in block.ids]
+        for term in block.terms:
+            value, grads, param_grad = term_loss(term, kernel_boxes, xs)
+            ref, ref_grads, ref_param = _reference_term(spec, block, term, boxes, xs)
+            context = (trial, term.label)
+            _assert_same_floats(value, ref.value, context)
+            assert len(grads) == len(ref_grads) == len(term.ends), context
+            for g, want in zip(grads, ref_grads):
+                _assert_same_floats(g, want, context)
+            if term.param is not None:
+                _assert_same_floats(param_grad, ref_param, context)
+
+
+def _halves_of(spec, eid):
+    a = spec.asset(eid)
+    return a.half_l, a.half_w
+
+
+def test_infinite_heading_reads_as_nan_in_the_adapters():
+    other = box(1.0, 0.5, 0.3, 0.5, 0.25)
+    for inf in (math.inf, -math.inf):
+        for adapter, reference in (
+            (lambda b: collision_loss(b, other), lambda b: _reference_collision(b, other)),
+            (lambda b: directional_loss(other, b, "left_of", 0.5), lambda b: _reference_directional(other, b, "left_of", 0.5)),
+            (lambda b: gap_loss(b, other, 0.1), lambda b: _reference_gap(b, other, 0.1)),
+            (lambda b: boundary_loss(b, KINK_ROOM), lambda b: _reference_boundary(b, KINK_ROOM)),
+        ):
+            _assert_same_loss(adapter(box(0.0, 0.0, inf, 0.5, 0.5)), reference(box(0.0, 0.0, math.nan, 0.5, 0.5)), inf)

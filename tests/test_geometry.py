@@ -214,10 +214,22 @@ def _grid_boxes(rng, n):
     ]
 
 
+def _brute_pairs(lo, hi) -> list:
+    """Pairs whose bounds overlap by a positive amount on both axes, by the
+    difference test itself, in row-major order."""
+    n = len(lo)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if all(min(hi[i][k], hi[j][k]) - max(lo[i][k], lo[j][k]) > 0.0 for k in (0, 1))
+    ]
+
+
 def test_overlapping_pairs_matches_brute_force():
     rng = np.random.default_rng(RNG_SEED + 20)
     touching = 0
-    for n in (0, 1, 2, 3, 12, 40):
+    for n in (0, 1, 2, 3, 12, 40, 160):
         for trial in range(4):
             boxes = _grid_boxes(rng, n) if trial % 2 == 0 else [random_box(rng, 4.0) for _ in range(n)]
             bounds = [axis_bounds(b) for b in boxes]
@@ -225,6 +237,8 @@ def test_overlapping_pairs_matches_brute_force():
             hi = np.array([[bx.hi, by.hi] for bx, by in bounds]).reshape(-1, 2)
             brute = [(i, j) for i in range(n) for j in range(i + 1, n) if collide_proxy(boxes[i], boxes[j])]
             assert overlapping_pairs(lo, hi) == brute
+            # Same pairs from plain lists of (x, y) pairs.
+            assert overlapping_pairs(lo.tolist(), hi.tolist()) == brute
             touching += sum(
                 1
                 for i in range(n)
@@ -241,6 +255,18 @@ def test_overlapping_pairs_matches_brute_force():
                 expect = sorted(set(brute) | {(min(i, k), max(i, k)) for i in range(n) if i != k})
                 assert overlapping_pairs(lo_bad, hi) == expect
     assert touching > 0
+    for trial in range(60):
+        n = int(rng.integers(2, 30))
+        # Integer bounds make ties common: equal lo_x, boxes touching
+        # exactly on x (one's hi_x is another's lo_x), and boxes of zero or
+        # negative width on an axis, which overlap nothing.
+        lo = rng.integers(0, 6, size=(n, 2)).astype(float)
+        hi = lo + rng.integers(-1, 4, size=(n, 2)).astype(float)
+        assert overlapping_pairs(lo, hi) == _brute_pairs(lo, hi), trial
+    # Hand-picked: a shared lo_x, touching on x, zero width, equal boxes.
+    lo = [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (0.5, 0.0), (0.0, 0.0), (2.0, 0.0)]
+    hi = [(1.0, 1.0), (0.5, 2.0), (2.0, 1.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.0)]
+    assert overlapping_pairs(lo, hi) == [(0, 1), (0, 4), (1, 4)] == _brute_pairs(lo, hi)
 
 
 def test_footprint_box_rejects_bad_sizes():

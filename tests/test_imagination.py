@@ -1,11 +1,13 @@
 """Placement interpreter, cognitive maps, conflict detection, revision loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from layoutopt import geometry
+from layoutopt.constraints import param_index, relation_penalties
 from layoutopt.errors import RevisionError, SceneSemanticError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import (
@@ -28,7 +30,10 @@ from layoutopt.imagination import (
     imagine_and_revise,
     interpret_scene,
 )
+from layoutopt.optimizer import init_state
 from layoutopt.scene_model import (
+    DEFAULT_P,
+    DIRECTIONAL_KINDS,
     Asset,
     Relation,
     Room,
@@ -65,6 +70,24 @@ def test_interpreter_dining_zero_loss_geometry():
     assert s.theta == pytest.approx(0.5 * math.pi)
     unit = poses["dining"]
     assert (unit.x, unit.y, unit.theta) == pytest.approx((3.0, 3.0, 0.0))
+
+
+def test_interpreter_reads_the_default_p_of_a_hand_built_scene():
+    # A hand-built scene may omit a directional relation's optional p; the
+    # interpreter and the penalties read the parser's default for it.
+    parsed = load_fixture("dining_set")
+    stripped = dataclasses.replace(
+        parsed,
+        relations=tuple(
+            dataclasses.replace(r, params={k: v for k, v in r.params.items() if k != "p"})
+            for r in parsed.relations
+        ),
+    )
+    assert sum(r.kind in DIRECTIONAL_KINDS for r in stripped.relations) == 4
+    assert all(r.params["p"] == DEFAULT_P for r in parsed.relations if r.kind in DIRECTIONAL_KINDS)
+    assert interpret_scene(stripped) == interpret_scene(parsed)
+    x = init_state(parsed, 0).x
+    assert relation_penalties(stripped, param_index(stripped), x) == relation_penalties(parsed, param_index(parsed), x)
 
 
 def test_interpreter_unconstrained_defaults_to_room_center():

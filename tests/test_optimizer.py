@@ -201,6 +201,15 @@ def test_zero_gradient_step_is_noop():
     assert state.step_index == 1
 
 
+def test_slot_constants_follow_the_config():
+    state = _assembled_scene()
+    for config in (OptimizerConfig(), OptimizerConfig(lr_position=0.2, clip_rotation=0.1), OptimizerConfig()):
+        slots = state.slot_constants(config)
+        assert state.slot_constants(config) is slots
+        limit, lr = slots
+        assert (lr[0], lr[2], limit[2]) == (config.lr_position, config.lr_rotation, config.clip_rotation)
+
+
 def test_step_raises_on_nonfinite():
     spec = _scene(
         Room(10.0, 10.0, 3.0),
