@@ -32,7 +32,7 @@ from .graph_analysis import build_graph, decomposition_savings
 from .harness import benchmark_curves_csv, convergence_benchmark, eval_physical, render_svg
 from .imagination import imagine_and_revise
 from .optimizer import OptimizerConfig, solve
-from .scene_model import parse_layout, parse_scene, serialize_layout, serialize_scene
+from .scene_model import load_scene, parse_layout, serialize_layout, serialize_scene
 
 SEED_ENV_VAR = "LAYOUTOPT_SEED"
 
@@ -58,11 +58,6 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _load_scene(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scene(fh.read())
-
-
 def _resolve_seed(args, spec) -> int:
     if args.seed is not None:
         return args.seed
@@ -73,7 +68,7 @@ def _resolve_seed(args, spec) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = _load_scene(args.scene)
+    spec = load_scene(args.scene)
     config = OptimizerConfig(seed=_resolve_seed(args, spec))
     if args.iterations is not None:
         config = replace(config, iterations=args.iterations)
@@ -93,7 +88,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    spec = _load_scene(args.scene)
+    spec = load_scene(args.scene)
     revised, report = imagine_and_revise(spec, budget=args.budget)
     print(report.to_text(), end="")
     if args.out:
@@ -102,7 +97,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    spec = _load_scene(args.scene)
+    spec = load_scene(args.scene)
     graph = build_graph(spec)
     report = decomposition_savings(graph, spec.units)
     print(report.to_text(), end="")
@@ -112,7 +107,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    spec = _load_scene(args.scene)
+    spec = load_scene(args.scene)
     with open(args.layout, "r", encoding="utf-8") as fh:
         layout = parse_layout(fh.read())
     report = eval_physical(spec, layout)
@@ -121,7 +116,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = _load_scene(args.scene)
+    spec = load_scene(args.scene)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     if not seeds:
         raise ValueError("no seeds given")

@@ -18,13 +18,17 @@ see independent assets and whole units through their enclosing oriented box.
 Both read poses from one flat parameter vector and add their gradients into a
 flat array of the same layout, by index, through the slot table `ParamIndex`.
 
-`param_index` also compiles the scene's relation plan, once per solve: one
-`Block` per unit frame, then the scene's, each listing its boxes and its
-relation terms in evaluation order (an around group is one term, see
-`scene_model.relation_terms`), each term naming its kernel and holding its
-constants.  Both aggregates and `relation_penalties` read that plan through
-`_block_boxes` and one term evaluator, `term_loss`; collisions go through
-`collision_loss`, once per pair the broadphase keeps.  Kernels and
+`resolve_relations` is the one resolved form of a scene's relations: per
+frame (each unit's, then the scene's), its relation terms in evaluation
+order (an around group is one term, see `scene_model.relation_terms`), each
+naming its end entities, its kernel, its constants and its scalar parameter,
+optional params defaulted as the parser defaults them.  The imagination pass
+places entities from it.  `param_index` compiles it into the scene's relation
+plan, once per solve: one `Block` per frame listing its boxes and its terms,
+ends as box positions.  Both aggregates and `relation_penalties` read that
+plan through `_block_boxes`, which builds unit stand-ins with
+`geometry.enclosing_box`, and one term evaluator, `term_loss`; collisions go
+through `collision_loss`, once per pair the broadphase keeps.  Kernels and
 `collision_loss` are looked up by module attribute at call time, so a wrapper
 set on one sees every call.
 """
@@ -37,22 +41,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .geometry import (
-    FootprintBox,
-    Pose2D,
-    boundary_probes,
-    corner_points,
-    half_extents,
-)
+from .geometry import FootprintBox, boundary_probes, enclosing_box, half_extents
 from .scene_model import (
-    DEFAULT_P,
     DIRECTIONAL_KINDS,
     SCENE_ANCHORED_KINDS,
     SHARED_PARAM_SLOTS,
     Relation,
     Room,
     SceneSpec,
-    Unit,
+    relation_params,
     relation_terms,
     shared_param_priors,
 )
@@ -618,59 +615,77 @@ def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float)
 
 
 # ---------------------------------------------------------------------------
-# Boxes of entities and units
+# Relation terms and the relation plan
 # ---------------------------------------------------------------------------
 
 
-def _enclosing_box(poses, halves):
-    """Center (x, y), half_l and half_w of the axis-aligned box enclosing
-    the footprints with the given (x, y, theta) poses and (half_l, half_w);
-    NaN on an axis where a corner coordinate is NaN."""
-    points = [p for (x, y, t), (hl, hw) in zip(poses, halves) for p in corner_points(x, y, t, hl, hw)]
-    lo, hi = [], []
-    for axis in ([p[0] for p in points], [p[1] for p in points]):
-        total = sum(axis)
-        nan = total != total and any(v != v for v in axis)
-        lo.append(math.nan if nan else min(axis))
-        hi.append(math.nan if nan else max(axis))
-    return (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])), 0.5 * (hi[0] - lo[0]), 0.5 * (hi[1] - lo[1])
-
-
-def unit_local_aabb(spec: SceneSpec, unit: Unit, member_locals: dict):
-    """Enclosing axis-aligned box of the unit in its own frame.
-
-    Returns (center offset (x, y), half_l, half_w).  Treated as fixed
-    geometry by the scene-level losses: derivatives flow through the unit
-    pose only.
+@dataclass
+class RelationTerm:
+    """One relation term of a frame, resolved: a relation, or a whole around
+    group.  `frame` is the unit id of an intra term, None for the scene's.
+    `label` names its first relation, "relations[<index>]".  `ends` are
+    entity ids: source, then target if it is an entity; an around group's
+    sources, then its focal.  `kernel` names the term's kernel and `consts`
+    holds its constants.  `value` is the scalar parameter: the prior of the
+    shared parameter `shared` when it names one, else the relation's own,
+    with the parser's default for an optional param it omits.
     """
-    poses = [(0.0, 0.0, 0.0)] + [member_locals[mid] for mid in unit.members]
-    return _enclosing_box(poses, [_halves(spec, aid) for aid in unit.assets])
+
+    frame: str | None
+    label: str
+    ends: tuple
+    kernel: str
+    consts: tuple
+    shared: str | None = None
+    value: float | None = None
 
 
-def unit_obb(spec: SceneSpec, unit: Unit, unit_pose, member_locals: dict):
-    """Scene-level stand-in box for a unit: its local enclosing box carried
-    by the unit pose.  Returns (box, local center offset)."""
-    offset, half_l, half_w = unit_local_aabb(spec, unit, member_locals)
-    pose = Pose2D.from_array(unit_pose)
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    x = pose.x + c * offset[0] - s * offset[1]
-    y = pose.y + s * offset[0] + c * offset[1]
-    return FootprintBox(Pose2D(x, y, pose.theta), half_l, half_w), offset
+def _kernel(rel: Relation, params: dict, room: Room) -> tuple:
+    """Kernel name and constants of a relation other than around."""
+    kind = rel.kind
+    if kind == "against_wall":
+        return "_against_wall", _against_wall_rule(rel.target.removeprefix("wall:"), room)
+    if kind == "corner":
+        return "_corner", _corner_rule(rel.target.removeprefix("corner:"), params["wall"], room)
+    if kind in ("h_place", "v_place"):
+        return "_placement", _placement_rule("x" if kind == "h_place" else "y", room, params["margin"])
+    if kind in DIRECTIONAL_KINDS:
+        return "_directional", SIDE_RULES[kind]
+    return f"_{kind}", ()
 
 
-# ---------------------------------------------------------------------------
-# The relation plan
-# ---------------------------------------------------------------------------
+def resolve_relations(spec: SceneSpec) -> dict:
+    """The RelationTerms of each frame, in the term order of
+    `scene_model.relation_terms`: one list per unit, by unit id, then the
+    scene's under None.  Intra relations go to their unit's frame, inter
+    ones to the scene's."""
+    frames: dict = {u.id: [] for u in spec.units}
+    frames[None] = []
+    priors = shared_param_priors(spec)
+    relations = spec.relations
+    for group, members in relation_terms(relations):
+        rel = relations[members[0]]
+        frame = rel.unit if rel.scope == "intra" else None
+        label = f"relations[{members[0]}]"
+        if group is not None:
+            ends = tuple(relations[i].source for i in members) + (rel.target,)
+            term = RelationTerm(frame, label, ends, "_around", (rel.params["sweep"], rel.params["center"]))
+        else:
+            params = relation_params(rel)
+            ends = (rel.source,) if rel.kind in SCENE_ANCHORED_KINDS else (rel.source, rel.target)
+            shared = rel.shared_param
+            value = params.get(SHARED_PARAM_SLOTS.get(rel.kind)) if shared is None else priors[shared]
+            term = RelationTerm(frame, label, ends, *_kernel(rel, params, spec.room), shared, value)
+        frames[frame].append(term)
+    return frames
 
 
 @dataclass(frozen=True)
 class Term:
-    """One relation term of a block: a relation, or a whole around group.
-    `ends` are box positions: source, then target if it is an entity; an
-    around group's sources, then its focal.  The term's value is
-    `kernel(boxes at ends, parameter, *consts)`, the kernel being named by
-    its module attribute.  The scalar parameter is `x[param]` when shared,
-    else `value`.
+    """A RelationTerm compiled into its block.  `ends` are box positions in
+    the block, the term's value being `kernel(boxes at ends, parameter,
+    *consts)`, the kernel named by its module attribute.  The scalar
+    parameter is `x[param]` when shared, else `value`.
     """
 
     label: str
@@ -703,24 +718,9 @@ def _halves(spec: SceneSpec, asset_id: str) -> tuple:
     return a.half_l, a.half_w
 
 
-def _kernel(rel: Relation, room: Room) -> tuple:
-    """Kernel name and constants of a relation other than around."""
-    kind = rel.kind
-    if kind == "against_wall":
-        return "_against_wall", _against_wall_rule(rel.target.removeprefix("wall:"), room)
-    if kind == "corner":
-        return "_corner", _corner_rule(rel.target.removeprefix("corner:"), rel.params["wall"], room)
-    if kind in ("h_place", "v_place"):
-        return "_placement", _placement_rule("x" if kind == "h_place" else "y", room, rel.params["margin"])
-    if kind in DIRECTIONAL_KINDS:
-        return "_directional", SIDE_RULES[kind]
-    return f"_{kind}", ()
-
-
 def _relation_plan(spec: SceneSpec, pose: dict, param: dict) -> dict:
-    """One Block per unit frame, by unit id, then the scene's under None.
-    Intra relations go to their unit's block and inter ones to the scene's,
-    in the term order of `relation_terms`."""
+    """One Block per unit frame, by unit id, then the scene's under None,
+    each holding the terms `resolve_relations` gives its frame."""
     blocks: dict = {}
     for u in spec.units:
         rows = (None,) + tuple(pose[mid].start for mid in u.members)
@@ -730,20 +730,12 @@ def _relation_plan(spec: SceneSpec, pose: dict, param: dict) -> dict:
     halves = tuple(None if eid in blocks else _halves(spec, eid) for eid in ids)
     frames = tuple(blocks.get(eid) for eid in ids)
     blocks[None] = Block(None, ids, tuple(pose[eid].start for eid in ids), halves, frames, [])
-    for group, members in relation_terms(spec.relations):
-        rel = spec.relations[members[0]]
-        block = blocks[rel.unit if rel.scope == "intra" else None]
-        if group is not None:
-            ends = [spec.relations[i].source for i in members] + [rel.target]
-            consts = (rel.params["sweep"], rel.params["center"])
-            block.terms.append(Term(f"around:{group}", tuple(map(block.ids.index, ends)), "_around", consts))
-            continue
-        one_box = rel.kind in SCENE_ANCHORED_KINDS
-        ends = tuple(map(block.ids.index, (rel.source,) if one_box else (rel.source, rel.target)))
-        default = DEFAULT_P if rel.kind in DIRECTIONAL_KINDS else None
-        value = rel.params.get(SHARED_PARAM_SLOTS.get(rel.kind), default)
-        label = f"relations[{members[0]}]"
-        block.terms.append(Term(label, ends, *_kernel(rel, spec.room), param.get(rel.shared_param), value))
+    for frame, terms in resolve_relations(spec).items():
+        block = blocks[frame]
+        at = {eid: k for k, eid in enumerate(block.ids)}
+        for t in terms:
+            ends = tuple(at[e] for e in t.ends)
+            block.terms.append(Term(t.label, ends, t.kernel, t.consts, param.get(t.shared), t.value))
     return blocks
 
 
@@ -815,7 +807,7 @@ def _block_boxes(block: Block, xs: list) -> tuple:
             levers.append(None)
             continue
         members = [(0.0, 0.0, 0.0) if m is None else (xs[m], xs[m + 1], _heading(xs[m + 2])) for m in frame.rows]
-        (o0, o1), half_l, half_w = _enclosing_box(members, frame.halves)
+        (o0, o1), half_l, half_w = enclosing_box(members, frame.halves)
         c, s = math.cos(theta), math.sin(theta)
         boxes.append((x + c * o0 - s * o1, y + s * o0 + c * o1, theta, half_l, half_w))
         levers.append((-s * o0 - c * o1, c * o0 - s * o1))
@@ -921,11 +913,11 @@ def aggregate_global(
 
 
 def relation_penalties(spec: SceneSpec, index: ParamIndex, x) -> dict:
-    """Raw (unweighted) penalty of every relation at the given configuration.
-
-    Around groups appear once under 'around:<group>'; other relations under
-    'relations[<index>]'.  Intra relations are evaluated in their unit frame,
-    inter relations on scene-level boxes, from the plan in `index`.
+    """Raw (unweighted) penalty of every relation term at the given
+    configuration, by the label of its first relation, 'relations[<index>]':
+    an around group appears once, under its first member's label.  Intra
+    terms are evaluated in their unit frame, inter terms on scene-level
+    boxes, from the plan in `index`.
     """
     xs = x.tolist()
     out: dict = {}

@@ -66,13 +66,6 @@ def relative(a: Pose2D, b: Pose2D) -> Pose2D:
     return compose(invert(a), b)
 
 
-def transform_point(pose: Pose2D, point) -> np.ndarray:
-    """Map a point from the pose's local frame to the world frame."""
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    px, py = float(point[0]), float(point[1])
-    return np.array([pose.x + c * px - s * py, pose.y + s * px + c * py])
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] on one axis."""
@@ -189,6 +182,22 @@ def corner_points(x: float, y: float, theta: float, half_l: float, half_w: float
         ox, oy = sx * half_l, sy * half_w
         out.append((x + c * ox - s * oy, y + s * ox + c * oy))
     return out
+
+
+def enclosing_box(poses, halves) -> tuple:
+    """Center (x, y), half_l and half_w of the axis-aligned box enclosing
+    the footprints with the given (x, y, theta) poses and (half_l, half_w);
+    NaN on an axis where a corner coordinate is NaN.  A unit's stand-in box
+    is this box of its anchor, at the frame origin, and its members, in the
+    unit frame."""
+    points = [p for (x, y, t), (hl, hw) in zip(poses, halves) for p in corner_points(x, y, t, hl, hw)]
+    lo, hi = [], []
+    for axis in ([p[0] for p in points], [p[1] for p in points]):
+        total = sum(axis)
+        nan = total != total and any(v != v for v in axis)
+        lo.append(math.nan if nan else min(axis))
+        hi.append(math.nan if nan else max(axis))
+    return (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])), 0.5 * (hi[0] - lo[0]), 0.5 * (hi[1] - lo[1])
 
 
 def corners(box: FootprintBox) -> np.ndarray:

@@ -7,7 +7,10 @@ off its already placed reference at the relation's zero-penalty geometry;
 whatever stays unconstrained falls back to the room center (unit members:
 the frame origin).  Each coordinate of an entity is pinned at most once,
 first relation wins, so contradictions surface as geometric conflicts
-instead of silent overwrites.
+instead of silent overwrites.  The pass reads the terms of
+`constraints.resolve_relations`, per frame, so it places by the same walls,
+corners, sides and parameter values as the penalties, and sees a unit at
+scene level as the same stand-in box, `geometry.enclosing_box`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geometry
-from .constraints import SIDE_RULES, WALL_RULES, unit_local_aabb, unit_obb
+from .constraints import RelationTerm, resolve_relations
 from .errors import MissingEntityError, RevisionError, SceneSemanticError, SceneSyntaxError
 from .geometry import (
     FootprintBox,
@@ -26,21 +27,17 @@ from .geometry import (
     axis_bounds,
     collide_proxy,
     compose,
+    enclosing_box,
     footprint_extents,
     half_extents,
     normalize_angle,
 )
 from .scene_model import (
-    CORNER_WALLS,
-    DEFAULT_P,
-    DIRECTIONAL_KINDS,
     Relation,
     SceneSpec,
     parse_scene,
-    relation_terms,
     replace_relations,
     serialize_scene,
-    shared_param_priors,
 )
 
 # Imagined side/ring placements clear the proxy boxes by this much.
@@ -127,175 +124,128 @@ class _Board:
         return out
 
 
-def _apply_relation(board: _Board, rel: Relation, room, shared: dict):
-    """Pin whatever coordinates this relation's zero-loss geometry dictates."""
-    kind, src = rel.kind, rel.source
-
-    def resolved(key):
-        if rel.shared_param is not None:
-            return shared[rel.shared_param]
-        return rel.params.get(key, DEFAULT_P) if key == "p" else rel.params[key]
-
-    if kind == "h_place":
-        board.pin(src, 0, resolved("x"))
+def _apply_term(board: _Board, term: RelationTerm):
+    """Pin whatever coordinates this term's zero-loss geometry dictates."""
+    kernel, consts, value = term.kernel, term.consts, term.value
+    src = term.ends[0]
+    if kernel == "_placement":
+        board.pin(src, consts[0], value)
         return
-    if kind == "v_place":
-        board.pin(src, 1, resolved("y"))
-        return
-    if kind == "against_wall":
-        axis_i, sign, base, theta_star = WALL_RULES[rel.target.removeprefix("wall:")]
+    if kernel == "_against_wall":
+        axis_i, sign, base, theta_star = consts
         board.pin(src, 2, theta_star)
-        if base is None:
-            base = room.length if axis_i == 0 else room.width
         ext = board.half_extents(src, theta_star)
         board.pin(src, axis_i, base + sign * ext[axis_i])
         return
-    if kind == "corner":
-        theta_star = WALL_RULES[rel.params["wall"]][3]
+    if kernel == "_corner":
+        sx, sy, x_base, y_base, theta_star = consts
         board.pin(src, 2, theta_star)
         ext = board.half_extents(src, theta_star)
-        tag = rel.target.removeprefix("corner:")
-        for wall in CORNER_WALLS[tag]:
-            axis_i, sign, base, _ = WALL_RULES[wall]
-            if base is None:
-                base = room.length if axis_i == 0 else room.width
-            board.pin(src, axis_i, base + sign * ext[axis_i])
+        board.pin(src, 0, x_base + sx * ext[0])
+        board.pin(src, 1, y_base + sy * ext[1])
+        return
+    if kernel == "_around":
+        _apply_around_group(board, term)
         return
 
-    tgt = rel.target
+    tgt = term.ends[1]
     tx, ty = board.center(tgt)
     t_theta = board.theta(tgt)
 
-    if kind == "distance":
+    if kernel == "_distance":
         ang = board.next_direction(tgt, _DISTANCE_CYCLE)
-        d = resolved("d")
-        board.pin(src, 0, tx + d * math.cos(ang))
-        board.pin(src, 1, ty + d * math.sin(ang))
+        board.pin(src, 0, tx + value * math.cos(ang))
+        board.pin(src, 1, ty + value * math.sin(ang))
         return
-    if kind == "gap":
+    if kernel == "_gap":
         ang = board.next_direction(tgt, _GAP_CYCLE)
         axis_i = 0 if abs(math.cos(ang)) > 0.5 else 1
         sign = 1.0 if (math.cos(ang) if axis_i == 0 else math.sin(ang)) >= 0.0 else -1.0
-        reach = (
-            board.half_extents(tgt)[axis_i]
-            + board.half_extents(src)[axis_i]
-            + resolved("g")
-        )
+        reach = board.half_extents(tgt)[axis_i] + board.half_extents(src)[axis_i] + value
         cand = (tx, ty)[axis_i] + sign * reach
         board.pin(src, axis_i, cand)
         board.pin(src, 1 - axis_i, (ty, tx)[axis_i])
         return
-    if kind in DIRECTIONAL_KINDS:
+    if kernel == "_directional":
         # Place at the hinge threshold plus clearance, aligned at fraction p:
         # the zero-loss side is opposite the hinge sign sigma.
-        axis_i, sigma = SIDE_RULES[kind]
+        axis_i, sigma = consts
         side = -sigma
-        p = resolved("p")
         rel_angle = board.theta(src) - t_theta
         r = board.half_extents(src, rel_angle)
-        hl_t, hw_t = board.halves[tgt]
-        e = (hl_t, hw_t)
+        e = board.halves[tgt]
         main = side * (e[axis_i] + r[axis_i] + SIDE_CLEARANCE)
-        other = (2.0 * p - 1.0) * (e[1 - axis_i] - r[1 - axis_i])
+        other = (2.0 * value - 1.0) * (e[1 - axis_i] - r[1 - axis_i])
         local = (main, other) if axis_i == 0 else (other, main)
         ct, st = math.cos(t_theta), math.sin(t_theta)
         board.pin(src, 0, tx + ct * local[0] - st * local[1])
         board.pin(src, 1, ty + st * local[0] + ct * local[1])
         return
-    if kind == "facing":
+    if kernel == "_facing":
         sx, sy = board.center(src)
         dx, dy = tx - sx, ty - sy
         if math.hypot(dx, dy) > 1e-9:
             board.pin(src, 2, math.atan2(dy, dx))
         return
-    if kind == "angle_offset":
-        board.pin(src, 2, normalize_angle(t_theta + resolved("alpha")))
+    if kernel == "_angle_offset":
+        board.pin(src, 2, normalize_angle(t_theta + value))
         return
-    raise ValueError(f"unhandled relation kind {kind!r}")
+    raise ValueError(f"unhandled relation kernel {kernel!r}")
 
 
-def _apply_around_group(board: _Board, members: list):
+def _apply_around_group(board: _Board, term: RelationTerm):
     """Ring placement at the group's zero-penalty geometry: directions and
     headings evenly spread over the sweep, radius big enough to clear."""
-    focal = members[0].target
-    sweep = members[0].params["sweep"]
-    center = members[0].params["center"]
-    n = len(members)
+    *sources, focal = term.ends
+    sweep, center = term.consts
+    n = len(sources)
     delta = sweep / (n - 1) if n > 1 else 0.0
     fx, fy = board.center(focal)
     f_theta = board.theta(focal)
     hl_f, hw_f = board.halves[focal]
-    for j, rel in enumerate(members):
+    for j, src in enumerate(sources):
         phi = center - 0.5 * sweep + j * delta
         heading = normalize_angle(f_theta + phi)
-        hl_s, hw_s = board.halves[rel.source]
+        hl_s, hw_s = board.halves[src]
         radius = math.hypot(hl_f, hw_f) + math.hypot(hl_s, hw_s) + RING_CLEARANCE
         ang = f_theta + phi
-        board.pin(rel.source, 0, fx + radius * math.cos(ang))
-        board.pin(rel.source, 1, fy + radius * math.sin(ang))
-        board.pin(rel.source, 2, heading)
+        board.pin(src, 0, fx + radius * math.cos(ang))
+        board.pin(src, 1, fy + radius * math.sin(ang))
+        board.pin(src, 2, heading)
 
 
-def _run_pass(relations, halves, default_xy, pinned: dict, room, shared: dict):
+def _run_pass(terms, halves, default_xy, pinned: dict):
     board = _Board(halves, default_xy)
     for eid, pose in pinned.items():
         board.slots[eid] = [pose[0], pose[1], pose[2]]
-    for group, members in relation_terms(relations):
-        if group is None:
-            _apply_relation(board, relations[members[0]], room, shared)
-        else:
-            _apply_around_group(board, [relations[i] for i in members])
+    for term in terms:
+        _apply_term(board, term)
     return board.resolved()
+
+
+def _asset_halves(spec: SceneSpec, asset_ids) -> dict:
+    return {aid: (spec.asset(aid).half_l, spec.asset(aid).half_w) for aid in asset_ids}
 
 
 def interpret_scene(spec: SceneSpec) -> dict:
     """Candidate poses for every entity: unit frames and independent assets
     in world coordinates, unit members in their frame's coordinates."""
-    shared = shared_param_priors(spec)
-    # spec.intra_relations and spec.inter_relations, in one pass.
-    intra: dict = {}
-    inter = []
-    for rel in spec.relations:
-        if rel.scope == "inter":
-            inter.append(rel)
-        elif rel.scope == "intra":
-            intra.setdefault(rel.unit, []).append(rel)
-
+    frames = resolve_relations(spec)
     poses: dict = {}
-    standins: dict = {}
+    offsets: dict = {}
+    halves: dict = {}
     for u in spec.units:
-        halves = {aid: (spec.asset(aid).half_l, spec.asset(aid).half_w) for aid in u.assets}
-        centers = _run_pass(
-            intra.get(u.id, []),
-            halves,
-            (0.0, 0.0),
-            {u.anchor: (0.0, 0.0, 0.0)},
-            spec.room,
-            shared,
-        )
-        locals_arr = {}
+        unit_halves = _asset_halves(spec, u.assets)
+        centers = _run_pass(frames[u.id], unit_halves, (0.0, 0.0), {u.anchor: (0.0, 0.0, 0.0)})
+        members = [(0.0, 0.0, 0.0)]
         for mid in u.members:
-            poses[mid] = centers[mid]
-            locals_arr[mid] = np.array([centers[mid].x, centers[mid].y, centers[mid].theta])
-        standins[u.id] = unit_local_aabb(spec, u, locals_arr)
+            poses[mid] = c = centers[mid]
+            members.append((c.x, c.y, c.theta))
+        offsets[u.id], half_l, half_w = enclosing_box(members, unit_halves.values())
+        halves[u.id] = (half_l, half_w)
+    halves.update(_asset_halves(spec, (a.id for a in spec.independent_assets())))
 
-    halves = {}
-    offsets = {}
-    for u in spec.units:
-        offset, hl, hw = standins[u.id]
-        halves[u.id] = (hl, hw)
-        offsets[u.id] = offset
-    for a in spec.independent_assets():
-        halves[a.id] = (a.half_l, a.half_w)
-
-    centers = _run_pass(
-        inter,
-        halves,
-        (0.5 * spec.room.length, 0.5 * spec.room.width),
-        {},
-        spec.room,
-        shared,
-    )
+    centers = _run_pass(frames[None], halves, (0.5 * spec.room.length, 0.5 * spec.room.width), {})
     for eid, c in centers.items():
         if spec.is_unit(eid):
             # Relations position the stand-in box; shift back to the frame.
@@ -330,10 +280,10 @@ def build_maps(spec: SceneSpec, poses: dict):
         if u.id not in poses:
             raise MissingEntityError(f"no pose for {u.id!r}")
         p = poses[u.id]
-        locals_arr = {
-            mid: np.array([poses[mid].x, poses[mid].y, poses[mid].theta]) for mid in u.members
-        }
-        box, _ = unit_obb(spec, u, np.array([p.x, p.y, p.theta]), locals_arr)
+        members = [(0.0, 0.0, 0.0)] + [(poses[m].x, poses[m].y, poses[m].theta) for m in u.members]
+        (ox, oy), half_l, half_w = enclosing_box(members, _asset_halves(spec, u.assets).values())
+        c, s = math.cos(p.theta), math.sin(p.theta)
+        box = FootprintBox(Pose2D(p.x + c * ox - s * oy, p.y + s * ox + c * oy, p.theta), half_l, half_w)
         gentries[u.id] = _entry(p, box)
     for a in spec.independent_assets():
         if a.id not in poses:
@@ -449,11 +399,10 @@ def baseline_reviser(spec: SceneSpec, conflicts: list) -> tuple:
         if idx is not None:
             rel = relations[idx]
             params = dict(rel.params)
-            # Stand-in boxes carry numpy coordinates; edits hold plain floats.
             if rel.kind == "distance":
-                params["d"] = float(_required_center_distance(c, rel.source) + REVISE_MARGIN)
+                params["d"] = _required_center_distance(c, rel.source) + REVISE_MARGIN
             else:
-                params["g"] = float(min(c.overlap) + rel.params["g"] + REVISE_MARGIN)
+                params["g"] = min(c.overlap) + rel.params["g"] + REVISE_MARGIN
             relations[idx] = Relation(
                 rel.kind, rel.source, rel.target, params, rel.scope, rel.unit, rel.shared_param
             )

@@ -124,9 +124,6 @@ class Relation:
     unit: str | None = None
     shared_param: str | None = None
 
-    def param(self, key: str) -> float:
-        return self.params[key]
-
 
 @dataclass
 class SceneSpec:
@@ -172,12 +169,6 @@ class SceneSpec:
             a.id for a in self.independent_assets()
         )
 
-    def intra_relations(self, unit_id: str) -> tuple[Relation, ...]:
-        return tuple(r for r in self.relations if r.scope == "intra" and r.unit == unit_id)
-
-    def inter_relations(self) -> tuple[Relation, ...]:
-        return tuple(r for r in self.relations if r.scope == "inter")
-
     def with_relations(self, relations) -> "SceneSpec":
         return replace(self, relations=tuple(relations))
 
@@ -196,12 +187,18 @@ def assignment(spec: SceneSpec, asset_id: str) -> int:
     raise KeyError(uid)
 
 
+def relation_params(rel: Relation) -> dict:
+    """`rel.params` with the parser's default for each optional param it
+    omits, as a hand-built relation may."""
+    return {**_PARAM_SPEC[rel.kind][1], **rel.params}
+
+
 def shared_param_priors(spec: SceneSpec) -> dict:
     """Declared value of each shared parameter: first occurrence wins."""
     priors: dict = {}
     for rel in spec.relations:
         if rel.shared_param is not None and rel.shared_param not in priors:
-            priors[rel.shared_param] = float(rel.params[SHARED_PARAM_SLOTS[rel.kind]])
+            priors[rel.shared_param] = float(relation_params(rel)[SHARED_PARAM_SLOTS[rel.kind]])
     return priors
 
 

@@ -16,6 +16,7 @@ from layoutopt.constraints import (
     WALL_RULES,
     LossValue,
     Weights,
+    _block_boxes,
     _local_sdf,
     _local_sdf_grad,
     aggregate_global,
@@ -34,8 +35,6 @@ from layoutopt.constraints import (
     placement_loss,
     relation_penalties,
     term_loss,
-    unit_local_aabb,
-    unit_obb,
 )
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import (
@@ -396,8 +395,8 @@ def test_aggregate_local_shared_param_grad_accumulates():
     for mid in unit.members:
         a = spec.asset(mid)
         boxes[mid] = FootprintBox(Pose2D(*locals_[mid]), a.half_l, a.half_w)
-    for rel in spec.intra_relations(unit.id):
-        if rel.kind == "distance":
+    for rel in spec.relations:
+        if rel.kind == "distance" and rel.unit == unit.id:
             expect += distance_loss(boxes[rel.source], boxes[rel.target], 0.9).grads["d"]
     assert lv.grads[index.param["seat_radius"]] == pytest.approx(expect, abs=1e-12)
 
@@ -458,10 +457,11 @@ def test_aggregate_global_fd_on_unit_pose_and_independents():
             )
 
 
-def test_unit_obb_encloses_members():
+def test_stand_in_box_encloses_members():
     rng = np.random.default_rng(RNG_SEED + 9)
     spec, unit, locals_ = _dining_locals(rng)
-    center, hl, hw = unit_local_aabb(spec, unit, locals_)
+    poses = [(0.0, 0.0, 0.0)] + [tuple(locals_[mid].tolist()) for mid in unit.members]
+    center, hl, hw = geometry.enclosing_box(poses, [_halves_of(spec, aid) for aid in unit.assets])
     # Every member corner, in the unit frame, is inside the enclosing box.
     anchor = spec.asset(unit.anchor)
     boxes = [FootprintBox(Pose2D(0, 0, 0), anchor.half_l, anchor.half_w)]
@@ -480,8 +480,14 @@ def test_unit_obb_encloses_members():
     assert (hl, hw) == tuple((0.5 * (hi - lo)).tolist())
     # The scene-level box carries the unit pose.
     pose = np.array([3.0, 2.0, 0.6])
-    obb, offset = unit_obb(spec, unit, pose, locals_)
-    assert obb.pose.theta == pytest.approx(0.6)
+    index, x = _vector(spec, {**locals_, unit.id: pose}, {})
+    block = index.blocks[None]
+    boxes, _ = _block_boxes(block, x.tolist())
+    obb = boxes[block.ids.index(unit.id)]
+    assert obb[2] == pytest.approx(0.6)
+    assert obb[3:] == (hl, hw)
+    c, s = math.cos(0.6), math.sin(0.6)
+    offset = (c * (obb[0] - 3.0) + s * (obb[1] - 2.0), -s * (obb[0] - 3.0) + c * (obb[1] - 2.0))
     assert np.allclose(offset, center)
 
 
@@ -498,11 +504,55 @@ def test_relation_penalties_labels_and_values():
     }
     index, x = _vector(spec, {**independent, **unit_poses, **member_locals}, {})
     pens = relation_penalties(spec, index, x)
-    assert "around:stools" in pens
+    # The stools group is labelled by its first relation only.
+    stools = [i for i, r in enumerate(spec.relations) if r.kind == "around"]
+    assert f"relations[{stools[0]}]" in pens
+    assert not any(f"relations[{i}]" in pens for i in stools[1:])
     # One entry per non-around relation plus one per group.
     n_around = sum(1 for r in spec.relations if r.kind == "around")
     assert len(pens) == len(spec.relations) - n_around + 1
     assert all(v >= -1e-12 for v in pens.values())
+
+
+def test_around_groups_of_one_name_in_two_units_keep_their_own_entries():
+    # Each unit rings its own anchor with a group named "g".  Each group is
+    # one term, labelled by its first relation, with its own penalty.
+    spec = parse_scene(
+        """
+        {
+          "room": {"length": 8.0, "width": 6.0, "height": 3.0},
+          "assets": [
+            {"id": "t1", "size": [1.0, 1.0, 0.7]},
+            {"id": "a1", "size": [0.4, 0.4, 0.9]},
+            {"id": "b1", "size": [0.4, 0.4, 0.9]},
+            {"id": "t2", "size": [1.2, 0.8, 0.7]},
+            {"id": "a2", "size": [0.5, 0.5, 0.9]},
+            {"id": "b2", "size": [0.5, 0.5, 0.9]}
+          ],
+          "units": [
+            {"id": "u1", "anchor": "t1", "members": ["a1", "b1"]},
+            {"id": "u2", "anchor": "t2", "members": ["a2", "b2"]}
+          ],
+          "relations": [
+            {"kind": "around", "source": "a1", "target": "t1", "scope": "intra", "unit": "u1",
+             "params": {"group": "g", "sweep": 3.0, "center": 0.0}},
+            {"kind": "around", "source": "b1", "target": "t1", "scope": "intra", "unit": "u1",
+             "params": {"group": "g", "sweep": 3.0, "center": 0.0}},
+            {"kind": "around", "source": "a2", "target": "t2", "scope": "intra", "unit": "u2",
+             "params": {"group": "g", "sweep": 1.5, "center": 0.5}},
+            {"kind": "around", "source": "b2", "target": "t2", "scope": "intra", "unit": "u2",
+             "params": {"group": "g", "sweep": 1.5, "center": 0.5}}
+          ]
+        }
+        """
+    )
+    index = param_index(spec)
+    state = init_state(spec, 0)
+    pens = relation_penalties(spec, index, state.x)
+    assert set(pens) == {"relations[0]", "relations[2]"}
+    assert pens["relations[0]"] != pens["relations[2]"]
+    _, _, terms = evaluate(state, Weights(), 1, OptimizerConfig())
+    assert math.fsum(pens.values()) == pytest.approx(terms["relation"], rel=1e-12)
 
 
 def _bundled(name):
@@ -518,8 +568,11 @@ def test_relation_penalties_agree_with_the_objective(name):
     spec = _bundled(name)
     index = param_index(spec)
     labels = {f"relations[{i}]" for i, r in enumerate(spec.relations) if r.kind != "around"}
-    groups = {(r.scope, r.unit, r.target, r.params["group"]) for r in spec.relations if r.kind == "around"}
-    labels |= {f"around:{key[3]}" for key in groups}
+    groups: dict = {}
+    for i, r in enumerate(spec.relations):
+        if r.kind == "around":
+            groups.setdefault((r.scope, r.unit, r.target, r.params["group"]), i)
+    labels |= {f"relations[{i}]" for i in groups.values()}
     rng = np.random.default_rng(RNG_SEED + 11)
     for seed in range(4):
         state = init_state(spec, seed)
@@ -553,9 +606,15 @@ def test_relation_penalties_turn_nan_instead_of_raising(name):
     finite = relation_penalties(spec, index, x)
     assert all(math.isfinite(v) for v in finite.values())
 
+    def group_key(r):
+        return (r.scope, r.unit, r.target, r.params["group"]) if r.kind == "around" else None
+
     def label(i):
-        r = spec.relations[i]
-        return f"around:{r.params['group']}" if r.kind == "around" else f"relations[{i}]"
+        # An around group's label is its first member's.
+        key = group_key(spec.relations[i])
+        if key is not None:
+            i = next(j for j, r in enumerate(spec.relations) if group_key(r) == key)
+        return f"relations[{i}]"
 
     # Each pose row, then each shared parameter, holds the NaN in turn.
     for key, slot in list(index.pose.items()) + list(index.param.items()):

@@ -31,7 +31,6 @@ from layoutopt.geometry import (
     polygon_intersection_area,
     relative,
     signed_distance_point_box,
-    transform_point,
 )
 
 RNG_SEED = 20240611
@@ -117,17 +116,6 @@ def test_normalize_angle_range_and_equivalence():
     assert normalize_angle(math.pi) == pytest.approx(math.pi)
     assert normalize_angle(-math.pi) == pytest.approx(math.pi)
     assert normalize_angle(3.0 * math.pi) == pytest.approx(math.pi)
-
-
-def test_transform_point_matches_compose():
-    rng = np.random.default_rng(RNG_SEED + 5)
-    for _ in range(100):
-        p = random_pose(rng)
-        local = rng.uniform(-3.0, 3.0, size=2)
-        via_compose = compose(p, Pose2D(local[0], local[1], 0.0))
-        pt = transform_point(p, local)
-        assert pt[0] == pytest.approx(via_compose.x, abs=1e-12)
-        assert pt[1] == pytest.approx(via_compose.y, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from layoutopt.imagination import (
     imagine_and_revise,
     interpret_scene,
 )
-from layoutopt.optimizer import init_state
+from layoutopt.optimizer import OptimizerConfig, init_state, solve
 from layoutopt.scene_model import (
     DEFAULT_P,
     DIRECTIONAL_KINDS,
@@ -88,6 +89,34 @@ def test_interpreter_reads_the_default_p_of_a_hand_built_scene():
     assert interpret_scene(stripped) == interpret_scene(parsed)
     x = init_state(parsed, 0).x
     assert relation_penalties(stripped, param_index(stripped), x) == relation_penalties(parsed, param_index(parsed), x)
+
+
+def _bits(v) -> bytes:
+    return struct.pack("<d", v)
+
+
+def test_a_hand_built_scene_without_optional_params_places_and_solves_as_parsed():
+    # A hand-built scene may omit every optional param, a placement's margin
+    # as well as a directional p: the interpreter and the solver read the
+    # parser's defaults, bit for bit.
+    parsed = load_fixture("dining_set")
+    stripped = parsed.with_relations(
+        dataclasses.replace(r, params={k: v for k, v in r.params.items() if k not in ("margin", "p")})
+        for r in parsed.relations
+    )
+    assert sum("margin" in r.params for r in parsed.relations) == 2
+    assert not any("margin" in r.params or "p" in r.params for r in stripped.relations)
+    want, got = interpret_scene(parsed), interpret_scene(stripped)
+    assert list(got) == list(want)
+    for eid, p in want.items():
+        q = got[eid]
+        assert [_bits(v) for v in (q.x, q.y, q.theta)] == [_bits(v) for v in (p.x, p.y, p.theta)], eid
+    config = OptimizerConfig(iterations=30)
+    (layout_a, trace_a), (layout_b, trace_b) = solve(parsed, config), solve(stripped, config)
+    assert len(trace_b.rows) == len(trace_a.rows)
+    for a, b in zip(trace_a.rows, trace_b.rows):
+        assert [_bits(v) for v in dataclasses.astuple(b)] == [_bits(v) for v in dataclasses.astuple(a)]
+    assert layout_b.poses == layout_a.poses
 
 
 def test_interpreter_unconstrained_defaults_to_room_center():

@@ -11,7 +11,6 @@ from layoutopt.errors import SceneSemanticError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from layoutopt.scene_model import (
     Layout,
-    Relation,
     assignment,
     parse_layout,
     parse_scene,
@@ -338,8 +337,8 @@ def test_dining_fixture_parse_contract():
     assert len(unit.members) == 4
     shared_distance = [
         r
-        for r in spec.intra_relations("dining")
-        if r.kind == "distance" and r.shared_param == "seat_radius"
+        for r in spec.relations
+        if r.unit == "dining" and r.kind == "distance" and r.shared_param == "seat_radius"
     ]
     assert len(shared_distance) == 4
     assert {r.shared_param for r in shared_distance} == {"seat_radius"}
@@ -353,10 +352,3 @@ def test_all_fixtures_parse():
         # Raw text stays valid JSON with the same content after a round trip.
         raw = json.loads(fixture_text(name))
         assert raw["room"]["length"] == spec.room.length
-
-
-def test_relation_param_accessor():
-    rel = Relation("distance", "a", "b", {"d": 1.5}, "inter")
-    assert rel.param("d") == 1.5
-    with pytest.raises(KeyError):
-        rel.param("g")
