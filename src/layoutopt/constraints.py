@@ -18,17 +18,17 @@ see independent assets and whole units through their enclosing oriented box.
 Both read poses from one flat parameter vector and add their gradients into a
 flat array of the same layout, by index, through the slot table `ParamIndex`.
 
-`resolve_relations` is the one resolved form of a scene's relations: per
-frame (each unit's, then the scene's), its relation terms in evaluation
-order (an around group is one term, see `scene_model.relation_terms`), each
-naming its end entities, its kernel, its constants and its scalar parameter,
-optional params defaulted as the parser defaults them.  The imagination pass
-places entities from it.  `param_index` compiles it into the scene's relation
-plan, once per solve: one `Block` per frame listing its boxes and its terms,
-ends as box positions.  Both aggregates and `relation_penalties` read that
-plan through `_block_boxes`, which builds unit stand-ins with
-`geometry.enclosing_box`, and one term evaluator, `term_loss`; collisions go
-through `collision_loss`, once per pair the broadphase keeps.  Kernels and
+`param_index` compiles a scene once into its relation plan, the one compiled
+form of a scene: one `Block` per frame (each unit's, then the scene's)
+listing its boxes and its relation terms in evaluation order (an around
+group is one term, see `scene_model.relation_terms`).  Each `Term` names its
+end boxes by position, its kernel, its constants and its scalar parameter,
+optional params defaulted as the parser defaults them.  Both aggregates,
+`relation_penalties` and the imagination pass read that plan through
+`_block_boxes`, which builds unit stand-ins with `geometry.enclosing_box`.
+The objective evaluates terms with `term_loss`; collisions go through
+`collision_loss`, once per pair the broadphase `_proxy_pairs` keeps, the
+pairs the imagination pass checks for conflicts.  Kernels and
 `collision_loss` are looked up by module attribute at call time, so a wrapper
 set on one sees every call.
 """
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
+from .errors import MissingEntityError
 from .geometry import FootprintBox, boundary_probes, enclosing_box, half_extents
 from .scene_model import (
     DIRECTIONAL_KINDS,
@@ -619,27 +620,6 @@ def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RelationTerm:
-    """One relation term of a frame, resolved: a relation, or a whole around
-    group.  `frame` is the unit id of an intra term, None for the scene's.
-    `label` names its first relation, "relations[<index>]".  `ends` are
-    entity ids: source, then target if it is an entity; an around group's
-    sources, then its focal.  `kernel` names the term's kernel and `consts`
-    holds its constants.  `value` is the scalar parameter: the prior of the
-    shared parameter `shared` when it names one, else the relation's own,
-    with the parser's default for an optional param it omits.
-    """
-
-    frame: str | None
-    label: str
-    ends: tuple
-    kernel: str
-    consts: tuple
-    shared: str | None = None
-    value: float | None = None
-
-
 def _kernel(rel: Relation, params: dict, room: Room) -> tuple:
     """Kernel name and constants of a relation other than around."""
     kind = rel.kind
@@ -654,38 +634,19 @@ def _kernel(rel: Relation, params: dict, room: Room) -> tuple:
     return f"_{kind}", ()
 
 
-def resolve_relations(spec: SceneSpec) -> dict:
-    """The RelationTerms of each frame, in the term order of
-    `scene_model.relation_terms`: one list per unit, by unit id, then the
-    scene's under None.  Intra relations go to their unit's frame, inter
-    ones to the scene's."""
-    frames: dict = {u.id: [] for u in spec.units}
-    frames[None] = []
-    priors = shared_param_priors(spec)
-    relations = spec.relations
-    for group, members in relation_terms(relations):
-        rel = relations[members[0]]
-        frame = rel.unit if rel.scope == "intra" else None
-        label = f"relations[{members[0]}]"
-        if group is not None:
-            ends = tuple(relations[i].source for i in members) + (rel.target,)
-            term = RelationTerm(frame, label, ends, "_around", (rel.params["sweep"], rel.params["center"]))
-        else:
-            params = relation_params(rel)
-            ends = (rel.source,) if rel.kind in SCENE_ANCHORED_KINDS else (rel.source, rel.target)
-            shared = rel.shared_param
-            value = params.get(SHARED_PARAM_SLOTS.get(rel.kind)) if shared is None else priors[shared]
-            term = RelationTerm(frame, label, ends, *_kernel(rel, params, spec.room), shared, value)
-        frames[frame].append(term)
-    return frames
-
-
-@dataclass(frozen=True)
+@dataclass
 class Term:
-    """A RelationTerm compiled into its block.  `ends` are box positions in
-    the block, the term's value being `kernel(boxes at ends, parameter,
-    *consts)`, the kernel named by its module attribute.  The scalar
-    parameter is `x[param]` when shared, else `value`.
+    """One relation term of a block, resolved: a relation, or a whole around
+    group.  `label` names its first relation, "relations[<index>]".  `ends`
+    are box positions in the block: source, then target if it is an entity;
+    an around group's sources, then its focal.  The term's value is
+    `kernel(boxes at ends, parameter, *consts)`, the kernel named by its
+    module attribute.  The scalar parameter is `x[param]` when it is shared,
+    else `value`; `value` holds the shared parameter's prior when it is
+    shared, else the relation's own, with the parser's default for an
+    optional param it omits.  Not frozen: the imagination pass compiles a
+    plan every round, and a frozen dataclass is several times slower to
+    build.
     """
 
     label: str
@@ -718,9 +679,21 @@ def _halves(spec: SceneSpec, asset_id: str) -> tuple:
     return a.half_l, a.half_w
 
 
-def _relation_plan(spec: SceneSpec, pose: dict, param: dict) -> dict:
-    """One Block per unit frame, by unit id, then the scene's under None,
-    each holding the terms `resolve_relations` gives its frame."""
+def _pose_rows(spec: SceneSpec) -> dict:
+    """The slice of each entity's (x, y, theta) row in the flat vector, in
+    draw order: each unit's frame then its members, then the independent
+    assets."""
+    ids = []
+    for u in spec.units:
+        ids.append(u.id)
+        ids.extend(u.members)
+    ids.extend(a.id for a in spec.independent_assets())
+    return {eid: slice(3 * r, 3 * r + 3) for r, eid in enumerate(ids)}
+
+
+def _blocks(spec: SceneSpec, pose: dict) -> dict:
+    """The boxes of each frame, as Blocks without terms: one per unit frame,
+    by unit id, then the scene's under None."""
     blocks: dict = {}
     for u in spec.units:
         rows = (None,) + tuple(pose[mid].start for mid in u.members)
@@ -730,12 +703,38 @@ def _relation_plan(spec: SceneSpec, pose: dict, param: dict) -> dict:
     halves = tuple(None if eid in blocks else _halves(spec, eid) for eid in ids)
     frames = tuple(blocks.get(eid) for eid in ids)
     blocks[None] = Block(None, ids, tuple(pose[eid].start for eid in ids), halves, frames, [])
-    for frame, terms in resolve_relations(spec).items():
-        block = blocks[frame]
-        at = {eid: k for k, eid in enumerate(block.ids)}
-        for t in terms:
-            ends = tuple(at[e] for e in t.ends)
-            block.terms.append(Term(t.label, ends, t.kernel, t.consts, param.get(t.shared), t.value))
+    return blocks
+
+
+def _relation_plan(spec: SceneSpec, pose: dict, param: dict) -> dict:
+    """`_blocks` with each relation term resolved into its frame's block, in
+    the term order of `scene_model.relation_terms`: an intra term into its
+    unit's block, an inter one into the scene's."""
+    blocks = _blocks(spec, pose)
+    at = {frame: {eid: k for k, eid in enumerate(block.ids)} for frame, block in blocks.items()}
+    priors = shared_param_priors(spec)
+    relations = spec.relations
+    for group, members in relation_terms(relations):
+        rel = relations[members[0]]
+        frame = rel.unit if rel.scope == "intra" else None
+        label = f"relations[{members[0]}]"
+        if group is not None:
+            ends = tuple(relations[i].source for i in members) + (rel.target,)
+            kernel, consts = "_around", (rel.params["sweep"], rel.params["center"])
+            shared = value = None
+        else:
+            params = relation_params(rel)
+            ends = (rel.source,) if rel.kind in SCENE_ANCHORED_KINDS else (rel.source, rel.target)
+            kernel, consts = _kernel(rel, params, spec.room)
+            shared = rel.shared_param
+            value = params.get(SHARED_PARAM_SLOTS.get(rel.kind)) if shared is None else priors[shared]
+        frame_at = at.get(frame, {})
+        try:
+            positions = tuple([frame_at[e] for e in ends])
+        except KeyError as exc:
+            where = "the scene" if frame is None else f"unit {frame!r}"
+            raise MissingEntityError(f"{label} names {exc.args[0]!r}, not an entity of {where}") from None
+        blocks[frame].terms.append(Term(label, positions, kernel, consts, param.get(shared), value))
     return blocks
 
 
@@ -782,14 +781,11 @@ class ParamIndex:
 
 def param_index(spec: SceneSpec) -> ParamIndex:
     """Rows in draw order: each unit's frame then its members, then the
-    independent assets; shared parameters in order of first occurrence."""
-    ids = []
-    for u in spec.units:
-        ids.append(u.id)
-        ids.extend(u.members)
-    ids.extend(a.id for a in spec.independent_assets())
-    pose = {eid: slice(3 * r, 3 * r + 3) for r, eid in enumerate(ids)}
-    n = 3 * len(ids)
+    independent assets; shared parameters in order of first occurrence.  A
+    relation naming an entity its frame does not hold raises
+    MissingEntityError."""
+    pose = _pose_rows(spec)
+    n = 3 * len(pose)
     param = {name: n + k for k, name in enumerate(shared_param_priors(spec))}
     return ParamIndex(pose, param, n + len(param), _relation_plan(spec, pose, param))
 

@@ -112,13 +112,6 @@ def half_extents(hl: float, hw: float, theta: float):
     return ax, ay, dax, day
 
 
-def footprint_extents(box: FootprintBox) -> tuple[float, float]:
-    """Full extents (e_x, e_y) of the rotated footprint's bounding box,
-    twice its `half_extents`."""
-    ax, ay, _, _ = half_extents(box.half_l, box.half_w, box.pose.theta)
-    return 2.0 * ax, 2.0 * ay
-
-
 def axis_bounds(box: FootprintBox) -> tuple[Interval, Interval]:
     """Axis-aligned proxy bounds: center +/- half extents on each axis."""
     ax, ay, _, _ = half_extents(box.half_l, box.half_w, box.pose.theta)

@@ -7,10 +7,16 @@ off its already placed reference at the relation's zero-penalty geometry;
 whatever stays unconstrained falls back to the room center (unit members:
 the frame origin).  Each coordinate of an entity is pinned at most once,
 first relation wins, so contradictions surface as geometric conflicts
-instead of silent overwrites.  The pass reads the terms of
-`constraints.resolve_relations`, per frame, so it places by the same walls,
+instead of silent overwrites.
+
+Everything here reads the scene compiled once, as the objective reads it:
+the relation plan of `constraints.param_index`.  The interpreter runs over
+each Block's terms, by box position, so it places by the same walls,
 corners, sides and parameter values as the penalties, and sees a unit at
-scene level as the same stand-in box, `geometry.enclosing_box`.
+scene level as the same stand-in box, from `constraints._block_boxes`.  The
+cognitive maps are those kernel boxes, (x, y, theta, half_l, half_w), per
+frame, and conflicts are the pairs whose axis-aligned proxies overlap, found
+by the broadphase of the collision term, `constraints._proxy_pairs`.
 """
 
 from __future__ import annotations
@@ -18,20 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import geometry
-from .constraints import RelationTerm, resolve_relations
+from .constraints import Block, Term, _block_boxes, _blocks, _pose_rows, _proxy_pairs, param_index
 from .errors import MissingEntityError, RevisionError, SceneSemanticError, SceneSyntaxError
-from .geometry import (
-    FootprintBox,
-    Pose2D,
-    axis_bounds,
-    collide_proxy,
-    compose,
-    enclosing_box,
-    footprint_extents,
-    half_extents,
-    normalize_angle,
-)
+from .geometry import Pose2D, half_extents, normalize_angle
 from .scene_model import (
     Relation,
     SceneSpec,
@@ -52,79 +47,69 @@ _GAP_CYCLE = (0.0, 1.0, 0.5, 1.5)
 
 
 @dataclass(frozen=True)
-class MapEntry:
-    """One externalized row: pose, proxy box, extents, axis bounds."""
-
-    pose: Pose2D
-    box: FootprintBox
-    extents: tuple
-    bounds: tuple
-
-
-@dataclass(frozen=True)
 class CognitiveMap:
+    """The kernel boxes of one frame, by entity id: a unit's anchor, at the
+    origin, and members in the unit frame, or the scene's unit stand-ins and
+    independent assets in the room.  `frame` is a unit frame's (x, y, theta)
+    in the room, None for the scene."""
+
     scope: str  # "scene" or a unit id
     entries: dict
+    frame: tuple | None = None
 
 
 @dataclass(frozen=True)
 class Conflict:
-    """Proxy collision between two entities of one map."""
+    """Proxy collision between two entities of one map; the boxes are the
+    map's kernel boxes of the pair."""
 
     level: str  # "intra" or "inter"
     unit: str | None
     pair: tuple
     overlap: tuple  # positive overlap per axis, meters
-    box_a: FootprintBox
-    box_b: FootprintBox
-
-
-def _entry(pose: Pose2D, box: FootprintBox) -> MapEntry:
-    return MapEntry(pose, box, footprint_extents(box), axis_bounds(box))
+    box_a: tuple
+    box_b: tuple
 
 
 class _Board:
-    """Coordinate slots for one interpretation frame (scene or unit local)."""
+    """Coordinate slots of one frame's boxes (scene or unit local), by box
+    position; an anchor sits at the frame origin."""
 
-    def __init__(self, halves: dict, default_xy: tuple):
-        self.halves = halves
+    def __init__(self, boxes: list, rows: tuple, default_xy: tuple):
+        self.halves = [box[3:] for box in boxes]
         self.default_xy = default_xy
-        self.slots = {eid: [None, None, None] for eid in halves}
+        self.slots = [[None, None, None] if r is not None else [0.0, 0.0, 0.0] for r in rows]
         self.counters: dict = {}
 
-    def pin(self, eid: str, axis: int, value: float):
-        if self.slots[eid][axis] is None:
-            self.slots[eid][axis] = float(value)
+    def pin(self, k: int, axis: int, value: float):
+        if self.slots[k][axis] is None:
+            self.slots[k][axis] = float(value)
 
-    def theta(self, eid: str) -> float:
-        v = self.slots[eid][2]
+    def theta(self, k: int) -> float:
+        v = self.slots[k][2]
         return 0.0 if v is None else v
 
-    def center(self, eid: str) -> tuple[float, float]:
-        s = self.slots[eid]
+    def center(self, k: int) -> tuple[float, float]:
+        s = self.slots[k]
         x = self.default_xy[0] if s[0] is None else s[0]
         y = self.default_xy[1] if s[1] is None else s[1]
         return x, y
 
-    def half_extents(self, eid: str, theta=None) -> tuple[float, float]:
-        hl, hw = self.halves[eid]
-        return half_extents(hl, hw, self.theta(eid) if theta is None else theta)[:2]
+    def half_extents(self, k: int, theta=None) -> tuple[float, float]:
+        hl, hw = self.halves[k]
+        return half_extents(hl, hw, self.theta(k) if theta is None else theta)[:2]
 
-    def next_direction(self, eid: str, cycle) -> float:
-        k = self.counters.get(eid, 0)
-        self.counters[eid] = k + 1
-        turns = cycle[k % len(cycle)] + 0.125 * (k // len(cycle))
+    def next_direction(self, k: int, cycle) -> float:
+        n = self.counters.get(k, 0)
+        self.counters[k] = n + 1
+        turns = cycle[n % len(cycle)] + 0.125 * (n // len(cycle))
         return turns * math.pi
 
-    def resolved(self) -> dict:
-        out = {}
-        for eid in self.halves:
-            x, y = self.center(eid)
-            out[eid] = Pose2D(x, y, self.theta(eid))
-        return out
+    def resolved(self) -> list:
+        return [(*self.center(k), self.theta(k)) for k in range(len(self.slots))]
 
 
-def _apply_term(board: _Board, term: RelationTerm):
+def _apply_term(board: _Board, term: Term):
     """Pin whatever coordinates this term's zero-loss geometry dictates."""
     kernel, consts, value = term.kernel, term.consts, term.value
     src = term.ends[0]
@@ -193,7 +178,7 @@ def _apply_term(board: _Board, term: RelationTerm):
     raise ValueError(f"unhandled relation kernel {kernel!r}")
 
 
-def _apply_around_group(board: _Board, term: RelationTerm):
+def _apply_around_group(board: _Board, term: Term):
     """Ring placement at the group's zero-penalty geometry: directions and
     headings evenly spread over the sweep, radius big enough to clear."""
     *sources, focal = term.ends
@@ -214,108 +199,109 @@ def _apply_around_group(board: _Board, term: RelationTerm):
         board.pin(src, 2, heading)
 
 
-def _run_pass(terms, halves, default_xy, pinned: dict):
-    board = _Board(halves, default_xy)
-    for eid, pose in pinned.items():
-        board.slots[eid] = [pose[0], pose[1], pose[2]]
-    for term in terms:
+def _run_pass(block: Block, boxes: list, default_xy: tuple) -> list:
+    """The (x, y, theta) of each box of `block` after its terms, in order;
+    `boxes` gives the half sizes."""
+    board = _Board(boxes, block.rows, default_xy)
+    for term in block.terms:
         _apply_term(board, term)
     return board.resolved()
-
-
-def _asset_halves(spec: SceneSpec, asset_ids) -> dict:
-    return {aid: (spec.asset(aid).half_l, spec.asset(aid).half_w) for aid in asset_ids}
 
 
 def interpret_scene(spec: SceneSpec) -> dict:
     """Candidate poses for every entity: unit frames and independent assets
     in world coordinates, unit members in their frame's coordinates."""
-    frames = resolve_relations(spec)
+    index = param_index(spec)
+    xs = [0.0] * index.size
     poses: dict = {}
-    offsets: dict = {}
-    halves: dict = {}
     for u in spec.units:
-        unit_halves = _asset_halves(spec, u.assets)
-        centers = _run_pass(frames[u.id], unit_halves, (0.0, 0.0), {u.anchor: (0.0, 0.0, 0.0)})
-        members = [(0.0, 0.0, 0.0)]
-        for mid in u.members:
-            poses[mid] = c = centers[mid]
-            members.append((c.x, c.y, c.theta))
-        offsets[u.id], half_l, half_w = enclosing_box(members, unit_halves.values())
-        halves[u.id] = (half_l, half_w)
-    halves.update(_asset_halves(spec, (a.id for a in spec.independent_assets())))
+        block = index.blocks[u.id]
+        centers = _run_pass(block, _block_boxes(block, xs)[0], (0.0, 0.0))
+        for eid, r, c in zip(block.ids[1:], block.rows[1:], centers[1:]):
+            xs[r : r + 3] = c
+            poses[eid] = Pose2D(*c)
 
-    centers = _run_pass(frames[None], halves, (0.5 * spec.room.length, 0.5 * spec.room.width), {})
-    for eid, c in centers.items():
-        if spec.is_unit(eid):
-            # Relations position the stand-in box; shift back to the frame.
-            ox, oy = offsets[eid]
-            ct, st = math.cos(c.theta), math.sin(c.theta)
-            poses[eid] = Pose2D(c.x - (ct * ox - st * oy), c.y - (st * ox + ct * oy), c.theta)
-        else:
-            poses[eid] = c
+    # With every unit frame still at the origin, a stand-in box is centered
+    # on its offset in the unit frame.
+    scene = index.blocks[None]
+    boxes, _ = _block_boxes(scene, xs)
+    centers = _run_pass(scene, boxes, (0.5 * spec.room.length, 0.5 * spec.room.width))
+    for eid, (x, y, theta), box, frame in zip(scene.ids, centers, boxes, scene.frames):
+        if frame is None:
+            poses[eid] = Pose2D(x, y, theta)
+            continue
+        # Relations position the stand-in box; shift back to the frame.
+        ox, oy = box[0], box[1]
+        ct, st = math.cos(theta), math.sin(theta)
+        poses[eid] = Pose2D(x - (ct * ox - st * oy), y - (st * ox + ct * oy), theta)
     return poses
 
 
 def build_maps(spec: SceneSpec, poses: dict):
     """Local map per unit plus the global map, from a full pose assignment.
 
-    Local entries hold member poses in the unit frame; the global entry for
-    a unit carries its member-enclosing box as the proxy footprint.
+    Local maps hold the kernel boxes of each unit's anchor and members in
+    the unit frame; the global map holds each unit's stand-in box, the one
+    the objective sees, and the independent assets.
     """
-    local_maps: dict = {}
-    for u in spec.units:
-        anchor = spec.asset(u.anchor)
-        origin = Pose2D(0.0, 0.0, 0.0)
-        entries = {u.anchor: _entry(origin, FootprintBox(origin, anchor.half_l, anchor.half_w))}
-        for mid in u.members:
-            if mid not in poses:
-                raise MissingEntityError(f"no pose for {mid!r}")
-            m = spec.asset(mid)
-            entries[mid] = _entry(poses[mid], FootprintBox(poses[mid], m.half_l, m.half_w))
-        local_maps[u.id] = CognitiveMap(u.id, entries)
-
-    gentries: dict = {}
-    for u in spec.units:
-        if u.id not in poses:
-            raise MissingEntityError(f"no pose for {u.id!r}")
-        p = poses[u.id]
-        members = [(0.0, 0.0, 0.0)] + [(poses[m].x, poses[m].y, poses[m].theta) for m in u.members]
-        (ox, oy), half_l, half_w = enclosing_box(members, _asset_halves(spec, u.assets).values())
-        c, s = math.cos(p.theta), math.sin(p.theta)
-        box = FootprintBox(Pose2D(p.x + c * ox - s * oy, p.y + s * ox + c * oy, p.theta), half_l, half_w)
-        gentries[u.id] = _entry(p, box)
-    for a in spec.independent_assets():
-        if a.id not in poses:
-            raise MissingEntityError(f"no pose for {a.id!r}")
-        p = poses[a.id]
-        gentries[a.id] = _entry(p, FootprintBox(p, a.half_l, a.half_w))
-    return local_maps, CognitiveMap("scene", gentries)
+    pose = _pose_rows(spec)
+    xs = [0.0] * (3 * len(pose))
+    for eid, rows in pose.items():
+        if eid not in poses:
+            raise MissingEntityError(f"no pose for {eid!r}")
+        p = poses[eid]
+        xs[rows] = p.x, p.y, p.theta
+    blocks = _blocks(spec, pose)
+    scene = blocks.pop(None)
+    local_maps = {}
+    for uid, block in blocks.items():
+        entries = dict(zip(block.ids, _block_boxes(block, xs)[0]))
+        local_maps[uid] = CognitiveMap(uid, entries, tuple(xs[pose[uid]]))
+    return local_maps, CognitiveMap("scene", dict(zip(scene.ids, _block_boxes(scene, xs)[0])))
 
 
-def _proxy_overlap(ea: MapEntry, eb: MapEntry):
-    ox = ea.bounds[0].overlap(eb.bounds[0])
-    oy = ea.bounds[1].overlap(eb.bounds[1])
+def _overlap(a: tuple, b: tuple):
+    """Overlap per axis of two kernel boxes' axis-aligned proxies, or None
+    unless both are positive."""
+    ax_a, ay_a, _, _ = half_extents(a[3], a[4], a[2])
+    ax_b, ay_b, _, _ = half_extents(b[3], b[4], b[2])
+    ox = min(a[0] + ax_a, b[0] + ax_b) - max(a[0] - ax_a, b[0] - ax_b)
+    oy = min(a[1] + ay_a, b[1] + ay_b) - max(a[1] - ay_a, b[1] - ay_b)
     if ox > 0.0 and oy > 0.0:
         return ox, oy
     return None
 
 
-def _candidate_pairs(entries: dict) -> list:
-    """Id pairs (a, b), a < b, in lexicographic order, less the pairs whose
-    proxy bounds are disjoint or touch, which `_proxy_overlap` rejects."""
-    ids = sorted(entries)
-    lo = [(entries[e].bounds[0].lo, entries[e].bounds[1].lo) for e in ids]
-    hi = [(entries[e].bounds[0].hi, entries[e].bounds[1].hi) for e in ids]
-    return [(ids[i], ids[j]) for i, j in geometry.overlapping_pairs(lo, hi)]
-
-
-def _global_member_boxes(frame: Pose2D, local_map) -> list:
+def _overlaps(entries: dict) -> list:
+    """(a, b, overlap) of each pair of entries whose proxies overlap, a < b,
+    in lexicographic order."""
+    ids, boxes = list(entries), list(entries.values())
     out = []
-    for entry in local_map.entries.values():
-        world = compose(frame, entry.pose)
-        out.append(FootprintBox(world, entry.box.half_l, entry.box.half_w))
+    for i, j in _proxy_pairs(boxes):
+        if ids[j] < ids[i]:
+            i, j = j, i
+        ov = _overlap(boxes[i], boxes[j])
+        if ov is not None:
+            out.append((ids[i], ids[j], ov))
+    out.sort(key=lambda t: t[:2])
     return out
+
+
+def _world_boxes(local_map: CognitiveMap) -> list:
+    fx, fy, ftheta = local_map.frame
+    c, s = math.cos(ftheta), math.sin(ftheta)
+    return [
+        (fx + c * x - s * y, fy + s * x + c * y, ftheta + t, hl, hw)
+        for x, y, t, hl, hw in local_map.entries.values()
+    ]
+
+
+def _members_overlap(map_a: CognitiveMap, map_b: CognitiveMap) -> bool:
+    """Whether a member of one unit and one of the other collide, both laid
+    out in world coordinates."""
+    boxes = _world_boxes(map_a) + _world_boxes(map_b)
+    n = len(map_a.entries)
+    return any(i < n <= j and _overlap(boxes[i], boxes[j]) is not None for i, j in _proxy_pairs(boxes))
 
 
 def detect_conflicts(spec: SceneSpec, local_maps: dict, global_map: CognitiveMap) -> list:
@@ -328,23 +314,14 @@ def detect_conflicts(spec: SceneSpec, local_maps: dict, global_map: CognitiveMap
     out = []
     for u in spec.units:
         entries = local_maps[u.id].entries
-        for a, b in _candidate_pairs(entries):
-            ov = _proxy_overlap(entries[a], entries[b])
-            if ov is not None:
-                out.append(Conflict("intra", u.id, (a, b), ov, entries[a].box, entries[b].box))
+        for a, b, ov in _overlaps(entries):
+            out.append(Conflict("intra", u.id, (a, b), ov, entries[a], entries[b]))
 
     entries = global_map.entries
-    for a, b in _candidate_pairs(entries):
-        ov = _proxy_overlap(entries[a], entries[b])
-        if ov is None:
+    for a, b, ov in _overlaps(entries):
+        if spec.is_unit(a) and spec.is_unit(b) and not _members_overlap(local_maps[a], local_maps[b]):
             continue
-        if spec.is_unit(a) and spec.is_unit(b):
-            boxes_a = _global_member_boxes(entries[a].pose, local_maps[a])
-            boxes_b = _global_member_boxes(entries[b].pose, local_maps[b])
-            refined = any(collide_proxy(x, y) for x in boxes_a for y in boxes_b)
-            if not refined:
-                continue
-        out.append(Conflict("inter", None, (a, b), ov, entries[a].box, entries[b].box))
+        out.append(Conflict("inter", None, (a, b), ov, entries[a], entries[b]))
     return out
 
 
@@ -358,18 +335,18 @@ def _required_center_distance(conflict: Conflict, source_id: str) -> float:
     proxies on at least one axis."""
     src = conflict.box_a if conflict.pair[0] == source_id else conflict.box_b
     tgt = conflict.box_b if conflict.pair[0] == source_id else conflict.box_a
-    ux, uy = src.pose.x - tgt.pose.x, src.pose.y - tgt.pose.y
+    ux, uy = src[0] - tgt[0], src[1] - tgt[1]
     n = math.hypot(ux, uy)
     if n < 1e-9:
         ux, uy = 1.0, 0.0
     else:
         ux, uy = ux / n, uy / n
-    ea = footprint_extents(src)
-    eb = footprint_extents(tgt)
+    ea = half_extents(src[3], src[4], src[2])
+    eb = half_extents(tgt[3], tgt[4], tgt[2])
     best = math.inf
     for axis_i, u in enumerate((ux, uy)):
         if abs(u) > 1e-9:
-            best = min(best, 0.5 * (ea[axis_i] + eb[axis_i]) / abs(u))
+            best = min(best, (ea[axis_i] + eb[axis_i]) / abs(u))
     return best
 
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import MissingEntityError, SceneSemanticError, SceneSyntaxError
+from .errors import SceneSemanticError, SceneSyntaxError
 from .geometry import Pose2D
 
 RELATION_KINDS = frozenset(
@@ -150,9 +150,6 @@ class SceneSpec:
     def unit(self, unit_id: str) -> Unit:
         return self._units_by_id[unit_id]
 
-    def is_asset(self, entity_id: str) -> bool:
-        return entity_id in self._assets_by_id
-
     def is_unit(self, entity_id: str) -> bool:
         return entity_id in self._units_by_id
 
@@ -171,20 +168,6 @@ class SceneSpec:
 
     def with_relations(self, relations) -> "SceneSpec":
         return replace(self, relations=tuple(relations))
-
-
-def assignment(spec: SceneSpec, asset_id: str) -> int:
-    """Unit assignment index: 0 for independent assets, else the 1-based
-    position of the owning unit in the spec's unit list."""
-    uid = spec.unit_of(asset_id)
-    if uid is None:
-        if not spec.is_asset(asset_id):
-            raise MissingEntityError(f"unknown asset {asset_id!r}")
-        return 0
-    for k, u in enumerate(spec.units):
-        if u.id == uid:
-            return k + 1
-    raise KeyError(uid)
 
 
 def relation_params(rel: Relation) -> dict:

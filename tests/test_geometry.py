@@ -23,7 +23,7 @@ from layoutopt.geometry import (
     collide_proxy,
     compose,
     corners,
-    footprint_extents,
+    half_extents,
     invert,
     min_boundary_distance,
     normalize_angle,
@@ -123,13 +123,12 @@ def test_normalize_angle_range_and_equivalence():
 # ---------------------------------------------------------------------------
 
 
-def test_footprint_extents_frozen_value():
-    # l=2, w=1 at 45 degrees: e_x = e_y = (2+1)/sqrt(2).
-    box = FootprintBox(Pose2D(0.0, 0.0, math.pi / 4.0), 1.0, 0.5)
-    ex, ey = footprint_extents(box)
+def test_half_extents_frozen_value():
+    # l=2, w=1 at 45 degrees: full extents e_x = e_y = (2+1)/sqrt(2).
+    ax, ay, _, _ = half_extents(1.0, 0.5, math.pi / 4.0)
     expected = 3.0 / math.sqrt(2.0)
-    assert ex == pytest.approx(expected, abs=1e-12)
-    assert ey == pytest.approx(expected, abs=1e-12)
+    assert 2.0 * ax == pytest.approx(expected, abs=1e-12)
+    assert 2.0 * ay == pytest.approx(expected, abs=1e-12)
 
 
 def test_extents_and_bounds_match_corner_cloud():
@@ -139,9 +138,9 @@ def test_extents_and_bounds_match_corner_cloud():
         cs = corners(box)
         ex_oracle = cs[:, 0].max() - cs[:, 0].min()
         ey_oracle = cs[:, 1].max() - cs[:, 1].min()
-        ex, ey = footprint_extents(box)
-        assert ex == pytest.approx(ex_oracle, abs=1e-9)
-        assert ey == pytest.approx(ey_oracle, abs=1e-9)
+        ax, ay, _, _ = half_extents(box.half_l, box.half_w, box.pose.theta)
+        assert 2.0 * ax == pytest.approx(ex_oracle, abs=1e-9)
+        assert 2.0 * ay == pytest.approx(ey_oracle, abs=1e-9)
         bx, by = axis_bounds(box)
         assert bx.lo == pytest.approx(cs[:, 0].min(), abs=1e-9)
         assert bx.hi == pytest.approx(cs[:, 0].max(), abs=1e-9)

@@ -7,19 +7,28 @@ import struct
 import numpy as np
 import pytest
 
-from layoutopt import geometry
+from layoutopt import constraints, geometry, imagination
 from layoutopt.constraints import param_index, relation_penalties
-from layoutopt.errors import RevisionError, SceneSemanticError, SceneSyntaxError
+from layoutopt.errors import MissingEntityError, RevisionError, SceneSemanticError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import (
     ConvexPolygon,
     FootprintBox,
     Pose2D,
+    axis_bounds,
     collide_proxy,
     compose,
+    half_extents,
+    normalize_angle,
     polygon_intersection_area,
 )
 from layoutopt.imagination import (
+    _DISTANCE_CYCLE,
+    _GAP_CYCLE,
+    RING_CLEARANCE,
+    SIDE_CLEARANCE,
+    CognitiveMap,
+    Conflict,
     RevisionReport,
     RevisionRound,
     _check_locality,
@@ -35,13 +44,18 @@ from layoutopt.optimizer import OptimizerConfig, init_state, solve
 from layoutopt.scene_model import (
     DEFAULT_P,
     DIRECTIONAL_KINDS,
+    SCENE_ANCHORED_KINDS,
+    SHARED_PARAM_SLOTS,
     Asset,
     Relation,
     Room,
     SceneSpec,
     Unit,
     parse_scene,
+    relation_params,
+    relation_terms,
     serialize_scene,
+    shared_param_priors,
 )
 
 
@@ -119,6 +133,25 @@ def test_a_hand_built_scene_without_optional_params_places_and_solves_as_parsed(
     assert layout_b.poses == layout_a.poses
 
 
+@pytest.mark.parametrize("call", [param_index, interpret_scene, solve, imagine_and_revise])
+@pytest.mark.parametrize(
+    "ghost, where",
+    [
+        (Relation("distance", "dining", "ghost", {"d": 1.0}), "the scene"),
+        (Relation("distance", "chair_n", "ghost", {"d": 1.0}, "intra", "dining"), "unit 'dining'"),
+    ],
+    ids=["inter", "intra"],
+)
+def test_a_relation_naming_a_missing_entity_raises_missing_entity_error(call, ghost, where):
+    # Only a hand-built scene gets here: the parser checks every endpoint.
+    spec = load_fixture("dining_set")
+    spec = spec.with_relations(spec.relations + (ghost,))
+    with pytest.raises(MissingEntityError) as info:
+        call(spec)
+    label = f"relations[{len(spec.relations) - 1}]"
+    assert str(info.value) == f"{label} names 'ghost', not an entity of {where}"
+
+
 def test_interpreter_unconstrained_defaults_to_room_center():
     spec = load_fixture("conflict_pair")
     poses = interpret_scene(spec)
@@ -162,6 +195,11 @@ def test_interpreter_is_deterministic():
 # --- cognitive maps ---------------------------------------------------------
 
 
+def _bounds(box):
+    """Axis-aligned proxy bounds of a kernel box."""
+    return axis_bounds(FootprintBox(Pose2D(*box[:3]), box[3], box[4]))
+
+
 def test_maps_axis_aligned_extents_equal_sizes():
     spec = _scene(
         Room(8.0, 8.0, 3.0),
@@ -169,8 +207,9 @@ def test_maps_axis_aligned_extents_equal_sizes():
     )
     poses = {"a": Pose2D(2.0, 2.0, 0.0), "b": Pose2D(6.0, 6.0, 0.0)}
     _, gm = build_maps(spec, poses)
-    assert gm.entries["a"].extents == pytest.approx((1.2, 0.8))
-    assert gm.entries["b"].extents == pytest.approx((0.6, 0.6))
+    for eid, extents in (("a", (1.2, 0.8)), ("b", (0.6, 0.6))):
+        bx, by = _bounds(gm.entries[eid])
+        assert (bx.hi - bx.lo, by.hi - by.lo) == pytest.approx(extents)
     assert gm.scope == "scene"
 
 
@@ -178,16 +217,16 @@ def test_member_bounds_nest_inside_unit_global_bounds():
     spec = load_fixture("dining_set")
     poses = interpret_scene(spec)
     local_maps, gm = build_maps(spec, poses)
-    frame = gm.entries["dining"].pose
-    gx, gy = gm.entries["dining"].bounds
-    for entry in local_maps["dining"].entries.values():
-        world = compose(frame, entry.pose)
-        box = FootprintBox(world, entry.box.half_l, entry.box.half_w)
+    frame = Pose2D(*local_maps["dining"].frame)
+    assert frame == poses["dining"]
+    gx, gy = _bounds(gm.entries["dining"])
+    for x, y, theta, half_l, half_w in local_maps["dining"].entries.values():
+        world = compose(frame, Pose2D(x, y, theta))
         _, wm = build_maps(
-            _scene(spec.room, (Asset("probe", "probe", (2 * box.half_l, 2 * box.half_w, 1.0)),)),
+            _scene(spec.room, (Asset("probe", "probe", (2 * half_l, 2 * half_w, 1.0)),)),
             {"probe": world},
         )
-        bx, by = wm.entries["probe"].bounds
+        bx, by = _bounds(wm.entries["probe"])
         assert gx.lo <= bx.lo + 1e-9 and bx.hi <= gx.hi + 1e-9
         assert gy.lo <= by.lo + 1e-9 and by.hi <= gy.hi + 1e-9
 
@@ -196,17 +235,17 @@ def test_maps_frozen_dining_bounds():
     spec = load_fixture("dining_set")
     poses = interpret_scene(spec)
     local_maps, gm = build_maps(spec, poses)
-    bx, by = local_maps["dining"].entries["chair_w"].bounds
+    bx, by = _bounds(local_maps["dining"].entries["chair_w"])
     assert (bx.lo, bx.hi) == pytest.approx((-1.26, -0.81))
     assert (by.lo, by.hi) == pytest.approx((-0.225, 0.225))
-    gx, gy = gm.entries["dining"].bounds
+    gx, gy = _bounds(gm.entries["dining"])
     assert (gx.lo, gx.hi) == pytest.approx((3.0 - 1.26, 3.0 + 1.26))
     assert (gy.lo, gy.hi) == pytest.approx((3.0 - 0.91, 3.0 + 0.91))
 
 
 def test_maps_missing_pose_raises():
     spec = load_fixture("dining_set")
-    with pytest.raises(KeyError):
+    with pytest.raises(MissingEntityError):
         build_maps(spec, {})
 
 
@@ -235,26 +274,26 @@ def test_detect_coincident_pair():
     assert c.overlap == pytest.approx((1.0, 1.0))
 
 
-def test_unit_overlap_without_member_overlap_not_confirmed():
-    # Interleaved comb: stand-in boxes overlap by construction, yet every
-    # member pair stays clear, so the coarse conflict must be dropped.
-    assets = (
-        Asset("ta", "post", (0.4, 0.4, 1.0)),
-        Asset("ma", "post", (0.4, 0.4, 1.0)),
-        Asset("tb", "post", (0.4, 0.4, 1.0)),
-        Asset("mb", "post", (0.4, 0.4, 1.0)),
-    )
+def _comb_scene():
+    """Interleaved comb: two units whose stand-in boxes overlap by
+    construction while every member pair stays clear, and its poses."""
+    assets = tuple(Asset(aid, "post", (0.4, 0.4, 1.0)) for aid in ("ta", "ma", "tb", "mb"))
     units = (Unit("ua", "ta", ("ma",)), Unit("ub", "tb", ("mb",)))
-    spec = _scene(Room(10.0, 10.0, 3.0), assets, units)
     poses = {
         "ua": Pose2D(2.0, 2.0, 0.0),
         "ma": Pose2D(2.0, 0.0, 0.0),
         "ub": Pose2D(3.0, 2.0, 0.0),
         "mb": Pose2D(2.0, 0.0, 0.0),
     }
+    return _scene(Room(10.0, 10.0, 3.0), assets, units), poses
+
+
+def test_unit_overlap_without_member_overlap_not_confirmed():
+    # The coarse conflict of the comb's stand-ins must be dropped.
+    spec, poses = _comb_scene()
     local_maps, gm = build_maps(spec, poses)
-    ax = gm.entries["ua"].bounds[0]
-    bx = gm.entries["ub"].bounds[0]
+    ax = _bounds(gm.entries["ua"])[0]
+    bx = _bounds(gm.entries["ub"])[0]
     assert ax.overlap(bx) > 0.0  # coarse boxes do overlap
     assert detect_conflicts(spec, local_maps, gm) == []
 
@@ -579,3 +618,391 @@ def test_late_invalid_revision_raises_as_round_trip(bad, location):
     assert messages[0] == messages[1]
     assert messages[0].startswith("reviser produced an invalid scene: relations[")
     assert location in messages[0]
+
+
+# --- the parent design, kept as the reference -----------------------------
+# The `_reference_*` functions are the bodies the imagination pass had
+# before it read the relation plan: relation terms keyed by entity id, a
+# board keyed by id, stand-ins rebuilt with `geometry.enclosing_box`, maps of
+# FootprintBox entries with Interval bounds, and conflicts found on those.
+# Every pose, map box, conflict and revision must match them bit for bit.
+
+
+@dataclasses.dataclass
+class _ReferenceTerm:
+    frame: object
+    label: str
+    ends: tuple
+    kernel: str
+    consts: tuple
+    shared: object = None
+    value: object = None
+
+
+def _reference_resolve_relations(spec):
+    frames = {u.id: [] for u in spec.units}
+    frames[None] = []
+    priors = shared_param_priors(spec)
+    relations = spec.relations
+    for group, members in relation_terms(relations):
+        rel = relations[members[0]]
+        frame = rel.unit if rel.scope == "intra" else None
+        label = f"relations[{members[0]}]"
+        if group is not None:
+            ends = tuple(relations[i].source for i in members) + (rel.target,)
+            term = _ReferenceTerm(frame, label, ends, "_around", (rel.params["sweep"], rel.params["center"]))
+        else:
+            params = relation_params(rel)
+            ends = (rel.source,) if rel.kind in SCENE_ANCHORED_KINDS else (rel.source, rel.target)
+            shared = rel.shared_param
+            value = params.get(SHARED_PARAM_SLOTS.get(rel.kind)) if shared is None else priors[shared]
+            term = _ReferenceTerm(frame, label, ends, *constraints._kernel(rel, params, spec.room), shared, value)
+        frames[frame].append(term)
+    return frames
+
+
+class _ReferenceBoard:
+    def __init__(self, halves, default_xy):
+        self.halves = halves
+        self.default_xy = default_xy
+        self.slots = {eid: [None, None, None] for eid in halves}
+        self.counters = {}
+
+    def pin(self, eid, axis, value):
+        if self.slots[eid][axis] is None:
+            self.slots[eid][axis] = float(value)
+
+    def theta(self, eid):
+        v = self.slots[eid][2]
+        return 0.0 if v is None else v
+
+    def center(self, eid):
+        s = self.slots[eid]
+        x = self.default_xy[0] if s[0] is None else s[0]
+        y = self.default_xy[1] if s[1] is None else s[1]
+        return x, y
+
+    def half_extents(self, eid, theta=None):
+        hl, hw = self.halves[eid]
+        return half_extents(hl, hw, self.theta(eid) if theta is None else theta)[:2]
+
+    def next_direction(self, eid, cycle):
+        k = self.counters.get(eid, 0)
+        self.counters[eid] = k + 1
+        turns = cycle[k % len(cycle)] + 0.125 * (k // len(cycle))
+        return turns * math.pi
+
+    def resolved(self):
+        out = {}
+        for eid in self.halves:
+            x, y = self.center(eid)
+            out[eid] = Pose2D(x, y, self.theta(eid))
+        return out
+
+
+def _reference_apply_term(board, term):
+    kernel, consts, value = term.kernel, term.consts, term.value
+    src = term.ends[0]
+    if kernel == "_placement":
+        board.pin(src, consts[0], value)
+        return
+    if kernel == "_against_wall":
+        axis_i, sign, base, theta_star = consts
+        board.pin(src, 2, theta_star)
+        ext = board.half_extents(src, theta_star)
+        board.pin(src, axis_i, base + sign * ext[axis_i])
+        return
+    if kernel == "_corner":
+        sx, sy, x_base, y_base, theta_star = consts
+        board.pin(src, 2, theta_star)
+        ext = board.half_extents(src, theta_star)
+        board.pin(src, 0, x_base + sx * ext[0])
+        board.pin(src, 1, y_base + sy * ext[1])
+        return
+    if kernel == "_around":
+        *sources, focal = term.ends
+        sweep, center = term.consts
+        n = len(sources)
+        delta = sweep / (n - 1) if n > 1 else 0.0
+        fx, fy = board.center(focal)
+        f_theta = board.theta(focal)
+        hl_f, hw_f = board.halves[focal]
+        for j, s in enumerate(sources):
+            phi = center - 0.5 * sweep + j * delta
+            heading = normalize_angle(f_theta + phi)
+            hl_s, hw_s = board.halves[s]
+            radius = math.hypot(hl_f, hw_f) + math.hypot(hl_s, hw_s) + RING_CLEARANCE
+            ang = f_theta + phi
+            board.pin(s, 0, fx + radius * math.cos(ang))
+            board.pin(s, 1, fy + radius * math.sin(ang))
+            board.pin(s, 2, heading)
+        return
+
+    tgt = term.ends[1]
+    tx, ty = board.center(tgt)
+    t_theta = board.theta(tgt)
+    if kernel == "_distance":
+        ang = board.next_direction(tgt, _DISTANCE_CYCLE)
+        board.pin(src, 0, tx + value * math.cos(ang))
+        board.pin(src, 1, ty + value * math.sin(ang))
+        return
+    if kernel == "_gap":
+        ang = board.next_direction(tgt, _GAP_CYCLE)
+        axis_i = 0 if abs(math.cos(ang)) > 0.5 else 1
+        sign = 1.0 if (math.cos(ang) if axis_i == 0 else math.sin(ang)) >= 0.0 else -1.0
+        reach = board.half_extents(tgt)[axis_i] + board.half_extents(src)[axis_i] + value
+        cand = (tx, ty)[axis_i] + sign * reach
+        board.pin(src, axis_i, cand)
+        board.pin(src, 1 - axis_i, (ty, tx)[axis_i])
+        return
+    if kernel == "_directional":
+        axis_i, sigma = consts
+        side = -sigma
+        rel_angle = board.theta(src) - t_theta
+        r = board.half_extents(src, rel_angle)
+        e = board.halves[tgt]
+        main = side * (e[axis_i] + r[axis_i] + SIDE_CLEARANCE)
+        other = (2.0 * value - 1.0) * (e[1 - axis_i] - r[1 - axis_i])
+        local = (main, other) if axis_i == 0 else (other, main)
+        ct, st = math.cos(t_theta), math.sin(t_theta)
+        board.pin(src, 0, tx + ct * local[0] - st * local[1])
+        board.pin(src, 1, ty + st * local[0] + ct * local[1])
+        return
+    if kernel == "_facing":
+        sx, sy = board.center(src)
+        dx, dy = tx - sx, ty - sy
+        if math.hypot(dx, dy) > 1e-9:
+            board.pin(src, 2, math.atan2(dy, dx))
+        return
+    if kernel == "_angle_offset":
+        board.pin(src, 2, normalize_angle(t_theta + value))
+        return
+    raise ValueError(f"unhandled relation kernel {kernel!r}")
+
+
+def _reference_run_pass(terms, halves, default_xy, pinned):
+    board = _ReferenceBoard(halves, default_xy)
+    for eid, pose in pinned.items():
+        board.slots[eid] = [pose[0], pose[1], pose[2]]
+    for term in terms:
+        _reference_apply_term(board, term)
+    return board.resolved()
+
+
+def _reference_asset_halves(spec, asset_ids):
+    return {aid: (spec.asset(aid).half_l, spec.asset(aid).half_w) for aid in asset_ids}
+
+
+def _reference_interpret_scene(spec):
+    frames = _reference_resolve_relations(spec)
+    poses, offsets, halves = {}, {}, {}
+    for u in spec.units:
+        unit_halves = _reference_asset_halves(spec, u.assets)
+        centers = _reference_run_pass(frames[u.id], unit_halves, (0.0, 0.0), {u.anchor: (0.0, 0.0, 0.0)})
+        members = [(0.0, 0.0, 0.0)]
+        for mid in u.members:
+            poses[mid] = c = centers[mid]
+            members.append((c.x, c.y, c.theta))
+        offsets[u.id], half_l, half_w = geometry.enclosing_box(members, unit_halves.values())
+        halves[u.id] = (half_l, half_w)
+    halves.update(_reference_asset_halves(spec, (a.id for a in spec.independent_assets())))
+    centers = _reference_run_pass(frames[None], halves, (0.5 * spec.room.length, 0.5 * spec.room.width), {})
+    for eid, c in centers.items():
+        if spec.is_unit(eid):
+            ox, oy = offsets[eid]
+            ct, st = math.cos(c.theta), math.sin(c.theta)
+            poses[eid] = Pose2D(c.x - (ct * ox - st * oy), c.y - (st * ox + ct * oy), c.theta)
+        else:
+            poses[eid] = c
+    return poses
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReferenceEntry:
+    pose: Pose2D
+    box: FootprintBox
+    extents: tuple
+    bounds: tuple
+
+
+def _reference_footprint_extents(box):
+    ax, ay, _, _ = half_extents(box.half_l, box.half_w, box.pose.theta)
+    return 2.0 * ax, 2.0 * ay
+
+
+def _reference_entry(pose, box):
+    return _ReferenceEntry(pose, box, _reference_footprint_extents(box), axis_bounds(box))
+
+
+def _reference_build_maps(spec, poses):
+    local_maps = {}
+    for u in spec.units:
+        anchor = spec.asset(u.anchor)
+        origin = Pose2D(0.0, 0.0, 0.0)
+        entries = {u.anchor: _reference_entry(origin, FootprintBox(origin, anchor.half_l, anchor.half_w))}
+        for mid in u.members:
+            if mid not in poses:
+                raise MissingEntityError(f"no pose for {mid!r}")
+            m = spec.asset(mid)
+            entries[mid] = _reference_entry(poses[mid], FootprintBox(poses[mid], m.half_l, m.half_w))
+        local_maps[u.id] = CognitiveMap(u.id, entries)
+    gentries = {}
+    for u in spec.units:
+        if u.id not in poses:
+            raise MissingEntityError(f"no pose for {u.id!r}")
+        p = poses[u.id]
+        members = [(0.0, 0.0, 0.0)] + [(poses[m].x, poses[m].y, poses[m].theta) for m in u.members]
+        (ox, oy), half_l, half_w = geometry.enclosing_box(members, _reference_asset_halves(spec, u.assets).values())
+        c, s = math.cos(p.theta), math.sin(p.theta)
+        box = FootprintBox(Pose2D(p.x + c * ox - s * oy, p.y + s * ox + c * oy, p.theta), half_l, half_w)
+        gentries[u.id] = _reference_entry(p, box)
+    for a in spec.independent_assets():
+        if a.id not in poses:
+            raise MissingEntityError(f"no pose for {a.id!r}")
+        p = poses[a.id]
+        gentries[a.id] = _reference_entry(p, FootprintBox(p, a.half_l, a.half_w))
+    return local_maps, CognitiveMap("scene", gentries)
+
+
+def _reference_proxy_overlap(ea, eb):
+    ox = ea.bounds[0].overlap(eb.bounds[0])
+    oy = ea.bounds[1].overlap(eb.bounds[1])
+    if ox > 0.0 and oy > 0.0:
+        return ox, oy
+    return None
+
+
+def _reference_candidate_pairs(entries):
+    ids = sorted(entries)
+    lo = [(entries[e].bounds[0].lo, entries[e].bounds[1].lo) for e in ids]
+    hi = [(entries[e].bounds[0].hi, entries[e].bounds[1].hi) for e in ids]
+    return [(ids[i], ids[j]) for i, j in geometry.overlapping_pairs(lo, hi)]
+
+
+def _reference_global_member_boxes(frame, local_map):
+    return [
+        FootprintBox(compose(frame, entry.pose), entry.box.half_l, entry.box.half_w)
+        for entry in local_map.entries.values()
+    ]
+
+
+def _reference_detect_conflicts(spec, local_maps, global_map):
+    out = []
+    for u in spec.units:
+        entries = local_maps[u.id].entries
+        for a, b in _reference_candidate_pairs(entries):
+            ov = _reference_proxy_overlap(entries[a], entries[b])
+            if ov is not None:
+                out.append(Conflict("intra", u.id, (a, b), ov, entries[a].box, entries[b].box))
+    entries = global_map.entries
+    for a, b in _reference_candidate_pairs(entries):
+        ov = _reference_proxy_overlap(entries[a], entries[b])
+        if ov is None:
+            continue
+        if spec.is_unit(a) and spec.is_unit(b):
+            boxes_a = _reference_global_member_boxes(entries[a].pose, local_maps[a])
+            boxes_b = _reference_global_member_boxes(entries[b].pose, local_maps[b])
+            if not any(collide_proxy(x, y) for x in boxes_a for y in boxes_b):
+                continue
+        out.append(Conflict("inter", None, (a, b), ov, entries[a].box, entries[b].box))
+    return out
+
+
+def _reference_required_center_distance(conflict, source_id):
+    src = conflict.box_a if conflict.pair[0] == source_id else conflict.box_b
+    tgt = conflict.box_b if conflict.pair[0] == source_id else conflict.box_a
+    ux, uy = src.pose.x - tgt.pose.x, src.pose.y - tgt.pose.y
+    n = math.hypot(ux, uy)
+    if n < 1e-9:
+        ux, uy = 1.0, 0.0
+    else:
+        ux, uy = ux / n, uy / n
+    ea = _reference_footprint_extents(src)
+    eb = _reference_footprint_extents(tgt)
+    best = math.inf
+    for axis_i, u in enumerate((ux, uy)):
+        if abs(u) > 1e-9:
+            best = min(best, 0.5 * (ea[axis_i] + eb[axis_i]) / abs(u))
+    return best
+
+
+def _box_bits(box) -> list:
+    """A kernel box, or a FootprintBox as one, as float bits."""
+    if isinstance(box, FootprintBox):
+        box = (box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w)
+    return [_bits(v) for v in box]
+
+
+def _pose_bits(poses: dict) -> list:
+    return [(eid, _bits(p.x), _bits(p.y), _bits(p.theta)) for eid, p in poses.items()]
+
+
+def _map_bits(local_maps: dict, global_map) -> list:
+    maps = [*local_maps.values(), global_map]
+    return [(m.scope, [(eid, _box_bits(getattr(e, "box", e))) for eid, e in m.entries.items()]) for m in maps]
+
+
+def _conflict_bits(conflicts: list) -> list:
+    return [
+        (c.level, c.unit, c.pair, [_bits(v) for v in c.overlap], _box_bits(c.box_a), _box_bits(c.box_b))
+        for c in conflicts
+    ]
+
+
+def _assert_maps_and_conflicts_match(spec, poses):
+    new_maps = build_maps(spec, poses)
+    ref_maps = _reference_build_maps(spec, poses)
+    assert _map_bits(*new_maps) == _map_bits(*ref_maps)
+    for uid, m in new_maps[0].items():
+        # A local map's frame is the unit's pose, which the reference's
+        # global entry holds.
+        assert [_bits(v) for v in m.frame] == [_bits(v) for v in dataclasses.astuple(ref_maps[1].entries[uid].pose)]
+    conflicts = detect_conflicts(spec, *new_maps)
+    assert _conflict_bits(conflicts) == _conflict_bits(_reference_detect_conflicts(spec, *ref_maps))
+    return conflicts
+
+
+def _reference_revise(monkeypatch, spec, **kwargs):
+    """`imagine_and_revise` of `spec` through the reference pass."""
+    with monkeypatch.context() as m:
+        m.setattr(imagination, "interpret_scene", _reference_interpret_scene)
+        m.setattr(imagination, "build_maps", _reference_build_maps)
+        m.setattr(imagination, "detect_conflicts", _reference_detect_conflicts)
+        m.setattr(imagination, "_required_center_distance", _reference_required_center_distance)
+        return imagine_and_revise(spec, **kwargs)
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "crowded_parsed", "crowded_hand_built"])
+def test_imagination_pass_matches_the_reference_bitwise(name, monkeypatch):
+    if name.startswith("crowded"):
+        spec = _crowded_scene()
+        if name == "crowded_parsed":
+            spec = parse_scene(serialize_scene(spec))
+    else:
+        spec = load_fixture(name)
+    poses = interpret_scene(spec)
+    assert _pose_bits(poses) == _pose_bits(_reference_interpret_scene(spec))
+    _assert_maps_and_conflicts_match(spec, poses)
+    revised, report = imagine_and_revise(spec)
+    ref_revised, ref_report = _reference_revise(monkeypatch, spec)
+    assert _outputs(revised, report) == _outputs(ref_revised, ref_report)
+    # Every round's conflicts too, and the revised scene's poses.
+    for r, ref in zip(report.rounds, ref_report.rounds, strict=True):
+        assert _conflict_bits(r.conflicts) == _conflict_bits(ref.conflicts)
+    assert _pose_bits(interpret_scene(revised)) == _pose_bits(_reference_interpret_scene(revised))
+
+
+def test_maps_and_conflicts_match_the_reference_bitwise_on_jittered_and_comb_poses():
+    # The jittered poses of `test_broadphase_keeps_conflicts`, then the comb.
+    rng = np.random.default_rng(21)
+    found = 0
+    for name in FIXTURE_NAMES:
+        spec = load_fixture(name)
+        for _ in range(5):
+            poses = {
+                eid: Pose2D(p.x + rng.normal(0.0, 0.5), p.y + rng.normal(0.0, 0.5), p.theta + rng.normal(0.0, 0.5))
+                for eid, p in interpret_scene(spec).items()
+            }
+            found += len(_assert_maps_and_conflicts_match(spec, poses))
+    assert found > 0
+    assert _assert_maps_and_conflicts_match(*_comb_scene()) == []

@@ -11,7 +11,6 @@ from layoutopt.errors import SceneSemanticError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from layoutopt.scene_model import (
     Layout,
-    assignment,
     parse_layout,
     parse_scene,
     relation_terms,
@@ -40,7 +39,6 @@ def test_minimal_scene_is_valid():
     assert spec.units == ()
     assert spec.relations == ()
     assert spec.seed == 0
-    assert assignment(spec, "table") == 0
 
 
 def test_malformed_json_is_syntax_error():
@@ -284,7 +282,7 @@ def test_shared_param_on_unsupported_kind_rejected():
         parse(data)
 
 
-def test_assignment_indices_follow_unit_order():
+def test_entities_follow_unit_order():
     data = {
         "room": {"length": 8.0, "width": 6.0, "height": 3.0},
         "assets": [
@@ -300,10 +298,7 @@ def test_assignment_indices_follow_unit_order():
         ],
     }
     spec = parse(data)
-    assert [assignment(spec, aid) for aid in "abcde"] == [1, 1, 2, 2, 0]
     assert spec.entities() == ("u1", "u2", "e")
-    with pytest.raises(KeyError):
-        assignment(spec, "ghost")
 
 
 def test_scene_round_trip_through_serialization():
