@@ -1,16 +1,13 @@
 """Differentiable penalty terms over planar footprints.
 
-Each penalty family is one scalar kernel on plain floats, `_<family>`
-behind `<family>_loss`.  A kernel takes its boxes as (x, y, theta, half_l,
-half_w) tuples, the term's scalar parameter, then the constants that
-`_<family>_rule` (or `SIDE_RULES`) resolves, and returns (value, one
-(d/dx, d/dy, d/dtheta) tuple per box, d/d parameter or None).  Gradients are
-hand-derived; kinks coming from hinges, absolute values, and min/max
-selections use the subgradient that is zero at the kink (hinges) or the
-tie-broken branch (selections).  A heading that is not finite reads as NaN.
-The `*_loss` functions are thin FootprintBox adapters returning a LossValue
-keyed by slot name ("a", "box", "d", ...), so their tests check the math the
-solver runs.
+Each penalty family is one scalar kernel on plain floats, `<family>_loss`.
+A kernel takes its boxes as (x, y, theta, half_l, half_w) tuples: a relation
+kernel a list of its end boxes, the term's scalar parameter, then the
+constants that `_<family>_rule` (or `SIDE_RULES`) resolves.  It returns
+(value, one (d/dx, d/dy, d/dtheta) tuple per box, d/d parameter or None).
+Gradients are hand-derived; kinks coming from hinges, absolute values, and
+min/max selections use the subgradient that is zero at the kink (hinges) or
+the tie-broken branch (selections).
 
 Two aggregation levels mirror the pose parameterization: unit-local terms are
 evaluated in the unit frame and never touch the unit pose; scene-level terms
@@ -25,24 +22,25 @@ group is one term, see `scene_model.relation_terms`).  Each `Term` names its
 end boxes by position, its kernel, its constants and its scalar parameter,
 optional params defaulted as the parser defaults them.  Both aggregates,
 `relation_penalties` and the imagination pass read that plan through
-`_block_boxes`, which builds unit stand-ins with `geometry.enclosing_box`.
-The objective evaluates terms with `term_loss`; collisions go through
-`collision_loss`, once per pair the broadphase `_proxy_pairs` keeps, the
-pairs the imagination pass checks for conflicts.  Kernels and
-`collision_loss` are looked up by module attribute at call time, so a wrapper
-set on one sees every call.
+`_block_boxes`, which builds unit stand-ins with `geometry.enclosing_box`;
+a heading that is not finite reads as NaN there.  The objective evaluates
+terms with `term_loss`; collisions go through `collision_loss`, once per
+pair the broadphase `_proxy_pairs` keeps, the pairs the imagination pass
+checks for conflicts.  Kernels are looked up by module attribute at call
+time, so a wrapper set on one sees every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
 from .errors import MissingEntityError
-from .geometry import FootprintBox, boundary_probes, enclosing_box, half_extents
+from .geometry import boundary_probes, enclosing_box, half_extents
 from .scene_model import (
     DIRECTIONAL_KINDS,
     SCENE_ANCHORED_KINDS,
@@ -62,14 +60,12 @@ _NAN = (math.nan, math.nan, math.nan)
 
 @dataclass
 class LossValue:
-    """Scalar penalty with its partial derivatives.
-
-    A penalty term keys its derivatives by slot name ("a", "box", "d", ...);
-    the aggregates return one flat array laid out by a ParamIndex.
-    """
+    """Result of an aggregate: the weighted objective, its gradient as one
+    flat array laid out by a ParamIndex, and the raw total of each penalty
+    family by name."""
 
     value: float
-    grads: dict = field(default_factory=dict)
+    grads: np.ndarray
     terms: dict = field(default_factory=dict)
 
 
@@ -84,22 +80,6 @@ class Weights:
 
 def _heading(theta: float) -> float:
     return theta if math.isfinite(theta) else math.nan
-
-
-def _tuple(box) -> tuple:
-    """A FootprintBox as a kernel box; a kernel box as itself."""
-    if isinstance(box, tuple):
-        return box
-    return (box.pose.x, box.pose.y, _heading(box.pose.theta), box.half_l, box.half_w)
-
-
-def _loss_value(out: tuple, slots: tuple, param_slot: str | None = None) -> LossValue:
-    """A kernel's (value, grads, parameter gradient) keyed by slot name."""
-    value, grads, param_grad = out
-    lv = LossValue(value, {slot: np.array(g) for slot, g in zip(slots, grads)})
-    if param_slot is not None:
-        lv.grads[param_slot] = param_grad
-    return lv
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +99,24 @@ def _proxy_axis(ca, ha, cb, hb):
     return ov, span, (u - l, u + l, l - u, 2.0 - u - l), (su - sl, su + sl, sl - su, 2.0 - su - sl)
 
 
-def _collision(a: tuple, b: tuple):
+class CollisionLoss(NamedTuple):
+    """`collision_loss`'s result; its fields are named because the
+    benchmark's hit tally reads `.value`."""
+
+    value: float
+    grads: tuple
+    param_grad: None
+
+
+def collision_loss(a: tuple, b: tuple) -> CollisionLoss:
+    """Overlap penalty on axis-aligned proxies.
+
+    value = IoU - (d^2 / c^2) * rho, where rho is intersection over the
+    smaller proxy area, d the center distance, and c the diagonal of the
+    smallest axis-aligned box enclosing both proxies.  Zero exactly when the
+    proxies are disjoint; bounded below by -1.  The aggregates call it once
+    per pair that the broadphase keeps.
+    """
     ax_a, ay_a, dax_a, day_a = half_extents(a[3], a[4], a[2])
     ax_b, ay_b, dax_b, day_b = half_extents(b[3], b[4], b[2])
     ovx, cx, dovx, dcx = _proxy_axis(a[0], ax_a, b[0], ax_b)
@@ -165,27 +162,14 @@ def _collision(a: tuple, b: tuple):
         d_rho = (d_inter * min_area - inter * d_min) / (min_area * min_area)
         d_ratio = (d_d2 * c2 - d2 * d_c2) / (c2 * c2)
         g.append(d_iou - d_ratio * rho - (d2 / c2) * d_rho)
-    return value, ((g[0], g[1], g[2]), (g[3], g[4], g[5])), None
-
-
-def collision_loss(a, b) -> LossValue:
-    """Overlap penalty on axis-aligned proxies.
-
-    value = IoU - (d^2 / c^2) * rho, where rho is intersection over the
-    smaller proxy area, d the center distance, and c the diagonal of the
-    smallest axis-aligned box enclosing both proxies.  Zero exactly when the
-    proxies are disjoint; bounded below by -1.  A box is a FootprintBox or a
-    kernel box; the aggregates pass kernel boxes, one call per pair that the
-    broadphase keeps.
-    """
-    return _loss_value(_collision(_tuple(a), _tuple(b)), ("a", "b"))
+    return CollisionLoss(value, ((g[0], g[1], g[2]), (g[3], g[4], g[5])), None)
 
 
 def _proxy_pairs(boxes: list) -> list:
     """Position pairs of `boxes` in nested-loop order, less the pairs whose
-    proxies are disjoint or touch: `_collision` is exactly 0 there, with
-    a gradient of signed zeros.  Bounds use the half extents and the
-    expressions of `_collision`, so the two agree bit for bit."""
+    proxies are disjoint or touch: `collision_loss` is exactly 0 there,
+    with a gradient of signed zeros.  Bounds use the half extents and the
+    expressions of `collision_loss`, so the two agree bit for bit."""
     lo, hi = [], []
     for x, y, theta, half_l, half_w in boxes:
         ax, ay, _, _ = half_extents(half_l, half_w, theta)
@@ -194,10 +178,11 @@ def _proxy_pairs(boxes: list) -> list:
     return geometry.overlapping_pairs(lo, hi)
 
 
-def _boundary(box: tuple, length: float, width: float):
+def boundary_loss(box: tuple, room: Room):
+    """L1 excursion of the footprint corners outside the room rectangle."""
     x, y, theta, half_l, half_w = box
     c, s = math.cos(theta), math.sin(theta)
-    limits = (length, width)
+    limits = (room.length, room.width)
     value, g = 0.0, [0.0, 0.0, 0.0]
     for sx, sy in ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)):
         ox, oy = sx * half_l, sy * half_w
@@ -215,17 +200,13 @@ def _boundary(box: tuple, length: float, width: float):
     return value, ((g[0], g[1], g[2]),), None
 
 
-def boundary_loss(box: FootprintBox, room: Room) -> LossValue:
-    """L1 excursion of the footprint corners outside the room rectangle."""
-    return _loss_value(_boundary(_tuple(box), room.length, room.width), ("box",))
-
-
 # ---------------------------------------------------------------------------
 # Pairwise relation penalties
 # ---------------------------------------------------------------------------
 
 
-def _distance(boxes: list, d_star: float):
+def distance_loss(boxes: list, d_star: float):
+    """Squared error between center distance and the target d_star."""
     a, b = boxes
     dx, dy = a[0] - b[0], a[1] - b[1]
     dist = math.hypot(dx, dy)
@@ -234,11 +215,6 @@ def _distance(boxes: list, d_star: float):
         k = 2.0 * r / dist
         return r * r, ((k * dx, k * dy, 0.0), (-k * dx, -k * dy, 0.0)), -2.0 * r
     return r * r, (_ZERO, _ZERO), -2.0 * r
-
-
-def distance_loss(a: FootprintBox, b: FootprintBox, d_star: float) -> LossValue:
-    """Squared error between center distance and the target d_star."""
-    return _loss_value(_distance([_tuple(a), _tuple(b)], d_star), ("a", "b"), "d")
 
 
 def _local_sdf(ux: float, uy: float, half_l: float, half_w: float) -> float:
@@ -269,7 +245,7 @@ def _point_box_sdf_grads(point_box: tuple, offset, other: tuple):
     boundary point of `point_box` to `other`.
 
     `offset` is the probe point in point_box's local frame; the distance is
-    the one `_gap_scan` scans for, from the same float expressions.
+    the one `gap_loss` scans for, from the same float expressions.
     """
     cp, sp = math.cos(point_box[2]), math.sin(point_box[2])
     qx = point_box[0] + cp * offset[0] - sp * offset[1]
@@ -287,13 +263,20 @@ def _point_box_sdf_grads(point_box: tuple, offset, other: tuple):
     return g_point, (-gq0, -gq1, gux * uy - guy * ux)
 
 
-def _gap_scan(boxes: list, g: float):
-    """`_gap`'s result with the gradients in probe order (probed box, other
-    box), and whether the winning probe lies on the second box."""
+def gap_loss(boxes: list, g: float):
+    """Squared error between the smallest boundary separation and target g.
+
+    The separation is the minimum signed point-to-box distance over boundary
+    probes of both boxes; derivatives follow the winning probe, the first
+    one strictly below all before it.  The scan computes values only: a
+    probe that does not win contributes exactly nothing to the gradient, so
+    only the winner's derivatives are computed.  When no probe wins, every
+    probe being NaN (a pose is not finite), value and gradients are NaN.
+    """
     a, b = boxes
     best = math.inf
     winner = None
-    for box, other, swapped in ((a, b, False), (b, a, True)):
+    for box, other, on_b in ((a, b, False), (b, a, True)):
         x, y, theta = box[0], box[1], box[2]
         cp, sp = math.cos(theta), math.sin(theta)
         co, so = math.cos(other[2]), math.sin(other[2])
@@ -307,36 +290,16 @@ def _gap_scan(boxes: list, g: float):
             value = _local_sdf(co * dx + so * dy, -so * dx + co * dy, other[3], other[4])
             if value < best:
                 best = value
-                winner = (box, offset, other, swapped)
+                winner = (box, offset, other, on_b)
     if winner is None:
-        return (math.nan, (_NAN, _NAN), math.nan), False
-    box, offset, other, swapped = winner
+        return math.nan, (_NAN, _NAN), math.nan
+    box, offset, other, on_b = winner
     g_point, g_other = _point_box_sdf_grads(box, offset, other)
     r = best - g
     k = 2.0 * r
     g_point = (k * g_point[0], k * g_point[1], k * g_point[2])
     g_other = (k * g_other[0], k * g_other[1], k * g_other[2])
-    return (r * r, (g_point, g_other), -2.0 * r), swapped
-
-
-def _gap(boxes: list, g: float):
-    (value, grads, param_grad), swapped = _gap_scan(boxes, g)
-    return value, grads[::-1] if swapped else grads, param_grad
-
-
-def gap_loss(a: FootprintBox, b: FootprintBox, g: float) -> LossValue:
-    """Squared error between the smallest boundary separation and target g.
-
-    The separation is the minimum signed point-to-box distance over boundary
-    probes of both boxes; derivatives follow the winning probe, the first
-    one strictly below all before it.  The scan computes values only: a
-    probe that does not win contributes exactly nothing to the gradient, so
-    only the winner's derivatives are computed.  When no probe wins, every
-    probe being NaN (a pose is not finite), value and gradients are NaN.
-    The gradients are keyed in probe order: "b" first when b's probe wins.
-    """
-    out, swapped = _gap_scan([_tuple(a), _tuple(b)], g)
-    return _loss_value(out, ("b", "a") if swapped else ("a", "b"), "g")
+    return r * r, ((g_other, g_point) if on_b else (g_point, g_other)), -2.0 * r
 
 
 WALL_RULES = {
@@ -356,7 +319,10 @@ def _against_wall_rule(wall: str, room: Room) -> tuple:
     return axis_i, sign, base, theta_star
 
 
-def _against_wall(boxes: list, _, axis_i: int, sign: float, base: float, theta_star: float):
+def against_wall_loss(boxes: list, _, axis_i: int, sign: float, base: float, theta_star: float):
+    """Flush-to-wall penalty: squared offset from the wall by the footprint's
+    half extent, plus 1 - cos(theta - theta_wall).  The constants are
+    `_against_wall_rule`'s."""
     x, y, theta, half_l, half_w = boxes[0]
     ax, ay, dax, day = half_extents(half_l, half_w, theta)
     half, dhalf = (ax, dax) if axis_i == 0 else (ay, day)
@@ -367,12 +333,6 @@ def _against_wall(boxes: list, _, axis_i: int, sign: float, base: float, theta_s
     g_theta = 2.0 * r * (-sign * dhalf) + math.sin(dth)
     g = (2.0 * r, 0.0, g_theta) if axis_i == 0 else (0.0, 2.0 * r, g_theta)
     return value, (g,), None
-
-
-def against_wall_loss(box: FootprintBox, wall: str, room: Room) -> LossValue:
-    """Flush-to-wall penalty: squared offset from the wall by the footprint's
-    half extent, plus 1 - cos(theta - theta_wall)."""
-    return _loss_value(_against_wall([_tuple(box)], None, *_against_wall_rule(wall, room)), ("box",))
 
 
 _CORNER_SIGNS_XY = {"BL": (1.0, 1.0), "BR": (-1.0, 1.0), "TR": (-1.0, -1.0), "TL": (1.0, -1.0)}
@@ -387,7 +347,10 @@ def _corner_rule(corner_tag: str, wall: str, room: Room) -> tuple:
     return sx, sy, x_base, y_base, WALL_RULES[wall][3]
 
 
-def _corner(boxes: list, _, sx: float, sy: float, x_base: float, y_base: float, theta_star: float):
+def corner_loss(boxes: list, _, sx: float, sy: float, x_base: float, y_base: float, theta_star: float):
+    """Tuck-into-corner penalty: squared offsets from both adjacent walls by
+    the half extents, plus orientation toward the named wall's target angle.
+    The constants are `_corner_rule`'s."""
     x, y, theta, half_l, half_w = boxes[0]
     ax, ay, dax, day = half_extents(half_l, half_w, theta)
     rx = x - (x_base + sx * ax)
@@ -398,13 +361,8 @@ def _corner(boxes: list, _, sx: float, sy: float, x_base: float, y_base: float, 
     return value, (g,), None
 
 
-def corner_loss(box: FootprintBox, corner_tag: str, wall: str, room: Room) -> LossValue:
-    """Tuck-into-corner penalty: squared offsets from both adjacent walls by
-    the half extents, plus orientation toward the named wall's target angle."""
-    return _loss_value(_corner([_tuple(box)], None, *_corner_rule(corner_tag, wall, room)), ("box",))
-
-
-def _facing(boxes: list, _):
+def facing_loss(boxes: list, _):
+    """1 - cosine between a's heading and the direction from a to b."""
     a, b = boxes
     ca, sa = math.cos(a[2]), math.sin(a[2])
     dx, dy = b[0] - a[0], b[1] - a[1]
@@ -420,11 +378,6 @@ def _facing(boxes: list, _):
     return value, ((-gd0, -gd1, -(-sa * dx + ca * dy) / denom), (gd0, gd1, 0.0)), None
 
 
-def facing_loss(a: FootprintBox, b: FootprintBox) -> LossValue:
-    """1 - cosine between a's heading and the direction from a to b."""
-    return _loss_value(_facing([_tuple(a), _tuple(b)], None), ("a", "b"))
-
-
 # Directional side rules: primary axis (0 = target-local x, 1 = y) and the
 # sign sigma such that the hinge reads sigma * coord + r + e <= 0 at zero loss.
 SIDE_RULES = {
@@ -435,7 +388,16 @@ SIDE_RULES = {
 }
 
 
-def _directional(boxes: list, p: float, axis_i: int, sigma: float):
+def directional_loss(boxes: list, p: float, axis_i: int, sigma: float):
+    """Side placement in the target's frame.
+
+    The source center, expressed in the target frame, must clear the shared
+    half extents along the side's axis (squared hinge) and line up on the
+    perpendicular axis at the fraction p between the two touch extremes
+    (absolute deviation).  Sides: left/right along target-local x,
+    behind/front along target-local y; the constants are the side's
+    `SIDE_RULES` entry.
+    """
     src, tgt = boxes
     ct, st = math.cos(tgt[2]), math.sin(tgt[2])
     dx, dy = src[0] - tgt[0], src[1] - tgt[1]
@@ -481,28 +443,11 @@ def _directional(boxes: list, p: float, axis_i: int, sigma: float):
     return value, (gsrc, gtgt), sw * (-2.0) * (ee[other] - rr[other])
 
 
-def directional_loss(src: FootprintBox, tgt: FootprintBox, direction: str, p: float) -> LossValue:
-    """Side placement in the target's frame.
-
-    The source center, expressed in the target frame, must clear the shared
-    half extents along the side's axis (squared hinge) and line up on the
-    perpendicular axis at the fraction p between the two touch extremes
-    (absolute deviation).  Sides: left/right along target-local x,
-    behind/front along target-local y.
-    """
-    out = _directional([_tuple(src), _tuple(tgt)], p, *SIDE_RULES[direction])
-    return _loss_value(out, ("src", "tgt"), "p")
-
-
-def _angle_offset(boxes: list, alpha: float):
+def angle_offset_loss(boxes: list, alpha: float):
+    """1 - cos of the heading difference minus the target offset alpha."""
     d = boxes[0][2] - boxes[1][2] - alpha
     sd = math.sin(d)
     return 1.0 - math.cos(d), ((0.0, 0.0, sd), (0.0, 0.0, -sd)), -sd
-
-
-def angle_offset_loss(a: FootprintBox, b: FootprintBox, alpha: float) -> LossValue:
-    """1 - cos of the heading difference minus the target offset alpha."""
-    return _loss_value(_angle_offset([_tuple(a), _tuple(b)], alpha), ("a", "b"), "alpha")
 
 
 def _placement_rule(axis: str, room: Room, margin: float) -> tuple:
@@ -511,7 +456,9 @@ def _placement_rule(axis: str, room: Room, margin: float) -> tuple:
     return axis_i, margin * (room.length if axis_i == 0 else room.width)
 
 
-def _placement(boxes: list, target: float, axis_i: int, slack: float):
+def placement_loss(boxes: list, target: float, axis_i: int, slack: float):
+    """Squared hinge on the center coordinate's deviation beyond margin*span.
+    The constants are `_placement_rule`'s."""
     dev = boxes[0][axis_i] - target
     hinge = max(abs(dev) - slack, 0.0)
     sd = math.copysign(1.0, dev) if dev != 0.0 else 0.0
@@ -520,15 +467,18 @@ def _placement(boxes: list, target: float, axis_i: int, slack: float):
     return hinge * hinge, (g,), -2.0 * hinge * sd
 
 
-def placement_loss(box: FootprintBox, axis: str, target: float, room: Room, margin: float) -> LossValue:
-    """Squared hinge on the center coordinate's deviation beyond margin*span."""
-    out = _placement([_tuple(box)], target, *_placement_rule(axis, room, margin))
-    return _loss_value(out, ("box",), "target")
+def around_loss(boxes: list, _, sweep: float, center: float):
+    """Even angular spread around a focal object plus a circular-mean
+    orientation target.
 
-
-def _around(boxes: list, _, sweep: float, center: float):
-    """The sources then the focal; the parameter gradient is (d/d sweep,
-    d/d center).  The reductions stay numpy's, and so their summation order."""
+    Directions to the sources, measured in the focal frame, are sorted; the
+    consecutive gaps should all equal sweep/(N-1).  Source headings relative
+    to the focal should average (in the embedded sin/cos sense) to the mean
+    resultant of N headings evenly spread over the sweep centered at `center`.
+    The boxes are the sources then the focal; the parameter gradient is
+    (d/d sweep, d/d center).  The reductions stay numpy's, and so their
+    summation order.
+    """
     *sources, focal = boxes
     n = len(sources)
     if n < 2:
@@ -598,23 +548,6 @@ def _around(boxes: list, _, sweep: float, center: float):
     return term1 + term2, grads, (d_term1_dsweep + d_term2_dsweep, d_term2_dcenter)
 
 
-def around_loss(sources: list, focal: FootprintBox, sweep: float, center: float) -> LossValue:
-    """Even angular spread around a focal object plus a circular-mean
-    orientation target.
-
-    Directions to the sources, measured in the focal frame, are sorted; the
-    consecutive gaps should all equal sweep/(N-1).  Source headings relative
-    to the focal should average (in the embedded sin/cos sense) to the mean
-    resultant of N headings evenly spread over the sweep centered at `center`.
-    """
-    value, grads, (d_sweep, d_center) = _around([*map(_tuple, sources), _tuple(focal)], None, sweep, center)
-    g_sources = np.array(grads[:-1]).reshape(-1, 3)
-    return LossValue(
-        value,
-        {"sources": g_sources, "focal": np.array(grads[-1]), "sweep": d_sweep, "center": d_center},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Relation terms and the relation plan
 # ---------------------------------------------------------------------------
@@ -624,14 +557,14 @@ def _kernel(rel: Relation, params: dict, room: Room) -> tuple:
     """Kernel name and constants of a relation other than around."""
     kind = rel.kind
     if kind == "against_wall":
-        return "_against_wall", _against_wall_rule(rel.target.removeprefix("wall:"), room)
+        return "against_wall_loss", _against_wall_rule(rel.target.removeprefix("wall:"), room)
     if kind == "corner":
-        return "_corner", _corner_rule(rel.target.removeprefix("corner:"), params["wall"], room)
+        return "corner_loss", _corner_rule(rel.target.removeprefix("corner:"), params["wall"], room)
     if kind in ("h_place", "v_place"):
-        return "_placement", _placement_rule("x" if kind == "h_place" else "y", room, params["margin"])
+        return "placement_loss", _placement_rule("x" if kind == "h_place" else "y", room, params["margin"])
     if kind in DIRECTIONAL_KINDS:
-        return "_directional", SIDE_RULES[kind]
-    return f"_{kind}", ()
+        return "directional_loss", SIDE_RULES[kind]
+    return f"{kind}_loss", ()
 
 
 @dataclass
@@ -720,7 +653,7 @@ def _relation_plan(spec: SceneSpec, pose: dict, param: dict) -> dict:
         label = f"relations[{members[0]}]"
         if group is not None:
             ends = tuple(relations[i].source for i in members) + (rel.target,)
-            kernel, consts = "_around", (rel.params["sweep"], rel.params["center"])
+            kernel, consts = "around_loss", (rel.params["sweep"], rel.params["center"])
             shared = value = None
         else:
             params = relation_params(rel)
@@ -838,17 +771,17 @@ def _aggregate(block: Block, x, weights: Weights, room: Room) -> LossValue:
     boundary_total, wb = 0.0, weights.boundary
     if block.unit is None and wb != 0.0:
         for k, box in enumerate(boxes):
-            value, ((g0, g1, g2),), _ = _boundary(box, room.length, room.width)
+            value, ((g0, g1, g2),), _ = boundary_loss(box, room)
             boundary_total += value
             add(k, g0, g1, g2, wb)
 
     collision_total, wc = 0.0, weights.collision
     if wc != 0.0:
         for a, b in _proxy_pairs(boxes):
-            lv = collision_loss(boxes[a], boxes[b])
-            collision_total += lv.value
-            add(a, *lv.grads["a"].tolist(), wc)
-            add(b, *lv.grads["b"].tolist(), wc)
+            value, (ga, gb), _ = collision_loss(boxes[a], boxes[b])
+            collision_total += value
+            add(a, *ga, wc)
+            add(b, *gb, wc)
 
     relation_total, wr = 0.0, weights.relation
     if wr != 0.0:

@@ -82,8 +82,7 @@ class Interval:
 class FootprintBox:
     """Rectangle footprint: pose plus half sizes along the local axes.
 
-    half_l spans local +x/-x, half_w spans local +y/-y.  A NaN half size
-    (a stand-in box of non-finite poses) passes, so its losses turn NaN.
+    half_l spans local +x/-x, half_w spans local +y/-y.
     """
 
     pose: Pose2D

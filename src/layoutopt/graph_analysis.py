@@ -58,13 +58,15 @@ def build_graph(spec: SceneSpec) -> RelationGraph:
     return RelationGraph.from_edges(nodes, edges)
 
 
-def _hops_from(g: RelationGraph, start: str) -> dict:
+def _hops_from(g: RelationGraph, start: str, blocked: str | None = None) -> dict:
+    """Hop counts of the nodes reachable from `start`, never entering
+    `blocked`."""
     dist = {start: 0}
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for v in g.adjacency[u]:
-            if v not in dist:
+            if v != blocked and v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
@@ -85,15 +87,7 @@ def path_cost(g: RelationGraph, u: str, v: str) -> int:
 
 def anchor_is_cut(g: RelationGraph, anchor: str, members) -> bool:
     """True when every root-to-member path passes through the anchor."""
-    dist = {ROOT: 0}
-    queue = deque([ROOT])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if v == anchor or v in dist:
-                continue
-            dist[v] = dist[u] + 1
-            queue.append(v)
+    dist = _hops_from(g, ROOT, blocked=anchor)
     return not any(m in dist for m in members)
 
 

@@ -113,23 +113,23 @@ def _apply_term(board: _Board, term: Term):
     """Pin whatever coordinates this term's zero-loss geometry dictates."""
     kernel, consts, value = term.kernel, term.consts, term.value
     src = term.ends[0]
-    if kernel == "_placement":
+    if kernel == "placement_loss":
         board.pin(src, consts[0], value)
         return
-    if kernel == "_against_wall":
+    if kernel == "against_wall_loss":
         axis_i, sign, base, theta_star = consts
         board.pin(src, 2, theta_star)
         ext = board.half_extents(src, theta_star)
         board.pin(src, axis_i, base + sign * ext[axis_i])
         return
-    if kernel == "_corner":
+    if kernel == "corner_loss":
         sx, sy, x_base, y_base, theta_star = consts
         board.pin(src, 2, theta_star)
         ext = board.half_extents(src, theta_star)
         board.pin(src, 0, x_base + sx * ext[0])
         board.pin(src, 1, y_base + sy * ext[1])
         return
-    if kernel == "_around":
+    if kernel == "around_loss":
         _apply_around_group(board, term)
         return
 
@@ -137,12 +137,12 @@ def _apply_term(board: _Board, term: Term):
     tx, ty = board.center(tgt)
     t_theta = board.theta(tgt)
 
-    if kernel == "_distance":
+    if kernel == "distance_loss":
         ang = board.next_direction(tgt, _DISTANCE_CYCLE)
         board.pin(src, 0, tx + value * math.cos(ang))
         board.pin(src, 1, ty + value * math.sin(ang))
         return
-    if kernel == "_gap":
+    if kernel == "gap_loss":
         ang = board.next_direction(tgt, _GAP_CYCLE)
         axis_i = 0 if abs(math.cos(ang)) > 0.5 else 1
         sign = 1.0 if (math.cos(ang) if axis_i == 0 else math.sin(ang)) >= 0.0 else -1.0
@@ -151,7 +151,7 @@ def _apply_term(board: _Board, term: Term):
         board.pin(src, axis_i, cand)
         board.pin(src, 1 - axis_i, (ty, tx)[axis_i])
         return
-    if kernel == "_directional":
+    if kernel == "directional_loss":
         # Place at the hinge threshold plus clearance, aligned at fraction p:
         # the zero-loss side is opposite the hinge sign sigma.
         axis_i, sigma = consts
@@ -166,13 +166,13 @@ def _apply_term(board: _Board, term: Term):
         board.pin(src, 0, tx + ct * local[0] - st * local[1])
         board.pin(src, 1, ty + st * local[0] + ct * local[1])
         return
-    if kernel == "_facing":
+    if kernel == "facing_loss":
         sx, sy = board.center(src)
         dx, dy = tx - sx, ty - sy
         if math.hypot(dx, dy) > 1e-9:
             board.pin(src, 2, math.atan2(dy, dx))
         return
-    if kernel == "_angle_offset":
+    if kernel == "angle_offset_loss":
         board.pin(src, 2, normalize_angle(t_theta + value))
         return
     raise ValueError(f"unhandled relation kernel {kernel!r}")

@@ -677,4 +677,6 @@ def parse_layout(text: str) -> Layout:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SceneSyntaxError(f"pose of {aid!r} needs x, y, z, theta") from exc
+        if not all(map(math.isfinite, poses[aid])):
+            raise SceneSyntaxError(f"pose of {aid!r} must be finite")
     return Layout(poses)

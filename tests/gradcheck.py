@@ -13,6 +13,11 @@ import math
 import numpy as np
 
 from layoutopt.constraints import (
+    SIDE_RULES,
+    LossValue,
+    _against_wall_rule,
+    _corner_rule,
+    _placement_rule,
     angle_offset_loss,
     against_wall_loss,
     around_loss,
@@ -36,6 +41,35 @@ from layoutopt.scene_model import Room
 
 def box_from_array(arr, half_l: float, half_w: float) -> FootprintBox:
     return FootprintBox(Pose2D(float(arr[0]), float(arr[1]), float(arr[2])), half_l, half_w)
+
+
+def kernel_box(box: FootprintBox) -> tuple:
+    """A footprint as the kernels take it, (x, y, theta, half_l, half_w)."""
+    return (box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w)
+
+
+def kbox(arr, half_l: float, half_w: float) -> tuple:
+    return kernel_box(box_from_array(arr, half_l, half_w))
+
+
+def keyed(out: tuple, slots: tuple, param_slot: str | None = None) -> LossValue:
+    """A kernel's (value, grads, parameter gradient) keyed by slot name: the
+    gradient at each box position under its slot, then the parameter's."""
+    value, grads, param_grad = out
+    lv = LossValue(value, {slot: np.array(g) for slot, g in zip(slots, grads)})
+    if param_slot is not None:
+        lv.grads[param_slot] = param_grad
+    return lv
+
+
+def keyed_around(out: tuple) -> LossValue:
+    """`around_loss`'s result keyed as "sources" (one row per source),
+    "focal", "sweep" and "center"."""
+    value, grads, (d_sweep, d_center) = out
+    g_sources = np.array(grads[:-1]).reshape(-1, 3)
+    return LossValue(
+        value, {"sources": g_sources, "focal": np.array(grads[-1]), "sweep": d_sweep, "center": d_center}
+    )
 
 
 H = 1e-5
@@ -133,11 +167,9 @@ def sample_collision(rng):
             continue
 
         def value_fn(s):
-            return collision_loss(
-                box_from_array(s["a"], hl_a, hw_a), box_from_array(s["b"], hl_b, hw_b)
-            ).value
+            return collision_loss(kbox(s["a"], hl_a, hw_a), kbox(s["b"], hl_b, hw_b)).value
 
-        lv = collision_loss(box_a, box_b)
+        lv = keyed(collision_loss(kernel_box(box_a), kernel_box(box_b)), ("a", "b"))
         return value_fn, {"a": a, "b": b}, lv.grads
 
 
@@ -160,9 +192,9 @@ def sample_boundary(rng):
             continue
 
         def value_fn(s):
-            return boundary_loss(box_from_array(s["box"], hl, hw), ROOM).value
+            return boundary_loss(kbox(s["box"], hl, hw), ROOM)[0]
 
-        lv = boundary_loss(box, ROOM)
+        lv = keyed(boundary_loss(kernel_box(box), ROOM), ("box",))
         return value_fn, {"box": p}, lv.grads
 
 
@@ -175,13 +207,9 @@ def sample_distance(rng):
             continue
 
         def value_fn(s):
-            return distance_loss(
-                box_from_array(s["a"], hl_a, hw_a),
-                box_from_array(s["b"], hl_b, hw_b),
-                s["d"],
-            ).value
+            return distance_loss([kbox(s["a"], hl_a, hw_a), kbox(s["b"], hl_b, hw_b)], s["d"])[0]
 
-        lv = distance_loss(box_from_array(a, hl_a, hw_a), box_from_array(b, hl_b, hw_b), d_star)
+        lv = keyed(distance_loss([kbox(a, hl_a, hw_a), kbox(b, hl_b, hw_b)], d_star), ("a", "b"), "d")
         return value_fn, {"a": a, "b": b, "d": d_star}, lv.grads
 
 
@@ -206,13 +234,9 @@ def sample_gap(rng):
             continue
 
         def value_fn(s):
-            return gap_loss(
-                box_from_array(s["a"], hl_a, hw_a),
-                box_from_array(s["b"], hl_b, hw_b),
-                s["g"],
-            ).value
+            return gap_loss([kbox(s["a"], hl_a, hw_a), kbox(s["b"], hl_b, hw_b)], s["g"])[0]
 
-        lv = gap_loss(box_a, box_b, g)
+        lv = keyed(gap_loss([kernel_box(box_a), kernel_box(box_b)], g), ("a", "b"), "g")
         return value_fn, {"a": a, "b": b, "g": g}, lv.grads
 
 
@@ -225,10 +249,12 @@ def sample_against_wall(rng):
         if not _theta_regular(p[2]):
             continue
 
-        def value_fn(s):
-            return against_wall_loss(box_from_array(s["box"], hl, hw), wall, ROOM).value
+        rule = _against_wall_rule(wall, ROOM)
 
-        lv = against_wall_loss(box_from_array(p, hl, hw), wall, ROOM)
+        def value_fn(s):
+            return against_wall_loss([kbox(s["box"], hl, hw)], None, *rule)[0]
+
+        lv = keyed(against_wall_loss([kbox(p, hl, hw)], None, *rule), ("box",))
         return value_fn, {"box": p}, lv.grads
 
 
@@ -244,10 +270,12 @@ def sample_corner(rng):
         if not _theta_regular(p[2]):
             continue
 
-        def value_fn(s):
-            return corner_loss(box_from_array(s["box"], hl, hw), tag, wall, ROOM).value
+        rule = _corner_rule(tag, wall, ROOM)
 
-        lv = corner_loss(box_from_array(p, hl, hw), tag, wall, ROOM)
+        def value_fn(s):
+            return corner_loss([kbox(s["box"], hl, hw)], None, *rule)[0]
+
+        lv = keyed(corner_loss([kbox(p, hl, hw)], None, *rule), ("box",))
         return value_fn, {"box": p}, lv.grads
 
 
@@ -259,11 +287,9 @@ def sample_facing(rng):
             continue
 
         def value_fn(s):
-            return facing_loss(
-                box_from_array(s["a"], hl_a, hw_a), box_from_array(s["b"], hl_b, hw_b)
-            ).value
+            return facing_loss([kbox(s["a"], hl_a, hw_a), kbox(s["b"], hl_b, hw_b)], None)[0]
 
-        lv = facing_loss(box_from_array(a, hl_a, hw_a), box_from_array(b, hl_b, hw_b))
+        lv = keyed(facing_loss([kbox(a, hl_a, hw_a), kbox(b, hl_b, hw_b)], None), ("a", "b"))
         return value_fn, {"a": a, "b": b}, lv.grads
 
 
@@ -293,18 +319,13 @@ def sample_directional(rng):
         if abs(z) < KINK_MARGIN or abs(w) < KINK_MARGIN:
             continue
 
-        def value_fn(s):
-            return directional_loss(
-                box_from_array(s["src"], hl_s, hw_s),
-                box_from_array(s["tgt"], hl_t, hw_t),
-                direction,
-                s["p"],
-            ).value
+        rule = SIDE_RULES[direction]
 
-        lv = directional_loss(
-            box_from_array(src, hl_s, hw_s), box_from_array(tgt, hl_t, hw_t), direction, p
-        )
-        return value_fn, {"src": src, "tgt": tgt, "p": p}, lv.grads
+        def value_fn(s):
+            return directional_loss([kbox(s["src"], hl_s, hw_s), kbox(s["tgt"], hl_t, hw_t)], s["p"], *rule)[0]
+
+        out = directional_loss([kbox(src, hl_s, hw_s), kbox(tgt, hl_t, hw_t)], p, *rule)
+        return value_fn, {"src": src, "tgt": tgt, "p": p}, keyed(out, ("src", "tgt"), "p").grads
 
 
 def sample_angle_offset(rng):
@@ -313,13 +334,9 @@ def sample_angle_offset(rng):
     alpha = float(rng.uniform(-math.pi, math.pi))
 
     def value_fn(s):
-        return angle_offset_loss(
-            box_from_array(s["a"], hl_a, hw_a),
-            box_from_array(s["b"], hl_b, hw_b),
-            s["alpha"],
-        ).value
+        return angle_offset_loss([kbox(s["a"], hl_a, hw_a), kbox(s["b"], hl_b, hw_b)], s["alpha"])[0]
 
-    lv = angle_offset_loss(box_from_array(a, hl_a, hw_a), box_from_array(b, hl_b, hw_b), alpha)
+    lv = keyed(angle_offset_loss([kbox(a, hl_a, hw_a), kbox(b, hl_b, hw_b)], alpha), ("a", "b"), "alpha")
     return value_fn, {"a": a, "b": b, "alpha": alpha}, lv.grads
 
 
@@ -336,12 +353,12 @@ def sample_placement(rng):
         if abs(dev) < KINK_MARGIN or abs(abs(dev) - margin * span) < KINK_MARGIN:
             continue
 
-        def value_fn(s):
-            return placement_loss(
-                box_from_array(s["box"], hl, hw), axis, s["target"], ROOM, margin
-            ).value
+        rule = _placement_rule(axis, ROOM, margin)
 
-        lv = placement_loss(box_from_array(p, hl, hw), axis, target, ROOM, margin)
+        def value_fn(s):
+            return placement_loss([kbox(s["box"], hl, hw)], s["target"], *rule)[0]
+
+        lv = keyed(placement_loss([kbox(p, hl, hw)], target, *rule), ("box",), "target")
         return value_fn, {"box": p, "target": target}, lv.grads
 
 
@@ -375,18 +392,15 @@ def sample_around(rng):
             continue
 
         def build(s):
-            return (
-                [box_from_array(s["sources"][i], halves[i][0], halves[i][1]) for i in range(n)],
-                box_from_array(s["focal"], f_hl, f_hw),
-            )
+            return [kbox(s["sources"][i], halves[i][0], halves[i][1]) for i in range(n)] + [
+                kbox(s["focal"], f_hl, f_hw)
+            ]
 
         def value_fn(s):
-            boxes, fb = build(s)
-            return around_loss(boxes, fb, s["sweep"], s["center"]).value
+            return around_loss(build(s), None, s["sweep"], s["center"])[0]
 
         slots = {"sources": sources, "focal": focal, "sweep": sweep, "center": center}
-        boxes, fb = build(slots)
-        lv = around_loss(boxes, fb, sweep, center)
+        lv = keyed_around(around_loss(build(slots), None, sweep, center))
         return value_fn, slots, lv.grads
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from layoutopt.constraints import (
     WALL_RULES,
     LossValue,
     Weights,
+    _against_wall_rule,
     _block_boxes,
+    _corner_rule,
     _local_sdf,
     _local_sdf_grad,
     aggregate_global,
@@ -31,6 +34,7 @@ from layoutopt.constraints import (
     distance_loss,
     facing_loss,
     gap_loss,
+    _placement_rule,
     param_index,
     placement_loss,
     relation_penalties,
@@ -51,18 +55,13 @@ from layoutopt.imagination import imagine_and_revise
 from layoutopt.optimizer import OptimizerConfig, evaluate, init_state
 from layoutopt.scene_model import SHARED_PARAM_SLOTS, Room, parse_scene
 
-from gradcheck import OP_SAMPLERS, assert_grads_close, fd_slots, run_op_fd
+from gradcheck import OP_SAMPLERS, assert_grads_close, fd_slots, kernel_box, keyed, keyed_around, run_op_fd
 
 RNG_SEED = 915
 
 
 def box(x, y, theta, hl, hw) -> FootprintBox:
     return FootprintBox(Pose2D(x, y, theta), hl, hw)
-
-
-def as_tuple(b: FootprintBox) -> tuple:
-    """The kernel form of a footprint, (x, y, theta, half_l, half_w)."""
-    return (b.pose.x, b.pose.y, b.pose.theta, b.half_l, b.half_w)
 
 
 def random_box(rng, span=2.0) -> FootprintBox:
@@ -79,23 +78,24 @@ def random_box(rng, span=2.0) -> FootprintBox:
 
 
 def test_collision_frozen_values():
-    a = box(0.0, 0.0, 0.0, 0.5, 0.5)
-    b = box(0.5, 0.0, 0.0, 0.5, 0.5)
+    a = (0.0, 0.0, 0.0, 0.5, 0.5)
+    b = (0.5, 0.0, 0.0, 0.5, 0.5)
     # inter 0.5, union 1.5, rho 0.5, d^2 0.25, span diag^2 1.5^2 + 1 = 3.25.
     lv = collision_loss(a, b)
     assert lv.value == pytest.approx(1.0 / 3.0 - (0.25 / 3.25) * 0.5, abs=1e-12)
     same = collision_loss(a, a)
     assert same.value == pytest.approx(1.0, abs=1e-12)  # IoU 1, d 0
-    apart = collision_loss(a, box(3.0, 0.0, 0.0, 0.5, 0.5))
+    apart = collision_loss(a, (3.0, 0.0, 0.0, 0.5, 0.5))
     assert apart.value == 0.0
-    assert np.all(apart.grads["a"] == 0.0) and np.all(apart.grads["b"] == 0.0)
+    ga, gb = apart.grads
+    assert np.all(np.array(ga) == 0.0) and np.all(np.array(gb) == 0.0)
 
 
 def test_collision_zero_iff_disjoint_and_bounded():
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(400):
         a, b = random_box(rng), random_box(rng)
-        lv = collision_loss(a, b)
+        lv = collision_loss(kernel_box(a), kernel_box(b))
         assert lv.value >= -1.0
         if collide_proxy(a, b):
             assert lv.value != 0.0
@@ -107,20 +107,20 @@ def test_collision_symmetry():
     rng = np.random.default_rng(RNG_SEED + 1)
     for _ in range(100):
         a, b = random_box(rng), random_box(rng)
-        ab = collision_loss(a, b)
-        ba = collision_loss(b, a)
+        ab = collision_loss(kernel_box(a), kernel_box(b))
+        ba = collision_loss(kernel_box(b), kernel_box(a))
         assert ab.value == pytest.approx(ba.value, abs=1e-12)
-        assert np.allclose(ab.grads["a"], ba.grads["b"], atol=1e-12)
-        assert np.allclose(ab.grads["b"], ba.grads["a"], atol=1e-12)
+        assert np.allclose(ab.grads[0], ba.grads[1], atol=1e-12)
+        assert np.allclose(ab.grads[1], ba.grads[0], atol=1e-12)
 
 
 def test_boundary_frozen_value():
     room = Room(10.0, 10.0, 3.0)
-    lv = boundary_loss(box(0.0, 1.0, 0.0, 0.5, 0.5), room)
+    value, (g,), _ = boundary_loss((0.0, 1.0, 0.0, 0.5, 0.5), room)
     # Two corners poke out of the left wall by 0.5 each.
-    assert lv.value == pytest.approx(1.0, abs=1e-12)
-    assert lv.grads["box"][0] == pytest.approx(-2.0, abs=1e-12)
-    assert lv.grads["box"][1] == 0.0
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert g[0] == pytest.approx(-2.0, abs=1e-12)
+    assert g[1] == 0.0
 
 
 def test_boundary_zero_iff_inside():
@@ -139,27 +139,27 @@ def test_boundary_zero_iff_inside():
             and (cs[:, 1] >= 0).all()
             and (cs[:, 1] <= room.width).all()
         )
-        lv = boundary_loss(b, room)
-        assert (lv.value == 0.0) == inside
-        assert lv.value >= 0.0
+        value, _, _ = boundary_loss(kernel_box(b), room)
+        assert (value == 0.0) == inside
+        assert value >= 0.0
 
 
 def test_distance_frozen_value():
-    a = box(0.0, 0.0, 0.3, 0.5, 0.5)
-    b = box(3.0, 4.0, -0.7, 0.5, 0.5)
-    lv = distance_loss(a, b, 2.0)
-    assert lv.value == pytest.approx(9.0, abs=1e-12)
-    assert np.allclose(lv.grads["a"][:2], [-3.6, -4.8], atol=1e-12)
-    assert np.allclose(lv.grads["b"][:2], [3.6, 4.8], atol=1e-12)
-    assert lv.grads["a"][2] == 0.0
-    assert lv.grads["d"] == pytest.approx(-6.0, abs=1e-12)
+    a = (0.0, 0.0, 0.3, 0.5, 0.5)
+    b = (3.0, 4.0, -0.7, 0.5, 0.5)
+    value, (ga, gb), gd = distance_loss([a, b], 2.0)
+    assert value == pytest.approx(9.0, abs=1e-12)
+    assert np.allclose(ga[:2], [-3.6, -4.8], atol=1e-12)
+    assert np.allclose(gb[:2], [3.6, 4.8], atol=1e-12)
+    assert ga[2] == 0.0
+    assert gd == pytest.approx(-6.0, abs=1e-12)
 
 
 def test_distance_zero_radius_is_regular():
-    a = box(1.0, 1.0, 0.0, 0.5, 0.5)
-    lv = distance_loss(a, box(1.0, 1.0, 0.4, 0.3, 0.3), 0.7)
-    assert lv.value == pytest.approx(0.49, abs=1e-12)
-    assert np.all(lv.grads["a"] == 0.0)
+    a = (1.0, 1.0, 0.0, 0.5, 0.5)
+    value, (ga, _), _ = distance_loss([a, (1.0, 1.0, 0.4, 0.3, 0.3)], 0.7)
+    assert value == pytest.approx(0.49, abs=1e-12)
+    assert np.all(np.array(ga) == 0.0)
 
 
 def test_gap_matches_min_boundary_distance():
@@ -168,96 +168,100 @@ def test_gap_matches_min_boundary_distance():
     while count < 100:
         a, b = random_box(rng), random_box(rng)
         g = rng.uniform(0.0, 1.0)
-        lv = gap_loss(a, b, float(g))
+        value, _, _ = gap_loss([kernel_box(a), kernel_box(b)], float(g))
         expect = (min_boundary_distance(a, b) - g) ** 2
-        assert lv.value == pytest.approx(expect, abs=1e-9)
+        assert value == pytest.approx(expect, abs=1e-9)
         count += 1
 
 
 def test_against_wall_frozen_value():
     room = Room(5.0, 4.0, 3.0)
-    lv = against_wall_loss(box(0.7, 2.0, 0.0, 0.5, 0.5), "L", room)
-    assert lv.value == pytest.approx(0.04, abs=1e-12)
+    left, right = _against_wall_rule("L", room), _against_wall_rule("R", room)
+    value, _, _ = against_wall_loss([(0.7, 2.0, 0.0, 0.5, 0.5)], None, *left)
+    assert value == pytest.approx(0.04, abs=1e-12)
     # Flush and aligned: zero.
-    lv0 = against_wall_loss(box(0.5, 2.0, 0.0, 0.5, 0.5), "L", room)
-    assert lv0.value == pytest.approx(0.0, abs=1e-12)
+    value0, _, _ = against_wall_loss([(0.5, 2.0, 0.0, 0.5, 0.5)], None, *left)
+    assert value0 == pytest.approx(0.0, abs=1e-12)
     # Right wall wants theta = pi.
-    lvr = against_wall_loss(box(4.5, 2.0, math.pi, 0.5, 0.5), "R", room)
-    assert lvr.value == pytest.approx(0.0, abs=1e-12)
+    value_r, _, _ = against_wall_loss([(4.5, 2.0, math.pi, 0.5, 0.5)], None, *right)
+    assert value_r == pytest.approx(0.0, abs=1e-12)
 
 
 def test_corner_frozen_values():
     room = Room(5.0, 4.0, 3.0)
     # Target for halves (0.5, 0.3) at theta 0 in corner BL is (0.5, 0.3).
-    lv = corner_loss(box(0.6, 0.5, 0.0, 0.5, 0.3), "BL", "L", room)
-    assert lv.value == pytest.approx(0.05, abs=1e-12)
+    rule = _corner_rule("BL", "L", room)
+    value, _, _ = corner_loss([(0.6, 0.5, 0.0, 0.5, 0.3)], None, *rule)
+    assert value == pytest.approx(0.05, abs=1e-12)
     # Same displacement with orientation off by pi/2 (extents swap).
-    lv2 = corner_loss(box(0.4, 0.7, 0.5 * math.pi, 0.5, 0.3), "BL", "L", room)
-    assert lv2.value == pytest.approx(1.05, abs=1e-12)
+    value2, _, _ = corner_loss([(0.4, 0.7, 0.5 * math.pi, 0.5, 0.3)], None, *rule)
+    assert value2 == pytest.approx(1.05, abs=1e-12)
 
 
 def test_facing_behavior():
-    a = box(0.0, 0.0, 0.0, 0.5, 0.5)
-    b = box(2.0, 0.0, 0.0, 0.5, 0.5)
-    assert facing_loss(a, b).value == pytest.approx(0.0, abs=1e-8)
-    away = box(0.0, 0.0, math.pi, 0.5, 0.5)
-    assert facing_loss(away, b).value == pytest.approx(2.0, abs=1e-8)
+    a = (0.0, 0.0, 0.0, 0.5, 0.5)
+    b = (2.0, 0.0, 0.0, 0.5, 0.5)
+    assert facing_loss([a, b], None)[0] == pytest.approx(0.0, abs=1e-8)
+    away = (0.0, 0.0, math.pi, 0.5, 0.5)
+    assert facing_loss([away, b], None)[0] == pytest.approx(2.0, abs=1e-8)
     rng = np.random.default_rng(RNG_SEED + 4)
     for _ in range(200):
         u, v = random_box(rng), random_box(rng)
-        val = facing_loss(u, v).value
+        val = facing_loss([kernel_box(u), kernel_box(v)], None)[0]
         assert -1e-12 <= val <= 2.0 + 1e-12
 
 
 def test_directional_frozen_values():
-    tgt = box(0.0, 0.0, 0.0, 0.5, 0.5)
-    src_same = box(0.0, 0.0, 0.0, 0.5, 0.5)
-    lv = directional_loss(src_same, tgt, "left_of", 0.5)
-    assert lv.value == pytest.approx(1.0, abs=1e-12)  # hinge (0+0.5+0.5)^2
+    left = SIDE_RULES["left_of"]
+    tgt = (0.0, 0.0, 0.0, 0.5, 0.5)
+    src_same = (0.0, 0.0, 0.0, 0.5, 0.5)
+    value, _, _ = directional_loss([src_same, tgt], 0.5, *left)
+    assert value == pytest.approx(1.0, abs=1e-12)  # hinge (0+0.5+0.5)^2
     # Canonical zero: just clear of the left edge, centered.
-    src_zero = box(-1.1, 0.0, 0.0, 0.25, 0.25)
-    tgt2 = box(0.0, 0.0, 0.0, 0.5, 0.5)
-    lv0 = directional_loss(src_zero, tgt2, "left_of", 0.5)
-    assert lv0.value == pytest.approx(0.0, abs=1e-12)
+    src_zero = (-1.1, 0.0, 0.0, 0.25, 0.25)
+    tgt2 = (0.0, 0.0, 0.0, 0.5, 0.5)
+    value0, _, _ = directional_loss([src_zero, tgt2], 0.5, *left)
+    assert value0 == pytest.approx(0.0, abs=1e-12)
     # Rotating the frame moves the side with the target: its local -x now
     # points along world -y.
-    shifted = directional_loss(
-        box(1.0, -1.1, 0.5 * math.pi, 0.25, 0.25),
-        box(1.0, 0.0, 0.5 * math.pi, 0.5, 0.5),
-        "left_of",
+    shifted, _, _ = directional_loss(
+        [(1.0, -1.1, 0.5 * math.pi, 0.25, 0.25), (1.0, 0.0, 0.5 * math.pi, 0.5, 0.5)],
         0.5,
+        *left,
     )
-    assert shifted.value == pytest.approx(0.0, abs=1e-9)
+    assert shifted == pytest.approx(0.0, abs=1e-9)
 
 
 def test_directional_alignment_fraction():
     # p = 1 pins the source at the +other-axis extreme: ybar = e_y - r_y.
-    tgt = box(0.0, 0.0, 0.0, 0.5, 0.5)
-    src = box(-1.0, 0.25, 0.0, 0.25, 0.25)
-    lv = directional_loss(src, tgt, "left_of", 1.0)
-    assert lv.value == pytest.approx(0.0, abs=1e-12)
-    lv2 = directional_loss(src, tgt, "left_of", 0.0)
-    assert lv2.value == pytest.approx(0.5, abs=1e-12)  # |0.25 - (-0.25)|
+    left = SIDE_RULES["left_of"]
+    tgt = (0.0, 0.0, 0.0, 0.5, 0.5)
+    src = (-1.0, 0.25, 0.0, 0.25, 0.25)
+    value, _, _ = directional_loss([src, tgt], 1.0, *left)
+    assert value == pytest.approx(0.0, abs=1e-12)
+    value2, _, _ = directional_loss([src, tgt], 0.0, *left)
+    assert value2 == pytest.approx(0.5, abs=1e-12)  # |0.25 - (-0.25)|
 
 
 def test_angle_offset_periodic():
-    a = box(0.0, 0.0, 0.3, 0.5, 0.5)
-    b = box(1.0, 0.0, 0.1, 0.5, 0.5)
-    lv = angle_offset_loss(a, b, 0.05)
-    assert lv.value == pytest.approx(1.0 - math.cos(0.15), abs=1e-12)
-    shifted = angle_offset_loss(box(0.0, 0.0, 0.3 + 2 * math.pi, 0.5, 0.5), b, 0.05)
-    assert shifted.value == pytest.approx(lv.value, abs=1e-9)
+    a = (0.0, 0.0, 0.3, 0.5, 0.5)
+    b = (1.0, 0.0, 0.1, 0.5, 0.5)
+    value, _, _ = angle_offset_loss([a, b], 0.05)
+    assert value == pytest.approx(1.0 - math.cos(0.15), abs=1e-12)
+    shifted, _, _ = angle_offset_loss([(0.0, 0.0, 0.3 + 2 * math.pi, 0.5, 0.5), b], 0.05)
+    assert shifted == pytest.approx(value, abs=1e-9)
 
 
 def test_placement_frozen_values():
     room = Room(10.0, 8.0, 3.0)
-    lv = placement_loss(box(3.0, 1.0, 0.2, 0.5, 0.5), "x", 2.0, room, 0.0)
-    assert lv.value == pytest.approx(1.0, abs=1e-12)
-    assert lv.grads["box"][0] == pytest.approx(2.0, abs=1e-12)
-    assert lv.grads["target"] == pytest.approx(-2.0, abs=1e-12)
+    b = (3.0, 1.0, 0.2, 0.5, 0.5)
+    value, (g,), g_target = placement_loss([b], 2.0, *_placement_rule("x", room, 0.0))
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert g[0] == pytest.approx(2.0, abs=1e-12)
+    assert g_target == pytest.approx(-2.0, abs=1e-12)
     # Inside the slack band the loss vanishes.
-    lv2 = placement_loss(box(3.0, 1.0, 0.2, 0.5, 0.5), "x", 2.0, room, 0.2)
-    assert lv2.value == 0.0
+    value2, _, _ = placement_loss([b], 2.0, *_placement_rule("x", room, 0.2))
+    assert value2 == 0.0
 
 
 def _around_zero_config(n, sweep, center, focal_pose):
@@ -283,8 +287,8 @@ def test_around_zero_at_even_spread():
     # resultant used as the target.
     for n in (2, 3, 5, 8):
         sources, focal = _around_zero_config(n, 2.0, 0.3, Pose2D(1.0, 0.5, 0.4))
-        lv = around_loss(sources, focal, 2.0, 0.3)
-        assert lv.value == pytest.approx(0.0, abs=1e-10), n
+        value, _, _ = around_loss([*map(kernel_box, sources), kernel_box(focal)], None, 2.0, 0.3)
+        assert value == pytest.approx(0.0, abs=1e-10), n
 
 
 def test_around_detects_uneven_spread():
@@ -293,13 +297,13 @@ def test_around_detects_uneven_spread():
     bad = list(sources)
     p = bad[1].pose
     bad[1] = FootprintBox(Pose2D(p.x, p.y + 0.4, p.theta), 0.2, 0.2)
-    assert around_loss(bad, focal, 2.0, 0.0).value > 1e-3
+    assert around_loss([*map(kernel_box, bad), kernel_box(focal)], None, 2.0, 0.0)[0] > 1e-3
 
 
 def test_around_requires_two_sources():
     sources, focal = _around_zero_config(2, 1.0, 0.0, Pose2D(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        around_loss(sources[:1], focal, 1.0, 0.0)
+        around_loss([kernel_box(sources[0]), kernel_box(focal)], None, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +313,9 @@ def test_around_requires_two_sources():
 
 @pytest.mark.parametrize("op", sorted(OP_SAMPLERS))
 def test_gradients_match_finite_differences(op):
-    run_op_fd(op, 60, seed=hash(op) % 100000)
+    # crc32, unlike the per-process salted str hash, draws the same samples
+    # in every run.
+    run_op_fd(op, 60, seed=zlib.crc32(op.encode()) % 100000)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +376,7 @@ def test_aggregate_local_relations_are_rigid_invariant():
             pose = compose(frame, Pose2D(*locals_[mid]))
             boxes[mid] = FootprintBox(pose, a.half_l, a.half_w)
         block = index.blocks[unit.id]
-        ordered = [as_tuple(boxes[eid]) for eid in block.ids]
+        ordered = [kernel_box(boxes[eid]) for eid in block.ids]
         total = 0.0
         for term in block.terms:
             value, _, _ = term_loss(term, ordered, x.tolist())
@@ -397,7 +403,7 @@ def test_aggregate_local_shared_param_grad_accumulates():
         boxes[mid] = FootprintBox(Pose2D(*locals_[mid]), a.half_l, a.half_w)
     for rel in spec.relations:
         if rel.kind == "distance" and rel.unit == unit.id:
-            expect += distance_loss(boxes[rel.source], boxes[rel.target], 0.9).grads["d"]
+            expect += distance_loss([kernel_box(boxes[rel.source]), kernel_box(boxes[rel.target])], 0.9)[2]
     assert lv.grads[index.param["seat_radius"]] == pytest.approx(expect, abs=1e-12)
 
 
@@ -590,9 +596,9 @@ def test_relation_penalties_agree_with_the_objective(name):
 
 
 def test_gap_loss_is_nan_on_a_nan_pose():
-    a = box(math.nan, 0.0, 0.0, 0.5, 0.3)
-    b = box(2.0, 0.0, 0.4, 0.4, 0.2)
-    for lv in (gap_loss(a, b, 0.2), gap_loss(b, a, 0.2)):
+    a = (math.nan, 0.0, 0.0, 0.5, 0.3)
+    b = (2.0, 0.0, 0.4, 0.4, 0.2)
+    for lv in (keyed(gap_loss([a, b], 0.2), ("a", "b"), "g"), keyed(gap_loss([b, a], 0.2), ("a", "b"), "g")):
         assert math.isnan(lv.value)
         assert set(lv.grads) == {"a", "b", "g"}
         assert all(np.isnan(g).all() for g in lv.grads.values())
@@ -722,9 +728,9 @@ def test_gap_scan_matches_eager_reference_bitwise():
             a, b = random_box(rng), random_box(rng)
         g = float(rng.uniform(0.0, 0.6))
         value, grads = _eager_gap(a, b, g)
-        lv = gap_loss(a, b, g)
+        lv = keyed(gap_loss([kernel_box(a), kernel_box(b)], g), ("a", "b"), "g")
         assert lv.value == value
-        assert list(lv.grads) == list(grads)
+        assert set(lv.grads) == set(grads)
         for key, ref in grads.items():
             assert np.array_equal(lv.grads[key], ref)
 
@@ -733,8 +739,9 @@ def test_gap_scan_matches_eager_reference_bitwise():
 # Kernels against the per-term numpy bodies they replaced
 # ---------------------------------------------------------------------------
 # The `_reference_*` functions are the numpy bodies of the `*_loss` functions
-# before those became adapters over scalar kernels, kept verbatim.  Every
-# adapter, and `term_loss` on kernel boxes, must reproduce them bit for bit.
+# before those became scalar kernels, kept verbatim: on FootprintBoxes,
+# returning a LossValue keyed by slot name.  Every kernel, keyed by slot, and
+# `term_loss` on kernel boxes, must reproduce them bit for bit.
 
 
 def _probes(box):
@@ -1178,11 +1185,16 @@ def _kink_box(rng) -> FootprintBox:
 
 KINK_ROOM = Room(4.0, 3.0, 3.0)
 
-# Per family: the adapter and the reference on (boxes, params), a draw of
-# (boxes, params), and hand-picked kink cases.
+
+def _kernel_boxes(boxes: list) -> list:
+    return [kernel_box(b) for b in boxes]
+
+
+# Per family: the kernel, keyed by slot, and the reference on (boxes,
+# params), a draw of (boxes, params), and hand-picked kink cases.
 _FAMILIES = {
     "collision": (
-        lambda b, q: collision_loss(*b),
+        lambda b, q: keyed(collision_loss(*_kernel_boxes(b)), ("a", "b")),
         lambda b, q: _reference_collision(*b),
         lambda rng: ([_kink_box(rng), _kink_box(rng)], ()),
         [
@@ -1193,7 +1205,7 @@ _FAMILIES = {
         ],
     ),
     "boundary": (
-        lambda b, q: boundary_loss(*b, KINK_ROOM),
+        lambda b, q: keyed(boundary_loss(kernel_box(b[0]), KINK_ROOM), ("box",)),
         lambda b, q: _reference_boundary(*b, KINK_ROOM),
         lambda rng: ([_kink_box(rng)], ()),
         [
@@ -1202,13 +1214,13 @@ _FAMILIES = {
         ],
     ),
     "distance": (
-        lambda b, q: distance_loss(*b, *q),
+        lambda b, q: keyed(distance_loss(_kernel_boxes(b), *q), ("a", "b"), "d"),
         lambda b, q: _reference_distance(*b, *q),
         lambda rng: ([_kink_box(rng), _kink_box(rng)], (float(rng.uniform(0.0, 2.0)),)),
         [([box(1.0, 1.0, 0.0, 0.5, 0.5), box(1.0, 1.0, 0.3, 0.25, 0.5)], (0.75,))],  # coincident
     ),
     "gap": (
-        lambda b, q: gap_loss(*b, *q),
+        lambda b, q: keyed(gap_loss(_kernel_boxes(b), *q), ("a", "b"), "g"),
         lambda b, q: _reference_gap(*b, *q),
         lambda rng: ([_kink_box(rng), _kink_box(rng)], (float(rng.uniform(0.0, 0.6)),)),
         [
@@ -1217,25 +1229,25 @@ _FAMILIES = {
         ],
     ),
     "against_wall": (
-        lambda b, q: against_wall_loss(*b, q[0], KINK_ROOM),
+        lambda b, q: keyed(against_wall_loss(_kernel_boxes(b), None, *_against_wall_rule(q[0], KINK_ROOM)), ("box",)),
         lambda b, q: _reference_against_wall(*b, q[0], KINK_ROOM),
         lambda rng: ([_kink_box(rng)], (str(rng.choice(list(WALL_RULES))),)),
         [([box(0.5, 1.0, 0.0, 0.5, 0.25)], ("L",)), ([box(3.5, 1.0, math.pi, 0.5, 0.25)], ("R",))],
     ),
     "corner": (
-        lambda b, q: corner_loss(*b, *q, KINK_ROOM),
+        lambda b, q: keyed(corner_loss(_kernel_boxes(b), None, *_corner_rule(*q, KINK_ROOM)), ("box",)),
         lambda b, q: _reference_corner(*b, *q, KINK_ROOM),
         lambda rng: ([_kink_box(rng)], (str(rng.choice(list(_CORNER_SIGNS_XY))), str(rng.choice(list(WALL_RULES))))),
         [([box(0.5, 0.25, 0.0, 0.5, 0.25)], ("BL", "L")), ([box(3.75, 2.5, 0.5 * math.pi, 0.5, 0.25)], ("TR", "R"))],
     ),
     "facing": (
-        lambda b, q: facing_loss(*b),
+        lambda b, q: keyed(facing_loss(_kernel_boxes(b), None), ("a", "b")),
         lambda b, q: _reference_facing(*b),
         lambda rng: ([_kink_box(rng), _kink_box(rng)], ()),
         [([box(1.0, 1.0, 0.5 * math.pi, 0.5, 0.5), box(1.0, 1.0, 0.0, 0.25, 0.5)], ())],  # coincident
     ),
     "directional": (
-        lambda b, q: directional_loss(*b, *q),
+        lambda b, q: keyed(directional_loss(_kernel_boxes(b), q[1], *SIDE_RULES[q[0]]), ("src", "tgt"), "p"),
         lambda b, q: _reference_directional(*b, *q),
         lambda rng: ([_kink_box(rng), _kink_box(rng)], (str(rng.choice(list(SIDE_RULES))), float(rng.uniform(0, 1)))),
         [
@@ -1246,13 +1258,15 @@ _FAMILIES = {
         ],
     ),
     "angle_offset": (
-        lambda b, q: angle_offset_loss(*b, *q),
+        lambda b, q: keyed(angle_offset_loss(_kernel_boxes(b), *q), ("a", "b"), "alpha"),
         lambda b, q: _reference_angle_offset(*b, *q),
         lambda rng: ([_kink_box(rng), _kink_box(rng)], (float(rng.choice([0.0, 0.5 * math.pi, rng.uniform(-3, 3)])),)),
         [([box(0.0, 0.0, 0.5 * math.pi, 0.5, 0.5), box(1.0, 0.0, 0.0, 0.5, 0.5)], (0.5 * math.pi,))],
     ),
     "placement": (
-        lambda b, q: placement_loss(*b, q[0], q[1], KINK_ROOM, q[2]),
+        lambda b, q: keyed(
+            placement_loss(_kernel_boxes(b), q[1], *_placement_rule(q[0], KINK_ROOM, q[2])), ("box",), "target"
+        ),
         lambda b, q: _reference_placement(*b, q[0], q[1], KINK_ROOM, q[2]),
         lambda rng: (
             [_kink_box(rng)],
@@ -1265,7 +1279,7 @@ _FAMILIES = {
         ],
     ),
     "around": (
-        lambda b, q: around_loss(b[:-1], b[-1], *q),
+        lambda b, q: keyed_around(around_loss(_kernel_boxes(b), None, *q)),
         lambda b, q: _reference_around(b[:-1], b[-1], *q),
         lambda rng: (
             [_kink_box(rng) for _ in range(int(rng.integers(3, 6)))],
@@ -1282,11 +1296,12 @@ _FAMILIES = {
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_adapters_match_the_numpy_reference_bitwise(family):
-    adapter, reference, draw, kinks = _FAMILIES[family]
+    # Named for the FootprintBox adapters the kernels replaced.
+    kernel, reference, draw, kinks = _FAMILIES[family]
     rng = np.random.default_rng(RNG_SEED + 40 + sorted(_FAMILIES).index(family))
     cases = kinks + [draw(rng) for _ in range(400)]
     for boxes, params in cases:
-        _assert_same_loss(adapter(boxes, params), reference(boxes, params), (family, boxes, params))
+        _assert_same_loss(kernel(boxes, params), reference(boxes, params), (family, boxes, params))
 
 
 def _every_kind_scene():
@@ -1331,7 +1346,7 @@ def _every_kind_scene():
 def _reference_term(spec, block, term, boxes, xs):
     """The reference loss of a plan term on FootprintBoxes by entity id, its
     gradient per end box, and its parameter gradient (None if unshared)."""
-    if term.kernel == "_around":
+    if term.kernel == "around_loss":
         *sources, focal = (block.ids[k] for k in term.ends)
         rel = next(r for r in spec.relations if r.kind == "around" and r.source == sources[0])
         ref = _reference_around([boxes[e] for e in sources], boxes[focal], rel.params["sweep"], rel.params["center"])
@@ -1448,8 +1463,8 @@ def test_term_loss_matches_the_numpy_reference_bitwise():
     index = param_index(spec)
     block = index.blocks[None]
     assert {t.kernel for t in block.terms} == {
-        "_distance", "_gap", "_against_wall", "_corner", "_facing", "_directional",
-        "_angle_offset", "_placement", "_around",
+        "distance_loss", "gap_loss", "against_wall_loss", "corner_loss", "facing_loss", "directional_loss",
+        "angle_offset_loss", "placement_loss", "around_loss",
     }
     rng = np.random.default_rng(RNG_SEED + 60)
     for trial in range(200):
@@ -1461,7 +1476,7 @@ def test_term_loss_matches_the_numpy_reference_bitwise():
         _, x = _vector(spec, poses, shared)
         xs = x.tolist()
         boxes = {eid: box(*poses[eid], *_halves_of(spec, eid)) for eid in block.ids}
-        kernel_boxes = [as_tuple(boxes[eid]) for eid in block.ids]
+        kernel_boxes = [kernel_box(boxes[eid]) for eid in block.ids]
         for term in block.terms:
             value, grads, param_grad = term_loss(term, kernel_boxes, xs)
             ref, ref_grads, ref_param = _reference_term(spec, block, term, boxes, xs)
@@ -1479,13 +1494,48 @@ def _halves_of(spec, eid):
     return a.half_l, a.half_w
 
 
+def _kernel_outputs(spec, block, k, xs) -> list:
+    """Every kernel call on box k of `block` at `xs`: its collision with
+    each other box, its boundary term, then each relation term that ends on
+    it, as (value, flat floats, whether the kernel reads k's heading)."""
+    boxes, _ = _block_boxes(block, xs)
+    calls = [(collision_loss(boxes[k], b), True) for j, b in enumerate(boxes) if j != k]
+    calls.append((boundary_loss(boxes[k], spec.room), False))
+    for term in block.terms:
+        if k in term.ends:
+            reads = term.kernel not in ("distance_loss", "placement_loss")
+            if term.kernel == "facing_loss":
+                reads = term.ends[0] == k
+            calls.append((term_loss(term, boxes, xs), reads))
+    out = []
+    for (value, grads, param_grad), reads in calls:
+        floats = [v for g in grads for v in g]
+        if param_grad is not None:
+            floats += np.atleast_1d(param_grad).tolist()
+        out.append((value, floats, reads))
+    return out
+
+
 def test_infinite_heading_reads_as_nan_in_the_adapters():
-    other = box(1.0, 0.5, 0.3, 0.5, 0.25)
-    for inf in (math.inf, -math.inf):
-        for adapter, reference in (
-            (lambda b: collision_loss(b, other), lambda b: _reference_collision(b, other)),
-            (lambda b: directional_loss(other, b, "left_of", 0.5), lambda b: _reference_directional(other, b, "left_of", 0.5)),
-            (lambda b: gap_loss(b, other, 0.1), lambda b: _reference_gap(b, other, 0.1)),
-            (lambda b: boundary_loss(b, KINK_ROOM), lambda b: _reference_boundary(b, KINK_ROOM)),
-        ):
-            _assert_same_loss(adapter(box(0.0, 0.0, inf, 0.5, 0.5)), reference(box(0.0, 0.0, math.nan, 0.5, 0.5)), inf)
+    # A box that `_block_boxes` builds from an infinite heading has a NaN
+    # one.  Every kernel on it gives the bits it gives on a NaN heading, a
+    # NaN value wherever it reads that heading, and none raises.  (The
+    # boundary term reads a NaN corner as inside the room.)
+    spec = _every_kind_scene()
+    index = param_index(spec)
+    block = index.blocks[None]
+    x = init_state(spec, 0).x
+    for k, eid in enumerate(block.ids):
+        heading = index.pose[eid].start + 2
+        nan_x = x.copy()
+        nan_x[heading] = math.nan
+        expect = _kernel_outputs(spec, block, k, nan_x.tolist())
+        for inf in (math.inf, -math.inf):
+            bad = x.copy()
+            bad[heading] = inf
+            assert math.isnan(_block_boxes(block, bad.tolist())[0][k][2])
+            got = _kernel_outputs(spec, block, k, bad.tolist())
+            assert len(got) == len(expect) == len(block.ids) + sum(k in t.ends for t in block.terms)
+            for (value, floats, reads), (want, want_floats, _) in zip(got, expect):
+                _assert_same_floats([value, *floats], [want, *want_floats], (eid, inf))
+                assert math.isnan(value) or not reads, (eid, inf)

@@ -418,6 +418,22 @@ def test_cli_missing_pose_is_exit_3(tmp_path, capsys):
     assert err == {"error": "MissingEntityError", "message": "no pose for 'chair_w'"}
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["x", "y", "theta"])
+def test_cli_non_finite_pose_is_exit_3(tmp_path, capsys, key, value):
+    # Without the check a NaN or infinite pose reads as 0% collision and
+    # 0% out of bounds.
+    scene = _write_fixture(tmp_path, "dining_set")
+    assets = load_fixture("dining_set").assets
+    layout = {a.id: {"x": 1.0 + i, "y": 1.0, "z": 0.5, "theta": 0.0} for i, a in enumerate(assets)}
+    layout["chair_e"][key] = value
+    out = tmp_path / "l.json"
+    out.write_text(json.dumps({"poses": layout}))
+    assert main(["eval", scene, str(out)]) == 3
+    (err,) = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert err == {"error": "SceneSyntaxError", "message": "pose of 'chair_e' must be finite"}
+
+
 def test_cli_does_not_report_a_bug_as_bad_input(tmp_path, capsys, monkeypatch):
     # A KeyError from a bug is not a validation failure: no exit 3.
     def broken(args):

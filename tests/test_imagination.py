@@ -650,7 +650,7 @@ def _reference_resolve_relations(spec):
         label = f"relations[{members[0]}]"
         if group is not None:
             ends = tuple(relations[i].source for i in members) + (rel.target,)
-            term = _ReferenceTerm(frame, label, ends, "_around", (rel.params["sweep"], rel.params["center"]))
+            term = _ReferenceTerm(frame, label, ends, "around_loss", (rel.params["sweep"], rel.params["center"]))
         else:
             params = relation_params(rel)
             ends = (rel.source,) if rel.kind in SCENE_ANCHORED_KINDS else (rel.source, rel.target)
@@ -703,23 +703,23 @@ class _ReferenceBoard:
 def _reference_apply_term(board, term):
     kernel, consts, value = term.kernel, term.consts, term.value
     src = term.ends[0]
-    if kernel == "_placement":
+    if kernel == "placement_loss":
         board.pin(src, consts[0], value)
         return
-    if kernel == "_against_wall":
+    if kernel == "against_wall_loss":
         axis_i, sign, base, theta_star = consts
         board.pin(src, 2, theta_star)
         ext = board.half_extents(src, theta_star)
         board.pin(src, axis_i, base + sign * ext[axis_i])
         return
-    if kernel == "_corner":
+    if kernel == "corner_loss":
         sx, sy, x_base, y_base, theta_star = consts
         board.pin(src, 2, theta_star)
         ext = board.half_extents(src, theta_star)
         board.pin(src, 0, x_base + sx * ext[0])
         board.pin(src, 1, y_base + sy * ext[1])
         return
-    if kernel == "_around":
+    if kernel == "around_loss":
         *sources, focal = term.ends
         sweep, center = term.consts
         n = len(sources)
@@ -741,12 +741,12 @@ def _reference_apply_term(board, term):
     tgt = term.ends[1]
     tx, ty = board.center(tgt)
     t_theta = board.theta(tgt)
-    if kernel == "_distance":
+    if kernel == "distance_loss":
         ang = board.next_direction(tgt, _DISTANCE_CYCLE)
         board.pin(src, 0, tx + value * math.cos(ang))
         board.pin(src, 1, ty + value * math.sin(ang))
         return
-    if kernel == "_gap":
+    if kernel == "gap_loss":
         ang = board.next_direction(tgt, _GAP_CYCLE)
         axis_i = 0 if abs(math.cos(ang)) > 0.5 else 1
         sign = 1.0 if (math.cos(ang) if axis_i == 0 else math.sin(ang)) >= 0.0 else -1.0
@@ -755,7 +755,7 @@ def _reference_apply_term(board, term):
         board.pin(src, axis_i, cand)
         board.pin(src, 1 - axis_i, (ty, tx)[axis_i])
         return
-    if kernel == "_directional":
+    if kernel == "directional_loss":
         axis_i, sigma = consts
         side = -sigma
         rel_angle = board.theta(src) - t_theta
@@ -768,13 +768,13 @@ def _reference_apply_term(board, term):
         board.pin(src, 0, tx + ct * local[0] - st * local[1])
         board.pin(src, 1, ty + st * local[0] + ct * local[1])
         return
-    if kernel == "_facing":
+    if kernel == "facing_loss":
         sx, sy = board.center(src)
         dx, dy = tx - sx, ty - sy
         if math.hypot(dx, dy) > 1e-9:
             board.pin(src, 2, math.atan2(dy, dx))
         return
-    if kernel == "_angle_offset":
+    if kernel == "angle_offset_loss":
         board.pin(src, 2, normalize_angle(t_theta + value))
         return
     raise ValueError(f"unhandled relation kernel {kernel!r}")

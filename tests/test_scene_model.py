@@ -324,6 +324,18 @@ def test_layout_round_trip_and_determinism():
         parse_layout('{"poses": {"a": {"x": 1}}}')
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["x", "y", "z", "theta"])
+def test_layout_rejects_a_non_finite_pose(key, value):
+    poses = {
+        "table": {"x": 1.0, "y": 2.0, "z": 0.375, "theta": 0.5},
+        "chair_e": {"x": 2.0, "y": 1.0, "z": 0.45, "theta": 0.0},
+    }
+    poses["chair_e"][key] = value
+    with pytest.raises(SceneSyntaxError, match="pose of 'chair_e' must be finite"):
+        parse_layout(json.dumps({"poses": poses}))
+
+
 def test_dining_fixture_parse_contract():
     spec = load_fixture("dining_set")
     assert len(spec.units) == 1
