@@ -21,7 +21,7 @@ from .errors import (
     UnreachableNodeError,
 )
 from .fixtures import FIXTURE_NAMES, fixture_text, load_fixture
-from .geometry import FootprintBox, Pose2D, compose, invert, normalize_angle, relative
+from .geometry import Pose2D, compose, invert, normalize_angle, relative
 from .graph_analysis import (
     ROOT,
     CostReport,
@@ -77,7 +77,6 @@ __all__ = [
     "CostReport",
     "DivergenceError",
     "FIXTURE_NAMES",
-    "FootprintBox",
     "InfeasibleRoomError",
     "Layout",
     "LayoutError",

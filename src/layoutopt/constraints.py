@@ -179,7 +179,10 @@ def _proxy_pairs(boxes: list) -> list:
 
 
 def boundary_loss(box: tuple, room: Room):
-    """L1 excursion of the footprint corners outside the room rectangle."""
+    """L1 excursion of the footprint corners outside the room rectangle;
+    NaN, with a NaN gradient, on a box holding a NaN."""
+    if any(map(math.isnan, box)):
+        return math.nan, (_NAN,), None
     x, y, theta, half_l, half_w = box
     c, s = math.cos(theta), math.sin(theta)
     limits = (room.length, room.width)

@@ -2,8 +2,12 @@
 
 Poses live in SE(2) and are written (x, y, theta) with theta in radians,
 counter-clockwise, zero facing +x.  Object footprints are rectangles centered
-on their pose.  Collision pre-checks use the axis-aligned proxy box spanned by
-the rotated footprint; exact overlap uses convex polygon clipping.
+on their pose, handled as plain floats: a footprint is the tuple
+(x, y, theta, half_l, half_w), its outline the counter-clockwise list of
+(x, y) pairs that `corner_points` returns.  Collision pre-checks use the
+axis-aligned proxy box spanned by the rotated footprint (`half_extents`,
+`overlapping_pairs`); exact overlap clips such corner lists against each
+other (`polygon_intersection_area`, `polygon_area`).
 """
 
 from __future__ import annotations
@@ -66,38 +70,6 @@ def relative(a: Pose2D, b: Pose2D) -> Pose2D:
     return compose(invert(a), b)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] on one axis."""
-
-    lo: float
-    hi: float
-
-    def overlap(self, other: "Interval") -> float:
-        """Signed overlap length; negative when the intervals are disjoint."""
-        return min(self.hi, other.hi) - max(self.lo, other.lo)
-
-
-@dataclass(frozen=True)
-class FootprintBox:
-    """Rectangle footprint: pose plus half sizes along the local axes.
-
-    half_l spans local +x/-x, half_w spans local +y/-y.
-    """
-
-    pose: Pose2D
-    half_l: float
-    half_w: float
-
-    def __post_init__(self):
-        if self.half_l <= 0.0 or self.half_w <= 0.0:
-            raise ValueError("footprint half sizes must be positive")
-
-    @property
-    def area(self) -> float:
-        return 4.0 * self.half_l * self.half_w
-
-
 def half_extents(hl: float, hw: float, theta: float):
     """Half extents (ax, ay) of a footprint with half sizes (hl, hw) turned
     by theta, and their theta derivatives (dax, day):
@@ -111,21 +83,12 @@ def half_extents(hl: float, hw: float, theta: float):
     return ax, ay, dax, day
 
 
-def axis_bounds(box: FootprintBox) -> tuple[Interval, Interval]:
-    """Axis-aligned proxy bounds: center +/- half extents on each axis."""
-    ax, ay, _, _ = half_extents(box.half_l, box.half_w, box.pose.theta)
-    return (
-        Interval(box.pose.x - ax, box.pose.x + ax),
-        Interval(box.pose.y - ay, box.pose.y + ay),
-    )
-
-
 def overlapping_pairs(lo, hi) -> list:
     """Pairs (i, j), i < j, of axis-aligned boxes whose overlap can be positive.
 
     `lo` and `hi` hold the (x, y) bounds of each box.  A pair is dropped only
-    when min(hi_i, hi_j) - max(lo_i, lo_j) <= 0 on some axis, the test that
-    `collide_proxy` negates; for finite floats, when a box is empty on the
+    when min(hi_i, hi_j) - max(lo_i, lo_j) <= 0 on some axis, so boxes that
+    only touch are dropped; for finite floats, when a box is empty on the
     axis or one's hi is at most the other's lo.  One sort-and-sweep on x
     (Ericson, Real-Time Collision Detection, ch. 7) meets each box with the
     later ones in lo_x order whose lo_x is below its hi_x.  A box with a
@@ -149,16 +112,6 @@ def overlapping_pairs(lo, hi) -> list:
             if ly2 < hy and ly < hy2:
                 pairs.append((i, j) if i < j else (j, i))
     return sorted(set(pairs))
-
-
-def collide_proxy(a: FootprintBox, b: FootprintBox) -> bool:
-    """True when the axis-aligned proxies overlap with positive area.
-
-    Touching boundaries (zero-length overlap) do not count as collision.
-    """
-    ax, ay = axis_bounds(a)
-    bx, by = axis_bounds(b)
-    return ax.overlap(bx) > 0.0 and ay.overlap(by) > 0.0
 
 
 # Corner offsets in the local frame, counter-clockwise starting at (+, +).
@@ -192,46 +145,15 @@ def enclosing_box(poses, halves) -> tuple:
     return (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])), 0.5 * (hi[0] - lo[0]), 0.5 * (hi[1] - lo[1])
 
 
-def corners(box: FootprintBox) -> np.ndarray:
-    """World-frame corners of the footprint, counter-clockwise, shape (4, 2)."""
-    return np.array(corner_points(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w))
-
-
-def _polygon_area(points: np.ndarray) -> float:
-    """Shoelace area of a simple polygon given as an (n, 2) vertex array."""
+def polygon_area(points: list) -> float:
+    """Shoelace area of a simple polygon given as a list of (x, y) pairs."""
     if len(points) < 3:
         return 0.0
-    x, y = points[:, 0], points[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Convex polygon with counter-clockwise vertices, shape (n, 2)."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        object.__setattr__(self, "vertices", v)
-        if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
-            raise ValueError("polygon needs at least 3 planar vertices")
-        # Convexity and orientation: consecutive edge cross products must not
-        # turn clockwise (collinear vertices are tolerated).
-        n = len(v)
-        for i in range(n):
-            e1 = v[(i + 1) % n] - v[i]
-            e2 = v[(i + 2) % n] - v[(i + 1) % n]
-            if e1[0] * e2[1] - e1[1] * e2[0] < -1e-9:
-                raise ValueError("vertices must be convex and counter-clockwise")
-
-    @staticmethod
-    def from_box(box: FootprintBox) -> "ConvexPolygon":
-        return ConvexPolygon(corners(box))
-
-    @property
-    def area(self) -> float:
-        return _polygon_area(self.vertices)
+    forward = backward = 0.0
+    for (px, py), (qx, qy) in zip(points, [*points[1:], points[0]]):
+        forward += px * qy
+        backward += py * qx
+    return 0.5 * abs(forward - backward)
 
 
 def _clip_halfplane(points: list, a, b) -> list:
@@ -255,38 +177,21 @@ def _clip_halfplane(points: list, a, b) -> list:
     return out
 
 
-def polygon_intersection_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Exact intersection area of two convex polygons.
+def polygon_intersection_area(a: list, b: list) -> float:
+    """Exact intersection area of two convex polygons, each a list of (x, y)
+    pairs in counter-clockwise order, as `corner_points` gives them.
 
-    Clips `a` successively against each half-plane of `b` and measures the
-    remainder.  Degenerate intersections (points, segments) have zero area.
+    Clips `a` successively against each half-plane of `b` (Sutherland and
+    Hodgman) and measures the remainder.  Degenerate intersections (points,
+    segments) have zero area.
     """
-    pts = [tuple(p) for p in a.vertices]
-    vb = b.vertices
-    n = len(vb)
+    pts = a
+    n = len(b)
     for i in range(n):
         if len(pts) < 3:
             return 0.0
-        pts = _clip_halfplane(pts, vb[i], vb[(i + 1) % n])
-    if len(pts) < 3:
-        return 0.0
-    return _polygon_area(np.asarray(pts))
-
-
-def signed_distance_point_box(point, box: FootprintBox) -> float:
-    """Signed distance from a point to the box boundary.
-
-    Positive outside, zero on the boundary, negative inside.
-    """
-    c, s = math.cos(box.pose.theta), math.sin(box.pose.theta)
-    dx = float(point[0]) - box.pose.x
-    dy = float(point[1]) - box.pose.y
-    ux = c * dx + s * dy
-    uy = -s * dx + c * dy
-    qx = abs(ux) - box.half_l
-    qy = abs(uy) - box.half_w
-    outside = math.hypot(max(qx, 0.0), max(qy, 0.0))
-    return outside + min(max(qx, qy), 0.0)
+        pts = _clip_halfplane(pts, b[i], b[(i + 1) % n])
+    return polygon_area(pts)
 
 
 # Interior edge samples at odd eighths keep the probe set symmetric and dense
@@ -305,23 +210,3 @@ def boundary_probes(x: float, y: float, theta: float, half_l: float, half_w: flo
         for t in _EDGE_FRACTIONS:
             pts.append((px + t * (qx - px), py + t * (qy - py)))
     return pts
-
-
-def boundary_sample_points(box: FootprintBox) -> np.ndarray:
-    """Probe points on the box boundary, shape (20, 2); see `boundary_probes`."""
-    return np.asarray(boundary_probes(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w))
-
-
-def min_boundary_distance(a: FootprintBox, b: FootprintBox) -> float:
-    """Smallest boundary-to-boundary signed distance between two boxes.
-
-    Minimizes the point-to-box signed distance over boundary probes of both
-    boxes, in both directions.  Exact for disjoint boxes (the minimum is
-    attained at a corner probe); approximate when the boxes interpenetrate.
-    """
-    best = math.inf
-    for p in boundary_sample_points(a):
-        best = min(best, signed_distance_point_box(p, b))
-    for p in boundary_sample_points(b):
-        best = min(best, signed_distance_point_box(p, a))
-    return best

@@ -1,10 +1,13 @@
 """Physical metrics, rendering, and the convergence comparison harness.
 
-Collision and out-of-bounds checks here are exact: rotated footprint
-polygons clipped against each other, with a small area tolerance absorbing
-floating-point slivers.  The proxy boxes used during imagination and
-optimization deliberately overestimate; this module is the ground truth
-they are measured against.
+Collision and out-of-bounds checks here are exact: each asset's footprint
+corners (`geometry.corner_points`, built straight from the layout's poses)
+are clipped against each other and against the room's corners, with a small
+area tolerance absorbing floating-point slivers.  The proxy boxes used during
+imagination and optimization deliberately overestimate; this module is the
+ground truth they are measured against.  A pose that is missing raises
+`MissingEntityError`; one with a NaN or infinite x, y or theta raises
+`SceneSyntaxError`, as `parse_layout` does, in the checks and in the SVG.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 
 from . import geometry
 from .constraints import Weights
-from .errors import DivergenceError, MissingEntityError
-from .geometry import ConvexPolygon, FootprintBox, corners, polygon_intersection_area
+from .errors import DivergenceError, MissingEntityError, SceneSyntaxError
+from .geometry import corner_points, polygon_area, polygon_intersection_area
 from .optimizer import OptimizerConfig, solve, solve_global_baseline
 from .scene_model import Layout, SceneSpec
 
@@ -47,16 +50,27 @@ class PhysicalReport:
         return "\n".join(lines) + "\n"
 
 
-def asset_polygon(spec: SceneSpec, asset_id: str, layout: Layout) -> ConvexPolygon:
+def _pose(layout: Layout, asset_id: str) -> tuple:
+    """The (x, y, theta) of an asset, the one place the harness reads a pose."""
     if asset_id not in layout.poses:
         raise MissingEntityError(f"no pose for {asset_id!r}")
+    x, y, _, theta = layout.poses[asset_id]
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
+        raise SceneSyntaxError(f"pose of {asset_id!r} must be finite")
+    return x, y, theta
+
+
+def asset_polygon(spec: SceneSpec, asset_id: str, layout: Layout) -> list:
+    """Footprint corners of an asset, counter-clockwise (x, y) pairs."""
+    x, y, theta = _pose(layout, asset_id)
     a = spec.asset(asset_id)
-    return ConvexPolygon.from_box(FootprintBox(layout.pose2d(asset_id), a.half_l, a.half_w))
+    return corner_points(x, y, theta, a.half_l, a.half_w)
 
 
-def room_polygon(spec: SceneSpec) -> ConvexPolygon:
+def room_polygon(spec: SceneSpec) -> list:
+    """Corners of the room rectangle, counter-clockwise (x, y) pairs."""
     length, width = spec.room.length, spec.room.width
-    return ConvexPolygon(np.array([[0.0, 0.0], [length, 0.0], [length, width], [0.0, width]]))
+    return [(0.0, 0.0), (length, 0.0), (length, width), (0.0, width)]
 
 
 def eval_physical(spec: SceneSpec, layout: Layout) -> PhysicalReport:
@@ -72,8 +86,8 @@ def eval_physical(spec: SceneSpec, layout: Layout) -> PhysicalReport:
     polys = [asset_polygon(spec, aid, layout) for aid in ids]
     room = room_polygon(spec)
 
-    lo = [p.vertices.min(axis=0) for p in polys]
-    hi = [p.vertices.max(axis=0) for p in polys]
+    lo = [(min(x for x, _ in p), min(y for _, y in p)) for p in polys]
+    hi = [(max(x for x, _ in p), max(y for _, y in p)) for p in polys]
     colliding = set()
     for i, j in geometry.overlapping_pairs(lo, hi):
         if polygon_intersection_area(polys[i], polys[j]) > COLLISION_TOLERANCE:
@@ -81,7 +95,7 @@ def eval_physical(spec: SceneSpec, layout: Layout) -> PhysicalReport:
             colliding.add(ids[j])
     oob = []
     for aid, poly in zip(ids, polys):
-        outside = poly.area - polygon_intersection_area(poly, room)
+        outside = polygon_area(poly) - polygon_intersection_area(poly, room)
         if outside > OOB_TOLERANCE:
             oob.append(aid)
 
@@ -136,22 +150,21 @@ def render_svg(spec: SceneSpec, layout: Layout) -> bytes:
         f'fill="#ffffff" stroke="#202124" stroke-width="2"/>',
     ]
     for a in spec.assets:
-        if a.id not in layout.poses:
-            raise MissingEntityError(f"no pose for {a.id!r}")
-        pose = layout.pose2d(a.id)
-        box = FootprintBox(pose, a.half_l, a.half_w)
-        pts = " ".join(f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in corners(box))
+        x, y, theta = _pose(layout, a.id)
+        pts = " ".join(
+            f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in corner_points(x, y, theta, a.half_l, a.half_w)
+        )
         fill = unit_fill.get(a.id, _FREE_FILL)
         parts.append(f'<polygon points="{pts}" fill="{fill}" stroke="#333333" stroke-width="1"/>')
-        tip_x = pose.x + 0.8 * a.half_l * math.cos(pose.theta)
-        tip_y = pose.y + 0.8 * a.half_l * math.sin(pose.theta)
+        tip_x = x + 0.8 * a.half_l * math.cos(theta)
+        tip_y = y + 0.8 * a.half_l * math.sin(theta)
         parts.append(
-            f'<line x1="{_fmt(sx(pose.x))}" y1="{_fmt(sy(pose.y))}" '
+            f'<line x1="{_fmt(sx(x))}" y1="{_fmt(sy(y))}" '
             f'x2="{_fmt(sx(tip_x))}" y2="{_fmt(sy(tip_y))}" '
             f'stroke="#202124" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{_fmt(sx(pose.x))}" y="{_fmt(sy(pose.y) - 4.0)}" '
+            f'<text x="{_fmt(sx(x))}" y="{_fmt(sy(y) - 4.0)}" '
             f'font-family="monospace" font-size="11" text-anchor="middle" '
             f'fill="#202124">{a.id}</text>'
         )

@@ -399,7 +399,8 @@ def baseline_reviser(spec: SceneSpec, conflicts: list) -> tuple:
     return tuple(relations)
 
 
-def _rel_key(rel: Relation):
+def _rel_key(rel: Relation) -> tuple:
+    """A relation as the revision diff compares and reports it."""
     return (
         rel.kind,
         rel.source,
@@ -422,25 +423,26 @@ def _same_items(items, params: dict) -> bool:
     return all(k is k2 and v is v2 for (k, v), (k2, v2) in zip(items, params.items()))
 
 
-def _describe(rel: Relation) -> str:
-    scope = rel.scope if rel.unit is None else f"{rel.scope}:{rel.unit}"
-    params = ", ".join(f"{k}={v!r}" for k, v in sorted(rel.params.items()))
-    return f"{scope} {rel.kind} {rel.source}->{rel.target} ({params})"
+def _describe(key: tuple) -> str:
+    kind, source, target, items, scope, unit, _ = key
+    where = scope if unit is None else f"{scope}:{unit}"
+    params = ", ".join(f"{k}={v!r}" for k, v in items)
+    return f"{where} {kind} {source}->{target} ({params})"
 
 
-def _relation_diff(old: tuple, new: tuple):
-    """Relations of `old` whose key `new` lacks and the reverse, in list
-    order, with one edit line each."""
-    old_keys = [_rel_key(r) for r in old]
+def _relation_diff(old_keys: list, new: tuple):
+    """Keys of `old_keys` that `new` lacks and the reverse, in list order,
+    with one edit line each.  `old_keys` are taken before the reviser runs,
+    so a relation it edited in place reads as removed and added."""
     new_keys = [_rel_key(r) for r in new]
     try:
         old_in, new_in = set(old_keys), set(new_keys)
     except TypeError:
         # An unhashable param value, which the parser rejects afterwards.
         old_in, new_in = old_keys, new_keys
-    removed = [r for r, k in zip(old, old_keys) if k not in new_in]
-    added = [r for r, k in zip(new, new_keys) if k not in old_in]
-    edits = [f"- {_describe(r)}" for r in removed] + [f"+ {_describe(r)}" for r in added]
+    removed = [k for k in old_keys if k not in new_in]
+    added = [k for k in new_keys if k not in old_in]
+    edits = [f"- {_describe(k)}" for k in removed] + [f"+ {_describe(k)}" for k in added]
     return removed, added, edits
 
 
@@ -486,10 +488,11 @@ def _check_locality(removed, added, conflicts):
     allowed = set()
     for c in conflicts:
         allowed.add(("intra", c.unit) if c.level == "intra" else ("inter", None))
-    for rel in list(removed) + list(added):
-        if (rel.scope, rel.unit) not in allowed:
+    for key in list(removed) + list(added):
+        scope, unit = key[4:6]
+        if (scope, unit) not in allowed:
             raise RevisionError(
-                f"revision touched {rel.scope} relation {_describe(rel)} "
+                f"revision touched {scope} relation {_describe(key)} "
                 "outside the conflicting scopes"
             )
 
@@ -519,9 +522,10 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
             rounds.append(RevisionRound(t, (), ()))
             return current, RevisionReport(True, t, tuple(rounds))
         # Taken before the reviser runs, to catch params it edits in place.
+        old_keys = [_rel_key(r) for r in current.relations]
         checked = {id(r): tuple(r.params.items()) for r in current.relations}
         new_relations = tuple(reviser(current, conflicts))
-        removed, added, edits = _relation_diff(current.relations, new_relations)
+        removed, added, edits = _relation_diff(old_keys, new_relations)
         _check_locality(removed, added, conflicts)
         try:
             if t == 1:

@@ -30,14 +30,9 @@ from layoutopt.constraints import (
     gap_loss,
     placement_loss,
 )
-from layoutopt.geometry import (
-    FootprintBox,
-    Pose2D,
-    boundary_sample_points,
-    corners,
-    signed_distance_point_box,
-)
+from layoutopt.geometry import Pose2D
 from layoutopt.scene_model import Room
+from refgeom import FootprintBox, boundary_sample_points, corners, signed_distance_point_box
 
 def box_from_array(arr, half_l: float, half_w: float) -> FootprintBox:
     return FootprintBox(Pose2D(float(arr[0]), float(arr[1]), float(arr[2])), half_l, half_w)

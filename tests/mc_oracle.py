@@ -8,8 +8,8 @@ sample count buys much tighter area resolution.
 
 import numpy as np
 
-from layoutopt.geometry import axis_bounds
 from layoutopt.scene_model import Asset, Layout, Room, SceneSpec
+from refgeom import axis_bounds
 
 
 def _inside(points: np.ndarray, box) -> np.ndarray:

@@ -18,10 +18,10 @@ import numpy as np
 from layoutopt.constraints import Weights, aggregate_global, param_index
 from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from layoutopt.geometry import (
-    FootprintBox,
     Pose2D,
     compose,
     normalize_angle,
+    polygon_area,
     polygon_intersection_area,
     relative,
 )
@@ -39,6 +39,7 @@ from layoutopt.scene_model import Asset, Relation, Room, SceneSpec, Unit
 from gradcheck import OP_SAMPLERS, run_op_fd
 from graphgen import random_cut_vertex_graph
 from mc_oracle import mc_outside_area, mc_pair_area, random_scene_with_layout
+from refgeom import FootprintBox
 
 TAU = 0.0003
 
@@ -327,7 +328,7 @@ def test_physical_flags_match_membership_oracle():
                 elif mc_pair_area(boxes[a], boxes[b], rng, samples=1_000_000) > TAU:
                     mc_coll.update((a, b))
         for aid in ids:
-            exact_out = polys[aid].area - polygon_intersection_area(polys[aid], room)
+            exact_out = polygon_area(polys[aid]) - polygon_intersection_area(polys[aid], room)
             if abs(exact_out - TAU) < 1e-5:
                 marginal.add(aid)
             elif mc_outside_area(boxes[aid], spec.room.length, spec.room.width, rng, samples=1_000_000) > TAU:

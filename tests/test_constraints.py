@@ -41,21 +41,13 @@ from layoutopt.constraints import (
     term_loss,
 )
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
-from layoutopt.geometry import (
-    FootprintBox,
-    Pose2D,
-    boundary_sample_points,
-    collide_proxy,
-    compose,
-    corners,
-    half_extents,
-    min_boundary_distance,
-)
+from layoutopt.geometry import Pose2D, compose, half_extents
 from layoutopt.imagination import imagine_and_revise
 from layoutopt.optimizer import OptimizerConfig, evaluate, init_state
 from layoutopt.scene_model import SHARED_PARAM_SLOTS, Room, parse_scene
 
 from gradcheck import OP_SAMPLERS, assert_grads_close, fd_slots, kernel_box, keyed, keyed_around, run_op_fd
+from refgeom import FootprintBox, boundary_sample_points, collide_proxy, corners, min_boundary_distance
 
 RNG_SEED = 915
 
@@ -604,6 +596,17 @@ def test_gap_loss_is_nan_on_a_nan_pose():
         assert all(np.isnan(g).all() for g in lv.grads.values())
 
 
+def test_boundary_loss_is_nan_on_a_nan_box():
+    room = Room(5.0, 4.0, 3.0)
+    for box in ((math.nan, 1.0, 0.0, 0.5, 0.5), (1.0, math.nan, 0.0, 0.5, 0.5), (1.0, 1.0, math.nan, 0.5, 0.5)):
+        value, grads, param_grad = boundary_loss(box, room)
+        assert math.isnan(value), box
+        assert len(grads) == 1 and len(grads[0]) == 3 and all(map(math.isnan, grads[0])), box
+        assert param_grad is None
+    # A finite box well inside still reads 0 with a zero gradient.
+    assert boundary_loss((1.0, 1.0, 0.3, 0.5, 0.5), room) == (0.0, ((0.0, 0.0, 0.0),), None)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_relation_penalties_turn_nan_instead_of_raising(name):
     spec = _bundled(name)
@@ -839,6 +842,9 @@ def _reference_collision(a: FootprintBox, b: FootprintBox) -> LossValue:
 
 
 def _reference_boundary(box: FootprintBox, room: Room) -> LossValue:
+    # Added to the body it was: a box holding a NaN reads NaN, not inside.
+    if any(map(math.isnan, (box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w))):
+        return LossValue(math.nan, {"box": np.full(3, math.nan)})
     c = math.cos(box.pose.theta)
     s = math.sin(box.pose.theta)
     limits = (room.length, room.width)
@@ -1500,7 +1506,7 @@ def _kernel_outputs(spec, block, k, xs) -> list:
     it, as (value, flat floats, whether the kernel reads k's heading)."""
     boxes, _ = _block_boxes(block, xs)
     calls = [(collision_loss(boxes[k], b), True) for j, b in enumerate(boxes) if j != k]
-    calls.append((boundary_loss(boxes[k], spec.room), False))
+    calls.append((boundary_loss(boxes[k], spec.room), True))
     for term in block.terms:
         if k in term.ends:
             reads = term.kernel not in ("distance_loss", "placement_loss")
@@ -1519,8 +1525,7 @@ def _kernel_outputs(spec, block, k, xs) -> list:
 def test_infinite_heading_reads_as_nan_in_the_adapters():
     # A box that `_block_boxes` builds from an infinite heading has a NaN
     # one.  Every kernel on it gives the bits it gives on a NaN heading, a
-    # NaN value wherever it reads that heading, and none raises.  (The
-    # boundary term reads a NaN corner as inside the room.)
+    # NaN value wherever it reads that heading, and none raises.
     spec = _every_kind_scene()
     index = param_index(spec)
     block = index.blocks[None]

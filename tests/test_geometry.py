@@ -14,22 +14,28 @@ import numpy as np
 import pytest
 
 from layoutopt.geometry import (
+    Pose2D,
+    compose,
+    half_extents,
+    invert,
+    normalize_angle,
+    overlapping_pairs,
+    polygon_area,
+    polygon_intersection_area,
+    relative,
+)
+from refgeom import (
     ConvexPolygon,
     FootprintBox,
     Interval,
-    Pose2D,
     axis_bounds,
     boundary_sample_points,
     collide_proxy,
-    compose,
     corners,
-    half_extents,
-    invert,
     min_boundary_distance,
-    normalize_angle,
-    overlapping_pairs,
-    polygon_intersection_area,
-    relative,
+    outline,
+    reference_intersection_area,
+    reference_polygon_area,
     signed_distance_point_box,
 )
 
@@ -280,26 +286,17 @@ def _point_in_convex_oracle(point, vertices) -> bool:
     return True
 
 
-def test_polygon_validation():
-    with pytest.raises(ValueError):
-        ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):  # clockwise square
-        ConvexPolygon(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):  # non-convex chevron
-        ConvexPolygon(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.5], [1.0, 2.0]]))
-
-
 def test_intersection_area_frozen_values():
-    unit = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    shifted = ConvexPolygon(np.array([[0.5, 0.0], [1.5, 0.0], [1.5, 1.0], [0.5, 1.0]]))
-    disjoint = ConvexPolygon(np.array([[3.0, 3.0], [4.0, 3.0], [4.0, 4.0], [3.0, 4.0]]))
-    touching = ConvexPolygon(np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]]))
+    unit = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    shifted = [(0.5, 0.0), (1.5, 0.0), (1.5, 1.0), (0.5, 1.0)]
+    disjoint = [(3.0, 3.0), (4.0, 3.0), (4.0, 4.0), (3.0, 4.0)]
+    touching = [(1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0)]
     assert polygon_intersection_area(unit, unit) == pytest.approx(1.0, abs=1e-12)
     assert polygon_intersection_area(unit, shifted) == pytest.approx(0.5, abs=1e-12)
     assert polygon_intersection_area(unit, disjoint) == 0.0
     assert polygon_intersection_area(unit, touching) == pytest.approx(0.0, abs=1e-12)
     # Rotated square inscribed in the unit square: area 1/2, symmetric.
-    diamond = ConvexPolygon(np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]]))
+    diamond = [(0.5, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 0.5)]
     assert polygon_intersection_area(unit, diamond) == pytest.approx(0.5, abs=1e-12)
     assert polygon_intersection_area(diamond, unit) == pytest.approx(0.5, abs=1e-12)
 
@@ -317,7 +314,7 @@ def test_intersection_area_monte_carlo_oracle():
             rng.uniform(0.4, 1.5),
             rng.uniform(0.4, 1.5),
         )
-        pa, pb = ConvexPolygon.from_box(a), ConvexPolygon.from_box(b)
+        pa, pb = outline(a), outline(b)
         area = polygon_intersection_area(pa, pb)
         assert polygon_intersection_area(pb, pa) == pytest.approx(area, abs=1e-9)
         # Sample inside the AABB of box a; scale hit rate by the AABB area.
@@ -327,7 +324,7 @@ def test_intersection_area_monte_carlo_oracle():
         n = 60000
         pts = rng.uniform(lo, hi, size=(n, 2))
         inside = np.ones(n, dtype=bool)
-        for verts in (pa.vertices, pb.vertices):
+        for verts in (pa, pb):
             for i in range(4):
                 va_, vb_ = verts[i], verts[(i + 1) % 4]
                 cross = (vb_[0] - va_[0]) * (pts[:, 1] - va_[1]) - (vb_[1] - va_[1]) * (
@@ -342,10 +339,64 @@ def test_intersection_area_monte_carlo_oracle():
 
 
 def test_intersection_contained_box():
-    outer = ConvexPolygon(np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]]))
-    inner = ConvexPolygon.from_box(FootprintBox(Pose2D(0.3, -0.2, 0.7), 0.5, 0.4))
-    assert polygon_intersection_area(inner, outer) == pytest.approx(inner.area, abs=1e-12)
-    assert polygon_intersection_area(outer, inner) == pytest.approx(inner.area, abs=1e-12)
+    outer = [(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)]
+    inner = outline(FootprintBox(Pose2D(0.3, -0.2, 0.7), 0.5, 0.4))
+    assert polygon_area(inner) == pytest.approx(0.8, abs=1e-12)
+    assert polygon_intersection_area(inner, outer) == pytest.approx(polygon_area(inner), abs=1e-12)
+    assert polygon_intersection_area(outer, inner) == pytest.approx(polygon_area(inner), abs=1e-12)
+
+
+def test_polygon_area_frozen_values():
+    assert polygon_area([]) == 0.0
+    assert polygon_area([(0.0, 0.0), (1.0, 1.0)]) == 0.0
+    assert polygon_area([(0.0, 0.0), (2.0, 0.0), (0.0, 1.0)]) == 1.0
+    # Orientation does not change the area.
+    assert polygon_area([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]) == 1.0
+
+
+# The numpy bodies the exact checks had before they took corner lists sum
+# with np.dot, whose order is not the shoelace loop's: areas agree to the
+# last bits, not bit for bit.  That rounding is absolute, about eps times the
+# squared coordinates (below 3e-14 on these polygons), so a thin polygon also
+# gets an absolute floor, far below the harness's 3e-4 area tolerance.
+_REL, _ABS = 1e-12, 1e-12
+
+
+def _random_convex(rng, n: int) -> list:
+    # Sorted angles on a jittered circle give a counter-clockwise convex n-gon.
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=n))
+    radius = rng.uniform(0.5, 3.0)
+    cx, cy = rng.uniform(-5.0, 5.0, size=2)
+    return [(float(cx + radius * math.cos(t)), float(cy + radius * math.sin(t))) for t in angles]
+
+
+def test_polygon_area_matches_numpy_reference():
+    rng = np.random.default_rng(RNG_SEED + 13)
+    for _ in range(400):
+        pts = _random_convex(rng, int(rng.integers(3, 9)))
+        got, want = polygon_area(pts), reference_polygon_area(np.asarray(pts))
+        assert math.isclose(got, want, rel_tol=_REL, abs_tol=_ABS), (pts, got, want)
+
+
+def test_intersection_area_matches_numpy_reference():
+    rng = np.random.default_rng(RNG_SEED + 14)
+    room = [(0.0, 0.0), (6.0, 0.0), (6.0, 4.0), (0.0, 4.0)]
+    room_ref = ConvexPolygon(np.asarray(room))
+    overlapping = clipped = 0
+    for _ in range(500):
+        a, b = random_box(rng, 2.0), random_box(rng, 2.0)
+        got = polygon_intersection_area(outline(a), outline(b))
+        want = reference_intersection_area(ConvexPolygon.from_box(a), ConvexPolygon.from_box(b))
+        assert math.isclose(got, want, rel_tol=_REL, abs_tol=_ABS), (a, b, got, want)
+        overlapping += want > 0.0
+        # The same box against the room, placed so that it often sticks out.
+        c = FootprintBox(Pose2D(rng.uniform(-1.0, 7.0), rng.uniform(-1.0, 5.0), a.pose.theta), a.half_l, a.half_w)
+        got = polygon_intersection_area(outline(c), room)
+        want = reference_intersection_area(ConvexPolygon.from_box(c), room_ref)
+        assert math.isclose(got, want, rel_tol=_REL, abs_tol=_ABS), (c, got, want)
+        assert math.isclose(polygon_area(outline(c)), ConvexPolygon.from_box(c).area, rel_tol=_REL)
+        clipped += 0.0 < want < polygon_area(outline(c)) - 1e-9
+    assert overlapping > 100 and clipped > 100
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +452,8 @@ def test_min_boundary_distance_disjoint_matches_dense_oracle():
     checked = 0
     while checked < 60:
         a, b = random_box(rng, 4.0), random_box(rng, 4.0)
-        pa = ConvexPolygon.from_box(a).vertices
-        pb = ConvexPolygon.from_box(b).vertices
-        if polygon_intersection_area(ConvexPolygon(pa), ConvexPolygon(pb)) > 0.0:
+        pa, pb = corners(a), corners(b)
+        if polygon_intersection_area(outline(a), outline(b)) > 0.0:
             continue
         checked += 1
         # Dense oracle: min distance between boundary point clouds via

@@ -7,11 +7,15 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from layoutopt import cli, geometry
+from layoutopt import cli, geometry, harness
 from layoutopt.cli import main
-from layoutopt.fixtures import fixture_text, load_fixture
-from layoutopt.geometry import FootprintBox, Pose2D, corners
+from layoutopt.errors import MissingEntityError, SceneSyntaxError
+from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from layoutopt.geometry import Pose2D
 from layoutopt.harness import (
+    COLLISION_TOLERANCE,
+    OOB_TOLERANCE,
+    PhysicalReport,
     asset_polygon,
     benchmark_curves_csv,
     convergence_benchmark,
@@ -22,6 +26,7 @@ from layoutopt.harness import (
 from layoutopt.optimizer import OptimizerConfig, solve
 from layoutopt.scene_model import Asset, Layout, Room, SceneSpec, Unit, parse_layout, parse_scene
 from mc_oracle import mc_outside_area, mc_pair_area, random_scene_with_layout
+from refgeom import ConvexPolygon, FootprintBox, corners, reference_intersection_area
 
 TAU = 0.0003
 
@@ -123,6 +128,151 @@ def test_missing_pose_raises():
     spec2 = _scene(spec.room, spec.assets + (Asset("ghost", "box", (1.0, 1.0, 1.0)),))
     with pytest.raises(KeyError):
         eval_physical(spec2, layout)
+
+
+@pytest.mark.parametrize("key, value", [(0, math.nan), (3, math.inf), (3, -math.inf)], ids=["nan_x", "inf_theta", "-inf_theta"])
+def test_non_finite_pose_raises(key, value):
+    # A Layout built in memory is not checked by `parse_layout`; the checks
+    # and the SVG read its poses through one guard and raise its error.
+    spec = load_fixture("dining_set")
+    layout, _ = solve(spec, OptimizerConfig(iterations=5))
+    pose = list(layout.poses["chair_e"])
+    pose[key] = value
+    bad = Layout({**layout.poses, "chair_e": tuple(pose)})
+    for call in (eval_physical, render_svg):
+        with pytest.raises(SceneSyntaxError, match="^pose of 'chair_e' must be finite$"):
+            call(spec, bad)
+    with pytest.raises(SceneSyntaxError):
+        asset_polygon(spec, "chair_e", bad)
+    with pytest.raises(MissingEntityError):
+        render_svg(spec, Layout({k: v for k, v in layout.poses.items() if k != "chair_e"}))
+
+
+# --- the parent design, kept as the reference -------------------------------
+# `eval_physical` and `render_svg` as they were before they read corner
+# lists: footprints as FootprintBoxes, clipped as numpy ConvexPolygons.
+
+
+def _reference_asset_polygon(spec, asset_id, layout) -> ConvexPolygon:
+    if asset_id not in layout.poses:
+        raise MissingEntityError(f"no pose for {asset_id!r}")
+    a = spec.asset(asset_id)
+    return ConvexPolygon.from_box(FootprintBox(layout.pose2d(asset_id), a.half_l, a.half_w))
+
+
+def _reference_room_polygon(spec) -> ConvexPolygon:
+    length, width = spec.room.length, spec.room.width
+    return ConvexPolygon(np.array([[0.0, 0.0], [length, 0.0], [length, width], [0.0, width]]))
+
+
+def _reference_eval_physical(spec, layout) -> PhysicalReport:
+    ids = [a.id for a in spec.assets]
+    polys = [_reference_asset_polygon(spec, aid, layout) for aid in ids]
+    room = _reference_room_polygon(spec)
+
+    lo = [p.vertices.min(axis=0) for p in polys]
+    hi = [p.vertices.max(axis=0) for p in polys]
+    colliding = set()
+    for i, j in geometry.overlapping_pairs(lo, hi):
+        if reference_intersection_area(polys[i], polys[j]) > COLLISION_TOLERANCE:
+            colliding.add(ids[i])
+            colliding.add(ids[j])
+    oob = []
+    for aid, poly in zip(ids, polys):
+        outside = poly.area - reference_intersection_area(poly, room)
+        if outside > OOB_TOLERANCE:
+            oob.append(aid)
+
+    n = max(len(ids), 1)
+    return PhysicalReport(
+        100.0 * len(colliding) / n,
+        100.0 * len(oob) / n,
+        tuple(sorted(colliding)),
+        tuple(oob),
+    )
+
+
+def _reference_render_svg(spec, layout) -> bytes:
+    _fmt, _SCALE, _PAD = harness._fmt, harness._SCALE, harness._PAD
+    length, width = spec.room.length, spec.room.width
+    w_px = length * _SCALE + 2 * _PAD
+    h_px = width * _SCALE + 2 * _PAD
+
+    def sx(x: float) -> float:
+        return _PAD + x * _SCALE
+
+    def sy(y: float) -> float:
+        return _PAD + (width - y) * _SCALE  # svg y grows downward
+
+    unit_fill = {}
+    for k, u in enumerate(spec.units):
+        fill = harness._UNIT_FILLS[k % len(harness._UNIT_FILLS)]
+        for aid in u.assets:
+            unit_fill[aid] = fill
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt(w_px)}" height="{_fmt(h_px)}" '
+        f'viewBox="0 0 {_fmt(w_px)} {_fmt(h_px)}">',
+        f'<rect x="{_fmt(sx(0.0))}" y="{_fmt(sy(width))}" '
+        f'width="{_fmt(length * _SCALE)}" height="{_fmt(width * _SCALE)}" '
+        f'fill="#ffffff" stroke="#202124" stroke-width="2"/>',
+    ]
+    for a in spec.assets:
+        if a.id not in layout.poses:
+            raise MissingEntityError(f"no pose for {a.id!r}")
+        pose = layout.pose2d(a.id)
+        box = FootprintBox(pose, a.half_l, a.half_w)
+        pts = " ".join(f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in corners(box))
+        fill = unit_fill.get(a.id, harness._FREE_FILL)
+        parts.append(f'<polygon points="{pts}" fill="{fill}" stroke="#333333" stroke-width="1"/>')
+        tip_x = pose.x + 0.8 * a.half_l * math.cos(pose.theta)
+        tip_y = pose.y + 0.8 * a.half_l * math.sin(pose.theta)
+        parts.append(
+            f'<line x1="{_fmt(sx(pose.x))}" y1="{_fmt(sy(pose.y))}" '
+            f'x2="{_fmt(sx(tip_x))}" y2="{_fmt(sy(tip_y))}" '
+            f'stroke="#202124" stroke-width="1.5"/>'
+        )
+        parts.append(
+            f'<text x="{_fmt(sx(pose.x))}" y="{_fmt(sy(pose.y) - 4.0)}" '
+            f'font-family="monospace" font-size="11" text-anchor="middle" '
+            f'fill="#202124">{a.id}</text>'
+        )
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_physical_report_and_svg_match_the_reference(name):
+    # Random poses over the room and a little past its walls, so pairs
+    # overlap, poke out and touch the tolerances; then two short solves.
+    spec = load_fixture(name)
+    rng = np.random.default_rng(31)
+    length, width = spec.room.length, spec.room.width
+    layouts = [
+        Layout(
+            {
+                a.id: (
+                    float(rng.uniform(-0.3, length + 0.3)),
+                    float(rng.uniform(-0.3, width + 0.3)),
+                    0.5,
+                    float(rng.uniform(-math.pi, math.pi)),
+                )
+                for a in spec.assets
+            }
+        )
+        for _ in range(30)
+    ]
+    layouts += [solve(spec, OptimizerConfig(iterations=20, seed=seed))[0] for seed in (0, 1)]
+    flagged = 0
+    for layout in layouts:
+        got, want = eval_physical(spec, layout), _reference_eval_physical(spec, layout)
+        assert got == want
+        assert got.to_text() == want.to_text()
+        assert render_svg(spec, layout) == _reference_render_svg(spec, layout)
+        flagged += len(got.colliding_ids) + len(got.oob_ids)
+    assert flagged > 0
 
 
 def test_broadphase_keeps_physical_report(monkeypatch):

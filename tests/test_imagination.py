@@ -12,11 +12,7 @@ from layoutopt.constraints import param_index, relation_penalties
 from layoutopt.errors import MissingEntityError, RevisionError, SceneSemanticError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import (
-    ConvexPolygon,
-    FootprintBox,
     Pose2D,
-    axis_bounds,
-    collide_proxy,
     compose,
     half_extents,
     normalize_angle,
@@ -57,6 +53,7 @@ from layoutopt.scene_model import (
     serialize_scene,
     shared_param_priors,
 )
+from refgeom import FootprintBox, axis_bounds, collide_proxy, outline
 
 
 def _scene(room, assets, units=(), relations=()):
@@ -332,9 +329,7 @@ def test_axis_aligned_proxy_matches_exact_polygons():
                     rng.uniform(0.2, 1.0),
                 )
             )
-        area = polygon_intersection_area(
-            ConvexPolygon.from_box(boxes[0]), ConvexPolygon.from_box(boxes[1])
-        )
+        area = polygon_intersection_area(outline(boxes[0]), outline(boxes[1]))
         assert collide_proxy(boxes[0], boxes[1]) == (area > 1e-12)
 
 
@@ -414,6 +409,38 @@ def test_nonlocal_revision_raises():
         imagine_and_revise(spec, reviser=sneaky)
 
 
+def test_in_place_nonlocal_revision_raises():
+    # Only an intra conflict is open; an inter relation whose params the
+    # reviser sets in place is an edit outside the conflicting scopes too.
+    def scene():
+        return _scene(
+            Room(6.0, 5.0, 3.0),
+            (
+                Asset("t", "table", (1.2, 0.8, 0.7)),
+                Asset("s", "stool", (0.4, 0.4, 0.5)),
+                Asset("a", "box", (1.0, 1.0, 1.0)),
+            ),
+            units=(Unit("u", "t", ("s",)),),
+            relations=(
+                Relation("distance", "s", "t", {"d": 0.0}, "intra", "u"),
+                Relation("h_place", "a", "scene", {"x": 5.0}, "inter"),
+                Relation("h_place", "u", "scene", {"x": 1.5}, "inter"),
+            ),
+        )
+
+    spec = scene()
+    assert [c.level for c in detect_conflicts(spec, *build_maps(spec, interpret_scene(spec)))] == ["intra"]
+
+    def in_place(s, conflicts):
+        out = baseline_reviser(s, conflicts)
+        out[_relation_index(out, "h_place", "a", "scene")].params["x"] = 4.0
+        return out
+
+    for loop in (imagine_and_revise, _reference_imagine_and_revise):
+        with pytest.raises(RevisionError, match=r"inter h_place a->scene \(x=5\.0\) outside"):
+            loop(scene(), reviser=in_place)
+
+
 def test_baseline_reviser_idempotent_without_conflicts():
     spec = load_fixture("dining_set")
     assert baseline_reviser(spec, []) == spec.relations
@@ -438,12 +465,12 @@ def _reference_imagine_and_revise(spec, reviser=baseline_reviser, budget=10):
         if not conflicts:
             rounds.append(RevisionRound(t, (), ()))
             return current, RevisionReport(True, t, tuple(rounds))
-        new_relations = tuple(reviser(current, conflicts))
         old_keys = [_rel_key(r) for r in current.relations]
+        new_relations = tuple(reviser(current, conflicts))
         new_keys = [_rel_key(r) for r in new_relations]
-        removed = [r for r, k in zip(current.relations, old_keys) if k not in new_keys]
-        added = [r for r, k in zip(new_relations, new_keys) if k not in old_keys]
-        edits = [f"- {_describe(r)}" for r in removed] + [f"+ {_describe(r)}" for r in added]
+        removed = [k for k in old_keys if k not in new_keys]
+        added = [k for k in new_keys if k not in old_keys]
+        edits = [f"- {_describe(k)}" for k in removed] + [f"+ {_describe(k)}" for k in added]
         _check_locality(removed, added, conflicts)
         try:
             current = parse_scene(serialize_scene(current.with_relations(new_relations)))
