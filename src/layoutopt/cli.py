@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 from .errors import (
@@ -43,9 +42,11 @@ def _emit_error(exc: BaseException) -> None:
 
 
 def _write_atomic(path: str, data: bytes) -> None:
-    # Stage in the destination directory so os.replace stays on one filesystem.
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".layoutopt-")
+    # Stage in the destination directory so os.replace stays on one filesystem;
+    # create with 0o666 so the umask gives the mode a plain open() would.
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".layoutopt-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -122,6 +122,12 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
+def _xml_text(s: str) -> str:
+    """`s` as XML character data, as `xml.sax.saxutils.escape` writes it,
+    without its import, which loads `urllib.request` (about 7 MB)."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(spec: SceneSpec, layout: Layout) -> bytes:
     """Deterministic top-down floor plan: room, footprints, headings, labels."""
     length, width = spec.room.length, spec.room.width
@@ -166,7 +172,7 @@ def render_svg(spec: SceneSpec, layout: Layout) -> bytes:
         parts.append(
             f'<text x="{_fmt(sx(x))}" y="{_fmt(sy(y) - 4.0)}" '
             f'font-family="monospace" font-size="11" text-anchor="middle" '
-            f'fill="#202124">{a.id}</text>'
+            f'fill="#202124">{_xml_text(a.id)}</text>'
         )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

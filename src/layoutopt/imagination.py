@@ -25,15 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .constraints import Block, Term, _block_boxes, _blocks, _pose_rows, _proxy_pairs, param_index
-from .errors import MissingEntityError, RevisionError, SceneSemanticError, SceneSyntaxError
+from .errors import MissingEntityError, RevisionError, SceneSemanticError
 from .geometry import Pose2D, half_extents, normalize_angle
-from .scene_model import (
-    Relation,
-    SceneSpec,
-    parse_scene,
-    replace_relations,
-    serialize_scene,
-)
+from .scene_model import Relation, SceneSpec, replace_relations
 
 # Imagined side/ring placements clear the proxy boxes by this much.
 SIDE_CLEARANCE = 0.01
@@ -502,18 +496,20 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
 
     Returns (possibly revised spec, RevisionReport).  Edits outside the
     conflicting scopes raise RevisionError, and so does a revised relation
-    list the scene parser rejects.  The first revision runs the whole scene
-    through the parser (serialize_scene, then parse_scene), which validates
-    and normalizes a spec that never came out of it.  Each later revision
-    parses and validates only the relations the reviser added or replaced,
-    plus any whose params it changed in place, and checks the around groups
-    and shared parameters over the whole list: the same result and the same
-    error as the round trip, at the cost of what changed.
+    list the scene parser rejects.  Every revision goes through
+    `scene_model.replace_relations`: the relations the reviser added or
+    replaced, plus any whose params it changed in place, are parsed and
+    validated, every relation of the first revision among them, and the
+    around groups and shared parameters are checked over the whole list.
+    That gives the same relations and the same error as running the whole
+    scene through the parser; the room, assets and units are kept as given.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     current = spec
     rounds = []
+    # Params of each relation already validated, by object id.
+    checked: dict = {}
     for t in range(1, budget + 1):
         poses = interpret_scene(current)
         local_maps, global_map = build_maps(current, poses)
@@ -523,21 +519,14 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
             return current, RevisionReport(True, t, tuple(rounds))
         # Taken before the reviser runs, to catch params it edits in place.
         old_keys = [_rel_key(r) for r in current.relations]
-        checked = {id(r): tuple(r.params.items()) for r in current.relations}
         new_relations = tuple(reviser(current, conflicts))
         removed, added, edits = _relation_diff(old_keys, new_relations)
         _check_locality(removed, added, conflicts)
+        fresh = [k for k, r in enumerate(new_relations) if not _same_items(checked.get(id(r)), r.params)]
         try:
-            if t == 1:
-                current = parse_scene(serialize_scene(current.with_relations(new_relations)))
-            else:
-                fresh = [
-                    k
-                    for k, r in enumerate(new_relations)
-                    if not _same_items(checked.get(id(r)), r.params)
-                ]
-                current = replace_relations(current, new_relations, fresh)
-        except (SceneSyntaxError, SceneSemanticError) as exc:
+            current = replace_relations(current, new_relations, fresh)
+        except SceneSemanticError as exc:
             raise RevisionError(f"reviser produced an invalid scene: {exc}") from exc
+        checked = {id(r): tuple(r.params.items()) for r in current.relations}
         rounds.append(RevisionRound(t, tuple(conflicts), tuple(edits)))
     return current, RevisionReport(False, budget, tuple(rounds))

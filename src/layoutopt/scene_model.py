@@ -610,11 +610,11 @@ def replace_relations(spec: SceneSpec, relations, fresh) -> SceneSpec:
     """`spec` with `relations`, validated as a scene parser round trip of it
     would validate them, without the round trip.
 
-    `spec` must be a parse_scene output.  The relations at the indices in
-    `fresh` go through the parser's per-relation path, entry written as
-    serialize_scene writes it, and come back as parser outputs; the others
-    must be parser outputs for `spec`'s assets and units and are kept as
-    they are.  The rules that span relations run over the whole list.
+    The relations at the indices in `fresh` go through the parser's
+    per-relation path, entry written as serialize_scene writes it, and come
+    back as parser outputs; only the others must be parser outputs for
+    `spec`'s assets and units, and are kept as they are.  The rules that span
+    relations run over the whole list; room, assets and units stay `spec`'s.
     Raises SceneSemanticError with the location the round trip would report.
     """
     relations = list(relations)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -347,6 +349,13 @@ def test_svg_is_deterministic_and_wellformed():
     assert labels == ["a", "b"]
 
 
+def test_svg_label_escapes_the_asset_id():
+    asset = Asset("desk <A&B>", "desk", (1.2, 0.8, 0.7))
+    layout = _layout({asset.id: (2.0, 1.5, 0.0)})
+    root = ET.fromstring(render_svg(_scene(Room(4.0, 3.0, 2.5), (asset,)), layout).decode("utf-8"))
+    assert [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")] == ["desk <A&B>"]
+
+
 def test_svg_polygon_matches_footprint_corners():
     room = Room(6.0, 6.0, 3.0)
     asset = Asset("a", "box", (1.2, 0.8, 1.0))
@@ -486,6 +495,21 @@ def test_cli_validate_converges_and_writes_revision(tmp_path, capsys):
     assert "converged" in capsys.readouterr().out
     revised = parse_scene(open(out).read())
     assert len(revised.relations) == len(load_fixture("conflict_pair").relations) + 1
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask_022", "umask_027"])
+def test_cli_out_file_gets_the_mode_of_a_plain_write(tmp_path, capsys, umask):
+    scene = _write_fixture(tmp_path, "conflict_pair")
+    old = os.umask(umask)
+    try:
+        assert main(["validate", scene, "--out", str(tmp_path / "revised.json")]) == 0
+        with open(tmp_path / "plain.json", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("revised.json", "plain.json")}
+    assert modes == {0o666 & ~umask}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conflict_pair.json", "plain.json", "revised.json"]
 
 
 def test_cli_validate_budget_exhaustion_is_exit_3(tmp_path, capsys):

@@ -576,6 +576,19 @@ def test_revision_matches_round_trip_on_fixtures():
     assert _outputs(*new) == _outputs(*ref)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: load_fixture("conflict_pair"), _crowded_scene], ids=["parsed", "hand_built"]
+)
+def test_revision_replaces_only_relations(make):
+    spec = make()
+    revised, report = imagine_and_revise(spec)
+    assert report.rounds[0].edits
+    assert revised.room is spec.room
+    assert revised.assets is spec.assets
+    assert revised.units is spec.units
+    assert (revised.seed, revised.name) == (spec.seed, spec.name)
+
+
 def test_revision_edits_hold_plain_floats():
     # A unit's stand-in box has numpy coordinates; the edits derived from
     # it must not carry numpy scalars into the relations or the report.
@@ -612,6 +625,16 @@ def _mutate_d(out):
     out[_relation_index(out, "distance", "s3", "s2")].params["d"] = -1
 
 
+def _negative_d_from_the_start():
+    """Hand-built `_crowded_scene` whose s1 -> t distance is negative before
+    any revision; the baseline reviser does not touch it."""
+    spec = _crowded_scene()
+    relations = list(spec.relations)
+    k = _relation_index(relations, "distance", "s1", "t")
+    relations[k] = dataclasses.replace(relations[k], params={"d": -1})
+    return spec.with_relations(relations)
+
+
 @pytest.mark.parametrize(
     "bad, location",
     [
@@ -623,6 +646,7 @@ def _mutate_d(out):
         (lambda o: o.pop(_relation_index(o, "around", "k2", "t")), "]"),
         (lambda o: o.append(Relation("gap", "c", "b", {"g": 0.1}, shared_param="s")), "shared_param"),
         (_mutate_d, "].params.d"),
+        (None, "].params.d"),
     ],
     ids=[
         "unknown_entity",
@@ -633,14 +657,19 @@ def _mutate_d(out):
         "around_one_source",
         "shared_mixes_kinds",
         "mutated_in_place",
+        "hand_built_invalid_from_the_start",
     ],
 )
 def test_late_invalid_revision_raises_as_round_trip(bad, location):
+    # Without `bad`, the input itself is invalid: the first revision reports it.
     messages = []
     for loop in (imagine_and_revise, _reference_imagine_and_revise):
-        spec = parse_scene(serialize_scene(_crowded_scene()))
+        if bad is None:
+            spec, reviser = _negative_d_from_the_start(), baseline_reviser
+        else:
+            spec, reviser = parse_scene(serialize_scene(_crowded_scene())), _late(bad)
         with pytest.raises(RevisionError) as info:
-            loop(spec, reviser=_late(bad))
+            loop(spec, reviser=reviser)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("reviser produced an invalid scene: relations[")
