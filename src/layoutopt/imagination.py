@@ -394,12 +394,13 @@ def baseline_reviser(spec: SceneSpec, conflicts: list) -> tuple:
 
 
 def _rel_key(rel: Relation) -> tuple:
-    """A relation as the revision diff compares and reports it."""
+    """A relation as the revision diff compares and reports it.  Params are
+    sorted by the text of their keys, which a reviser may mix in type."""
     return (
         rel.kind,
         rel.source,
         rel.target,
-        tuple(sorted(rel.params.items())),
+        tuple(sorted(rel.params.items(), key=lambda item: str(item[0]))),
         rel.scope,
         rel.unit,
         rel.shared_param,

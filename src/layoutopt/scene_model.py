@@ -17,31 +17,7 @@ from dataclasses import dataclass, field, replace
 from .errors import SceneSemanticError, SceneSyntaxError
 from .geometry import Pose2D
 
-RELATION_KINDS = frozenset(
-    {
-        "distance",
-        "gap",
-        "against_wall",
-        "corner",
-        "facing",
-        "left_of",
-        "right_of",
-        "in_front_of",
-        "behind_of",
-        "angle_offset",
-        "h_place",
-        "v_place",
-        "around",
-    }
-)
-
-DIRECTIONAL_KINDS = frozenset({"left_of", "right_of", "in_front_of", "behind_of"})
-
-# Alignment fraction p of a directional relation that does not give one.
-DEFAULT_P = 0.5
-
-# Kinds anchored to the room itself; these only make sense at scene level.
-SCENE_ANCHORED_KINDS = frozenset({"against_wall", "corner", "h_place", "v_place"})
+SCENE_TARGET = "scene"
 
 WALLS = ("L", "R", "T", "B")
 
@@ -53,19 +29,53 @@ CORNER_WALLS = {
     "TL": ("L", "T"),
 }
 
-SCENE_TARGET = "scene"
+# Alignment fraction p of a directional relation that does not give one.
+DEFAULT_P = 0.5
 
+# Markers in a param's entry of the kinds table: the default of a param a
+# relation must give, and the bounds of a non-empty string param (a number
+# param's bounds are (minimum, maximum), None for no bound).
+_REQUIRED = None
+_STRING = "string"
+
+# The four directional kinds share one entry: the source sits on one side
+# of the target, at the alignment fraction p along that side.
+_DIRECTIONAL = ("entity", "p", (("p", DEFAULT_P, (0.0, 1.0)),))
+
+# The kinds table, one entry per relation kind: (target form, shared slot,
+# params).  The target form is "entity" (an entity id), "wall" ("wall:X"),
+# "corner" ("corner:Y") or "scene"; all but "entity" anchor the kind to the
+# room.  The shared slot is the scalar param a shared name binds, or None.
+# Params are (name, default, bounds) in validation order; the parser adds
+# one rule, sweep > 0.
+KINDS = {
+    "distance": ("entity", "d", (("d", _REQUIRED, (0.0, None)),)),
+    "gap": ("entity", "g", (("g", _REQUIRED, (0.0, None)),)),
+    "against_wall": ("wall", None, ()),
+    "corner": ("corner", None, (("wall", _REQUIRED, _STRING),)),
+    "facing": ("entity", None, ()),
+    "left_of": _DIRECTIONAL,
+    "right_of": _DIRECTIONAL,
+    "in_front_of": _DIRECTIONAL,
+    "behind_of": _DIRECTIONAL,
+    "angle_offset": ("entity", "alpha", (("alpha", _REQUIRED, (None, None)),)),
+    "h_place": ("scene", "x", (("x", _REQUIRED, (None, None)), ("margin", 0.0, (0.0, None)))),
+    "v_place": ("scene", "y", (("y", _REQUIRED, (None, None)), ("margin", 0.0, (0.0, None)))),
+    "around": ("entity", None, (
+        ("group", _REQUIRED, _STRING),
+        ("sweep", _REQUIRED, (0.0, 2.0 * math.pi)),
+        ("center", _REQUIRED, (None, None)),
+    )),
+}
+
+RELATION_KINDS = frozenset(KINDS)
+DIRECTIONAL_KINDS = frozenset(k for k, entry in KINDS.items() if entry is _DIRECTIONAL)
+SCENE_ANCHORED_KINDS = frozenset(k for k, (form, _, _) in KINDS.items() if form != "entity")
 # Scalar parameter a shared name may bind, per relation kind.
-SHARED_PARAM_SLOTS = {
-    "distance": "d",
-    "gap": "g",
-    "angle_offset": "alpha",
-    "h_place": "x",
-    "v_place": "y",
-    "left_of": "p",
-    "right_of": "p",
-    "in_front_of": "p",
-    "behind_of": "p",
+SHARED_PARAM_SLOTS = {k: slot for k, (_, slot, _) in KINDS.items() if slot is not None}
+# Default of each optional param, per relation kind.
+_DEFAULTS = {
+    k: {name: d for name, d, _ in params if d is not _REQUIRED} for k, (_, _, params) in KINDS.items()
 }
 
 
@@ -173,7 +183,7 @@ class SceneSpec:
 def relation_params(rel: Relation) -> dict:
     """`rel.params` with the parser's default for each optional param it
     omits, as a hand-built relation may."""
-    return {**_PARAM_SPEC[rel.kind][1], **rel.params}
+    return {**_DEFAULTS[rel.kind], **rel.params}
 
 
 def shared_param_priors(spec: SceneSpec) -> dict:
@@ -245,7 +255,7 @@ def _obj(value, location: str) -> dict:
 def _check_keys(obj: dict, allowed, location: str):
     unknown = set(obj) - set(allowed)
     if unknown:
-        _err(f"unknown keys {sorted(unknown)}", location)
+        _err(f"unknown keys {sorted(unknown, key=str)}", location)
 
 
 def _parse_room(data, location: str) -> Room:
@@ -296,58 +306,22 @@ def _parse_unit(data, location: str) -> Unit:
     return Unit(uid, anchor, names)
 
 
-# Required and optional params for each relation kind.  Optional entries map
-# to their default value.
-_PARAM_SPEC: dict = {
-    "distance": ({"d"}, {}),
-    "gap": ({"g"}, {}),
-    "against_wall": (set(), {}),
-    "corner": ({"wall"}, {}),
-    "facing": (set(), {}),
-    "left_of": (set(), {"p": DEFAULT_P}),
-    "right_of": (set(), {"p": DEFAULT_P}),
-    "in_front_of": (set(), {"p": DEFAULT_P}),
-    "behind_of": (set(), {"p": DEFAULT_P}),
-    "angle_offset": ({"alpha"}, {}),
-    "h_place": ({"x"}, {"margin": 0.0}),
-    "v_place": ({"y"}, {"margin": 0.0}),
-    "around": ({"group", "sweep", "center"}, {}),
-}
-
-
 def _parse_relation_params(kind: str, raw, location: str) -> dict:
-    required, optional = _PARAM_SPEC[kind]
+    spec = KINDS[kind][2]
     obj = _obj(raw, location) if raw is not None else {}
-    _check_keys(obj, required | set(optional), location)
-    for key in required:
-        if key not in obj:
-            _err(f"missing param {key!r}", location)
-    params = dict(optional)
-    params.update(obj)
-    if kind == "distance":
-        params["d"] = _number(params["d"], f"{location}.d", minimum=0.0)
-    elif kind == "gap":
-        params["g"] = _number(params["g"], f"{location}.g", minimum=0.0)
-    elif kind == "corner":
-        params["wall"] = _string(params["wall"], f"{location}.wall")
-    elif kind in DIRECTIONAL_KINDS:
-        params["p"] = _number(params["p"], f"{location}.p", minimum=0.0, maximum=1.0)
-    elif kind == "angle_offset":
-        params["alpha"] = _number(params["alpha"], f"{location}.alpha")
-    elif kind == "h_place":
-        params["x"] = _number(params["x"], f"{location}.x")
-        params["margin"] = _number(params["margin"], f"{location}.margin", minimum=0.0)
-    elif kind == "v_place":
-        params["y"] = _number(params["y"], f"{location}.y")
-        params["margin"] = _number(params["margin"], f"{location}.margin", minimum=0.0)
-    elif kind == "around":
-        params["group"] = _string(params["group"], f"{location}.group")
-        params["sweep"] = _number(
-            params["sweep"], f"{location}.sweep", minimum=0.0, maximum=2.0 * math.pi
-        )
-        if params["sweep"] == 0.0:
-            _err("sweep must be positive", f"{location}.sweep")
-        params["center"] = _number(params["center"], f"{location}.center")
+    _check_keys(obj, [name for name, _, _ in spec], location)
+    for name, default, _ in spec:
+        if default is _REQUIRED and name not in obj:
+            _err(f"missing param {name!r}", location)
+    params = {**_DEFAULTS[kind], **obj}
+    for name, _, bounds in spec:
+        loc = f"{location}.{name}"
+        if bounds is _STRING:
+            params[name] = _string(params[name], loc)
+        else:
+            params[name] = _number(params[name], loc, *bounds)
+        if name == "sweep" and params[name] == 0.0:
+            _err("sweep must be positive", loc)
     return params
 
 
@@ -404,30 +378,27 @@ def _validate_endpoint(spec_units, assets, unit_lookup, rel: Relation, endpoint:
 
 
 def _validate_relation(spec_units, assets, unit_lookup, rel: Relation, location: str):
-    if rel.kind in SCENE_ANCHORED_KINDS and rel.scope != "inter":
+    form = KINDS[rel.kind][0]
+    if form != "entity" and rel.scope != "inter":
         _err(f"{rel.kind} relations are scene-anchored and must be inter", f"{location}.scope")
 
-    # Target shape by kind.
-    if rel.kind == "against_wall":
-        wall = rel.target.removeprefix("wall:")
-        if rel.target == wall or wall not in WALLS:
-            _err("target must be 'wall:L|R|T|B'", f"{location}.target")
-    elif rel.kind == "corner":
-        tag = rel.target.removeprefix("corner:")
-        if rel.target == tag or tag not in CORNER_WALLS:
-            _err("target must be 'corner:BL|BR|TR|TL'", f"{location}.target")
-        if rel.params["wall"] not in CORNER_WALLS[tag]:
+    if form == "entity":
+        if rel.target == SCENE_TARGET or ":" in rel.target:
+            _err(f"{rel.kind} needs an entity target", f"{location}.target")
+        _validate_endpoint(spec_units, assets, unit_lookup, rel, "target", f"{location}.target")
+    elif form == "scene":
+        if rel.target != SCENE_TARGET:
+            _err("target must be 'scene'", f"{location}.target")
+    else:
+        tags = WALLS if form == "wall" else CORNER_WALLS
+        tag = rel.target.removeprefix(f"{form}:")
+        if rel.target == tag or tag not in tags:
+            _err(f"target must be '{form}:{'|'.join(tags)}'", f"{location}.target")
+        if form == "corner" and rel.params["wall"] not in CORNER_WALLS[tag]:
             _err(
                 f"wall {rel.params['wall']!r} is not adjacent to corner {tag!r}",
                 f"{location}.params.wall",
             )
-    elif rel.kind in ("h_place", "v_place"):
-        if rel.target != SCENE_TARGET:
-            _err("target must be 'scene'", f"{location}.target")
-    else:
-        if rel.target == SCENE_TARGET or ":" in rel.target:
-            _err(f"{rel.kind} needs an entity target", f"{location}.target")
-        _validate_endpoint(spec_units, assets, unit_lookup, rel, "target", f"{location}.target")
 
     if rel.source == SCENE_TARGET or ":" in rel.source:
         _err("source must be an entity id", f"{location}.source")

@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from layoutopt.constraints import Weights, aggregate_global, param_index
 from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
@@ -288,6 +289,40 @@ def test_bundled_scenes_solve_clean():
         ok = ok and good
         rows.append(f"{name} CR={rep.cr_percent:.0f}% OR={rep.or_percent:.0f}% pen={worst:.1e} {elapsed:.1f}s")
     _verdict(ok, "bundled scenes solve to 0% collision/out-of-bounds, penalties < 1e-3: " + "; ".join(rows))
+
+
+# Floors of (clean, clean + satisfied) solves over seeds 0-19 with the
+# default config.  Clean is 0% collision and 0% out of bounds; satisfied is
+# also every final penalty below 1e-3.  conflict_pair is revised first.  A
+# change may raise a floor it earns, never lower one.
+_SWEEP_FLOORS = {
+    "star_unit": (20, 20),
+    "dining_set": (20, 16),
+    "conflict_pair": (15, 1),
+    "bookstore_rows": (1, 0),
+    "mixed_ten": (4, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_FLOORS))
+def test_default_config_seed_sweep(name):
+    assert set(_SWEEP_FLOORS) == set(FIXTURE_NAMES)
+    spec = load_fixture(name)
+    if name == "conflict_pair":
+        spec, _ = imagine_and_revise(spec)
+    clean = satisfied = 0
+    for seed in range(20):
+        layout, trace = solve(spec, OptimizerConfig(seed=seed))
+        rep = eval_physical(spec, layout)
+        ok = rep.cr_percent == 0.0 and rep.or_percent == 0.0
+        clean += ok
+        satisfied += ok and all(v < 1e-3 for v in trace.final_penalties.values())
+    floor_clean, floor_satisfied = _SWEEP_FLOORS[name]
+    _verdict(
+        clean >= floor_clean and satisfied >= floor_satisfied,
+        f"{name}, default config, seeds 0-19: clean {clean}/20 (floor {floor_clean}), "
+        f"clean + satisfied {satisfied}/20 (floor {floor_satisfied})",
+    )
 
 
 # 7 -- the hierarchical parameterization converges faster on the star scene.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -384,6 +385,18 @@ def test_invalid_revision_raises():
         )
 
     with pytest.raises(RevisionError):
+        imagine_and_revise(spec, reviser=bad)
+
+
+def test_revision_with_mixed_type_param_keys_raises():
+    spec = load_fixture("conflict_pair")
+
+    def bad(s, conflicts):
+        return tuple(s.relations) + (
+            Relation("distance", "desk", "sofa", {"d": 1.0, 1: 2.0, "x": 1}, "inter"),
+        )
+
+    with pytest.raises(RevisionError, match=re.escape("relations[5].params: unknown keys [1, 'x']")):
         imagine_and_revise(spec, reviser=bad)
 
 

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import layoutopt
 from layoutopt.errors import SceneSemanticError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from layoutopt.scene_model import (
@@ -359,3 +363,184 @@ def test_all_fixtures_parse():
         # Raw text stays valid JSON with the same content after a round trip.
         raw = json.loads(fixture_text(name))
         assert raw["room"]["length"] == spec.room.length
+
+
+# Target each kind takes in the tables below unless a case names one.
+_KIND_TARGET = {"against_wall": "wall:L", "corner": "corner:BL", "h_place": "scene", "v_place": "scene"}
+
+
+def _one_relation_scene(kind, params, target=None, scope="inter") -> dict:
+    rel = {"kind": kind, "source": "lamp", "target": target or _KIND_TARGET.get(kind, "work")}
+    if scope == "intra":
+        rel.update(source="chair", scope="intra", unit="work")
+    if params is not None:
+        rel["params"] = params
+    return two_asset_unit_scene(relations=[rel])
+
+
+# One malformed relation per kind and failure: (kind, params, location,
+# message).  Unknown keys are reported before missing params, and every
+# missing param before any value.
+_PARAM_ERRORS = [
+    ("distance", None, "params", "missing param 'd'"),
+    ("distance", {"d": "1"}, "params.d", "expected a number"),
+    ("distance", {"d": True}, "params.d", "expected a number"),
+    ("distance", {"d": -0.5}, "params.d", "must be >= 0.0"),
+    ("distance", {"d": 1.0, "q": 2}, "params", "unknown keys ['q']"),
+    ("distance", {"q": 1}, "params", "unknown keys ['q']"),
+    ("distance", [1.0], "params", "expected an object"),
+    ("gap", {}, "params", "missing param 'g'"),
+    ("gap", {"g": None}, "params.g", "expected a number"),
+    ("gap", {"g": -0.1}, "params.g", "must be >= 0.0"),
+    ("gap", {"g": 0.1, "d": 0.2, "a": 1}, "params", "unknown keys ['a', 'd']"),
+    ("against_wall", {"wall": "L"}, "params", "unknown keys ['wall']"),
+    ("corner", {}, "params", "missing param 'wall'"),
+    ("corner", {"wall": 3}, "params.wall", "expected a non-empty string"),
+    ("corner", {"wall": ""}, "params.wall", "expected a non-empty string"),
+    ("corner", {"wall": "L", "p": 0.5}, "params", "unknown keys ['p']"),
+    ("facing", {"d": 1.0}, "params", "unknown keys ['d']"),
+    ("left_of", {"p": "0.5"}, "params.p", "expected a number"),
+    ("left_of", {"p": False}, "params.p", "expected a number"),
+    ("left_of", {"p": -0.1}, "params.p", "must be >= 0.0"),
+    ("left_of", {"p": 0.5, "g": 0.1}, "params", "unknown keys ['g']"),
+    ("right_of", {"p": 1.5}, "params.p", "must be <= 1.0"),
+    ("right_of", {"p": [0.5]}, "params.p", "expected a number"),
+    ("in_front_of", {"p": 1.01}, "params.p", "must be <= 1.0"),
+    ("in_front_of", {"p": True}, "params.p", "expected a number"),
+    ("behind_of", {"p": -1}, "params.p", "must be >= 0.0"),
+    ("behind_of", {"q": 0.5}, "params", "unknown keys ['q']"),
+    ("angle_offset", {}, "params", "missing param 'alpha'"),
+    ("angle_offset", {"alpha": "pi"}, "params.alpha", "expected a number"),
+    ("angle_offset", {"alpha": math.nan}, "params.alpha", "number must be finite"),
+    ("angle_offset", {"alpha": 1.0, "beta": 2.0}, "params", "unknown keys ['beta']"),
+    ("h_place", {"margin": 0.1}, "params", "missing param 'x'"),
+    ("h_place", {"margin": "a"}, "params", "missing param 'x'"),
+    ("h_place", {"x": "1"}, "params.x", "expected a number"),
+    ("h_place", {"x": math.inf}, "params.x", "number must be finite"),
+    ("h_place", {"x": 1.0, "margin": -0.1}, "params.margin", "must be >= 0.0"),
+    ("h_place", {"x": 1.0, "margin": True}, "params.margin", "expected a number"),
+    ("h_place", {"x": 1.0, "y": 2.0}, "params", "unknown keys ['y']"),
+    ("v_place", {"margin": 0.0}, "params", "missing param 'y'"),
+    ("v_place", {"y": False}, "params.y", "expected a number"),
+    ("v_place", {"y": 1.0, "margin": -1}, "params.margin", "must be >= 0.0"),
+    ("v_place", {"x": 1.0, "y": 1.0}, "params", "unknown keys ['x']"),
+    ("around", {"sweep": 3.0, "center": 0.0}, "params", "missing param 'group'"),
+    ("around", {"group": "g", "center": 0.0}, "params", "missing param 'sweep'"),
+    ("around", {"group": 1, "center": 0.0}, "params", "missing param 'sweep'"),
+    ("around", {"group": "g", "sweep": 3.0}, "params", "missing param 'center'"),
+    ("around", {"group": 1, "sweep": 3.0, "center": 0.0}, "params.group", "expected a non-empty string"),
+    ("around", {"group": "", "sweep": 0.0, "center": "x"}, "params.group", "expected a non-empty string"),
+    ("around", {"group": "g", "sweep": -1.0, "center": 0.0}, "params.sweep", "must be >= 0.0"),
+    ("around", {"group": "g", "sweep": 7.0, "center": 0.0}, "params.sweep", "must be <= 6.283185307179586"),
+    ("around", {"group": "g", "sweep": 0, "center": 0.0}, "params.sweep", "sweep must be positive"),
+    ("around", {"group": "g", "sweep": 0.0, "center": "x"}, "params.sweep", "sweep must be positive"),
+    ("around", {"group": "g", "sweep": 3.0, "center": True}, "params.center", "expected a number"),
+    ("around", {"group": "g", "sweep": 3.0, "center": 0.0, "d": 1.0}, "params", "unknown keys ['d']"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, params, location, message",
+    _PARAM_ERRORS,
+    ids=[f"{k}-{i}" for i, (k, *_) in enumerate(_PARAM_ERRORS)],
+)
+def test_param_errors_name_message_and_location(kind, params, location, message):
+    with pytest.raises(SceneSemanticError) as e:
+        parse(_one_relation_scene(kind, params))
+    assert loc_of(e) == f"relations[0].{location}"
+    assert str(e.value) == f"relations[0].{location}: {message}"
+
+
+# One relation per kind with a target or scope its target form rejects:
+# (kind, target, params, scope, location, message).
+_TARGET_ERRORS = [
+    ("corner", "corner:BL", {"wall": "T"}, "inter", "params.wall", "wall 'T' is not adjacent to corner 'BL'"),
+    ("against_wall", "wall:Q", None, "inter", "target", "target must be 'wall:L|R|T|B'"),
+    ("against_wall", "lamp", None, "inter", "target", "target must be 'wall:L|R|T|B'"),
+    ("against_wall", "corner:BL", None, "inter", "target", "target must be 'wall:L|R|T|B'"),
+    ("corner", "corner:XX", {"wall": "L"}, "inter", "target", "target must be 'corner:BL|BR|TR|TL'"),
+    ("corner", "wall:L", {"wall": "L"}, "inter", "target", "target must be 'corner:BL|BR|TR|TL'"),
+    ("h_place", "work", {"x": 1.0}, "inter", "target", "target must be 'scene'"),
+    ("v_place", "wall:L", {"y": 1.0}, "inter", "target", "target must be 'scene'"),
+    ("distance", "scene", {"d": 1.0}, "inter", "target", "distance needs an entity target"),
+    ("facing", "wall:L", None, "inter", "target", "facing needs an entity target"),
+    ("around", "corner:BL", {"group": "g", "sweep": 1.0, "center": 0.0}, "inter", "target", "around needs an entity target"),
+    ("left_of", "ghost", None, "inter", "target", "unknown entity 'ghost'"),
+    ("h_place", "scene", {"x": 1.0}, "intra", "scope", "h_place relations are scene-anchored and must be inter"),
+    ("v_place", "scene", {"y": 1.0}, "intra", "scope", "v_place relations are scene-anchored and must be inter"),
+    ("corner", "corner:TR", {"wall": "R"}, "intra", "scope", "corner relations are scene-anchored and must be inter"),
+    ("against_wall", "wall:B", None, "intra", "scope", "against_wall relations are scene-anchored and must be inter"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, target, params, scope, location, message",
+    _TARGET_ERRORS,
+    ids=[f"{k}-{i}" for i, (k, *_) in enumerate(_TARGET_ERRORS)],
+)
+def test_target_errors_name_message_and_location(kind, target, params, scope, location, message):
+    with pytest.raises(SceneSemanticError) as e:
+        parse(_one_relation_scene(kind, params, target, scope))
+    assert loc_of(e) == f"relations[0].{location}"
+    assert str(e.value) == f"relations[0].{location}: {message}"
+
+
+# Valid params come back as floats, defaults first, then the given keys in
+# the order given.
+_VALID_PARAMS = [
+    ("distance", {"d": 1}, "[('d', 1.0)]"),
+    ("gap", {"g": 0}, "[('g', 0.0)]"),
+    ("against_wall", None, "[]"),
+    ("corner", {"wall": "B"}, "[('wall', 'B')]"),
+    ("facing", {}, "[]"),
+    ("left_of", None, "[('p', 0.5)]"),
+    ("right_of", {"p": 1}, "[('p', 1.0)]"),
+    ("in_front_of", {"p": 0}, "[('p', 0.0)]"),
+    ("behind_of", {"p": 0.25}, "[('p', 0.25)]"),
+    ("angle_offset", {"alpha": -3}, "[('alpha', -3.0)]"),
+    ("h_place", {"x": 2}, "[('margin', 0.0), ('x', 2.0)]"),
+    ("v_place", {"y": 1.5, "margin": 0}, "[('margin', 0.0), ('y', 1.5)]"),
+]
+
+
+@pytest.mark.parametrize("kind, params, items", _VALID_PARAMS, ids=[k for k, *_ in _VALID_PARAMS])
+def test_valid_params_keep_values_and_order(kind, params, items):
+    (rel,) = parse(_one_relation_scene(kind, params)).relations
+    assert repr(list(rel.params.items())) == items
+
+
+def test_around_params_keep_the_given_order():
+    rels = [
+        {"kind": "around", "source": s, "target": "lamp", "params": {"center": 1, "sweep": 3, "group": "g"}}
+        for s in ("a", "b")
+    ]
+    data = minimal_scene(
+        assets=[{"id": i, "size": [0.4, 0.4, 0.4]} for i in ("lamp", "a", "b")], relations=rels
+    )
+    for rel in parse(data).relations:
+        assert repr(list(rel.params.items())) == "[('center', 1.0), ('sweep', 3.0), ('group', 'g')]"
+
+
+def test_missing_params_error_does_not_depend_on_the_hash_seed():
+    """Of several missing params, the error names the first in the kinds
+    table, under any hash seed."""
+    scene = json.dumps(_one_relation_scene("around", {}))
+    code = (
+        "import sys\n"
+        "from layoutopt.scene_model import parse_scene\n"
+        "from layoutopt.errors import SceneSemanticError\n"
+        "try:\n"
+        "    parse_scene(sys.stdin.read())\n"
+        "except SceneSemanticError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(layoutopt.__file__)))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], input=scene, capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs == ["relations[0].params: missing param 'group'\n"] * 2
