@@ -69,8 +69,8 @@ class _Board:
     """Coordinate slots of one frame's boxes (scene or unit local), by box
     position; an anchor sits at the frame origin."""
 
-    def __init__(self, boxes: list, rows: tuple, default_xy: tuple):
-        self.halves = [box[3:] for box in boxes]
+    def __init__(self, halves, rows: tuple, default_xy: tuple):
+        self.halves = halves
         self.default_xy = default_xy
         self.slots = [[None, None, None] if r is not None else [0.0, 0.0, 0.0] for r in rows]
         self.counters: dict = {}
@@ -193,10 +193,10 @@ def _apply_around_group(board: _Board, term: Term):
         board.pin(src, 2, heading)
 
 
-def _run_pass(block: Block, boxes: list, default_xy: tuple) -> list:
+def _run_pass(block: Block, halves, default_xy: tuple) -> list:
     """The (x, y, theta) of each box of `block` after its terms, in order;
-    `boxes` gives the half sizes."""
-    board = _Board(boxes, block.rows, default_xy)
+    `halves` gives each box's (half_l, half_w)."""
+    board = _Board(halves, block.rows, default_xy)
     for term in block.terms:
         _apply_term(board, term)
     return board.resolved()
@@ -210,7 +210,7 @@ def interpret_scene(spec: SceneSpec) -> dict:
     poses: dict = {}
     for u in spec.units:
         block = index.blocks[u.id]
-        centers = _run_pass(block, _block_boxes(block, xs)[0], (0.0, 0.0))
+        centers = _run_pass(block, block.halves, (0.0, 0.0))
         for eid, r, c in zip(block.ids[1:], block.rows[1:], centers[1:]):
             xs[r : r + 3] = c
             poses[eid] = Pose2D(*c)
@@ -219,7 +219,7 @@ def interpret_scene(spec: SceneSpec) -> dict:
     # on its offset in the unit frame.
     scene = index.blocks[None]
     boxes, _ = _block_boxes(scene, xs)
-    centers = _run_pass(scene, boxes, (0.5 * spec.room.length, 0.5 * spec.room.width))
+    centers = _run_pass(scene, [box[3:] for box in boxes], (0.5 * spec.room.length, 0.5 * spec.room.width))
     for eid, (x, y, theta), box, frame in zip(scene.ids, centers, boxes, scene.frames):
         if frame is None:
             poses[eid] = Pose2D(x, y, theta)
@@ -407,17 +407,6 @@ def _rel_key(rel: Relation) -> tuple:
     )
 
 
-def _same_items(items, params: dict) -> bool:
-    """Whether `params` holds the very key and value objects of `items`.
-
-    Identity, not equality: the parser turns an int 2 into 2.0, so a value
-    equal to the one it replaced may still need parsing.
-    """
-    if items is None or len(items) != len(params):
-        return False
-    return all(k is k2 and v is v2 for (k, v), (k2, v2) in zip(items, params.items()))
-
-
 def _describe(key: tuple) -> str:
     kind, source, target, items, scope, unit, _ = key
     where = scope if unit is None else f"{scope}:{unit}"
@@ -498,19 +487,13 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
     Returns (possibly revised spec, RevisionReport).  Edits outside the
     conflicting scopes raise RevisionError, and so does a revised relation
     list the scene parser rejects.  Every revision goes through
-    `scene_model.replace_relations`: the relations the reviser added or
-    replaced, plus any whose params it changed in place, are parsed and
-    validated, every relation of the first revision among them, and the
-    around groups and shared parameters are checked over the whole list.
-    That gives the same relations and the same error as running the whole
-    scene through the parser; the room, assets and units are kept as given.
+    `scene_model.replace_relations`, which decides which relations to parse;
+    the room, assets and units are kept as given.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     current = spec
     rounds = []
-    # Params of each relation already validated, by object id.
-    checked: dict = {}
     for t in range(1, budget + 1):
         poses = interpret_scene(current)
         local_maps, global_map = build_maps(current, poses)
@@ -523,11 +506,9 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
         new_relations = tuple(reviser(current, conflicts))
         removed, added, edits = _relation_diff(old_keys, new_relations)
         _check_locality(removed, added, conflicts)
-        fresh = [k for k, r in enumerate(new_relations) if not _same_items(checked.get(id(r)), r.params)]
         try:
-            current = replace_relations(current, new_relations, fresh)
+            current = replace_relations(current, new_relations)
         except SceneSemanticError as exc:
             raise RevisionError(f"reviser produced an invalid scene: {exc}") from exc
-        checked = {id(r): tuple(r.params.items()) for r in current.relations}
         rounds.append(RevisionRound(t, tuple(conflicts), tuple(edits)))
     return current, RevisionReport(False, budget, tuple(rounds))

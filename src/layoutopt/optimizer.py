@@ -23,7 +23,6 @@ constraint parameters float under a quadratic prior at their declared values.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,13 +78,11 @@ class Trace:
 
     `final_shared` and `final_penalties` snapshot the learned shared
     parameters and the raw per-relation penalties at the final state.
-    `wall_time` is informational and never serialized.
     """
 
     rows: list = field(default_factory=list)
     final_shared: dict = field(default_factory=dict)
     final_penalties: dict = field(default_factory=dict)
-    wall_time: float = 0.0
 
     def totals(self) -> np.ndarray:
         return np.array([r.total for r in self.rows])
@@ -167,11 +164,6 @@ def init_state(spec: SceneSpec, seed: int) -> ParamState:
     rng = np.random.default_rng(seed)
 
     def draw_position(margin: float) -> tuple[float, float]:
-        if 2.0 * margin > room.length or 2.0 * margin > room.width:
-            raise InfeasibleRoomError(
-                f"no in-bounds position with margin {margin} in a "
-                f"{room.length}x{room.width} room"
-            )
         x = rng.uniform(margin, room.length - margin)
         y = rng.uniform(margin, room.width - margin)
         return x, y
@@ -325,7 +317,6 @@ def _descend(state: ParamState, config: OptimizerConfig, weights: Weights) -> Tr
     """Run both stages from `state` in place and record the trace."""
     if config.iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {config.iterations}")
-    started = time.perf_counter()
     trace = Trace()
     for stage in (1, 2):
         state.reset_momentum()
@@ -345,7 +336,6 @@ def _descend(state: ParamState, config: OptimizerConfig, weights: Weights) -> Tr
             )
     trace.final_shared = state.shared
     trace.final_penalties = relation_penalties(state.spec, state.index, _derived_view(state))
-    trace.wall_time = time.perf_counter() - started
     return trace
 
 

@@ -137,7 +137,8 @@ class Relation:
 
 @dataclass
 class SceneSpec:
-    """Validated scene: room, assets, units, relations, and a base seed."""
+    """Validated scene: room, assets, units, relations, and a base seed.
+    `_parsed` records the relations the parser produced for it, if any."""
 
     room: Room
     assets: tuple[Asset, ...]
@@ -147,6 +148,7 @@ class SceneSpec:
     name: str = ""
 
     def __post_init__(self):
+        self._parsed: dict = {}
         self._assets_by_id = {a.id: a for a in self.assets}
         self._units_by_id = {u.id: u for u in self.units}
         self._unit_of = {}
@@ -528,7 +530,7 @@ def parse_scene(text: str) -> SceneSpec:
     if not isinstance(name, str):
         _err("name must be a string", "name")
 
-    return SceneSpec(room, tuple(assets), tuple(units), tuple(relations), seed, name)
+    return _record_parsed(SceneSpec(room, tuple(assets), tuple(units), tuple(relations), seed, name))
 
 
 def load_scene(path) -> SceneSpec:
@@ -577,28 +579,43 @@ def _relation_entry(r: Relation) -> dict:
     return entry
 
 
-def replace_relations(spec: SceneSpec, relations, fresh) -> SceneSpec:
+def _record_parsed(spec: SceneSpec) -> SceneSpec:
+    """`spec`, its relations recorded as the parser's outputs for it."""
+    spec._parsed = {id(r): (r, tuple(r.params.items())) for r in spec.relations}
+    return spec
+
+
+def _kept(spec: SceneSpec, rel: Relation) -> bool:
+    """Whether `rel` is a parser output recorded for `spec` whose params
+    still hold the very same key and value objects: identity, not equality,
+    since the parser turns an int 2 into 2.0."""
+    recorded, items = spec._parsed.get(id(rel), (None, ()))
+    return (
+        recorded is rel
+        and len(items) == len(rel.params)
+        and all(k is k2 and v is v2 for (k, v), (k2, v2) in zip(items, rel.params.items()))
+    )
+
+
+def replace_relations(spec: SceneSpec, relations) -> SceneSpec:
     """`spec` with `relations`, validated as a scene parser round trip of it
     would validate them, without the round trip.
 
-    The relations at the indices in `fresh` go through the parser's
-    per-relation path, entry written as serialize_scene writes it, and come
-    back as parser outputs; only the others must be parser outputs for
-    `spec`'s assets and units, and are kept as they are.  The rules that span
-    relations run over the whole list; room, assets and units stay `spec`'s.
-    Raises SceneSemanticError with the location the round trip would report.
+    This decides which relations to parse: each one but those `_kept` for
+    `spec`, which only a spec from `parse_scene` or `replace_relations` has,
+    goes through the parser's per-relation path, entry written as
+    serialize_scene writes it.  The rules that span relations run over the
+    whole list; room, assets and units stay `spec`'s.  Raises
+    SceneSemanticError with the location the round trip would report.
     """
     relations = list(relations)
-    for k in sorted(fresh):
-        relations[k] = _read_relation(
-            _relation_entry(relations[k]),
-            f"relations[{k}]",
-            spec._units_by_id,
-            spec._assets_by_id,
-            spec._unit_of,
-        )
+    for k, rel in enumerate(relations):
+        if not _kept(spec, rel):
+            relations[k] = _read_relation(
+                _relation_entry(rel), f"relations[{k}]", spec._units_by_id, spec._assets_by_id, spec._unit_of
+            )
     _validate_relation_list(relations)
-    return spec.with_relations(relations)
+    return _record_parsed(spec.with_relations(relations))
 
 
 # ---------------------------------------------------------------------------

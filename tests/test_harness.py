@@ -11,12 +11,13 @@ import pytest
 
 from layoutopt import cli, geometry, harness
 from layoutopt.cli import main
-from layoutopt.errors import MissingEntityError, SceneSyntaxError
+from layoutopt.errors import DivergenceError, MissingEntityError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from layoutopt.geometry import Pose2D
 from layoutopt.harness import (
     COLLISION_TOLERANCE,
     OOB_TOLERANCE,
+    BenchmarkResult,
     PhysicalReport,
     asset_polygon,
     benchmark_curves_csv,
@@ -452,6 +453,44 @@ def test_curves_csv_rows_and_equal_start():
     assert (seed, it) == ("0", "0")
     # Both parameterizations are transported from the same initial draw.
     assert float(re_raw) == pytest.approx(float(gl_raw), abs=1e-9)
+
+
+def _diverging_on(seed, run):
+    """`run`, except that it diverges for `seed`."""
+
+    def wrapped(spec, config, weights):
+        if config.seed == seed:
+            raise DivergenceError("objective is not finite", 7)
+        return run(spec, config, weights)
+
+    return wrapped
+
+
+def test_benchmark_records_a_diverged_flat_run_and_keeps_the_reparam_curve(monkeypatch):
+    spec = load_fixture("dining_set")
+    cfg = OptimizerConfig(iterations=10)
+    clean = convergence_benchmark(spec, (0, 1), config=cfg)
+    monkeypatch.setattr(harness, "solve_global_baseline", _diverging_on(1, harness.solve_global_baseline))
+    results = convergence_benchmark(spec, (0, 1), config=cfg)
+    assert results[0] == clean[0] and not results[0].diverged
+    assert results[1] == BenchmarkResult(
+        "dining_set", 1, clean[1].reparam_iterations, 20, 1.0, True, clean[1].reparam_curve
+    )
+    assert len(results[1].reparam_curve) == 20
+    # The diverged seed has no rows.
+    assert benchmark_curves_csv(results) == benchmark_curves_csv(clean[:1])
+
+
+def test_benchmark_records_a_diverged_reparam_run_without_the_flat_run(monkeypatch):
+    spec = load_fixture("dining_set")
+    def flat_run(*args):
+        raise AssertionError("no flat run after a diverged reparam run")
+
+    monkeypatch.setattr(harness, "solve", _diverging_on(0, harness.solve))
+    monkeypatch.setattr(harness, "solve_global_baseline", flat_run)
+    results = convergence_benchmark(spec, (0,), config=OptimizerConfig(iterations=10))
+    assert results == [BenchmarkResult("dining_set", 0, 20, 20, 1.0, True)]
+    assert benchmark_curves_csv(results) == "seed,iteration,reparam,reparam_ema,baseline,baseline_ema\n"
 
 
 # --- command line ------------------------------------------------------------

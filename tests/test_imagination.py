@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from layoutopt import constraints, geometry, imagination
+from layoutopt import constraints, geometry, imagination, scene_model
 from layoutopt.constraints import param_index, relation_penalties
 from layoutopt.errors import MissingEntityError, RevisionError, SceneSemanticError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
@@ -600,6 +600,31 @@ def test_revision_replaces_only_relations(make):
     assert revised.assets is spec.assets
     assert revised.units is spec.units
     assert (revised.seed, revised.name) == (spec.seed, spec.name)
+
+
+def test_revision_parses_only_the_relations_the_reviser_added_or_changed(monkeypatch):
+    # The input's relations are parser outputs for it, so round 1 parses
+    # only the reviser's new relation objects and keeps the others as given.
+    spec = load_fixture("conflict_pair")
+    revisions, parsed = [], []
+
+    def recording(s, conflicts):
+        revisions.append(baseline_reviser(s, conflicts))
+        return revisions[-1]
+
+    read = scene_model._read_relation
+
+    def spy(raw, location, *args):
+        parsed.append(location)
+        return read(raw, location, *args)
+
+    monkeypatch.setattr(scene_model, "_read_relation", spy)
+    revised, report = imagine_and_revise(spec, recording)
+    assert report.iterations == 2 and len(revisions) == 1
+    new = [k for k, r in enumerate(revisions[0]) if not any(r is old for old in spec.relations)]
+    assert parsed == [f"relations[{k}]" for k in new] and len(new) == 3
+    for k, r in enumerate(revised.relations):
+        assert (r is revisions[0][k]) == (k not in new)
 
 
 def test_revision_edits_hold_plain_floats():

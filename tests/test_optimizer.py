@@ -97,9 +97,16 @@ def test_init_state_draws_differ_across_seeds():
 
 
 def test_oversized_asset_raises():
-    spec = _scene(Room(3.0, 2.0, 2.5), (Asset("slab", "slab", (3.5, 1.0, 0.2)),))
-    with pytest.raises(InfeasibleRoomError):
-        init_state(spec, seed=0)
+    room = Room(3.0, 2.0, 2.5)
+    slab = Asset("slab", "slab", (3.5, 1.0, 0.2))
+    cup = Asset("cup", "cup", (0.1, 0.1, 0.1))
+    for spec in (
+        _scene(room, (slab,)),
+        # An oversized unit anchor, whose frame draws its position first.
+        _scene(room, (cup, slab), units=(Unit("u", "slab", ("cup",)),)),
+    ):
+        with pytest.raises(InfeasibleRoomError, match="asset 'slab' cannot fit"):
+            init_state(spec, seed=0)
 
 
 def test_global_pose_composes_member_locals():
@@ -220,6 +227,21 @@ def test_step_raises_on_nonfinite():
     state.pose("a")[0] = math.nan
     with pytest.raises(DivergenceError):
         step(state, OptimizerConfig(), Weights(), stage=2)
+
+
+def test_step_raises_when_a_parameter_turns_infinite():
+    # The objective is finite at the pre-step state; an infinite learning
+    # rate makes the updated positions non-finite.
+    spec = _scene(
+        Room(10.0, 10.0, 3.0),
+        (Asset("a", "box", (1.0, 1.0, 1.0)), Asset("b", "box", (1.0, 1.0, 1.0))),
+        relations=(Relation("distance", "a", "b", {"d": 1.0}),),
+    )
+    state = init_state(spec, seed=0)
+    state.step_index = 4
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="parameter is not finite") as info:
+        step(state, OptimizerConfig(lr_position=math.inf), Weights(), stage=1)
+    assert info.value.iteration == 5
 
 
 def _intra_only_scene():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -13,11 +14,14 @@ import pytest
 import layoutopt
 from layoutopt.errors import SceneSemanticError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from layoutopt import scene_model
 from layoutopt.scene_model import (
     Layout,
+    SceneSpec,
     parse_layout,
     parse_scene,
     relation_terms,
+    replace_relations,
     serialize_layout,
     serialize_scene,
 )
@@ -521,6 +525,127 @@ def test_around_params_keep_the_given_order():
         assert repr(list(rel.params.items())) == "[('center', 1.0), ('sweep', 3.0), ('group', 'g')]"
 
 
+def _scene_with(drop=(), **changes) -> dict:
+    """`two_asset_unit_scene()` without the keys in `drop`, with `changes`."""
+    data = {**two_asset_unit_scene(), **changes}
+    return {k: v for k, v in data.items() if k not in drop}
+
+
+def _relation(**entry) -> list:
+    return [{"kind": "facing", "source": "lamp", "target": "work", **entry}]
+
+
+_ASSET = {"id": "a", "size": [1.0, 1.0, 1.0]}
+_UNIT = {"id": "work", "anchor": "desk", "members": ["chair"]}
+
+# One malformed scene or layout per error outside relation params and
+# targets: (parser, JSON value or text, location, message).  A location of
+# None marks a SceneSyntaxError, which has none.
+_PARSE_ERRORS = {
+    "room_key": (parse_scene, _scene_with(room={"width": 5.0, "height": 3.0}), "room", "missing 'length'"),
+    "no_room": (parse_scene, _scene_with(drop=("room",)), "scene", "missing room"),
+    "asset_id_reserved": (
+        parse_scene,
+        _scene_with(assets=[{**_ASSET, "id": "scene"}]),
+        "assets[0].id",
+        "id is reserved",
+    ),
+    "unit_id_reserved": (parse_scene, _scene_with(units=[{**_UNIT, "id": "w:1"}]), "units[0].id", "id is reserved"),
+    "size_shape": (
+        parse_scene,
+        _scene_with(assets=[{**_ASSET, "size": [1.0, 1.0]}]),
+        "assets[0].size",
+        "size must be [l, w, h]",
+    ),
+    "description_type": (
+        parse_scene,
+        _scene_with(assets=[{**_ASSET, "description": 3}]),
+        "assets[0].description",
+        "description must be a string",
+    ),
+    "members_empty": (
+        parse_scene,
+        _scene_with(units=[{**_UNIT, "members": []}]),
+        "units[0].members",
+        "members must be a non-empty list",
+    ),
+    "unit_id_duplicate": (
+        parse_scene,
+        _scene_with(units=[{**_UNIT, "id": "desk"}]),
+        "units[0].id",
+        "duplicate id 'desk'",
+    ),
+    "unit_repeats_anchor": (
+        parse_scene,
+        _scene_with(units=[{**_UNIT, "members": ["chair", "desk"]}]),
+        "units[0]",
+        "anchor and members must be distinct",
+    ),
+    "intra_unknown_unit": (
+        parse_scene,
+        _scene_with(relations=_relation(source="chair", target="desk", scope="intra", unit="den")),
+        "relations[0].unit",
+        "unknown unit 'den'",
+    ),
+    "kind_unknown": (
+        parse_scene,
+        _scene_with(relations=_relation(kind="near")),
+        "relations[0].kind",
+        "unknown relation kind 'near'",
+    ),
+    "scope_unknown": (
+        parse_scene,
+        _scene_with(relations=_relation(scope="global")),
+        "relations[0].scope",
+        "scope must be 'intra' or 'inter'",
+    ),
+    "inter_names_unit": (
+        parse_scene,
+        _scene_with(relations=_relation(unit="work")),
+        "relations[0].unit",
+        "inter relations must not name a unit",
+    ),
+    "source_not_entity": (
+        parse_scene,
+        _scene_with(relations=_relation(source="scene")),
+        "relations[0].source",
+        "source must be an entity id",
+    ),
+    "source_is_target": (
+        parse_scene,
+        _scene_with(relations=_relation(target="lamp")),
+        "relations[0]",
+        "source and target must differ",
+    ),
+    "assets_not_list": (parse_scene, _scene_with(assets={}), "assets", "assets must be a list"),
+    "units_not_list": (parse_scene, _scene_with(units="work"), "units", "units must be a list"),
+    "relations_not_list": (parse_scene, _scene_with(relations={}), "relations", "relations must be a list"),
+    "seed_negative": (parse_scene, _scene_with(seed=-1), "seed", "seed must be a non-negative integer"),
+    "seed_float": (parse_scene, _scene_with(seed=1.0), "seed", "seed must be a non-negative integer"),
+    "name_type": (parse_scene, _scene_with(name=3), "name", "name must be a string"),
+    "layout_json": (parse_layout, "nope", None, "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "layout_no_poses": (parse_layout, {"desk": {}}, None, "layout must be an object with a 'poses' map"),
+    "layout_pose_type": (
+        parse_layout,
+        {"poses": {"desk": [1.0, 2.0, 0.5, 0.0]}},
+        None,
+        "pose of 'desk' must be an object",
+    ),
+}
+
+
+@pytest.mark.parametrize("parser, value, location, message", _PARSE_ERRORS.values(), ids=list(_PARSE_ERRORS))
+def test_parse_errors_name_message_and_location(parser, value, location, message):
+    text = value if isinstance(value, str) else json.dumps(value)
+    with pytest.raises(SceneSyntaxError if location is None else SceneSemanticError) as e:
+        parser(text)
+    if location is None:
+        assert str(e.value) == message
+    else:
+        assert loc_of(e) == location
+        assert str(e.value) == f"{location}: {message}"
+
+
 def test_missing_params_error_does_not_depend_on_the_hash_seed():
     """Of several missing params, the error names the first in the kinds
     table, under any hash seed."""
@@ -544,3 +669,65 @@ def test_missing_params_error_does_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs == ["relations[0].params: missing param 'group'\n"] * 2
+
+
+# --- re-validation of replaced relations -------------------------------------
+
+
+def _count_parsed(monkeypatch) -> list:
+    """The locations `scene_model._read_relation` parses from now on."""
+    parsed = []
+    read = scene_model._read_relation
+
+    def spy(raw, location, *args):
+        parsed.append(location)
+        return read(raw, location, *args)
+
+    monkeypatch.setattr(scene_model, "_read_relation", spy)
+    return parsed
+
+
+def test_replace_relations_keeps_the_parser_outputs_of_its_spec(monkeypatch):
+    spec = load_fixture("conflict_pair")
+    parsed = _count_parsed(monkeypatch)
+    once = replace_relations(spec, spec.relations)
+    twice = replace_relations(once, reversed(once.relations))
+    assert parsed == []
+    assert all(a is b for a, b in zip(twice.relations, reversed(spec.relations)))
+
+
+def test_replace_relations_parses_the_relations_of_another_scene():
+    # Parser outputs for dining_set name entities conflict_pair lacks.
+    with pytest.raises(SceneSemanticError) as e:
+        replace_relations(load_fixture("conflict_pair"), load_fixture("dining_set").relations)
+    assert loc_of(e).startswith("relations[0].")
+
+
+def test_replace_relations_parses_a_param_set_in_place():
+    spec = load_fixture("conflict_pair")
+    rel = spec.relations[0]
+    rel.params["d"] = 2  # equal to 2.0, but not the parser's float
+    out = replace_relations(spec, spec.relations)
+    assert out.relations[0] is not rel and out.relations[0] == rel
+    assert repr(out.relations[0].params) == "{'d': 2.0}"
+    assert all(a is b for a, b in zip(out.relations[1:], spec.relations[1:]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda s: SceneSpec(s.room, s.assets, s.units, s.relations, s.seed, s.name),
+        lambda s: s.with_relations(s.relations),
+        lambda s: dataclasses.replace(s, seed=s.seed),
+    ],
+    ids=["constructor", "with_relations", "dataclasses_replace"],
+)
+def test_a_spec_not_from_the_parser_has_every_relation_parsed(make, monkeypatch):
+    spec = load_fixture("mixed_ten")
+    built = make(spec)
+    assert built == spec and repr(built) == repr(spec)
+    assert [f.name for f in dataclasses.fields(SceneSpec)] == ["room", "assets", "units", "relations", "seed", "name"]
+    parsed = _count_parsed(monkeypatch)
+    out = replace_relations(built, built.relations)
+    assert parsed == [f"relations[{k}]" for k in range(len(spec.relations))]
+    assert out == spec and not any(a is b for a, b in zip(out.relations, spec.relations))
