@@ -102,7 +102,7 @@ def test_oversized_asset_raises():
     cup = Asset("cup", "cup", (0.1, 0.1, 0.1))
     for spec in (
         _scene(room, (slab,)),
-        # An oversized unit anchor, whose frame draws its position first.
+        # An oversized unit anchor.
         _scene(room, (cup, slab), units=(Unit("u", "slab", ("cup",)),)),
     ):
         with pytest.raises(InfeasibleRoomError, match="asset 'slab' cannot fit"):
