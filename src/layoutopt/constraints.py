@@ -642,13 +642,12 @@ def _blocks(spec: SceneSpec, pose: dict) -> dict:
     return blocks
 
 
-def _relation_plan(spec: SceneSpec, pose: dict, param: dict) -> dict:
+def _relation_plan(spec: SceneSpec, pose: dict, param: dict, priors: dict) -> dict:
     """`_blocks` with each relation term resolved into its frame's block, in
     the term order of `scene_model.relation_terms`: an intra term into its
     unit's block, an inter one into the scene's."""
     blocks = _blocks(spec, pose)
     at = {frame: {eid: k for k, eid in enumerate(block.ids)} for frame, block in blocks.items()}
-    priors = shared_param_priors(spec)
     relations = spec.relations
     for group, members in relation_terms(relations):
         rel = relations[members[0]]
@@ -688,30 +687,27 @@ class ParamIndex:
     independent asset, then one entry per shared parameter.  `pose` maps
     each of those entity ids to the slice of its row; an anchor has no row
     of its own, its pose being its unit's frame.  `param` maps each shared
-    parameter name to its position.  `blocks` is the relation plan: one
-    Block per unit frame, by unit id, then the scene's under None.
+    parameter name to its position, and `priors` their declared values in
+    that order.  `blocks` is the relation plan: one Block per unit frame,
+    by unit id, then the scene's under None.
     """
 
     pose: dict
     param: dict
     size: int
     blocks: dict
+    priors: tuple
 
     @property
     def pose_size(self) -> int:
         return self.size - len(self.param)
 
-    def shared(self, x) -> dict:
-        """Shared parameter values held in `x`, by name."""
-        return {name: float(x[k]) for name, k in self.param.items()}
-
-    def pack(self, poses: dict, shared: dict) -> np.ndarray:
-        """Flat vector from entity id -> (x, y, theta) and name -> value."""
+    def pack(self, poses: dict) -> np.ndarray:
+        """Flat vector from entity id -> (x, y, theta), shared slots at their priors."""
         x = np.empty(self.size)
         for eid, rows in self.pose.items():
             x[rows] = poses[eid]
-        for name, k in self.param.items():
-            x[k] = shared[name]
+        x[self.pose_size :] = self.priors
         return x
 
 
@@ -722,8 +718,10 @@ def param_index(spec: SceneSpec) -> ParamIndex:
     MissingEntityError."""
     pose = _pose_rows(spec)
     n = 3 * len(pose)
-    param = {name: n + k for k, name in enumerate(shared_param_priors(spec))}
-    return ParamIndex(pose, param, n + len(param), _relation_plan(spec, pose, param))
+    priors = shared_param_priors(spec)
+    param = {name: n + k for k, name in enumerate(priors)}
+    blocks = _relation_plan(spec, pose, param, priors)
+    return ParamIndex(pose, param, n + len(param), blocks, tuple(priors.values()))
 
 
 def _block_boxes(block: Block, xs: list) -> tuple:

@@ -130,8 +130,12 @@ def decomposition_savings(g: RelationGraph, units) -> CostReport:
 
     Units whose anchor can be bypassed are reported invalid and excluded
     from the rooted cost; the equality delta = sum of members * depth holds
-    for the analyzed ones.
+    for the analyzed ones.  Unit ids outside the graph raise
+    MissingEntityError.
     """
+    stray = [n for unit in units for n in unit.assets if n not in g.adjacency]
+    if stray:
+        raise MissingEntityError(f"unit ids outside the graph: {stray}")
     root_dist = _hops_from(g, ROOT)
     assets = [n for n in g.nodes if n != ROOT]
     missing = [n for n in assets if n not in root_dist]
@@ -148,11 +152,10 @@ def decomposition_savings(g: RelationGraph, units) -> CostReport:
         if not valid:
             per_unit.append(UnitSaving(unit.id, len(members), depth, 0, False))
             continue
+        # Every member is a node the root reaches, only through the anchor.
         anchor_dist = _hops_from(g, unit.anchor)
         saved = 0
         for m in members:
-            if m not in anchor_dist:
-                raise UnreachableNodeError(f"{m!r} is not reachable from {unit.anchor!r}")
             saved += (root_dist[m] - 1) - (anchor_dist[m] - 1)
         cost_prime -= saved
         per_unit.append(UnitSaving(unit.id, len(members), depth, len(members) * depth, True))

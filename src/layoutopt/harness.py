@@ -209,14 +209,14 @@ def ema_smooth(values, alpha: float = 0.85) -> np.ndarray:
     return out
 
 
-def _iterations_to_threshold(totals: np.ndarray, threshold: float) -> int:
+def _iterations_to_threshold(curve: tuple, threshold: float) -> int:
     # Normalized against the shared initial loss; cap at the run length when
     # the threshold is never reached.
-    start = totals[0]
+    start = curve[0]
     if start <= 1e-12:
         return 0
-    hits = np.nonzero(totals / start <= threshold)[0]
-    return int(hits[0]) if hits.size else len(totals)
+    hits = np.nonzero(np.array(curve) / start <= threshold)[0]
+    return int(hits[0]) if hits.size else len(curve)
 
 
 def convergence_benchmark(
@@ -230,8 +230,9 @@ def convergence_benchmark(
 
     Both runs share the seed, so they start from the same configuration and
     the same initial loss; the reported speedup is baseline iterations over
-    re-parameterized iterations.  A diverged run is recorded as a failure
-    with the full iteration budget; any other error propagates.
+    re-parameterized iterations.  The two-level run goes first.  A diverged
+    run ends its seed: it and the run not reached record the full iteration
+    budget and no curve, at speedup 1.  Any other error propagates.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
@@ -239,33 +240,17 @@ def convergence_benchmark(
     cap = 2 * config.iterations
     for seed in seeds:
         cfg = replace(config, seed=int(seed))
+        curves = []
         try:
-            _, trace_re = solve(spec, cfg, weights)
+            for run in (solve, solve_global_baseline):
+                _, trace = run(spec, cfg, weights)
+                curves.append(tuple(r.total for r in trace.rows))
         except DivergenceError:
-            results.append(BenchmarkResult(spec.name, int(seed), cap, cap, 1.0, True))
-            continue
-        curve_re = tuple(r.total for r in trace_re.rows)
-        re_iters = _iterations_to_threshold(trace_re.totals(), threshold)
-        try:
-            _, trace_gl = solve_global_baseline(spec, cfg, weights)
-        except DivergenceError:
-            results.append(
-                BenchmarkResult(spec.name, int(seed), re_iters, cap, 1.0, True, curve_re)
-            )
-            continue
-        gl_iters = _iterations_to_threshold(trace_gl.totals(), threshold)
-        speedup = gl_iters / max(re_iters, 1)
-        results.append(
-            BenchmarkResult(
-                spec.name,
-                int(seed),
-                re_iters,
-                gl_iters,
-                speedup,
-                reparam_curve=curve_re,
-                baseline_curve=tuple(r.total for r in trace_gl.rows),
-            )
-        )
+            pass
+        iters = [_iterations_to_threshold(c, threshold) for c in curves] + [cap] * (2 - len(curves))
+        diverged = len(curves) < 2
+        speedup = 1.0 if diverged else iters[1] / max(iters[0], 1)
+        results.append(BenchmarkResult(spec.name, int(seed), *iters, speedup, diverged, *curves))
     return results
 
 
@@ -277,11 +262,7 @@ def benchmark_curves_csv(results, alpha: float = 0.85) -> str:
     for r in results:
         if r.diverged:
             continue
-        raw_re, raw_gl = np.array(r.reparam_curve), np.array(r.baseline_curve)
-        ema_re, ema_gl = ema_smooth(raw_re, alpha), ema_smooth(raw_gl, alpha)
-        for i in range(len(raw_re)):
-            lines.append(
-                f"{r.seed},{i},{float(raw_re[i])!r},{float(ema_re[i])!r},"
-                f"{float(raw_gl[i])!r},{float(ema_gl[i])!r}"
-            )
+        re_c, gl_c = r.reparam_curve, r.baseline_curve
+        for i, row in enumerate(zip(re_c, ema_smooth(re_c, alpha), gl_c, ema_smooth(gl_c, alpha))):
+            lines.append(f"{r.seed},{i}," + ",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

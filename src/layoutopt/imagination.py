@@ -395,12 +395,15 @@ def baseline_reviser(spec: SceneSpec, conflicts: list) -> tuple:
 
 def _rel_key(rel: Relation) -> tuple:
     """A relation as the revision diff compares and reports it.  Params are
-    sorted by the text of their keys, which a reviser may mix in type."""
+    sorted by the text of their keys, which a reviser may mix in type; any
+    other params, which the parser rejects afterwards, stand as their repr."""
     return (
         rel.kind,
         rel.source,
         rel.target,
-        tuple(sorted(rel.params.items(), key=lambda item: str(item[0]))),
+        tuple(sorted(rel.params.items(), key=lambda item: str(item[0])))
+        if isinstance(rel.params, dict)
+        else repr(rel.params),
         rel.scope,
         rel.unit,
         rel.shared_param,
@@ -410,7 +413,7 @@ def _rel_key(rel: Relation) -> tuple:
 def _describe(key: tuple) -> str:
     kind, source, target, items, scope, unit, _ = key
     where = scope if unit is None else f"{scope}:{unit}"
-    params = ", ".join(f"{k}={v!r}" for k, v in items)
+    params = items if isinstance(items, str) else ", ".join(f"{k}={v!r}" for k, v in items)
     return f"{where} {kind} {source}->{target} ({params})"
 
 

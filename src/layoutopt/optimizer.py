@@ -37,7 +37,7 @@ from .constraints import (
 )
 from .errors import DivergenceError, InfeasibleRoomError
 from .geometry import Pose2D, compose, relative
-from .scene_model import Layout, SceneSpec, shared_param_priors
+from .scene_model import Layout, SceneSpec
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,6 @@ class Trace:
     final_shared: dict = field(default_factory=dict)
     final_penalties: dict = field(default_factory=dict)
 
-    def totals(self) -> np.ndarray:
-        return np.array([r.total for r in self.rows])
-
     def to_csv(self) -> str:
         lines = ["iteration,stage,total,collision,boundary,relation,prior,lr"]
         for r in self.rows:
@@ -102,13 +99,13 @@ class ParamState:
     """The parameter vector `x`, laid out by `index`, and its velocity.
 
     A member's row holds its pose in its unit's frame, or its global pose
-    when `flat` is set; every other row holds a global pose.
+    when `flat` is set; every other row holds a global pose.  The shared
+    parameters' priors are `index.priors`.
     """
 
     spec: SceneSpec
     index: ParamIndex
     x: np.ndarray
-    shared_prior: dict
     flat: bool = False
     vel: np.ndarray = field(init=False)
     step_index: int = field(default=0, init=False)
@@ -127,7 +124,8 @@ class ParamState:
 
     @property
     def shared(self) -> dict:
-        return self.index.shared(self.x)
+        """Shared parameter values, by name."""
+        return {name: float(self.x[k]) for name, k in self.index.param.items()}
 
     def slot_constants(self, config) -> tuple:
         """`_slot_constants(config, self.index)`, kept for the last config."""
@@ -186,8 +184,7 @@ def init_state(spec: SceneSpec, seed: int) -> ParamState:
         poses[a.id] = (x, y, rng.uniform(-math.pi, math.pi))
 
     index = param_index(spec)
-    priors = shared_param_priors(spec)
-    return ParamState(spec, index, index.pack(poses, priors), priors)
+    return ParamState(spec, index, index.pack(poses))
 
 
 def _stage_weights(weights: Weights, stage: int) -> Weights:
@@ -248,10 +245,10 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
 
     if stage == 2 and config.prior_weight != 0.0:
         prior = 0.0
-        for name, value in index.shared(x).items():
-            r = value - state.shared_prior[name]
+        for k, declared in enumerate(index.priors, index.pose_size):
+            r = float(x[k]) - declared
             prior += r * r
-            grad[index.param[name]] += 2.0 * config.prior_weight * r
+            grad[k] += 2.0 * config.prior_weight * r
         terms["prior"] = prior
         total += config.prior_weight * prior
 

@@ -570,8 +570,9 @@ def _relation_entry(r: Relation) -> dict:
         "target": r.target,
         "scope": r.scope,
     }
-    if r.params:
-        entry["params"] = dict(r.params)
+    if r.params != {}:
+        # Params that are not a dict go as they are, for the parser to reject.
+        entry["params"] = r.params
     if r.unit is not None:
         entry["unit"] = r.unit
     if r.shared_param is not None:

@@ -129,7 +129,7 @@ def _world_relation_total(twin, frame_arr, locals_map) -> float:
         w = compose(frame, Pose2D(*loc))
         poses[mid] = np.array([w.x, w.y, w.theta])
     index = param_index(twin)
-    lv = aggregate_global(twin, index, index.pack(poses, {}), Weights(collision=0.0, relation=1.0, boundary=0.0))
+    lv = aggregate_global(twin, index, index.pack(poses), Weights(collision=0.0, relation=1.0, boundary=0.0))
     return lv.value
 
 
@@ -142,7 +142,7 @@ def test_intra_relations_are_invariant_to_unit_pose():
     for _ in range(20):
         spec, twin, locals_map, frame = _random_unit_scene(rng)
         index = param_index(spec)
-        state = ParamState(spec, index, index.pack({"u": frame, **locals_map}, {}), {})
+        state = ParamState(spec, index, index.pack({"u": frame, **locals_map}))
         total, grads, _ = evaluate(state, Weights(), 1, OptimizerConfig())
         g = grads[index.pose["u"]]
         worst_grad = max(worst_grad, float(np.abs(g).max()))
@@ -211,7 +211,7 @@ def _star_grad_x(m: int, shift: float) -> float:
     for i in range(m):
         poses[f"m{i}"] = np.array([21.0, 20.0, 0.0])
     index = param_index(spec)
-    lv = aggregate_global(spec, index, index.pack(poses, {}), Weights(collision=0.0, relation=1.0, boundary=0.0))
+    lv = aggregate_global(spec, index, index.pack(poses), Weights(collision=0.0, relation=1.0, boundary=0.0))
     return float(lv.grads[index.pose["anchor"]][0])
 
 

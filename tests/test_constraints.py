@@ -44,7 +44,7 @@ from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import Pose2D, compose, half_extents
 from layoutopt.imagination import imagine_and_revise
 from layoutopt.optimizer import OptimizerConfig, evaluate, init_state
-from layoutopt.scene_model import SHARED_PARAM_SLOTS, Room, parse_scene
+from layoutopt.scene_model import SHARED_PARAM_SLOTS, Room, parse_scene, shared_param_priors
 
 from gradcheck import OP_SAMPLERS, assert_grads_close, fd_slots, kernel_box, keyed, keyed_around, run_op_fd
 from refgeom import FootprintBox, boundary_sample_points, collide_proxy, corners, min_boundary_distance
@@ -290,6 +290,18 @@ def test_around_detects_uneven_spread():
     p = bad[1].pose
     bad[1] = FootprintBox(Pose2D(p.x, p.y + 0.4, p.theta), 0.2, 0.2)
     assert around_loss([*map(kernel_box, bad), kernel_box(focal)], None, 2.0, 0.0)[0] > 1e-3
+
+
+def test_around_tiny_sweep_joins_the_closed_form():
+    # Below a half gap of 1e-9 (sweep 4e-9 for three sources) the target
+    # resultant is taken at its limit, 1, with zero slope; just under and
+    # just over that switch must agree.
+    sources, focal = _around_zero_config(3, 0.8, 0.3, Pose2D(1.0, 0.5, 0.4))
+    boxes = [*map(kernel_box, sources), kernel_box(focal)]
+    below = around_loss(boxes, None, 3.9e-9, 0.3)
+    above = around_loss(boxes, None, 4.1e-9, 0.3)
+    assert below[0] == pytest.approx(above[0], abs=1e-9)
+    assert below[2] == pytest.approx(above[2], abs=1e-9)
 
 
 def test_around_requires_two_sources():
@@ -605,6 +617,16 @@ def test_boundary_loss_is_nan_on_a_nan_box():
         assert param_grad is None
     # A finite box well inside still reads 0 with a zero gradient.
     assert boundary_loss((1.0, 1.0, 0.3, 0.5, 0.5), room) == (0.0, ((0.0, 0.0, 0.0),), None)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_param_index_holds_each_shared_prior_at_its_slot(name):
+    spec = _bundled(name)
+    index = param_index(spec)
+    assert list(index.param.values()) == list(range(index.pose_size, index.size))
+    assert dict(zip(index.param, index.priors)) == shared_param_priors(spec)
+    x = index.pack({eid: (1.0, 2.0, 0.5) for eid in index.pose})
+    assert x[index.pose_size :].tolist() == list(index.priors)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphgen import enumerate_min_hops, random_cut_vertex_graph, random_digraph
-from layoutopt.errors import UnreachableNodeError
+from layoutopt.errors import MissingEntityError, UnreachableNodeError
 from layoutopt.fixtures import load_fixture
 from layoutopt.graph_analysis import (
     ROOT,
@@ -118,6 +118,27 @@ def test_bypassed_anchor_is_flagged_and_skipped():
     assert report.cost_prime == report.cost and report.delta == 0
     assert "skipped" in report.to_text()
     assert report.to_csv().splitlines()[1].endswith(",0")
+
+
+@pytest.mark.parametrize(
+    "unit", [Unit("u", "ghost", ("m",)), Unit("u", "hub", ("m", "ghost"))], ids=["anchor", "member"]
+)
+def test_unit_naming_an_id_outside_the_graph_raises(unit):
+    g = RelationGraph.from_edges((ROOT, "hub", "m"), ((ROOT, "hub"), ("hub", "m")))
+    with pytest.raises(MissingEntityError) as info:
+        decomposition_savings(g, [unit])
+    assert str(info.value) == "unit ids outside the graph: ['ghost']"
+
+
+def test_edge_to_an_unknown_node_raises():
+    with pytest.raises(MissingEntityError) as info:
+        RelationGraph.from_edges((ROOT, "a"), ((ROOT, "a"), ("a", "ghost")))
+    assert str(info.value) == "edge ('a', 'ghost') references an unknown node"
+
+
+def test_hop_histogram_leaves_out_assets_the_root_cannot_reach():
+    g = RelationGraph.from_edges((ROOT, "a", "b"), ((ROOT, "a"),))
+    assert hop_histogram(g, ("b",)) == {1: (1, 0, 0.0)}
 
 
 def test_hop_histogram_rates():

@@ -493,6 +493,20 @@ def test_benchmark_records_a_diverged_reparam_run_without_the_flat_run(monkeypat
     assert benchmark_curves_csv(results) == "seed,iteration,reparam,reparam_ema,baseline,baseline_ema\n"
 
 
+def test_benchmark_counts_zero_iterations_from_a_zero_initial_loss():
+    # One asset and no relations: stage 1's objective is zero from the start.
+    spec = _scene(Room(4.0, 4.0, 3.0), (Asset("a", "box", (1.0, 1.0, 1.0)),))
+    (r,) = convergence_benchmark(spec, (0,), config=OptimizerConfig(iterations=5))
+    assert (r.reparam_iterations, r.baseline_iterations, r.speedup, r.diverged) == (0, 0, 0.0, False)
+    assert r.reparam_curve[0] == 0.0 and len(r.reparam_curve) == len(r.baseline_curve) == 10
+
+
+def test_unknown_fixture_raises():
+    with pytest.raises(MissingEntityError) as info:
+        fixture_text("ghost")
+    assert str(info.value) == f"unknown fixture 'ghost'; available: {', '.join(FIXTURE_NAMES)}"
+
+
 # --- command line ------------------------------------------------------------
 
 
@@ -591,6 +605,29 @@ def test_cli_bench_rejects_iterations_below_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "diverged" not in captured.out
     assert _json_errors(captured.err) == ["ValueError"]
+
+
+def test_cli_bench_rejects_an_empty_seed_list(tmp_path, capsys):
+    scene = _write_fixture(tmp_path, "star_unit")
+    assert main(["bench", scene, "--seeds", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "ValueError", "message": "no seeds given"}
+    ]
+
+
+def test_cli_failed_replace_leaves_no_staged_file(tmp_path, capsys, monkeypatch):
+    scene = _write_fixture(tmp_path, "dining_set")
+
+    def failing_replace(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    assert main(["analyze", scene, "--csv", str(tmp_path / "cost.csv")]) == 1
+    assert sorted(os.listdir(tmp_path)) == ["dining_set.json"]
+    (err,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert err == {"error": "PermissionError", "message": "[Errno 13] Permission denied"}
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -680,6 +680,8 @@ def _negative_d_from_the_start():
         (lambda o: o.append(Relation("distance", "c", "a", {"d": -0.5})), "].params.d"),
         (lambda o: o.append(Relation("distance", "c", "a", {"d": math.nan})), "].params.d"),
         (lambda o: o.append(Relation("distance", "c", "a", {"d": [1.0]})), "].params.d"),
+        (lambda o: o.append(Relation("distance", "c", "a", None)), "].params: missing param 'd'"),
+        (lambda o: o.append(Relation("distance", "c", "a", [1.0])), "].params: expected an object"),
         (lambda o: o.append(Relation("gap", "s1", "a", {"g": 0.1})), "].source"),
         (lambda o: o.pop(_relation_index(o, "around", "k2", "t")), "]"),
         (lambda o: o.append(Relation("gap", "c", "b", {"g": 0.1}, shared_param="s")), "shared_param"),
@@ -691,6 +693,8 @@ def _negative_d_from_the_start():
         "negative_d",
         "nan_d",
         "unhashable_d",
+        "params_none",
+        "params_not_a_dict",
         "inter_names_member",
         "around_one_source",
         "shared_mixes_kinds",

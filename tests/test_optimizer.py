@@ -59,7 +59,7 @@ def _assembled_scene():
 
 
 def _clone(state):
-    return ParamState(state.spec, state.index, state.x.copy(), dict(state.shared_prior))
+    return ParamState(state.spec, state.index, state.x.copy())
 
 
 def test_cosine_factor_endpoints():

@@ -17,6 +17,7 @@ from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from layoutopt import scene_model
 from layoutopt.scene_model import (
     Layout,
+    Relation,
     SceneSpec,
     parse_layout,
     parse_scene,
@@ -711,6 +712,22 @@ def test_replace_relations_parses_a_param_set_in_place():
     assert out.relations[0] is not rel and out.relations[0] == rel
     assert repr(out.relations[0].params) == "{'d': 2.0}"
     assert all(a is b for a, b in zip(out.relations[1:], spec.relations[1:]))
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (None, "missing param 'd'"),
+        ([1.0], "expected an object"),
+        ("d", "expected an object"),
+        (3, "expected an object"),
+    ],
+)
+def test_replace_relations_reports_params_that_are_not_a_dict(params, message):
+    spec = load_fixture("conflict_pair")
+    with pytest.raises(SceneSemanticError) as e:
+        replace_relations(spec, spec.relations + (Relation("distance", "desk", "sofa", params),))
+    assert str(e.value) == f"relations[{len(spec.relations)}].params: {message}"
 
 
 @pytest.mark.parametrize(
