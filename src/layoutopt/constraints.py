@@ -40,7 +40,7 @@ import numpy as np
 
 from . import geometry
 from .errors import MissingEntityError
-from .geometry import boundary_probes, enclosing_box, half_extents
+from .geometry import corner_points, enclosing_box, half_extents
 from .scene_model import (
     DIRECTIONAL_KINDS,
     SCENE_ANCHORED_KINDS,
@@ -247,8 +247,9 @@ def _point_box_sdf_grads(point_box: tuple, offset, other: tuple):
     """Derivatives, w.r.t. both poses, of the signed distance from a
     boundary point of `point_box` to `other`.
 
-    `offset` is the probe point in point_box's local frame; the distance is
-    the one `gap_loss` scans for, from the same float expressions.
+    `offset` is the probe point in point_box's local frame, as `_probe_sdf`
+    backs it out; the distance is the one `_probe_sdf` gives `gap_loss`'s
+    scan, from the same float expressions.
     """
     cp, sp = math.cos(point_box[2]), math.sin(point_box[2])
     qx = point_box[0] + cp * offset[0] - sp * offset[1]
@@ -266,34 +267,81 @@ def _point_box_sdf_grads(point_box: tuple, offset, other: tuple):
     return g_point, (-gq0, -gq1, gux * uy - guy * ux)
 
 
+# Edge samples of the gap scan at odd eighths of each edge, after the four
+# corners: symmetric, and dense enough that the minimum over separated boxes
+# is still attained at a corner probe.
+_EDGE_FRACTIONS = (0.125, 0.375, 0.625, 0.875)
+# Rounding allowance of the gap scan's sample bounds, relative to the size of
+# the coordinates: about 1e6 times the rounding of the probe arithmetic.
+_SAMPLE_BOUND_MARGIN = 1e-9
+
+
+def _probe_sdf(px: float, py: float, box: tuple, cp: float, sp: float, other: tuple, co: float, so: float):
+    """Signed distance from the boundary point (px, py) of `box` to `other`,
+    and the point's offset in box's frame; cp, sp and co, so are the two
+    headings' cosines and sines."""
+    # Back out the probe's local offset to chain through the pose, then carry
+    # it into other's frame as `_point_box_sdf_grads` does.
+    wx, wy = px - box[0], py - box[1]
+    offset = (cp * wx + sp * wy, -sp * wx + cp * wy)
+    dx = box[0] + cp * offset[0] - sp * offset[1] - other[0]
+    dy = box[1] + sp * offset[0] + cp * offset[1] - other[1]
+    return _local_sdf(co * dx + so * dy, -so * dx + co * dy, other[3], other[4]), offset
+
+
 def gap_loss(boxes: list, g: float):
     """Squared error between the smallest boundary separation and target g.
 
     The separation is the minimum signed point-to-box distance over boundary
-    probes of both boxes; derivatives follow the winning probe, the first
-    one strictly below all before it.  The scan computes values only: a
-    probe that does not win contributes exactly nothing to the gradient, so
-    only the winner's derivatives are computed.  When no probe wins, every
-    probe being NaN (a pose is not finite), value and gradients are NaN.
+    probes of both boxes: each box's 4 corners, then 4 samples per edge at
+    `_EDGE_FRACTIONS`.  Derivatives follow the winning probe, the first one
+    strictly below all before it.
+
+    The scan skips samples that cannot win.  A point's signed distance f to
+    a box is 1-Lipschitz, and the sample at fraction t of an edge P->Q of
+    length L lies tL from P and (1 - t)L from Q, so its distance is at least
+    max(f(P) - tL, f(Q) - (1 - t)L).  A sample is skipped when that bound
+    exceeds the best value so far by more than a rounding allowance that
+    grows with the coordinates; a whole edge is skipped when its smallest
+    bound, max(f(P), f(Q)) - 7L/8, does.  A skipped sample cannot be strictly
+    below the best, so the winner, its value and its derivatives are the
+    ones of the full scan, bit for bit.  NaN compares false, so a NaN pose
+    skips nothing.
+
+    The scan computes values only: a probe that does not win contributes
+    exactly nothing to the gradient, so only the winner's derivatives are
+    computed.  When no probe wins, every probe being NaN (a pose is not
+    finite), value and gradients are NaN.
     """
     a, b = boxes
+    margin = _SAMPLE_BOUND_MARGIN * (
+        1.0 + abs(a[0]) + abs(a[1]) + abs(b[0]) + abs(b[1]) + abs(a[3]) + abs(a[4]) + abs(b[3]) + abs(b[4])
+    )
     best = math.inf
     winner = None
     for box, other, on_b in ((a, b, False), (b, a, True)):
-        x, y, theta = box[0], box[1], box[2]
-        cp, sp = math.cos(theta), math.sin(theta)
+        cp, sp = math.cos(box[2]), math.sin(box[2])
         co, so = math.cos(other[2]), math.sin(other[2])
-        for px, py in boundary_probes(*box):
-            # Back out the probe's local offset to chain through the pose,
-            # then carry it into other's frame as `_point_box_sdf_grads` does.
-            wx, wy = px - x, py - y
-            offset = (cp * wx + sp * wy, -sp * wx + cp * wy)
-            dx = x + cp * offset[0] - sp * offset[1] - other[0]
-            dy = y + sp * offset[0] + cp * offset[1] - other[1]
-            value = _local_sdf(co * dx + so * dy, -so * dx + co * dy, other[3], other[4])
+        corners = corner_points(*box)
+        values = []
+        for px, py in corners:
+            value, offset = _probe_sdf(px, py, box, cp, sp, other, co, so)
+            values.append(value)
             if value < best:
                 best = value
                 winner = (box, offset, other, on_b)
+        for k in range(4):
+            (px, py), (qx, qy) = corners[k], corners[(k + 1) % 4]
+            fp, fq, length = values[k], values[(k + 1) % 4], math.hypot(qx - px, qy - py)
+            if max(fp, fq) - 0.875 * length > best + margin:
+                continue
+            for t in _EDGE_FRACTIONS:
+                if max(fp - t * length, fq - (1.0 - t) * length) > best + margin:
+                    continue
+                value, offset = _probe_sdf(px + t * (qx - px), py + t * (qy - py), box, cp, sp, other, co, so)
+                if value < best:
+                    best = value
+                    winner = (box, offset, other, on_b)
     if winner is None:
         return math.nan, (_NAN, _NAN), math.nan
     box, offset, other, on_b = winner

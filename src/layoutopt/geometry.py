@@ -192,21 +192,3 @@ def polygon_intersection_area(a: list, b: list) -> float:
             return 0.0
         pts = _clip_halfplane(pts, b[i], b[(i + 1) % n])
     return polygon_area(pts)
-
-
-# Interior edge samples at odd eighths keep the probe set symmetric and dense
-# enough that the separated-box minimum is still attained at a vertex probe.
-_EDGE_FRACTIONS = (0.125, 0.375, 0.625, 0.875)
-
-
-def boundary_probes(x: float, y: float, theta: float, half_l: float, half_w: float) -> list:
-    """Probe points on the boundary of the footprint with pose (x, y, theta)
-    and the given half sizes, as (x, y) float pairs: the 4 corners of
-    `corner_points`, then 4 samples per edge."""
-    cs = corner_points(x, y, theta, half_l, half_w)
-    pts = list(cs)
-    for k in range(4):
-        (px, py), (qx, qy) = cs[k], cs[(k + 1) % 4]
-        for t in _EDGE_FRACTIONS:
-            pts.append((px + t * (qx - px), py + t * (qy - py)))
-    return pts

@@ -5,12 +5,13 @@ and its outline as the counter-clockwise corner list of
 `geometry.corner_points`.  The tests keep the object form they were written
 on: `FootprintBox` with its axis-aligned `Interval` bounds, the proxy test
 `collide_proxy`, the point-to-box signed distance and the boundary probe
-distance that the gap term's oracle reads.  `outline` turns a box into the
-library's corner list, `corners` into a (4, 2) array.  The numpy polygon
-bodies the exact checks had before they ran on corner lists (`ConvexPolygon`,
-`reference_polygon_area`, `reference_intersection_area`) stay here as the
-reference those checks are compared with.  The bodies are kept as they were
-in the library.
+distance that the gap term's oracle reads.  `boundary_probes` lists every
+probe the gap kernel may scan, for the references that scan them all.
+`outline` turns a box into the library's corner list, `corners` into a
+(4, 2) array.  The numpy polygon bodies the exact checks had before they ran
+on corner lists (`ConvexPolygon`, `reference_polygon_area`,
+`reference_intersection_area`) stay here as the reference those checks are
+compared with.  The bodies are kept as they were in the library.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from layoutopt.geometry import Pose2D, _clip_halfplane, boundary_probes, corner_points, half_extents
+from layoutopt.geometry import Pose2D, _clip_halfplane, corner_points, half_extents
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,24 @@ def signed_distance_point_box(point, box: FootprintBox) -> float:
     qy = abs(uy) - box.half_w
     outside = math.hypot(max(qx, 0.0), max(qy, 0.0))
     return outside + min(max(qx, qy), 0.0)
+
+
+# Interior edge samples at odd eighths keep the probe set symmetric and dense
+# enough that the separated-box minimum is still attained at a vertex probe.
+_EDGE_FRACTIONS = (0.125, 0.375, 0.625, 0.875)
+
+
+def boundary_probes(x: float, y: float, theta: float, half_l: float, half_w: float) -> list:
+    """Probe points on the boundary of the footprint with pose (x, y, theta)
+    and the given half sizes, as (x, y) float pairs: the 4 corners of
+    `corner_points`, then 4 samples per edge."""
+    cs = corner_points(x, y, theta, half_l, half_w)
+    pts = list(cs)
+    for k in range(4):
+        (px, py), (qx, qy) = cs[k], cs[(k + 1) % 4]
+        for t in _EDGE_FRACTIONS:
+            pts.append((px + t * (qx - px), py + t * (qy - py)))
+    return pts
 
 
 def boundary_sample_points(box: FootprintBox) -> np.ndarray:

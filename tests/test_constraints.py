@@ -47,7 +47,14 @@ from layoutopt.optimizer import OptimizerConfig, evaluate, init_state
 from layoutopt.scene_model import SHARED_PARAM_SLOTS, Room, parse_scene, shared_param_priors
 
 from gradcheck import OP_SAMPLERS, assert_grads_close, fd_slots, kernel_box, keyed, keyed_around, run_op_fd
-from refgeom import FootprintBox, boundary_sample_points, collide_proxy, corners, min_boundary_distance
+from refgeom import (
+    FootprintBox,
+    boundary_probes,
+    boundary_sample_points,
+    collide_proxy,
+    corners,
+    min_boundary_distance,
+)
 
 RNG_SEED = 915
 
@@ -770,7 +777,7 @@ def test_gap_scan_matches_eager_reference_bitwise():
 
 
 def _probes(box):
-    return geometry.boundary_probes(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w)
+    return boundary_probes(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w)
 
 
 def _reference_collision(a: FootprintBox, b: FootprintBox) -> LossValue:
@@ -1330,6 +1337,67 @@ def test_adapters_match_the_numpy_reference_bitwise(family):
     cases = kinks + [draw(rng) for _ in range(400)]
     for boxes, params in cases:
         _assert_same_loss(kernel(boxes, params), reference(boxes, params), (family, boxes, params))
+
+
+def _gap_bound_cases(rng) -> list:
+    """Box pairs on both sides of the gap scan's sample bounds: far edges
+    it skips, near or tied edges it must scan, overlaps, large coordinates,
+    tiny and large half sizes, and NaN poses."""
+    cases = []
+    # Axis-aligned side by side in each direction, touching or apart: the
+    # facing edges tie, and their samples tie with the corners.
+    for ux, uy in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+        for _ in range(20):
+            hl, hw = 0.25 * float(rng.integers(1, 9)), 0.25 * float(rng.integers(1, 9))
+            sep = 0.25 * float(rng.integers(0, 4))
+            x, y = 0.25 * float(rng.integers(-8, 9)), 0.25 * float(rng.integers(-8, 9))
+            a = box(x, y, 0.0, hl, hw)
+            b = box(x + ux * (2.0 * hl + sep), y + uy * (2.0 * hw + sep), float(rng.choice([0.0, math.pi])), hl, hw)
+            cases += [(a, b), (b, a)]
+    # Equal boxes, coincident or shifted along one axis, at each heading.
+    for theta in (0.0, 0.5 * math.pi, math.pi):
+        for _ in range(10):
+            hl, hw = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0))
+            shift = [(0.0, 0.0), (float(rng.uniform(0.0, 3.0)), 0.0), (0.0, float(rng.uniform(0.0, 3.0)))]
+            for sx, sy in shift:
+                cases.append((box(1.0, 2.0, theta, hl, hw), box(1.0 + sx, 2.0 + sy, theta, hl, hw)))
+    # Overlapping: b's center inside a or just past its edges, so that the
+    # deepest probe is often an edge sample.
+    for _ in range(200):
+        a = random_box(rng)
+        fx, fy = rng.uniform(-1.5, 1.5, 2)
+        c, s = math.cos(a.pose.theta), math.sin(a.pose.theta)
+        ox, oy = float(fx) * a.half_l, float(fy) * a.half_w
+        x, y, theta = a.pose.x + c * ox - s * oy, a.pose.y + s * ox + c * oy, float(rng.uniform(-6, 6))
+        cases.append((a, box(x, y, theta, *(float(h) for h in rng.uniform(0.1, 1.0, 2)))))
+    # Coordinates up to 1e5 m and half sizes from 1e-3 to 2 m, near each other.
+    for _ in range(120):
+        x, y = rng.uniform(-1e5, 1e5, 2)
+        halves = 10.0 ** rng.uniform(-3.0, math.log10(2.0), 4)
+        theta_a, theta_b = (
+            float(rng.choice(_QUARTER_TURNS)) if rng.random() < 0.5 else float(rng.uniform(-6, 6)) for _ in "ab"
+        )
+        dx, dy = rng.uniform(-3.0, 3.0, 2)
+        a = box(float(x), float(y), theta_a, float(halves[0]), float(halves[1]))
+        b = box(float(x + dx), float(y + dy), theta_b, float(halves[2]), float(halves[3]))
+        cases.append((a, b))
+    # NaN in each pose slot of either box.
+    for slot in range(3):
+        for which in range(2):
+            pose = [[1.0, 2.0, 0.3], [2.5, 2.0, 0.0]]
+            pose[which][slot] = math.nan
+            cases.append((box(*pose[0], 0.5, 0.4), box(*pose[1], 0.5, 0.4)))
+    return cases
+
+
+def test_gap_pruned_scan_matches_the_full_scan_bitwise():
+    # `_reference_gap` scans all 40 probes; the kernel skips the samples its
+    # Lipschitz bounds rule out.  Value and every gradient must agree.
+    rng = np.random.default_rng(RNG_SEED + 61)
+    for a, b in _gap_bound_cases(rng):
+        g = float(rng.uniform(0.0, 0.6))
+        lv = keyed(gap_loss(_kernel_boxes([a, b]), g), ("a", "b"), "g")
+        _assert_same_loss(lv, _reference_gap(a, b, g), (a, b, g))
 
 
 def _every_kind_scene():
