@@ -59,18 +59,17 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _resolve_seed(args, spec) -> int:
+def _resolve_seed(args) -> int | None:
+    """`--seed`, else the environment's seed, else None: the scene's own."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return spec.seed
+    return None if env is None else int(env)
 
 
 def _cmd_solve(args) -> int:
     spec = load_scene(args.scene)
-    config = OptimizerConfig(seed=_resolve_seed(args, spec))
+    config = OptimizerConfig(seed=_resolve_seed(args))
     if args.iterations is not None:
         config = replace(config, iterations=args.iterations)
     layout, trace = solve(spec, config)

@@ -42,7 +42,8 @@ from .scene_model import Layout, SceneSpec
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Descent hyperparameters; `iterations` counts steps per stage."""
+    """Descent hyperparameters; `iterations` counts steps per stage, and a
+    `seed` of None starts from the scene's own seed."""
 
     iterations: int = 600
     lr_position: float = 0.5
@@ -52,7 +53,7 @@ class OptimizerConfig:
     clip_position: float = 1.0
     clip_rotation: float = 0.3
     prior_weight: float = 1.0
-    seed: int = 0
+    seed: int | None = None
 
 
 def cosine_factor(t: int, total: int) -> float:
@@ -133,58 +134,36 @@ class ParamState:
             self._slots = (config, _slot_constants(config, self.index))
         return self._slots[1]
 
-    def global_pose(self, asset_id: str) -> Pose2D:
-        uid = self.spec.unit_of(asset_id)
-        if uid is None:
-            return Pose2D.from_array(self.pose(asset_id))
-        frame = Pose2D.from_array(self.pose(uid))
-        if asset_id == self.spec.unit(uid).anchor:
-            return frame
-        own = Pose2D.from_array(self.pose(asset_id))
-        return own if self.flat else compose(frame, own)
-
 
 def init_state(spec: SceneSpec, seed: int) -> ParamState:
-    """Deterministic random initialization.
+    """Deterministic random initialization, row by row in plan order.
 
-    Positions are uniform inside the room inset by each entity's larger half
-    size; member locals are uniform in [-1, 1]^2.  Draw order: per unit the
-    frame pose then member locals, then independent assets, all in spec
-    order.
+    A scene-level row's position is uniform inside the room inset on each
+    axis by its box's larger half size (a unit's: its anchor's), capped at
+    half that side of the room; a unit's member locals follow its frame,
+    uniform in [-1, 1]^2.  Headings are uniform in [-pi, pi).
     """
     room = spec.room
     for a in spec.assets:
-        if 2.0 * max(a.half_l, a.half_w) > min(room.length, room.width):
+        short, long = sorted(a.size[:2])
+        if long > max(room.length, room.width) or short > min(room.length, room.width):
             raise InfeasibleRoomError(
-                f"asset {a.id!r} cannot fit: footprint {a.size[0]}x{a.size[1]} "
-                f"in a {room.length}x{room.width} room"
+                f"asset {a.id!r} cannot fit: footprint {a.size[0]}x{a.size[1]} fits a "
+                f"{room.length}x{room.width} room in neither axis-aligned orientation"
             )
     rng = np.random.default_rng(seed)
-
-    def draw_position(margin: float) -> tuple[float, float]:
-        x = rng.uniform(margin, room.length - margin)
-        y = rng.uniform(margin, room.width - margin)
-        return x, y
-
-    poses: dict = {}
-    for u in spec.units:
-        anchor = spec.asset(u.anchor)
-        margin = max(anchor.half_l, anchor.half_w)
-        x, y = draw_position(margin)
-        poses[u.id] = (x, y, rng.uniform(-math.pi, math.pi))
-        for mid in u.members:
-            poses[mid] = (
-                rng.uniform(-1.0, 1.0),
-                rng.uniform(-1.0, 1.0),
-                rng.uniform(-math.pi, math.pi),
-            )
-    for a in spec.independent_assets():
-        margin = max(a.half_l, a.half_w)
-        x, y = draw_position(margin)
-        poses[a.id] = (x, y, rng.uniform(-math.pi, math.pi))
-
     index = param_index(spec)
-    return ParamState(spec, index, index.pack(poses))
+    scene = index.blocks[None]
+    x = np.empty(index.size)
+    for r, halves, frame in zip(scene.rows, scene.halves, scene.frames):
+        margin = max(halves if frame is None else frame.halves[0])
+        mx, my = min(margin, 0.5 * room.length), min(margin, 0.5 * room.width)
+        position = (rng.uniform(mx, room.length - mx), rng.uniform(my, room.width - my))
+        x[r : r + 3] = (*position, rng.uniform(-math.pi, math.pi))
+        for m in () if frame is None else frame.rows[1:]:
+            x[m : m + 3] = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
+    x[index.pose_size :] = index.priors
+    return ParamState(spec, index, x)
 
 
 def _stage_weights(weights: Weights, stage: int) -> Weights:
@@ -193,35 +172,51 @@ def _stage_weights(weights: Weights, stage: int) -> Weights:
     return weights
 
 
+def _unit_rows(index: ParamIndex) -> list:
+    """(frame row, member rows) of each unit, from the plan: its stand-in's
+    row in the scene block, and its own block's rows but the anchor's."""
+    scene = index.blocks[None]
+    units = [(r, f) for r, f in zip(scene.rows, scene.frames) if f is not None]
+    return [(r, [m for m in f.rows if m is not None]) for r, f in units]
+
+
+def _reframe(index: ParamIndex, x: np.ndarray, map_pose) -> np.ndarray:
+    """Copy of `x` with each member row `p` replaced by `map_pose(frame, p)`,
+    `frame` being its unit's row."""
+    out = x.copy()
+    for r, members in _unit_rows(index):
+        frame = Pose2D.from_array(x[r : r + 3])
+        for m in members:
+            p = map_pose(frame, Pose2D.from_array(x[m : m + 3]))
+            out[m : m + 3] = (p.x, p.y, p.theta)
+    return out
+
+
 def _derived_view(state: ParamState) -> np.ndarray:
     """The two-level vector the objective reads: `x` itself, or for a flat
     state a copy with each member row re-expressed in its anchor's frame."""
-    if not state.flat:
-        return state.x
-    view = state.x.copy()
-    for u in state.spec.units:
-        frame = Pose2D.from_array(state.pose(u.id))
-        for mid in u.members:
-            local = relative(frame, Pose2D.from_array(state.pose(mid)))
-            view[state.index.pose[mid]] = (local.x, local.y, local.theta)
-    return view
+    return _reframe(state.index, state.x, relative) if state.flat else state.x
+
+
+def _global_view(state: ParamState) -> np.ndarray:
+    """The flat vector of global poses, inverse of `_derived_view`: `x`
+    itself for a flat state, else a copy with each member row composed with
+    its unit's frame."""
+    return state.x if state.flat else _reframe(state.index, state.x, compose)
 
 
 def _pull_back(state: ParamState, view: np.ndarray, grad: np.ndarray):
     """Chain rule of `_derived_view`, in place: each member-local gradient
     becomes a gradient on the global member pose and on its anchor's."""
-    index = state.index
-    for u in state.spec.units:
-        theta = state.pose(u.id)[2]
+    for frame, members in _unit_rows(state.index):
+        theta = state.x[frame + 2]
         ca, sa = math.cos(theta), math.sin(theta)
-        frame = index.pose[u.id]
-        for mid in u.members:
-            rows = index.pose[mid]
-            g0, g1, g2 = grad[rows].tolist()
-            lx, ly, _ = view[rows].tolist()
+        for m in members:
+            g0, g1, g2 = grad[m : m + 3].tolist()
+            lx, ly, _ = view[m : m + 3].tolist()
             gm0, gm1 = ca * g0 - sa * g1, sa * g0 + ca * g1
-            grad[rows] = (gm0, gm1, g2)
-            grad[frame] += np.array([-gm0, -gm1, g0 * ly - g1 * lx - g2])
+            grad[m : m + 3] = (gm0, gm1, g2)
+            grad[frame : frame + 3] += np.array([-gm0, -gm1, g0 * ly - g1 * lx - g2])
 
 
 def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerConfig):
@@ -229,18 +224,15 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
     spec, index = state.spec, state.index
     eff = _stage_weights(weights, stage)
     x = _derived_view(state)
+    parts = [aggregate_global(spec, index, x, eff)]
+    parts += [aggregate_local(spec, unit, index, x, eff) for unit in index.blocks if unit is not None]
+    total, grad = parts[0].value, parts[0].grads
+    for part in parts[1:]:
+        total += part.value
+        grad += part.grads
     terms = {"collision": 0.0, "boundary": 0.0, "relation": 0.0, "prior": 0.0}
-
-    glob = aggregate_global(spec, index, x, eff)
-    total, grad = glob.value, glob.grads
-    for k, v in glob.terms.items():
-        terms[k] += v
-
-    for u in spec.units:
-        loc = aggregate_local(spec, u.id, index, x, eff)
-        total += loc.value
-        grad += loc.grads
-        for k, v in loc.terms.items():
+    for part in parts:
+        for k, v in part.terms.items():
             terms[k] += v
 
     if stage == 2 and config.prior_weight != 0.0:
@@ -303,10 +295,17 @@ def step(
 
 
 def _state_layout(state: ParamState) -> Layout:
+    """Every asset's global pose, at half its height; an anchor's is its
+    unit's frame row."""
+    g = _global_view(state).tolist()
+    scene, at = state.index.blocks[None], {}
+    for eid, r, frame in zip(scene.ids, scene.rows, scene.frames):
+        for aid, m in [(eid, r)] if frame is None else zip(frame.ids, frame.rows):
+            at[aid] = r if m is None else m
     poses = {}
     for a in state.spec.assets:
-        p = state.global_pose(a.id)
-        poses[a.id] = (p.x, p.y, 0.5 * a.size[2], p.theta)
+        x, y, theta = g[at[a.id] : at[a.id] + 3]
+        poses[a.id] = (x, y, 0.5 * a.size[2], theta)
     return Layout(poses)
 
 
@@ -348,7 +347,7 @@ def solve(
     rooms that cannot contain their assets and DivergenceError if the
     objective or a parameter becomes non-finite.
     """
-    state = init_state(spec, config.seed)
+    state = init_state(spec, spec.seed if config.seed is None else config.seed)
     trace = _descend(state, config, weights)
     return _state_layout(state), trace
 
@@ -365,11 +364,8 @@ def solve_global_baseline(
     which is transported from the same seeded draw).  Gradients of
     unit-internal terms now flow to both the member and the anchor.
     """
-    state = init_state(spec, config.seed)
-    for u in spec.units:
-        for mid in u.members:
-            p = state.global_pose(mid)
-            state.pose(mid)[:] = (p.x, p.y, p.theta)
+    state = init_state(spec, spec.seed if config.seed is None else config.seed)
+    state.x[:] = _global_view(state)
     state.flat = True
     trace = _descend(state, config, weights)
     return _state_layout(state), trace

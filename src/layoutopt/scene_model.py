@@ -658,14 +658,12 @@ def parse_layout(text: str) -> Layout:
         if not isinstance(raw, dict):
             raise SceneSyntaxError(f"pose of {aid!r} must be an object")
         try:
-            poses[aid] = (
-                float(raw["x"]),
-                float(raw["y"]),
-                float(raw["z"]),
-                float(raw["theta"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            pose = (raw["x"], raw["y"], raw["z"], raw["theta"])
+        except KeyError as exc:
             raise SceneSyntaxError(f"pose of {aid!r} needs x, y, z, theta") from exc
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pose):
+            raise SceneSyntaxError(f"pose of {aid!r} needs numbers for x, y, z, theta")
+        poses[aid] = tuple(map(float, pose))
         if not all(map(math.isfinite, poses[aid])):
             raise SceneSyntaxError(f"pose of {aid!r} must be finite")
     return Layout(poses)

@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,10 +526,10 @@ def test_cli_solve_writes_deterministic_artifacts(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "collision rate" in stdout and "out of bounds" in stdout
     assert "wall" not in stdout
-    blobs = [open(p, "rb").read() for p in (out, trace, svg)]
+    blobs = [Path(p).read_bytes() for p in (out, trace, svg)]
     assert main(args) == 0
-    assert [open(p, "rb").read() for p in (out, trace, svg)] == blobs
-    layout = parse_layout(open(out).read())
+    assert [Path(p).read_bytes() for p in (out, trace, svg)] == blobs
+    layout = parse_layout(Path(out).read_text())
     assert set(layout.poses) == {a.id for a in load_fixture("dining_set").assets}
 
 
@@ -546,7 +547,7 @@ def test_cli_validate_converges_and_writes_revision(tmp_path, capsys):
     out = str(tmp_path / "revised.json")
     assert main(["validate", scene, "--out", out]) == 0
     assert "converged" in capsys.readouterr().out
-    revised = parse_scene(open(out).read())
+    revised = parse_scene(Path(out).read_text())
     assert len(revised.relations) == len(load_fixture("conflict_pair").relations) + 1
 
 
@@ -576,7 +577,7 @@ def test_cli_analyze_writes_cost_table(tmp_path, capsys):
     csv = str(tmp_path / "cost.csv")
     assert main(["analyze", scene, "--csv", csv]) == 0
     assert "saved 4" in capsys.readouterr().out
-    assert open(csv).read().splitlines()[0] == "unit,members,depth,delta,valid"
+    assert Path(csv).read_text().splitlines()[0] == "unit,members,depth,delta,valid"
 
 
 def test_cli_bench_prints_speedups(tmp_path, capsys):
@@ -585,7 +586,7 @@ def test_cli_bench_prints_speedups(tmp_path, capsys):
     assert main(["bench", scene, "--seeds", "0,1", "--iterations", "60", "--curves", curves]) == 0
     stdout = capsys.readouterr().out
     assert "mean speedup" in stdout
-    assert open(curves).read().startswith("seed,iteration,")
+    assert Path(curves).read_text().startswith("seed,iteration,")
 
 
 def _json_errors(err: str) -> list:
@@ -659,9 +660,9 @@ def test_cli_missing_pose_is_exit_3(tmp_path, capsys):
     scene = _write_fixture(tmp_path, "dining_set")
     out = str(tmp_path / "l.json")
     main(["solve", scene, "--seed", "0", "--iterations", "20", "--out", out])
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     del data["poses"]["chair_w"]
-    open(out, "w").write(json.dumps(data))
+    Path(out).write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["eval", scene, out]) == 3
     (err,) = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
@@ -704,5 +705,18 @@ def test_cli_seed_sources(tmp_path, capsys, monkeypatch):
     main(["solve", scene, "--iterations", "40", "--out", b])
     main(["solve", scene, "--seed", "8", "--iterations", "40", "--out", c])
     capsys.readouterr()
-    assert open(a).read() == open(b).read()  # env var fills in the seed
-    assert open(a).read() != open(c).read()  # explicit flag beats it
+    assert Path(a).read_text() == Path(b).read_text()  # env var fills in the seed
+    assert Path(a).read_text() != Path(c).read_text()  # explicit flag beats it
+
+
+def test_cli_solve_falls_back_to_the_scene_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("LAYOUTOPT_SEED", raising=False)
+    data = json.loads(fixture_text("dining_set"))
+    data["seed"] = 7
+    scene = tmp_path / "seeded.json"
+    scene.write_text(json.dumps(data))
+    a, b = (str(tmp_path / n) for n in ("a.json", "b.json"))
+    assert main(["solve", str(scene), "--iterations", "40", "--out", a]) == 0
+    assert main(["solve", str(scene), "--seed", "7", "--iterations", "40", "--out", b]) == 0
+    capsys.readouterr()
+    assert Path(a).read_text() == Path(b).read_text()

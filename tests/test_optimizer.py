@@ -10,9 +10,12 @@ from layoutopt.constraints import Weights
 from layoutopt.errors import DivergenceError, InfeasibleRoomError
 from layoutopt.fixtures import load_fixture
 from layoutopt.geometry import Pose2D, compose
+from layoutopt.harness import eval_physical
 from layoutopt.optimizer import (
     OptimizerConfig,
     ParamState,
+    _global_view,
+    _state_layout,
     cosine_factor,
     evaluate,
     init_state,
@@ -62,6 +65,12 @@ def _clone(state):
     return ParamState(state.spec, state.index, state.x.copy())
 
 
+def _global_pose(state, asset_id):
+    """An asset's global pose, read off the state's layout."""
+    x, y, _, theta = _state_layout(state).poses[asset_id]
+    return Pose2D(x, y, theta)
+
+
 def test_cosine_factor_endpoints():
     assert cosine_factor(0, 600) == 1.0
     assert cosine_factor(300, 600) == pytest.approx(0.5)
@@ -109,6 +118,29 @@ def test_oversized_asset_raises():
             init_state(spec, seed=0)
 
 
+def test_asset_that_fits_one_way_round_solves():
+    # A 3.5 m bench fits a 4 x 2 m corridor lengthwise, though its length
+    # exceeds the corridor's width.
+    room = Room(4.0, 2.0, 2.5)
+    bench = Asset("bench", "bench", (3.5, 0.5, 0.45))
+    stool = Asset("stool", "stool", (0.4, 0.4, 0.45))
+    spec = _scene(room, (bench, stool))
+    for seed in range(5):
+        layout, _ = solve(spec, OptimizerConfig(seed=seed))
+        assert eval_physical(spec, layout).or_percent == 0.0, seed
+    for size in ((4.5, 0.5, 0.45), (3.0, 2.5, 0.45)):
+        with pytest.raises(InfeasibleRoomError, match="in neither axis-aligned orientation"):
+            init_state(_scene(room, (Asset("bench", "bench", size), stool)), seed=0)
+
+
+def test_solvers_default_to_the_scene_seed():
+    spec = replace(load_fixture("dining_set"), seed=5)
+    for run in (solve, solve_global_baseline):
+        layout, trace = run(spec, OptimizerConfig(iterations=20))
+        seeded_layout, seeded_trace = run(spec, OptimizerConfig(seed=5, iterations=20))
+        assert layout == seeded_layout and trace.to_csv() == seeded_trace.to_csv()
+
+
 def test_global_pose_composes_member_locals():
     spec = _scene(
         Room(8.0, 8.0, 3.0),
@@ -118,8 +150,8 @@ def test_global_pose_composes_member_locals():
     state = init_state(spec, seed=0)
     state.pose("u")[:] = (1.0, 2.0, 0.5 * math.pi)
     state.pose("c")[:] = (1.0, 0.0, 0.3)
-    anchor = state.global_pose("t")
-    member = state.global_pose("c")
+    anchor = _global_pose(state, "t")
+    member = _global_pose(state, "c")
     assert (anchor.x, anchor.y, anchor.theta) == (1.0, 2.0, 0.5 * math.pi)
     expected = compose(Pose2D(1.0, 2.0, 0.5 * math.pi), Pose2D(1.0, 0.0, 0.3))
     assert member.x == pytest.approx(expected.x)
@@ -174,6 +206,53 @@ def test_evaluate_gradients_match_finite_differences():
         fd = (fn(plus) - fn(minus)) / (2 * h)
         an = float(grads[slot])
         assert an == pytest.approx(fd, rel=2e-4, abs=1e-6), entry
+
+
+def _flat_unit_scene():
+    """One unit, anchor plus three members, alone in a large room."""
+    return _scene(
+        Room(12.0, 12.0, 3.0),
+        (
+            Asset("t", "table", (1.4, 0.9, 0.7)),
+            Asset("c1", "chair", (0.5, 0.5, 0.9)),
+            Asset("c2", "chair", (0.6, 0.4, 0.9)),
+            Asset("lamp", "lamp", (0.3, 0.3, 1.5)),
+        ),
+        units=(Unit("u", "t", ("c1", "c2", "lamp")),),
+        relations=(
+            Relation("distance", "c1", "t", {"d": 1.1}, "intra", "u", "reach"),
+            Relation("facing", "c1", "t", {}, "intra", "u"),
+            Relation("left_of", "c2", "t", {}, "intra", "u"),
+            Relation("gap", "lamp", "c2", {"g": 0.4}, "intra", "u"),
+            Relation("angle_offset", "c2", "c1", {"alpha": 0.6}, "intra", "u"),
+        ),
+    )
+
+
+def test_flat_gradients_match_finite_differences():
+    # The flat parameterization's gradient is the chain rule of re-expressing
+    # members in their frame (`_pull_back`).  With the unit alone near the
+    # room's centre, no scene-level term depends on its stand-in's shape, so
+    # every slot is checked against the whole objective.
+    spec = _flat_unit_scene()
+    weights = Weights(collision=1.0, relation=1.0, boundary=1.0)
+    config = OptimizerConfig()
+    h = 1e-6
+    for seed in range(4):
+        state = init_state(spec, seed)
+        state.pose("u")[:2] = (6.0, 6.0)
+        state.x[state.index.param["reach"]] = 1.1 + 0.1 * seed
+        # The start `solve_global_baseline` transports to global member poses.
+        state.x[:] = _global_view(state)
+        state.flat = True
+        total, grads, terms = evaluate(state, weights, stage=2, config=config)
+        assert terms["relation"] > 0.0 and terms["boundary"] == 0.0
+        for slot in range(state.index.size):
+            plus, minus = (ParamState(spec, state.index, state.x.copy(), flat=True) for _ in "+-")
+            plus.x[slot] += h
+            minus.x[slot] -= h
+            fd = (evaluate(plus, weights, 2, config)[0] - evaluate(minus, weights, 2, config)[0]) / (2 * h)
+            assert float(grads[slot]) == pytest.approx(fd, rel=1e-5, abs=1e-7), (seed, slot)
 
 
 def test_stage1_disables_collision_boundary_and_prior():
@@ -269,7 +348,7 @@ def test_baseline_moves_anchor_under_intra_terms():
     spec = _intra_only_scene()
     config = OptimizerConfig(iterations=3, seed=3)
     seed_state = init_state(spec, config.seed)
-    anchor_init = seed_state.global_pose("t")
+    anchor_init = _global_pose(seed_state, "t")
     layout, _ = solve_global_baseline(spec, config, Weights())
     moved = np.array(layout.poses["t"])[[0, 1, 3]] - np.array(
         [anchor_init.x, anchor_init.y, anchor_init.theta]

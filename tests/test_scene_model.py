@@ -632,6 +632,18 @@ _PARSE_ERRORS = {
         None,
         "pose of 'desk' must be an object",
     ),
+    "layout_pose_string": (
+        parse_layout,
+        {"poses": {"desk": {"x": "1", "y": 2.0, "z": 0.5, "theta": 0.0}}},
+        None,
+        "pose of 'desk' needs numbers for x, y, z, theta",
+    ),
+    "layout_pose_bool": (
+        parse_layout,
+        {"poses": {"desk": {"x": 1.0, "y": 2.0, "z": 0.5, "theta": True}}},
+        None,
+        "pose of 'desk' needs numbers for x, y, z, theta",
+    ),
 }
 
 
