@@ -5,10 +5,12 @@ validate and revise it before solving, analyze its relation structure,
 evaluate a stored layout, and benchmark the two parameterizations.
 
 Exit codes: 0 success, 1 usage or I/O problems, 2 optimization failures
-(infeasible room, divergence), 3 validation failures (malformed scenes, a
-layout or id naming an entity that is not there, unresolved conflicts).
-Errors are emitted as JSON objects on stderr so wrapping tools can parse
-them; any other exception is a bug and propagates.
+(infeasible room, divergence), 3 every other package error: malformed
+scenes and numbers outside the float range, a layout or id naming an entity
+that is not there, an asset with no relation chain from the room in
+`analyze`, unresolved conflicts.  Errors are emitted as JSON objects on
+stderr so wrapping tools can parse them; any other exception is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import (
-    DivergenceError,
-    InfeasibleRoomError,
-    MissingEntityError,
-    RevisionError,
-    SceneSemanticError,
-    SceneSyntaxError,
-)
+from .errors import DivergenceError, InfeasibleRoomError, LayoutError
 from .graph_analysis import build_graph, decomposition_savings
 from .harness import benchmark_curves_csv, convergence_benchmark, eval_physical, render_svg
 from .imagination import imagine_and_revise
@@ -189,12 +184,12 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (SceneSyntaxError, SceneSemanticError, RevisionError, MissingEntityError) as exc:
-        _emit_error(exc)
-        return 3
     except (InfeasibleRoomError, DivergenceError) as exc:
         _emit_error(exc)
         return 2
+    except LayoutError as exc:
+        _emit_error(exc)
+        return 3
     except (OSError, ValueError) as exc:
         _emit_error(exc)
         return 1

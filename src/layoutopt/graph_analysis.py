@@ -33,10 +33,9 @@ class RelationGraph:
         for u, v in edges:
             if u not in known or v not in known:
                 raise MissingEntityError(f"edge ({u!r}, {v!r}) references an unknown node")
-        adj: dict = {n: [] for n in nodes}
+        adj: dict = {n: {} for n in nodes}
         for u, v in edges:
-            if v not in adj[u]:
-                adj[u].append(v)
+            adj[u][v] = None
         return RelationGraph(nodes, tuple(edges), {n: tuple(vs) for n, vs in adj.items()})
 
 
@@ -128,10 +127,11 @@ class CostReport:
 def decomposition_savings(g: RelationGraph, units) -> CostReport:
     """Frame-shift cost of the flat graph versus anchor-rooted units.
 
-    Units whose anchor can be bypassed are reported invalid and excluded
-    from the rooted cost; the equality delta = sum of members * depth holds
-    for the analyzed ones.  Unit ids outside the graph raise
-    MissingEntityError.
+    A valid unit saves |members| * depth(anchor), the proposition itself:
+    when the anchor is a cut vertex, root_dist[m] == depth + anchor_dist[m]
+    for every member m, so each member saves exactly depth shifts.  Units
+    whose anchor can be bypassed are reported invalid and excluded from the
+    rooted cost.  Unit ids outside the graph raise MissingEntityError.
     """
     stray = [n for unit in units for n in unit.assets if n not in g.adjacency]
     if stray:
@@ -143,22 +143,13 @@ def decomposition_savings(g: RelationGraph, units) -> CostReport:
         raise UnreachableNodeError(f"nodes unreachable from the root: {missing}")
 
     cost = sum(root_dist[v] - 1 for v in assets)
-    cost_prime = cost
     per_unit = []
     for unit in units:
-        members = tuple(unit.members)
-        valid = anchor_is_cut(g, unit.anchor, members)
+        valid = anchor_is_cut(g, unit.anchor, unit.members)
         depth = root_dist[unit.anchor]
-        if not valid:
-            per_unit.append(UnitSaving(unit.id, len(members), depth, 0, False))
-            continue
-        # Every member is a node the root reaches, only through the anchor.
-        anchor_dist = _hops_from(g, unit.anchor)
-        saved = 0
-        for m in members:
-            saved += (root_dist[m] - 1) - (anchor_dist[m] - 1)
-        cost_prime -= saved
-        per_unit.append(UnitSaving(unit.id, len(members), depth, len(members) * depth, True))
+        delta = len(unit.members) * depth if valid else 0
+        per_unit.append(UnitSaving(unit.id, len(unit.members), depth, delta, valid))
+    cost_prime = cost - sum(u.delta for u in per_unit)
     return CostReport(cost, cost_prime, cost - cost_prime, tuple(per_unit))
 
 

@@ -165,6 +165,9 @@ class SceneSpec:
     def is_unit(self, entity_id: str) -> bool:
         return entity_id in self._units_by_id
 
+    def is_asset(self, entity_id: str) -> bool:
+        return entity_id in self._assets_by_id
+
     def unit_of(self, asset_id: str) -> str | None:
         """Unit id owning the asset (as anchor or member), or None."""
         return self._unit_of.get(asset_id)
@@ -229,10 +232,22 @@ def _err(message: str, location: str):
     raise SceneSemanticError(message, location)
 
 
+def _load_json(text: str):
+    """Decoded JSON text; malformed or too deeply nested text is a
+    SceneSyntaxError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SceneSyntaxError(f"invalid JSON: {exc}") from exc
+
+
 def _number(value, location: str, minimum=None, maximum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _err("expected a number", location)
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        _err("number must be finite", location)
     if not math.isfinite(v):
         _err("number must be finite", location)
     if minimum is not None and v < minimum:
@@ -354,12 +369,11 @@ def _parse_relation(data, location: str) -> Relation:
     return Relation(kind, source, target, params, scope, unit, shared)
 
 
-def _validate_endpoint(spec_units, assets, unit_lookup, rel: Relation, endpoint: str, location: str):
+def _validate_endpoint(spec: SceneSpec, rel: Relation, endpoint: str, location: str):
     """Check one endpoint id against the relation's scope rules."""
     name = getattr(rel, endpoint)
     if rel.scope == "intra":
-        unit = spec_units[rel.unit]
-        if name not in unit.assets:
+        if name not in spec.unit(rel.unit).assets:
             _err(
                 f"intra relation of unit {rel.unit!r} references {name!r}, "
                 "which is not an asset of that unit",
@@ -367,19 +381,19 @@ def _validate_endpoint(spec_units, assets, unit_lookup, rel: Relation, endpoint:
             )
         return
     # Inter scope: unit ids, independent asset ids, or scene tags only.
-    if name in unit_lookup:
-        owner = unit_lookup[name]
+    owner = spec.unit_of(name)
+    if owner is not None:
         hint = (
             f"use the unit id {owner!r} instead"
-            if spec_units[owner].anchor == name
+            if spec.unit(owner).anchor == name
             else "unit members carry no scene-level relations"
         )
         _err(f"{name!r} belongs to unit {owner!r}; {hint}", location)
-    if name not in assets and name not in spec_units:
+    if not spec.is_asset(name) and not spec.is_unit(name):
         _err(f"unknown entity {name!r}", location)
 
 
-def _validate_relation(spec_units, assets, unit_lookup, rel: Relation, location: str):
+def _validate_relation(spec: SceneSpec, rel: Relation, location: str):
     form = KINDS[rel.kind][0]
     if form != "entity" and rel.scope != "inter":
         _err(f"{rel.kind} relations are scene-anchored and must be inter", f"{location}.scope")
@@ -387,7 +401,7 @@ def _validate_relation(spec_units, assets, unit_lookup, rel: Relation, location:
     if form == "entity":
         if rel.target == SCENE_TARGET or ":" in rel.target:
             _err(f"{rel.kind} needs an entity target", f"{location}.target")
-        _validate_endpoint(spec_units, assets, unit_lookup, rel, "target", f"{location}.target")
+        _validate_endpoint(spec, rel, "target", f"{location}.target")
     elif form == "scene":
         if rel.target != SCENE_TARGET:
             _err("target must be 'scene'", f"{location}.target")
@@ -404,7 +418,7 @@ def _validate_relation(spec_units, assets, unit_lookup, rel: Relation, location:
 
     if rel.source == SCENE_TARGET or ":" in rel.source:
         _err("source must be an entity id", f"{location}.source")
-    _validate_endpoint(spec_units, assets, unit_lookup, rel, "source", f"{location}.source")
+    _validate_endpoint(spec, rel, "source", f"{location}.source")
 
     if rel.source == rel.target:
         _err("source and target must differ", location)
@@ -442,13 +456,13 @@ def _validate_shared_params(relations, locations):
             )
 
 
-def _read_relation(raw, location: str, units_by_id, asset_ids, claimed) -> Relation:
+def _read_relation(raw, location: str, spec: SceneSpec) -> Relation:
     """One relation entry through the parser: parse, then check it against
-    the scene's units and assets."""
+    the units and assets of `spec`."""
     rel = _parse_relation(raw, location)
-    if rel.scope == "intra" and rel.unit not in units_by_id:
+    if rel.scope == "intra" and not spec.is_unit(rel.unit):
         _err(f"unknown unit {rel.unit!r}", f"{location}.unit")
-    _validate_relation(units_by_id, asset_ids, claimed, rel, location)
+    _validate_relation(spec, rel, location)
     return rel
 
 
@@ -465,10 +479,7 @@ def parse_scene(text: str) -> SceneSpec:
     Raises SceneSyntaxError for malformed JSON and SceneSemanticError (with a
     location path) for structural violations.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneSyntaxError(f"invalid JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise SceneSyntaxError("scene must be a JSON object")
     _check_keys(data, ("room", "assets", "units", "relations", "seed", "name"), "scene")
@@ -511,13 +522,13 @@ def parse_scene(text: str) -> SceneSpec:
             claimed[aid] = unit.id
         units.append(unit)
 
-    units_by_id = {u.id: u for u in units}
+    base = SceneSpec(room, tuple(assets), tuple(units), ())
 
     raw_relations = data.get("relations", [])
     if not isinstance(raw_relations, list):
         _err("relations must be a list", "relations")
     relations = [
-        _read_relation(raw, f"relations[{k}]", units_by_id, ids, claimed)
+        _read_relation(raw, f"relations[{k}]", base)
         for k, raw in enumerate(raw_relations)
     ]
     _validate_relation_list(relations)
@@ -530,7 +541,7 @@ def parse_scene(text: str) -> SceneSpec:
     if not isinstance(name, str):
         _err("name must be a string", "name")
 
-    return _record_parsed(SceneSpec(room, tuple(assets), tuple(units), tuple(relations), seed, name))
+    return _record_parsed(replace(base, relations=tuple(relations), seed=seed, name=name))
 
 
 def load_scene(path) -> SceneSpec:
@@ -612,9 +623,7 @@ def replace_relations(spec: SceneSpec, relations) -> SceneSpec:
     relations = list(relations)
     for k, rel in enumerate(relations):
         if not _kept(spec, rel):
-            relations[k] = _read_relation(
-                _relation_entry(rel), f"relations[{k}]", spec._units_by_id, spec._assets_by_id, spec._unit_of
-            )
+            relations[k] = _read_relation(_relation_entry(rel), f"relations[{k}]", spec)
     _validate_relation_list(relations)
     return _record_parsed(spec.with_relations(relations))
 
@@ -647,10 +656,7 @@ def serialize_layout(layout: Layout) -> str:
 
 
 def parse_layout(text: str) -> Layout:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneSyntaxError(f"invalid JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("poses"), dict):
         raise SceneSyntaxError("layout must be an object with a 'poses' map")
     poses = {}
@@ -663,7 +669,10 @@ def parse_layout(text: str) -> Layout:
             raise SceneSyntaxError(f"pose of {aid!r} needs x, y, z, theta") from exc
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pose):
             raise SceneSyntaxError(f"pose of {aid!r} needs numbers for x, y, z, theta")
-        poses[aid] = tuple(map(float, pose))
+        try:
+            poses[aid] = tuple(map(float, pose))
+        except OverflowError:
+            raise SceneSyntaxError(f"pose of {aid!r} must be finite") from None
         if not all(map(math.isfinite, poses[aid])):
             raise SceneSyntaxError(f"pose of {aid!r} must be finite")
     return Layout(poses)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from graphgen import enumerate_min_hops, random_cut_vertex_graph, random_digraph
+from graphgen import (
+    enumerate_min_hops,
+    random_cut_vertex_graph,
+    random_digraph,
+    random_multi_unit_graph,
+    reference_savings,
+)
 from layoutopt.errors import MissingEntityError, UnreachableNodeError
 from layoutopt.fixtures import load_fixture
 from layoutopt.graph_analysis import (
@@ -107,6 +113,22 @@ def test_random_cut_graphs_closed_form_exact():
                 g, unit.anchor, m
             )
         assert report.delta >= len(unit.members)  # depth >= 1 makes it strict
+
+
+def test_multi_unit_savings_match_a_per_member_bfs():
+    # The closed form against the member-by-member saving, on graphs where
+    # several units nest at varying depths and some anchors are bypassed.
+    rng = np.random.default_rng(23)
+    bypassed = deep = 0
+    for _ in range(200):
+        g, units = random_multi_unit_graph(rng)
+        cost, cost_prime, delta, rows = reference_savings(g, units)
+        report = decomposition_savings(g, units)
+        assert (report.cost, report.cost_prime, report.delta) == (cost, cost_prime, delta)
+        assert [(u.unit, u.members, u.depth, u.delta, u.valid) for u in report.per_unit] == rows
+        bypassed += sum(not valid for *_, valid in rows)
+        deep += sum(depth > 1 and valid for _, _, depth, _, valid in rows)
+    assert bypassed > 50 and deep > 100
 
 
 def test_bypassed_anchor_is_flagged_and_skipped():

@@ -1,5 +1,6 @@
 """Physical metrics, SVG rendering, the benchmark loop, and the CLI."""
 
+import inspect
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layoutopt import cli, geometry, harness
+from layoutopt import cli, errors, geometry, harness
 from layoutopt.cli import main
 from layoutopt.errors import DivergenceError, MissingEntityError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
@@ -31,6 +32,7 @@ from layoutopt.optimizer import OptimizerConfig, solve
 from layoutopt.scene_model import Asset, Layout, Room, SceneSpec, Unit, parse_layout, parse_scene
 from mc_oracle import mc_outside_area, mc_pair_area, random_scene_with_layout
 from refgeom import ConvexPolygon, FootprintBox, corners, reference_intersection_area
+from scenefuzz import random_valid_scene
 
 TAU = 0.0003
 
@@ -720,3 +722,98 @@ def test_cli_solve_falls_back_to_the_scene_seed(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(scene), "--seed", "7", "--iterations", "40", "--out", b]) == 0
     capsys.readouterr()
     assert Path(a).read_text() == Path(b).read_text()
+
+
+# --- every package error is a JSON error -------------------------------------
+
+_ANALYZE = {
+    "dining_set": (
+        "cost 4, rooted cost 0, saved 4\n  unit dining: 4 member(s) at depth 1, delta 4 [ok]\n",
+        "unit,members,depth,delta,valid\ndining,4,1,4,1\ntotal,,,4,\n",
+    ),
+    "bookstore_rows": (
+        "cost 9, rooted cost 0, saved 9\n"
+        "  unit row_a: 3 member(s) at depth 1, delta 3 [ok]\n"
+        "  unit row_b: 3 member(s) at depth 1, delta 3 [ok]\n"
+        "  unit row_c: 3 member(s) at depth 1, delta 3 [ok]\n",
+        "unit,members,depth,delta,valid\nrow_a,3,1,3,1\nrow_b,3,1,3,1\nrow_c,3,1,3,1\ntotal,,,9,\n",
+    ),
+    "star_unit": (
+        "cost 8, rooted cost 0, saved 8\n  unit star: 8 member(s) at depth 1, delta 8 [ok]\n",
+        "unit,members,depth,delta,valid\nstar,8,1,8,1\ntotal,,,8,\n",
+    ),
+    "mixed_ten": (
+        "cost 5, rooted cost 4, saved 1\n  unit study: 1 member(s) at depth 1, delta 1 [ok]\n",
+        "unit,members,depth,delta,valid\nstudy,1,1,1,1\ntotal,,,1,\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cli_analyze_every_fixture(tmp_path, capsys, name):
+    scene = _write_fixture(tmp_path, name)
+    csv = tmp_path / "cost.csv"
+    code = main(["analyze", scene, "--csv", str(csv)])
+    out, err = capsys.readouterr()
+    if name in _ANALYZE:
+        assert (code, out, csv.read_text(), err) == (0, *_ANALYZE[name], "")
+    else:
+        # conflict_pair's lamps are tied to each other only, not to the room.
+        assert (code, out, csv.exists()) == (3, "", False)
+        assert err == (
+            '{"error": "UnreachableNodeError", '
+            '"message": "nodes unreachable from the root: [\'lamp1\', \'lamp2\']"}\n'
+        )
+
+
+_PACKAGE_ERRORS = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, errors.LayoutError)
+]
+
+
+@pytest.mark.parametrize("cls", _PACKAGE_ERRORS, ids=[c.__name__ for c in _PACKAGE_ERRORS])
+def test_cli_reports_every_package_error_as_json(tmp_path, capsys, monkeypatch, cls):
+    def failing(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_cmd_analyze", failing)
+    code = main(["analyze", _write_fixture(tmp_path, "dining_set")])
+    assert code == (2 if cls in (errors.InfeasibleRoomError, errors.DivergenceError) else 3)
+    assert capsys.readouterr().err == json.dumps({"error": cls.__name__, "message": "boom"}) + "\n"
+
+
+_HUGE = 10**400  # a JSON integer beyond the float range
+
+# case: (argv, the start of the error message)
+_UNREADABLE = {
+    "validate_huge": (["validate", "huge.json"], "assets[0].size[0]: number must be finite"),
+    "solve_huge": (["solve", "huge.json"], "assets[0].size[0]: number must be finite"),
+    "eval_huge": (["eval", "scene.json", "huge_layout.json"], "pose of 'a' must be finite"),
+    "validate_deep": (["validate", "deep.json"], "invalid JSON: maximum recursion depth exceeded"),
+    "eval_deep": (["eval", "scene.json", "deep.json"], "invalid JSON: maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("argv, error", _UNREADABLE.values(), ids=list(_UNREADABLE))
+def test_cli_unreadable_numbers_and_nesting_are_exit_3(tmp_path, capsys, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)
+    room = {"length": 4, "width": 4, "height": 3}
+    Path("scene.json").write_text(json.dumps({"room": room, "assets": [{"id": "a", "size": [1, 1, 1]}]}))
+    Path("huge.json").write_text(json.dumps({"room": room, "assets": [{"id": "a", "size": [_HUGE, 1, 1]}]}))
+    Path("huge_layout.json").write_text(json.dumps({"poses": {"a": {"x": _HUGE, "y": 1, "z": 0.5, "theta": 0}}}))
+    Path("deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert main(argv) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] in ("SceneSemanticError", "SceneSyntaxError")
+    assert err["message"].startswith(error)
+
+
+def test_cli_never_raises_on_a_valid_scene(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    for k in range(100):
+        scene = tmp_path / f"s{k}.json"
+        scene.write_text(json.dumps(random_valid_scene(rng)))
+        for argv in (["validate", "--budget", "3"], ["analyze"], ["solve", "--iterations", "5"]):
+            assert main([*argv, str(scene)]) in (0, 2, 3), (k, argv)
+    capsys.readouterr()

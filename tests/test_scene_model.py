@@ -760,3 +760,47 @@ def test_a_spec_not_from_the_parser_has_every_relation_parsed(make, monkeypatch)
     out = replace_relations(built, built.relations)
     assert parsed == [f"relations[{k}]" for k in range(len(spec.relations))]
     assert out == spec and not any(a is b for a, b in zip(out.relations, spec.relations))
+
+
+# --- input the JSON decoder or float() cannot take ---------------------------
+
+
+@pytest.mark.parametrize("parser", [parse_scene, parse_layout])
+def test_input_nested_too_deep_is_a_syntax_error(parser):
+    with pytest.raises(SceneSyntaxError, match="^invalid JSON: maximum recursion depth exceeded"):
+        parser("[" * 100_000 + "]" * 100_000)
+
+
+_HUGE = 10**400  # a JSON integer beyond the float range
+
+_HUGE_NUMBERS = {
+    "room_length": (
+        parse_scene,
+        _scene_with(room={"length": _HUGE, "width": 5.0, "height": 3.0}),
+        "room.length",
+        "number must be finite",
+    ),
+    "asset_size": (
+        parse_scene,
+        _scene_with(assets=[{**_ASSET, "size": [1.0, _HUGE, 1.0]}]),
+        "assets[0].size[1]",
+        "number must be finite",
+    ),
+    "relation_param": (
+        parse_scene,
+        _scene_with(relations=_relation(kind="distance", params={"d": _HUGE})),
+        "relations[0].params.d",
+        "number must be finite",
+    ),
+    "layout_x": (
+        parse_layout,
+        {"poses": {"desk": {"x": _HUGE, "y": 2.0, "z": 0.5, "theta": 0.0}}},
+        None,
+        "pose of 'desk' must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("parser, value, location, message", _HUGE_NUMBERS.values(), ids=list(_HUGE_NUMBERS))
+def test_integers_beyond_the_float_range_are_not_finite(parser, value, location, message):
+    test_parse_errors_name_message_and_location(parser, value, location, message)
