@@ -12,22 +12,25 @@ the tie-broken branch (selections).
 Two aggregation levels mirror the pose parameterization: unit-local terms are
 evaluated in the unit frame and never touch the unit pose; scene-level terms
 see independent assets and whole units through their enclosing oriented box.
-Both read poses from one flat parameter vector and add their gradients into a
-flat array of the same layout, by index, through the slot table `ParamIndex`.
+One pass, `objective`, reads poses from one flat parameter vector and adds
+every gradient into one list of the same layout, by index, through the slot
+table `ParamIndex`.  The optimizer runs it once per iteration over the whole
+plan; each aggregate is the same pass over one block.
 
 `param_index` compiles a scene once into its relation plan, the one compiled
 form of a scene: one `Block` per frame (each unit's, then the scene's)
 listing its boxes and its relation terms in evaluation order (an around
 group is one term, see `scene_model.relation_terms`).  Each `Term` names its
 end boxes by position, its kernel, its constants and its scalar parameter,
-optional params defaulted as the parser defaults them.  Both aggregates,
+optional params defaulted as the parser defaults them.  The pass,
 `relation_penalties` and the imagination pass read that plan through
 `_block_boxes`, which builds unit stand-ins with `geometry.enclosing_box`;
-a heading that is not finite reads as NaN there.  The objective evaluates
-terms with `term_loss`; collisions go through `collision_loss`, once per
-pair the broadphase `_proxy_pairs` keeps, the pairs the imagination pass
-checks for conflicts.  Kernels are looked up by module attribute at call
-time, so a wrapper set on one sees every call.
+a heading that is not finite reads as NaN there.  The pass calls each
+term's kernel and routes its gradients inline (`term_loss`, one term's
+kernel call, serves the penalty report); collisions go through
+`collision_loss`, once per pair the broadphase `_proxy_pairs` keeps, the
+pairs the imagination pass checks for conflicts.  Kernels are looked up by
+module attribute at call time, so a wrapper set on one sees every call.
 """
 
 from __future__ import annotations
@@ -527,8 +530,10 @@ def around_loss(boxes: list, _, sweep: float, center: float):
     to the focal should average (in the embedded sin/cos sense) to the mean
     resultant of N headings evenly spread over the sweep centered at `center`.
     The boxes are the sources then the focal; the parameter gradient is
-    (d/d sweep, d/d center).  The reductions stay numpy's, and so their
-    summation order.
+    (d/d sweep, d/d center).  The reductions stay numpy's (`argsort`,
+    `diff`, `dot`, `sum` and the means of `sin` and `cos`), and so their
+    summation order; the per-source derivatives are plain floats, each
+    source's sum starting from 0.0.
     """
     *sources, focal = boxes
     n = len(sources)
@@ -537,41 +542,39 @@ def around_loss(boxes: list, _, sweep: float, center: float):
     fx, fy, ftheta = focal[0], focal[1], focal[2]
     cf, sf = math.cos(ftheta), math.sin(ftheta)
 
-    phis = np.empty(n)
-    dphi_sources = np.zeros((n, 2))
-    for i, box in enumerate(sources):
+    phis, dphis = [], []
+    for box in sources:
         dx, dy = box[0] - fx, box[1] - fy
         xp = cf * dx + sf * dy
         yp = -sf * dx + cf * dy
         r2 = xp * xp + yp * yp
-        phis[i] = math.atan2(yp, xp)
+        phis.append(math.atan2(yp, xp))
         if r2 > 1e-18:
             dphi_dxp, dphi_dyp = -yp / r2, xp / r2
-            dphi_sources[i, 0] = dphi_dxp * cf + dphi_dyp * (-sf)
-            dphi_sources[i, 1] = dphi_dxp * sf + dphi_dyp * cf
+            dphis.append((dphi_dxp * cf + dphi_dyp * (-sf), dphi_dxp * sf + dphi_dyp * cf))
+        else:
+            dphis.append((0.0, 0.0))
+    phis = np.array(phis)
     order = np.argsort(phis, kind="stable")
-    sorted_phi = phis[order]
-    t_gap = sweep / (n - 1)
-    resid = np.diff(sorted_phi) - t_gap
+    resid = np.diff(phis[order]) - sweep / (n - 1)
     term1 = float(np.dot(resid, resid)) / (n - 1)
 
-    g_sources = np.zeros((n, 3))
-    g_focal = np.zeros(3)
-    dterm1_sorted = np.zeros(n)
-    for k in range(n):
-        left = resid[k - 1] if k > 0 else 0.0
-        right = resid[k] if k < n - 1 else 0.0
-        dterm1_sorted[k] = 2.0 * (left - right) / (n - 1)
-    for k in range(n):
-        i = int(order[k])
-        g_sources[i, :2] += dterm1_sorted[k] * dphi_sources[i]
-        g_focal[:2] -= dterm1_sorted[k] * dphi_sources[i]
-        g_focal[2] += dterm1_sorted[k] * (-1.0)
+    gx, gy, gt = [0.0] * n, [0.0] * n, [0.0] * n
+    f0 = f1 = f2 = 0.0
+    r = resid.tolist()
+    for k, i in enumerate(order.tolist()):
+        d = 2.0 * ((r[k - 1] if k > 0 else 0.0) - (r[k] if k < n - 1 else 0.0)) / (n - 1)
+        d0, d1 = dphis[i]
+        gx[i], gy[i] = 0.0 + d * d0, 0.0 + d * d1
+        f0 -= d * d0
+        f1 -= d * d1
+        f2 -= d
     d_term1_dsweep = -2.0 * float(resid.sum()) / ((n - 1) * (n - 1))
 
     # Orientation embedding: mean of (sin, cos) of relative headings.
-    rel = np.array([box[2] - ftheta for box in sources])
-    emb = np.array([np.sin(rel).mean(), np.cos(rel).mean()])
+    rel = [box[2] - ftheta for box in sources]
+    rel_a = np.array(rel)
+    emb_s, emb_c = np.sin(rel_a).mean(), np.cos(rel_a).mean()
     delta = sweep / (2.0 * (n - 1))
     if abs(delta) < 1e-9:
         m_res = 1.0
@@ -581,21 +584,18 @@ def around_loss(boxes: list, _, sweep: float, center: float):
         dm_ddelta = (
             n * math.cos(n * delta) * math.sin(delta) - math.sin(n * delta) * math.cos(delta)
         ) / (n * math.sin(delta) ** 2)
-    target_emb = m_res * np.array([math.sin(center), math.cos(center)])
-    err = emb - target_emb
+    sc, cc = math.sin(center), math.cos(center)
+    err0, err1 = float(emb_s - m_res * sc), float(emb_c - m_res * cc)
+    err = np.array([err0, err1])
     term2 = float(np.dot(err, err))
 
-    for i in range(n):
-        de = np.array([math.cos(rel[i]), -math.sin(rel[i])]) / n
-        g_sources[i, 2] += 2.0 * float(np.dot(err, de))
-        g_focal[2] -= 2.0 * float(np.dot(err, de))
-    d_term2_dcenter = -2.0 * m_res * float(
-        err[0] * math.cos(center) - err[1] * math.sin(center)
-    )
-    d_term2_dsweep = -2.0 * float(np.dot(err, np.array([math.sin(center), math.cos(center)]))) * (
-        dm_ddelta / (2.0 * (n - 1))
-    )
-    grads = (*map(tuple, g_sources.tolist()), tuple(g_focal.tolist()))
+    for i, t in enumerate(rel):
+        dot = 2.0 * float(np.dot(err, (math.cos(t) / n, -math.sin(t) / n)))
+        gt[i] = 0.0 + dot
+        f2 -= dot
+    d_term2_dcenter = -2.0 * m_res * (err0 * cc - err1 * sc)
+    d_term2_dsweep = -2.0 * float(np.dot(err, (sc, cc))) * (dm_ddelta / (2.0 * (n - 1)))
+    grads = (*zip(gx, gy, gt), (f0, f1, f2))
     return term1 + term2, grads, (d_term1_dsweep + d_term2_dsweep, d_term2_dcenter)
 
 
@@ -799,57 +799,77 @@ def term_loss(term: Term, boxes: list, xs) -> tuple:
     return globals()[term.kernel]([boxes[k] for k in term.ends], value, *term.consts)
 
 
-def _aggregate(block: Block, x, weights: Weights, room: Room) -> LossValue:
-    """Weighted collision and relation terms of one block, plus the
-    boundary term for the scene, with the gradient over `x`."""
-    xs = x.tolist()
-    boxes, levers = _block_boxes(block, xs)
-    rows = block.rows
-    grad = [0.0] * len(xs)
+def objective(blocks, xs: list, weights: Weights, room: Room, totals: dict) -> tuple:
+    """The one pass behind both aggregates and `optimizer.evaluate`: the
+    weighted terms of `blocks`, in order, at the flat vector `xs` (a list).
+    Returns the value and its gradient as a list laid out as `xs`, and adds
+    each family's raw total into `totals` ("boundary" from the scene only).
 
-    def add(k: int, g0: float, g1: float, g2: float, w: float):
-        # w times a gradient on box k, carried to the unit pose for a stand-in.
-        r = rows[k]
-        if r is None:
-            return
-        grad[r] += w * g0
-        grad[r + 1] += w * g1
-        lever = levers[k]
-        grad[r + 2] += w * (g2 if lever is None else g0 * lever[0] + g1 * lever[1] + g2)
+    Each block sums its value, totals and shared-parameter gradients from
+    0.0, and adds them in block order: the bits of summing one-block passes.
+    A stand-in's gradient reaches the unit pose through its lever, the
+    relation weight applied first.
+    """
+    kernels = globals()  # module attributes, read per call: a wrapper set on a kernel sees every call
+    boundary, collision = kernels["boundary_loss"], kernels["collision_loss"]
+    wb, wc, wr = weights.boundary, weights.collision, weights.relation
+    total, grad = -0.0, [0.0] * len(xs)  # -0.0: the exact additive identity, signed zeros included
+    for block in blocks:
+        boxes, levers = _block_boxes(block, xs)
+        rows, scene = block.rows, block.unit is None
+        boundary_total = collision_total = relation_total = 0.0
+        if scene and wb != 0.0:
+            for r, lever, box in zip(rows, levers, boxes):
+                value, ((g0, g1, g2),), _ = boundary(box, room)
+                boundary_total += value
+                grad[r] += wb * g0
+                grad[r + 1] += wb * g1
+                grad[r + 2] += wb * (g2 if lever is None else g0 * lever[0] + g1 * lever[1] + g2)
+        if wc != 0.0:
+            for a, b in _proxy_pairs(boxes):
+                value, pair, _ = collision(boxes[a], boxes[b])
+                collision_total += value
+                for k, (g0, g1, g2) in zip((a, b), pair):
+                    r = rows[k]
+                    if r is not None:
+                        lever = levers[k]
+                        grad[r] += wc * g0
+                        grad[r + 1] += wc * g1
+                        grad[r + 2] += wc * (g2 if lever is None else g0 * lever[0] + g1 * lever[1] + g2)
+        if wr != 0.0:
+            shared: dict = {}
+            for term in block.terms:
+                p, ends = term.param, term.ends
+                value, end_grads, param_grad = kernels[term.kernel](
+                    [boxes[k] for k in ends], term.value if p is None else xs[p], *term.consts
+                )
+                relation_total += value
+                for k, (g0, g1, g2) in zip(ends, end_grads):
+                    r = rows[k]
+                    if r is not None:
+                        g0, g1, g2 = wr * g0, wr * g1, wr * g2
+                        lever = levers[k]
+                        grad[r] += g0
+                        grad[r + 1] += g1
+                        grad[r + 2] += g2 if lever is None else g0 * lever[0] + g1 * lever[1] + g2
+                if p is not None:
+                    shared[p] = shared.get(p, 0.0) + wr * param_grad
+            for p, g in shared.items():
+                grad[p] += g
+        if scene:
+            totals["boundary"] += boundary_total
+            total += wb * boundary_total + wc * collision_total + wr * relation_total
+        else:
+            total += wc * collision_total + wr * relation_total
+        totals["collision"] += collision_total
+        totals["relation"] += relation_total
+    return total, grad
 
-    boundary_total, wb = 0.0, weights.boundary
-    if block.unit is None and wb != 0.0:
-        for k, box in enumerate(boxes):
-            value, ((g0, g1, g2),), _ = boundary_loss(box, room)
-            boundary_total += value
-            add(k, g0, g1, g2, wb)
 
-    collision_total, wc = 0.0, weights.collision
-    if wc != 0.0:
-        for a, b in _proxy_pairs(boxes):
-            value, (ga, gb), _ = collision_loss(boxes[a], boxes[b])
-            collision_total += value
-            add(a, *ga, wc)
-            add(b, *gb, wc)
-
-    relation_total, wr = 0.0, weights.relation
-    if wr != 0.0:
-        for term in block.terms:
-            value, grads, param_grad = term_loss(term, boxes, xs)
-            relation_total += value
-            # The weight goes on before the stand-in pull-back.
-            for k, (g0, g1, g2) in zip(term.ends, grads):
-                add(k, wr * g0, wr * g1, wr * g2, 1.0)
-            if term.param is not None:
-                grad[term.param] += wr * param_grad
-
-    grad = np.array(grad)
-    terms = {"collision": collision_total, "relation": relation_total}
-    if block.unit is not None:
-        value = wc * collision_total + wr * relation_total
-        return LossValue(value, grad, terms)
-    value = wb * boundary_total + wc * collision_total + wr * relation_total
-    return LossValue(value, grad, {"boundary": boundary_total, **terms})
+def _aggregate(block: Block, x, weights: Weights, room: Room, totals: dict) -> LossValue:
+    """`objective` on one block, its gradient a flat array over `x`."""
+    value, grad = objective([block], x.tolist(), weights, room, totals)
+    return LossValue(value, np.array(grad), totals)
 
 
 def aggregate_local(
@@ -869,7 +889,7 @@ def aggregate_local(
     proxies are disjoint or touch are skipped: their collision value and
     gradient are exact zeros, so every sum keeps its bits.
     """
-    return _aggregate(index.blocks[unit_id], x, weights, spec.room)
+    return _aggregate(index.blocks[unit_id], x, weights, spec.room, {"collision": 0.0, "relation": 0.0})
 
 
 def aggregate_global(
@@ -887,7 +907,8 @@ def aggregate_global(
     Pairs whose proxies are disjoint or touch are skipped, as in
     `aggregate_local`: they contribute exact zeros.
     """
-    return _aggregate(index.blocks[None], x, weights, spec.room)
+    totals = {"boundary": 0.0, "collision": 0.0, "relation": 0.0}
+    return _aggregate(index.blocks[None], x, weights, spec.room, totals)
 
 
 def relation_penalties(spec: SceneSpec, index: ParamIndex, x) -> dict:

@@ -134,15 +134,24 @@ def enclosing_box(poses, halves) -> tuple:
     the footprints with the given (x, y, theta) poses and (half_l, half_w);
     NaN on an axis where a corner coordinate is NaN.  A unit's stand-in box
     is this box of its anchor, at the frame origin, and its members, in the
-    unit frame."""
-    points = [p for (x, y, t), (hl, hw) in zip(poses, halves) for p in corner_points(x, y, t, hl, hw)]
-    lo, hi = [], []
-    for axis in ([p[0] for p in points], [p[1] for p in points]):
-        total = sum(axis)
-        nan = total != total and any(v != v for v in axis)
-        lo.append(math.nan if nan else min(axis))
-        hi.append(math.nan if nan else max(axis))
-    return (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])), 0.5 * (hi[0] - lo[0]), 0.5 * (hi[1] - lo[1])
+    unit frame.  One pass over the corners of `corner_points`, in its order,
+    keeps each axis's extremes with first-wins comparisons, as `min` and
+    `max` do, so signed zeros and infinities come out as they would there.
+    """
+    lo_x = lo_y = math.inf
+    hi_x = hi_y = -math.inf
+    nan_x = nan_y = False
+    for (x, y, theta), (half_l, half_w) in zip(poses, halves):
+        c, s = math.cos(theta), math.sin(theta)
+        for sx, sy in _CORNER_SIGNS:
+            ox, oy = sx * half_l, sy * half_w
+            px, py = x + c * ox - s * oy, y + s * ox + c * oy
+            lo_x, hi_x = px if px < lo_x else lo_x, px if px > hi_x else hi_x
+            lo_y, hi_y = py if py < lo_y else lo_y, py if py > hi_y else hi_y
+            nan_x, nan_y = nan_x or px != px, nan_y or py != py
+    lo_x, hi_x = (math.nan, math.nan) if nan_x else (lo_x, hi_x)
+    lo_y, hi_y = (math.nan, math.nan) if nan_y else (lo_y, hi_y)
+    return (0.5 * (lo_x + hi_x), 0.5 * (lo_y + hi_y)), 0.5 * (hi_x - lo_x), 0.5 * (hi_y - lo_y)
 
 
 def polygon_area(points: list) -> float:

@@ -15,6 +15,10 @@ map's chain rule:
   `_pull_back` carries their gradients back, which re-couples the blocks.
   This serves as the reference point for convergence comparisons.
 
+Each iteration is one `evaluate`, one pass over the whole relation plan into
+one gradient list, and one `step`, which clips the gradient and updates the
+velocity and the vector in place.
+
 Stage 1 optimizes poses under relation terms only, with constraint parameters
 frozen.  Stage 2 enables collision and boundary terms, and lets shared
 constraint parameters float under a quadratic prior at their declared values.
@@ -27,11 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import (
+from .constraints import (  # noqa: F401  aggregate_global: unused here, benchmarks/test_bench.py reads it from this module
     ParamIndex,
     Weights,
     aggregate_global,
-    aggregate_local,
+    objective,
     param_index,
     relation_penalties,
 )
@@ -205,48 +209,49 @@ def _global_view(state: ParamState) -> np.ndarray:
     return state.x if state.flat else _reframe(state.index, state.x, compose)
 
 
-def _pull_back(state: ParamState, view: np.ndarray, grad: np.ndarray):
-    """Chain rule of `_derived_view`, in place: each member-local gradient
-    becomes a gradient on the global member pose and on its anchor's."""
+def _pull_back(state: ParamState, view: list, grad: list):
+    """Chain rule of `_derived_view`, in place on the gradient list: each
+    member-local gradient becomes a gradient on the global member pose and
+    on its anchor's.  `view` is the derived vector as a list."""
     for frame, members in _unit_rows(state.index):
-        theta = state.x[frame + 2]
+        theta = view[frame + 2]
         ca, sa = math.cos(theta), math.sin(theta)
         for m in members:
-            g0, g1, g2 = grad[m : m + 3].tolist()
-            lx, ly, _ = view[m : m + 3].tolist()
+            g0, g1, g2 = grad[m : m + 3]
+            lx, ly = view[m], view[m + 1]
             gm0, gm1 = ca * g0 - sa * g1, sa * g0 + ca * g1
-            grad[m : m + 3] = (gm0, gm1, g2)
-            grad[frame : frame + 3] += np.array([-gm0, -gm1, g0 * ly - g1 * lx - g2])
+            grad[m], grad[m + 1] = gm0, gm1
+            grad[frame] -= gm0
+            grad[frame + 1] -= gm1
+            grad[frame + 2] += g0 * ly - g1 * lx - g2
 
 
 def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerConfig):
-    """Objective value, its gradient over `state.x`, and per-term breakdown."""
-    spec, index = state.spec, state.index
-    eff = _stage_weights(weights, stage)
-    x = _derived_view(state)
-    parts = [aggregate_global(spec, index, x, eff)]
-    parts += [aggregate_local(spec, unit, index, x, eff) for unit in index.blocks if unit is not None]
-    total, grad = parts[0].value, parts[0].grads
-    for part in parts[1:]:
-        total += part.value
-        grad += part.grads
+    """Objective value, its gradient over `state.x`, and per-term breakdown.
+
+    One pass, `constraints.objective`, over the scene's block and then each
+    unit's in plan order, into one gradient list that the prior and the
+    pull-back also update before it becomes an array: bit for bit the sum
+    of `aggregate_global` and each `aggregate_local`, in that order.
+    """
+    index = state.index
+    xs = _derived_view(state).tolist()
     terms = {"collision": 0.0, "boundary": 0.0, "relation": 0.0, "prior": 0.0}
-    for part in parts:
-        for k, v in part.terms.items():
-            terms[k] += v
+    plan = [index.blocks[None], *(block for unit, block in index.blocks.items() if unit is not None)]
+    total, grad = objective(plan, xs, _stage_weights(weights, stage), state.spec.room, terms)
 
     if stage == 2 and config.prior_weight != 0.0:
         prior = 0.0
         for k, declared in enumerate(index.priors, index.pose_size):
-            r = float(x[k]) - declared
+            r = xs[k] - declared
             prior += r * r
             grad[k] += 2.0 * config.prior_weight * r
         terms["prior"] = prior
         total += config.prior_weight * prior
 
     if state.flat:
-        _pull_back(state, x, grad)
-    return total, grad, terms
+        _pull_back(state, xs, grad)
+    return total, np.array(grad), terms
 
 
 def _slot_constants(config: OptimizerConfig, index: ParamIndex):
@@ -278,15 +283,19 @@ def step(
     # Each row's (x, y) gradient is scaled down to norm clip_position.  The
     # norm uses math.hypot: np.hypot can differ in the last bit, and the
     # difference grows over a run.
-    rows = grad[: state.index.pose_size].reshape(-1, 3)
-    norms = np.array([math.hypot(gx, gy) for gx, gy, _ in rows.tolist()])
-    over = norms > config.clip_position
-    rows[over, :2] *= (config.clip_position / norms[over])[:, None]
+    n_pose, clip = state.index.pose_size, config.clip_position
+    g = grad.tolist()
+    for r in range(0, n_pose, 3):
+        gx, gy = g[r], g[r + 1]
+        norm = math.hypot(gx, gy)
+        if norm > clip:
+            grad[r : r + 2] = gx * (clip / norm), gy * (clip / norm)
     limit, lr = state.slot_constants(config)
-    n = state.index.pose_size if stage == 1 else state.index.size
-    g = np.clip(grad[:n], -limit[:n], limit[:n])
-    state.vel[:n] = config.momentum * state.vel[:n] + g
-    state.x[:n] -= lr[:n] * factor * state.vel[:n]
+    n = n_pose if stage == 1 else state.index.size
+    vel, x = state.vel[:n], state.x[:n]
+    vel *= config.momentum
+    vel += np.clip(grad[:n], -limit[:n], limit[:n])
+    x -= lr[:n] * factor * vel
 
     state.step_index += 1
     if not np.all(np.isfinite(state.x)):

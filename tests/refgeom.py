@@ -8,7 +8,8 @@ on: `FootprintBox` with its axis-aligned `Interval` bounds, the proxy test
 distance that the gap term's oracle reads.  `boundary_probes` lists every
 probe the gap kernel may scan, for the references that scan them all.
 `outline` turns a box into the library's corner list, `corners` into a
-(4, 2) array.  The numpy polygon bodies the exact checks had before they ran
+(4, 2) array.  `reference_enclosing_box` is the stand-in box as it was
+built from a list of corner points and two axis lists.  The numpy polygon bodies the exact checks had before they ran
 on corner lists (`ConvexPolygon`, `reference_polygon_area`,
 `reference_intersection_area`) stay here as the reference those checks are
 compared with.  The bodies are kept as they were in the library.
@@ -84,6 +85,20 @@ def outline(box: FootprintBox) -> list:
 def corners(box: FootprintBox) -> np.ndarray:
     """World-frame corners of the footprint, counter-clockwise, shape (4, 2)."""
     return np.array(outline(box))
+
+
+def reference_enclosing_box(poses, halves) -> tuple:
+    """Center (x, y), half_l and half_w of the axis-aligned box enclosing
+    the footprints with the given (x, y, theta) poses and (half_l, half_w);
+    NaN on an axis where a corner coordinate is NaN."""
+    points = [p for (x, y, t), (hl, hw) in zip(poses, halves) for p in corner_points(x, y, t, hl, hw)]
+    lo, hi = [], []
+    for axis in ([p[0] for p in points], [p[1] for p in points]):
+        total = sum(axis)
+        nan = total != total and any(v != v for v in axis)
+        lo.append(math.nan if nan else min(axis))
+        hi.append(math.nan if nan else max(axis))
+    return (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])), 0.5 * (hi[0] - lo[0]), 0.5 * (hi[1] - lo[1])
 
 
 def reference_polygon_area(points: np.ndarray) -> float:

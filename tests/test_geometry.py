@@ -16,6 +16,7 @@ import pytest
 from layoutopt.geometry import (
     Pose2D,
     compose,
+    enclosing_box,
     half_extents,
     invert,
     normalize_angle,
@@ -34,6 +35,7 @@ from refgeom import (
     corners,
     min_boundary_distance,
     outline,
+    reference_enclosing_box,
     reference_intersection_area,
     reference_polygon_area,
     signed_distance_point_box,
@@ -477,3 +479,33 @@ def test_min_boundary_distance_overlapping_is_negative():
     a = FootprintBox(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0)
     b = FootprintBox(Pose2D(0.5, 0.0, 0.2), 1.0, 1.0)
     assert min_boundary_distance(a, b) < 0.0
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:  # math.cos of an infinite heading
+        return f"ValueError: {exc}"
+
+
+def test_enclosing_box_matches_the_corner_list_reference_bitwise():
+    # One pass with first-wins comparisons keeps the extremes that min and
+    # max pick from the corner lists, signed zeros, infinities and the NaN
+    # rule included.
+    rng = np.random.default_rng(RNG_SEED + 40)
+    specials = (0.0, -0.0, math.nan, math.inf, -math.inf)
+    for case in range(20000):
+        scale = 10.0 ** rng.uniform(-3.0, 4.0)
+        poses, halves = [], []
+        for _ in range(int(rng.integers(1, 7))):
+            theta = float(rng.choice([rng.uniform(-4.0, 4.0), 0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi]))
+            poses.append([float(rng.normal(0.0, scale)), float(rng.normal(0.0, scale)), theta])
+            halves.append([float(rng.uniform(0.0, scale)), float(rng.uniform(0.0, scale))])
+        for _ in range(int(rng.integers(0, 3))):
+            k = int(rng.integers(0, len(poses)))
+            slot = int(rng.integers(0, 5))
+            row, i = (poses[k], slot) if slot < 3 else (halves[k], slot - 3)
+            row[i] = float(rng.choice(specials))
+        poses, halves = [tuple(p) for p in poses], [tuple(h) for h in halves]
+        got = _outcome(enclosing_box, poses, halves)
+        assert got == _outcome(reference_enclosing_box, poses, halves), (case, poses, halves)

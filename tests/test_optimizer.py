@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from layoutopt import optimizer
 from layoutopt.constraints import Weights
 from layoutopt.errors import DivergenceError, InfeasibleRoomError
-from layoutopt.fixtures import load_fixture
+from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import Pose2D, compose
 from layoutopt.harness import eval_physical
 from layoutopt.optimizer import (
@@ -23,7 +24,10 @@ from layoutopt.optimizer import (
     solve_global_baseline,
     step,
 )
-from layoutopt.scene_model import Asset, Relation, Room, SceneSpec, Unit
+from layoutopt.scene_model import Asset, Relation, Room, SceneSpec, Unit, serialize_layout
+
+import refopt
+from refopt import reference_step
 
 
 def _scene(room, assets, units=(), relations=()):
@@ -445,3 +449,133 @@ def test_layout_heights_are_half_asset_height():
     assert set(layout.poses) == {a.id for a in spec.assets}
     for a in spec.assets:
         assert layout.poses[a.id][2] == pytest.approx(0.5 * a.size[2])
+
+
+# ---------------------------------------------------------------------------
+# The one-pass descent against the parts-summing reference (tests/refopt.py)
+# ---------------------------------------------------------------------------
+
+
+def _shared_across_frames_scene():
+    """Two units and two independent assets; the shared parameter `reach`
+    is read by an inter relation and by intra relations of both units, two
+    of them in one unit, and `gap` by an intra and an inter relation."""
+    return _scene(
+        Room(9.0, 8.0, 3.0),
+        (
+            Asset("t1", "table", (1.4, 0.9, 0.7)),
+            Asset("c1", "chair", (0.5, 0.5, 0.9)),
+            Asset("t2", "table", (1.2, 0.8, 0.7)),
+            Asset("c2", "chair", (0.5, 0.6, 0.9)),
+            Asset("c3", "chair", (0.4, 0.5, 0.9)),
+            Asset("lamp", "lamp", (0.3, 0.3, 1.5)),
+            Asset("shelf", "shelf", (1.6, 0.4, 1.8)),
+        ),
+        units=(Unit("u1", "t1", ("c1",)), Unit("u2", "t2", ("c2", "c3"))),
+        relations=(
+            Relation("distance", "c1", "t1", {"d": 0.9}, "intra", "u1", "reach"),
+            Relation("distance", "lamp", "u1", {"d": 0.9}, "inter", None, "reach"),
+            Relation("gap", "shelf", "u2", {"g": 0.3}, "inter", None, "gap"),
+            Relation("distance", "c2", "t2", {"d": 0.9}, "intra", "u2", "reach"),
+            Relation("gap", "c2", "t2", {"g": 0.3}, "intra", "u2", "gap"),
+            Relation("distance", "c3", "t2", {"d": 0.9}, "intra", "u2", "reach"),
+            Relation("facing", "c1", "t1", {}, "intra", "u1"),
+            Relation("against_wall", "shelf", "wall:T", {}, "inter"),
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "shared_across_frames"])
+def test_descent_matches_the_parts_summing_reference_bitwise(name, monkeypatch):
+    # The pass visits the scene's block first, then each unit's; summing
+    # aggregates in that order as arrays gives the same bits, for both
+    # parameterizations, through a whole two-stage solve.
+    spec = _shared_across_frames_scene() if name == "shared_across_frames" else load_fixture(name)
+    config = OptimizerConfig(iterations=40)
+    for solver in (solve, solve_global_baseline):
+        layout, trace = solver(spec, config, Weights())
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "step", reference_step)
+            want_layout, want = solver(spec, config, Weights())
+        assert trace.to_csv() == want.to_csv(), (name, solver.__name__)
+        assert serialize_layout(layout) == serialize_layout(want_layout), (name, solver.__name__)
+        assert repr(trace.final_penalties) == repr(want.final_penalties), (name, solver.__name__)
+        assert repr(trace.final_shared) == repr(want.final_shared), (name, solver.__name__)
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "shared_across_frames"])
+def test_evaluate_matches_the_parts_summing_reference_bitwise(name):
+    # Where a descent's clipping hides a shared slot's last bit, the
+    # gradient itself shows it: each block's subtotal on a shared slot is
+    # added whole, in block order.
+    spec = _shared_across_frames_scene() if name == "shared_across_frames" else load_fixture(name)
+    config = OptimizerConfig()
+    for seed in range(20):
+        for flat in (False, True):
+            state = init_state(spec, seed)
+            if flat:
+                state.x[:] = _global_view(state)
+                state.flat = True
+            for stage in (1, 2):
+                total, grad, terms = evaluate(state, Weights(), stage, config)
+                want_total, want_grad, want_terms = refopt.reference_evaluate(state, Weights(), stage, config)
+                context = (name, seed, flat, stage)
+                assert repr(total) == repr(want_total), context
+                assert grad.tobytes() == want_grad.tobytes(), context
+                assert repr(terms) == repr(want_terms), context
+
+
+def _fixed_gradient(grad):
+    """An `evaluate` stand-in returning `grad` at a finite objective."""
+
+    def fake(state, weights, stage, config):
+        return 1.0, np.array(grad, dtype=float), {"collision": 0.0, "boundary": 0.0, "relation": 1.0, "prior": 0.0}
+
+    return fake
+
+
+def test_step_does_not_scale_a_row_at_exactly_the_clip_norm(monkeypatch):
+    spec = _scene(Room(10.0, 10.0, 3.0), (Asset("box", "box", (1.0, 1.0, 1.0)),))
+    for g, moved in (((3.0, 4.0, 0.0), (1.5, 2.0)), ((6.0, 8.0, 0.0), (1.5, 2.0)), ((0.0, 5.0, 0.0), (0.0, 2.5))):
+        state = init_state(spec, seed=0)
+        state.pose("box")[:] = (5.0, 5.0, 0.3)
+        monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(g))
+        step(state, OptimizerConfig(clip_position=5.0), Weights(), stage=2)
+        assert state.pose("box").tolist() == [5.0 - moved[0], 5.0 - moved[1], 0.3], g
+
+
+def test_stage1_step_leaves_shared_slots_and_their_velocity(monkeypatch):
+    state = _assembled_scene()
+    shared = list(state.index.param.values())
+    state.vel[shared] = 0.25
+    x_before, vel_before = state.x[shared].copy(), state.vel[shared].copy()
+    monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(np.full(state.index.size, 0.5)))
+    step(state, OptimizerConfig(), Weights(), stage=1)
+    assert np.array_equal(state.x[shared], x_before)
+    assert np.array_equal(state.vel[shared], vel_before)
+    assert state.vel[0] == 0.5
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_nan_gradient_diverges_at_the_reference_step(stage, monkeypatch):
+    # A NaN in any gradient slot ends the same way as in the reference
+    # step: at the same step index, or, for a shared slot in stage 1, not
+    # at all and with the same state.
+    base = _assembled_scene()
+    base.step_index = 3
+    for slot in range(base.index.size):
+        grad = np.linspace(-2.0, 2.0, base.index.size)
+        grad[slot] = math.nan
+        outcomes = []
+        for stepper in (step, reference_step):
+            state = _clone(base)
+            state.step_index = base.step_index
+            monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(grad))
+            monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad))
+            try:
+                stepper(state, OptimizerConfig(), Weights(), stage)
+                outcomes.append(("ok", state.x.tobytes(), state.vel.tobytes(), state.step_index))
+            except DivergenceError as exc:
+                outcomes.append(("diverged", str(exc), exc.iteration))
+        assert outcomes[0] == outcomes[1], (stage, slot)
+        assert outcomes[0][0] == ("ok" if stage == 1 and slot >= base.index.pose_size else "diverged")
