@@ -14,8 +14,7 @@ evaluated in the unit frame and never touch the unit pose; scene-level terms
 see independent assets and whole units through their enclosing oriented box.
 One pass, `objective`, reads poses from one flat parameter vector and adds
 every gradient into one list of the same layout, by index, through the slot
-table `ParamIndex`.  The optimizer runs it once per iteration over the whole
-plan; each aggregate is the same pass over one block.
+table `ParamIndex`; each aggregate is that pass over one block.
 
 `param_index` compiles a scene once into its relation plan, the one compiled
 form of a scene: one `Block` per frame (each unit's, then the scene's)
@@ -26,11 +25,10 @@ optional params defaulted as the parser defaults them.  The pass,
 `relation_penalties` and the imagination pass read that plan through
 `_block_boxes`, which builds unit stand-ins with `geometry.enclosing_box`;
 a heading that is not finite reads as NaN there.  The pass calls each
-term's kernel and routes its gradients inline (`term_loss`, one term's
-kernel call, serves the penalty report); collisions go through
-`collision_loss`, once per pair the broadphase `_proxy_pairs` keeps, the
-pairs the imagination pass checks for conflicts.  Kernels are looked up by
-module attribute at call time, so a wrapper set on one sees every call.
+term's kernel and routes its gradients inline (`term_loss` serves the
+penalty report); collisions go through `collision_loss`, once per pair the
+broadphase `_proxy_pairs` keeps, the pairs the imagination pass checks for
+conflicts.  Kernels are looked up by module attribute at call time.
 """
 
 from __future__ import annotations
@@ -64,8 +62,8 @@ _NAN = (math.nan, math.nan, math.nan)
 @dataclass
 class LossValue:
     """Result of an aggregate: the weighted objective, its gradient as one
-    flat array laid out by a ParamIndex, and the raw total of each penalty
-    family by name."""
+    flat array laid out by a ParamIndex (a list while `objective` runs), and
+    the raw total of each penalty family by name."""
 
     value: float
     grads: np.ndarray
@@ -531,9 +529,8 @@ def around_loss(boxes: list, _, sweep: float, center: float):
     resultant of N headings evenly spread over the sweep centered at `center`.
     The boxes are the sources then the focal; the parameter gradient is
     (d/d sweep, d/d center).  The reductions stay numpy's (`argsort`,
-    `diff`, `dot`, `sum` and the means of `sin` and `cos`), and so their
-    summation order; the per-source derivatives are plain floats, each
-    source's sum starting from 0.0.
+    `diff`, `dot`, `sum`, the `sin`/`cos` means), and so their summation
+    order; the per-source derivatives are plain floats summed from 0.0.
     """
     *sources, focal = boxes
     n = len(sources)
@@ -799,25 +796,23 @@ def term_loss(term: Term, boxes: list, xs) -> tuple:
     return globals()[term.kernel]([boxes[k] for k in term.ends], value, *term.consts)
 
 
-def objective(blocks, xs: list, weights: Weights, room: Room, totals: dict) -> tuple:
-    """The one pass behind both aggregates and `optimizer.evaluate`: the
-    weighted terms of `blocks`, in order, at the flat vector `xs` (a list).
-    Returns the value and its gradient as a list laid out as `xs`, and adds
-    each family's raw total into `totals` ("boundary" from the scene only).
-
+def objective(blocks, xs: list, weights: Weights, room: Room, start: LossValue) -> LossValue:
+    """The weighted terms of `blocks`, in order, at the flat vector `xs` (a
+    list), carrying on `start`'s sums; `start.grads`, a list laid out as
+    `xs`, is extended in place.  Family totals gain "boundary" on the scene.
     Each block sums its value, totals and shared-parameter gradients from
-    0.0, and adds them in block order: the bits of summing one-block passes.
+    0.0 and adds them in block order: the bits of summing one-block passes.
     A stand-in's gradient reaches the unit pose through its lever, the
-    relation weight applied first.
-    """
+    relation weight applied first."""
     kernels = globals()  # module attributes, read per call: a wrapper set on a kernel sees every call
     boundary, collision = kernels["boundary_loss"], kernels["collision_loss"]
     wb, wc, wr = weights.boundary, weights.collision, weights.relation
-    total, grad = -0.0, [0.0] * len(xs)  # -0.0: the exact additive identity, signed zeros included
+    total, grad, totals = start.value, start.grads, dict(start.terms)
     for block in blocks:
         boxes, levers = _block_boxes(block, xs)
         rows, scene = block.rows, block.unit is None
         boundary_total = collision_total = relation_total = 0.0
+        # Lever routing written out per family for speed: change all three together.
         if scene and wb != 0.0:
             for r, lever, box in zip(rows, levers, boxes):
                 value, ((g0, g1, g2),), _ = boundary(box, room)
@@ -857,19 +852,20 @@ def objective(blocks, xs: list, weights: Weights, room: Room, totals: dict) -> t
             for p, g in shared.items():
                 grad[p] += g
         if scene:
-            totals["boundary"] += boundary_total
+            totals["boundary"] = totals.get("boundary", 0.0) + boundary_total
             total += wb * boundary_total + wc * collision_total + wr * relation_total
         else:
             total += wc * collision_total + wr * relation_total
-        totals["collision"] += collision_total
-        totals["relation"] += relation_total
-    return total, grad
+        totals["collision"] = totals.get("collision", 0.0) + collision_total
+        totals["relation"] = totals.get("relation", 0.0) + relation_total
+    return LossValue(total, grad, totals)
 
 
-def _aggregate(block: Block, x, weights: Weights, room: Room, totals: dict) -> LossValue:
-    """`objective` on one block, its gradient a flat array over `x`."""
-    value, grad = objective([block], x.tolist(), weights, room, totals)
-    return LossValue(value, np.array(grad), totals)
+def _aggregate(block: Block, x, weights: Weights, room: Room) -> LossValue:
+    """`objective` on one block from -0.0 (the exact identity) as an array."""
+    xs = x.tolist()
+    out = objective([block], xs, weights, room, LossValue(-0.0, [0.0] * len(xs)))
+    return LossValue(out.value, np.array(out.grads), out.terms)
 
 
 def aggregate_local(
@@ -889,7 +885,7 @@ def aggregate_local(
     proxies are disjoint or touch are skipped: their collision value and
     gradient are exact zeros, so every sum keeps its bits.
     """
-    return _aggregate(index.blocks[unit_id], x, weights, spec.room, {"collision": 0.0, "relation": 0.0})
+    return _aggregate(index.blocks[unit_id], x, weights, spec.room)
 
 
 def aggregate_global(
@@ -907,8 +903,7 @@ def aggregate_global(
     Pairs whose proxies are disjoint or touch are skipped, as in
     `aggregate_local`: they contribute exact zeros.
     """
-    totals = {"boundary": 0.0, "collision": 0.0, "relation": 0.0}
-    return _aggregate(index.blocks[None], x, weights, spec.room, totals)
+    return _aggregate(index.blocks[None], x, weights, spec.room)
 
 
 def relation_penalties(spec: SceneSpec, index: ParamIndex, x) -> dict:

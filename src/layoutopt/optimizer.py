@@ -15,9 +15,8 @@ map's chain rule:
   `_pull_back` carries their gradients back, which re-couples the blocks.
   This serves as the reference point for convergence comparisons.
 
-Each iteration is one `evaluate`, one pass over the whole relation plan into
-one gradient list, and one `step`, which clips the gradient and updates the
-velocity and the vector in place.
+Each iteration is one `evaluate`, one pass over the relation plan into one
+gradient list, and one `step`, which updates velocity and vector in place.
 
 Stage 1 optimizes poses under relation terms only, with constraint parameters
 frozen.  Stage 2 enables collision and boundary terms, and lets shared
@@ -31,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import (  # noqa: F401  aggregate_global: unused here, benchmarks/test_bench.py reads it from this module
+from .constraints import (
+    LossValue,
     ParamIndex,
     Weights,
     aggregate_global,
@@ -211,8 +211,7 @@ def _global_view(state: ParamState) -> np.ndarray:
 
 def _pull_back(state: ParamState, view: list, grad: list):
     """Chain rule of `_derived_view`, in place on the gradient list: each
-    member-local gradient becomes a gradient on the global member pose and
-    on its anchor's.  `view` is the derived vector as a list."""
+    member-local gradient becomes one on the global member pose and its anchor's."""
     for frame, members in _unit_rows(state.index):
         theta = view[frame + 2]
         ca, sa = math.cos(theta), math.sin(theta)
@@ -229,16 +228,19 @@ def _pull_back(state: ParamState, view: list, grad: list):
 def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerConfig):
     """Objective value, its gradient over `state.x`, and per-term breakdown.
 
-    One pass, `constraints.objective`, over the scene's block and then each
-    unit's in plan order, into one gradient list that the prior and the
-    pull-back also update before it becomes an array: bit for bit the sum
-    of `aggregate_global` and each `aggregate_local`, in that order.
+    `aggregate_global`, then `constraints.objective` over the unit blocks in
+    plan order carrying on its sums in one list, then the prior and the
+    pull-back: bit for bit the sum of it and each `aggregate_local`.
     """
-    index = state.index
-    xs = _derived_view(state).tolist()
-    terms = {"collision": 0.0, "boundary": 0.0, "relation": 0.0, "prior": 0.0}
-    plan = [index.blocks[None], *(block for unit, block in index.blocks.items() if unit is not None)]
-    total, grad = objective(plan, xs, _stage_weights(weights, stage), state.spec.room, terms)
+    spec, index = state.spec, state.index
+    eff = _stage_weights(weights, stage)
+    x = _derived_view(state)
+    scene = aggregate_global(spec, index, x, eff)
+    xs = x.tolist()
+    units = [block for unit, block in index.blocks.items() if unit is not None]
+    out = objective(units, xs, eff, spec.room, LossValue(scene.value, scene.grads.tolist(), scene.terms))
+    total, grad = out.value, out.grads
+    terms = {"collision": 0.0, "boundary": 0.0, "relation": 0.0, "prior": 0.0, **out.terms}
 
     if stage == 2 and config.prior_weight != 0.0:
         prior = 0.0
