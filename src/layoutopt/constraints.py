@@ -41,7 +41,7 @@ import numpy as np
 
 from . import geometry
 from .errors import MissingEntityError
-from .geometry import corner_points, enclosing_box, half_extents
+from .geometry import enclosing_box, half_extents
 from .scene_model import (
     DIRECTIONAL_KINDS,
     SCENE_ANCHORED_KINDS,
@@ -136,7 +136,8 @@ def collision_loss(a: tuple, b: tuple) -> CollisionLoss:
 
     iou = inter / union
     rho = inter / min_area
-    value = iou - (d2 / c2) * rho
+    ratio = d2 / c2
+    value = iou - ratio * rho
 
     darea_a = 4.0 * (dax_a * ay_a + ax_a * day_a)  # d area_a / d theta_a
     darea_b = 4.0 * (dax_b * ay_b + ax_b * day_b)
@@ -155,14 +156,15 @@ def collision_loss(a: tuple, b: tuple) -> CollisionLoss:
         (gate_x * py * dovx[3] * dax_b + gate_y * px * dovy[3] * day_b, 0.0, darea_b, 0.0,
          2.0 * cx * dcx[3] * dax_b + 2.0 * cy * dcy[3] * day_b),
     )
+    union2, min_area2, c2_2 = union * union, min_area * min_area, c2 * c2
     g = []
     for d_inter, d_area_a, d_area_b, d_d2, d_c2 in rows:
         d_union = d_area_a + d_area_b - d_inter
-        d_iou = (d_inter * union - inter * d_union) / (union * union)
+        d_iou = (d_inter * union - inter * d_union) / union2
         d_min = d_area_a if a_is_min else d_area_b
-        d_rho = (d_inter * min_area - inter * d_min) / (min_area * min_area)
-        d_ratio = (d_d2 * c2 - d2 * d_c2) / (c2 * c2)
-        g.append(d_iou - d_ratio * rho - (d2 / c2) * d_rho)
+        d_rho = (d_inter * min_area - inter * d_min) / min_area2
+        d_ratio = (d_d2 * c2 - d2 * d_c2) / c2_2
+        g.append(d_iou - d_ratio * rho - ratio * d_rho)
     return CollisionLoss(value, ((g[0], g[1], g[2]), (g[3], g[4], g[5])), None)
 
 
@@ -170,10 +172,12 @@ def _proxy_pairs(boxes: list) -> list:
     """Position pairs of `boxes` in nested-loop order, less the pairs whose
     proxies are disjoint or touch: `collision_loss` is exactly 0 there,
     with a gradient of signed zeros.  Bounds use the half extents and the
-    expressions of `collision_loss`, so the two agree bit for bit."""
+    expressions of `collision_loss` (`half_extents`' ax and ay), so the two
+    agree bit for bit."""
     lo, hi = [], []
     for x, y, theta, half_l, half_w in boxes:
-        ax, ay, _, _ = half_extents(half_l, half_w, theta)
+        c, s = abs(math.cos(theta)), abs(math.sin(theta))
+        ax, ay = half_l * c + half_w * s, half_l * s + half_w * c
         lo.append((x - ax, y - ay))
         hi.append((x + ax, y + ay))
     return geometry.overlapping_pairs(lo, hi)
@@ -298,16 +302,23 @@ def gap_loss(boxes: list, g: float):
     `_EDGE_FRACTIONS`.  Derivatives follow the winning probe, the first one
     strictly below all before it.
 
-    The scan skips samples that cannot win.  A point's signed distance f to
-    a box is 1-Lipschitz, and the sample at fraction t of an edge P->Q of
-    length L lies tL from P and (1 - t)L from Q, so its distance is at least
-    max(f(P) - tL, f(Q) - (1 - t)L).  A sample is skipped when that bound
-    exceeds the best value so far by more than a rounding allowance that
-    grows with the coordinates; a whole edge is skipped when its smallest
-    bound, max(f(P), f(Q)) - 7L/8, does.  A skipped sample cannot be strictly
-    below the best, so the winner, its value and its derivatives are the
-    ones of the full scan, bit for bit.  NaN compares false, so a NaN pose
-    skips nothing.
+    The scan skips probes that cannot win, each against the best value so
+    far, with a rounding allowance `margin` that grows with the coordinates:
+    - A point's signed distance f to a box is 1-Lipschitz, and the sample at
+      fraction t of an edge P->Q of length L lies tL from P and (1 - t)L
+      from Q, so its distance is at least max(f(P) - tL, f(Q) - (1 - t)L).
+      A sample is skipped when that bound exceeds best + margin; a whole
+      edge is skipped when its smallest bound, max(f(P), f(Q)) - 7L/8, does.
+    - Before its exact `_probe_sdf`, a probe point is carried straight into
+      the other box's frame and `_local_sdf`'s value there, written out, is
+      taken less `margin`.  The exact probe backs out the point's offset and
+      carries it over again, which moves the value by rounding only, far
+      below `margin`; so this is a lower bound, and the probe is skipped
+      when it exceeds best.  A skipped corner's bound stands in for its
+      value in its edges' bounds, which stay lower bounds.
+    A skipped probe cannot be strictly below the best, so the winner, its
+    value and its derivatives are the ones of the full scan, bit for bit.
+    NaN compares false, so a NaN pose skips nothing.
 
     The scan computes values only: a probe that does not win contributes
     exactly nothing to the gradient, so only the winner's derivatives are
@@ -321,16 +332,26 @@ def gap_loss(boxes: list, g: float):
     best = math.inf
     winner = None
     for box, other, on_b in ((a, b, False), (b, a, True)):
-        cp, sp = math.cos(box[2]), math.sin(box[2])
-        co, so = math.cos(other[2]), math.sin(other[2])
-        corners = corner_points(*box)
+        x, y, theta, box_l, box_w = box
+        ox, oy, other_theta, half_l, half_w = other
+        cp, sp = math.cos(theta), math.sin(theta)
+        co, so = math.cos(other_theta), math.sin(other_theta)
+        # `corner_points(*box)`: c * -h is -(c * h) exactly.
+        cl, sl, cw, sw = cp * box_l, sp * box_l, cp * box_w, sp * box_w
+        corners = ((x + cl - sw, y + sl + cw), (x - cl - sw, y - sl + cw), (x - cl + sw, y - sl - cw),
+                   (x + cl + sw, y + sl - cw))
         values = []
         for px, py in corners:
-            value, offset = _probe_sdf(px, py, box, cp, sp, other, co, so)
+            dx, dy = px - ox, py - oy
+            ex, ey = abs(co * dx + so * dy) - half_l, abs(-so * dx + co * dy) - half_w
+            value = (math.hypot(ex if ex > 0.0 else 0.0, ey if ey > 0.0 else 0.0) if ex > 0.0 or ey > 0.0
+                     else ex if ex >= ey else ey) - margin
+            if not value > best:
+                value, offset = _probe_sdf(px, py, box, cp, sp, other, co, so)
+                if value < best:
+                    best = value
+                    winner = (box, offset, other, on_b)
             values.append(value)
-            if value < best:
-                best = value
-                winner = (box, offset, other, on_b)
         for k in range(4):
             (px, py), (qx, qy) = corners[k], corners[(k + 1) % 4]
             fp, fq, length = values[k], values[(k + 1) % 4], math.hypot(qx - px, qy - py)
@@ -339,7 +360,13 @@ def gap_loss(boxes: list, g: float):
             for t in _EDGE_FRACTIONS:
                 if max(fp - t * length, fq - (1.0 - t) * length) > best + margin:
                     continue
-                value, offset = _probe_sdf(px + t * (qx - px), py + t * (qy - py), box, cp, sp, other, co, so)
+                sx, sy = px + t * (qx - px), py + t * (qy - py)
+                dx, dy = sx - ox, sy - oy
+                ex, ey = abs(co * dx + so * dy) - half_l, abs(-so * dx + co * dy) - half_w
+                if (math.hypot(ex if ex > 0.0 else 0.0, ey if ey > 0.0 else 0.0) if ex > 0.0 or ey > 0.0
+                        else ex if ex >= ey else ey) - margin > best:
+                    continue
+                value, offset = _probe_sdf(sx, sy, box, cp, sp, other, co, so)
                 if value < best:
                     best = value
                     winner = (box, offset, other, on_b)
@@ -528,9 +555,11 @@ def around_loss(boxes: list, _, sweep: float, center: float):
     to the focal should average (in the embedded sin/cos sense) to the mean
     resultant of N headings evenly spread over the sweep centered at `center`.
     The boxes are the sources then the focal; the parameter gradient is
-    (d/d sweep, d/d center).  The reductions stay numpy's (`argsort`,
-    `diff`, `dot`, `sum`, the `sin`/`cos` means), and so their summation
-    order; the per-source derivatives are plain floats summed from 0.0.
+    (d/d sweep, d/d center).  The reductions stay numpy's, and so their
+    summation order, called as numpy's own wrappers call them: the stable
+    `argsort`, `diff` as a slice difference, `sum` as `np.add.reduce` and a
+    `mean` as that sum over n; `dot` as it is.  The per-source derivatives
+    are plain floats summed from 0.0.
     """
     *sources, focal = boxes
     n = len(sources)
@@ -552,8 +581,9 @@ def around_loss(boxes: list, _, sweep: float, center: float):
         else:
             dphis.append((0.0, 0.0))
     phis = np.array(phis)
-    order = np.argsort(phis, kind="stable")
-    resid = np.diff(phis[order]) - sweep / (n - 1)
+    order = phis.argsort(kind="stable")
+    ordered = phis[order]
+    resid = (ordered[1:] - ordered[:-1]) - sweep / (n - 1)
     term1 = float(np.dot(resid, resid)) / (n - 1)
 
     gx, gy, gt = [0.0] * n, [0.0] * n, [0.0] * n
@@ -566,12 +596,12 @@ def around_loss(boxes: list, _, sweep: float, center: float):
         f0 -= d * d0
         f1 -= d * d1
         f2 -= d
-    d_term1_dsweep = -2.0 * float(resid.sum()) / ((n - 1) * (n - 1))
+    d_term1_dsweep = -2.0 * float(np.add.reduce(resid)) / ((n - 1) * (n - 1))
 
     # Orientation embedding: mean of (sin, cos) of relative headings.
     rel = [box[2] - ftheta for box in sources]
     rel_a = np.array(rel)
-    emb_s, emb_c = np.sin(rel_a).mean(), np.cos(rel_a).mean()
+    emb_s, emb_c = np.add.reduce(np.sin(rel_a)) / n, np.add.reduce(np.cos(rel_a)) / n
     delta = sweep / (2.0 * (n - 1))
     if abs(delta) < 1e-9:
         m_res = 1.0
@@ -840,13 +870,16 @@ def objective(blocks, xs: list, weights: Weights, room: Room, start: LossValue) 
                 )
                 relation_total += value
                 for k, (g0, g1, g2) in zip(ends, end_grads):
-                    r = rows[k]
-                    if r is not None:
-                        g0, g1, g2 = wr * g0, wr * g1, wr * g2
-                        lever = levers[k]
+                    r, lever = rows[k], levers[k]
+                    if lever is not None:
+                        g0, g1 = wr * g0, wr * g1
                         grad[r] += g0
                         grad[r + 1] += g1
-                        grad[r + 2] += g2 if lever is None else g0 * lever[0] + g1 * lever[1] + g2
+                        grad[r + 2] += g0 * lever[0] + g1 * lever[1] + wr * g2
+                    elif r is not None:
+                        grad[r] += wr * g0
+                        grad[r + 1] += wr * g1
+                        grad[r + 2] += wr * g2
                 if p is not None:
                     shared[p] = shared.get(p, 0.0) + wr * param_grad
             for p, g in shared.items():

@@ -91,17 +91,20 @@ def overlapping_pairs(lo, hi) -> list:
     only touch are dropped; for finite floats, when a box is empty on the
     axis or one's hi is at most the other's lo.  One sort-and-sweep on x
     (Ericson, Real-Time Collision Detection, ch. 7) meets each box with the
-    later ones in lo_x order whose lo_x is below its hi_x.  A box with a
-    non-finite bound pairs with every other box.  Pairs come in row-major
-    order, that of `for i in range(n): for j in range(i + 1, n)`.
+    later ones in lo_x order whose lo_x is below its hi_x, so it meets each
+    pair once.  A box with a non-finite bound pairs with every other box;
+    only then can a pair come twice, and only then are the pairs deduped.
+    Pairs come in row-major order, that of `for i in range(n): for j in
+    range(i + 1, n)`.
     """
     live, bad = [], []
+    isfinite = math.isfinite
     for i, ((lx, ly), (hx, hy)) in enumerate(zip(lo, hi)):
-        bounds = (float(lx), float(hx), float(ly), float(hy))
-        if not all(map(math.isfinite, bounds)):
+        lx, hx, ly, hy = float(lx), float(hx), float(ly), float(hy)
+        if not (isfinite(lx) and isfinite(hx) and isfinite(ly) and isfinite(hy)):
             bad.append(i)
-        elif bounds[1] > bounds[0] and bounds[3] > bounds[2]:
-            live.append((*bounds, i))
+        elif hx > lx and hy > ly:
+            live.append((lx, hx, ly, hy, i))
     live.sort()
     pairs = [(min(i, k), max(i, k)) for k in bad for i in range(len(lo)) if i != k]
     for p, (_, hx, ly, hy, i) in enumerate(live):
@@ -111,7 +114,10 @@ def overlapping_pairs(lo, hi) -> list:
                 break
             if ly2 < hy and ly < hy2:
                 pairs.append((i, j) if i < j else (j, i))
-    return sorted(set(pairs))
+    if bad:
+        return sorted(set(pairs))
+    pairs.sort()
+    return pairs
 
 
 # Corner offsets in the local frame, counter-clockwise starting at (+, +).

@@ -40,7 +40,6 @@ from .constraints import (
     relation_penalties,
 )
 from .errors import DivergenceError, InfeasibleRoomError
-from .geometry import Pose2D, compose, relative
 from .scene_model import Layout, SceneSpec
 
 
@@ -184,29 +183,35 @@ def _unit_rows(index: ParamIndex) -> list:
     return [(r, [m for m in f.rows if m is not None]) for r, f in units]
 
 
-def _reframe(index: ParamIndex, x: np.ndarray, map_pose) -> np.ndarray:
-    """Copy of `x` with each member row `p` replaced by `map_pose(frame, p)`,
-    `frame` being its unit's row."""
-    out = x.copy()
+def _reframe(index: ParamIndex, x: np.ndarray, inverse: bool) -> np.ndarray:
+    """Copy of `x` with each member row `p` replaced by `compose(frame, p)`,
+    `frame` being its unit's row, or by `relative(frame, p)`, which is
+    `compose(invert(frame), p)`, when `inverse` is set: `geometry`'s float
+    expressions in their order, on floats."""
+    out = x.tolist()
     for r, members in _unit_rows(index):
-        frame = Pose2D.from_array(x[r : r + 3])
+        fx, fy, ft = out[r : r + 3]
+        if inverse:
+            c, s = math.cos(ft), math.sin(ft)
+            fx, fy, ft = -(c * fx + s * fy), s * fx - c * fy, -ft
+        c, s = math.cos(ft), math.sin(ft)
         for m in members:
-            p = map_pose(frame, Pose2D.from_array(x[m : m + 3]))
-            out[m : m + 3] = (p.x, p.y, p.theta)
-    return out
+            px, py, pt = out[m : m + 3]
+            out[m : m + 3] = fx + c * px - s * py, fy + s * px + c * py, ft + pt
+    return np.array(out)
 
 
 def _derived_view(state: ParamState) -> np.ndarray:
     """The two-level vector the objective reads: `x` itself, or for a flat
     state a copy with each member row re-expressed in its anchor's frame."""
-    return _reframe(state.index, state.x, relative) if state.flat else state.x
+    return _reframe(state.index, state.x, True) if state.flat else state.x
 
 
 def _global_view(state: ParamState) -> np.ndarray:
     """The flat vector of global poses, inverse of `_derived_view`: `x`
     itself for a flat state, else a copy with each member row composed with
     its unit's frame."""
-    return state.x if state.flat else _reframe(state.index, state.x, compose)
+    return state.x if state.flat else _reframe(state.index, state.x, False)
 
 
 def _pull_back(state: ParamState, view: list, grad: list):
@@ -284,23 +289,25 @@ def step(
 
     # Each row's (x, y) gradient is scaled down to norm clip_position.  The
     # norm uses math.hypot: np.hypot can differ in the last bit, and the
-    # difference grows over a run.
+    # difference grows over a run.  Then each slot is clipped to its limit
+    # by np.clip's maximum-then-minimum, without its wrapper.
     n_pose, clip = state.index.pose_size, config.clip_position
     g = grad.tolist()
     for r in range(0, n_pose, 3):
         gx, gy = g[r], g[r + 1]
         norm = math.hypot(gx, gy)
         if norm > clip:
-            grad[r : r + 2] = gx * (clip / norm), gy * (clip / norm)
+            g[r], g[r + 1] = gx * (clip / norm), gy * (clip / norm)
     limit, lr = state.slot_constants(config)
     n = n_pose if stage == 1 else state.index.size
+    limit = limit[:n]
     vel, x = state.vel[:n], state.x[:n]
     vel *= config.momentum
-    vel += np.clip(grad[:n], -limit[:n], limit[:n])
+    vel += np.minimum(np.maximum(np.array(g[:n]), -limit), limit)
     x -= lr[:n] * factor * vel
 
     state.step_index += 1
-    if not np.all(np.isfinite(state.x)):
+    if not np.isfinite(state.x).all():
         raise DivergenceError("parameter is not finite", state.step_index)
     return total, terms, factor
 

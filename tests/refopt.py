@@ -5,10 +5,12 @@ against them bit for bit.
 `reference_evaluate` sums the aggregates' results as arrays:
 `aggregate_global`, then `aggregate_local` per unit in plan order, then the
 stage-2 prior, then the flat parameterization's numpy `_pull_back`.
-`reference_step` is the step around it, clipping with a norms array and a
-boolean mask.  `reference_around_loss` is the around kernel with its
-per-source derivatives in numpy arrays.  The bodies are kept as they were
-in the library.
+`reference_step` is the step around it, clipping with a norms array, a
+boolean mask and `np.clip`.  `reference_around_loss` is the around kernel
+with its per-source derivatives in numpy arrays.  `reference_reframe` is
+the flat parameterization's change of frame through `Pose2D` objects and
+`geometry.relative` or `geometry.compose`.  The bodies are kept as they
+were in the library.
 """
 
 from __future__ import annotations
@@ -19,7 +21,20 @@ import numpy as np
 
 from layoutopt.constraints import aggregate_global, aggregate_local
 from layoutopt.errors import DivergenceError
+from layoutopt.geometry import Pose2D
 from layoutopt.optimizer import _derived_view, _stage_weights, _unit_rows, cosine_factor
+
+
+def reference_reframe(index, x: np.ndarray, map_pose) -> np.ndarray:
+    """Copy of `x` with each member row `p` replaced by `map_pose(frame, p)`,
+    `frame` being its unit's row."""
+    out = x.copy()
+    for r, members in _unit_rows(index):
+        frame = Pose2D.from_array(x[r : r + 3])
+        for m in members:
+            p = map_pose(frame, Pose2D.from_array(x[m : m + 3]))
+            out[m : m + 3] = (p.x, p.y, p.theta)
+    return out
 
 
 def reference_pull_back(state, view: np.ndarray, grad: np.ndarray):

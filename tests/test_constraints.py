@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from layoutopt import geometry
+from layoutopt import constraints, geometry
 from layoutopt.constraints import (
     _CORNER_SIGNS_XY,
     FACING_EPS,
@@ -43,7 +43,7 @@ from layoutopt.constraints import (
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import Pose2D, compose, half_extents
 from layoutopt.imagination import imagine_and_revise
-from layoutopt.optimizer import OptimizerConfig, evaluate, init_state
+from layoutopt.optimizer import OptimizerConfig, evaluate, init_state, solve
 from layoutopt.scene_model import SHARED_PARAM_SLOTS, Room, parse_scene, shared_param_priors
 
 from gradcheck import OP_SAMPLERS, assert_grads_close, fd_slots, kernel_box, keyed, keyed_around, run_op_fd
@@ -1399,6 +1399,64 @@ def test_gap_pruned_scan_matches_the_full_scan_bitwise():
         g = float(rng.uniform(0.0, 0.6))
         lv = keyed(gap_loss(_kernel_boxes([a, b]), g), ("a", "b"), "g")
         _assert_same_loss(lv, _reference_gap(a, b, g), (a, b, g))
+
+
+def _far_side_by_side_cases(rng) -> list:
+    """Axis-aligned boxes side by side, touching or a hair apart, at quarter
+    turns, with coordinates from 1e3 to 1e5: facing edges tie with each
+    other and with the corners, and the probe arithmetic rounds at the
+    coordinates' scale."""
+    cases = []
+    for _ in range(400):
+        scale = 10.0 ** rng.uniform(3.0, 5.0)
+        x, y = (float(v) for v in rng.choice([-1.0, 1.0], 2) * scale * rng.uniform(0.1, 1.0, 2))
+        hl, hw = (0.25 * float(k) for k in rng.integers(1, 9, 2))
+        theta_a, theta_b = (float(rng.choice(_QUARTER_TURNS)) for _ in "ab")
+        # The half extents of a quarter-turned box swap.
+        ax, ay = (hw, hl) if abs(math.sin(theta_a)) > 0.5 else (hl, hw)
+        bx, by = (hw, hl) if abs(math.sin(theta_b)) > 0.5 else (hl, hw)
+        sep = float(rng.choice([0.0, 1e-12 * scale, 1e-9 * scale, 0.25]))
+        ux, uy = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))[int(rng.integers(0, 4))]
+        a = box(x, y, theta_a, hl, hw)
+        b = box(x + ux * (ax + bx + sep), y + uy * (ay + by + sep), theta_b, hl, hw)
+        cases += [(a, b), (b, a)]
+    return cases
+
+
+def _solve_gap_calls(monkeypatch, names, seeds) -> list:
+    """Every `gap_loss` call of default solves of the named fixtures,
+    conflict_pair revised first (its gap relation comes from the revision)."""
+    specs = [load_fixture(name) for name in names]
+    specs = [imagine_and_revise(spec)[0] if name == "conflict_pair" else spec for name, spec in zip(names, specs)]
+    calls = []
+    kernel = constraints.gap_loss
+
+    def record(boxes, g):
+        calls.append((list(boxes), g))
+        return kernel(boxes, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(constraints, "gap_loss", record)
+        for spec in specs:
+            for seed in seeds:
+                solve(spec, OptimizerConfig(seed=seed))
+    return calls
+
+
+def test_gap_screen_matches_the_full_scan_far_out_and_along_solves(monkeypatch):
+    # The screen carries each probe straight into the other box's frame,
+    # where the exact probe goes through the point's offset; the two differ
+    # by rounding, which `margin` must cover far from the origin as well.
+    rng = np.random.default_rng(RNG_SEED + 62)
+    for a, b in _far_side_by_side_cases(rng):
+        g = float(rng.uniform(0.0, 0.6))
+        lv = keyed(gap_loss(_kernel_boxes([a, b]), g), ("a", "b"), "g")
+        _assert_same_loss(lv, _reference_gap(a, b, g), (a, b, g))
+    calls = _solve_gap_calls(monkeypatch, ("conflict_pair", "mixed_ten"), (0, 1))
+    assert len(calls) > 3000
+    for boxes, g in calls:
+        lv = keyed(gap_loss(boxes, g), ("a", "b"), "g")
+        _assert_same_loss(lv, _reference_gap(*(box(*k) for k in boxes), g), (boxes, g))
 
 
 def _every_kind_scene():

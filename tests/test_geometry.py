@@ -264,6 +264,45 @@ def test_overlapping_pairs_matches_brute_force():
     assert overlapping_pairs(lo, hi) == [(0, 1), (0, 4), (1, 4)] == _brute_pairs(lo, hi)
 
 
+def _brute_pairs_any(lo, hi) -> list:
+    """`overlapping_pairs`' definition on any bounds, in row-major order: a
+    pair is kept when a box has a non-finite bound, else when its bounds
+    overlap by a positive amount on both axes."""
+    finite = [all(map(math.isfinite, (*lo[i], *hi[i]))) for i in range(len(lo))]
+    return [
+        (i, j)
+        for i in range(len(lo))
+        for j in range(i + 1, len(lo))
+        if not (finite[i] and finite[j])
+        or all(min(hi[i][k], hi[j][k]) - max(lo[i][k], lo[j][k]) > 0 for k in (0, 1))
+    ]
+
+
+def test_overlapping_pairs_property_with_ties_and_non_finite_bounds():
+    # The same list, order included, as the definition on random boxes:
+    # shared lo_x values, touching and zero-width boxes on a small integer
+    # grid, several non-finite bounds at once (the only case where the sweep
+    # can meet a pair twice, so the only one that needs the dedup), and
+    # integer inputs, as numpy ints and as Python ints.
+    rng = np.random.default_rng(RNG_SEED + 21)
+    specials = (math.nan, math.inf, -math.inf)
+    non_finite = 0
+    for trial in range(600):
+        n = int(rng.integers(0, 14))
+        lo = rng.integers(0, 5, size=(n, 2))
+        hi = lo + rng.integers(0, 3, size=(n, 2))
+        assert overlapping_pairs(lo, hi) == _brute_pairs_any(lo.tolist(), hi.tolist()), trial
+        assert overlapping_pairs(lo.tolist(), hi.tolist()) == _brute_pairs_any(lo.tolist(), hi.tolist()), trial
+        lo, hi = 0.5 * lo, 0.5 * hi
+        for _ in range(int(rng.integers(0, 4)) if n else 0):
+            bounds = lo if rng.random() < 0.5 else hi
+            bounds[int(rng.integers(0, n)), int(rng.integers(0, 2))] = float(rng.choice(specials))
+        want = _brute_pairs_any(lo.tolist(), hi.tolist())
+        assert overlapping_pairs(lo, hi) == want, (trial, lo.tolist(), hi.tolist())
+        non_finite += sum(not np.isfinite(np.r_[lo[i], hi[i]]).all() for i in range(n)) > 1
+    assert non_finite > 50
+
+
 def test_footprint_box_rejects_bad_sizes():
     with pytest.raises(ValueError):
         FootprintBox(Pose2D(0.0, 0.0, 0.0), 0.0, 1.0)

@@ -10,12 +10,13 @@ from layoutopt import optimizer
 from layoutopt.constraints import Weights
 from layoutopt.errors import DivergenceError, InfeasibleRoomError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
-from layoutopt.geometry import Pose2D, compose
+from layoutopt.geometry import Pose2D, compose, relative
 from layoutopt.harness import eval_physical
 from layoutopt.optimizer import (
     OptimizerConfig,
     ParamState,
     _global_view,
+    _reframe,
     _state_layout,
     cosine_factor,
     evaluate,
@@ -579,3 +580,59 @@ def test_nan_gradient_diverges_at_the_reference_step(stage, monkeypatch):
                 outcomes.append(("diverged", str(exc), exc.iteration))
         assert outcomes[0] == outcomes[1], (stage, slot)
         assert outcomes[0][0] == ("ok" if stage == 1 and slot >= base.index.pose_size else "diverged")
+
+
+_EDGE_GRADIENTS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-310, 0.3, -0.3, 1.0, -1.0, 2.5)
+
+
+@pytest.mark.parametrize("clip", [0.0, None])
+def test_step_matches_the_reference_step_on_edge_gradients(clip, monkeypatch):
+    # The clip without np.clip's wrapper: signed zeros, infinities, NaN,
+    # subnormals, values exactly at a limit and limits of 0.0 give the
+    # reference step's bytes in `x` and `vel`, or the same divergence.
+    config = OptimizerConfig() if clip is None else OptimizerConfig(clip_position=clip, clip_rotation=clip)
+    base = _assembled_scene()
+    rng = np.random.default_rng(7)
+    base.vel[:] = rng.normal(0.0, 0.5, base.index.size)
+    for trial in range(300):
+        grad = rng.choice(_EDGE_GRADIENTS, base.index.size)
+        stage = 1 + trial % 2
+        outcomes = []
+        for stepper in (step, reference_step):
+            state = _clone(base)
+            state.vel[:] = base.vel
+            monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(grad))
+            monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad))
+            try:
+                with np.errstate(all="ignore"):  # the reference's inf * 0 in its row scaling
+                    stepper(state, config, Weights(), stage)
+                outcome = "ok"
+            except DivergenceError as exc:
+                outcome = str(exc)
+            outcomes.append((outcome, state.x.tobytes(), state.vel.tobytes(), state.step_index))
+        assert outcomes[0] == outcomes[1], (clip, trial, grad.tolist())
+
+
+def test_reframe_matches_the_pose_reference_bitwise():
+    # Floats in `relative`'s and `compose`'s order give the bytes of the
+    # Pose2D objects, at every scale and with NaN and infinite rows (an
+    # infinite frame heading raises in both).
+    specs = [_flat_unit_scene(), _shared_across_frames_scene(), load_fixture("mixed_ten")]
+    specials = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+    rng = np.random.default_rng(11)
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args).tobytes()
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    for trial in range(600):
+        spec = specs[trial % len(specs)]
+        index = init_state(spec, trial).index
+        x = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 4.0), index.size)
+        for _ in range(int(rng.integers(0, 3))):
+            x[int(rng.integers(0, index.size))] = rng.choice(specials)
+        for inverse, map_pose in ((True, relative), (False, compose)):
+            got = outcome(_reframe, index, x, inverse)
+            assert got == outcome(refopt.reference_reframe, index, x, map_pose), (trial, inverse)
