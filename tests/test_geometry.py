@@ -291,8 +291,8 @@ def test_overlapping_pairs_property_with_ties_and_non_finite_bounds():
         n = int(rng.integers(0, 14))
         lo = rng.integers(0, 5, size=(n, 2))
         hi = lo + rng.integers(0, 3, size=(n, 2))
-        assert overlapping_pairs(lo, hi) == _brute_pairs_any(lo.tolist(), hi.tolist()), trial
-        assert overlapping_pairs(lo.tolist(), hi.tolist()) == _brute_pairs_any(lo.tolist(), hi.tolist()), trial
+        want = _brute_pairs_any(lo.tolist(), hi.tolist())
+        assert overlapping_pairs(lo, hi) == want == overlapping_pairs(lo.tolist(), hi.tolist()), trial
         lo, hi = 0.5 * lo, 0.5 * hi
         for _ in range(int(rng.integers(0, 4)) if n else 0):
             bounds = lo if rng.random() < 0.5 else hi
