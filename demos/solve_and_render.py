@@ -20,7 +20,8 @@ def main() -> int:
     layout, trace = solve(spec, OptimizerConfig(seed=seed))
     report = eval_physical(spec, layout)
 
-    print(f"{name} (seed {seed}), {len(trace.rows)} iterations")
+    stop = "stopped: clean and satisfied" if trace.solved_at is not None else "ran to the iteration cap"
+    print(f"{name} (seed {seed}), {len(trace.rows)} iterations, {stop}")
     print(f"  initial loss {trace.rows[0].total:.4f} -> final {trace.rows[-1].total:.6f}")
     print("  " + report.to_text().replace("\n", "\n  ").rstrip())
     worst = max(trace.final_penalties.items(), key=lambda kv: kv[1])

@@ -71,7 +71,8 @@ def _cmd_solve(args) -> int:
     report = eval_physical(spec, layout)
 
     name = spec.name or args.scene
-    print(f"scene '{name}': final loss {trace.rows[-1].total:.6f} after {len(trace.rows)} iterations")
+    stop = "solved: clean and satisfied" if trace.solved_at is not None else "iteration cap"
+    print(f"scene '{name}': final loss {trace.rows[-1].total:.6f} after {len(trace.rows)} iterations ({stop})")
     print(report.to_text(), end="")
     if args.out:
         _write_atomic(args.out, serialize_layout(layout).encode("utf-8"))
@@ -143,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="optimize a scene into a layout")
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--seed", type=int, default=None, help=f"override scene seed (or ${SEED_ENV_VAR})")
-    p.add_argument("--iterations", type=int, default=None, help="iterations per stage")
+    p.add_argument("--iterations", type=int, default=None, help="cap on iterations per stage")
     p.add_argument("--out", default=None, help="write layout JSON here")
     p.add_argument("--trace", default=None, help="write per-iteration loss CSV here")
     p.add_argument("--svg", default=None, help="write floor-plan SVG here")

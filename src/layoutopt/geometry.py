@@ -7,7 +7,8 @@ on their pose, handled as plain floats: a footprint is the tuple
 (x, y) pairs that `corner_points` returns.  Collision pre-checks use the
 axis-aligned proxy box spanned by the rotated footprint (`half_extents`,
 `overlapping_pairs`); exact overlap clips such corner lists against each
-other (`polygon_intersection_area`, `polygon_area`).
+other (`polygon_intersection_area`, `polygon_area`), and `contains` tells
+when such a clip would change nothing.
 """
 
 from __future__ import annotations
@@ -190,6 +191,21 @@ def _clip_halfplane(points: list, a, b) -> list:
             t = dp / (dp - dq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
+
+
+def contains(b: list, points: list) -> bool:
+    """Whether every point lies in the convex polygon `b` (a list of (x, y)
+    pairs, counter-clockwise) by `_clip_halfplane`'s own test on each of its
+    edges, so that clipping the points against `b` returns them unchanged."""
+    n = len(b)
+    for i in range(n):
+        ax, ay = b[i]
+        cx, cy = b[(i + 1) % n]
+        ex, ey = cx - ax, cy - ay
+        for px, py in points:
+            if not ex * (py - ay) - ey * (px - ax) >= 0.0:
+                return False
+    return True
 
 
 def polygon_intersection_area(a: list, b: list) -> float:

@@ -20,8 +20,8 @@ import numpy as np
 from . import geometry
 from .constraints import Weights
 from .errors import DivergenceError, MissingEntityError, SceneSyntaxError
-from .geometry import corner_points, polygon_area, polygon_intersection_area
-from .optimizer import OptimizerConfig, solve, solve_global_baseline
+from .geometry import contains, corner_points, polygon_area, polygon_intersection_area
+from .optimizer import OptimizerConfig, _solve
 from .scene_model import Layout, SceneSpec
 
 # Area slack in square meters for both the collision and containment tests.
@@ -73,31 +73,43 @@ def room_polygon(spec: SceneSpec) -> list:
     return [(0.0, 0.0), (length, 0.0), (length, width), (0.0, width)]
 
 
+def _outside(polys: list, room: list):
+    """Positions of the footprints with more than tau_o of their area
+    outside the room, lazily.  A footprint the room `contains` is not
+    clipped: its outside area is exactly zero, the area clipping leaves it
+    being its own."""
+    for k, poly in enumerate(polys):
+        if contains(room, poly):
+            continue
+        if polygon_area(poly) - polygon_intersection_area(poly, room) > OOB_TOLERANCE:
+            yield k
+
+
+def _colliding(polys: list):
+    """Position pairs of the footprints that overlap by more than tau_c,
+    lazily.  Pairs whose vertex bounding boxes are disjoint or touch are
+    not clipped: their intersection area is zero."""
+    lo, hi = [], []
+    for p in polys:
+        xs, ys = zip(*p)
+        lo.append((min(xs), min(ys)))
+        hi.append((max(xs), max(ys)))
+    for i, j in geometry.overlapping_pairs(lo, hi):
+        if polygon_intersection_area(polys[i], polys[j]) > COLLISION_TOLERANCE:
+            yield i, j
+
+
 def eval_physical(spec: SceneSpec, layout: Layout) -> PhysicalReport:
     """Exact collision and containment rates over all asset pairs.
 
     An object collides when some pairwise footprint intersection exceeds
     tau_c; it is out of bounds when more than tau_o of its footprint area
-    lies outside the room rectangle.  Pairs whose vertex bounding boxes are
-    disjoint or touch are not clipped: their intersection area is zero, so
-    they never reach tau_c.
+    lies outside the room rectangle.
     """
     ids = [a.id for a in spec.assets]
     polys = [asset_polygon(spec, aid, layout) for aid in ids]
-    room = room_polygon(spec)
-
-    lo = [(min(x for x, _ in p), min(y for _, y in p)) for p in polys]
-    hi = [(max(x for x, _ in p), max(y for _, y in p)) for p in polys]
-    colliding = set()
-    for i, j in geometry.overlapping_pairs(lo, hi):
-        if polygon_intersection_area(polys[i], polys[j]) > COLLISION_TOLERANCE:
-            colliding.add(ids[i])
-            colliding.add(ids[j])
-    oob = []
-    for aid, poly in zip(ids, polys):
-        outside = polygon_area(poly) - polygon_intersection_area(poly, room)
-        if outside > OOB_TOLERANCE:
-            oob.append(aid)
+    colliding = {ids[k] for pair in _colliding(polys) for k in pair}
+    oob = [ids[k] for k in _outside(polys, room_polygon(spec))]
 
     n = max(len(ids), 1)
     return PhysicalReport(
@@ -106,6 +118,13 @@ def eval_physical(spec: SceneSpec, layout: Layout) -> PhysicalReport:
         tuple(sorted(colliding)),
         tuple(oob),
     )
+
+
+def _is_clean(spec: SceneSpec, layout: Layout) -> bool:
+    """Whether `eval_physical` reports 0% collision and 0% out of bounds,
+    found by stopping at the first flag."""
+    polys = [asset_polygon(spec, a.id, layout) for a in spec.assets]
+    return next(_outside(polys, room_polygon(spec)), None) is None and next(_colliding(polys), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +249,11 @@ def convergence_benchmark(
 
     Both runs share the seed, so they start from the same configuration and
     the same initial loss; the reported speedup is baseline iterations over
-    re-parameterized iterations.  The two-level run goes first.  A diverged
-    run ends its seed: it and the run not reached record the full iteration
-    budget and no curve, at speedup 1.  Any other error propagates.
+    re-parameterized iterations.  The two-level run goes first.  Each run
+    takes its full budget of `2 * config.iterations` steps: a solved state
+    does not end it.  A diverged run ends its seed: it and the run not
+    reached record the full iteration budget and no curve, at speedup 1.
+    Any other error propagates.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
@@ -242,8 +263,8 @@ def convergence_benchmark(
         cfg = replace(config, seed=int(seed))
         curves = []
         try:
-            for run in (solve, solve_global_baseline):
-                _, trace = run(spec, cfg, weights)
+            for flat in (False, True):
+                _, trace = _solve(spec, cfg, weights, flat, stop=False)
                 curves.append(tuple(r.total for r in trace.rows))
         except DivergenceError:
             pass

@@ -12,7 +12,9 @@ probe the gap kernel may scan, for the references that scan them all.
 built from a list of corner points and two axis lists.  The numpy polygon bodies the exact checks had before they ran
 on corner lists (`ConvexPolygon`, `reference_polygon_area`,
 `reference_intersection_area`) stay here as the reference those checks are
-compared with.  The bodies are kept as they were in the library.
+compared with.  `reference_eval_physical` is the exact check as it was
+before it skipped the room clip of a footprint inside the room: it clips
+every footprint.  The bodies are kept as they were in the library.
 """
 
 from __future__ import annotations
@@ -22,7 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from layoutopt.geometry import Pose2D, _clip_halfplane, corner_points, half_extents
+from layoutopt import geometry
+from layoutopt.geometry import (
+    Pose2D,
+    _clip_halfplane,
+    corner_points,
+    half_extents,
+    polygon_area,
+    polygon_intersection_area,
+)
+from layoutopt.harness import COLLISION_TOLERANCE, OOB_TOLERANCE, PhysicalReport, asset_polygon, room_polygon
 
 
 @dataclass(frozen=True)
@@ -208,3 +219,31 @@ def min_boundary_distance(a: FootprintBox, b: FootprintBox) -> float:
     for p in boundary_sample_points(b):
         best = min(best, signed_distance_point_box(p, a))
     return best
+
+
+def reference_eval_physical(spec, layout) -> PhysicalReport:
+    """`harness.eval_physical`, clipping every footprint against the room."""
+    ids = [a.id for a in spec.assets]
+    polys = [asset_polygon(spec, aid, layout) for aid in ids]
+    room = room_polygon(spec)
+
+    lo = [(min(x for x, _ in p), min(y for _, y in p)) for p in polys]
+    hi = [(max(x for x, _ in p), max(y for _, y in p)) for p in polys]
+    colliding = set()
+    for i, j in geometry.overlapping_pairs(lo, hi):
+        if polygon_intersection_area(polys[i], polys[j]) > COLLISION_TOLERANCE:
+            colliding.add(ids[i])
+            colliding.add(ids[j])
+    oob = []
+    for aid, poly in zip(ids, polys):
+        outside = polygon_area(poly) - polygon_intersection_area(poly, room)
+        if outside > OOB_TOLERANCE:
+            oob.append(aid)
+
+    n = max(len(ids), 1)
+    return PhysicalReport(
+        100.0 * len(colliding) / n,
+        100.0 * len(oob) / n,
+        tuple(sorted(colliding)),
+        tuple(oob),
+    )

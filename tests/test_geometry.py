@@ -15,7 +15,9 @@ import pytest
 
 from layoutopt.geometry import (
     Pose2D,
+    _clip_halfplane,
     compose,
+    contains,
     enclosing_box,
     half_extents,
     invert,
@@ -438,6 +440,30 @@ def test_intersection_area_matches_numpy_reference():
         assert math.isclose(polygon_area(outline(c)), ConvexPolygon.from_box(c).area, rel_tol=_REL)
         clipped += 0.0 < want < polygon_area(outline(c)) - 1e-9
     assert overlapping > 100 and clipped > 100
+
+
+def test_contains_means_clipping_changes_nothing():
+    # Boxes inside, across and outside a room, some with a corner exactly
+    # on its left or bottom wall: where `contains` holds, every clip returns
+    # the corners as they were, so the intersection area is the box's own.
+    rng = np.random.default_rng(RNG_SEED + 15)
+    room = [(0.0, 0.0), (6.0, 0.0), (6.0, 4.0), (0.0, 4.0)]
+    inside = outside = 0
+    for _ in range(600):
+        hl, hw = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
+        x, y, theta = rng.uniform(-1.0, 7.0), rng.uniform(-1.0, 5.0), rng.uniform(-math.pi, math.pi)
+        if rng.random() < 0.4:
+            x, y, theta = (hl if rng.random() < 0.5 else x), (hw if rng.random() < 0.5 else y), 0.0
+        pts = outline(FootprintBox(Pose2D(x, y, theta), hl, hw))
+        if contains(room, pts):
+            inside += 1
+            for i in range(4):
+                assert _clip_halfplane(pts, room[i], room[(i + 1) % 4]) == pts
+            assert polygon_intersection_area(pts, room) == polygon_area(pts)
+        else:
+            outside += 1
+            assert any(_clip_halfplane(pts, room[i], room[(i + 1) % 4]) != pts for i in range(4))
+    assert inside > 100 and outside > 100
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from layoutopt.harness import (
 from layoutopt.optimizer import OptimizerConfig, solve
 from layoutopt.scene_model import Asset, Layout, Room, SceneSpec, Unit, parse_layout, parse_scene
 from mc_oracle import mc_outside_area, mc_pair_area, random_scene_with_layout
-from refgeom import ConvexPolygon, FootprintBox, corners, reference_intersection_area
+from refgeom import ConvexPolygon, FootprintBox, corners, reference_eval_physical, reference_intersection_area
 from scenefuzz import random_valid_scene
 
 TAU = 0.0003
@@ -281,6 +281,62 @@ def test_physical_report_and_svg_match_the_reference(name):
     assert flagged > 0
 
 
+def _wall_scene(rng):
+    """A scene of 3-8 boxes at a scale of 1 to 1e5 and a layout that puts
+    them inside, across or outside the room, or with corners on a wall:
+    exactly on it, where the arithmetic allows, or one step off."""
+    scale = 10.0 ** rng.uniform(0.0, 5.0)
+    length, width = scale * rng.uniform(1.0, 2.0), scale * rng.uniform(1.0, 2.0)
+    assets, poses = [], {}
+    for i in range(int(rng.integers(3, 9))):
+        hl, hw = scale * rng.uniform(0.01, 0.2), scale * rng.uniform(0.01, 0.2)
+        assets.append(Asset(f"a{i}", "block", (2.0 * hl, 2.0 * hw, 1.0)))
+        x, y = rng.uniform(-0.1, 1.1) * length, rng.uniform(-0.1, 1.1) * width
+        theta = rng.uniform(-math.pi, math.pi)
+        kind = int(rng.integers(0, 6))
+        if kind > 0:
+            theta = float(rng.choice([0.0, -0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi]))
+            x, y = rng.uniform(hl + hw, length - hl - hw), rng.uniform(hl + hw, width - hl - hw)
+            half_x, half_y = (hw, hl) if abs(theta) == 0.5 * math.pi else (hl, hw)
+            if kind == 1:
+                x = half_x
+            elif kind == 2:
+                y = half_y
+            elif kind == 3:
+                x = length - half_x
+            elif kind == 4:
+                y = width - half_y
+            off = float(rng.choice([-math.inf, math.inf]))
+            if rng.random() < 0.3:
+                x = math.nextafter(x, off)
+        poses[f"a{i}"] = (float(x), float(y), 0.5, float(theta))
+    return _scene(Room(length, width, 3.0), tuple(assets)), Layout(poses)
+
+
+def test_physical_report_matches_clipping_every_footprint():
+    # A footprint the room contains skips its clip against the room; the
+    # report is the one clipping every footprint gives, with corners on a
+    # wall and coordinates up to 1e5.  The solver's stop test, which ends
+    # at the first flag, agrees with the report.
+    rng = np.random.default_rng(23)
+    on_wall = flagged = clean = 0
+    for _ in range(400):
+        spec, layout = _wall_scene(rng)
+        got = eval_physical(spec, layout)
+        assert got == reference_eval_physical(spec, layout)
+        assert harness._is_clean(spec, layout) == (got.cr_percent == 0.0 and got.or_percent == 0.0)
+        flagged += len(got.oob_ids)
+        clean += got.cr_percent == 0.0 and got.or_percent == 0.0
+        room = harness.room_polygon(spec)
+        for a in spec.assets:
+            poly = asset_polygon(spec, a.id, layout)
+            xs, ys = [p[0] for p in poly], [p[1] for p in poly]
+            on_wall += geometry.contains(room, poly) and (
+                0.0 in xs or 0.0 in ys or spec.room.length in xs or spec.room.width in ys
+            )
+    assert on_wall > 0 and flagged > 0 and clean > 0
+
+
 def test_broadphase_keeps_physical_report(monkeypatch):
     rng = np.random.default_rng(17)
     cases = [random_scene_with_layout(rng) for _ in range(40)]
@@ -458,13 +514,14 @@ def test_curves_csv_rows_and_equal_start():
     assert float(re_raw) == pytest.approx(float(gl_raw), abs=1e-9)
 
 
-def _diverging_on(seed, run):
-    """`run`, except that it diverges for `seed`."""
+def _diverging_on(seed, flat, run):
+    """`run`, the benchmark's `_solve`, except that its `flat` run diverges
+    for `seed`."""
 
-    def wrapped(spec, config, weights):
-        if config.seed == seed:
+    def wrapped(spec, config, weights, flat_run, stop):
+        if config.seed == seed and flat_run == flat:
             raise DivergenceError("objective is not finite", 7)
-        return run(spec, config, weights)
+        return run(spec, config, weights, flat_run, stop)
 
     return wrapped
 
@@ -473,7 +530,7 @@ def test_benchmark_records_a_diverged_flat_run_and_keeps_the_reparam_curve(monke
     spec = load_fixture("dining_set")
     cfg = OptimizerConfig(iterations=10)
     clean = convergence_benchmark(spec, (0, 1), config=cfg)
-    monkeypatch.setattr(harness, "solve_global_baseline", _diverging_on(1, harness.solve_global_baseline))
+    monkeypatch.setattr(harness, "_solve", _diverging_on(1, True, harness._solve))
     results = convergence_benchmark(spec, (0, 1), config=cfg)
     assert results[0] == clean[0] and not results[0].diverged
     assert results[1] == BenchmarkResult(
@@ -486,11 +543,13 @@ def test_benchmark_records_a_diverged_flat_run_and_keeps_the_reparam_curve(monke
 
 def test_benchmark_records_a_diverged_reparam_run_without_the_flat_run(monkeypatch):
     spec = load_fixture("dining_set")
-    def flat_run(*args):
-        raise AssertionError("no flat run after a diverged reparam run")
 
-    monkeypatch.setattr(harness, "solve", _diverging_on(0, harness.solve))
-    monkeypatch.setattr(harness, "solve_global_baseline", flat_run)
+    def run(spec, config, weights, flat, stop):
+        if flat:
+            raise AssertionError("no flat run after a diverged reparam run")
+        raise DivergenceError("objective is not finite", 7)
+
+    monkeypatch.setattr(harness, "_solve", run)
     results = convergence_benchmark(spec, (0,), config=OptimizerConfig(iterations=10))
     assert results == [BenchmarkResult("dining_set", 0, 20, 20, 1.0, True)]
     assert benchmark_curves_csv(results) == "seed,iteration,reparam,reparam_ema,baseline,baseline_ema\n"
@@ -533,6 +592,16 @@ def test_cli_solve_writes_deterministic_artifacts(tmp_path, capsys):
     assert [Path(p).read_bytes() for p in (out, trace, svg)] == blobs
     layout = parse_layout(Path(out).read_text())
     assert set(layout.poses) == {a.id for a in load_fixture("dining_set").assets}
+
+
+def test_cli_solve_names_why_it_stopped(tmp_path, capsys):
+    # star_unit's own seed is solved at step 925 of 1200; 60 steps per
+    # stage leave dining_set unsolved.
+    assert main(["solve", _write_fixture(tmp_path, "star_unit")]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.endswith(" after 925 iterations (solved: clean and satisfied)"), first
+    assert main(["solve", _write_fixture(tmp_path, "dining_set"), "--iterations", "60"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(" after 120 iterations (iteration cap)")
 
 
 def test_cli_eval_reads_back_layout(tmp_path, capsys):

@@ -11,12 +11,16 @@ from layoutopt.constraints import Weights
 from layoutopt.errors import DivergenceError, InfeasibleRoomError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import Pose2D, compose, relative
-from layoutopt.harness import eval_physical
+from layoutopt.harness import convergence_benchmark, eval_physical
+from layoutopt.imagination import imagine_and_revise
 from layoutopt.optimizer import (
+    CHECK_EVERY,
+    SATISFIED,
     OptimizerConfig,
     ParamState,
     _global_view,
     _reframe,
+    _solve,
     _state_layout,
     cosine_factor,
     evaluate,
@@ -363,7 +367,9 @@ def test_baseline_moves_anchor_under_intra_terms():
 
 def test_solver_matches_scalar_recursion_on_axis_target():
     """One free box with a single x-target: the full machinery must reduce
-    exactly to a clipped heavy-ball recursion on the scalar error."""
+    exactly to a clipped heavy-ball recursion on the scalar error, and stop
+    where that recursion meets the stop rule: at a checkpoint, after a step
+    from a penalty of at most 1e-3, to a penalty below 1e-3."""
     spec = _scene(
         Room(20.0, 20.0, 3.0),
         (Asset("slider", "box", (1.0, 1.0, 1.0)),),
@@ -376,26 +382,35 @@ def test_solver_matches_scalar_recursion_on_axis_target():
     # term stays identically zero along the trajectory.
     assert 1.0 < y0 < 19.0 and 1.0 < x0 < 19.0
 
-    layout, trace = solve(spec, config, Weights())
+    def recursion(stop):
+        x, steps = x0, 0
+        for stage in (1, 2):
+            v = 0.0
+            for t in range(config.iterations):
+                dev = x - 10.0
+                hinge = abs(dev)
+                sd = math.copysign(1.0, dev) if dev != 0.0 else 0.0
+                g = 2.0 * hinge * sd
+                norm = math.hypot(g, 0.0)
+                if norm > config.clip_position:
+                    g *= config.clip_position / norm
+                v = config.momentum * v + g
+                x -= config.lr_position * cosine_factor(t, config.iterations) * v
+                steps += 1
+                checkpoint = (t + 1) % CHECK_EVERY == 0 and (stage == 1 or t + 1 < config.iterations)
+                if stop and checkpoint and hinge * hinge <= SATISFIED and (x - 10.0) ** 2 < SATISFIED:
+                    return x, steps
+        return x, steps
 
-    x = x0
-    for _ in (1, 2):
-        v = 0.0
-        for t in range(config.iterations):
-            dev = x - 10.0
-            hinge = abs(dev)
-            sd = math.copysign(1.0, dev) if dev != 0.0 else 0.0
-            g = 2.0 * hinge * sd
-            norm = math.hypot(g, 0.0)
-            if norm > config.clip_position:
-                g *= config.clip_position / norm
-            v = config.momentum * v + g
-            x -= config.lr_position * cosine_factor(t, config.iterations) * v
-
-    solved_x = layout.poses["slider"][0]
-    assert solved_x == pytest.approx(x, abs=1e-12)
-    assert abs(solved_x - 10.0) < 1e-2
-    assert layout.poses["slider"][1] == pytest.approx(y0)
+    for stop in (True, False):
+        layout, trace = _solve(spec, config, Weights(), stop=stop)
+        x, steps = recursion(stop)
+        solved_x = layout.poses["slider"][0]
+        assert solved_x == pytest.approx(x, abs=1e-12), stop
+        assert len(trace.rows) == steps and trace.solved_at == (steps if stop else None)
+        # A stopped solve is satisfied; the full budget gets closer.
+        assert abs(solved_x - 10.0) < (math.sqrt(SATISFIED) if stop else 1e-2)
+        assert layout.poses["slider"][1] == pytest.approx(y0)
     assert trace.rows[-1].total < 1e-4
 
 
@@ -450,6 +465,81 @@ def test_layout_heights_are_half_asset_height():
     assert set(layout.poses) == {a.id for a in spec.assets}
     for a in spec.assets:
         assert layout.poses[a.id][2] == pytest.approx(0.5 * a.size[2])
+
+
+# ---------------------------------------------------------------------------
+# Stop when solved
+# ---------------------------------------------------------------------------
+
+
+def _is_solved(spec, layout, trace) -> bool:
+    """The seed sweep's test: clean, and every final penalty below 1e-3."""
+    report = eval_physical(spec, layout)
+    clean = report.cr_percent == 0.0 and report.or_percent == 0.0
+    return clean and all(v < 1e-3 for v in trace.final_penalties.values())
+
+
+def _same_solve(got, want):
+    (layout, trace), (want_layout, want_trace) = got, want
+    return (
+        trace.to_csv() == want_trace.to_csv()
+        and serialize_layout(layout) == serialize_layout(want_layout)
+        and repr(trace.final_penalties) == repr(want_trace.final_penalties)
+        and repr(trace.final_shared) == repr(want_trace.final_shared)
+    )
+
+
+@pytest.mark.parametrize("name", ["mixed_ten", "bookstore_rows"])
+def test_a_solve_that_never_passes_is_the_fixed_budget_run(name):
+    spec = load_fixture(name)
+    for seed in (0, 1):
+        config = OptimizerConfig(seed=seed)
+        for flat in (False, True):
+            got = _solve(spec, config, Weights(), flat)
+            assert got[1].solved_at is None and len(got[1].rows) == 2 * config.iterations, (seed, flat)
+            assert _same_solve(got, _solve(spec, config, Weights(), flat, stop=False)), (seed, flat)
+
+
+@pytest.mark.parametrize("name, seed", [("star_unit", 0), ("star_unit", 1), ("dining_set", 0)])
+def test_a_stopped_solve_ends_at_a_checkpoint_clean_and_satisfied(name, seed):
+    spec = load_fixture(name)
+    config = OptimizerConfig(seed=seed)
+    layout, trace = solve(spec, config)
+    n = len(trace.rows)
+    assert trace.solved_at == n and n % CHECK_EVERY == 0 and n < 2 * config.iterations
+    assert _is_solved(spec, layout, trace)
+    assert max(trace.final_penalties.values()) < SATISFIED
+    # The steps before the stop are the fixed-budget run's, row for row.
+    fixed_layout, fixed = _solve(spec, config, Weights(), stop=False)
+    assert fixed.to_csv().startswith(trace.to_csv())
+    assert fixed.solved_at is None and len(fixed.rows) == 2 * config.iterations
+
+
+def test_a_conflict_pair_seed_that_stage_2_lost_now_stops_in_stage_1():
+    # With the fixed budget, stage 2 leaves seed 20 colliding and
+    # unsatisfied, though its state passed the sweep's test at step 175.
+    spec, _ = imagine_and_revise(load_fixture("conflict_pair"))
+    config = OptimizerConfig(seed=20)
+    layout, trace = solve(spec, config)
+    assert trace.solved_at == len(trace.rows) == 175 and trace.rows[-1].stage == 1
+    assert _is_solved(spec, layout, trace)
+    fixed_layout, fixed = _solve(spec, config, Weights(), stop=False)
+    assert not _is_solved(spec, fixed_layout, fixed)
+
+
+def test_convergence_benchmark_runs_the_full_budget():
+    # star_unit stops at step 925 on seed 0 and 950 on seed 1, yet the
+    # benchmark records whole curves and the results the fixed budget gives.
+    spec = load_fixture("star_unit")
+    results = convergence_benchmark(spec, (0, 1))
+    got = [(r.seed, r.reparam_iterations, r.baseline_iterations, r.speedup, r.diverged) for r in results]
+    assert got == [(0, 12, 36, 3.0, False), (1, 10, 20, 2.0, False)]
+    for r in results:
+        config = OptimizerConfig(seed=r.seed)
+        _, stopped = solve(spec, config)
+        assert stopped.solved_at is not None
+        assert len(r.reparam_curve) == len(r.baseline_curve) == 2 * config.iterations
+        assert r.reparam_curve == tuple(row.total for row in _solve(spec, config, Weights(), stop=False)[1].rows)
 
 
 # ---------------------------------------------------------------------------
