@@ -28,8 +28,6 @@ from .imagination import imagine_and_revise
 from .optimizer import OptimizerConfig, solve
 from .scene_model import load_scene, parse_layout, serialize_layout, serialize_scene
 
-SEED_ENV_VAR = "LAYOUTOPT_SEED"
-
 
 def _emit_error(exc: BaseException) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc)}
@@ -54,17 +52,9 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _resolve_seed(args) -> int | None:
-    """`--seed`, else the environment's seed, else None: the scene's own."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    return None if env is None else int(env)
-
-
 def _cmd_solve(args) -> int:
     spec = load_scene(args.scene)
-    config = OptimizerConfig(seed=_resolve_seed(args))
+    config = OptimizerConfig(seed=args.seed)
     if args.iterations is not None:
         config = replace(config, iterations=args.iterations)
     layout, trace = solve(spec, config)
@@ -143,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="optimize a scene into a layout")
     p.add_argument("scene", help="scene JSON file")
-    p.add_argument("--seed", type=int, default=None, help=f"override scene seed (or ${SEED_ENV_VAR})")
+    p.add_argument("--seed", type=int, default=None, help="override scene seed")
     p.add_argument("--iterations", type=int, default=None, help="cap on iterations per stage")
     p.add_argument("--out", default=None, help="write layout JSON here")
     p.add_argument("--trace", default=None, help="write per-iteration loss CSV here")

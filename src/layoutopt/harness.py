@@ -5,9 +5,10 @@ corners (`geometry.corner_points`, built straight from the layout's poses)
 are clipped against each other and against the room's corners, with a small
 area tolerance absorbing floating-point slivers.  The proxy boxes used during
 imagination and optimization deliberately overestimate; this module is the
-ground truth they are measured against.  A pose that is missing raises
-`MissingEntityError`; one with a NaN or infinite x, y or theta raises
-`SceneSyntaxError`, as `parse_layout` does, in the checks and in the SVG.
+ground truth they are measured against.  A pose that is missing, or one of
+an asset the scene lacks, raises `MissingEntityError`; one with a NaN or
+infinite x, y or theta raises `SceneSyntaxError`, as `parse_layout` does, in
+the checks and in the SVG.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry
-from .constraints import Weights
 from .errors import DivergenceError, MissingEntityError, SceneSyntaxError
 from .geometry import contains, corner_points, polygon_area, polygon_intersection_area
 from .optimizer import OptimizerConfig, _solve
@@ -27,6 +27,8 @@ from .scene_model import Layout, SceneSpec
 # Area slack in square meters for both the collision and containment tests.
 COLLISION_TOLERANCE = 0.0003
 OOB_TOLERANCE = 0.0003
+# History weight of the exponential moving average of the loss curves.
+EMA_ALPHA = 0.85
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,13 @@ def _pose(layout: Layout, asset_id: str) -> tuple:
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
         raise SceneSyntaxError(f"pose of {asset_id!r} must be finite")
     return x, y, theta
+
+
+def _check_ids(spec: SceneSpec, layout: Layout) -> None:
+    """Raise MissingEntityError when the layout poses an asset the scene lacks."""
+    stray = sorted(set(layout.poses).difference(a.id for a in spec.assets))
+    if stray:
+        raise MissingEntityError(f"layout poses {', '.join(map(repr, stray))}, not an asset of the scene")
 
 
 def asset_polygon(spec: SceneSpec, asset_id: str, layout: Layout) -> list:
@@ -106,6 +115,7 @@ def eval_physical(spec: SceneSpec, layout: Layout) -> PhysicalReport:
     tau_c; it is out of bounds when more than tau_o of its footprint area
     lies outside the room rectangle.
     """
+    _check_ids(spec, layout)
     ids = [a.id for a in spec.assets]
     polys = [asset_polygon(spec, aid, layout) for aid in ids]
     colliding = {ids[k] for pair in _colliding(polys) for k in pair}
@@ -149,6 +159,7 @@ def _xml_text(s: str) -> str:
 
 def render_svg(spec: SceneSpec, layout: Layout) -> bytes:
     """Deterministic top-down floor plan: room, footprints, headings, labels."""
+    _check_ids(spec, layout)
     length, width = spec.room.length, spec.room.width
     w_px = length * _SCALE + 2 * _PAD
     h_px = width * _SCALE + 2 * _PAD
@@ -217,13 +228,13 @@ class BenchmarkResult:
     baseline_curve: tuple = ()
 
 
-def ema_smooth(values, alpha: float = 0.85) -> np.ndarray:
-    """Exponential moving average with history weight alpha."""
+def ema_smooth(values) -> np.ndarray:
+    """Exponential moving average with history weight EMA_ALPHA."""
     values = np.asarray(values, dtype=float)
     out = np.empty_like(values)
     acc = values[0]
     for i, v in enumerate(values):
-        acc = alpha * acc + (1.0 - alpha) * v
+        acc = EMA_ALPHA * acc + (1.0 - EMA_ALPHA) * v
         out[i] = acc
     return out
 
@@ -243,7 +254,6 @@ def convergence_benchmark(
     seeds,
     threshold: float = 0.1,
     config: OptimizerConfig = OptimizerConfig(),
-    weights: Weights = Weights(),
 ) -> list:
     """Iterations-to-threshold for both parameterizations, per seed.
 
@@ -264,7 +274,7 @@ def convergence_benchmark(
         curves = []
         try:
             for flat in (False, True):
-                _, trace = _solve(spec, cfg, weights, flat, stop=False)
+                _, trace = _solve(spec, cfg, flat, stop=False)
                 curves.append(tuple(r.total for r in trace.rows))
         except DivergenceError:
             pass
@@ -275,7 +285,7 @@ def convergence_benchmark(
     return results
 
 
-def benchmark_curves_csv(results, alpha: float = 0.85) -> str:
+def benchmark_curves_csv(results) -> str:
     """Per-iteration loss curves of both parameterizations, EMA smoothed,
     from the runs `convergence_benchmark` recorded.  Seeds with a diverged
     run have no rows."""
@@ -284,6 +294,6 @@ def benchmark_curves_csv(results, alpha: float = 0.85) -> str:
         if r.diverged:
             continue
         re_c, gl_c = r.reparam_curve, r.baseline_curve
-        for i, row in enumerate(zip(re_c, ema_smooth(re_c, alpha), gl_c, ema_smooth(gl_c, alpha))):
+        for i, row in enumerate(zip(re_c, ema_smooth(re_c), gl_c, ema_smooth(gl_c))):
             lines.append(f"{r.seed},{i}," + ",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

@@ -47,8 +47,19 @@ from .scene_model import Layout, SceneSpec
 
 # Steps between two tests of whether a solve is done, in each stage.
 CHECK_EVERY = 25
+# Learning rates of the heading and shared-parameter slots; the (x, y)
+# slots' is `OptimizerConfig.lr_position`.
+LR_ROTATION = 0.3
+LR_SHARED = 0.1
+# Step limits: each row's (x, y) gradient is scaled to norm at most
+# CLIP_POSITION, which also bounds each shared slot; each heading slot is
+# clipped to CLIP_ROTATION.
+CLIP_POSITION = 1.0
+CLIP_ROTATION = 0.3
 # A relation is satisfied when its raw penalty is below this.
 SATISFIED = 1e-3
+# The term weights every descent step evaluates at.
+WEIGHTS = Weights()
 
 
 @dataclass(frozen=True)
@@ -59,11 +70,7 @@ class OptimizerConfig:
 
     iterations: int = 600
     lr_position: float = 0.5
-    lr_rotation: float = 0.3
-    lr_shared: float = 0.1
     momentum: float = 0.9
-    clip_position: float = 1.0
-    clip_rotation: float = 0.3
     prior_weight: float = 1.0
     seed: int | None = None
 
@@ -89,11 +96,12 @@ class TraceRow:
 class Trace:
     """Per-iteration record of the objective and its terms.
 
-    `final_shared` and `final_penalties` snapshot the learned shared
-    parameters and the raw per-relation penalties at the final state.
-    `solved_at` is the number of steps after which the solve stopped
-    because its state was clean and satisfied, or None when it ran until
-    the iteration cap.
+    A row's `lr` is the cosine factor its step applied to every slot's
+    learning rate, not a rate itself.  `final_shared` and `final_penalties`
+    snapshot the learned shared parameters and the raw per-relation
+    penalties at the final state.  `solved_at` is the number of steps after
+    which the solve stopped because its state was clean and satisfied, or
+    None when it ran until the iteration cap.
     """
 
     rows: list = field(default_factory=list)
@@ -278,34 +286,30 @@ def _slot_constants(config: OptimizerConfig, index: ParamIndex):
     """Clip limit and learning rate of every slot.  The (x, y) slots have no
     limit of their own: they are clipped by their row's norm."""
     n_pose = index.pose_size
-    limit = np.full(index.size, config.clip_position)
+    limit = np.full(index.size, CLIP_POSITION)
     limit[:n_pose] = math.inf
-    limit[2:n_pose:3] = config.clip_rotation
-    lr = np.full(index.size, config.lr_shared)
+    limit[2:n_pose:3] = CLIP_ROTATION
+    lr = np.full(index.size, LR_SHARED)
     lr[:n_pose] = config.lr_position
-    lr[2:n_pose:3] = config.lr_rotation
+    lr[2:n_pose:3] = LR_ROTATION
     return limit, lr
 
 
-def step(
-    state: ParamState,
-    config: OptimizerConfig,
-    weights: Weights,
-    stage: int,
-):
-    """One descent step in place; returns (loss, terms, lr factor) at the
-    pre-step state.  Stage 1 leaves the shared parameters untouched."""
-    total, grad, terms = evaluate(state, weights, stage, config)
+def step(state: ParamState, config: OptimizerConfig, stage: int):
+    """One descent step in place, on the objective at `Weights()`; returns
+    (loss, terms, lr factor) at the pre-step state.  Stage 1 leaves the
+    shared parameters untouched."""
+    total, grad, terms = evaluate(state, WEIGHTS, stage, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
     factor = cosine_factor(state.step_index, config.iterations)
 
-    # Each row's (x, y) gradient is scaled down to norm clip_position, in
+    # Each row's (x, y) gradient is scaled down to norm CLIP_POSITION, in
     # place in `grad`, from its floats.  The norm uses math.hypot: np.hypot
     # can differ in the last bit, and the difference grows over a run.  Then
     # each slot is clipped to its limit by np.clip's maximum-then-minimum,
     # without its wrapper.
-    n_pose, clip = state.index.pose_size, config.clip_position
+    n_pose, clip = state.index.pose_size, CLIP_POSITION
     g = grad[:n_pose].tolist()
     for r in range(0, n_pose, 3):
         gx, gy = g[r], g[r + 1]
@@ -354,7 +358,7 @@ def _solved_penalties(state: ParamState) -> dict | None:
     return penalties if all(v < SATISFIED for v in penalties.values()) else None
 
 
-def _descend(state: ParamState, config: OptimizerConfig, weights: Weights, stop: bool = True) -> Trace:
+def _descend(state: ParamState, config: OptimizerConfig, stop: bool = True) -> Trace:
     """Run both stages from `state` in place and record the trace.
 
     With `stop` set, the state after every CHECK_EVERY-th step of a stage,
@@ -372,7 +376,7 @@ def _descend(state: ParamState, config: OptimizerConfig, weights: Weights, stop:
     for stage in (1, 2):
         state.reset_momentum()
         for t in range(1, config.iterations + 1):
-            total, terms, factor = step(state, config, weights, stage)
+            total, terms, factor = step(state, config, stage)
             trace.rows.append(
                 TraceRow(
                     len(trace.rows),
@@ -400,24 +404,18 @@ def _descend(state: ParamState, config: OptimizerConfig, weights: Weights, stop:
     return trace
 
 
-def _solve(
-    spec: SceneSpec, config: OptimizerConfig, weights: Weights, flat: bool = False, stop: bool = True
-) -> tuple[Layout, Trace]:
+def _solve(spec: SceneSpec, config: OptimizerConfig, flat: bool = False, stop: bool = True) -> tuple[Layout, Trace]:
     """`solve`, or `solve_global_baseline` when `flat` is set; with `stop`
     unset, the descent runs its full budget whatever its state."""
     state = init_state(spec, spec.seed if config.seed is None else config.seed)
     if flat:
         state.x[:] = _global_view(state)
         state.flat = True
-    trace = _descend(state, config, weights, stop)
+    trace = _descend(state, config, stop)
     return _state_layout(state), trace
 
 
-def solve(
-    spec: SceneSpec,
-    config: OptimizerConfig = OptimizerConfig(),
-    weights: Weights = Weights(),
-) -> tuple[Layout, Trace]:
+def solve(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple[Layout, Trace]:
     """Optimize a scene from its seeded random initialization.
 
     Each stage runs at most `config.iterations` steps.  Every CHECK_EVERY
@@ -431,14 +429,10 @@ def solve(
     rooms that cannot contain their assets and DivergenceError if the
     objective or a parameter becomes non-finite.
     """
-    return _solve(spec, config, weights)
+    return _solve(spec, config)
 
 
-def solve_global_baseline(
-    spec: SceneSpec,
-    config: OptimizerConfig = OptimizerConfig(),
-    weights: Weights = Weights(),
-) -> tuple[Layout, Trace]:
+def solve_global_baseline(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple[Layout, Trace]:
     """Same objective, flat parameterization: every asset pose is global.
 
     Member locals are derived from the anchor each iteration, so the loss at
@@ -447,4 +441,4 @@ def solve_global_baseline(
     unit-internal terms now flow to both the member and the anchor.  It
     stops when solved as `solve` does.
     """
-    return _solve(spec, config, weights, flat=True)
+    return _solve(spec, config, flat=True)

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from layoutopt import optimizer
 from layoutopt.constraints import aggregate_global, aggregate_local
 from layoutopt.errors import DivergenceError
 from layoutopt.geometry import Pose2D
@@ -78,16 +79,16 @@ def reference_evaluate(state, weights, stage: int, config):
     return total, grad, terms
 
 
-def reference_step(state, config, weights, stage: int):
-    total, grad, terms = reference_evaluate(state, weights, stage, config)
+def reference_step(state, config, stage: int):
+    total, grad, terms = reference_evaluate(state, optimizer.WEIGHTS, stage, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
     factor = cosine_factor(state.step_index, config.iterations)
 
     rows = grad[: state.index.pose_size].reshape(-1, 3)
     norms = np.array([math.hypot(gx, gy) for gx, gy, _ in rows.tolist()])
-    over = norms > config.clip_position
-    rows[over, :2] *= (config.clip_position / norms[over])[:, None]
+    over = norms > optimizer.CLIP_POSITION
+    rows[over, :2] *= (optimizer.CLIP_POSITION / norms[over])[:, None]
     limit, lr = state.slot_constants(config)
     n = state.index.pose_size if stage == 1 else state.index.size
     g = np.clip(grad[:n], -limit[:n], limit[:n])

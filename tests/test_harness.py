@@ -136,6 +136,15 @@ def test_missing_pose_raises():
         eval_physical(spec2, layout)
 
 
+def test_pose_of_an_asset_the_scene_lacks_raises():
+    # Otherwise the stray poses would go unscored without a word.
+    spec, layout = _boxes(a=(1.0, 1.0, 1.0, 1.0, 0.0))
+    stray = Layout({**layout.poses, "zeta": (2.0, 2.0, 0.5, 0.0), "ghost": (3.0, 3.0, 0.5, 0.0)})
+    for call in (eval_physical, render_svg):
+        with pytest.raises(MissingEntityError, match="^layout poses 'ghost', 'zeta', not an asset of the scene$"):
+            call(spec, stray)
+
+
 @pytest.mark.parametrize("key, value", [(0, math.nan), (3, math.inf), (3, -math.inf)], ids=["nan_x", "inf_theta", "-inf_theta"])
 def test_non_finite_pose_raises(key, value):
     # A Layout built in memory is not checked by `parse_layout`; the checks
@@ -464,7 +473,7 @@ def test_eval_empty_scene_is_defined():
 def test_ema_matches_frozen_recurrence():
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 5.0, size=40)
-    smoothed = ema_smooth(values, alpha=0.85)
+    smoothed = ema_smooth(values)
     acc = values[0]
     for i, v in enumerate(values):
         acc = 0.85 * acc + 0.15 * v
@@ -518,10 +527,10 @@ def _diverging_on(seed, flat, run):
     """`run`, the benchmark's `_solve`, except that its `flat` run diverges
     for `seed`."""
 
-    def wrapped(spec, config, weights, flat_run, stop):
+    def wrapped(spec, config, flat_run, stop):
         if config.seed == seed and flat_run == flat:
             raise DivergenceError("objective is not finite", 7)
-        return run(spec, config, weights, flat_run, stop)
+        return run(spec, config, flat_run, stop)
 
     return wrapped
 
@@ -544,7 +553,7 @@ def test_benchmark_records_a_diverged_flat_run_and_keeps_the_reparam_curve(monke
 def test_benchmark_records_a_diverged_reparam_run_without_the_flat_run(monkeypatch):
     spec = load_fixture("dining_set")
 
-    def run(spec, config, weights, flat, stop):
+    def run(spec, config, flat, stop):
         if flat:
             raise AssertionError("no flat run after a diverged reparam run")
         raise DivergenceError("objective is not finite", 7)
@@ -740,6 +749,17 @@ def test_cli_missing_pose_is_exit_3(tmp_path, capsys):
     assert err == {"error": "MissingEntityError", "message": "no pose for 'chair_w'"}
 
 
+def test_cli_stray_pose_is_exit_3(tmp_path, capsys):
+    room = {"length": 4, "width": 4, "height": 3}
+    scene, layout = tmp_path / "scene.json", tmp_path / "layout.json"
+    scene.write_text(json.dumps({"room": room, "assets": [{"id": "a", "size": [1, 1, 1]}]}))
+    pose = {"x": 1.0, "y": 1.0, "z": 0.5, "theta": 0.0}
+    layout.write_text(json.dumps({"poses": {"a": pose, "ghost": pose}}))
+    assert main(["eval", str(scene), str(layout)]) == 3
+    (err,) = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert err == {"error": "MissingEntityError", "message": "layout poses 'ghost', not an asset of the scene"}
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("key", ["x", "y", "theta"])
 def test_cli_non_finite_pose_is_exit_3(tmp_path, capsys, key, value):
@@ -768,20 +788,20 @@ def test_cli_does_not_report_a_bug_as_bad_input(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-def test_cli_seed_sources(tmp_path, capsys, monkeypatch):
-    scene = _write_fixture(tmp_path, "dining_set")
-    a, b, c = (str(tmp_path / n) for n in ("a.json", "b.json", "c.json"))
-    main(["solve", scene, "--seed", "7", "--iterations", "40", "--out", a])
-    monkeypatch.setenv("LAYOUTOPT_SEED", "7")
-    main(["solve", scene, "--iterations", "40", "--out", b])
-    main(["solve", scene, "--seed", "8", "--iterations", "40", "--out", c])
+def test_cli_seed_sources(tmp_path, capsys):
+    # `--seed` beats the scene's own seed.
+    data = json.loads(fixture_text("dining_set"))
+    data["seed"] = 7
+    scene = tmp_path / "seeded.json"
+    scene.write_text(json.dumps(data))
+    a, c = (str(tmp_path / n) for n in ("a.json", "c.json"))
+    assert main(["solve", str(scene), "--iterations", "40", "--out", a]) == 0
+    assert main(["solve", str(scene), "--seed", "8", "--iterations", "40", "--out", c]) == 0
     capsys.readouterr()
-    assert Path(a).read_text() == Path(b).read_text()  # env var fills in the seed
-    assert Path(a).read_text() != Path(c).read_text()  # explicit flag beats it
+    assert Path(a).read_text() != Path(c).read_text()
 
 
-def test_cli_solve_falls_back_to_the_scene_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LAYOUTOPT_SEED", raising=False)
+def test_cli_solve_falls_back_to_the_scene_seed(tmp_path, capsys):
     data = json.loads(fixture_text("dining_set"))
     data["seed"] = 7
     scene = tmp_path / "seeded.json"

@@ -291,18 +291,33 @@ def test_zero_gradient_step_is_noop():
     state = init_state(spec, seed=0)
     state.pose("box")[:] = (5.0, 5.0, 0.3)
     before = state.pose("box").copy()
-    step(state, OptimizerConfig(), Weights(), stage=2)
+    step(state, OptimizerConfig(), stage=2)
     assert np.array_equal(state.pose("box"), before)
     assert state.step_index == 1
 
 
 def test_slot_constants_follow_the_config():
     state = _assembled_scene()
-    for config in (OptimizerConfig(), OptimizerConfig(lr_position=0.2, clip_rotation=0.1), OptimizerConfig()):
+    for config in (OptimizerConfig(), OptimizerConfig(lr_position=0.2), OptimizerConfig()):
         slots = state.slot_constants(config)
         assert state.slot_constants(config) is slots
         limit, lr = slots
-        assert (lr[0], lr[2], limit[2]) == (config.lr_position, config.lr_rotation, config.clip_rotation)
+        assert (lr[0], lr[2], limit[2]) == (config.lr_position, optimizer.LR_ROTATION, optimizer.CLIP_ROTATION)
+
+
+def test_slot_constants_pin_every_slot():
+    # Each pose row is (x, y, heading); the shared parameters follow.
+    state = _assembled_scene()
+    config = OptimizerConfig()
+    n_pose, size = state.index.pose_size, state.index.size
+    assert n_pose % 3 == 0 and size > n_pose
+    limit, lr = optimizer._slot_constants(config, state.index)
+    assert limit.shape == lr.shape == (size,)
+    for r in range(0, n_pose, 3):
+        assert limit[r : r + 3].tolist() == [math.inf, math.inf, optimizer.CLIP_ROTATION], r
+        assert lr[r : r + 3].tolist() == [config.lr_position, config.lr_position, optimizer.LR_ROTATION], r
+    assert limit[n_pose:].tolist() == [optimizer.CLIP_POSITION] * (size - n_pose)
+    assert lr[n_pose:].tolist() == [optimizer.LR_SHARED] * (size - n_pose)
 
 
 def test_step_raises_on_nonfinite():
@@ -314,7 +329,7 @@ def test_step_raises_on_nonfinite():
     state = init_state(spec, seed=0)
     state.pose("a")[0] = math.nan
     with pytest.raises(DivergenceError):
-        step(state, OptimizerConfig(), Weights(), stage=2)
+        step(state, OptimizerConfig(), stage=2)
 
 
 def test_step_raises_when_a_parameter_turns_infinite():
@@ -328,7 +343,7 @@ def test_step_raises_when_a_parameter_turns_infinite():
     state = init_state(spec, seed=0)
     state.step_index = 4
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="parameter is not finite") as info:
-        step(state, OptimizerConfig(lr_position=math.inf), Weights(), stage=1)
+        step(state, OptimizerConfig(lr_position=math.inf), stage=1)
     assert info.value.iteration == 5
 
 
@@ -348,7 +363,7 @@ def test_unit_frame_fixed_under_intra_terms():
     frame_before = state.pose("u").copy()
     local_before = state.pose("c").copy()
     for _ in range(5):
-        step(state, OptimizerConfig(), Weights(), stage=1)
+        step(state, OptimizerConfig(), stage=1)
     assert np.array_equal(state.pose("u"), frame_before)
     assert not np.array_equal(state.pose("c"), local_before)
 
@@ -358,7 +373,7 @@ def test_baseline_moves_anchor_under_intra_terms():
     config = OptimizerConfig(iterations=3, seed=3)
     seed_state = init_state(spec, config.seed)
     anchor_init = _global_pose(seed_state, "t")
-    layout, _ = solve_global_baseline(spec, config, Weights())
+    layout, _ = solve_global_baseline(spec, config)
     moved = np.array(layout.poses["t"])[[0, 1, 3]] - np.array(
         [anchor_init.x, anchor_init.y, anchor_init.theta]
     )
@@ -392,8 +407,8 @@ def test_solver_matches_scalar_recursion_on_axis_target():
                 sd = math.copysign(1.0, dev) if dev != 0.0 else 0.0
                 g = 2.0 * hinge * sd
                 norm = math.hypot(g, 0.0)
-                if norm > config.clip_position:
-                    g *= config.clip_position / norm
+                if norm > optimizer.CLIP_POSITION:
+                    g *= optimizer.CLIP_POSITION / norm
                 v = config.momentum * v + g
                 x -= config.lr_position * cosine_factor(t, config.iterations) * v
                 steps += 1
@@ -403,7 +418,7 @@ def test_solver_matches_scalar_recursion_on_axis_target():
         return x, steps
 
     for stop in (True, False):
-        layout, trace = _solve(spec, config, Weights(), stop=stop)
+        layout, trace = _solve(spec, config, stop=stop)
         x, steps = recursion(stop)
         solved_x = layout.poses["slider"][0]
         assert solved_x == pytest.approx(x, abs=1e-12), stop
@@ -422,25 +437,25 @@ def test_shared_params_frozen_in_stage1_and_updated_in_stage2():
     )
     state = init_state(spec, seed=1)
     for _ in range(4):
-        step(state, OptimizerConfig(), Weights(), stage=1)
+        step(state, OptimizerConfig(), stage=1)
     assert state.shared["sep"] == 2.0
-    step(state, OptimizerConfig(), Weights(), stage=2)
+    step(state, OptimizerConfig(), stage=2)
     assert state.shared["sep"] != 2.0
 
 
 def test_reparam_and_baseline_start_from_identical_loss():
     spec = load_fixture("conflict_pair")
     config = OptimizerConfig(iterations=2, seed=11)
-    _, trace_a = solve(spec, config, Weights())
-    _, trace_b = solve_global_baseline(spec, config, Weights())
+    _, trace_a = solve(spec, config)
+    _, trace_b = solve_global_baseline(spec, config)
     assert trace_a.rows[0].total == pytest.approx(trace_b.rows[0].total, abs=1e-9)
 
 
 def test_trace_rows_and_csv_determinism():
     spec = load_fixture("dining_set")
     config = OptimizerConfig(iterations=20, seed=2)
-    _, t1 = solve(spec, config, Weights())
-    _, t2 = solve(spec, config, Weights())
+    _, t1 = solve(spec, config)
+    _, t2 = solve(spec, config)
     assert len(t1.rows) == 40
     assert [r.stage for r in t1.rows] == [1] * 20 + [2] * 20
     assert t1.rows[0].lr == 1.0
@@ -461,7 +476,7 @@ def test_trace_rows_and_csv_determinism():
 
 def test_layout_heights_are_half_asset_height():
     spec = load_fixture("dining_set")
-    layout, _ = solve(spec, OptimizerConfig(iterations=5, seed=0), Weights())
+    layout, _ = solve(spec, OptimizerConfig(iterations=5, seed=0))
     assert set(layout.poses) == {a.id for a in spec.assets}
     for a in spec.assets:
         assert layout.poses[a.id][2] == pytest.approx(0.5 * a.size[2])
@@ -495,9 +510,9 @@ def test_a_solve_that_never_passes_is_the_fixed_budget_run(name):
     for seed in (0, 1):
         config = OptimizerConfig(seed=seed)
         for flat in (False, True):
-            got = _solve(spec, config, Weights(), flat)
+            got = _solve(spec, config, flat)
             assert got[1].solved_at is None and len(got[1].rows) == 2 * config.iterations, (seed, flat)
-            assert _same_solve(got, _solve(spec, config, Weights(), flat, stop=False)), (seed, flat)
+            assert _same_solve(got, _solve(spec, config, flat, stop=False)), (seed, flat)
 
 
 @pytest.mark.parametrize("name, seed", [("star_unit", 0), ("star_unit", 1), ("dining_set", 0)])
@@ -510,7 +525,7 @@ def test_a_stopped_solve_ends_at_a_checkpoint_clean_and_satisfied(name, seed):
     assert _is_solved(spec, layout, trace)
     assert max(trace.final_penalties.values()) < SATISFIED
     # The steps before the stop are the fixed-budget run's, row for row.
-    fixed_layout, fixed = _solve(spec, config, Weights(), stop=False)
+    fixed_layout, fixed = _solve(spec, config, stop=False)
     assert fixed.to_csv().startswith(trace.to_csv())
     assert fixed.solved_at is None and len(fixed.rows) == 2 * config.iterations
 
@@ -523,7 +538,7 @@ def test_a_conflict_pair_seed_that_stage_2_lost_now_stops_in_stage_1():
     layout, trace = solve(spec, config)
     assert trace.solved_at == len(trace.rows) == 175 and trace.rows[-1].stage == 1
     assert _is_solved(spec, layout, trace)
-    fixed_layout, fixed = _solve(spec, config, Weights(), stop=False)
+    fixed_layout, fixed = _solve(spec, config, stop=False)
     assert not _is_solved(spec, fixed_layout, fixed)
 
 
@@ -539,7 +554,7 @@ def test_convergence_benchmark_runs_the_full_budget():
         _, stopped = solve(spec, config)
         assert stopped.solved_at is not None
         assert len(r.reparam_curve) == len(r.baseline_curve) == 2 * config.iterations
-        assert r.reparam_curve == tuple(row.total for row in _solve(spec, config, Weights(), stop=False)[1].rows)
+        assert r.reparam_curve == tuple(row.total for row in _solve(spec, config, stop=False)[1].rows)
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +599,10 @@ def test_descent_matches_the_parts_summing_reference_bitwise(name, monkeypatch):
     spec = _shared_across_frames_scene() if name == "shared_across_frames" else load_fixture(name)
     config = OptimizerConfig(iterations=40)
     for solver in (solve, solve_global_baseline):
-        layout, trace = solver(spec, config, Weights())
+        layout, trace = solver(spec, config)
         with monkeypatch.context() as m:
             m.setattr(optimizer, "step", reference_step)
-            want_layout, want = solver(spec, config, Weights())
+            want_layout, want = solver(spec, config)
         assert trace.to_csv() == want.to_csv(), (name, solver.__name__)
         assert serialize_layout(layout) == serialize_layout(want_layout), (name, solver.__name__)
         assert repr(trace.final_penalties) == repr(want.final_penalties), (name, solver.__name__)
@@ -631,7 +646,8 @@ def test_step_does_not_scale_a_row_at_exactly_the_clip_norm(monkeypatch):
         state = init_state(spec, seed=0)
         state.pose("box")[:] = (5.0, 5.0, 0.3)
         monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(g))
-        step(state, OptimizerConfig(clip_position=5.0), Weights(), stage=2)
+        monkeypatch.setattr(optimizer, "CLIP_POSITION", 5.0)
+        step(state, OptimizerConfig(), stage=2)
         assert state.pose("box").tolist() == [5.0 - moved[0], 5.0 - moved[1], 0.3], g
 
 
@@ -641,7 +657,7 @@ def test_stage1_step_leaves_shared_slots_and_their_velocity(monkeypatch):
     state.vel[shared] = 0.25
     x_before, vel_before = state.x[shared].copy(), state.vel[shared].copy()
     monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(np.full(state.index.size, 0.5)))
-    step(state, OptimizerConfig(), Weights(), stage=1)
+    step(state, OptimizerConfig(), stage=1)
     assert np.array_equal(state.x[shared], x_before)
     assert np.array_equal(state.vel[shared], vel_before)
     assert state.vel[0] == 0.5
@@ -664,7 +680,7 @@ def test_nan_gradient_diverges_at_the_reference_step(stage, monkeypatch):
             monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(grad))
             monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad))
             try:
-                stepper(state, OptimizerConfig(), Weights(), stage)
+                stepper(state, OptimizerConfig(), stage)
                 outcomes.append(("ok", state.x.tobytes(), state.vel.tobytes(), state.step_index))
             except DivergenceError as exc:
                 outcomes.append(("diverged", str(exc), exc.iteration))
@@ -682,7 +698,10 @@ def test_step_matches_the_reference_step_on_edge_gradients(clip, monkeypatch):
     # The clip without np.clip's wrapper: signed zeros, infinities, NaN,
     # subnormals, values exactly at a limit and limits of 0.0 give the
     # reference step's bytes in `x` and `vel`, or the same divergence.
-    config = OptimizerConfig() if clip is None else OptimizerConfig(clip_position=clip, clip_rotation=clip)
+    if clip is not None:
+        monkeypatch.setattr(optimizer, "CLIP_POSITION", clip)
+        monkeypatch.setattr(optimizer, "CLIP_ROTATION", clip)
+    config = OptimizerConfig()
     base = _assembled_scene()
     rng = np.random.default_rng(7)
     base.vel[:] = rng.normal(0.0, 0.5, base.index.size)
@@ -697,7 +716,7 @@ def test_step_matches_the_reference_step_on_edge_gradients(clip, monkeypatch):
             monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad))
             try:
                 with np.errstate(all="ignore"):  # the reference's inf * 0 in its row scaling
-                    stepper(state, config, Weights(), stage)
+                    stepper(state, config, stage)
                 outcome = "ok"
             except DivergenceError as exc:
                 outcome = str(exc)
