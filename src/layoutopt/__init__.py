@@ -32,15 +32,7 @@ from .graph_analysis import (
     hop_histogram,
     path_cost,
 )
-from .harness import (
-    BenchmarkResult,
-    PhysicalReport,
-    benchmark_curves_csv,
-    convergence_benchmark,
-    ema_smooth,
-    eval_physical,
-    render_svg,
-)
+from .harness import PhysicalReport, eval_physical, render_svg
 from .imagination import (
     RevisionReport,
     baseline_reviser,
@@ -50,8 +42,12 @@ from .imagination import (
     interpret_scene,
 )
 from .optimizer import (
+    BenchmarkResult,
     OptimizerConfig,
     Trace,
+    benchmark_curves_csv,
+    convergence_benchmark,
+    ema_smooth,
     init_state,
     solve,
     solve_global_baseline,

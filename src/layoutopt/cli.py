@@ -23,9 +23,9 @@ from dataclasses import replace
 
 from .errors import DivergenceError, InfeasibleRoomError, LayoutError
 from .graph_analysis import build_graph, decomposition_savings
-from .harness import benchmark_curves_csv, convergence_benchmark, eval_physical, render_svg
+from .harness import eval_physical, render_svg
 from .imagination import imagine_and_revise
-from .optimizer import OptimizerConfig, solve
+from .optimizer import OptimizerConfig, benchmark_curves_csv, convergence_benchmark, solve
 from .scene_model import load_scene, parse_layout, serialize_layout, serialize_scene
 
 
@@ -37,19 +37,25 @@ def _emit_error(exc: BaseException) -> None:
 def _write_atomic(path: str, data: bytes) -> None:
     # Stage in the destination directory so os.replace stays on one filesystem;
     # create with 0o666 so the umask gives the mode a plain open() would.
+    # An OSError that names the staging file is raised again naming `path`.
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".layoutopt-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
 
 
 def _cmd_solve(args) -> int:

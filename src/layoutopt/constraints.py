@@ -248,30 +248,6 @@ def _local_sdf_grad(ux: float, uy: float, half_l: float, half_w: float):
     return 0.0, math.copysign(1.0, uy)
 
 
-def _point_box_sdf_grads(point_box: tuple, offset, other: tuple):
-    """Derivatives, w.r.t. both poses, of the signed distance from a
-    boundary point of `point_box` to `other`.
-
-    `offset` is the probe point in point_box's local frame, as `_probe_sdf`
-    backs it out; the distance is the one `_probe_sdf` gives `gap_loss`'s
-    scan, from the same float expressions.
-    """
-    cp, sp = math.cos(point_box[2]), math.sin(point_box[2])
-    qx = point_box[0] + cp * offset[0] - sp * offset[1]
-    qy = point_box[1] + sp * offset[0] + cp * offset[1]
-
-    co, so = math.cos(other[2]), math.sin(other[2])
-    dx, dy = qx - other[0], qy - other[1]
-    ux = co * dx + so * dy
-    uy = -so * dx + co * dy
-    gux, guy = _local_sdf_grad(ux, uy, other[3], other[4])
-
-    # World-frame gradient at the probe point.
-    gq0, gq1 = co * gux - so * guy, so * gux + co * guy
-    g_point = (gq0, gq1, gq0 * (-sp * offset[0] - cp * offset[1]) + gq1 * (cp * offset[0] - sp * offset[1]))
-    return g_point, (-gq0, -gq1, gux * uy - guy * ux)
-
-
 # Edge samples of the gap scan at odd eighths of each edge, after the four
 # corners: symmetric, and dense enough that the minimum over separated boxes
 # is still attained at a corner probe.
@@ -283,15 +259,16 @@ _SAMPLE_BOUND_MARGIN = 1e-9
 
 def _probe_sdf(px: float, py: float, box: tuple, cp: float, sp: float, other: tuple, co: float, so: float):
     """Signed distance from the boundary point (px, py) of `box` to `other`,
-    and the point's offset in box's frame; cp, sp and co, so are the two
-    headings' cosines and sines."""
+    the point's offset in box's frame and the point (ux, uy) in other's
+    frame; cp, sp and co, so are the two headings' cosines and sines."""
     # Back out the probe's local offset to chain through the pose, then carry
-    # it into other's frame as `_point_box_sdf_grads` does.
+    # it into other's frame.
     wx, wy = px - box[0], py - box[1]
     offset = (cp * wx + sp * wy, -sp * wx + cp * wy)
     dx = box[0] + cp * offset[0] - sp * offset[1] - other[0]
     dy = box[1] + sp * offset[0] + cp * offset[1] - other[1]
-    return _local_sdf(co * dx + so * dy, -so * dx + co * dy, other[3], other[4]), offset
+    ux, uy = co * dx + so * dy, -so * dx + co * dy
+    return _local_sdf(ux, uy, other[3], other[4]), offset, (ux, uy)
 
 
 def gap_loss(boxes: list, g: float):
@@ -347,10 +324,10 @@ def gap_loss(boxes: list, g: float):
             value = (math.hypot(ex if ex > 0.0 else 0.0, ey if ey > 0.0 else 0.0) if ex > 0.0 or ey > 0.0
                      else ex if ex >= ey else ey) - margin
             if not value > best:
-                value, offset = _probe_sdf(px, py, box, cp, sp, other, co, so)
+                value, offset, u = _probe_sdf(px, py, box, cp, sp, other, co, so)
                 if value < best:
                     best = value
-                    winner = (box, offset, other, on_b)
+                    winner = (offset, u, cp, sp, co, so, other, on_b)
             values.append(value)
         for k in range(4):
             (px, py), (qx, qy) = corners[k], corners[(k + 1) % 4]
@@ -366,18 +343,20 @@ def gap_loss(boxes: list, g: float):
                 if (math.hypot(ex if ex > 0.0 else 0.0, ey if ey > 0.0 else 0.0) if ex > 0.0 or ey > 0.0
                         else ex if ex >= ey else ey) - margin > best:
                     continue
-                value, offset = _probe_sdf(sx, sy, box, cp, sp, other, co, so)
+                value, offset, u = _probe_sdf(sx, sy, box, cp, sp, other, co, so)
                 if value < best:
                     best = value
-                    winner = (box, offset, other, on_b)
+                    winner = (offset, u, cp, sp, co, so, other, on_b)
     if winner is None:
         return math.nan, (_NAN, _NAN), math.nan
-    box, offset, other, on_b = winner
-    g_point, g_other = _point_box_sdf_grads(box, offset, other)
+    (o0, o1), (ux, uy), cp, sp, co, so, other, on_b = winner
+    gux, guy = _local_sdf_grad(ux, uy, other[3], other[4])
+    # World-frame gradient at the probe point, chained through both poses.
+    gq0, gq1 = co * gux - so * guy, so * gux + co * guy
     r = best - g
     k = 2.0 * r
-    g_point = (k * g_point[0], k * g_point[1], k * g_point[2])
-    g_other = (k * g_other[0], k * g_other[1], k * g_other[2])
+    g_point = (k * gq0, k * gq1, k * (gq0 * (-sp * o0 - cp * o1) + gq1 * (cp * o0 - sp * o1)))
+    g_other = (k * -gq0, k * -gq1, k * (gux * uy - guy * ux))
     return r * r, ((g_other, g_point) if on_b else (g_point, g_other)), -2.0 * r
 
 
@@ -939,7 +918,7 @@ def aggregate_global(
     return _aggregate(index.blocks[None], x, weights, spec.room)
 
 
-def relation_penalties(spec: SceneSpec, index: ParamIndex, x) -> dict:
+def relation_penalties(index: ParamIndex, x) -> dict:
     """Raw (unweighted) penalty of every relation term at the given
     configuration, by the label of its first relation, 'relations[<index>]':
     an around group appears once, under its first member's label.  Intra

@@ -1,34 +1,31 @@
-"""Physical metrics, rendering, and the convergence comparison harness.
+"""Physical metrics and rendering.
 
 Collision and out-of-bounds checks here are exact: each asset's footprint
 corners (`geometry.corner_points`, built straight from the layout's poses)
 are clipped against each other and against the room's corners, with a small
-area tolerance absorbing floating-point slivers.  The proxy boxes used during
-imagination and optimization deliberately overestimate; this module is the
-ground truth they are measured against.  A pose that is missing, or one of
-an asset the scene lacks, raises `MissingEntityError`; one with a NaN or
-infinite x, y or theta raises `SceneSyntaxError`, as `parse_layout` does, in
-the checks and in the SVG.
+area tolerance absorbing floating-point slivers.  A footprint's area is its
+asset's l x w, which stays exact however far out the pose is.  The proxy
+boxes used during imagination and optimization deliberately overestimate;
+this module is the ground truth they are measured against, and the solver's
+stop test calls `_is_clean`.  A pose that is missing, or one of an asset the
+scene lacks, raises `MissingEntityError`; one with a NaN or infinite x, y or
+theta raises `SceneSyntaxError`, as `parse_layout` does, in the checks and
+in the SVG.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import geometry
-from .errors import DivergenceError, MissingEntityError, SceneSyntaxError
-from .geometry import contains, corner_points, polygon_area, polygon_intersection_area
-from .optimizer import OptimizerConfig, _solve
+from .errors import MissingEntityError, SceneSyntaxError
+from .geometry import contains, corner_points, polygon_intersection_area
 from .scene_model import Layout, SceneSpec
 
 # Area slack in square meters for both the collision and containment tests.
 COLLISION_TOLERANCE = 0.0003
 OOB_TOLERANCE = 0.0003
-# History weight of the exponential moving average of the loss curves.
-EMA_ALPHA = 0.85
 
 
 @dataclass(frozen=True)
@@ -82,15 +79,18 @@ def room_polygon(spec: SceneSpec) -> list:
     return [(0.0, 0.0), (length, 0.0), (length, width), (0.0, width)]
 
 
-def _outside(polys: list, room: list):
-    """Positions of the footprints with more than tau_o of their area
-    outside the room, lazily.  A footprint the room `contains` is not
-    clipped: its outside area is exactly zero, the area clipping leaves it
-    being its own."""
-    for k, poly in enumerate(polys):
+def _outside(spec: SceneSpec, polys: list):
+    """Positions of the footprints, one per asset of `spec` in order, with
+    more than tau_o of their area outside the room, lazily.  The area is
+    the asset's l x w, not the shoelace of the corners: far enough out,
+    `x + half_l` rounds to `x` and the corners enclose nothing.  A NaN
+    outside area flags too.  A footprint the room `contains` is not
+    clipped: nothing of it is outside."""
+    room = room_polygon(spec)
+    for k, (a, poly) in enumerate(zip(spec.assets, polys)):
         if contains(room, poly):
             continue
-        if polygon_area(poly) - polygon_intersection_area(poly, room) > OOB_TOLERANCE:
+        if not a.size[0] * a.size[1] - polygon_intersection_area(poly, room) <= OOB_TOLERANCE:
             yield k
 
 
@@ -119,7 +119,7 @@ def eval_physical(spec: SceneSpec, layout: Layout) -> PhysicalReport:
     ids = [a.id for a in spec.assets]
     polys = [asset_polygon(spec, aid, layout) for aid in ids]
     colliding = {ids[k] for pair in _colliding(polys) for k in pair}
-    oob = [ids[k] for k in _outside(polys, room_polygon(spec))]
+    oob = [ids[k] for k in _outside(spec, polys)]
 
     n = max(len(ids), 1)
     return PhysicalReport(
@@ -134,7 +134,7 @@ def _is_clean(spec: SceneSpec, layout: Layout) -> bool:
     """Whether `eval_physical` reports 0% collision and 0% out of bounds,
     found by stopping at the first flag."""
     polys = [asset_polygon(spec, a.id, layout) for a in spec.assets]
-    return next(_outside(polys, room_polygon(spec)), None) is None and next(_colliding(polys), None) is None
+    return next(_outside(spec, polys), None) is None and next(_colliding(polys), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -206,94 +206,3 @@ def render_svg(spec: SceneSpec, layout: Layout) -> bytes:
         )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
-
-
-# ---------------------------------------------------------------------------
-# Convergence comparison
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchmarkResult:
-    """One seed's comparison; each curve holds the per-iteration totals of
-    its run, and stays empty when that run diverged or was not reached."""
-
-    scene: str
-    seed: int
-    reparam_iterations: int
-    baseline_iterations: int
-    speedup: float  # baseline / reparam, in iterations to threshold
-    diverged: bool = False
-    reparam_curve: tuple = ()
-    baseline_curve: tuple = ()
-
-
-def ema_smooth(values) -> np.ndarray:
-    """Exponential moving average with history weight EMA_ALPHA."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    acc = values[0]
-    for i, v in enumerate(values):
-        acc = EMA_ALPHA * acc + (1.0 - EMA_ALPHA) * v
-        out[i] = acc
-    return out
-
-
-def _iterations_to_threshold(curve: tuple, threshold: float) -> int:
-    # Normalized against the shared initial loss; cap at the run length when
-    # the threshold is never reached.
-    start = curve[0]
-    if start <= 1e-12:
-        return 0
-    hits = np.nonzero(np.array(curve) / start <= threshold)[0]
-    return int(hits[0]) if hits.size else len(curve)
-
-
-def convergence_benchmark(
-    spec: SceneSpec,
-    seeds,
-    threshold: float = 0.1,
-    config: OptimizerConfig = OptimizerConfig(),
-) -> list:
-    """Iterations-to-threshold for both parameterizations, per seed.
-
-    Both runs share the seed, so they start from the same configuration and
-    the same initial loss; the reported speedup is baseline iterations over
-    re-parameterized iterations.  The two-level run goes first.  Each run
-    takes its full budget of `2 * config.iterations` steps: a solved state
-    does not end it.  A diverged run ends its seed: it and the run not
-    reached record the full iteration budget and no curve, at speedup 1.
-    Any other error propagates.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    results = []
-    cap = 2 * config.iterations
-    for seed in seeds:
-        cfg = replace(config, seed=int(seed))
-        curves = []
-        try:
-            for flat in (False, True):
-                _, trace = _solve(spec, cfg, flat, stop=False)
-                curves.append(tuple(r.total for r in trace.rows))
-        except DivergenceError:
-            pass
-        iters = [_iterations_to_threshold(c, threshold) for c in curves] + [cap] * (2 - len(curves))
-        diverged = len(curves) < 2
-        speedup = 1.0 if diverged else iters[1] / max(iters[0], 1)
-        results.append(BenchmarkResult(spec.name, int(seed), *iters, speedup, diverged, *curves))
-    return results
-
-
-def benchmark_curves_csv(results) -> str:
-    """Per-iteration loss curves of both parameterizations, EMA smoothed,
-    from the runs `convergence_benchmark` recorded.  Seeds with a diverged
-    run have no rows."""
-    lines = ["seed,iteration,reparam,reparam_ema,baseline,baseline_ema"]
-    for r in results:
-        if r.diverged:
-            continue
-        re_c, gl_c = r.reparam_curve, r.baseline_curve
-        for i, row in enumerate(zip(re_c, ema_smooth(re_c), gl_c, ema_smooth(gl_c))):
-            lines.append(f"{r.seed},{i}," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"

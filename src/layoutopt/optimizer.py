@@ -18,7 +18,12 @@ map's chain rule:
 Each iteration is one `evaluate`, one pass over the relation plan into one
 gradient list, and one `step`, which updates velocity and vector in place.
 Every `CHECK_EVERY` steps a solve tests its state as the seed sweep scores
-a solved layout, and the first pass ends it: `iterations` is a cap.
+a solved layout (`harness._is_clean`, then the relation penalties), and the
+first pass ends it: `iterations` is a cap.
+
+`convergence_benchmark` compares the two parameterizations: it runs both
+through the same descent with the stop test off, and reads
+iterations-to-threshold off each run's loss curve.
 
 Stage 1 optimizes poses under relation terms only, with constraint parameters
 frozen.  Stage 2 enables collision and boundary terms, and lets shared
@@ -28,7 +33,7 @@ constraint parameters float under a quadratic prior at their declared values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +47,7 @@ from .constraints import (
     relation_penalties,
 )
 from .errors import DivergenceError, InfeasibleRoomError
+from .harness import _is_clean
 from .scene_model import Layout, SceneSpec
 
 
@@ -60,6 +66,8 @@ CLIP_ROTATION = 0.3
 SATISFIED = 1e-3
 # The term weights every descent step evaluates at.
 WEIGHTS = Weights()
+# History weight of the exponential moving average of the loss curves.
+EMA_ALPHA = 0.85
 
 
 @dataclass(frozen=True)
@@ -350,11 +358,9 @@ def _solved_penalties(state: ParamState) -> dict | None:
     test of a solved layout, else None: `harness.eval_physical` would find
     0% collision and 0% out of bounds, then every penalty is below
     SATISFIED."""
-    from .harness import _is_clean  # harness imports this module
-
     if not _is_clean(state.spec, _state_layout(state)):
         return None
-    penalties = relation_penalties(state.spec, state.index, _derived_view(state))
+    penalties = relation_penalties(state.index, _derived_view(state))
     return penalties if all(v < SATISFIED for v in penalties.values()) else None
 
 
@@ -399,7 +405,7 @@ def _descend(state: ParamState, config: OptimizerConfig, stop: bool = True) -> T
             break
     trace.final_shared = state.shared
     if penalties is None:
-        penalties = relation_penalties(state.spec, state.index, _derived_view(state))
+        penalties = relation_penalties(state.index, _derived_view(state))
     trace.final_penalties = penalties
     return trace
 
@@ -442,3 +448,94 @@ def solve_global_baseline(spec: SceneSpec, config: OptimizerConfig = OptimizerCo
     stops when solved as `solve` does.
     """
     return _solve(spec, config, flat=True)
+
+
+# ---------------------------------------------------------------------------
+# Convergence comparison
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BenchmarkResult:
+    """One seed's comparison; each curve holds the per-iteration totals of
+    its run, and stays empty when that run diverged or was not reached."""
+
+    scene: str
+    seed: int
+    reparam_iterations: int
+    baseline_iterations: int
+    speedup: float  # baseline / reparam, in iterations to threshold
+    diverged: bool = False
+    reparam_curve: tuple = ()
+    baseline_curve: tuple = ()
+
+
+def ema_smooth(values) -> np.ndarray:
+    """Exponential moving average with history weight EMA_ALPHA."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    acc = values[0]
+    for i, v in enumerate(values):
+        acc = EMA_ALPHA * acc + (1.0 - EMA_ALPHA) * v
+        out[i] = acc
+    return out
+
+
+def _iterations_to_threshold(curve: tuple, threshold: float) -> int:
+    # Normalized against the shared initial loss; cap at the run length when
+    # the threshold is never reached.
+    start = curve[0]
+    if start <= 1e-12:
+        return 0
+    hits = np.nonzero(np.array(curve) / start <= threshold)[0]
+    return int(hits[0]) if hits.size else len(curve)
+
+
+def convergence_benchmark(
+    spec: SceneSpec,
+    seeds,
+    threshold: float = 0.1,
+    config: OptimizerConfig = OptimizerConfig(),
+) -> list:
+    """Iterations-to-threshold for both parameterizations, per seed.
+
+    Both runs share the seed, so they start from the same configuration and
+    the same initial loss; the reported speedup is baseline iterations over
+    re-parameterized iterations.  The two-level run goes first.  Each run
+    takes its full budget of `2 * config.iterations` steps: a solved state
+    does not end it.  A diverged run ends its seed: it and the run not
+    reached record the full iteration budget and no curve, at speedup 1.
+    Any other error propagates.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must be in (0, 1)")
+    results = []
+    cap = 2 * config.iterations
+    for seed in seeds:
+        cfg = replace(config, seed=int(seed))
+        curves = []
+        try:
+            for flat in (False, True):
+                _, trace = _solve(spec, cfg, flat, stop=False)
+                curves.append(tuple(r.total for r in trace.rows))
+        except DivergenceError:
+            pass
+        iters = [_iterations_to_threshold(c, threshold) for c in curves] + [cap] * (2 - len(curves))
+        diverged = len(curves) < 2
+        speedup = 1.0 if diverged else iters[1] / max(iters[0], 1)
+        results.append(BenchmarkResult(spec.name, int(seed), *iters, speedup, diverged, *curves))
+    return results
+
+
+def benchmark_curves_csv(results) -> str:
+    """Per-iteration loss curves of both parameterizations, EMA smoothed,
+    from the runs `convergence_benchmark` recorded.  Seeds with a diverged
+    run have no rows."""
+    lines = ["seed,iteration,reparam,reparam_ema,baseline,baseline_ema"]
+    for r in results:
+        if r.diverged:
+            continue
+        re_c, gl_c = r.reparam_curve, r.baseline_curve
+        for i, row in enumerate(zip(re_c, ema_smooth(re_c), gl_c, ema_smooth(gl_c))):
+            lines.append(f"{r.seed},{i}," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"

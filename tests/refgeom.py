@@ -30,7 +30,6 @@ from layoutopt.geometry import (
     _clip_halfplane,
     corner_points,
     half_extents,
-    polygon_area,
     polygon_intersection_area,
 )
 from layoutopt.harness import COLLISION_TOLERANCE, OOB_TOLERANCE, PhysicalReport, asset_polygon, room_polygon
@@ -235,10 +234,10 @@ def reference_eval_physical(spec, layout) -> PhysicalReport:
             colliding.add(ids[i])
             colliding.add(ids[j])
     oob = []
-    for aid, poly in zip(ids, polys):
-        outside = polygon_area(poly) - polygon_intersection_area(poly, room)
-        if outside > OOB_TOLERANCE:
-            oob.append(aid)
+    for a, poly in zip(spec.assets, polys):
+        outside = a.size[0] * a.size[1] - polygon_intersection_area(poly, room)
+        if not outside <= OOB_TOLERANCE:
+            oob.append(a.id)
 
     n = max(len(ids), 1)
     return PhysicalReport(

@@ -27,14 +27,9 @@ from layoutopt.geometry import (
     relative,
 )
 from layoutopt.graph_analysis import ROOT, decomposition_savings
-from layoutopt.harness import (
-    asset_polygon,
-    convergence_benchmark,
-    eval_physical,
-    room_polygon,
-)
+from layoutopt.harness import asset_polygon, eval_physical, room_polygon
 from layoutopt.imagination import build_maps, detect_conflicts, imagine_and_revise, interpret_scene
-from layoutopt.optimizer import OptimizerConfig, ParamState, evaluate, solve
+from layoutopt.optimizer import OptimizerConfig, ParamState, convergence_benchmark, evaluate, solve
 from layoutopt.scene_model import Asset, Relation, Room, SceneSpec, Unit
 
 from gradcheck import OP_SAMPLERS, run_op_fd

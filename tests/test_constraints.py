@@ -521,7 +521,7 @@ def test_relation_penalties_labels_and_values():
         mid: np.array([0.8, 0.0, 0.0]) for u in spec.units for mid in u.members
     }
     index, x = _vector(spec, {**independent, **unit_poses, **member_locals}, {})
-    pens = relation_penalties(spec, index, x)
+    pens = relation_penalties(index, x)
     # The stools group is labelled by its first relation only.
     stools = [i for i, r in enumerate(spec.relations) if r.kind == "around"]
     assert f"relations[{stools[0]}]" in pens
@@ -566,7 +566,7 @@ def test_around_groups_of_one_name_in_two_units_keep_their_own_entries():
     )
     index = param_index(spec)
     state = init_state(spec, 0)
-    pens = relation_penalties(spec, index, state.x)
+    pens = relation_penalties(index, state.x)
     assert set(pens) == {"relations[0]", "relations[2]"}
     assert pens["relations[0]"] != pens["relations[2]"]
     _, _, terms = evaluate(state, Weights(), 1, OptimizerConfig())
@@ -595,7 +595,7 @@ def test_relation_penalties_agree_with_the_objective(name):
     for seed in range(4):
         state = init_state(spec, seed)
         state.x[: index.pose_size] += rng.normal(0.0, 0.4, index.pose_size)
-        pens = relation_penalties(spec, index, state.x)
+        pens = relation_penalties(index, state.x)
         # One label per relation and per around group, none twice.
         assert set(pens) == labels
         assert len(pens) == len(spec.relations) - sum(r.kind == "around" for r in spec.relations) + len(groups)
@@ -642,7 +642,7 @@ def test_relation_penalties_turn_nan_instead_of_raising(name):
     spec = _bundled(name)
     index = param_index(spec)
     x = init_state(spec, 0).x
-    finite = relation_penalties(spec, index, x)
+    finite = relation_penalties(index, x)
     assert all(math.isfinite(v) for v in finite.values())
 
     def group_key(r):
@@ -659,7 +659,7 @@ def test_relation_penalties_turn_nan_instead_of_raising(name):
     for key, slot in list(index.pose.items()) + list(index.param.items()):
         bad = x.copy()
         bad[slot] = math.nan
-        pens = relation_penalties(spec, index, bad)
+        pens = relation_penalties(index, bad)
         assert set(pens) == set(finite)
         touched = {
             label(i)
@@ -671,7 +671,7 @@ def test_relation_penalties_turn_nan_instead_of_raising(name):
     # An infinite heading reads as a NaN one, in the penalties and in both
     # aggregates, instead of raising from math.cos.
     def outputs(x_):
-        out = list(relation_penalties(spec, index, x_).values())
+        out = list(relation_penalties(index, x_).values())
         for lv in [aggregate_global(spec, index, x_)] + [aggregate_local(spec, u.id, index, x_) for u in spec.units]:
             out += [lv.value, *lv.grads.tolist(), *lv.terms.values()]
         return out
@@ -942,7 +942,7 @@ def _reference_gap(a: FootprintBox, b: FootprintBox, g: float) -> LossValue:
         co, so = math.cos(po.theta), math.sin(po.theta)
         for px, py in _probes(box):
             # Back out the probe's local offset to chain through the pose,
-            # then carry it into other's frame as `_point_box_sdf_grads` does.
+            # then carry it into other's frame as `_reference_point_box_sdf_grads` does.
             wx, wy = px - pp.x, py - pp.y
             offset = (cp * wx + sp * wy, -sp * wx + cp * wy)
             dx = pp.x + cp * offset[0] - sp * offset[1] - po.x

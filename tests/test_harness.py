@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layoutopt import cli, errors, geometry, harness
+from layoutopt import cli, errors, geometry, harness, optimizer
 from layoutopt.cli import main
 from layoutopt.errors import DivergenceError, MissingEntityError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
@@ -19,16 +19,19 @@ from layoutopt.geometry import Pose2D
 from layoutopt.harness import (
     COLLISION_TOLERANCE,
     OOB_TOLERANCE,
-    BenchmarkResult,
     PhysicalReport,
     asset_polygon,
-    benchmark_curves_csv,
-    convergence_benchmark,
-    ema_smooth,
     eval_physical,
     render_svg,
 )
-from layoutopt.optimizer import OptimizerConfig, solve
+from layoutopt.optimizer import (
+    BenchmarkResult,
+    OptimizerConfig,
+    benchmark_curves_csv,
+    convergence_benchmark,
+    ema_smooth,
+    solve,
+)
 from layoutopt.scene_model import Asset, Layout, Room, SceneSpec, Unit, parse_layout, parse_scene
 from mc_oracle import mc_outside_area, mc_pair_area, random_scene_with_layout
 from refgeom import ConvexPolygon, FootprintBox, corners, reference_eval_physical, reference_intersection_area
@@ -127,6 +130,20 @@ def test_oob_rate_over_all_objects():
     rep = eval_physical(spec, layout)
     assert rep.or_percent == pytest.approx(50.0)
     assert rep.oob_ids == ("a", "c")
+
+
+_FAR_POSES = [(1e16, 1.0, 0.0), (1e200, 1.0, 0.0), (1e155, 1e155, 0.3)]
+
+
+@pytest.mark.parametrize("pose", _FAR_POSES, ids=["1e16", "1e200", "1e155_turned"])
+def test_far_away_asset_is_out_of_bounds(pose):
+    # That far out `x + half_l` rounds to `x`: the corners enclose no area,
+    # and only the asset's l x w says how much of it is outside.
+    spec, layout = _boxes(room=(4.0, 4.0), a=(1.0, 1.0, *pose))
+    rep = eval_physical(spec, layout)
+    assert (rep.or_percent, rep.oob_ids) == (100.0, ("a",))
+    assert rep == reference_eval_physical(spec, layout)
+    assert not harness._is_clean(spec, layout)
 
 
 def test_missing_pose_raises():
@@ -539,7 +556,7 @@ def test_benchmark_records_a_diverged_flat_run_and_keeps_the_reparam_curve(monke
     spec = load_fixture("dining_set")
     cfg = OptimizerConfig(iterations=10)
     clean = convergence_benchmark(spec, (0, 1), config=cfg)
-    monkeypatch.setattr(harness, "_solve", _diverging_on(1, True, harness._solve))
+    monkeypatch.setattr(optimizer, "_solve", _diverging_on(1, True, optimizer._solve))
     results = convergence_benchmark(spec, (0, 1), config=cfg)
     assert results[0] == clean[0] and not results[0].diverged
     assert results[1] == BenchmarkResult(
@@ -558,7 +575,7 @@ def test_benchmark_records_a_diverged_reparam_run_without_the_flat_run(monkeypat
             raise AssertionError("no flat run after a diverged reparam run")
         raise DivergenceError("objective is not finite", 7)
 
-    monkeypatch.setattr(harness, "_solve", run)
+    monkeypatch.setattr(optimizer, "_solve", run)
     results = convergence_benchmark(spec, (0,), config=OptimizerConfig(iterations=10))
     assert results == [BenchmarkResult("dining_set", 0, 20, 20, 1.0, True)]
     assert benchmark_curves_csv(results) == "seed,iteration,reparam,reparam_ema,baseline,baseline_ema\n"
@@ -709,6 +726,34 @@ def test_cli_failed_replace_leaves_no_staged_file(tmp_path, capsys, monkeypatch)
     assert sorted(os.listdir(tmp_path)) == ["dining_set.json"]
     (err,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert err == {"error": "PermissionError", "message": "[Errno 13] Permission denied"}
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [("missing/x.json", "FileNotFoundError"), ("existing_dir", "IsADirectoryError")],
+    ids=["missing_dir", "directory"],
+)
+def test_cli_failed_write_names_the_given_path(tmp_path, capsys, target, error):
+    scene = _write_fixture(tmp_path, "star_unit")
+    (tmp_path / "existing_dir").mkdir()
+    path = str(tmp_path / target)
+    assert main(["solve", scene, "--iterations", "5", "--out", path]) == 1
+    (err,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert err["error"] == error
+    assert repr(path) in err["message"] and ".layoutopt-" not in err["message"]
+    assert sorted(os.listdir(tmp_path)) == ["existing_dir", "star_unit.json"]
+    assert os.listdir(tmp_path / "existing_dir") == []
+
+
+@pytest.mark.parametrize("pose", _FAR_POSES, ids=["1e16", "1e200", "1e155_turned"])
+def test_cli_eval_far_away_asset_is_out_of_bounds(tmp_path, capsys, pose):
+    room = {"length": 4, "width": 4, "height": 3}
+    scene, layout = tmp_path / "scene.json", tmp_path / "layout.json"
+    scene.write_text(json.dumps({"room": room, "assets": [{"id": "a", "size": [1, 1, 1]}]}))
+    x, y, theta = pose
+    layout.write_text(json.dumps({"poses": {"a": {"x": x, "y": y, "z": 0.5, "theta": theta}}}))
+    assert main(["eval", str(scene), str(layout)]) == 0
+    assert "out of bounds 100.0% (1 object(s))" in capsys.readouterr().out
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -100,7 +100,7 @@ def test_interpreter_reads_the_default_p_of_a_hand_built_scene():
     assert all(r.params["p"] == DEFAULT_P for r in parsed.relations if r.kind in DIRECTIONAL_KINDS)
     assert interpret_scene(stripped) == interpret_scene(parsed)
     x = init_state(parsed, 0).x
-    assert relation_penalties(stripped, param_index(stripped), x) == relation_penalties(parsed, param_index(parsed), x)
+    assert relation_penalties(param_index(stripped), x) == relation_penalties(param_index(parsed), x)
 
 
 def _bits(v) -> bytes:

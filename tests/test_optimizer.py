@@ -11,7 +11,7 @@ from layoutopt.constraints import Weights
 from layoutopt.errors import DivergenceError, InfeasibleRoomError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import Pose2D, compose, relative
-from layoutopt.harness import convergence_benchmark, eval_physical
+from layoutopt.harness import eval_physical
 from layoutopt.imagination import imagine_and_revise
 from layoutopt.optimizer import (
     CHECK_EVERY,
@@ -22,6 +22,7 @@ from layoutopt.optimizer import (
     _reframe,
     _solve,
     _state_layout,
+    convergence_benchmark,
     cosine_factor,
     evaluate,
     init_state,
