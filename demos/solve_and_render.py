@@ -1,7 +1,8 @@
 """Solve a bundled scene and write layout, loss trace, and floor plan.
 
 Artifacts land in demos/out/.  Rerun with a different seed to see how the
-random initialization changes the final arrangement but not its quality.
+seeded noise on the imagined start changes the final arrangement but not
+its quality.
 """
 
 import os

@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="optimize a scene into a layout")
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--seed", type=int, default=None, help="override scene seed")
-    p.add_argument("--iterations", type=int, default=None, help="cap on iterations per stage")
+    p.add_argument("--iterations", type=int, default=None, help="cap on iterations per phase")
     p.add_argument("--out", default=None, help="write layout JSON here")
     p.add_argument("--trace", default=None, help="write per-iteration loss CSV here")
     p.add_argument("--svg", default=None, help="write floor-plan SVG here")

@@ -2,9 +2,11 @@
 
 Collision and out-of-bounds checks here are exact: each asset's footprint
 corners (`geometry.corner_points`, built straight from the layout's poses)
-are clipped against each other and against the room's corners, with a small
-area tolerance absorbing floating-point slivers.  A footprint's area is its
-asset's l x w, which stays exact however far out the pose is.  The proxy
+are clipped against the room's corners, and each candidate pair of
+footprints is clipped in coordinates centred on one of the two, with a
+small area tolerance absorbing floating-point slivers.  A footprint's area
+is its asset's l x w, which stays exact however far out the pose is, and a
+pair's overlap is found however far out the pair is.  The proxy
 boxes used during imagination and optimization deliberately overestimate;
 this module is the ground truth they are measured against, and the solver's
 stop test calls `_is_clean`.  A pose that is missing, or one of an asset the
@@ -73,6 +75,13 @@ def asset_polygon(spec: SceneSpec, asset_id: str, layout: Layout) -> list:
     return corner_points(x, y, theta, a.half_l, a.half_w)
 
 
+def _footprints(spec: SceneSpec, layout: Layout) -> tuple:
+    """The kernel box (x, y, theta, half_l, half_w) and the corners of each
+    asset of `spec`, in order."""
+    boxes = [(*_pose(layout, a.id), a.half_l, a.half_w) for a in spec.assets]
+    return boxes, [corner_points(*box) for box in boxes]
+
+
 def room_polygon(spec: SceneSpec) -> list:
     """Corners of the room rectangle, counter-clockwise (x, y) pairs."""
     length, width = spec.room.length, spec.room.width
@@ -94,17 +103,27 @@ def _outside(spec: SceneSpec, polys: list):
             yield k
 
 
-def _colliding(polys: list):
+def _colliding(boxes: list, polys: list):
     """Position pairs of the footprints that overlap by more than tau_c,
-    lazily.  Pairs whose vertex bounding boxes are disjoint or touch are
-    not clipped: their intersection area is zero."""
+    lazily.  Each candidate pair is clipped in coordinates centred on its
+    first footprint: far from the origin, `x + half_l` rounds to `x` and
+    the corners there enclose no area.  Pairs whose vertex bounding boxes,
+    each widened by two ulps of its largest coordinate against that same
+    rounding, are disjoint or touch are not clipped: their intersection
+    area is zero."""
     lo, hi = [], []
     for p in polys:
         xs, ys = zip(*p)
-        lo.append((min(xs), min(ys)))
-        hi.append((max(xs), max(ys)))
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        px, py = 2.0 * math.ulp(max(-x0, x1)), 2.0 * math.ulp(max(-y0, y1))
+        lo.append((x0 - px, y0 - py))
+        hi.append((x1 + px, y1 + py))
     for i, j in geometry.overlapping_pairs(lo, hi):
-        if polygon_intersection_area(polys[i], polys[j]) > COLLISION_TOLERANCE:
+        x, y, theta, half_l, half_w = boxes[i]
+        xj, yj, theta_j, half_lj, half_wj = boxes[j]
+        a = corner_points(0.0, 0.0, theta, half_l, half_w)
+        b = corner_points(xj - x, yj - y, theta_j, half_lj, half_wj)
+        if polygon_intersection_area(a, b) > COLLISION_TOLERANCE:
             yield i, j
 
 
@@ -117,8 +136,8 @@ def eval_physical(spec: SceneSpec, layout: Layout) -> PhysicalReport:
     """
     _check_ids(spec, layout)
     ids = [a.id for a in spec.assets]
-    polys = [asset_polygon(spec, aid, layout) for aid in ids]
-    colliding = {ids[k] for pair in _colliding(polys) for k in pair}
+    boxes, polys = _footprints(spec, layout)
+    colliding = {ids[k] for pair in _colliding(boxes, polys) for k in pair}
     oob = [ids[k] for k in _outside(spec, polys)]
 
     n = max(len(ids), 1)
@@ -133,8 +152,8 @@ def eval_physical(spec: SceneSpec, layout: Layout) -> PhysicalReport:
 def _is_clean(spec: SceneSpec, layout: Layout) -> bool:
     """Whether `eval_physical` reports 0% collision and 0% out of bounds,
     found by stopping at the first flag."""
-    polys = [asset_polygon(spec, a.id, layout) for a in spec.assets]
-    return next(_outside(spec, polys), None) is None and next(_colliding(polys), None) is None
+    boxes, polys = _footprints(spec, layout)
+    return next(_outside(spec, polys), None) is None and next(_colliding(boxes, polys), None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -202,33 +202,40 @@ def _run_pass(block: Block, halves, default_xy: tuple) -> list:
     return board.resolved()
 
 
-def interpret_scene(spec: SceneSpec) -> dict:
-    """Candidate poses for every entity: unit frames and independent assets
-    in world coordinates, unit members in their frame's coordinates."""
-    index = param_index(spec)
+def _imagine(spec: SceneSpec, index) -> list:
+    """The imagined pose rows of `index`'s vector, the plan `index` holds
+    for `spec`, as a list laid out as the vector: unit frames and
+    independent assets in world coordinates, unit members in their frame's
+    coordinates.  The shared slots stay 0.0."""
     xs = [0.0] * index.size
-    poses: dict = {}
     for u in spec.units:
         block = index.blocks[u.id]
         centers = _run_pass(block, block.halves, (0.0, 0.0))
-        for eid, r, c in zip(block.ids[1:], block.rows[1:], centers[1:]):
+        for r, c in zip(block.rows[1:], centers[1:]):
             xs[r : r + 3] = c
-            poses[eid] = Pose2D(*c)
 
     # With every unit frame still at the origin, a stand-in box is centered
     # on its offset in the unit frame.
     scene = index.blocks[None]
     boxes, _ = _block_boxes(scene, xs)
     centers = _run_pass(scene, [box[3:] for box in boxes], (0.5 * spec.room.length, 0.5 * spec.room.width))
-    for eid, (x, y, theta), box, frame in zip(scene.ids, centers, boxes, scene.frames):
-        if frame is None:
-            poses[eid] = Pose2D(x, y, theta)
-            continue
-        # Relations position the stand-in box; shift back to the frame.
-        ox, oy = box[0], box[1]
-        ct, st = math.cos(theta), math.sin(theta)
-        poses[eid] = Pose2D(x - (ct * ox - st * oy), y - (st * ox + ct * oy), theta)
-    return poses
+    for r, (x, y, theta), box, frame in zip(scene.rows, centers, boxes, scene.frames):
+        if frame is not None:
+            # Relations position the stand-in box; shift back to the frame.
+            ox, oy = box[0], box[1]
+            ct, st = math.cos(theta), math.sin(theta)
+            x, y = x - (ct * ox - st * oy), y - (st * ox + ct * oy)
+        xs[r : r + 3] = x, y, theta
+    return xs
+
+
+def interpret_scene(spec: SceneSpec) -> dict:
+    """Candidate poses for every entity: unit frames and independent assets
+    in world coordinates, unit members in their frame's coordinates."""
+    index = param_index(spec)
+    xs = _imagine(spec, index)
+    members = [eid for u in spec.units for eid in index.blocks[u.id].ids[1:]]
+    return {eid: Pose2D(*xs[index.pose[eid]]) for eid in members + list(index.blocks[None].ids)}
 
 
 def build_maps(spec: SceneSpec, poses: dict):

@@ -1,4 +1,4 @@
-"""Two-stage momentum descent over one flat parameter vector.
+"""Momentum descent over one flat parameter vector, from the imagined layout.
 
 Both parameterizations run the same loop and the same `step` over a vector
 laid out by `ParamIndex`: one pose row per unit frame, unit member and
@@ -15,25 +15,35 @@ map's chain rule:
   `_pull_back` carries their gradients back, which re-couples the blocks.
   This serves as the reference point for convergence comparisons.
 
+A solve compiles the scene once and runs the imagination pass on that plan
+(`imagination._imagine`, which `interpret_scene` wraps).  When the imagined
+poses are clean (`harness._is_clean`), the solve starts there, with seeded
+N(0, JITTER) noise on every pose slot, and refines: one stage-2 phase of
+`iterations` steps at REFINE_LR times every slot's rate, then a polish of
+`max(1, iterations // 2)` steps with the relation weight at
+POLISH_RELATION, the same rate and fresh momentum.  Otherwise it falls back
+to `init_state`'s seeded random draw and two stages of `iterations` steps:
+stage 1 optimizes poses under relation terms only, with constraint
+parameters frozen; stage 2 enables collision and boundary terms, and lets
+shared constraint parameters float under a quadratic prior at their
+declared values.  Each phase anneals over its own length.
+
 Each iteration is one `evaluate`, one pass over the relation plan into one
 gradient list, and one `step`, which updates velocity and vector in place.
-Every `CHECK_EVERY` steps a solve tests its state as the seed sweep scores
-a solved layout (`harness._is_clean`, then the relation penalties), and the
-first pass ends it: `iterations` is a cap.
+Every `CHECK_EVERY` steps of a phase a solve tests its state as the seed
+sweep scores a solved layout (`harness._is_clean`, then the relation
+penalties), and the first pass ends it: `iterations` is a cap.
 
 `convergence_benchmark` compares the two parameterizations: it runs both
-through the same descent with the stop test off, and reads
-iterations-to-threshold off each run's loss curve.
-
-Stage 1 optimizes poses under relation terms only, with constraint parameters
-frozen.  Stage 2 enables collision and boundary terms, and lets shared
-constraint parameters float under a quadratic prior at their declared values.
+from `init_state`'s draw through the two-stage descent with the stop test
+off, and reads iterations-to-threshold off each run's loss curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,13 +58,16 @@ from .constraints import (
 )
 from .errors import DivergenceError, InfeasibleRoomError
 from .harness import _is_clean
+from .imagination import _imagine
 from .scene_model import Layout, SceneSpec
 
 
-# Steps between two tests of whether a solve is done, in each stage.
+# Steps between two tests of whether a solve is done, in each phase.
 CHECK_EVERY = 25
-# Learning rates of the heading and shared-parameter slots; the (x, y)
-# slots' is `OptimizerConfig.lr_position`.
+# Momentum of the velocity, and the learning rates of the (x, y), heading
+# and shared-parameter slots.
+MOMENTUM = 0.9
+LR_POSITION = 0.5
 LR_ROTATION = 0.3
 LR_SHARED = 0.1
 # Step limits: each row's (x, y) gradient is scaled to norm at most
@@ -64,23 +77,51 @@ CLIP_POSITION = 1.0
 CLIP_ROTATION = 0.3
 # A relation is satisfied when its raw penalty is below this.
 SATISFIED = 1e-3
-# The term weights every descent step evaluates at.
+# The term weights every descent step evaluates at, but the polish's.
 WEIGHTS = Weights()
+# The imagined start: the standard deviation of the noise on every pose
+# slot, the scale of every slot's learning rate in both phases, and the
+# polish's relation weight.
+JITTER = 0.05
+REFINE_LR = 0.2
+POLISH_RELATION = 10.0
 # History weight of the exponential moving average of the loss curves.
 EMA_ALPHA = 0.85
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Descent hyperparameters; `iterations` caps the steps per stage (a
+    """Descent settings; `iterations` caps the steps of each phase (a
     solve ends sooner once it is solved, see `solve`), and a `seed` of None
     starts from the scene's own seed."""
 
     iterations: int = 600
-    lr_position: float = 0.5
-    momentum: float = 0.9
     prior_weight: float = 1.0
     seed: int | None = None
+
+
+class Phase(NamedTuple):
+    """One run of descent steps: the objective's stage (1: relations only,
+    shared parameters frozen; 2: every term), the term weights, the scale of
+    every slot's learning rate, and the number of steps, over which the
+    rate anneals."""
+
+    stage: int
+    weights: Weights
+    scale: float
+    steps: int
+
+
+def _two_stage(iterations: int) -> tuple:
+    """The schedule from a random start: stage 1, then stage 2."""
+    return Phase(1, WEIGHTS, 1.0, iterations), Phase(2, WEIGHTS, 1.0, iterations)
+
+
+def _refine(iterations: int) -> tuple:
+    """The schedule from the imagined start: stage 2 at a fifth of the
+    rate, then the polish at a raised relation weight."""
+    polish = replace(WEIGHTS, relation=POLISH_RELATION)
+    return Phase(2, WEIGHTS, REFINE_LR, iterations), Phase(2, polish, REFINE_LR, max(1, iterations // 2))
 
 
 def cosine_factor(t: int, total: int) -> float:
@@ -104,12 +145,17 @@ class TraceRow:
 class Trace:
     """Per-iteration record of the objective and its terms.
 
-    A row's `lr` is the cosine factor its step applied to every slot's
-    learning rate, not a rate itself.  `final_shared` and `final_penalties`
-    snapshot the learned shared parameters and the raw per-relation
-    penalties at the final state.  `solved_at` is the number of steps after
-    which the solve stopped because its state was clean and satisfied, or
-    None when it ran until the iteration cap.
+    A solve from the imagined layout has only stage-2 rows: its first
+    `iterations` rows are the refinement and the rows after them the
+    polish, whose `total` weighs the relation term by POLISH_RELATION.  A
+    solve that fell back to the random start has `iterations` stage-1 rows,
+    then the stage-2 rows.  A row's `lr` is the factor its step applied to
+    every slot's learning rate, its phase's scale times the cosine factor,
+    not a rate itself.  `final_shared` and `final_penalties` snapshot the
+    learned shared parameters and the raw per-relation penalties at the
+    final state.  `solved_at` is the number of steps after which the solve
+    stopped because its state was clean and satisfied, or None when it ran
+    until the iteration cap.
     """
 
     rows: list = field(default_factory=list)
@@ -142,7 +188,7 @@ class ParamState:
     flat: bool = False
     vel: np.ndarray = field(init=False)
     step_index: int = field(default=0, init=False)
-    _slots: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _slots: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vel = np.zeros_like(self.x)
@@ -160,21 +206,15 @@ class ParamState:
         """Shared parameter values, by name."""
         return {name: float(self.x[k]) for name, k in self.index.param.items()}
 
-    def slot_constants(self, config) -> tuple:
-        """`_slot_constants(config, self.index)`, kept for the last config."""
-        if self._slots[0] is not config:
-            self._slots = (config, _slot_constants(config, self.index))
-        return self._slots[1]
+    def slot_constants(self) -> tuple:
+        """`_slot_constants(self.index)`, built at the first call."""
+        if self._slots is None:
+            self._slots = _slot_constants(self.index)
+        return self._slots
 
 
-def init_state(spec: SceneSpec, seed: int) -> ParamState:
-    """Deterministic random initialization, row by row in plan order.
-
-    A scene-level row's position is uniform inside the room inset on each
-    axis by its box's larger half size (a unit's: its anchor's), capped at
-    half that side of the room; a unit's member locals follow its frame,
-    uniform in [-1, 1]^2.  Headings are uniform in [-pi, pi).
-    """
+def _check_fits(spec: SceneSpec):
+    """Raise InfeasibleRoomError for an asset the room cannot hold."""
     room = spec.room
     for a in spec.assets:
         short, long = sorted(a.size[:2])
@@ -183,8 +223,21 @@ def init_state(spec: SceneSpec, seed: int) -> ParamState:
                 f"asset {a.id!r} cannot fit: footprint {a.size[0]}x{a.size[1]} fits a "
                 f"{room.length}x{room.width} room in neither axis-aligned orientation"
             )
+
+
+def init_state(spec: SceneSpec, seed: int, index: ParamIndex | None = None) -> ParamState:
+    """Deterministic random initialization, row by row in plan order.
+
+    A scene-level row's position is uniform inside the room inset on each
+    axis by its box's larger half size (a unit's: its anchor's), capped at
+    half that side of the room; a unit's member locals follow its frame,
+    uniform in [-1, 1]^2.  Headings are uniform in [-pi, pi).  `index` is
+    the scene's compiled plan, built here when not given.
+    """
+    _check_fits(spec)
+    room = spec.room
     rng = np.random.default_rng(seed)
-    index = param_index(spec)
+    index = param_index(spec) if index is None else index
     scene = index.blocks[None]
     x = np.empty(index.size)
     for r, halves, frame in zip(scene.rows, scene.halves, scene.frames):
@@ -196,6 +249,28 @@ def init_state(spec: SceneSpec, seed: int) -> ParamState:
             x[m : m + 3] = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
     x[index.pose_size :] = index.priors
     return ParamState(spec, index, x)
+
+
+def _start(spec: SceneSpec, config: OptimizerConfig) -> tuple:
+    """The state a solve starts from and its phases.
+
+    The scene is compiled once and imagined on that plan.  When the
+    imagined poses are clean, they are the start, with seeded N(0, JITTER)
+    noise on every pose slot (the seed draws only this noise), refined by
+    `_refine`; otherwise the start is `init_state`'s draw, descended by
+    `_two_stage`.  An asset the room cannot hold raises before any imagining.
+    """
+    _check_fits(spec)
+    seed = spec.seed if config.seed is None else config.seed
+    index = param_index(spec)
+    x = np.array(_imagine(spec, index))
+    x[index.pose_size :] = index.priors
+    state = ParamState(spec, index, x)
+    if not _is_clean(spec, _state_layout(state)):
+        return init_state(spec, seed, index), _two_stage(config.iterations)
+    n = index.pose_size
+    state.x[:n] += np.random.default_rng(seed).normal(0.0, JITTER, n)
+    return state, _refine(config.iterations)
 
 
 def _stage_weights(weights: Weights, stage: int) -> Weights:
@@ -259,12 +334,14 @@ def _pull_back(state: ParamState, view: list, grad: list):
             grad[frame + 2] += g0 * ly - g1 * lx - g2
 
 
-def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerConfig):
+def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerConfig, as_list: bool = False):
     """Objective value, its gradient over `state.x`, and per-term breakdown.
 
     `aggregate_global`, then `constraints.objective` over the unit blocks in
     plan order carrying on its sums in one list, then the prior and the
-    pull-back: bit for bit the sum of it and each `aggregate_local`.
+    pull-back: bit for bit the sum of it and each `aggregate_local`.  The
+    gradient is an array, or with `as_list` that list itself, as `step`
+    reads it.
     """
     spec, index = state.spec, state.index
     eff = _stage_weights(weights, stage)
@@ -287,10 +364,10 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
 
     if state.flat:
         _pull_back(state, xs, grad)
-    return total, np.array(grad), terms
+    return total, grad if as_list else np.array(grad), terms
 
 
-def _slot_constants(config: OptimizerConfig, index: ParamIndex):
+def _slot_constants(index: ParamIndex):
     """Clip limit and learning rate of every slot.  The (x, y) slots have no
     limit of their own: they are clipped by their row's norm."""
     n_pose = index.pose_size
@@ -298,37 +375,37 @@ def _slot_constants(config: OptimizerConfig, index: ParamIndex):
     limit[:n_pose] = math.inf
     limit[2:n_pose:3] = CLIP_ROTATION
     lr = np.full(index.size, LR_SHARED)
-    lr[:n_pose] = config.lr_position
+    lr[:n_pose] = LR_POSITION
     lr[2:n_pose:3] = LR_ROTATION
     return limit, lr
 
 
-def step(state: ParamState, config: OptimizerConfig, stage: int):
-    """One descent step in place, on the objective at `Weights()`; returns
-    (loss, terms, lr factor) at the pre-step state.  Stage 1 leaves the
-    shared parameters untouched."""
-    total, grad, terms = evaluate(state, WEIGHTS, stage, config)
+def step(state: ParamState, config: OptimizerConfig, phase: Phase):
+    """One descent step of `phase` in place, on the objective at the
+    phase's weights; returns (loss, terms, lr factor) at the pre-step
+    state, the factor being the phase's scale times the cosine factor.
+    Stage 1 leaves the shared parameters untouched."""
+    total, grad, terms = evaluate(state, phase.weights, phase.stage, config, as_list=True)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
-    factor = cosine_factor(state.step_index, config.iterations)
+    factor = phase.scale * cosine_factor(state.step_index, phase.steps)
 
     # Each row's (x, y) gradient is scaled down to norm CLIP_POSITION, in
-    # place in `grad`, from its floats.  The norm uses math.hypot: np.hypot
-    # can differ in the last bit, and the difference grows over a run.  Then
+    # place in the list `grad`.  The norm uses math.hypot: np.hypot can
+    # differ in the last bit, and the difference grows over a run.  Then
     # each slot is clipped to its limit by np.clip's maximum-then-minimum,
     # without its wrapper.
     n_pose, clip = state.index.pose_size, CLIP_POSITION
-    g = grad[:n_pose].tolist()
     for r in range(0, n_pose, 3):
-        gx, gy = g[r], g[r + 1]
+        gx, gy = grad[r], grad[r + 1]
         norm = math.hypot(gx, gy)
         if norm > clip:
             grad[r], grad[r + 1] = gx * (clip / norm), gy * (clip / norm)
-    limit, lr = state.slot_constants(config)
-    n = n_pose if stage == 1 else state.index.size
+    limit, lr = state.slot_constants()
+    n = n_pose if phase.stage == 1 else state.index.size
     limit = limit[:n]
     vel, x = state.vel[:n], state.x[:n]
-    vel *= config.momentum
+    vel *= MOMENTUM
     vel += np.minimum(np.maximum(grad[:n], -limit), limit)
     x -= lr[:n] * factor * vel
 
@@ -364,29 +441,31 @@ def _solved_penalties(state: ParamState) -> dict | None:
     return penalties if all(v < SATISFIED for v in penalties.values()) else None
 
 
-def _descend(state: ParamState, config: OptimizerConfig, stop: bool = True) -> Trace:
-    """Run both stages from `state` in place and record the trace.
+def _descend(state: ParamState, config: OptimizerConfig, phases: tuple, stop: bool = True) -> Trace:
+    """Run `phases` from `state` in place, each with fresh momentum, and
+    record the trace.
 
-    With `stop` set, the state after every CHECK_EVERY-th step of a stage,
-    but the last step of stage 2, is tested by `_solved_penalties`, and the
-    first pass ends the solve.  The test runs only when the relation total
-    `step` returned, at the state one step earlier, is at most SATISFIED
-    times the number of terms, as it is when every penalty is below
-    SATISFIED; so this screen can delay a stop, never make one.
+    With `stop` set, the state after every CHECK_EVERY-th step of a phase,
+    but the last step of the last phase, is tested by `_solved_penalties`,
+    and the first pass ends the solve.  The test runs only when the raw
+    relation total `step` returned, at the state one step earlier, is at
+    most SATISFIED times the number of terms, as it is when every penalty
+    is below SATISFIED; so this screen can delay a stop, never make one.
     """
     if config.iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {config.iterations}")
     trace = Trace()
     bound = SATISFIED * sum(len(block.terms) for block in state.index.blocks.values())
     penalties = None
-    for stage in (1, 2):
+    last = len(phases) - 1
+    for p, phase in enumerate(phases):
         state.reset_momentum()
-        for t in range(1, config.iterations + 1):
-            total, terms, factor = step(state, config, stage)
+        for t in range(1, phase.steps + 1):
+            total, terms, factor = step(state, config, phase)
             trace.rows.append(
                 TraceRow(
                     len(trace.rows),
-                    stage,
+                    phase.stage,
                     float(total),
                     float(terms["collision"]),
                     float(terms["boundary"]),
@@ -395,7 +474,7 @@ def _descend(state: ParamState, config: OptimizerConfig, stop: bool = True) -> T
                     factor,
                 )
             )
-            checkpoint = stop and t % CHECK_EVERY == 0 and (stage == 1 or t < config.iterations)
+            checkpoint = stop and t % CHECK_EVERY == 0 and (p < last or t < phase.steps)
             if checkpoint and terms["relation"] <= bound:
                 penalties = _solved_penalties(state)
                 if penalties is not None:
@@ -410,25 +489,36 @@ def _descend(state: ParamState, config: OptimizerConfig, stop: bool = True) -> T
     return trace
 
 
-def _solve(spec: SceneSpec, config: OptimizerConfig, flat: bool = False, stop: bool = True) -> tuple[Layout, Trace]:
-    """`solve`, or `solve_global_baseline` when `flat` is set; with `stop`
-    unset, the descent runs its full budget whatever its state."""
-    state = init_state(spec, spec.seed if config.seed is None else config.seed)
+def _run(state: ParamState, config: OptimizerConfig, phases: tuple, flat: bool, stop: bool) -> tuple[Layout, Trace]:
+    """Descend `phases` from `state`, first transported to global member
+    poses when `flat` is set; with `stop` unset, the descent runs its full
+    budget whatever its state."""
     if flat:
         state.x[:] = _global_view(state)
         state.flat = True
-    trace = _descend(state, config, stop)
+    trace = _descend(state, config, phases, stop)
     return _state_layout(state), trace
 
 
-def solve(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple[Layout, Trace]:
-    """Optimize a scene from its seeded random initialization.
+def _solve(spec: SceneSpec, config: OptimizerConfig, flat: bool = False, stop: bool = True) -> tuple[Layout, Trace]:
+    """`solve`, or `solve_global_baseline` when `flat` is set, from `_start`."""
+    state, phases = _start(spec, config)
+    return _run(state, config, phases, flat, stop)
 
-    Each stage runs at most `config.iterations` steps.  Every CHECK_EVERY
-    steps the state is tested as the seed sweep scores a solved layout: 0%
-    collision and 0% out of bounds by `harness.eval_physical`, and every
-    relation penalty below SATISFIED.  The first state that passes ends the
-    solve, and `trace.solved_at` records after how many steps.
+
+def solve(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple[Layout, Trace]:
+    """Optimize a scene from its imagined layout, or from its seeded random
+    initialization when the imagined layout is not clean.
+
+    From the imagined layout, seeded noise is added and the solve runs a
+    stage-2 phase of `config.iterations` steps at REFINE_LR times every
+    rate, then a polish of half as many with the relation weight at
+    POLISH_RELATION.  From the random start it runs two stages of
+    `config.iterations` steps.  Every CHECK_EVERY steps the state is tested
+    as the seed sweep scores a solved layout: 0% collision and 0% out of
+    bounds by `harness.eval_physical`, and every relation penalty below
+    SATISFIED.  The first state that passes ends the solve, and
+    `trace.solved_at` records after how many steps.
 
     Returns the final layout and the per-iteration trace.  Raises
     ValueError when `config.iterations` is below 1, InfeasibleRoomError for
@@ -443,9 +533,9 @@ def solve_global_baseline(spec: SceneSpec, config: OptimizerConfig = OptimizerCo
 
     Member locals are derived from the anchor each iteration, so the loss at
     identical geometry matches `solve` exactly (including the initial state,
-    which is transported from the same seeded draw).  Gradients of
-    unit-internal terms now flow to both the member and the anchor.  It
-    stops when solved as `solve` does.
+    which is transported from the same start, descended on the same
+    schedule).  Gradients of unit-internal terms now flow to both the
+    member and the anchor.  It stops when solved as `solve` does.
     """
     return _solve(spec, config, flat=True)
 
@@ -499,11 +589,13 @@ def convergence_benchmark(
 ) -> list:
     """Iterations-to-threshold for both parameterizations, per seed.
 
-    Both runs share the seed, so they start from the same configuration and
-    the same initial loss; the reported speedup is baseline iterations over
-    re-parameterized iterations.  The two-level run goes first.  Each run
-    takes its full budget of `2 * config.iterations` steps: a solved state
-    does not end it.  A diverged run ends its seed: it and the run not
+    Both runs start from `init_state`'s draw for the seed, so they start
+    from the same configuration and the same initial loss, and descend the
+    two stages of the random start: the comparison measures the
+    parameterization, not the start.  The reported speedup is baseline
+    iterations over re-parameterized iterations.  The two-level run goes
+    first.  Each run takes its full budget of `2 * config.iterations`
+    steps: a solved state does not end it.  A diverged run ends its seed: it and the run not
     reached record the full iteration budget and no curve, at speedup 1.
     Any other error propagates.
     """
@@ -516,7 +608,8 @@ def convergence_benchmark(
         curves = []
         try:
             for flat in (False, True):
-                _, trace = _solve(spec, cfg, flat, stop=False)
+                state = init_state(spec, cfg.seed)
+                _, trace = _run(state, cfg, _two_stage(cfg.iterations), flat, stop=False)
                 curves.append(tuple(r.total for r in trace.rows))
         except DivergenceError:
             pass

@@ -1452,7 +1452,7 @@ def test_gap_screen_matches_the_full_scan_far_out_and_along_solves(monkeypatch):
         g = float(rng.uniform(0.0, 0.6))
         lv = keyed(gap_loss(_kernel_boxes([a, b]), g), ("a", "b"), "g")
         _assert_same_loss(lv, _reference_gap(a, b, g), (a, b, g))
-    calls = _solve_gap_calls(monkeypatch, ("conflict_pair", "mixed_ten"), (0, 1))
+    calls = _solve_gap_calls(monkeypatch, ("conflict_pair", "mixed_ten"), (0, 1, 2))
     assert len(calls) > 3000
     for boxes, g in calls:
         lv = keyed(gap_loss(boxes, g), ("a", "b"), "g")

@@ -146,6 +146,23 @@ def test_far_away_asset_is_out_of_bounds(pose):
     assert not harness._is_clean(spec, layout)
 
 
+@pytest.mark.parametrize("pose", _FAR_POSES, ids=["1e16", "1e200", "1e155_turned"])
+def test_far_away_assets_at_one_point_collide(pose):
+    # There both footprints' corners enclose no area; the pair is clipped
+    # in coordinates centred on one of them, where each is its whole 1 x 1.
+    spec, layout = _boxes(room=(4.0, 4.0), a=(1.0, 1.0, *pose), b=(1.0, 1.0, *pose))
+    rep = eval_physical(spec, layout)
+    assert (rep.cr_percent, rep.colliding_ids) == (100.0, ("a", "b"))
+    assert not harness._is_clean(spec, layout)
+
+
+def test_far_away_assets_apart_do_not_collide():
+    # 1e16 + 4 is a float: the two footprints lie 3 m apart.
+    spec, layout = _boxes(room=(4.0, 4.0), a=(1.0, 1.0, 1e16, 1.0, 0.0), b=(1.0, 1.0, 1e16 + 4.0, 1.0, 0.0))
+    rep = eval_physical(spec, layout)
+    assert (rep.cr_percent, rep.colliding_ids, rep.or_percent) == (0.0, (), 100.0)
+
+
 def test_missing_pose_raises():
     spec, layout = _boxes(a=(1.0, 1.0, 1.0, 1.0, 0.0))
     spec2 = _scene(spec.room, spec.assets + (Asset("ghost", "box", (1.0, 1.0, 1.0)),))
@@ -541,13 +558,13 @@ def test_curves_csv_rows_and_equal_start():
 
 
 def _diverging_on(seed, flat, run):
-    """`run`, the benchmark's `_solve`, except that its `flat` run diverges
+    """`run`, the benchmark's `_run`, except that its `flat` run diverges
     for `seed`."""
 
-    def wrapped(spec, config, flat_run, stop):
+    def wrapped(state, config, phases, flat_run, stop):
         if config.seed == seed and flat_run == flat:
             raise DivergenceError("objective is not finite", 7)
-        return run(spec, config, flat_run, stop)
+        return run(state, config, phases, flat_run, stop)
 
     return wrapped
 
@@ -556,7 +573,7 @@ def test_benchmark_records_a_diverged_flat_run_and_keeps_the_reparam_curve(monke
     spec = load_fixture("dining_set")
     cfg = OptimizerConfig(iterations=10)
     clean = convergence_benchmark(spec, (0, 1), config=cfg)
-    monkeypatch.setattr(optimizer, "_solve", _diverging_on(1, True, optimizer._solve))
+    monkeypatch.setattr(optimizer, "_run", _diverging_on(1, True, optimizer._run))
     results = convergence_benchmark(spec, (0, 1), config=cfg)
     assert results[0] == clean[0] and not results[0].diverged
     assert results[1] == BenchmarkResult(
@@ -570,12 +587,12 @@ def test_benchmark_records_a_diverged_flat_run_and_keeps_the_reparam_curve(monke
 def test_benchmark_records_a_diverged_reparam_run_without_the_flat_run(monkeypatch):
     spec = load_fixture("dining_set")
 
-    def run(spec, config, flat, stop):
+    def run(state, config, phases, flat, stop):
         if flat:
             raise AssertionError("no flat run after a diverged reparam run")
         raise DivergenceError("objective is not finite", 7)
 
-    monkeypatch.setattr(optimizer, "_solve", run)
+    monkeypatch.setattr(optimizer, "_run", run)
     results = convergence_benchmark(spec, (0,), config=OptimizerConfig(iterations=10))
     assert results == [BenchmarkResult("dining_set", 0, 20, 20, 1.0, True)]
     assert benchmark_curves_csv(results) == "seed,iteration,reparam,reparam_ema,baseline,baseline_ema\n"
@@ -621,13 +638,13 @@ def test_cli_solve_writes_deterministic_artifacts(tmp_path, capsys):
 
 
 def test_cli_solve_names_why_it_stopped(tmp_path, capsys):
-    # star_unit's own seed is solved at step 925 of 1200; 60 steps per
-    # stage leave dining_set unsolved.
+    # star_unit's own seed is solved at step 50 of 900; a cap of 60 steps
+    # and a 30-step polish leave dining_set unsolved.
     assert main(["solve", _write_fixture(tmp_path, "star_unit")]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first.endswith(" after 925 iterations (solved: clean and satisfied)"), first
+    assert first.endswith(" after 50 iterations (solved: clean and satisfied)"), first
     assert main(["solve", _write_fixture(tmp_path, "dining_set"), "--iterations", "60"]) == 0
-    assert capsys.readouterr().out.splitlines()[0].endswith(" after 120 iterations (iteration cap)")
+    assert capsys.readouterr().out.splitlines()[0].endswith(" after 90 iterations (iteration cap)")
 
 
 def test_cli_eval_reads_back_layout(tmp_path, capsys):
@@ -754,6 +771,19 @@ def test_cli_eval_far_away_asset_is_out_of_bounds(tmp_path, capsys, pose):
     layout.write_text(json.dumps({"poses": {"a": {"x": x, "y": y, "z": 0.5, "theta": theta}}}))
     assert main(["eval", str(scene), str(layout)]) == 0
     assert "out of bounds 100.0% (1 object(s))" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pose", _FAR_POSES, ids=["1e16", "1e200", "1e155_turned"])
+def test_cli_eval_far_away_assets_at_one_point_collide(tmp_path, capsys, pose):
+    room = {"length": 4, "width": 4, "height": 3}
+    scene, layout = tmp_path / "scene.json", tmp_path / "layout.json"
+    assets = [{"id": aid, "size": [1, 1, 1]} for aid in ("a", "b")]
+    scene.write_text(json.dumps({"room": room, "assets": assets}))
+    x, y, theta = pose
+    pose_json = {"x": x, "y": y, "z": 0.5, "theta": theta}
+    layout.write_text(json.dumps({"poses": {"a": pose_json, "b": pose_json}}))
+    assert main(["eval", str(scene), str(layout)]) == 0
+    assert "collision rate 100.0% (2 object(s))" in capsys.readouterr().out
 
 
 def test_cli_exit_codes(tmp_path, capsys):

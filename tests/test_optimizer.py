@@ -2,26 +2,33 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from layoutopt import optimizer
-from layoutopt.constraints import Weights
+from layoutopt.constraints import Weights, param_index
 from layoutopt.errors import DivergenceError, InfeasibleRoomError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import Pose2D, compose, relative
-from layoutopt.harness import eval_physical
-from layoutopt.imagination import imagine_and_revise
+from layoutopt.harness import _is_clean, eval_physical
+from layoutopt.imagination import imagine_and_revise, interpret_scene
 from layoutopt.optimizer import (
     CHECK_EVERY,
+    JITTER,
     SATISFIED,
     OptimizerConfig,
     ParamState,
+    Phase,
     _global_view,
     _reframe,
+    _refine,
+    _run,
     _solve,
+    _start,
     _state_layout,
+    _two_stage,
     convergence_benchmark,
     cosine_factor,
     evaluate,
@@ -30,10 +37,13 @@ from layoutopt.optimizer import (
     solve_global_baseline,
     step,
 )
-from layoutopt.scene_model import Asset, Relation, Room, SceneSpec, Unit, serialize_layout
+from layoutopt.scene_model import Asset, Relation, Room, SceneSpec, Unit, parse_scene, serialize_layout
 
 import refopt
 from refopt import reference_step
+
+# The two stages of the random start at the default cap, by stage number.
+_STAGES = dict(enumerate(_two_stage(OptimizerConfig().iterations), 1))
 
 
 def _scene(room, assets, units=(), relations=()):
@@ -79,6 +89,18 @@ def _global_pose(state, asset_id):
     """An asset's global pose, read off the state's layout."""
     x, y, _, theta = _state_layout(state).poses[asset_id]
     return Pose2D(x, y, theta)
+
+
+def _random_solve(spec, config, flat=False, stop=True):
+    """A solve from `init_state`'s draw through the two stages, whatever
+    the imagined layout: the fallback of `_start`."""
+    seed = spec.seed if config.seed is None else config.seed
+    return _run(init_state(spec, seed), config, _two_stage(config.iterations), flat, stop)
+
+
+def _budget(spec, config) -> int:
+    """The steps of a solve that never stops: the sum of its phases'."""
+    return sum(phase.steps for phase in _start(spec, config)[1])
 
 
 def test_cosine_factor_endpoints():
@@ -292,31 +314,31 @@ def test_zero_gradient_step_is_noop():
     state = init_state(spec, seed=0)
     state.pose("box")[:] = (5.0, 5.0, 0.3)
     before = state.pose("box").copy()
-    step(state, OptimizerConfig(), stage=2)
+    step(state, OptimizerConfig(), _STAGES[2])
     assert np.array_equal(state.pose("box"), before)
     assert state.step_index == 1
 
 
-def test_slot_constants_follow_the_config():
-    state = _assembled_scene()
-    for config in (OptimizerConfig(), OptimizerConfig(lr_position=0.2), OptimizerConfig()):
-        slots = state.slot_constants(config)
-        assert state.slot_constants(config) is slots
+def test_slot_constants_follow_the_module_constants(monkeypatch):
+    for lr_position in (optimizer.LR_POSITION, 0.2):
+        monkeypatch.setattr(optimizer, "LR_POSITION", lr_position)
+        state = _assembled_scene()
+        slots = state.slot_constants()
+        assert state.slot_constants() is slots
         limit, lr = slots
-        assert (lr[0], lr[2], limit[2]) == (config.lr_position, optimizer.LR_ROTATION, optimizer.CLIP_ROTATION)
+        assert (lr[0], lr[2], limit[2]) == (lr_position, optimizer.LR_ROTATION, optimizer.CLIP_ROTATION)
 
 
 def test_slot_constants_pin_every_slot():
     # Each pose row is (x, y, heading); the shared parameters follow.
     state = _assembled_scene()
-    config = OptimizerConfig()
     n_pose, size = state.index.pose_size, state.index.size
     assert n_pose % 3 == 0 and size > n_pose
-    limit, lr = optimizer._slot_constants(config, state.index)
+    limit, lr = optimizer._slot_constants(state.index)
     assert limit.shape == lr.shape == (size,)
     for r in range(0, n_pose, 3):
         assert limit[r : r + 3].tolist() == [math.inf, math.inf, optimizer.CLIP_ROTATION], r
-        assert lr[r : r + 3].tolist() == [config.lr_position, config.lr_position, optimizer.LR_ROTATION], r
+        assert lr[r : r + 3].tolist() == [optimizer.LR_POSITION, optimizer.LR_POSITION, optimizer.LR_ROTATION], r
     assert limit[n_pose:].tolist() == [optimizer.CLIP_POSITION] * (size - n_pose)
     assert lr[n_pose:].tolist() == [optimizer.LR_SHARED] * (size - n_pose)
 
@@ -330,10 +352,10 @@ def test_step_raises_on_nonfinite():
     state = init_state(spec, seed=0)
     state.pose("a")[0] = math.nan
     with pytest.raises(DivergenceError):
-        step(state, OptimizerConfig(), stage=2)
+        step(state, OptimizerConfig(), _STAGES[2])
 
 
-def test_step_raises_when_a_parameter_turns_infinite():
+def test_step_raises_when_a_parameter_turns_infinite(monkeypatch):
     # The objective is finite at the pre-step state; an infinite learning
     # rate makes the updated positions non-finite.
     spec = _scene(
@@ -341,10 +363,11 @@ def test_step_raises_when_a_parameter_turns_infinite():
         (Asset("a", "box", (1.0, 1.0, 1.0)), Asset("b", "box", (1.0, 1.0, 1.0))),
         relations=(Relation("distance", "a", "b", {"d": 1.0}),),
     )
+    monkeypatch.setattr(optimizer, "LR_POSITION", math.inf)
     state = init_state(spec, seed=0)
     state.step_index = 4
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="parameter is not finite") as info:
-        step(state, OptimizerConfig(lr_position=math.inf), stage=1)
+        step(state, OptimizerConfig(), _STAGES[1])
     assert info.value.iteration == 5
 
 
@@ -364,7 +387,7 @@ def test_unit_frame_fixed_under_intra_terms():
     frame_before = state.pose("u").copy()
     local_before = state.pose("c").copy()
     for _ in range(5):
-        step(state, OptimizerConfig(), stage=1)
+        step(state, OptimizerConfig(), _STAGES[1])
     assert np.array_equal(state.pose("u"), frame_before)
     assert not np.array_equal(state.pose("c"), local_before)
 
@@ -372,7 +395,7 @@ def test_unit_frame_fixed_under_intra_terms():
 def test_baseline_moves_anchor_under_intra_terms():
     spec = _intra_only_scene()
     config = OptimizerConfig(iterations=3, seed=3)
-    seed_state = init_state(spec, config.seed)
+    seed_state, _ = _start(spec, config)
     anchor_init = _global_pose(seed_state, "t")
     layout, _ = solve_global_baseline(spec, config)
     moved = np.array(layout.poses["t"])[[0, 1, 3]] - np.array(
@@ -383,37 +406,41 @@ def test_baseline_moves_anchor_under_intra_terms():
 
 def test_solver_matches_scalar_recursion_on_axis_target():
     """One free box with a single x-target: the full machinery must reduce
-    exactly to a clipped heavy-ball recursion on the scalar error, and stop
-    where that recursion meets the stop rule: at a checkpoint, after a step
-    from a penalty of at most 1e-3, to a penalty below 1e-3."""
+    exactly to a clipped heavy-ball recursion on the scalar error, phase by
+    phase, and stop where that recursion meets the stop rule: at a
+    checkpoint, after a step from a penalty of at most 1e-3, to a penalty
+    below 1e-3."""
     spec = _scene(
         Room(20.0, 20.0, 3.0),
         (Asset("slider", "box", (1.0, 1.0, 1.0)),),
         relations=(Relation("h_place", "slider", "scene", {"x": 10.0, "margin": 0.0}),),
     )
     config = OptimizerConfig(seed=5)
-    init = init_state(spec, config.seed)
+    init, phases = _start(spec, config)
+    # The imagined pose sits on the target, at the room's centre: the solve
+    # refines it, then polishes at the raised relation weight.
+    assert phases == _refine(config.iterations)
     x0, y0 = init.pose("slider")[0], init.pose("slider")[1]
     # Preconditions for the 1-d reduction: interior start so the boundary
     # term stays identically zero along the trajectory.
-    assert 1.0 < y0 < 19.0 and 1.0 < x0 < 19.0
+    assert 1.0 < y0 < 19.0 and 1.0 < x0 < 19.0 and x0 != 10.0
 
     def recursion(stop):
         x, steps = x0, 0
-        for stage in (1, 2):
+        for p, phase in enumerate(phases):
             v = 0.0
-            for t in range(config.iterations):
+            for t in range(phase.steps):
                 dev = x - 10.0
                 hinge = abs(dev)
                 sd = math.copysign(1.0, dev) if dev != 0.0 else 0.0
-                g = 2.0 * hinge * sd
+                g = phase.weights.relation * (2.0 * hinge * sd)
                 norm = math.hypot(g, 0.0)
                 if norm > optimizer.CLIP_POSITION:
                     g *= optimizer.CLIP_POSITION / norm
-                v = config.momentum * v + g
-                x -= config.lr_position * cosine_factor(t, config.iterations) * v
+                v = optimizer.MOMENTUM * v + g
+                x -= optimizer.LR_POSITION * (phase.scale * cosine_factor(t, phase.steps)) * v
                 steps += 1
-                checkpoint = (t + 1) % CHECK_EVERY == 0 and (stage == 1 or t + 1 < config.iterations)
+                checkpoint = (t + 1) % CHECK_EVERY == 0 and (p < len(phases) - 1 or t + 1 < phase.steps)
                 if stop and checkpoint and hinge * hinge <= SATISFIED and (x - 10.0) ** 2 < SATISFIED:
                     return x, steps
         return x, steps
@@ -438,9 +465,9 @@ def test_shared_params_frozen_in_stage1_and_updated_in_stage2():
     )
     state = init_state(spec, seed=1)
     for _ in range(4):
-        step(state, OptimizerConfig(), stage=1)
+        step(state, OptimizerConfig(), _STAGES[1])
     assert state.shared["sep"] == 2.0
-    step(state, OptimizerConfig(), stage=2)
+    step(state, OptimizerConfig(), _STAGES[2])
     assert state.shared["sep"] != 2.0
 
 
@@ -457,15 +484,17 @@ def test_trace_rows_and_csv_determinism():
     config = OptimizerConfig(iterations=20, seed=2)
     _, t1 = solve(spec, config)
     _, t2 = solve(spec, config)
-    assert len(t1.rows) == 40
-    assert [r.stage for r in t1.rows] == [1] * 20 + [2] * 20
-    assert t1.rows[0].lr == 1.0
-    assert t1.rows[0].iteration == 0 and t1.rows[-1].iteration == 39
+    # dining_set's imagined layout is clean: 20 refining steps, then the
+    # 10 of the polish, all stage 2, at a fifth of the rate.
+    assert len(t1.rows) == 30
+    assert [r.stage for r in t1.rows] == [2] * 30
+    assert t1.rows[0].lr == t1.rows[20].lr == optimizer.REFINE_LR
+    assert t1.rows[0].iteration == 0 and t1.rows[-1].iteration == 29
     csv1, csv2 = t1.to_csv(), t2.to_csv()
     assert csv1 == csv2
     header, first = csv1.splitlines()[:2]
     assert header == "iteration,stage,total,collision,boundary,relation,prior,lr"
-    assert first.startswith("0,1,")
+    assert first.startswith("0,2,")
     for line in csv1.splitlines()[1:]:
         cells = line.split(",")
         assert len(cells) == 8
@@ -507,13 +536,20 @@ def _same_solve(got, want):
 
 @pytest.mark.parametrize("name", ["mixed_ten", "bookstore_rows"])
 def test_a_solve_that_never_passes_is_the_fixed_budget_run(name):
+    # From the random start, neither scene passes a checkpoint on seeds 0
+    # and 1; from its imagined start, mixed_ten misses on seed 0.
     spec = load_fixture(name)
     for seed in (0, 1):
         config = OptimizerConfig(seed=seed)
         for flat in (False, True):
-            got = _solve(spec, config, flat)
+            got = _random_solve(spec, config, flat)
             assert got[1].solved_at is None and len(got[1].rows) == 2 * config.iterations, (seed, flat)
-            assert _same_solve(got, _solve(spec, config, flat, stop=False)), (seed, flat)
+            assert _same_solve(got, _random_solve(spec, config, flat, stop=False)), (seed, flat)
+    if name == "mixed_ten":
+        config = OptimizerConfig(seed=0)
+        got = _solve(spec, config)
+        assert got[1].solved_at is None and len(got[1].rows) == _budget(spec, config) == 900
+        assert _same_solve(got, _solve(spec, config, stop=False))
 
 
 @pytest.mark.parametrize("name, seed", [("star_unit", 0), ("star_unit", 1), ("dining_set", 0)])
@@ -521,31 +557,33 @@ def test_a_stopped_solve_ends_at_a_checkpoint_clean_and_satisfied(name, seed):
     spec = load_fixture(name)
     config = OptimizerConfig(seed=seed)
     layout, trace = solve(spec, config)
-    n = len(trace.rows)
-    assert trace.solved_at == n and n % CHECK_EVERY == 0 and n < 2 * config.iterations
+    n, budget = len(trace.rows), _budget(spec, config)
+    assert trace.solved_at == n and n % CHECK_EVERY == 0 and n < budget
     assert _is_solved(spec, layout, trace)
     assert max(trace.final_penalties.values()) < SATISFIED
     # The steps before the stop are the fixed-budget run's, row for row.
     fixed_layout, fixed = _solve(spec, config, stop=False)
     assert fixed.to_csv().startswith(trace.to_csv())
-    assert fixed.solved_at is None and len(fixed.rows) == 2 * config.iterations
+    assert fixed.solved_at is None and len(fixed.rows) == budget
 
 
 def test_a_conflict_pair_seed_that_stage_2_lost_now_stops_in_stage_1():
-    # With the fixed budget, stage 2 leaves seed 20 colliding and
-    # unsatisfied, though its state passed the sweep's test at step 175.
+    # From the random start with the fixed budget, stage 2 leaves seed 20
+    # colliding and unsatisfied, though its state passed the sweep's test
+    # at step 175.
     spec, _ = imagine_and_revise(load_fixture("conflict_pair"))
     config = OptimizerConfig(seed=20)
-    layout, trace = solve(spec, config)
+    layout, trace = _random_solve(spec, config)
     assert trace.solved_at == len(trace.rows) == 175 and trace.rows[-1].stage == 1
     assert _is_solved(spec, layout, trace)
-    fixed_layout, fixed = _solve(spec, config, stop=False)
+    fixed_layout, fixed = _random_solve(spec, config, stop=False)
     assert not _is_solved(spec, fixed_layout, fixed)
 
 
 def test_convergence_benchmark_runs_the_full_budget():
-    # star_unit stops at step 925 on seed 0 and 950 on seed 1, yet the
-    # benchmark records whole curves and the results the fixed budget gives.
+    # star_unit stops at step 50 on seeds 0 and 1 from its imagined start,
+    # yet the benchmark records whole curves from the random start and the
+    # results its fixed budget gives.
     spec = load_fixture("star_unit")
     results = convergence_benchmark(spec, (0, 1))
     got = [(r.seed, r.reparam_iterations, r.baseline_iterations, r.speedup, r.diverged) for r in results]
@@ -555,7 +593,102 @@ def test_convergence_benchmark_runs_the_full_budget():
         _, stopped = solve(spec, config)
         assert stopped.solved_at is not None
         assert len(r.reparam_curve) == len(r.baseline_curve) == 2 * config.iterations
-        assert r.reparam_curve == tuple(row.total for row in _solve(spec, config, stop=False)[1].rows)
+        assert r.reparam_curve == tuple(row.total for row in _random_solve(spec, config, stop=False)[1].rows)
+
+
+# ---------------------------------------------------------------------------
+# The start: the imagined layout when it is clean, else the random draw
+# ---------------------------------------------------------------------------
+
+
+def _rooms_scene(key, n, monkeypatch):
+    """A generated scene of the benchmark's `rooms` workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import scenegen
+
+    return parse_scene(scenegen.to_text(scenegen.scene_dict(key, n)))
+
+
+def _imagined_state(spec):
+    """`interpret_scene`'s poses as a state, shared slots at their priors."""
+    index = param_index(spec)
+    return ParamState(spec, index, index.pack({k: (p.x, p.y, p.theta) for k, p in interpret_scene(spec).items()}))
+
+
+@pytest.mark.parametrize("name", ["conflict_pair", "rooms:0:0"])
+def test_a_scene_whose_imagined_layout_collides_solves_from_the_random_start(name, monkeypatch):
+    # Unrevised conflict_pair's imagined layout collides, and so does the
+    # generated scene's: the solve is init_state's draw descended by the two
+    # stages, step for step the reference descent.
+    if name == "conflict_pair":
+        spec, config = load_fixture(name), OptimizerConfig(iterations=100, seed=0)
+    else:
+        spec, config = _rooms_scene(name, 40, monkeypatch), OptimizerConfig(iterations=40, seed=0)
+    assert not _is_clean(spec, _state_layout(_imagined_state(spec)))
+    layout, trace = _solve(spec, config, stop=False)
+
+    state = init_state(spec, config.seed)
+    rows = []
+    for phase in (Phase(1, Weights(), 1.0, config.iterations), Phase(2, Weights(), 1.0, config.iterations)):
+        state.reset_momentum()
+        for _ in range(phase.steps):
+            total, _, factor = reference_step(state, config, phase)
+            rows.append((phase.stage, float(total), factor))
+    assert [(r.stage, r.total, r.lr) for r in trace.rows] == rows
+    assert serialize_layout(layout) == serialize_layout(_state_layout(state))
+    assert repr(trace.final_shared) == repr(state.shared)
+    # With the stop on, the solve is the same run up to its stop.
+    assert trace.to_csv().startswith(solve(spec, config)[1].to_csv())
+
+
+def test_the_imagined_start_is_taken_exactly_when_the_imagined_layout_is_clean(monkeypatch):
+    specs = {name: load_fixture(name) for name in FIXTURE_NAMES}
+    specs["conflict_pair revised"], _ = imagine_and_revise(specs["conflict_pair"])
+    specs["rooms:0:0"] = _rooms_scene("rooms:0:0", 40, monkeypatch)
+    seen = {}
+    for name, spec in specs.items():
+        imagined = _imagined_state(spec)
+        clean = _is_clean(spec, _state_layout(imagined))
+        seen[name] = clean
+        for seed in (0, 7):
+            config = OptimizerConfig(seed=seed)
+            state, phases = _start(spec, config)
+            if clean:
+                assert phases == _refine(config.iterations), name
+                n = state.index.pose_size
+                want = imagined.x.copy()
+                want[:n] += np.random.default_rng(seed).normal(0.0, JITTER, n)
+            else:
+                assert phases == _two_stage(config.iterations), name
+                want = init_state(spec, seed).x
+            assert state.x.tobytes() == want.tobytes(), (name, seed)
+            # Repeat runs give the same bytes, and both parameterizations
+            # start from the same loss.
+            short = replace(config, iterations=50)
+            got = solve(spec, short)
+            assert _same_solve(got, solve(spec, short)), (name, seed)
+            flat = solve_global_baseline(spec, short)
+            assert flat[1].rows[0].total == pytest.approx(got[1].rows[0].total, abs=1e-9), (name, seed)
+    assert seen == {
+        "dining_set": True,
+        "bookstore_rows": True,
+        "star_unit": True,
+        "conflict_pair": False,
+        "mixed_ten": True,
+        "conflict_pair revised": True,
+        "rooms:0:0": False,
+    }
+
+
+def test_an_oversized_asset_raises_before_any_imagining(monkeypatch):
+    def imagine(spec, index):
+        raise AssertionError("imagined a scene that cannot fit")
+
+    monkeypatch.setattr(optimizer, "_imagine", imagine)
+    spec = _scene(Room(3.0, 2.0, 2.5), (Asset("slab", "slab", (3.5, 1.0, 0.2)),))
+    for run in (solve, solve_global_baseline):
+        with pytest.raises(InfeasibleRoomError, match="asset 'slab' cannot fit"):
+            run(spec, OptimizerConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +768,9 @@ def test_evaluate_matches_the_parts_summing_reference_bitwise(name):
 def _fixed_gradient(grad):
     """An `evaluate` stand-in returning `grad` at a finite objective."""
 
-    def fake(state, weights, stage, config):
-        return 1.0, np.array(grad, dtype=float), {"collision": 0.0, "boundary": 0.0, "relation": 1.0, "prior": 0.0}
+    def fake(state, weights, stage, config, as_list=False):
+        g = np.array(grad, dtype=float)
+        return 1.0, g.tolist() if as_list else g, {"collision": 0.0, "boundary": 0.0, "relation": 1.0, "prior": 0.0}
 
     return fake
 
@@ -648,7 +782,7 @@ def test_step_does_not_scale_a_row_at_exactly_the_clip_norm(monkeypatch):
         state.pose("box")[:] = (5.0, 5.0, 0.3)
         monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(g))
         monkeypatch.setattr(optimizer, "CLIP_POSITION", 5.0)
-        step(state, OptimizerConfig(), stage=2)
+        step(state, OptimizerConfig(), _STAGES[2])
         assert state.pose("box").tolist() == [5.0 - moved[0], 5.0 - moved[1], 0.3], g
 
 
@@ -658,7 +792,7 @@ def test_stage1_step_leaves_shared_slots_and_their_velocity(monkeypatch):
     state.vel[shared] = 0.25
     x_before, vel_before = state.x[shared].copy(), state.vel[shared].copy()
     monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(np.full(state.index.size, 0.5)))
-    step(state, OptimizerConfig(), stage=1)
+    step(state, OptimizerConfig(), _STAGES[1])
     assert np.array_equal(state.x[shared], x_before)
     assert np.array_equal(state.vel[shared], vel_before)
     assert state.vel[0] == 0.5
@@ -681,7 +815,7 @@ def test_nan_gradient_diverges_at_the_reference_step(stage, monkeypatch):
             monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(grad))
             monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad))
             try:
-                stepper(state, OptimizerConfig(), stage)
+                stepper(state, OptimizerConfig(), _STAGES[stage])
                 outcomes.append(("ok", state.x.tobytes(), state.vel.tobytes(), state.step_index))
             except DivergenceError as exc:
                 outcomes.append(("diverged", str(exc), exc.iteration))
@@ -717,7 +851,7 @@ def test_step_matches_the_reference_step_on_edge_gradients(clip, monkeypatch):
             monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad))
             try:
                 with np.errstate(all="ignore"):  # the reference's inf * 0 in its row scaling
-                    stepper(state, config, stage)
+                    stepper(state, config, _STAGES[stage])
                 outcome = "ok"
             except DivergenceError as exc:
                 outcome = str(exc)
