@@ -17,6 +17,13 @@ scene level as the same stand-in box, from `constraints._block_boxes`.  The
 cognitive maps are those kernel boxes, (x, y, theta, half_l, half_w), per
 frame, and conflicts are the pairs whose axis-aligned proxies overlap, found
 by the broadphase of the collision term, `constraints._proxy_pairs`.
+
+The revision loop imagines, maps and detects conflicts again only when a
+revision can move the imagined layout.  Since pins are first-wins, a
+distance or gap term whose every pin found its slot already set is idle:
+its value reaches no slot.  When a reviser edits only the params of idle
+distance and gap relations, the next round reuses the conflicts of the last
+pass, which a fresh pass would find again bit for bit.
 """
 
 from __future__ import annotations
@@ -74,10 +81,13 @@ class _Board:
         self.default_xy = default_xy
         self.slots = [[None, None, None] if r is not None else [0.0, 0.0, 0.0] for r in rows]
         self.counters: dict = {}
+        # Pins that set a slot so far; the others were no-ops.
+        self.set_count = 0
 
     def pin(self, k: int, axis: int, value: float):
         if self.slots[k][axis] is None:
             self.slots[k][axis] = float(value)
+            self.set_count += 1
 
     def theta(self, k: int) -> float:
         v = self.slots[k][2]
@@ -193,24 +203,29 @@ def _apply_around_group(board: _Board, term: Term):
         board.pin(src, 2, heading)
 
 
-def _run_pass(block: Block, halves, default_xy: tuple) -> list:
+def _run_pass(block: Block, halves, default_xy: tuple, idle: set | None = None) -> list:
     """The (x, y, theta) of each box of `block` after its terms, in order;
-    `halves` gives each box's (half_l, half_w)."""
+    `halves` gives each box's (half_l, half_w).  The label of each idle
+    term, one whose every pin was a no-op, goes into `idle` if given."""
     board = _Board(halves, block.rows, default_xy)
     for term in block.terms:
+        before = board.set_count
         _apply_term(board, term)
+        if idle is not None and board.set_count == before:
+            idle.add(term.label)
     return board.resolved()
 
 
-def _imagine(spec: SceneSpec, index) -> list:
+def _imagine(spec: SceneSpec, index, idle: set | None = None) -> list:
     """The imagined pose rows of `index`'s vector, the plan `index` holds
     for `spec`, as a list laid out as the vector: unit frames and
     independent assets in world coordinates, unit members in their frame's
-    coordinates.  The shared slots stay 0.0."""
+    coordinates.  The shared slots stay 0.0.  The labels of the idle terms
+    go into `idle` if given (see `_run_pass`)."""
     xs = [0.0] * index.size
     for u in spec.units:
         block = index.blocks[u.id]
-        centers = _run_pass(block, block.halves, (0.0, 0.0))
+        centers = _run_pass(block, block.halves, (0.0, 0.0), idle)
         for r, c in zip(block.rows[1:], centers[1:]):
             xs[r : r + 3] = c
 
@@ -218,7 +233,7 @@ def _imagine(spec: SceneSpec, index) -> list:
     # on its offset in the unit frame.
     scene = index.blocks[None]
     boxes, _ = _block_boxes(scene, xs)
-    centers = _run_pass(scene, [box[3:] for box in boxes], (0.5 * spec.room.length, 0.5 * spec.room.width))
+    centers = _run_pass(scene, [box[3:] for box in boxes], (0.5 * spec.room.length, 0.5 * spec.room.width), idle)
     for r, (x, y, theta), box, frame in zip(scene.rows, centers, boxes, scene.frames):
         if frame is not None:
             # Relations position the stand-in box; shift back to the frame.
@@ -229,11 +244,13 @@ def _imagine(spec: SceneSpec, index) -> list:
     return xs
 
 
-def interpret_scene(spec: SceneSpec) -> dict:
+def interpret_scene(spec: SceneSpec, *, _idle: set | None = None) -> dict:
     """Candidate poses for every entity: unit frames and independent assets
-    in world coordinates, unit members in their frame's coordinates."""
+    in world coordinates, unit members in their frame's coordinates.
+    `imagine_and_revise` passes `_idle`, a set that receives the labels of
+    the idle terms (see `_run_pass`)."""
     index = param_index(spec)
-    xs = _imagine(spec, index)
+    xs = _imagine(spec, index, _idle)
     members = [eid for u in spec.units for eid in index.blocks[u.id].ids[1:]]
     return {eid: Pose2D(*xs[index.pose[eid]]) for eid in members + list(index.blocks[None].ids)}
 
@@ -424,11 +441,10 @@ def _describe(key: tuple) -> str:
     return f"{where} {kind} {source}->{target} ({params})"
 
 
-def _relation_diff(old_keys: list, new: tuple):
-    """Keys of `old_keys` that `new` lacks and the reverse, in list order,
-    with one edit line each.  `old_keys` are taken before the reviser runs,
-    so a relation it edited in place reads as removed and added."""
-    new_keys = [_rel_key(r) for r in new]
+def _relation_diff(old_keys: list, new_keys: list):
+    """Keys of `old_keys` that `new_keys` lacks and the reverse, in list
+    order, with one edit line each.  `old_keys` are taken before the reviser
+    runs, so a relation it edited in place reads as removed and added."""
     try:
         old_in, new_in = set(old_keys), set(new_keys)
     except TypeError:
@@ -491,6 +507,34 @@ def _check_locality(removed, added, conflicts):
             )
 
 
+def _places_alike(old: tuple, new: tuple, idle: set) -> bool:
+    """Whether the interpreter provably places relations `new` as it placed
+    `old`, whose last pass found the terms labeled in `idle` idle.
+
+    Each relation of `new` that is not `old`'s object at its index must be
+    a distance or gap relation with no shared parameter, between the same
+    ends in the same scope as `old`'s, and its term must be idle.  Such a
+    term reaches the plan only as `Term.value`, which `_apply_term` reads
+    only for its pins, all no-ops; its direction counter does not read it.
+    So every slot is set as before, by the same terms, and the same terms
+    stay idle.  An empty `idle` says nothing, so it never matches.
+    """
+    if not idle or len(old) != len(new):
+        return False
+    for i, (a, b) in enumerate(zip(old, new)):
+        if a is b:
+            continue
+        if (
+            b.kind not in ("distance", "gap")
+            or a.shared_param is not None
+            or b.shared_param is not None
+            or (a.kind, a.source, a.target, a.scope, a.unit) != (b.kind, b.source, b.target, b.scope, b.unit)
+            or f"relations[{i}]" not in idle
+        ):
+            return False
+    return True
+
+
 def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 10):
     """Imagine, detect, revise until conflict-free or out of budget.
 
@@ -499,26 +543,43 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
     list the scene parser rejects.  Every revision goes through
     `scene_model.replace_relations`, which decides which relations to parse;
     the room, assets and units are kept as given.
+
+    A round imagines, maps and detects afresh unless the last revision
+    provably leaves the imagined layout as it was (`_places_alike`): the
+    reviser only edited distance or gap relations whose terms pinned
+    nothing.  Then the round reuses the conflicts the last pass found, which
+    a fresh pass would find again, bit for bit.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     current = spec
     rounds = []
+    old_keys = detected = None
     for t in range(1, budget + 1):
-        poses = interpret_scene(current)
-        local_maps, global_map = build_maps(current, poses)
-        conflicts = detect_conflicts(current, local_maps, global_map)
-        if not conflicts:
+        if detected is None:
+            idle: set = set()
+            poses = interpret_scene(current, _idle=idle)
+            detected = tuple(detect_conflicts(current, *build_maps(current, poses)))
+        if not detected:
             rounds.append(RevisionRound(t, (), ()))
             return current, RevisionReport(True, t, tuple(rounds))
         # Taken before the reviser runs, to catch params it edits in place.
-        old_keys = [_rel_key(r) for r in current.relations]
+        if old_keys is None:
+            old_keys = [_rel_key(r) for r in current.relations]
+        conflicts = list(detected)
         new_relations = tuple(reviser(current, conflicts))
-        removed, added, edits = _relation_diff(old_keys, new_relations)
+        new_keys = [_rel_key(r) for r in new_relations]
+        removed, added, edits = _relation_diff(old_keys, new_keys)
         _check_locality(removed, added, conflicts)
         try:
-            current = replace_relations(current, new_relations)
+            revised = replace_relations(current, new_relations)
         except SceneSemanticError as exc:
             raise RevisionError(f"reviser produced an invalid scene: {exc}") from exc
         rounds.append(RevisionRound(t, tuple(conflicts), tuple(edits)))
+        # A relation `replace_relations` kept is the reviser's own object,
+        # so its key stands; a re-parsed one is keyed afresh.
+        old_keys = [k if r is q else _rel_key(r) for k, r, q in zip(new_keys, revised.relations, new_relations)]
+        if not _places_alike(current.relations, revised.relations, idle):
+            detected = None
+        current = revised
     return current, RevisionReport(False, budget, tuple(rounds))

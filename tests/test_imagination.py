@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -718,6 +719,174 @@ def test_late_invalid_revision_raises_as_round_trip(bad, location):
     assert location in messages[0]
 
 
+# --- rounds that reuse the last layout ------------------------------------
+
+
+def _named_scene(name, monkeypatch):
+    """A scene of the benchmark's `check` workload ("check:<seed>:<i>"), the
+    crowded scene parsed or hand-built, or a bundled fixture."""
+    if name.startswith("check:"):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import scenegen
+        import workloads
+
+        i = int(name.rsplit(":", 1)[1])
+        n, conflicts = workloads.CHECK_SIZES[i], workloads.CHECK_CONFLICTS[i]
+        return parse_scene(scenegen.to_text(scenegen.scene_dict(name, n, conflicts)))
+    if name.startswith("crowded"):
+        spec = _crowded_scene()
+        return parse_scene(serialize_scene(spec)) if name == "crowded_parsed" else spec
+    return load_fixture(name)
+
+
+def _passes(monkeypatch) -> list:
+    """The poses of each pass `imagine_and_revise` runs from now on."""
+    passes = []
+
+    def spy(spec, **kwargs):
+        passes.append(interpret_scene(spec, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(imagination, "interpret_scene", spy)
+    return passes
+
+
+def _assert_matches_reimagining(make, monkeypatch, **kwargs) -> list:
+    """`imagine_and_revise` of `make()` gives the outputs and every round's
+    conflicts of `_reference_imagine_and_revise`, which imagines in every
+    round; returns the poses of each pass it ran."""
+    ref_revised, ref_report = _reference_imagine_and_revise(make(), **kwargs)
+    passes = _passes(monkeypatch)
+    revised, report = imagine_and_revise(make(), **kwargs)
+    assert _outputs(revised, report) == _outputs(ref_revised, ref_report)
+    for r, ref in zip(report.rounds, ref_report.rounds, strict=True):
+        assert _conflict_bits(r.conflicts) == _conflict_bits(ref.conflicts)
+    return passes
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*(f"check:{seed}:{i}" for seed in range(3) for i in range(5)), "crowded_parsed", "crowded_hand_built", *FIXTURE_NAMES],
+)
+def test_reused_rounds_match_a_loop_that_reimagines_every_round(name, monkeypatch):
+    passes = _assert_matches_reimagining(lambda: _named_scene(name, monkeypatch), monkeypatch)
+    if name.startswith("check"):
+        # Each check scene revises for all 10 rounds, and from round 2 or 3
+        # on the reviser only bumps distances and gaps that pin nothing.
+        assert len(passes) < 10
+
+
+def _in_place_bumps(s, conflicts):
+    """The baseline reviser's edits, each written into the params of the
+    relation it replaces; appended relations stay new objects."""
+    out = list(baseline_reviser(s, conflicts))
+    for k, rel in enumerate(s.relations):
+        if out[k] is not rel:
+            rel.params.update(out[k].params)
+            out[k] = rel
+    return out
+
+
+def _list_mutating(s, conflicts):
+    """The baseline reviser, which then reorders and grows its conflict list."""
+    out = baseline_reviser(s, conflicts)
+    conflicts.reverse()
+    conflicts.append(conflicts[0])
+    return out
+
+
+@pytest.mark.parametrize("reviser", [_in_place_bumps, _list_mutating], ids=["in_place", "list_mutating"])
+@pytest.mark.parametrize("name", ["check:0:0", "crowded_parsed", "crowded_hand_built"])
+def test_revisers_that_mutate_their_inputs_match_a_loop_that_reimagines(name, reviser, monkeypatch):
+    passes = _assert_matches_reimagining(lambda: _named_scene(name, monkeypatch), monkeypatch, reviser=reviser)
+    if name.startswith("check"):
+        assert len(passes) < 10
+
+
+def _pinned_pair():
+    """a and b are pinned by placements and overlap; b's distance to a and
+    c's gap to b pin nothing, c's distance to a pins c."""
+    box = (1.0, 1.0, 1.0)
+    return parse_scene(
+        serialize_scene(
+            _scene(
+                Room(6.0, 5.0, 3.0),
+                (Asset("a", "box", box), Asset("b", "box", box), Asset("c", "box", box)),
+                relations=(
+                    Relation("h_place", "a", "scene", {"x": 2.0}, "inter"),
+                    Relation("v_place", "a", "scene", {"y": 2.0}, "inter"),
+                    Relation("h_place", "b", "scene", {"x": 2.5}, "inter"),
+                    Relation("v_place", "b", "scene", {"y": 2.0}, "inter"),
+                    Relation("distance", "b", "a", {"d": 1.0}, "inter"),
+                    Relation("distance", "c", "a", {"d": 1.0}, "inter"),
+                    Relation("gap", "c", "b", {"g": 0.1}, "inter"),
+                ),
+            )
+        )
+    )
+
+
+def test_a_pass_records_the_terms_that_pin_nothing(monkeypatch):
+    spec = _pinned_pair()
+    idle = set()
+    assert interpret_scene(spec, _idle=idle) == interpret_scene(spec)
+    assert idle == {"relations[4]", "relations[6]"}
+    # The baseline reviser bumps b's distance in every round: one pass.
+    passes = _passes(monkeypatch)
+    _, report = imagine_and_revise(spec)
+    assert report.iterations == 10 and not report.converged and len(passes) == 1
+
+
+def test_a_bumped_distance_whose_term_pinned_is_imagined_afresh(monkeypatch):
+    # c's distance to a pins both its coordinates, so each bump moves c;
+    # a and b still collide, and every round imagines.
+    def bump(s, conflicts):
+        out = list(s.relations)
+        out[5] = Relation("distance", "c", "a", {"d": out[5].params["d"] + 0.05}, "inter")
+        return out
+
+    passes = _assert_matches_reimagining(_pinned_pair, monkeypatch, reviser=bump, budget=4)
+    assert len({p["c"] for p in passes}) == len(passes) == 4
+
+
+def _with(relations, k, rel):
+    out = list(relations)
+    out[k] = rel
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "edit, alike",
+    [
+        (lambda rs: rs, True),
+        (lambda rs: _with(rs, 4, Relation("distance", "b", "a", {"d": 1.5}, "inter")), True),
+        (lambda rs: _with(rs, 6, Relation("gap", "c", "b", {"g": 0.3}, "inter")), True),
+        # An edit to a term that pinned something.
+        (lambda rs: _with(rs, 5, Relation("distance", "c", "a", {"d": 1.5}, "inter")), False),
+        (lambda rs: _with(rs, 2, Relation("h_place", "b", "scene", {"x": 3.0}, "inter")), False),
+        # Other ends, another kind, a shared parameter.
+        (lambda rs: _with(rs, 4, Relation("distance", "b", "c", {"d": 1.0}, "inter")), False),
+        (lambda rs: _with(rs, 4, Relation("gap", "b", "a", {"g": 1.0}, "inter")), False),
+        (lambda rs: _with(rs, 4, Relation("distance", "b", "a", {"d": 1.0}, "inter", shared_param="s")), False),
+        # An append, a removal.
+        (lambda rs: rs + (Relation("gap", "c", "a", {"g": 0.1}, "inter"),), False),
+        (lambda rs: rs[:-1], False),
+    ],
+    ids=["same", "idle_distance", "idle_gap", "pinning_distance", "placement", "ends", "kind", "shared", "append", "removal"],
+)
+def test_only_edits_to_idle_distances_and_gaps_keep_the_layout(edit, alike):
+    spec = _pinned_pair()
+    idle = set()
+    interpret_scene(spec, _idle=idle)
+    new = edit(spec.relations)
+    assert imagination._places_alike(spec.relations, new, idle) is alike
+    # An empty set of idle terms says nothing.
+    assert imagination._places_alike(spec.relations, new, set()) is False
+    if alike:
+        revised = scene_model.replace_relations(spec, new)
+        assert interpret_scene(revised) == interpret_scene(spec)
+
+
 # --- the parent design, kept as the reference -----------------------------
 # The `_reference_*` functions are the bodies the imagination pass had
 # before it read the relation plan: relation terms keyed by entity id, a
@@ -891,7 +1060,9 @@ def _reference_asset_halves(spec, asset_ids):
     return {aid: (spec.asset(aid).half_l, spec.asset(aid).half_w) for aid in asset_ids}
 
 
-def _reference_interpret_scene(spec):
+def _reference_interpret_scene(spec, _idle=None):
+    # Records no idle term, so `imagine_and_revise` through this pass
+    # re-imagines every round.
     frames = _reference_resolve_relations(spec)
     poses, offsets, halves = {}, {}, {}
     for u in spec.units:
@@ -1061,13 +1232,22 @@ def _assert_maps_and_conflicts_match(spec, poses):
 
 
 def _reference_revise(monkeypatch, spec, **kwargs):
-    """`imagine_and_revise` of `spec` through the reference pass."""
+    """`imagine_and_revise` of `spec` through the reference pass, which
+    runs in every round."""
+    passes = []
+
+    def counted(s, **pass_kwargs):
+        passes.append(None)
+        return _reference_interpret_scene(s, **pass_kwargs)
+
     with monkeypatch.context() as m:
-        m.setattr(imagination, "interpret_scene", _reference_interpret_scene)
+        m.setattr(imagination, "interpret_scene", counted)
         m.setattr(imagination, "build_maps", _reference_build_maps)
         m.setattr(imagination, "detect_conflicts", _reference_detect_conflicts)
         m.setattr(imagination, "_required_center_distance", _reference_required_center_distance)
-        return imagine_and_revise(spec, **kwargs)
+        revised, report = imagine_and_revise(spec, **kwargs)
+    assert len(passes) == report.iterations
+    return revised, report
 
 
 @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "crowded_parsed", "crowded_hand_built"])
