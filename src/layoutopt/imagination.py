@@ -29,12 +29,13 @@ pass, which a fresh pass would find again bit for bit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .constraints import Block, Term, _block_boxes, _blocks, _pose_rows, _proxy_pairs, param_index
 from .errors import MissingEntityError, RevisionError, SceneSemanticError
 from .geometry import Pose2D, half_extents, normalize_angle
-from .scene_model import Relation, SceneSpec, replace_relations
+from .scene_model import Relation, SceneSpec, _edited_positions, replace_relations
 
 # Imagined side/ring placements clear the proxy boxes by this much.
 SIDE_CLEARANCE = 0.01
@@ -441,19 +442,101 @@ def _describe(key: tuple) -> str:
     return f"{where} {kind} {source}->{target} ({params})"
 
 
-def _relation_diff(old_keys: list, new_keys: list):
-    """Keys of `old_keys` that `new_keys` lacks and the reverse, in list
-    order, with one edit line each.  `old_keys` are taken before the reviser
-    runs, so a relation it edited in place reads as removed and added."""
-    try:
-        old_in, new_in = set(old_keys), set(new_keys)
-    except TypeError:
-        # An unhashable param value, which the parser rejects afterwards.
-        old_in, new_in = old_keys, new_keys
-    removed = [k for k in old_keys if k not in new_in]
-    added = [k for k in new_keys if k not in old_in]
-    edits = [f"- {_describe(k)}" for k in removed] + [f"+ {_describe(k)}" for k in added]
-    return removed, added, edits
+class _RelationKeys:
+    """The `_rel_key` of each relation of a scene, in list order, with their
+    multiset, kept from one revision to the next by keying only the edited
+    positions.
+
+    The keys are taken before the reviser runs, so a relation it edits in
+    place reads as removed and added.  A relation already changed since the
+    parser recorded the scene is keyed again after the first revision.
+    """
+
+    def __init__(self, spec: SceneSpec):
+        self.keys = [_rel_key(r) for r in spec.relations]
+        # None: count afresh; it stays None while a key is unhashable.
+        self.counts: Counter | None = None
+        self.stale = _edited_positions(spec, spec.relations)
+        # The edit text of each key the last revision added, by id, with
+        # the key, which keeps the id its own.
+        self.texts: dict = {}
+
+    def edited(self, spec: SceneSpec, relations: list) -> list:
+        """The positions of the reviser's `relations` to key afresh: those
+        `scene_model._edited_positions` finds against `spec`, whose keys
+        these are, and the stale ones."""
+        edited = _edited_positions(spec, relations)
+        if self.stale:
+            edited = sorted({*edited, *(k for k in self.stale if k < len(relations))})
+            self.stale = ()
+        return edited
+
+    def diff(self, relations: list, edited: list):
+        """The keys the revision removed and added, in list order, with one
+        edit line each; the keys become those of `relations`.
+
+        Every position but the `edited` ones holds the relation it held,
+        unchanged, so its key stands.  A key counts as removed or added when
+        the other list lacks it, so only the keys at edited positions or cut
+        from the tail can.  An unhashable key comes from a param value the
+        parser rejects afterwards; the lists stand in for the multiset then.
+        """
+        keys, n = self.keys, len(relations)
+        new_keys = keys[:n] + [None] * (n - len(keys))
+        for k in edited:
+            new_keys[k] = _rel_key(relations[k])
+        old = [keys[k] for k in edited if k < len(keys)] + keys[n:]
+        new = [new_keys[k] for k in edited]
+        try:
+            counts = Counter(keys) if self.counts is None else self.counts
+            added = [key for key in new if not counts.get(key)]
+            for key in old:
+                counts[key] -= 1
+            for key in new:
+                counts[key] = counts.get(key, 0) + 1
+            removed = [key for key in old if not counts[key]]
+        except TypeError:
+            counts = None
+            added = [key for key in new if key not in keys]
+            removed = [key for key in old if key not in new_keys]
+        self.keys, self.counts = new_keys, counts
+        texts = [_describe(k) for k in added]
+        edits = [f"- {self._text(k)}" for k in removed] + [f"+ {t}" for t in texts]
+        self.texts = {id(k): (k, t) for k, t in zip(added, texts)}
+        return removed, added, edits
+
+    def _text(self, key: tuple) -> str:
+        """`_describe(key)`, read back if the last revision added `key`."""
+        hit = self.texts.get(id(key))
+        return _describe(key) if hit is None else hit[1]
+
+    def rekey(self, relations: list, revised: tuple, edited: list):
+        """Make the keys of the reviser's `relations` those of the `revised`
+        ones: `replace_relations` kept the reviser's object or parsed it,
+        and a parser output keys alike unless parsing changed a param."""
+        for k in edited:
+            rel, out = relations[k], revised[k]
+            if out is rel or _keyed_alike(rel, out):
+                continue
+            key = _rel_key(out)
+            if self.counts is not None:
+                self.counts[self.keys[k]] -= 1
+                self.counts[key] += 1
+            self.keys[k] = key
+
+
+def _keyed_alike(rel: Relation, parsed: Relation) -> bool:
+    """Whether the parser output `parsed` of `rel` has `rel`'s key: the
+    parser passes the kind, ends, scope, unit and shared parameter through,
+    and here it also kept every param value object (it turns an int 2 into
+    2.0) and filled no default."""
+    params, out = rel.params, parsed.params
+    if type(params) is not dict or len(out) != len(params):
+        return False
+    for name, value in params.items():
+        if type(name) is not str or out.get(name) is not value:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -507,7 +590,7 @@ def _check_locality(removed, added, conflicts):
             )
 
 
-def _places_alike(old: tuple, new: tuple, idle: set) -> bool:
+def _places_alike(old: tuple, new: tuple, idle: set, positions=None) -> bool:
     """Whether the interpreter provably places relations `new` as it placed
     `old`, whose last pass found the terms labeled in `idle` idle.
 
@@ -517,11 +600,14 @@ def _places_alike(old: tuple, new: tuple, idle: set) -> bool:
     term reaches the plan only as `Term.value`, which `_apply_term` reads
     only for its pins, all no-ops; its direction counter does not read it.
     So every slot is set as before, by the same terms, and the same terms
-    stay idle.  An empty `idle` says nothing, so it never matches.
+    stay idle.  An empty `idle` says nothing, so it never matches.  Only
+    `positions` are looked at, if given: every other one must hold `old`'s
+    object.
     """
     if not idle or len(old) != len(new):
         return False
-    for i, (a, b) in enumerate(zip(old, new)):
+    for i in range(len(new)) if positions is None else positions:
+        a, b = old[i], new[i]
         if a is b:
             continue
         if (
@@ -544,6 +630,12 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
     `scene_model.replace_relations`, which decides which relations to parse;
     the room, assets and units are kept as given.
 
+    A round costs what the reviser changed: the positions of its list whose
+    relation is not the one the round started with, or whose params it
+    edited in place, are found once (`scene_model._edited_positions`), and
+    only they are keyed for the edit lines, parsed and checked for the
+    rules that span relations.  The first round keys every relation.
+
     A round imagines, maps and detects afresh unless the last revision
     provably leaves the imagined layout as it was (`_places_alike`): the
     reviser only edited distance or gap relations whose terms pinned
@@ -554,7 +646,7 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
         raise ValueError("budget must be at least 1")
     current = spec
     rounds = []
-    old_keys = detected = None
+    keys = detected = None
     for t in range(1, budget + 1):
         if detected is None:
             idle: set = set()
@@ -563,23 +655,20 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
         if not detected:
             rounds.append(RevisionRound(t, (), ()))
             return current, RevisionReport(True, t, tuple(rounds))
-        # Taken before the reviser runs, to catch params it edits in place.
-        if old_keys is None:
-            old_keys = [_rel_key(r) for r in current.relations]
+        if keys is None:
+            keys = _RelationKeys(current)
         conflicts = list(detected)
-        new_relations = tuple(reviser(current, conflicts))
-        new_keys = [_rel_key(r) for r in new_relations]
-        removed, added, edits = _relation_diff(old_keys, new_keys)
+        relations = list(reviser(current, conflicts))
+        edited = keys.edited(current, relations)
+        removed, added, edits = keys.diff(relations, edited)
         _check_locality(removed, added, conflicts)
         try:
-            revised = replace_relations(current, new_relations)
+            revised = replace_relations(current, relations, _edited=edited)
         except SceneSemanticError as exc:
             raise RevisionError(f"reviser produced an invalid scene: {exc}") from exc
         rounds.append(RevisionRound(t, tuple(conflicts), tuple(edits)))
-        # A relation `replace_relations` kept is the reviser's own object,
-        # so its key stands; a re-parsed one is keyed afresh.
-        old_keys = [k if r is q else _rel_key(r) for k, r, q in zip(new_keys, revised.relations, new_relations)]
-        if not _places_alike(current.relations, revised.relations, idle):
+        keys.rekey(relations, revised.relations, edited)
+        if not _places_alike(current.relations, revised.relations, idle, edited):
             detected = None
         current = revised
     return current, RevisionReport(False, budget, tuple(rounds))

@@ -10,9 +10,15 @@ the unit id stands in for the whole group.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import accumulate, chain, compress
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, is_, is_not, or_
 
 from .errors import SceneSemanticError, SceneSyntaxError
 from .geometry import Pose2D
@@ -77,6 +83,9 @@ SHARED_PARAM_SLOTS = {k: slot for k, (_, slot, _) in KINDS.items() if slot is no
 _DEFAULTS = {
     k: {name: d for name, d, _ in params if d is not _REQUIRED} for k, (_, _, params) in KINDS.items()
 }
+# The params of each relation kind, and the keys of a relation entry.
+_PARAM_NAMES = {k: frozenset(name for name, _, _ in params) for k, (_, _, params) in KINDS.items()}
+_RELATION_KEYS = frozenset(("kind", "source", "target", "params", "scope", "unit", "shared_param"))
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,8 @@ class Relation:
 @dataclass
 class SceneSpec:
     """Validated scene: room, assets, units, relations, and a base seed.
-    `_parsed` records the relations the parser produced for it, if any."""
+    `_parsed` records the relations the parser produced for it, if any
+    (a `_Record`, else None)."""
 
     room: Room
     assets: tuple[Asset, ...]
@@ -148,7 +158,7 @@ class SceneSpec:
     name: str = ""
 
     def __post_init__(self):
-        self._parsed: dict = {}
+        self._parsed: _Record | None = None
         self._assets_by_id = {a.id: a for a in self.assets}
         self._units_by_id = {u.id: u for u in self.units}
         self._unit_of = {}
@@ -270,7 +280,7 @@ def _obj(value, location: str) -> dict:
 
 
 def _check_keys(obj: dict, allowed, location: str):
-    unknown = set(obj) - set(allowed)
+    unknown = obj.keys() - allowed
     if unknown:
         _err(f"unknown keys {sorted(unknown, key=str)}", location)
 
@@ -326,7 +336,7 @@ def _parse_unit(data, location: str) -> Unit:
 def _parse_relation_params(kind: str, raw, location: str) -> dict:
     spec = KINDS[kind][2]
     obj = _obj(raw, location) if raw is not None else {}
-    _check_keys(obj, [name for name, _, _ in spec], location)
+    _check_keys(obj, _PARAM_NAMES[kind], location)
     for name, default, _ in spec:
         if default is _REQUIRED and name not in obj:
             _err(f"missing param {name!r}", location)
@@ -344,9 +354,7 @@ def _parse_relation_params(kind: str, raw, location: str) -> dict:
 
 def _parse_relation(data, location: str) -> Relation:
     obj = _obj(data, location)
-    _check_keys(
-        obj, ("kind", "source", "target", "params", "scope", "unit", "shared_param"), location
-    )
+    _check_keys(obj, _RELATION_KEYS, location)
     kind = _string(obj.get("kind"), f"{location}.kind")
     if kind not in RELATION_KINDS:
         _err(f"unknown relation kind {kind!r}", f"{location}.kind")
@@ -591,41 +599,153 @@ def _relation_entry(r: Relation) -> dict:
     return entry
 
 
+_params = attrgetter("params")
+
+
+class _Record:
+    """The relations the parser produced for a spec, with the very key and
+    value objects their params held then, in list order: `sizes` counts
+    each relation's params, `keys` and `values` hold them all in a row."""
+
+    def __init__(self, relations: tuple, sizes: list, keys: list, values: list):
+        self.relations = relations
+        self.sizes = sizes
+        self.keys = keys
+        self.values = values
+
+    @classmethod
+    def of(cls, relations: tuple) -> "_Record":
+        params = list(map(_params, relations))
+        return cls(
+            relations,
+            list(map(len, params)),
+            list(chain.from_iterable(params)),
+            list(chain.from_iterable(map(dict.values, params))),
+        )
+
+    @cached_property
+    def starts(self) -> list:
+        """Where each relation's params start in `keys` and `values`, then
+        the end."""
+        return list(accumulate(self.sizes, initial=0))
+
+    def holds(self, k: int, rel: Relation) -> bool:
+        """Whether `rel`'s params hold the very key and value objects the
+        params of relation k held: identity, not equality, since the parser
+        turns an int 2 into 2.0."""
+        lo, hi = self.starts[k], self.starts[k + 1]
+        params = rel.params
+        return (
+            len(params) == hi - lo
+            and all(map(is_, params, self.keys[lo:hi]))
+            and all(map(is_, params.values(), self.values[lo:hi]))
+        )
+
+    def kept(self, rel: Relation, left: dict) -> bool:
+        """Whether `rel` is a recorded relation whose params hold what they
+        held, given `left`: the index, by id, of each recorded relation that
+        a revision moved away from its index."""
+        k = left.get(id(rel))
+        return k is not None and self.relations[k] is rel and self.holds(k, rel)
+
+    def edits(self, relations: list) -> list:
+        """See `_edited_positions`."""
+        n = min(len(relations), len(self.relations))
+        edited = set(compress(range(n), map(is_not, relations, self.relations)))
+        params = list(map(_params, self.relations))
+        if list(map(len, params)) == self.sizes:
+            keys = map(is_not, chain.from_iterable(params), self.keys)
+            values = map(is_not, chain.from_iterable(map(dict.values, params)), self.values)
+            changed = compress(range(len(self.keys)), map(or_, keys, values))
+            edited.update(bisect_right(self.starts, j) - 1 for j in changed)
+        else:
+            # A key was added or removed in place.
+            edited.update(k for k, rel in enumerate(self.relations) if not self.holds(k, rel))
+        return sorted(k for k in edited if k < n) + list(range(n, len(relations)))
+
+    def replaced(self, relations: tuple, edited: list) -> "_Record":
+        """The record of `relations`, which hold this record's relations,
+        unchanged, at every position but the `edited` ones."""
+        sizes, keys, values = [], [], []
+        starts, done = self.starts, 0
+        for k in [*edited, len(relations)]:
+            if done < k:
+                sizes += self.sizes[done:k]
+                keys += self.keys[starts[done] : starts[k]]
+                values += self.values[starts[done] : starts[k]]
+            if k < len(relations):
+                params = relations[k].params
+                sizes.append(len(params))
+                keys += params
+                values += params.values()
+            done = k + 1
+        return _Record(relations, sizes, keys, values)
+
+
 def _record_parsed(spec: SceneSpec) -> SceneSpec:
     """`spec`, its relations recorded as the parser's outputs for it."""
-    spec._parsed = {id(r): (r, tuple(r.params.items())) for r in spec.relations}
+    spec._parsed = _Record.of(spec.relations)
     return spec
 
 
-def _kept(spec: SceneSpec, rel: Relation) -> bool:
-    """Whether `rel` is a parser output recorded for `spec` whose params
-    still hold the very same key and value objects: identity, not equality,
-    since the parser turns an int 2 into 2.0."""
-    recorded, items = spec._parsed.get(id(rel), (None, ()))
-    return (
-        recorded is rel
-        and len(items) == len(rel.params)
-        and all(k is k2 and v is v2 for (k, v), (k2, v2) in zip(items, rel.params.items()))
-    )
+def _edited_positions(spec: SceneSpec, relations: list) -> list:
+    """The positions of `relations`, in order, whose relation is not the one
+    `spec` recorded at that index, or whose params no longer hold the very
+    key and value objects they held when recorded (an int 2 set in place
+    for 2.0, -0.0 for 0.0, a key added or removed); every position when
+    `spec` has no record.  A spec from `parse_scene` or `replace_relations`
+    has one."""
+    if spec._parsed is None:
+        return list(range(len(relations)))
+    return spec._parsed.edits(relations)
 
 
-def replace_relations(spec: SceneSpec, relations) -> SceneSpec:
+def _spans(rel: Relation) -> bool:
+    """Whether a relation is one that the rules spanning relations read."""
+    return rel.kind == "around" or rel.shared_param is not None
+
+
+def replace_relations(spec: SceneSpec, relations, *, _edited: list | None = None) -> SceneSpec:
     """`spec` with `relations`, validated as a scene parser round trip of it
     would validate them, without the round trip.
 
-    This decides which relations to parse: each one but those `_kept` for
-    `spec`, which only a spec from `parse_scene` or `replace_relations` has,
-    goes through the parser's per-relation path, entry written as
-    serialize_scene writes it.  The rules that span relations run over the
-    whole list; room, assets and units stay `spec`'s.  Raises
-    SceneSemanticError with the location the round trip would report.
+    Only the edited positions are looked at (`_edited_positions`, or
+    `_edited` when the caller found them for this very list; a superset
+    does no harm): the relation at each one goes through the parser's
+    per-relation path, entry written as serialize_scene writes it, unless
+    it is a relation `spec` recorded at another edited position, or cut
+    from the tail, whose params are unchanged: a moved one.  So the work
+    is in proportion to the edit.  The rules that span relations run over
+    the whole list only when the list shrank, when `spec` has no record,
+    or when an old or new relation at an edited position is an around
+    relation or carries a shared parameter: otherwise every relation those
+    rules read is as it was, and was valid.  Room, assets and units stay
+    `spec`'s.  Raises SceneSemanticError with the location the round trip
+    would report.
     """
     relations = list(relations)
-    for k, rel in enumerate(relations):
-        if not _kept(spec, rel):
-            relations[k] = _read_relation(_relation_entry(rel), f"relations[{k}]", spec)
-    _validate_relation_list(relations)
-    return _record_parsed(spec.with_relations(relations))
+    record = spec._parsed
+    if _edited is None:
+        _edited = _edited_positions(spec, relations)
+    old = () if record is None else record.relations
+    whole = record is None or len(relations) < len(old)
+    # The recorded relations at an edited index or cut from the tail: a
+    # relation moved to an edited index came from one of them, and is kept
+    # unless changed.  (A second copy of one that stays put is parsed.)
+    left = {id(old[k]): k for k in [*_edited, *range(len(relations), len(old))] if k < len(old)}
+    for k in _edited:
+        rel = relations[k]
+        if record is None or not record.kept(rel, left):
+            rel = relations[k] = _read_relation(_relation_entry(rel), f"relations[{k}]", spec)
+        whole = whole or _spans(rel) or (k < len(old) and _spans(old[k]))
+    if whole:
+        _validate_relation_list(relations)
+    # A copy keeps `spec`'s lookup tables of assets and units, which a new
+    # SceneSpec would build again.
+    out = copy.copy(spec)
+    out.relations = tuple(relations)
+    out._parsed = _Record.of(out.relations) if record is None else record.replaced(out.relations, _edited)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +765,12 @@ class Layout:
 
 
 def serialize_layout(layout: Layout) -> str:
-    """Deterministic JSON text for a layout; keys sorted, floats exact."""
+    """Deterministic JSON text for a layout; keys sorted, floats exact: the
+    text of `json.dumps(data, indent=2, sort_keys=True) + "\\n"`, or its
+    error."""
+    text = _plain_layout_text(layout.poses)
+    if text is not None:
+        return text
     data = {
         "poses": {
             aid: {"x": p[0], "y": p[1], "z": p[2], "theta": p[3]}
@@ -653,6 +778,38 @@ def serialize_layout(layout: Layout) -> str:
         }
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# One pose as json.dumps(indent=2, sort_keys=True) writes it in a layout:
+# the id's JSON string, then theta, x, y and z.
+_POSE_TEXT = '    {}: {{\n      "theta": {},\n      "x": {},\n      "y": {},\n      "z": {}\n    }}'
+# How json writes the floats float.__repr__ writes as these.
+_NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _plain_layout_text(poses: dict) -> str | None:
+    """serialize_layout's text for a layout of str ids and 4-tuples of
+    floats, as the parser and the solver make, written with the functions
+    json's encoder calls for them; None for any other layout.  json.dumps
+    with an indent runs its pure-Python encoder instead."""
+    if not set(map(type, poses)) <= {str}:
+        return None
+    ids = sorted(poses)
+    rows = list(map(poses.__getitem__, ids))
+    if not set(map(type, rows)) <= {tuple} or not set(map(len, rows)) <= {4}:
+        return None
+    values = list(chain.from_iterable(rows))
+    if not set(map(type, values)) <= {float}:
+        return None
+    if not values:
+        return '{\n  "poses": {}\n}\n'
+    texts = list(map(float.__repr__, values))
+    # The sum is finite unless some value is not (or the sum overflows).
+    if not math.isfinite(sum(values)):
+        texts = [_NONFINITE_TEXT.get(t, t) for t in texts]
+    keys = map(encode_basestring_ascii, ids)
+    poses_text = ",\n".join(map(_POSE_TEXT.format, keys, texts[3::4], texts[0::4], texts[1::4], texts[2::4]))
+    return '{\n  "poses": {\n' + poses_text + "\n  }\n}\n"
 
 
 def parse_layout(text: str) -> Layout:

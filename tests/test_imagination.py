@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import re
 import struct
 from pathlib import Path
@@ -52,6 +53,7 @@ from layoutopt.scene_model import (
     parse_scene,
     relation_params,
     relation_terms,
+    replace_relations,
     serialize_scene,
     shared_param_priors,
 )
@@ -885,6 +887,223 @@ def test_only_edits_to_idle_distances_and_gaps_keep_the_layout(edit, alike):
     if alike:
         revised = scene_model.replace_relations(spec, new)
         assert interpret_scene(revised) == interpret_scene(spec)
+
+
+# --- per-round bookkeeping by edited position ------------------------------
+
+# The edits `_random_reviser` draws from, with their weights.
+_REVISER_OPS = {
+    "replace": 6,
+    "append": 3,
+    "cut_tail": 2,
+    "move": 3,
+    "duplicate": 2,
+    "int_for_float": 4,
+    "negative_zero": 3,
+    "key_removed": 2,
+}
+# Edits that make a list the parser rejects (but for params None on a kind
+# without params): a seeded run makes at most one, in one round.
+_BAD_OPS = (None, "key_added", "params_not_a_dict", "unhashable_value")
+
+
+def _random_reviser(seed: int, drawn: set):
+    """A seeded reviser that edits the baseline reviser's output at random,
+    mostly within the conflicting scopes; the names of the edits it makes
+    go into `drawn`."""
+    rng = random.Random(seed)
+    ops, weights = list(_REVISER_OPS), list(_REVISER_OPS.values())
+    bad, bad_round, rounds = _BAD_OPS[seed % len(_BAD_OPS)], 2 + seed % 7, []
+
+    def reviser(s, conflicts):
+        out = list(baseline_reviser(s, conflicts))
+        scopes = {("intra", c.unit) if c.level == "intra" else ("inter", None) for c in conflicts}
+        rounds.append(None)
+        draws = [rng.choices(ops, weights)[0] for _ in range(rng.randint(1, 3))]
+        for op in draws + ([bad] if len(rounds) == bad_round and bad else []):
+            local = [k for k, r in enumerate(out) if (r.scope, r.unit) in scopes]
+            if not local:
+                continue
+            k = rng.choice(local)
+            rel = out[k]
+            params = rel.params if isinstance(rel.params, dict) else {}
+            numbers = [name for name, v in params.items() if isinstance(v, float) and name != "sweep"]
+            if op == "replace":
+                new = dict(params)
+                if numbers:
+                    name = rng.choice(numbers)
+                    new[name] = new[name] * rng.choice([1.0, 1.25])
+                out[k] = dataclasses.replace(rel, params=new)
+            elif op == "append" and rel.kind != "around":
+                out.append(dataclasses.replace(rel, params=dict(params)))
+            elif op == "cut_tail":
+                del out[-rng.randint(1, 2) :]
+            elif op == "move":
+                j = rng.randrange(len(out))
+                out[k], out[j] = out[j], out[k]
+            elif op == "duplicate" and rel.kind != "around":
+                out.append(rel)
+            elif op in ("int_for_float", "negative_zero") and numbers:
+                name = rng.choice(numbers)
+                v = params[name]
+                if op == "negative_zero":
+                    params[name] = -0.0
+                else:
+                    # An equal value that is not the parser's float object.
+                    params[name] = int(v) if v.is_integer() else v + 0.0
+            elif op == "key_removed" and {"p", "margin"} & params.keys():
+                del params[rng.choice(sorted({"p", "margin"} & params.keys()))]
+            elif op == "key_added" and isinstance(rel.params, dict):
+                params["extra"] = 1.0
+            elif op == "params_not_a_dict":
+                out[k] = dataclasses.replace(rel, params=rng.choice([None, [1.0], "d"]))
+            elif op == "unhashable_value" and params:
+                out[k] = dataclasses.replace(rel, params={**params, rng.choice(list(params)): [1.0]})
+            else:
+                continue
+            drawn.add(op)
+        return out
+
+    return reviser
+
+
+def _outcome(loop, spec, reviser):
+    try:
+        return _outputs(*loop(spec, reviser=reviser))
+    except RevisionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["check:0:0", "crowded_parsed", "crowded_hand_built"])
+def test_random_revisions_match_the_whole_scene_round_trip(name, monkeypatch):
+    drawn: set = set()
+    outcomes = []
+    for seed in range(16):
+        got, want = (
+            _outcome(loop, _named_scene(name, monkeypatch), _random_reviser(seed, drawn))
+            for loop in (imagine_and_revise, _reference_imagine_and_revise)
+        )
+        assert got == want, seed
+        outcomes.append(got)
+    assert drawn == {*_REVISER_OPS, *_BAD_OPS[1:]}
+    # Some runs end in a rejected revision, some run their budget out.
+    assert {type(o) for o in outcomes} == {str, tuple}
+    assert all(o.startswith("reviser produced an invalid scene: relations[") for o in outcomes if isinstance(o, str))
+
+
+def test_revision_parses_and_keys_in_proportion_to_the_edits(monkeypatch):
+    from test_scene_model import _count_parsed
+
+    spec = _named_scene("check:0:0", monkeypatch)
+    new = []
+
+    def recording(s, conflicts):
+        out = baseline_reviser(s, conflicts)
+        old = {id(r) for r in s.relations}
+        new.extend(f"relations[{k}]" for k, r in enumerate(out) if id(r) not in old)
+        return out
+
+    parsed = _count_parsed(monkeypatch)
+    keyed = []
+    key = imagination._rel_key
+    monkeypatch.setattr(imagination, "_rel_key", lambda rel: keyed.append(rel) or key(rel))
+    _, report = imagine_and_revise(spec, recording)
+    assert report.iterations == 10 and len(new) >= 10 * 10
+    # One parse per relation the reviser replaced or appended, at its index.
+    assert parsed == new
+    assert len(keyed) <= len(spec.relations) + len(new)
+
+
+def _crowded_edit(edit):
+    """`edit` of the parsed crowded scene's relation list, which it may
+    change in place (indices as in `_crowded_scene`)."""
+
+    def apply(rels):
+        rels = list(rels)
+        return edit(rels) or rels
+
+    return apply
+
+
+def _put(k, rel):
+    def edit(rels):
+        rels[k] = rel(rels[k]) if callable(rel) else rel
+
+    return edit
+
+
+_SPANNING_EDITS = {
+    "around_sweep_replaced": _put(9, lambda r: dataclasses.replace(r, params={**r.params, "sweep": 2.0})),
+    "around_sweep_in_place": lambda rels: rels[9].params.update(sweep=2.0),
+    "around_center_in_place": lambda rels: rels[8].params.update(center=-0.0 + 1.0),
+    "around_group_renamed_in_place": lambda rels: rels[8].params.update(group="other"),
+    "around_left_with_one_source": _put(9, Relation("distance", "k2", "t", {"d": 1.0}, "intra", "u")),
+    "around_source_repeated": _put(9, lambda r: dataclasses.replace(r, source="k1")),
+    "around_cut_from_the_tail": lambda rels: rels.__delitem__(slice(9, None)),
+    "shared_kind_replaced": _put(5, Relation("gap", "e", "b", {"g": 0.1}, "inter", shared_param="s")),
+    "shared_first_declaration_replaced": _put(4, Relation("gap", "c", "a", {"g": 0.1}, "inter", shared_param="s")),
+    "shared_appended": lambda rels: rels.append(Relation("distance", "c", "b", {"d": 1.0}, "inter", shared_param="s")),
+    # Edits the rules accept.
+    "around_moved": lambda rels: rels.append(rels.pop(8)),
+    "around_twin_replaced": _put(9, lambda r: dataclasses.replace(r, params=dict(r.params))),
+    "shared_dropped": _put(4, lambda r: dataclasses.replace(r, shared_param=None)),
+    "plain_distance_replaced": _put(7, lambda r: dataclasses.replace(r, params={"d": 0.5})),
+}
+
+
+@pytest.mark.parametrize("edit", _SPANNING_EDITS.values(), ids=list(_SPANNING_EDITS))
+def test_rules_spanning_relations_run_when_an_edit_can_break_them(edit):
+    # replace_relations skips the around-group and shared-parameter rules
+    # unless an edit touches a relation they read; the error, or the scene,
+    # must be the round trip's.
+    outcomes = []
+    for replace in (
+        replace_relations,
+        lambda spec, rels: parse_scene(serialize_scene(spec.with_relations(rels))),
+    ):
+        spec = parse_scene(serialize_scene(_crowded_scene()))
+        assert [(r.kind, r.source) for r in spec.relations[4:10:5]] == [("left_of", "c"), ("around", "k2")]
+        try:
+            revised = replace(spec, _crowded_edit(edit)(spec.relations))
+            outcomes.append((repr(revised), serialize_scene(revised)))
+        except SceneSemanticError as exc:
+            outcomes.append((str(exc), exc.location))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_an_in_place_edit_made_before_the_call_is_keyed_as_it_was(monkeypatch):
+    # The caller sets a parsed relation's d in place before the call; the
+    # first revision puts the parser's float object back.  Its old key is
+    # the caller's value, its new key the parser's.
+    outputs = []
+    for loop in (imagine_and_revise, _reference_imagine_and_revise):
+        spec = parse_scene(serialize_scene(_crowded_scene()))
+        params = spec.relations[_relation_index(spec.relations, "distance", "s3", "s2")].params
+        parsed_d, params["d"] = params["d"], 0.5
+
+        def reviser(s, conflicts):
+            params["d"] = parsed_d
+            return baseline_reviser(s, conflicts)
+
+        outputs.append(_outputs(*loop(spec, reviser=reviser)))
+    assert outputs[0] == outputs[1]
+    assert "- intra:u distance s3->s2 (d=0.5)" in outputs[0][2]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_SPANNING_EDITS[name] for name in ("around_sweep_in_place", "around_left_with_one_source", "shared_first_declaration_replaced")],
+    ids=["around_sweep_in_place", "around_left_with_one_source", "shared_first_declaration_replaced"],
+)
+def test_a_reviser_breaking_a_spanning_rule_gets_the_round_trip_error(edit):
+    messages = []
+    for loop in (imagine_and_revise, _reference_imagine_and_revise):
+        spec = parse_scene(serialize_scene(_crowded_scene()))
+        with pytest.raises(RevisionError) as info:
+            loop(spec, reviser=lambda s, c: _crowded_edit(edit)(baseline_reviser(s, c)))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("reviser produced an invalid scene: relations[")
 
 
 # --- the parent design, kept as the reference -----------------------------

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import layoutopt
@@ -760,6 +761,153 @@ def test_a_spec_not_from_the_parser_has_every_relation_parsed(make, monkeypatch)
     out = replace_relations(built, built.relations)
     assert parsed == [f"relations[{k}]" for k in range(len(spec.relations))]
     assert out == spec and not any(a is b for a, b in zip(out.relations, spec.relations))
+
+
+def _set(k, name, value):
+    """An edit that sets param `name` of relation k in place."""
+
+    def edit(rels):
+        rels[k].params[name] = value
+        return rels
+
+    return edit
+
+
+def _drop(k, name):
+    def edit(rels):
+        del rels[k].params[name]
+        return rels
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, positions",
+    [
+        (lambda rels: rels, []),
+        (lambda rels: rels[::-1], [k for k in range(14) if k != 13 - k]),
+        (lambda rels: rels[:2] + [dataclasses.replace(rels[2])] + rels[3:], [2]),
+        (lambda rels: rels + [rels[0]], [14]),
+        (lambda rels: rels[:11], []),
+        (lambda rels: [rels[5]] + rels[1:], [0]),
+        # The same param objects in a new dict hold what they held.
+        (lambda rels: rels[:4] + [dataclasses.replace(rels[4], params=dict(rels[4].params))] + rels[5:], [4]),
+        # In place: an equal int for a float, -0.0 for 0.0, an equal float
+        # that is another object, a key removed, a key added, one key for
+        # another holding the same value.
+        (_set(4, "d", 2), [4]),
+        (_set(12, "margin", -0.0), [12]),
+        (_set(13, "y", float("3.0")), [13]),
+        (_drop(0, "p"), [0]),
+        (_set(8, "extra", 1.0), [8]),
+        (lambda rels: _set(6, "g", rels[6].params.pop("d"))(rels), [6]),
+        (lambda rels: _set(2, "p", 0.5)(_set(7, "d", -0.0)(rels)), [2, 7]),
+    ],
+    ids=[
+        "same", "reversed", "replaced", "appended", "cut", "moved", "new_dict",
+        "int", "negative_zero", "equal_float", "key_removed", "key_added", "key_swapped", "two",
+    ],
+)
+def test_edited_positions_are_the_indices_whose_relation_changed(edit, positions):
+    spec = load_fixture("dining_set")
+    relations = edit(list(spec.relations))
+    assert scene_model._edited_positions(spec, relations) == positions
+    # A spec without the parser's record reads every position as edited.
+    built = spec.with_relations(spec.relations)
+    assert scene_model._edited_positions(built, relations) == list(range(len(relations)))
+
+
+def _replace_or_error(spec, relations):
+    try:
+        return replace_relations(spec, relations)
+    except SceneSemanticError as exc:
+        return str(exc)
+
+
+def _round_trip_or_error(spec, relations):
+    try:
+        return parse_scene(serialize_scene(spec.with_relations(relations)))
+    except SceneSemanticError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_replace_relations_after_in_place_edits_matches_the_round_trip(name):
+    # Each param of each relation of a parsed fixture, and a new key, set in
+    # place to each value, one at a time.
+    for k, rel in enumerate(load_fixture(name).relations):
+        for key in [*rel.params, "extra"]:
+            for value in (2, -0.0, -1.0, "x", None):
+                spec = load_fixture(name)
+                spec.relations[k].params[key] = value
+                got = _replace_or_error(spec, spec.relations)
+                want = _round_trip_or_error(spec, spec.relations)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert repr(got) == repr(want) and serialize_scene(got) == serialize_scene(want)
+
+
+# --- serialize_layout without the pure-Python encoder -------------------------
+
+
+def _json_layout(layout) -> str:
+    """serialize_layout's text as json.dumps writes it."""
+    data = {
+        "poses": {
+            aid: {"x": p[0], "y": p[1], "z": p[2], "theta": p[3]}
+            for aid, p in layout.poses.items()
+        }
+    }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+_LAYOUTS = {
+    "empty": {},
+    "one": {"desk": (1.25, 2.5, 0.375, -0.7853981633974483)},
+    "sorted": {"b": (1.0, 2.0, 3.0, 4.0), "a": (0.1, 0.2, 0.3, 3.0000000000000004), "B": (5.0, 6.0, 7.0, 8.0)},
+    "odd_ids": {
+        'say "hi"': (1.0, 2.0, 0.5, 0.0),
+        "back\\slash/": (1.0, 2.0, 0.5, 0.0),
+        "ctl\x00\x01\x1f\n\t\x7f": (1.0, 2.0, 0.5, 0.0),
+        "caf\u00e9 \u6f22 \U0001f600": (1.0, 2.0, 0.5, 0.0),
+        "lone \ud800": (1.0, 2.0, 0.5, 0.0),
+        "": (1.0, 2.0, 0.5, 0.0),
+    },
+    "floats": {"a": (-0.0, 5e-324, 1e16, 1.7976931348623157e308), "b": (1e-7, -2.5e-308, 123456789.123, 0.1)},
+    "not_finite": {"a": (_NAN, _INF, -_INF, 0.0), "b": (1.0, 2.0, 3.0, _NAN)},
+    "ints": {"a": (1, 2, 0, -3)},
+    "mixed": {"a": (1, 2.5, True, None)},
+    "numpy": {"a": (np.float64(0.1), np.float64(-0.0), np.float64("nan"), np.float64(2.5))},
+    "numpy_int": {"a": (np.int64(1), 2.0, 3.0, 4.0)},
+    "lists_and_long_tuples": {"a": [1.0, 2.0, 3.0, 4.0], "b": (1.0, 2.0, 3.0, 4.0, 5.0)},
+    "int_ids": {2: (1.0, 2.0, 3.0, 4.0), 1: (5.0, 6.0, 7.0, 8.0)},
+    "short_pose": {"a": (1.0, 2.0)},
+    "set_value": {"a": (1.0, 2.0, 3.0, {1})},
+    "mixed_ids": {1: (1.0, 2.0, 3.0, 4.0), "b": (1.0, 2.0, 3.0, 4.0)},
+    "huge_int": {"a": (10**5000, 2.0, 3.0, 4.0)},
+}
+
+
+@pytest.mark.parametrize("poses", _LAYOUTS.values(), ids=list(_LAYOUTS))
+def test_serialize_layout_writes_what_json_dumps_writes(poses):
+    outcomes = []
+    for write in (serialize_layout, _json_layout):
+        try:
+            outcomes.append(write(Layout(poses)))
+        except Exception as exc:  # noqa: BLE001 - the error itself is compared
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_serialize_layout_writes_json_dumps_bytes_on_random_layouts():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 160):
+        scale = rng.choice([1e-3, 1.0, 1e6], size=(n, 4))
+        poses = {f"asset{i}": tuple(map(float, row)) for i, row in enumerate(rng.normal(size=(n, 4)) * scale)}
+        assert serialize_layout(Layout(poses)) == _json_layout(Layout(poses))
 
 
 # --- input the JSON decoder or float() cannot take ---------------------------
