@@ -457,9 +457,6 @@ class _RelationKeys:
         # None: count afresh; it stays None while a key is unhashable.
         self.counts: Counter | None = None
         self.stale = _edited_positions(spec, spec.relations)
-        # The edit text of each key the last revision added, by id, with
-        # the key, which keeps the id its own.
-        self.texts: dict = {}
 
     def edited(self, spec: SceneSpec, relations: list) -> list:
         """The positions of the reviser's `relations` to key afresh: those
@@ -500,15 +497,8 @@ class _RelationKeys:
             added = [key for key in new if key not in keys]
             removed = [key for key in old if key not in new_keys]
         self.keys, self.counts = new_keys, counts
-        texts = [_describe(k) for k in added]
-        edits = [f"- {self._text(k)}" for k in removed] + [f"+ {t}" for t in texts]
-        self.texts = {id(k): (k, t) for k, t in zip(added, texts)}
+        edits = [f"- {_describe(k)}" for k in removed] + [f"+ {_describe(k)}" for k in added]
         return removed, added, edits
-
-    def _text(self, key: tuple) -> str:
-        """`_describe(key)`, read back if the last revision added `key`."""
-        hit = self.texts.get(id(key))
-        return _describe(key) if hit is None else hit[1]
 
     def rekey(self, relations: list, revised: tuple, edited: list):
         """Make the keys of the reviser's `relations` those of the `revised`
@@ -590,7 +580,7 @@ def _check_locality(removed, added, conflicts):
             )
 
 
-def _places_alike(old: tuple, new: tuple, idle: set, positions=None) -> bool:
+def _places_alike(old: tuple, new: tuple, idle: set, positions) -> bool:
     """Whether the interpreter provably places relations `new` as it placed
     `old`, whose last pass found the terms labeled in `idle` idle.
 
@@ -601,12 +591,11 @@ def _places_alike(old: tuple, new: tuple, idle: set, positions=None) -> bool:
     only for its pins, all no-ops; its direction counter does not read it.
     So every slot is set as before, by the same terms, and the same terms
     stay idle.  An empty `idle` says nothing, so it never matches.  Only
-    `positions` are looked at, if given: every other one must hold `old`'s
-    object.
+    `positions` are looked at: every other one must hold `old`'s object.
     """
     if not idle or len(old) != len(new):
         return False
-    for i in range(len(new)) if positions is None else positions:
+    for i in positions:
         a, b = old[i], new[i]
         if a is b:
             continue

@@ -83,9 +83,6 @@ SHARED_PARAM_SLOTS = {k: slot for k, (_, slot, _) in KINDS.items() if slot is no
 _DEFAULTS = {
     k: {name: d for name, d, _ in params if d is not _REQUIRED} for k, (_, _, params) in KINDS.items()
 }
-# The params of each relation kind, and the keys of a relation entry.
-_PARAM_NAMES = {k: frozenset(name for name, _, _ in params) for k, (_, _, params) in KINDS.items()}
-_RELATION_KEYS = frozenset(("kind", "source", "target", "params", "scope", "unit", "shared_param"))
 
 
 @dataclass(frozen=True)
@@ -280,7 +277,7 @@ def _obj(value, location: str) -> dict:
 
 
 def _check_keys(obj: dict, allowed, location: str):
-    unknown = obj.keys() - allowed
+    unknown = set(obj) - set(allowed)
     if unknown:
         _err(f"unknown keys {sorted(unknown, key=str)}", location)
 
@@ -336,7 +333,7 @@ def _parse_unit(data, location: str) -> Unit:
 def _parse_relation_params(kind: str, raw, location: str) -> dict:
     spec = KINDS[kind][2]
     obj = _obj(raw, location) if raw is not None else {}
-    _check_keys(obj, _PARAM_NAMES[kind], location)
+    _check_keys(obj, [name for name, _, _ in spec], location)
     for name, default, _ in spec:
         if default is _REQUIRED and name not in obj:
             _err(f"missing param {name!r}", location)
@@ -354,7 +351,9 @@ def _parse_relation_params(kind: str, raw, location: str) -> dict:
 
 def _parse_relation(data, location: str) -> Relation:
     obj = _obj(data, location)
-    _check_keys(obj, _RELATION_KEYS, location)
+    _check_keys(
+        obj, ("kind", "source", "target", "params", "scope", "unit", "shared_param"), location
+    )
     kind = _string(obj.get("kind"), f"{location}.kind")
     if kind not in RELATION_KINDS:
         _err(f"unknown relation kind {kind!r}", f"{location}.kind")
@@ -663,24 +662,6 @@ class _Record:
             edited.update(k for k, rel in enumerate(self.relations) if not self.holds(k, rel))
         return sorted(k for k in edited if k < n) + list(range(n, len(relations)))
 
-    def replaced(self, relations: tuple, edited: list) -> "_Record":
-        """The record of `relations`, which hold this record's relations,
-        unchanged, at every position but the `edited` ones."""
-        sizes, keys, values = [], [], []
-        starts, done = self.starts, 0
-        for k in [*edited, len(relations)]:
-            if done < k:
-                sizes += self.sizes[done:k]
-                keys += self.keys[starts[done] : starts[k]]
-                values += self.values[starts[done] : starts[k]]
-            if k < len(relations):
-                params = relations[k].params
-                sizes.append(len(params))
-                keys += params
-                values += params.values()
-            done = k + 1
-        return _Record(relations, sizes, keys, values)
-
 
 def _record_parsed(spec: SceneSpec) -> SceneSpec:
     """`spec`, its relations recorded as the parser's outputs for it."""
@@ -744,8 +725,7 @@ def replace_relations(spec: SceneSpec, relations, *, _edited: list | None = None
     # SceneSpec would build again.
     out = copy.copy(spec)
     out.relations = tuple(relations)
-    out._parsed = _Record.of(out.relations) if record is None else record.replaced(out.relations, _edited)
-    return out
+    return _record_parsed(out)
 
 
 # ---------------------------------------------------------------------------

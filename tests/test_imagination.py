@@ -881,9 +881,10 @@ def test_only_edits_to_idle_distances_and_gaps_keep_the_layout(edit, alike):
     idle = set()
     interpret_scene(spec, _idle=idle)
     new = edit(spec.relations)
-    assert imagination._places_alike(spec.relations, new, idle) is alike
+    every = range(len(new))
+    assert imagination._places_alike(spec.relations, new, idle, every) is alike
     # An empty set of idle terms says nothing.
-    assert imagination._places_alike(spec.relations, new, set()) is False
+    assert imagination._places_alike(spec.relations, new, set(), every) is False
     if alike:
         revised = scene_model.replace_relations(spec, new)
         assert interpret_scene(revised) == interpret_scene(spec)
