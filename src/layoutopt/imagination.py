@@ -445,28 +445,12 @@ def _describe(key: tuple) -> str:
 class _RelationKeys:
     """The `_rel_key` of each relation of a scene, in list order, with their
     multiset, kept from one revision to the next by keying only the edited
-    positions.
-
-    The keys are taken before the reviser runs, so a relation it edits in
-    place reads as removed and added.  A relation already changed since the
-    parser recorded the scene is keyed again after the first revision.
-    """
+    positions.  The keys are taken before the reviser runs."""
 
     def __init__(self, spec: SceneSpec):
         self.keys = [_rel_key(r) for r in spec.relations]
         # None: count afresh; it stays None while a key is unhashable.
         self.counts: Counter | None = None
-        self.stale = _edited_positions(spec, spec.relations)
-
-    def edited(self, spec: SceneSpec, relations: list) -> list:
-        """The positions of the reviser's `relations` to key afresh: those
-        `scene_model._edited_positions` finds against `spec`, whose keys
-        these are, and the stale ones."""
-        edited = _edited_positions(spec, relations)
-        if self.stale:
-            edited = sorted({*edited, *(k for k in self.stale if k < len(relations))})
-            self.stale = ()
-        return edited
 
     def diff(self, relations: list, edited: list):
         """The keys the revision removed and added, in list order, with one
@@ -503,30 +487,16 @@ class _RelationKeys:
     def rekey(self, relations: list, revised: tuple, edited: list):
         """Make the keys of the reviser's `relations` those of the `revised`
         ones: `replace_relations` kept the reviser's object or parsed it,
-        and a parser output keys alike unless parsing changed a param."""
+        and a parser output is keyed afresh."""
         for k in edited:
-            rel, out = relations[k], revised[k]
-            if out is rel or _keyed_alike(rel, out):
+            out = revised[k]
+            if out is relations[k]:
                 continue
             key = _rel_key(out)
             if self.counts is not None:
                 self.counts[self.keys[k]] -= 1
                 self.counts[key] += 1
             self.keys[k] = key
-
-
-def _keyed_alike(rel: Relation, parsed: Relation) -> bool:
-    """Whether the parser output `parsed` of `rel` has `rel`'s key: the
-    parser passes the kind, ends, scope, unit and shared parameter through,
-    and here it also kept every param value object (it turns an int 2 into
-    2.0) and filled no default."""
-    params, out = rel.params, parsed.params
-    if type(params) is not dict or len(out) != len(params):
-        return False
-    for name, value in params.items():
-        if type(name) is not str or out.get(name) is not value:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -620,10 +590,12 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
     the room, assets and units are kept as given.
 
     A round costs what the reviser changed: the positions of its list whose
-    relation is not the one the round started with, or whose params it
-    edited in place, are found once (`scene_model._edited_positions`), and
-    only they are keyed for the edit lines, parsed and checked for the
-    rules that span relations.  The first round keys every relation.
+    relation is not the one the round started with are found once, by
+    identity (`scene_model._edited_positions`), and only they are keyed for
+    the edit lines, parsed and checked for the rules that span relations.
+    The first round keys every relation.  A parsed relation's params are
+    read-only: a reviser that tries to edit them in place gets the
+    TypeError, unwrapped, as it gets any error of its own.
 
     A round imagines, maps and detects afresh unless the last revision
     provably leaves the imagined layout as it was (`_places_alike`): the
@@ -648,7 +620,7 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
             keys = _RelationKeys(current)
         conflicts = list(detected)
         relations = list(reviser(current, conflicts))
-        edited = keys.edited(current, relations)
+        edited = _edited_positions(current, relations)
         removed, added, edits = keys.diff(relations, edited)
         _check_locality(removed, added, conflicts)
         try:

@@ -13,12 +13,10 @@ from __future__ import annotations
 import copy
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, is_, is_not, or_
+from operator import is_not
 
 from .errors import SceneSemanticError, SceneSyntaxError
 from .geometry import Pose2D
@@ -130,6 +128,8 @@ class Relation:
 
     `source` is the constrained entity, `target` the reference (an entity id,
     "wall:X", "corner:Y", or "scene").  Intra relations carry the owning unit.
+    The parser's relations hold read-only params; to change one, build a new
+    Relation, e.g. `dataclasses.replace(rel, params={...})`.
     """
 
     kind: str
@@ -145,7 +145,7 @@ class Relation:
 class SceneSpec:
     """Validated scene: room, assets, units, relations, and a base seed.
     `_parsed` records the relations the parser produced for it, if any
-    (a `_Record`, else None)."""
+    (the tuple `relations` was then, else None)."""
 
     room: Room
     assets: tuple[Asset, ...]
@@ -155,7 +155,7 @@ class SceneSpec:
     name: str = ""
 
     def __post_init__(self):
-        self._parsed: _Record | None = None
+        self._parsed: tuple | None = None
         self._assets_by_id = {a.id: a for a in self.assets}
         self._units_by_id = {u.id: u for u in self.units}
         self._unit_of = {}
@@ -330,6 +330,21 @@ def _parse_unit(data, location: str) -> Unit:
     return Unit(uid, anchor, names)
 
 
+class _Params(dict):
+    """A parsed relation's params: a dict that refuses every edit, so the
+    relation holds what the parser gave it; copy and pickle keep the type."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a parsed relation's params are read-only; build a new Relation to change them")
+
+    __setitem__ = __delitem__ = __ior__ = update = pop = popitem = clear = setdefault = _refuse
+
+    def __reduce__(self):
+        return _Params, (dict(self),)
+
+
 def _parse_relation_params(kind: str, raw, location: str) -> dict:
     spec = KINDS[kind][2]
     obj = _obj(raw, location) if raw is not None else {}
@@ -346,7 +361,7 @@ def _parse_relation_params(kind: str, raw, location: str) -> dict:
             params[name] = _number(params[name], loc, *bounds)
         if name == "sweep" and params[name] == 0.0:
             _err("sweep must be positive", loc)
-    return params
+    return _Params(params)
 
 
 def _parse_relation(data, location: str) -> Relation:
@@ -598,87 +613,22 @@ def _relation_entry(r: Relation) -> dict:
     return entry
 
 
-_params = attrgetter("params")
-
-
-class _Record:
-    """The relations the parser produced for a spec, with the very key and
-    value objects their params held then, in list order: `sizes` counts
-    each relation's params, `keys` and `values` hold them all in a row."""
-
-    def __init__(self, relations: tuple, sizes: list, keys: list, values: list):
-        self.relations = relations
-        self.sizes = sizes
-        self.keys = keys
-        self.values = values
-
-    @classmethod
-    def of(cls, relations: tuple) -> "_Record":
-        params = list(map(_params, relations))
-        return cls(
-            relations,
-            list(map(len, params)),
-            list(chain.from_iterable(params)),
-            list(chain.from_iterable(map(dict.values, params))),
-        )
-
-    @cached_property
-    def starts(self) -> list:
-        """Where each relation's params start in `keys` and `values`, then
-        the end."""
-        return list(accumulate(self.sizes, initial=0))
-
-    def holds(self, k: int, rel: Relation) -> bool:
-        """Whether `rel`'s params hold the very key and value objects the
-        params of relation k held: identity, not equality, since the parser
-        turns an int 2 into 2.0."""
-        lo, hi = self.starts[k], self.starts[k + 1]
-        params = rel.params
-        return (
-            len(params) == hi - lo
-            and all(map(is_, params, self.keys[lo:hi]))
-            and all(map(is_, params.values(), self.values[lo:hi]))
-        )
-
-    def kept(self, rel: Relation, left: dict) -> bool:
-        """Whether `rel` is a recorded relation whose params hold what they
-        held, given `left`: the index, by id, of each recorded relation that
-        a revision moved away from its index."""
-        k = left.get(id(rel))
-        return k is not None and self.relations[k] is rel and self.holds(k, rel)
-
-    def edits(self, relations: list) -> list:
-        """See `_edited_positions`."""
-        n = min(len(relations), len(self.relations))
-        edited = set(compress(range(n), map(is_not, relations, self.relations)))
-        params = list(map(_params, self.relations))
-        if list(map(len, params)) == self.sizes:
-            keys = map(is_not, chain.from_iterable(params), self.keys)
-            values = map(is_not, chain.from_iterable(map(dict.values, params)), self.values)
-            changed = compress(range(len(self.keys)), map(or_, keys, values))
-            edited.update(bisect_right(self.starts, j) - 1 for j in changed)
-        else:
-            # A key was added or removed in place.
-            edited.update(k for k, rel in enumerate(self.relations) if not self.holds(k, rel))
-        return sorted(k for k in edited if k < n) + list(range(n, len(relations)))
-
-
 def _record_parsed(spec: SceneSpec) -> SceneSpec:
     """`spec`, its relations recorded as the parser's outputs for it."""
-    spec._parsed = _Record.of(spec.relations)
+    spec._parsed = spec.relations
     return spec
 
 
 def _edited_positions(spec: SceneSpec, relations: list) -> list:
     """The positions of `relations`, in order, whose relation is not the one
-    `spec` recorded at that index, or whose params no longer hold the very
-    key and value objects they held when recorded (an int 2 set in place
-    for 2.0, -0.0 for 0.0, a key added or removed); every position when
-    `spec` has no record.  A spec from `parse_scene` or `replace_relations`
-    has one."""
-    if spec._parsed is None:
+    `spec` recorded at that index (whose read-only params still hold what
+    the parser gave them); every position when `spec` has no record, or
+    holds other relations than it recorded.  A spec from `parse_scene` or
+    `replace_relations` has one."""
+    old = spec._parsed
+    if old is not spec.relations:
         return list(range(len(relations)))
-    return spec._parsed.edits(relations)
+    return [*compress(range(len(relations)), map(is_not, relations, old)), *range(len(old), len(relations))]
 
 
 def _spans(rel: Relation) -> bool:
@@ -694,29 +644,26 @@ def replace_relations(spec: SceneSpec, relations, *, _edited: list | None = None
     `_edited` when the caller found them for this very list; a superset
     does no harm): the relation at each one goes through the parser's
     per-relation path, entry written as serialize_scene writes it, unless
-    it is a relation `spec` recorded at another edited position, or cut
-    from the tail, whose params are unchanged: a moved one.  So the work
-    is in proportion to the edit.  The rules that span relations run over
-    the whole list only when the list shrank, when `spec` has no record,
-    or when an old or new relation at an edited position is an around
+    it is one of the relations `spec` recorded, moved or repeated, whose
+    read-only params hold what the parser gave them.  So the work is in
+    proportion to the edit.  The rules that span relations run over the
+    whole list only when the list shrank, when `spec` has no record, or
+    when an old or new relation at an edited position is an around
     relation or carries a shared parameter: otherwise every relation those
     rules read is as it was, and was valid.  Room, assets and units stay
     `spec`'s.  Raises SceneSemanticError with the location the round trip
     would report.
     """
     relations = list(relations)
-    record = spec._parsed
     if _edited is None:
         _edited = _edited_positions(spec, relations)
-    old = () if record is None else record.relations
-    whole = record is None or len(relations) < len(old)
-    # The recorded relations at an edited index or cut from the tail: a
-    # relation moved to an edited index came from one of them, and is kept
-    # unless changed.  (A second copy of one that stays put is parsed.)
-    left = {id(old[k]): k for k in [*_edited, *range(len(relations), len(old))] if k < len(old)}
+    record = spec._parsed is spec.relations
+    old = spec.relations if record else ()
+    whole = not record or len(relations) < len(old)
+    recorded = set(map(id, old))
     for k in _edited:
         rel = relations[k]
-        if record is None or not record.kept(rel, left):
+        if id(rel) not in recorded:
             rel = relations[k] = _read_relation(_relation_entry(rel), f"relations[{k}]", spec)
         whole = whole or _spans(rel) or (k < len(old) and _spans(old[k]))
     if whole:

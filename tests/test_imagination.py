@@ -427,7 +427,9 @@ def test_nonlocal_revision_raises():
 
 def test_in_place_nonlocal_revision_raises():
     # Only an intra conflict is open; an inter relation whose params the
-    # reviser sets in place is an edit outside the conflicting scopes too.
+    # reviser sets in place is an edit outside the conflicting scopes too,
+    # as long as the relation is hand-built.  A parsed one refuses the edit:
+    # the reviser's TypeError comes out of the loop unwrapped.
     def scene():
         return _scene(
             Room(6.0, 5.0, 3.0),
@@ -455,6 +457,9 @@ def test_in_place_nonlocal_revision_raises():
     for loop in (imagine_and_revise, _reference_imagine_and_revise):
         with pytest.raises(RevisionError, match=r"inter h_place a->scene \(x=5\.0\) outside"):
             loop(scene(), reviser=in_place)
+        with pytest.raises(TypeError, match="read-only") as info:
+            loop(parse_scene(serialize_scene(scene())), reviser=in_place)
+        assert type(info.value) is TypeError
 
 
 def test_baseline_reviser_idempotent_without_conflicts():
@@ -551,19 +556,21 @@ def _relation_index(relations, kind, source, target):
     )
 
 
-def _in_place_reviser(s, conflicts):
-    """Also sets a carried-over distance to the int 2, in place: the parser
-    turns it into 2.0, so only a revalidated relation reads the same."""
-    out = baseline_reviser(s, conflicts)
-    out[_relation_index(out, "distance", "s3", "s2")].params["d"] = 2
+def _int_param_reviser(s, conflicts):
+    """Also gives a carried-over distance the int 2 in a new relation: the
+    parser turns it into 2.0, so only a revalidated relation reads the
+    same."""
+    out = list(baseline_reviser(s, conflicts))
+    k = _relation_index(out, "distance", "s3", "s2")
+    out[k] = dataclasses.replace(out[k], params={"d": 2})
     return out
 
 
 @pytest.mark.parametrize("parsed", [True, False], ids=["parsed", "hand_built"])
 @pytest.mark.parametrize(
     "reviser",
-    [baseline_reviser, _reversed_reviser, _copying_reviser, _in_place_reviser],
-    ids=["baseline", "reversed", "copying", "in_place"],
+    [baseline_reviser, _reversed_reviser, _copying_reviser, _int_param_reviser],
+    ids=["baseline", "reversed", "copying", "int_param"],
 )
 def test_revision_matches_whole_scene_round_trip(parsed, reviser):
     outputs = []
@@ -662,8 +669,9 @@ def _late(bad):
     return reviser
 
 
-def _mutate_d(out):
-    out[_relation_index(out, "distance", "s3", "s2")].params["d"] = -1
+def _negative_d(out):
+    k = _relation_index(out, "distance", "s3", "s2")
+    out[k] = dataclasses.replace(out[k], params={"d": -1})
 
 
 def _negative_d_from_the_start():
@@ -688,7 +696,7 @@ def _negative_d_from_the_start():
         (lambda o: o.append(Relation("gap", "s1", "a", {"g": 0.1})), "].source"),
         (lambda o: o.pop(_relation_index(o, "around", "k2", "t")), "]"),
         (lambda o: o.append(Relation("gap", "c", "b", {"g": 0.1}, shared_param="s")), "shared_param"),
-        (_mutate_d, "].params.d"),
+        (_negative_d, "].params.d"),
         (None, "].params.d"),
     ],
     ids=[
@@ -701,7 +709,7 @@ def _negative_d_from_the_start():
         "inter_names_member",
         "around_one_source",
         "shared_mixes_kinds",
-        "mutated_in_place",
+        "carried_over_negative_d",
         "hand_built_invalid_from_the_start",
     ],
 )
@@ -780,7 +788,8 @@ def test_reused_rounds_match_a_loop_that_reimagines_every_round(name, monkeypatc
 
 def _in_place_bumps(s, conflicts):
     """The baseline reviser's edits, each written into the params of the
-    relation it replaces; appended relations stay new objects."""
+    relation it replaces, which parsed params refuse; appended relations
+    stay new objects."""
     out = list(baseline_reviser(s, conflicts))
     for k, rel in enumerate(s.relations):
         if out[k] is not rel:
@@ -797,12 +806,23 @@ def _list_mutating(s, conflicts):
     return out
 
 
-@pytest.mark.parametrize("reviser", [_in_place_bumps, _list_mutating], ids=["in_place", "list_mutating"])
+@pytest.mark.parametrize("reviser", [_list_mutating], ids=["list_mutating"])
 @pytest.mark.parametrize("name", ["check:0:0", "crowded_parsed", "crowded_hand_built"])
 def test_revisers_that_mutate_their_inputs_match_a_loop_that_reimagines(name, reviser, monkeypatch):
     passes = _assert_matches_reimagining(lambda: _named_scene(name, monkeypatch), monkeypatch, reviser=reviser)
     if name.startswith("check"):
         assert len(passes) < 10
+
+
+@pytest.mark.parametrize("name", ["check:0:0", "crowded_parsed", "crowded_hand_built"])
+def test_a_reviser_editing_parsed_params_in_place_gets_the_type_error(name, monkeypatch):
+    # A hand-built scene's relations take the edits of the first round; the
+    # parser's outputs refuse them in the next.  Either loop lets the
+    # reviser's error through unwrapped, as it does any other.
+    for loop in (imagine_and_revise, _reference_imagine_and_revise):
+        with pytest.raises(TypeError, match="read-only") as info:
+            loop(_named_scene(name, monkeypatch), reviser=_in_place_bumps)
+        assert type(info.value) is TypeError
 
 
 def _pinned_pair():
@@ -947,15 +967,14 @@ def _random_reviser(seed: int, drawn: set):
             elif op in ("int_for_float", "negative_zero") and numbers:
                 name = rng.choice(numbers)
                 v = params[name]
-                if op == "negative_zero":
-                    params[name] = -0.0
-                else:
-                    # An equal value that is not the parser's float object.
-                    params[name] = int(v) if v.is_integer() else v + 0.0
+                # -0.0, or an equal value that is not the parser's float object.
+                value = -0.0 if op == "negative_zero" else int(v) if v.is_integer() else v + 0.0
+                out[k] = dataclasses.replace(rel, params={**params, name: value})
             elif op == "key_removed" and {"p", "margin"} & params.keys():
-                del params[rng.choice(sorted({"p", "margin"} & params.keys()))]
+                drop = rng.choice(sorted({"p", "margin"} & params.keys()))
+                out[k] = dataclasses.replace(rel, params={n: v for n, v in params.items() if n != drop})
             elif op == "key_added" and isinstance(rel.params, dict):
-                params["extra"] = 1.0
+                out[k] = dataclasses.replace(rel, params={**params, "extra": 1.0})
             elif op == "params_not_a_dict":
                 out[k] = dataclasses.replace(rel, params=rng.choice([None, [1.0], "d"]))
             elif op == "unhashable_value" and params:
@@ -1010,9 +1029,10 @@ def test_revision_parses_and_keys_in_proportion_to_the_edits(monkeypatch):
     monkeypatch.setattr(imagination, "_rel_key", lambda rel: keyed.append(rel) or key(rel))
     _, report = imagine_and_revise(spec, recording)
     assert report.iterations == 10 and len(new) >= 10 * 10
-    # One parse per relation the reviser replaced or appended, at its index.
+    # One parse per relation the reviser replaced or appended, at its index;
+    # each is keyed as the reviser gave it and as parsed.
     assert parsed == new
-    assert len(keyed) <= len(spec.relations) + len(new)
+    assert len(keyed) <= len(spec.relations) + 2 * len(new)
 
 
 def _crowded_edit(edit):
@@ -1035,9 +1055,8 @@ def _put(k, rel):
 
 _SPANNING_EDITS = {
     "around_sweep_replaced": _put(9, lambda r: dataclasses.replace(r, params={**r.params, "sweep": 2.0})),
-    "around_sweep_in_place": lambda rels: rels[9].params.update(sweep=2.0),
-    "around_center_in_place": lambda rels: rels[8].params.update(center=-0.0 + 1.0),
-    "around_group_renamed_in_place": lambda rels: rels[8].params.update(group="other"),
+    "around_center_replaced": _put(8, lambda r: dataclasses.replace(r, params={**r.params, "center": 1.0})),
+    "around_group_renamed": _put(8, lambda r: dataclasses.replace(r, params={**r.params, "group": "other"})),
     "around_left_with_one_source": _put(9, Relation("distance", "k2", "t", {"d": 1.0}, "intra", "u")),
     "around_source_repeated": _put(9, lambda r: dataclasses.replace(r, source="k1")),
     "around_cut_from_the_tail": lambda rels: rels.__delitem__(slice(9, None)),
@@ -1072,29 +1091,35 @@ def test_rules_spanning_relations_run_when_an_edit_can_break_them(edit):
     assert outcomes[0] == outcomes[1]
 
 
-def test_an_in_place_edit_made_before_the_call_is_keyed_as_it_was(monkeypatch):
-    # The caller sets a parsed relation's d in place before the call; the
-    # first revision puts the parser's float object back.  Its old key is
-    # the caller's value, its new key the parser's.
+def test_an_edit_made_before_the_call_is_keyed_as_it_was():
+    # The caller gives a parsed relation another d before the call, in a
+    # new relation, since the parsed params refuse the edit in place; the
+    # first revision puts the parser's value back.  Its old key is the
+    # caller's value, its new key the parser's.
     outputs = []
     for loop in (imagine_and_revise, _reference_imagine_and_revise):
         spec = parse_scene(serialize_scene(_crowded_scene()))
-        params = spec.relations[_relation_index(spec.relations, "distance", "s3", "s2")].params
-        parsed_d, params["d"] = params["d"], 0.5
+        relations = list(spec.relations)
+        k = _relation_index(relations, "distance", "s3", "s2")
+        parsed = relations[k]
+        with pytest.raises(TypeError, match="read-only"):
+            parsed.params["d"] = 0.5
+        relations[k] = dataclasses.replace(parsed, params={"d": 0.5})
 
         def reviser(s, conflicts):
-            params["d"] = parsed_d
-            return baseline_reviser(s, conflicts)
+            out = list(baseline_reviser(s, conflicts))
+            out[k] = parsed if out[k] is relations[k] else out[k]
+            return out
 
-        outputs.append(_outputs(*loop(spec, reviser=reviser)))
+        outputs.append(_outputs(*loop(spec.with_relations(relations), reviser=reviser)))
     assert outputs[0] == outputs[1]
     assert "- intra:u distance s3->s2 (d=0.5)" in outputs[0][2]
 
 
 @pytest.mark.parametrize(
     "edit",
-    [_SPANNING_EDITS[name] for name in ("around_sweep_in_place", "around_left_with_one_source", "shared_first_declaration_replaced")],
-    ids=["around_sweep_in_place", "around_left_with_one_source", "shared_first_declaration_replaced"],
+    [_SPANNING_EDITS[name] for name in ("around_sweep_replaced", "around_left_with_one_source", "shared_first_declaration_replaced")],
+    ids=["around_sweep_replaced", "around_left_with_one_source", "shared_first_declaration_replaced"],
 )
 def test_a_reviser_breaking_a_spanning_rule_gets_the_round_trip_error(edit):
     messages = []

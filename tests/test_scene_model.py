@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -717,14 +719,63 @@ def test_replace_relations_parses_the_relations_of_another_scene():
     assert loc_of(e).startswith("relations[0].")
 
 
-def test_replace_relations_parses_a_param_set_in_place():
+def test_replace_relations_parses_a_relation_given_new_params():
     spec = load_fixture("conflict_pair")
-    rel = spec.relations[0]
-    rel.params["d"] = 2  # equal to 2.0, but not the parser's float
-    out = replace_relations(spec, spec.relations)
+    rel = dataclasses.replace(spec.relations[0], params={"d": 2})  # equal to 2.0, but not the parser's float
+    out = replace_relations(spec, (rel, *spec.relations[1:]))
     assert out.relations[0] is not rel and out.relations[0] == rel
     assert repr(out.relations[0].params) == "{'d': 2.0}"
     assert all(a is b for a, b in zip(out.relations[1:], spec.relations[1:]))
+
+
+def _set_d(params):
+    params["d"] = 1.0
+
+
+def _del_d(params):
+    del params["d"]
+
+
+def _or_d(params):
+    params |= {"d": 1.0}
+
+
+_MUTATORS = {
+    "setitem": _set_d,
+    "delitem": _del_d,
+    "update": lambda params: params.update(d=1.0),
+    "pop": lambda params: params.pop("d"),
+    "popitem": lambda params: params.popitem(),
+    "clear": lambda params: params.clear(),
+    "setdefault": lambda params: params.setdefault("e", 1.0),
+    "ior": _or_d,
+}
+
+
+@pytest.mark.parametrize("mutate", _MUTATORS.values(), ids=list(_MUTATORS))
+def test_parsed_params_refuse_edits(mutate):
+    rel = load_fixture("conflict_pair").relations[0]
+    assert repr(rel.params) == "{'d': 0.6}"
+    with pytest.raises(TypeError, match="read-only"):
+        mutate(rel.params)
+    assert repr(rel.params) == "{'d': 0.6}"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_parsed_params_otherwise_act_as_a_dict(name):
+    spec = load_fixture(name)
+    for rel in spec.relations:
+        params, plain = rel.params, dict(rel.params)
+        assert isinstance(params, dict) and type(params) is not dict
+        assert params == plain and plain == params and repr(params) == repr(plain)
+        for indent in (None, 2):
+            assert json.dumps(params, indent=indent) == json.dumps(plain, indent=indent)
+        for copied in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert type(copied) is type(params) and copied is not params and copied == params
+        assert type(scene_model.relation_params(rel)) is dict
+        edited = dataclasses.replace(rel, params={**plain, "extra": 1.0})
+        assert edited.params == {**plain, "extra": 1.0} and rel.params == plain
+    assert pickle.loads(pickle.dumps(spec)) == spec and copy.deepcopy(spec) == spec
 
 
 @pytest.mark.parametrize(
@@ -763,19 +814,22 @@ def test_a_spec_not_from_the_parser_has_every_relation_parsed(make, monkeypatch)
     assert out == spec and not any(a is b for a, b in zip(out.relations, spec.relations))
 
 
-def _set(k, name, value):
-    """An edit that sets param `name` of relation k in place."""
+def _set(k, **params):
+    """An edit that puts a new relation at index k, its params updated by
+    `params`."""
 
     def edit(rels):
-        rels[k].params[name] = value
+        rels[k] = dataclasses.replace(rels[k], params={**rels[k].params, **params})
         return rels
 
     return edit
 
 
 def _drop(k, name):
+    """An edit that puts a new relation at index k, without param `name`."""
+
     def edit(rels):
-        del rels[k].params[name]
+        rels[k] = dataclasses.replace(rels[k], params={n: v for n, v in rels[k].params.items() if n != name})
         return rels
 
     return edit
@@ -790,18 +844,18 @@ def _drop(k, name):
         (lambda rels: rels + [rels[0]], [14]),
         (lambda rels: rels[:11], []),
         (lambda rels: [rels[5]] + rels[1:], [0]),
-        # The same param objects in a new dict hold what they held.
+        # The same param objects in a new dict.
         (lambda rels: rels[:4] + [dataclasses.replace(rels[4], params=dict(rels[4].params))] + rels[5:], [4]),
-        # In place: an equal int for a float, -0.0 for 0.0, an equal float
+        # New params: an equal int for a float, -0.0 for 0.0, an equal float
         # that is another object, a key removed, a key added, one key for
         # another holding the same value.
-        (_set(4, "d", 2), [4]),
-        (_set(12, "margin", -0.0), [12]),
-        (_set(13, "y", float("3.0")), [13]),
+        (_set(4, d=2), [4]),
+        (_set(12, margin=-0.0), [12]),
+        (_set(13, y=float("3.0")), [13]),
         (_drop(0, "p"), [0]),
-        (_set(8, "extra", 1.0), [8]),
-        (lambda rels: _set(6, "g", rels[6].params.pop("d"))(rels), [6]),
-        (lambda rels: _set(2, "p", 0.5)(_set(7, "d", -0.0)(rels)), [2, 7]),
+        (_set(8, extra=1.0), [8]),
+        (lambda rels: _drop(6, "d")(_set(6, g=rels[6].params["d"])(rels)), [6]),
+        (lambda rels: _set(2, p=0.5)(_set(7, d=-0.0)(rels)), [2, 7]),
     ],
     ids=[
         "same", "reversed", "replaced", "appended", "cut", "moved", "new_dict",
@@ -812,9 +866,13 @@ def test_edited_positions_are_the_indices_whose_relation_changed(edit, positions
     spec = load_fixture("dining_set")
     relations = edit(list(spec.relations))
     assert scene_model._edited_positions(spec, relations) == positions
-    # A spec without the parser's record reads every position as edited.
+    # A spec without the parser's record, or whose relations were set after
+    # it, reads every position as edited.
     built = spec.with_relations(spec.relations)
     assert scene_model._edited_positions(built, relations) == list(range(len(relations)))
+    reset = copy.copy(spec)
+    reset.relations = tuple(relations)
+    assert scene_model._edited_positions(reset, relations) == list(range(len(relations)))
 
 
 def _replace_or_error(spec, relations):
@@ -833,15 +891,19 @@ def _round_trip_or_error(spec, relations):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_replace_relations_after_in_place_edits_matches_the_round_trip(name):
-    # Each param of each relation of a parsed fixture, and a new key, set in
-    # place to each value, one at a time.
+    # Each param of each relation of a parsed fixture, and a new key, set to
+    # each value, one at a time: in place, which the parsed params refuse,
+    # then in a new relation.
     for k, rel in enumerate(load_fixture(name).relations):
         for key in [*rel.params, "extra"]:
             for value in (2, -0.0, -1.0, "x", None):
                 spec = load_fixture(name)
-                spec.relations[k].params[key] = value
-                got = _replace_or_error(spec, spec.relations)
-                want = _round_trip_or_error(spec, spec.relations)
+                with pytest.raises(TypeError):
+                    spec.relations[k].params[key] = value
+                relations = list(spec.relations)
+                relations[k] = dataclasses.replace(rel, params={**rel.params, key: value})
+                got = _replace_or_error(spec, relations)
+                want = _round_trip_or_error(spec, relations)
                 if isinstance(want, str):
                     assert got == want
                 else:
