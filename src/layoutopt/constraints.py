@@ -669,21 +669,11 @@ def _halves(spec: SceneSpec, asset_id: str) -> tuple:
     return a.half_l, a.half_w
 
 
-def _pose_rows(spec: SceneSpec) -> dict:
-    """The slice of each entity's (x, y, theta) row in the flat vector, in
-    draw order: each unit's frame then its members, then the independent
-    assets."""
-    ids = []
-    for u in spec.units:
-        ids.append(u.id)
-        ids.extend(u.members)
-    ids.extend(a.id for a in spec.independent_assets())
-    return {eid: slice(3 * r, 3 * r + 3) for r, eid in enumerate(ids)}
-
-
-def _blocks(spec: SceneSpec, pose: dict) -> dict:
-    """The boxes of each frame, as Blocks without terms: one per unit frame,
-    by unit id, then the scene's under None."""
+def _relation_plan(spec: SceneSpec, pose: dict, param: dict, priors: dict) -> dict:
+    """The boxes of each frame, one Block per unit frame, by unit id, then
+    the scene's under None, with each relation term resolved into its
+    frame's block, in the term order of `scene_model.relation_terms`: an
+    intra term into its unit's block, an inter one into the scene's."""
     blocks: dict = {}
     for u in spec.units:
         rows = (None,) + tuple(pose[mid].start for mid in u.members)
@@ -693,14 +683,6 @@ def _blocks(spec: SceneSpec, pose: dict) -> dict:
     halves = tuple(None if eid in blocks else _halves(spec, eid) for eid in ids)
     frames = tuple(blocks.get(eid) for eid in ids)
     blocks[None] = Block(None, ids, tuple(pose[eid].start for eid in ids), halves, frames, [])
-    return blocks
-
-
-def _relation_plan(spec: SceneSpec, pose: dict, param: dict, priors: dict) -> dict:
-    """`_blocks` with each relation term resolved into its frame's block, in
-    the term order of `scene_model.relation_terms`: an intra term into its
-    unit's block, an inter one into the scene's."""
-    blocks = _blocks(spec, pose)
     at = {frame: {eid: k for k, eid in enumerate(block.ids)} for frame, block in blocks.items()}
     relations = spec.relations
     for group, members in relation_terms(relations):
@@ -757,10 +739,15 @@ class ParamIndex:
         return self.size - len(self.param)
 
     def pack(self, poses: dict) -> np.ndarray:
-        """Flat vector from entity id -> (x, y, theta), shared slots at their priors."""
+        """Flat vector from entity id -> `Pose2D` or (x, y, theta), shared
+        slots at their priors.  An entity of `pose` with no entry in `poses`
+        raises MissingEntityError."""
         x = np.empty(self.size)
         for eid, rows in self.pose.items():
-            x[rows] = poses[eid]
+            if eid not in poses:
+                raise MissingEntityError(f"no pose for {eid!r}")
+            p = poses[eid]
+            x[rows] = (p.x, p.y, p.theta) if isinstance(p, geometry.Pose2D) else p
         x[self.pose_size :] = self.priors
         return x
 
@@ -770,7 +757,12 @@ def param_index(spec: SceneSpec) -> ParamIndex:
     independent assets; shared parameters in order of first occurrence.  A
     relation naming an entity its frame does not hold raises
     MissingEntityError."""
-    pose = _pose_rows(spec)
+    ids = []
+    for u in spec.units:
+        ids.append(u.id)
+        ids.extend(u.members)
+    ids.extend(a.id for a in spec.independent_assets())
+    pose = {eid: slice(3 * r, 3 * r + 3) for r, eid in enumerate(ids)}
     n = 3 * len(pose)
     priors = shared_param_priors(spec)
     param = {name: n + k for k, name in enumerate(priors)}

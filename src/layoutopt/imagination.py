@@ -18,7 +18,7 @@ cognitive maps are those kernel boxes, (x, y, theta, half_l, half_w), per
 frame, and conflicts are the pairs whose axis-aligned proxies overlap, found
 by the broadphase of the collision term, `constraints._proxy_pairs`.
 
-The revision loop imagines, maps and detects conflicts again only when a
+The revision loop compiles, imagines, maps and detects again only when a
 revision can move the imagined layout.  Since pins are first-wins, a
 distance or gap term whose every pin found its slot already set is idle:
 its value reaches no slot.  When a reviser edits only the params of idle
@@ -32,8 +32,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .constraints import Block, Term, _block_boxes, _blocks, _pose_rows, _proxy_pairs, param_index
-from .errors import MissingEntityError, RevisionError, SceneSemanticError
+from .constraints import Block, Term, _block_boxes, _proxy_pairs, param_index
+from .errors import RevisionError, SceneSemanticError
 from .geometry import Pose2D, half_extents, normalize_angle
 from .scene_model import Relation, SceneSpec, _edited_positions, replace_relations
 
@@ -245,38 +245,39 @@ def _imagine(spec: SceneSpec, index, idle: set | None = None) -> list:
     return xs
 
 
-def interpret_scene(spec: SceneSpec, *, _idle: set | None = None) -> dict:
+def interpret_scene(spec: SceneSpec) -> dict:
     """Candidate poses for every entity: unit frames and independent assets
-    in world coordinates, unit members in their frame's coordinates.
-    `imagine_and_revise` passes `_idle`, a set that receives the labels of
-    the idle terms (see `_run_pass`)."""
+    in world coordinates, unit members in their frame's coordinates.  The
+    poses of `_imagine` on the scene's compiled plan, as `Pose2D`s."""
     index = param_index(spec)
-    xs = _imagine(spec, index, _idle)
+    xs = _imagine(spec, index)
     members = [eid for u in spec.units for eid in index.blocks[u.id].ids[1:]]
     return {eid: Pose2D(*xs[index.pose[eid]]) for eid in members + list(index.blocks[None].ids)}
 
 
+def _maps(index, xs: list) -> tuple:
+    """`build_maps` at the flat vector `xs` (a list) laid out by `index`."""
+    local_maps = {}
+    for uid, block in index.blocks.items():
+        entries = dict(zip(block.ids, _block_boxes(block, xs)[0]))
+        if uid is None:
+            global_map = CognitiveMap("scene", entries)
+        else:
+            local_maps[uid] = CognitiveMap(uid, entries, tuple(xs[index.pose[uid]]))
+    return local_maps, global_map
+
+
 def build_maps(spec: SceneSpec, poses: dict):
-    """Local map per unit plus the global map, from a full pose assignment.
+    """Local map per unit plus the global map, from a full pose assignment
+    (`ParamIndex.pack`, which raises MissingEntityError for an entity with
+    no pose), on the kernel boxes of the scene's compiled plan.
 
     Local maps hold the kernel boxes of each unit's anchor and members in
     the unit frame; the global map holds each unit's stand-in box, the one
     the objective sees, and the independent assets.
     """
-    pose = _pose_rows(spec)
-    xs = [0.0] * (3 * len(pose))
-    for eid, rows in pose.items():
-        if eid not in poses:
-            raise MissingEntityError(f"no pose for {eid!r}")
-        p = poses[eid]
-        xs[rows] = p.x, p.y, p.theta
-    blocks = _blocks(spec, pose)
-    scene = blocks.pop(None)
-    local_maps = {}
-    for uid, block in blocks.items():
-        entries = dict(zip(block.ids, _block_boxes(block, xs)[0]))
-        local_maps[uid] = CognitiveMap(uid, entries, tuple(xs[pose[uid]]))
-    return local_maps, CognitiveMap("scene", dict(zip(scene.ids, _block_boxes(scene, xs)[0])))
+    index = param_index(spec)
+    return _maps(index, index.pack(poses).tolist())
 
 
 def _overlap(a: tuple, b: tuple):
@@ -590,18 +591,19 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
     the room, assets and units are kept as given.
 
     A round costs what the reviser changed: the positions of its list whose
-    relation is not the one the round started with are found once, by
-    identity (`scene_model._edited_positions`), and only they are keyed for
-    the edit lines, parsed and checked for the rules that span relations.
-    The first round keys every relation.  A parsed relation's params are
+    relation is not the one the round started with are found by identity
+    (`scene_model._edited_positions`), and only they are keyed for the edit
+    lines, parsed and checked for the rules that span relations.  The
+    first round keys every relation.  A parsed relation's params are
     read-only: a reviser that tries to edit them in place gets the
     TypeError, unwrapped, as it gets any error of its own.
 
-    A round imagines, maps and detects afresh unless the last revision
-    provably leaves the imagined layout as it was (`_places_alike`): the
-    reviser only edited distance or gap relations whose terms pinned
-    nothing.  Then the round reuses the conflicts the last pass found, which
-    a fresh pass would find again, bit for bit.
+    A fresh pass compiles the scene once and imagines, maps and detects on
+    that plan and its vector (`_imagine`, `_maps`), bit for bit
+    `build_maps` of `interpret_scene`.  A round reuses the last pass's
+    conflicts instead when the last revision provably leaves the imagined
+    layout as it was (`_places_alike`): the reviser only edited distance or
+    gap relations whose terms pinned nothing.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -611,8 +613,8 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
     for t in range(1, budget + 1):
         if detected is None:
             idle: set = set()
-            poses = interpret_scene(current, _idle=idle)
-            detected = tuple(detect_conflicts(current, *build_maps(current, poses)))
+            index = param_index(current)
+            detected = tuple(detect_conflicts(current, *_maps(index, _imagine(current, index, idle))))
         if not detected:
             rounds.append(RevisionRound(t, (), ()))
             return current, RevisionReport(True, t, tuple(rounds))
@@ -624,7 +626,7 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
         removed, added, edits = keys.diff(relations, edited)
         _check_locality(removed, added, conflicts)
         try:
-            revised = replace_relations(current, relations, _edited=edited)
+            revised = replace_relations(current, relations)
         except SceneSemanticError as exc:
             raise RevisionError(f"reviser produced an invalid scene: {exc}") from exc
         rounds.append(RevisionRound(t, tuple(conflicts), tuple(edits)))

@@ -179,7 +179,10 @@ class ParamState:
 
     A member's row holds its pose in its unit's frame, or its global pose
     when `flat` is set; every other row holds a global pose.  The shared
-    parameters' priors are `index.priors`.
+    parameters' priors are `index.priors`.  `limit` and `lr`, built with
+    the state from the module constants, are the clip limit and learning
+    rate of every slot; the (x, y) slots have no limit of their own: they
+    are clipped by their row's norm.
     """
 
     spec: SceneSpec
@@ -188,10 +191,18 @@ class ParamState:
     flat: bool = False
     vel: np.ndarray = field(init=False)
     step_index: int = field(default=0, init=False)
-    _slots: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    limit: np.ndarray = field(init=False, repr=False, compare=False)
+    lr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vel = np.zeros_like(self.x)
+        n_pose, size = self.index.pose_size, self.index.size
+        self.limit = np.full(size, CLIP_POSITION)
+        self.limit[:n_pose] = math.inf
+        self.limit[2:n_pose:3] = CLIP_ROTATION
+        self.lr = np.full(size, LR_SHARED)
+        self.lr[:n_pose] = LR_POSITION
+        self.lr[2:n_pose:3] = LR_ROTATION
 
     def reset_momentum(self):
         self.vel[:] = 0.0
@@ -205,12 +216,6 @@ class ParamState:
     def shared(self) -> dict:
         """Shared parameter values, by name."""
         return {name: float(self.x[k]) for name, k in self.index.param.items()}
-
-    def slot_constants(self) -> tuple:
-        """`_slot_constants(self.index)`, built at the first call."""
-        if self._slots is None:
-            self._slots = _slot_constants(self.index)
-        return self._slots
 
 
 def _check_fits(spec: SceneSpec):
@@ -334,14 +339,13 @@ def _pull_back(state: ParamState, view: list, grad: list):
             grad[frame + 2] += g0 * ly - g1 * lx - g2
 
 
-def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerConfig, as_list: bool = False):
+def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerConfig):
     """Objective value, its gradient over `state.x`, and per-term breakdown.
 
     `aggregate_global`, then `constraints.objective` over the unit blocks in
     plan order carrying on its sums in one list, then the prior and the
     pull-back: bit for bit the sum of it and each `aggregate_local`.  The
-    gradient is an array, or with `as_list` that list itself, as `step`
-    reads it.
+    gradient is that list, laid out as `state.x`, as `step` reads it.
     """
     spec, index = state.spec, state.index
     eff = _stage_weights(weights, stage)
@@ -364,20 +368,7 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
 
     if state.flat:
         _pull_back(state, xs, grad)
-    return total, grad if as_list else np.array(grad), terms
-
-
-def _slot_constants(index: ParamIndex):
-    """Clip limit and learning rate of every slot.  The (x, y) slots have no
-    limit of their own: they are clipped by their row's norm."""
-    n_pose = index.pose_size
-    limit = np.full(index.size, CLIP_POSITION)
-    limit[:n_pose] = math.inf
-    limit[2:n_pose:3] = CLIP_ROTATION
-    lr = np.full(index.size, LR_SHARED)
-    lr[:n_pose] = LR_POSITION
-    lr[2:n_pose:3] = LR_ROTATION
-    return limit, lr
+    return total, grad, terms
 
 
 def step(state: ParamState, config: OptimizerConfig, phase: Phase):
@@ -385,7 +376,7 @@ def step(state: ParamState, config: OptimizerConfig, phase: Phase):
     phase's weights; returns (loss, terms, lr factor) at the pre-step
     state, the factor being the phase's scale times the cosine factor.
     Stage 1 leaves the shared parameters untouched."""
-    total, grad, terms = evaluate(state, phase.weights, phase.stage, config, as_list=True)
+    total, grad, terms = evaluate(state, phase.weights, phase.stage, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
     factor = phase.scale * cosine_factor(state.step_index, phase.steps)
@@ -401,13 +392,12 @@ def step(state: ParamState, config: OptimizerConfig, phase: Phase):
         norm = math.hypot(gx, gy)
         if norm > clip:
             grad[r], grad[r + 1] = gx * (clip / norm), gy * (clip / norm)
-    limit, lr = state.slot_constants()
     n = n_pose if phase.stage == 1 else state.index.size
-    limit = limit[:n]
+    limit, lr = state.limit[:n], state.lr[:n]
     vel, x = state.vel[:n], state.x[:n]
     vel *= MOMENTUM
     vel += np.minimum(np.maximum(grad[:n], -limit), limit)
-    x -= lr[:n] * factor * vel
+    x -= lr * factor * vel
 
     state.step_index += 1
     if not np.isfinite(state.x).all():
@@ -441,7 +431,7 @@ def _solved_penalties(state: ParamState) -> dict | None:
     return penalties if all(v < SATISFIED for v in penalties.values()) else None
 
 
-def _descend(state: ParamState, config: OptimizerConfig, phases: tuple, stop: bool = True) -> Trace:
+def _descend(state: ParamState, config: OptimizerConfig, phases: tuple, stop: bool) -> Trace:
     """Run `phases` from `state` in place, each with fresh momentum, and
     record the trace.
 
@@ -500,10 +490,11 @@ def _run(state: ParamState, config: OptimizerConfig, phases: tuple, flat: bool, 
     return _state_layout(state), trace
 
 
-def _solve(spec: SceneSpec, config: OptimizerConfig, flat: bool = False, stop: bool = True) -> tuple[Layout, Trace]:
-    """`solve`, or `solve_global_baseline` when `flat` is set, from `_start`."""
+def _solve(spec: SceneSpec, config: OptimizerConfig, flat: bool = False) -> tuple[Layout, Trace]:
+    """`solve`, or `solve_global_baseline` when `flat` is set, from `_start`,
+    stopping when solved."""
     state, phases = _start(spec, config)
-    return _run(state, config, phases, flat, stop)
+    return _run(state, config, phases, flat, True)
 
 
 def solve(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple[Layout, Trace]:
@@ -593,7 +584,8 @@ def convergence_benchmark(
     from the same configuration and the same initial loss, and descend the
     two stages of the random start: the comparison measures the
     parameterization, not the start.  The reported speedup is baseline
-    iterations over re-parameterized iterations.  The two-level run goes
+    iterations over re-parameterized iterations, and 1 when both runs start
+    at zero loss and so both read 0 iterations.  The two-level run goes
     first.  Each run takes its full budget of `2 * config.iterations`
     steps: a solved state does not end it.  A diverged run ends its seed: it and the run not
     reached record the full iteration budget and no curve, at speedup 1.
@@ -615,7 +607,7 @@ def convergence_benchmark(
             pass
         iters = [_iterations_to_threshold(c, threshold) for c in curves] + [cap] * (2 - len(curves))
         diverged = len(curves) < 2
-        speedup = 1.0 if diverged else iters[1] / max(iters[0], 1)
+        speedup = 1.0 if diverged or iters == [0, 0] else iters[1] / max(iters[0], 1)
         results.append(BenchmarkResult(spec.name, int(seed), *iters, speedup, diverged, *curves))
     return results
 

@@ -330,16 +330,30 @@ def _parse_unit(data, location: str) -> Unit:
     return Unit(uid, anchor, names)
 
 
-class _Params(dict):
+class _Filled(type):
+    """Builds a dict subclass filled by `dict.__init__`, bypassing the
+    class's own `__init__`."""
+
+    def __call__(cls, *args, **kwargs):
+        self = dict.__new__(cls)
+        dict.__init__(self, *args, **kwargs)
+        return self
+
+
+class _Params(dict, metaclass=_Filled):
     """A parsed relation's params: a dict that refuses every edit, so the
-    relation holds what the parser gave it; copy and pickle keep the type."""
+    relation holds what the parser gave it; copy and pickle keep the type.
+    Construction fills it (`_Filled`), and an `__init__` called on it
+    afterwards is refused, empty or not.  A dict method called unbound,
+    `dict.__init__(params, ...)` or `dict.update(params, ...)`, still
+    bypasses the guard."""
 
     __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("a parsed relation's params are read-only; build a new Relation to change them")
 
-    __setitem__ = __delitem__ = __ior__ = update = pop = popitem = clear = setdefault = _refuse
+    __init__ = __setitem__ = __delitem__ = __ior__ = update = pop = popitem = clear = setdefault = _refuse
 
     def __reduce__(self):
         return _Params, (dict(self),)
@@ -636,13 +650,12 @@ def _spans(rel: Relation) -> bool:
     return rel.kind == "around" or rel.shared_param is not None
 
 
-def replace_relations(spec: SceneSpec, relations, *, _edited: list | None = None) -> SceneSpec:
+def replace_relations(spec: SceneSpec, relations) -> SceneSpec:
     """`spec` with `relations`, validated as a scene parser round trip of it
     would validate them, without the round trip.
 
-    Only the edited positions are looked at (`_edited_positions`, or
-    `_edited` when the caller found them for this very list; a superset
-    does no harm): the relation at each one goes through the parser's
+    Only the edited positions are looked at, found by identity
+    (`_edited_positions`): the relation at each one goes through the parser's
     per-relation path, entry written as serialize_scene writes it, unless
     it is one of the relations `spec` recorded, moved or repeated, whose
     read-only params hold what the parser gave them.  So the work is in
@@ -655,13 +668,12 @@ def replace_relations(spec: SceneSpec, relations, *, _edited: list | None = None
     would report.
     """
     relations = list(relations)
-    if _edited is None:
-        _edited = _edited_positions(spec, relations)
+    edited = _edited_positions(spec, relations)
     record = spec._parsed is spec.relations
     old = spec.relations if record else ()
     whole = not record or len(relations) < len(old)
     recorded = set(map(id, old))
-    for k in _edited:
+    for k in edited:
         rel = relations[k]
         if id(rel) not in recorded:
             rel = relations[k] = _read_relation(_relation_entry(rel), f"relations[{k}]", spec)

@@ -89,7 +89,7 @@ def reference_step(state, config, phase):
     norms = np.array([math.hypot(gx, gy) for gx, gy, _ in rows.tolist()])
     over = norms > optimizer.CLIP_POSITION
     rows[over, :2] *= (optimizer.CLIP_POSITION / norms[over])[:, None]
-    limit, lr = state.slot_constants()
+    limit, lr = state.limit, state.lr
     n = state.index.pose_size if phase.stage == 1 else state.index.size
     g = np.clip(grad[:n], -limit[:n], limit[:n])
     state.vel[:n] = optimizer.MOMENTUM * state.vel[:n] + g

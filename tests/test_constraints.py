@@ -40,6 +40,7 @@ from layoutopt.constraints import (
     relation_penalties,
     term_loss,
 )
+from layoutopt.errors import MissingEntityError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import Pose2D, compose, half_extents
 from layoutopt.imagination import imagine_and_revise
@@ -635,6 +636,17 @@ def test_param_index_holds_each_shared_prior_at_its_slot(name):
     assert dict(zip(index.param, index.priors)) == shared_param_priors(spec)
     x = index.pack({eid: (1.0, 2.0, 0.5) for eid in index.pose})
     assert x[index.pose_size :].tolist() == list(index.priors)
+
+
+def test_pack_reads_poses_and_names_an_entity_with_no_pose():
+    index = param_index(_bundled("dining_set"))
+    poses = {eid: Pose2D(1.0, 2.0, 0.5) for eid in index.pose}
+    assert index.pack(poses).tobytes() == index.pack({eid: (1.0, 2.0, 0.5) for eid in index.pose}).tobytes()
+    missing = list(index.pose)[-1]
+    del poses[missing]
+    with pytest.raises(MissingEntityError) as info:
+        index.pack(poses)
+    assert str(info.value) == f"no pose for {missing!r}"
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

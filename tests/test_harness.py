@@ -599,10 +599,11 @@ def test_benchmark_records_a_diverged_reparam_run_without_the_flat_run(monkeypat
 
 
 def test_benchmark_counts_zero_iterations_from_a_zero_initial_loss():
-    # One asset and no relations: stage 1's objective is zero from the start.
+    # One asset and no relations: stage 1's objective is zero from the start,
+    # in both runs, which share it; neither is faster.
     spec = _scene(Room(4.0, 4.0, 3.0), (Asset("a", "box", (1.0, 1.0, 1.0)),))
     (r,) = convergence_benchmark(spec, (0,), config=OptimizerConfig(iterations=5))
-    assert (r.reparam_iterations, r.baseline_iterations, r.speedup, r.diverged) == (0, 0, 0.0, False)
+    assert (r.reparam_iterations, r.baseline_iterations, r.speedup, r.diverged) == (0, 0, 1.0, False)
     assert r.reparam_curve[0] == 0.0 and len(r.reparam_curve) == len(r.baseline_curve) == 10
 
 
@@ -701,6 +702,18 @@ def test_cli_bench_prints_speedups(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "mean speedup" in stdout
     assert Path(curves).read_text().startswith("seed,iteration,")
+
+
+def test_cli_bench_reports_no_speedup_from_a_zero_loss_start(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    room = {"length": 4, "width": 4, "height": 3}
+    scene.write_text(json.dumps({"room": room, "assets": [{"id": "a", "size": [1, 1, 1]}]}))
+    assert main(["bench", str(scene), "--seeds", "0,1", "--iterations", "5"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 0: hierarchical 0 iters, flat 0 iters, speedup 1.00x",
+        "seed 1: hierarchical 0 iters, flat 0 iters, speedup 1.00x",
+        "mean speedup 1.00x, hierarchical wins 2/2 seeds",
+    ]
 
 
 def _json_errors(err: str) -> list:

@@ -750,14 +750,17 @@ def _named_scene(name, monkeypatch):
 
 
 def _passes(monkeypatch) -> list:
-    """The poses of each pass `imagine_and_revise` runs from now on."""
+    """The poses of each pass `imagine_and_revise` runs from now on, by
+    entity id, as `interpret_scene` gives them."""
     passes = []
+    imagine = imagination._imagine
 
-    def spy(spec, **kwargs):
-        passes.append(interpret_scene(spec, **kwargs))
-        return passes[-1]
+    def spy(spec, index, idle=None):
+        xs = imagine(spec, index, idle)
+        passes.append({eid: Pose2D(*xs[rows]) for eid, rows in index.pose.items()})
+        return xs
 
-    monkeypatch.setattr(imagination, "interpret_scene", spy)
+    monkeypatch.setattr(imagination, "_imagine", spy)
     return passes
 
 
@@ -851,7 +854,8 @@ def _pinned_pair():
 def test_a_pass_records_the_terms_that_pin_nothing(monkeypatch):
     spec = _pinned_pair()
     idle = set()
-    assert interpret_scene(spec, _idle=idle) == interpret_scene(spec)
+    index = param_index(spec)
+    assert imagination._imagine(spec, index, idle) == imagination._imagine(spec, index)
     assert idle == {"relations[4]", "relations[6]"}
     # The baseline reviser bumps b's distance in every round: one pass.
     passes = _passes(monkeypatch)
@@ -899,7 +903,7 @@ def _with(relations, k, rel):
 def test_only_edits_to_idle_distances_and_gaps_keep_the_layout(edit, alike):
     spec = _pinned_pair()
     idle = set()
-    interpret_scene(spec, _idle=idle)
+    imagination._imagine(spec, param_index(spec), idle)
     new = edit(spec.relations)
     every = range(len(new))
     assert imagination._places_alike(spec.relations, new, idle, every) is alike
@@ -1305,9 +1309,7 @@ def _reference_asset_halves(spec, asset_ids):
     return {aid: (spec.asset(aid).half_l, spec.asset(aid).half_w) for aid in asset_ids}
 
 
-def _reference_interpret_scene(spec, _idle=None):
-    # Records no idle term, so `imagine_and_revise` through this pass
-    # re-imagines every round.
+def _reference_interpret_scene(spec):
     frames = _reference_resolve_relations(spec)
     poses, offsets, halves = {}, {}, {}
     for u in spec.units:
@@ -1477,17 +1479,17 @@ def _assert_maps_and_conflicts_match(spec, poses):
 
 
 def _reference_revise(monkeypatch, spec, **kwargs):
-    """`imagine_and_revise` of `spec` through the reference pass, which
-    runs in every round."""
+    """`imagine_and_revise` of `spec` through the reference pass and maps,
+    which run in every round: the pass records no idle term."""
     passes = []
 
-    def counted(s, **pass_kwargs):
+    def imagine(s, index, idle=None):
         passes.append(None)
-        return _reference_interpret_scene(s, **pass_kwargs)
+        return s, _reference_interpret_scene(s)
 
     with monkeypatch.context() as m:
-        m.setattr(imagination, "interpret_scene", counted)
-        m.setattr(imagination, "build_maps", _reference_build_maps)
+        m.setattr(imagination, "_imagine", imagine)
+        m.setattr(imagination, "_maps", lambda index, imagined: _reference_build_maps(*imagined))
         m.setattr(imagination, "detect_conflicts", _reference_detect_conflicts)
         m.setattr(imagination, "_required_center_distance", _reference_required_center_distance)
         revised, report = imagine_and_revise(spec, **kwargs)
@@ -1513,6 +1515,42 @@ def test_imagination_pass_matches_the_reference_bitwise(name, monkeypatch):
     for r, ref in zip(report.rounds, ref_report.rounds, strict=True):
         assert _conflict_bits(r.conflicts) == _conflict_bits(ref.conflicts)
     assert _pose_bits(interpret_scene(revised)) == _pose_bits(_reference_interpret_scene(revised))
+
+
+@pytest.mark.parametrize("name", ["check:0:0", "check:1:3", "crowded_hand_built", "conflict_pair"])
+def test_a_fresh_pass_compiles_once_and_maps_as_build_maps(name, monkeypatch):
+    # Each pass imagines and maps on the plan it compiled, once; its maps
+    # are `build_maps` of `interpret_scene`'s poses, bit for bit.
+    spec = _named_scene(name, monkeypatch)
+    compiled, imagined, mapped = [], [], []
+    compile_plan, imagine, maps = imagination.param_index, imagination._imagine, imagination._maps
+
+    def spy_compile(s):
+        compiled.append(compile_plan(s))
+        return compiled[-1]
+
+    def spy_imagine(s, index, idle=None):
+        imagined.append((s, index))
+        return imagine(s, index, idle)
+
+    def spy_maps(index, xs):
+        mapped.append((index, maps(index, xs)))
+        return mapped[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(imagination, "param_index", spy_compile)
+        m.setattr(imagination, "_imagine", spy_imagine)
+        m.setattr(imagination, "_maps", spy_maps)
+        _, report = imagine_and_revise(spec)
+    assert report.iterations > 1 and len(imagined) > 1
+    assert len(compiled) == len(imagined) == len(mapped)
+    for index, (s, imagined_on), (mapped_on, (local_maps, global_map)) in zip(compiled, imagined, mapped):
+        assert index is imagined_on is mapped_on
+        want_local, want_global = build_maps(s, interpret_scene(s))
+        assert _map_bits(local_maps, global_map) == _map_bits(want_local, want_global)
+        assert [[_bits(v) for v in lm.frame] for lm in local_maps.values()] == [
+            [_bits(v) for v in lm.frame] for lm in want_local.values()
+        ]
 
 
 def test_maps_and_conflicts_match_the_reference_bitwise_on_jittered_and_comb_poses():

@@ -98,6 +98,12 @@ def _random_solve(spec, config, flat=False, stop=True):
     return _run(init_state(spec, seed), config, _two_stage(config.iterations), flat, stop)
 
 
+def _fixed_budget_solve(spec, config):
+    """`_solve` from `_start` with the stop test off: the whole budget."""
+    state, phases = _start(spec, config)
+    return _run(state, config, phases, False, False)
+
+
 def _budget(spec, config) -> int:
     """The steps of a solve that never stops: the sum of its phases'."""
     return sum(phase.steps for phase in _start(spec, config)[1])
@@ -306,7 +312,7 @@ def test_stage1_disables_collision_boundary_and_prior():
         state, Weights(collision=0.0, boundary=0.0), stage=2, config=replace(config, prior_weight=0.0)
     )
     params = list(state.index.param.values())
-    assert params and np.array_equal(grads1[params], grads_free[params])
+    assert params and np.array_equal(np.array(grads1)[params], np.array(grads_free)[params])
 
 
 def test_zero_gradient_step_is_noop():
@@ -323,9 +329,7 @@ def test_slot_constants_follow_the_module_constants(monkeypatch):
     for lr_position in (optimizer.LR_POSITION, 0.2):
         monkeypatch.setattr(optimizer, "LR_POSITION", lr_position)
         state = _assembled_scene()
-        slots = state.slot_constants()
-        assert state.slot_constants() is slots
-        limit, lr = slots
+        limit, lr = state.limit, state.lr
         assert (lr[0], lr[2], limit[2]) == (lr_position, optimizer.LR_ROTATION, optimizer.CLIP_ROTATION)
 
 
@@ -334,7 +338,7 @@ def test_slot_constants_pin_every_slot():
     state = _assembled_scene()
     n_pose, size = state.index.pose_size, state.index.size
     assert n_pose % 3 == 0 and size > n_pose
-    limit, lr = optimizer._slot_constants(state.index)
+    limit, lr = state.limit, state.lr
     assert limit.shape == lr.shape == (size,)
     for r in range(0, n_pose, 3):
         assert limit[r : r + 3].tolist() == [math.inf, math.inf, optimizer.CLIP_ROTATION], r
@@ -446,7 +450,7 @@ def test_solver_matches_scalar_recursion_on_axis_target():
         return x, steps
 
     for stop in (True, False):
-        layout, trace = _solve(spec, config, stop=stop)
+        layout, trace = _solve(spec, config) if stop else _fixed_budget_solve(spec, config)
         x, steps = recursion(stop)
         solved_x = layout.poses["slider"][0]
         assert solved_x == pytest.approx(x, abs=1e-12), stop
@@ -549,7 +553,7 @@ def test_a_solve_that_never_passes_is_the_fixed_budget_run(name):
         config = OptimizerConfig(seed=0)
         got = _solve(spec, config)
         assert got[1].solved_at is None and len(got[1].rows) == _budget(spec, config) == 900
-        assert _same_solve(got, _solve(spec, config, stop=False))
+        assert _same_solve(got, _fixed_budget_solve(spec, config))
 
 
 @pytest.mark.parametrize("name, seed", [("star_unit", 0), ("star_unit", 1), ("dining_set", 0)])
@@ -562,7 +566,7 @@ def test_a_stopped_solve_ends_at_a_checkpoint_clean_and_satisfied(name, seed):
     assert _is_solved(spec, layout, trace)
     assert max(trace.final_penalties.values()) < SATISFIED
     # The steps before the stop are the fixed-budget run's, row for row.
-    fixed_layout, fixed = _solve(spec, config, stop=False)
+    fixed_layout, fixed = _fixed_budget_solve(spec, config)
     assert fixed.to_csv().startswith(trace.to_csv())
     assert fixed.solved_at is None and len(fixed.rows) == budget
 
@@ -625,7 +629,7 @@ def test_a_scene_whose_imagined_layout_collides_solves_from_the_random_start(nam
     else:
         spec, config = _rooms_scene(name, 40, monkeypatch), OptimizerConfig(iterations=40, seed=0)
     assert not _is_clean(spec, _state_layout(_imagined_state(spec)))
-    layout, trace = _solve(spec, config, stop=False)
+    layout, trace = _fixed_budget_solve(spec, config)
 
     state = init_state(spec, config.seed)
     rows = []
@@ -761,16 +765,18 @@ def test_evaluate_matches_the_parts_summing_reference_bitwise(name):
                 want_total, want_grad, want_terms = refopt.reference_evaluate(state, Weights(), stage, config)
                 context = (name, seed, flat, stage)
                 assert repr(total) == repr(want_total), context
-                assert grad.tobytes() == want_grad.tobytes(), context
+                assert np.array(grad).tobytes() == want_grad.tobytes(), context
                 assert repr(terms) == repr(want_terms), context
 
 
-def _fixed_gradient(grad):
-    """An `evaluate` stand-in returning `grad` at a finite objective."""
+def _fixed_gradient(grad, array=False):
+    """An `evaluate` stand-in returning `grad` at a finite objective, as the
+    list `evaluate` returns, or with `array` set as the array
+    `refopt.reference_evaluate` returns."""
 
-    def fake(state, weights, stage, config, as_list=False):
+    def fake(state, weights, stage, config):
         g = np.array(grad, dtype=float)
-        return 1.0, g.tolist() if as_list else g, {"collision": 0.0, "boundary": 0.0, "relation": 1.0, "prior": 0.0}
+        return 1.0, g if array else g.tolist(), {"collision": 0.0, "boundary": 0.0, "relation": 1.0, "prior": 0.0}
 
     return fake
 
@@ -813,7 +819,7 @@ def test_nan_gradient_diverges_at_the_reference_step(stage, monkeypatch):
             state = _clone(base)
             state.step_index = base.step_index
             monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(grad))
-            monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad))
+            monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad, array=True))
             try:
                 stepper(state, OptimizerConfig(), _STAGES[stage])
                 outcomes.append(("ok", state.x.tobytes(), state.vel.tobytes(), state.step_index))
@@ -848,7 +854,7 @@ def test_step_matches_the_reference_step_on_edge_gradients(clip, monkeypatch):
             state = _clone(base)
             state.vel[:] = base.vel
             monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(grad))
-            monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad))
+            monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad, array=True))
             try:
                 with np.errstate(all="ignore"):  # the reference's inf * 0 in its row scaling
                     stepper(state, config, _STAGES[stage])

@@ -749,6 +749,7 @@ _MUTATORS = {
     "clear": lambda params: params.clear(),
     "setdefault": lambda params: params.setdefault("e", 1.0),
     "ior": _or_d,
+    "init": lambda params: params.__init__(d=5.0),
 }
 
 
@@ -759,6 +760,19 @@ def test_parsed_params_refuse_edits(mutate):
     with pytest.raises(TypeError, match="read-only"):
         mutate(rel.params)
     assert repr(rel.params) == "{'d': 0.6}"
+
+
+def test_parsed_params_refuse_a_second_init_empty_or_filled_and_copies_too():
+    spec = load_fixture("conflict_pair")
+    filled, empty = spec.relations[0].params, spec.relations[2].params
+    assert repr(filled) == "{'d': 0.6}" and repr(empty) == "{}"
+    for params in (filled, empty):
+        before = repr(params)
+        for target in (params, copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            for args, kwargs in (((), {}), (({"d": 5.0},), {}), ((), {"d": 5.0})):
+                with pytest.raises(TypeError, match="read-only"):
+                    target.__init__(*args, **kwargs)
+            assert repr(target) == before and type(target) is type(params)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
