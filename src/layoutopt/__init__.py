@@ -1,10 +1,11 @@
 """Constraint-driven planar layout solving.
 
 Declarative scenes (room, assets, units, relations) are compiled into
-differentiable penalty terms and minimized with momentum descent under a
-global-to-local pose re-parameterization.  Companion tooling checks layouts
-for collisions and bounds, analyzes the relation graph, and benchmarks
-convergence against a flat global parameterization.
+differentiable penalty terms and minimized by L-BFGS from the imagined
+layout, or momentum descent from a random one, under a global-to-local pose
+re-parameterization.  Companion tooling checks layouts for collisions and
+bounds, analyzes the relation graph, and benchmarks convergence against a
+flat global parameterization.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ optional params defaulted as the parser defaults them.  The pass,
 `_block_boxes`, which builds unit stand-ins with `geometry.enclosing_box`;
 a heading that is not finite reads as NaN there.  The pass calls each
 term's kernel and routes its gradients inline (`term_loss` serves the
-penalty report); collisions go through `collision_loss`, once per pair the
+penalty report, whose directional alignment reads |w| where the pass
+squares it); collisions go through `collision_loss`, once per pair the
 broadphase `_proxy_pairs` keeps, the pairs the imagination pass checks for
 conflicts.  Kernels are looked up by module attribute at call time.
 """
@@ -112,10 +113,11 @@ class CollisionLoss(NamedTuple):
 def collision_loss(a: tuple, b: tuple) -> CollisionLoss:
     """Overlap penalty on axis-aligned proxies.
 
-    value = IoU - (d^2 / c^2) * rho, where rho is intersection over the
+    value = IoU + rho * (1 - d^2 / c^2), where rho is intersection over the
     smaller proxy area, d the center distance, and c the diagonal of the
-    smallest axis-aligned box enclosing both proxies.  Zero exactly when the
-    proxies are disjoint; bounded below by -1.  The aggregates call it once
+    smallest axis-aligned box enclosing both proxies.  d <= c, so the value
+    is never negative, and it is zero exactly when the proxies are disjoint:
+    a clean layout is where the term is least.  The aggregates call it once
     per pair that the broadphase keeps.
     """
     ax_a, ay_a, dax_a, day_a = half_extents(a[3], a[4], a[2])
@@ -137,7 +139,7 @@ def collision_loss(a: tuple, b: tuple) -> CollisionLoss:
     iou = inter / union
     rho = inter / min_area
     ratio = d2 / c2
-    value = iou - ratio * rho
+    value = iou + rho * (1.0 - ratio)
 
     darea_a = 4.0 * (dax_a * ay_a + ax_a * day_a)  # d area_a / d theta_a
     darea_b = 4.0 * (dax_b * ay_b + ax_b * day_b)
@@ -164,7 +166,7 @@ def collision_loss(a: tuple, b: tuple) -> CollisionLoss:
         d_min = d_area_a if a_is_min else d_area_b
         d_rho = (d_inter * min_area - inter * d_min) / min_area2
         d_ratio = (d_d2 * c2 - d2 * d_c2) / c2_2
-        g.append(d_iou - d_ratio * rho - ratio * d_rho)
+        g.append(d_iou + d_rho * (1.0 - ratio) - rho * d_ratio)
     return CollisionLoss(value, ((g[0], g[1], g[2]), (g[3], g[4], g[5])), None)
 
 
@@ -446,15 +448,18 @@ SIDE_RULES = {
 }
 
 
-def directional_loss(boxes: list, p: float, axis_i: int, sigma: float):
+def directional_loss(boxes: list, p: float, axis_i: int, sigma: float, square: bool = True):
     """Side placement in the target's frame.
 
     The source center, expressed in the target frame, must clear the shared
     half extents along the side's axis (squared hinge) and line up on the
-    perpendicular axis at the fraction p between the two touch extremes
-    (absolute deviation).  Sides: left/right along target-local x,
-    behind/front along target-local y; the constants are the side's
-    `SIDE_RULES` entry.
+    perpendicular axis at the fraction p between the two touch extremes: the
+    deviation w enters squared, which the descent minimizes, or as |w| with
+    `square` unset, the form the penalty report reads (`term_loss`), so that
+    "satisfied" keeps its units.  Both forms share every expression but the
+    alignment's, and are zero at the same places.  Sides: left/right along
+    target-local x, behind/front along target-local y; the constants are the
+    side's `SIDE_RULES` entry.
     """
     src, tgt = boxes
     ct, st = math.cos(tgt[2]), math.sin(tgt[2])
@@ -472,10 +477,11 @@ def directional_loss(boxes: list, p: float, axis_i: int, sigma: float):
     w = coords[other] - bar
 
     hinge = max(z, 0.0)
-    value = hinge * hinge + abs(w)
-
     h2 = 2.0 * hinge
-    sw = math.copysign(1.0, w) if w != 0.0 else 0.0
+    if square:
+        value, sw = hinge * hinge + w * w, 2.0 * w
+    else:
+        value, sw = hinge * hinge + abs(w), math.copysign(1.0, w) if w != 0.0 else 0.0
 
     # Derivatives of the target-frame coordinates w.r.t. the source position
     # and the target heading.
@@ -792,9 +798,13 @@ def _block_boxes(block: Block, xs: list) -> tuple:
 
 def term_loss(term: Term, boxes: list, xs) -> tuple:
     """(value, pose gradient per end box, parameter gradient) of one term on
-    its block's kernel boxes, its parameter read from `xs` when shared."""
+    its block's kernel boxes, its parameter read from `xs` when shared, in
+    the penalty report's form: a directional term's alignment is |w|."""
     value = term.value if term.param is None else xs[term.param]
-    return globals()[term.kernel]([boxes[k] for k in term.ends], value, *term.consts)
+    ends = [boxes[k] for k in term.ends]
+    if term.kernel == "directional_loss":
+        return directional_loss(ends, value, *term.consts, square=False)
+    return globals()[term.kernel](ends, value, *term.consts)
 
 
 def objective(blocks, xs: list, weights: Weights, room: Room, start: LossValue) -> LossValue:

@@ -1,10 +1,11 @@
-"""Momentum descent over one flat parameter vector, from the imagined layout.
+"""L-BFGS from the imagined layout, or momentum descent from a random
+start, over one flat parameter vector.
 
-Both parameterizations run the same loop and the same `step` over a vector
-laid out by `ParamIndex`: one pose row per unit frame, unit member and
-independent asset, then the shared constraint parameters.  They differ only
-in the map from that vector to the poses the objective reads, and in that
-map's chain rule:
+Both parameterizations run the same descents over a vector laid out by
+`ParamIndex`: one pose row per unit frame, unit member and independent
+asset, then the shared constraint parameters.  They differ only in the map
+from that vector to the poses the objective reads, and in that map's chain
+rule:
 
 - two-level (`solve`): a member's row is its pose local to its unit's
   frame, and the map is the identity.  Unit-internal terms therefore never
@@ -18,21 +19,20 @@ map's chain rule:
 A solve compiles the scene once and runs the imagination pass on that plan
 (`imagination._imagine`, which `interpret_scene` wraps).  When the imagined
 poses are clean (`harness._is_clean`), the solve starts there, with seeded
-N(0, JITTER) noise on every pose slot, and refines: one stage-2 phase of
-`iterations` steps at REFINE_LR times every slot's rate, then a polish of
-`max(1, iterations // 2)` steps with the relation weight at
-POLISH_RELATION, the same rate and fresh momentum.  Otherwise it falls back
-to `init_state`'s seeded random draw and two stages of `iterations` steps:
-stage 1 optimizes poses under relation terms only, with constraint
+N(0, JITTER) noise on every pose slot, and `_lbfgs` minimizes the stage-2
+objective at relation weight POLISH_RELATION.  Otherwise it falls back to
+`init_state`'s seeded random draw and two momentum stages of `iterations`
+steps: stage 1 optimizes poses under relation terms only, with constraint
 parameters frozen; stage 2 enables collision and boundary terms, and lets
 shared constraint parameters float under a quadratic prior at their
-declared values.  Each phase anneals over its own length.
+declared values.  Each stage anneals over its own length.
 
-Each iteration is one `evaluate`, one pass over the relation plan into one
-gradient list, and one `step`, which updates velocity and vector in place.
-Every `CHECK_EVERY` steps of a phase a solve tests its state as the seed
-sweep scores a solved layout (`harness._is_clean`, then the relation
-penalties), and the first pass ends it: `iterations` is a cap.
+Each objective call is one `evaluate`, one pass over the relation plan into
+one gradient list; a momentum step is one `evaluate` and one `step`, which
+updates velocity and vector in place.  At every accepted L-BFGS iterate,
+and every `CHECK_EVERY` momentum steps, a solve tests its state as the seed
+sweep scores a solved layout (`_solved_penalties`), and the first pass ends
+it: `iterations` sets a cap.
 
 `convergence_benchmark` compares the two parameterizations: it runs both
 from `init_state`'s draw through the two-stage descent with the stop test
@@ -62,7 +62,7 @@ from .imagination import _imagine
 from .scene_model import Layout, SceneSpec
 
 
-# Steps between two tests of whether a solve is done, in each phase.
+# Momentum steps between two tests of whether a solve is done, in each stage.
 CHECK_EVERY = 25
 # Momentum of the velocity, and the learning rates of the (x, y), heading
 # and shared-parameter slots.
@@ -77,23 +77,28 @@ CLIP_POSITION = 1.0
 CLIP_ROTATION = 0.3
 # A relation is satisfied when its raw penalty is below this.
 SATISFIED = 1e-3
-# The term weights every descent step evaluates at, but the polish's.
+# The term weights of both descents; L-BFGS raises the relation weight.
 WEIGHTS = Weights()
 # The imagined start: the standard deviation of the noise on every pose
-# slot, the scale of every slot's learning rate in both phases, and the
-# polish's relation weight.
+# slot, and the relation weight of the objective L-BFGS minimizes.
 JITTER = 0.05
-REFINE_LR = 0.2
 POLISH_RELATION = 10.0
+# L-BFGS: curvature pairs kept; the largest entry of a steepest-descent
+# step; the Armijo constant of the halving line search; the least s.y a
+# curvature pair needs to be kept.
+LBFGS_MEMORY = 10
+FIRST_STEP = 0.1
+ARMIJO = 1e-4
+CURVATURE_MIN = 1e-12
 # History weight of the exponential moving average of the loss curves.
 EMA_ALPHA = 0.85
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Descent settings; `iterations` caps the steps of each phase (a
-    solve ends sooner once it is solved, see `solve`), and a `seed` of None
-    starts from the scene's own seed."""
+    """Descent settings; `iterations` sets the cap of a solve (see `solve`;
+    a solve ends sooner once it is solved), and a `seed` of None starts
+    from the scene's own seed."""
 
     iterations: int = 600
     prior_weight: float = 1.0
@@ -101,27 +106,18 @@ class OptimizerConfig:
 
 
 class Phase(NamedTuple):
-    """One run of descent steps: the objective's stage (1: relations only,
-    shared parameters frozen; 2: every term), the term weights, the scale of
-    every slot's learning rate, and the number of steps, over which the
-    rate anneals."""
+    """One run of momentum steps: the objective's stage (1: relations only,
+    shared parameters frozen; 2: every term), the term weights, and the
+    number of steps, over which the rate anneals."""
 
     stage: int
     weights: Weights
-    scale: float
     steps: int
 
 
 def _two_stage(iterations: int) -> tuple:
     """The schedule from a random start: stage 1, then stage 2."""
-    return Phase(1, WEIGHTS, 1.0, iterations), Phase(2, WEIGHTS, 1.0, iterations)
-
-
-def _refine(iterations: int) -> tuple:
-    """The schedule from the imagined start: stage 2 at a fifth of the
-    rate, then the polish at a raised relation weight."""
-    polish = replace(WEIGHTS, relation=POLISH_RELATION)
-    return Phase(2, WEIGHTS, REFINE_LR, iterations), Phase(2, polish, REFINE_LR, max(1, iterations // 2))
+    return Phase(1, WEIGHTS, iterations), Phase(2, WEIGHTS, iterations)
 
 
 def cosine_factor(t: int, total: int) -> float:
@@ -131,6 +127,10 @@ def cosine_factor(t: int, total: int) -> float:
 
 @dataclass
 class TraceRow:
+    """One iterate: its position in the trace, the objective's stage, the
+    weighted total and the raw family totals there, and `lr`: the accepted
+    step length of an L-BFGS iterate, the cosine factor of a momentum step."""
+
     iteration: int
     stage: int
     total: float
@@ -143,19 +143,19 @@ class TraceRow:
 
 @dataclass
 class Trace:
-    """Per-iteration record of the objective and its terms.
+    """Per-iterate record of the objective and its terms.
 
-    A solve from the imagined layout has only stage-2 rows: its first
-    `iterations` rows are the refinement and the rows after them the
-    polish, whose `total` weighs the relation term by POLISH_RELATION.  A
-    solve that fell back to the random start has `iterations` stage-1 rows,
-    then the stage-2 rows.  A row's `lr` is the factor its step applied to
-    every slot's learning rate, its phase's scale times the cosine factor,
-    not a rate itself.  `final_shared` and `final_penalties` snapshot the
-    learned shared parameters and the raw per-relation penalties at the
-    final state.  `solved_at` is the number of steps after which the solve
-    stopped because its state was clean and satisfied, or None when it ran
-    until the iteration cap.
+    A solve from the imagined layout has one stage-2 row per accepted
+    L-BFGS iterate, the start first: its `total` weighs the relation term
+    by POLISH_RELATION, and its `lr` is the step length the line search
+    accepted (0 for the start).  A solve that fell back to the random start
+    has one row per momentum step, at the state before it: `iterations`
+    stage-1 rows, then the stage-2 rows; a row's `lr` is the cosine factor
+    its step applied to every slot's learning rate, not a rate itself.
+    `final_shared` and `final_penalties` snapshot the learned shared
+    parameters and the raw per-relation penalties at the final state.
+    `solved_at` is the number of rows when the solve stopped because its
+    state was clean and satisfied, or None when it ran until its cap.
     """
 
     rows: list = field(default_factory=list)
@@ -257,13 +257,13 @@ def init_state(spec: SceneSpec, seed: int, index: ParamIndex | None = None) -> P
 
 
 def _start(spec: SceneSpec, config: OptimizerConfig) -> tuple:
-    """The state a solve starts from and its phases.
+    """The state a solve starts from, and whether it is the imagined one.
 
     The scene is compiled once and imagined on that plan.  When the
     imagined poses are clean, they are the start, with seeded N(0, JITTER)
-    noise on every pose slot (the seed draws only this noise), refined by
-    `_refine`; otherwise the start is `init_state`'s draw, descended by
-    `_two_stage`.  An asset the room cannot hold raises before any imagining.
+    noise on every pose slot (the seed draws only this noise); otherwise
+    the start is `init_state`'s draw.  An asset the room cannot hold raises
+    before any imagining.
     """
     _check_fits(spec)
     seed = spec.seed if config.seed is None else config.seed
@@ -272,10 +272,10 @@ def _start(spec: SceneSpec, config: OptimizerConfig) -> tuple:
     x[index.pose_size :] = index.priors
     state = ParamState(spec, index, x)
     if not _is_clean(spec, _state_layout(state)):
-        return init_state(spec, seed, index), _two_stage(config.iterations)
+        return init_state(spec, seed, index), False
     n = index.pose_size
     state.x[:n] += np.random.default_rng(seed).normal(0.0, JITTER, n)
-    return state, _refine(config.iterations)
+    return state, True
 
 
 def _stage_weights(weights: Weights, stage: int) -> Weights:
@@ -345,7 +345,8 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
     `aggregate_global`, then `constraints.objective` over the unit blocks in
     plan order carrying on its sums in one list, then the prior and the
     pull-back: bit for bit the sum of it and each `aggregate_local`.  The
-    gradient is that list, laid out as `state.x`, as `step` reads it.
+    gradient is that list, laid out as `state.x`, as `step` and `_lbfgs`
+    read it.
     """
     spec, index = state.spec, state.index
     eff = _stage_weights(weights, stage)
@@ -372,14 +373,13 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
 
 
 def step(state: ParamState, config: OptimizerConfig, phase: Phase):
-    """One descent step of `phase` in place, on the objective at the
-    phase's weights; returns (loss, terms, lr factor) at the pre-step
-    state, the factor being the phase's scale times the cosine factor.
-    Stage 1 leaves the shared parameters untouched."""
+    """One momentum step of `phase` in place, on the objective at the
+    phase's weights; returns (loss, terms, cosine factor) at the pre-step
+    state.  Stage 1 leaves the shared parameters untouched."""
     total, grad, terms = evaluate(state, phase.weights, phase.stage, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
-    factor = phase.scale * cosine_factor(state.step_index, phase.steps)
+    factor = cosine_factor(state.step_index, phase.steps)
 
     # Each row's (x, y) gradient is scaled down to norm CLIP_POSITION, in
     # place in the list `grad`.  The norm uses math.hypot: np.hypot can
@@ -420,101 +420,172 @@ def _state_layout(state: ParamState) -> Layout:
     return Layout(poses)
 
 
-def _solved_penalties(state: ParamState) -> dict | None:
+def _solved_penalties(state: ParamState, relation: float) -> dict | None:
     """The relation penalties at `state` when it passes the seed sweep's
-    test of a solved layout, else None: `harness.eval_physical` would find
-    0% collision and 0% out of bounds, then every penalty is below
-    SATISFIED."""
-    if not _is_clean(state.spec, _state_layout(state)):
+    test of a solved layout, else None: every penalty is below SATISFIED
+    (read first, as it fails more often), then `harness.eval_physical`
+    would find 0% collision and 0% out of bounds.  A raw relation total
+    `relation` above SATISFIED times the number of terms cannot pass and
+    is not tested, so this screen can delay a stop, never make one."""
+    if relation > SATISFIED * sum(len(block.terms) for block in state.index.blocks.values()):
         return None
     penalties = relation_penalties(state.index, _derived_view(state))
-    return penalties if all(v < SATISFIED for v in penalties.values()) else None
+    if all(v < SATISFIED for v in penalties.values()) and _is_clean(state.spec, _state_layout(state)):
+        return penalties
+    return None
+
+
+def _row(trace: Trace, stage: int, total: float, terms: dict, lr: float):
+    families = (float(terms[k]) for k in ("collision", "boundary", "relation", "prior"))
+    trace.rows.append(TraceRow(len(trace.rows), stage, float(total), *families, lr))
+
+
+def _finish(state: ParamState, trace: Trace, penalties: dict | None) -> Trace:
+    trace.final_shared = state.shared
+    trace.final_penalties = relation_penalties(state.index, _derived_view(state)) if penalties is None else penalties
+    return trace
 
 
 def _descend(state: ParamState, config: OptimizerConfig, phases: tuple, stop: bool) -> Trace:
-    """Run `phases` from `state` in place, each with fresh momentum, and
-    record the trace.
+    """Run the momentum `phases` from `state` in place, each with fresh
+    momentum, and record the trace.
 
     With `stop` set, the state after every CHECK_EVERY-th step of a phase,
-    but the last step of the last phase, is tested by `_solved_penalties`,
-    and the first pass ends the solve.  The test runs only when the raw
-    relation total `step` returned, at the state one step earlier, is at
-    most SATISFIED times the number of terms, as it is when every penalty
-    is below SATISFIED; so this screen can delay a stop, never make one.
+    but the last step of the last phase, is tested by `_solved_penalties`
+    on the relation total `step` returned, at the state one step earlier,
+    and the first pass ends the solve.
     """
-    if config.iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {config.iterations}")
     trace = Trace()
-    bound = SATISFIED * sum(len(block.terms) for block in state.index.blocks.values())
     penalties = None
     last = len(phases) - 1
     for p, phase in enumerate(phases):
         state.reset_momentum()
         for t in range(1, phase.steps + 1):
             total, terms, factor = step(state, config, phase)
-            trace.rows.append(
-                TraceRow(
-                    len(trace.rows),
-                    phase.stage,
-                    float(total),
-                    float(terms["collision"]),
-                    float(terms["boundary"]),
-                    float(terms["relation"]),
-                    float(terms["prior"]),
-                    factor,
-                )
-            )
-            checkpoint = stop and t % CHECK_EVERY == 0 and (p < last or t < phase.steps)
-            if checkpoint and terms["relation"] <= bound:
-                penalties = _solved_penalties(state)
+            _row(trace, phase.stage, total, terms, factor)
+            if stop and t % CHECK_EVERY == 0 and (p < last or t < phase.steps):
+                penalties = _solved_penalties(state, terms["relation"])
                 if penalties is not None:
                     trace.solved_at = len(trace.rows)
                     break
         if penalties is not None:
             break
-    trace.final_shared = state.shared
-    if penalties is None:
-        penalties = relation_penalties(state.index, _derived_view(state))
-    trace.final_penalties = penalties
-    return trace
+    return _finish(state, trace, penalties)
 
 
-def _run(state: ParamState, config: OptimizerConfig, phases: tuple, flat: bool, stop: bool) -> tuple[Layout, Trace]:
-    """Descend `phases` from `state`, first transported to global member
-    poses when `flat` is set; with `stop` unset, the descent runs its full
-    budget whatever its state."""
+def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
+    """Minimize the stage-2 objective at relation weight POLISH_RELATION
+    from `state`, in place, by L-BFGS (Liu & Nocedal, 1989; Nocedal &
+    Wright, *Numerical Optimization*, algorithms 7.4 and 7.5), with one
+    trace row per accepted iterate, the start first.
+
+    The direction is the two-loop recursion over the last LBFGS_MEMORY
+    curvature pairs, a pair kept only when its s.y exceeds CURVATURE_MIN.
+    With no pair, or when that direction does not descend, the pairs are
+    dropped and the direction is steepest descent, scaled so that its
+    largest entry is FIRST_STEP.  The line search halves the step from 1
+    until the Armijo condition holds at constant ARMIJO.  Each accepted
+    iterate is tested by `_solved_penalties`, and the first pass ends the
+    solve.  `evaluate` runs at most `iterations + iterations // 2` times; a
+    line search that the cap cuts, or whose step no longer moves `x`, ends
+    the solve at the last accepted iterate.
+    """
+    weights = replace(WEIGHTS, relation=POLISH_RELATION)
+    budget = config.iterations + config.iterations // 2
+    trace, x = Trace(), state.x
+    total, grad, terms = evaluate(state, weights, 2, config)
+    if not math.isfinite(total):
+        raise DivergenceError("objective is not finite", 0)
+    calls, pairs, t = 1, [], 0.0
+    while True:
+        g = np.array(grad)
+        if not np.isfinite(g).all():
+            raise DivergenceError("gradient is not finite", len(trace.rows))
+        if t > 0.0:  # after a step from x0
+            s, y = x - x0, g - g_prev
+            sy = s @ y
+            if sy > CURVATURE_MIN:
+                pairs.append((s, y, 1.0 / sy))
+                del pairs[:-LBFGS_MEMORY]
+        _row(trace, 2, total, terms, t)
+        penalties = _solved_penalties(state, terms["relation"])
+        if penalties is not None:
+            trace.solved_at = len(trace.rows)
+            return _finish(state, trace, penalties)
+        d = -g
+        if pairs:
+            alphas = []
+            for s, y, rho in reversed(pairs):
+                alphas.append(rho * (s @ d))
+                d -= alphas[-1] * y
+            s, y, _ = pairs[-1]
+            d *= (s @ y) / (y @ y)
+            for (s, y, rho), a in zip(pairs, reversed(alphas)):
+                d += (a - rho * (y @ d)) * s
+        slope = g @ d
+        if not (pairs and slope < 0.0):
+            pairs.clear()
+            largest = np.abs(g).max()
+            if largest == 0.0:
+                return _finish(state, trace, None)
+            d = g * (-FIRST_STEP / largest)
+            slope = g @ d
+        x0, g_prev, t = x.copy(), g, 1.0
+        while True:
+            x[:] = x0 + t * d
+            if calls == budget or np.array_equal(x, x0):
+                x[:] = x0
+                return _finish(state, trace, None)
+            trial, grad, trial_terms = evaluate(state, weights, 2, config)
+            calls += 1
+            if trial <= total + ARMIJO * t * slope:
+                total, terms = trial, trial_terms
+                break
+            t *= 0.5
+
+
+def _run(state: ParamState, config: OptimizerConfig, flat: bool, imagined: bool, stop: bool = True) -> tuple[Layout, Trace]:
+    """Descend from `state`, first transported to global member poses when
+    `flat` is set: by `_lbfgs` from the imagined start, else by the two
+    momentum stages, which with `stop` unset run their full budget whatever
+    their state."""
+    if config.iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {config.iterations}")
     if flat:
         state.x[:] = _global_view(state)
         state.flat = True
-    trace = _descend(state, config, phases, stop)
+    if imagined:
+        trace = _lbfgs(state, config)
+    else:
+        trace = _descend(state, config, _two_stage(config.iterations), stop)
     return _state_layout(state), trace
 
 
 def _solve(spec: SceneSpec, config: OptimizerConfig, flat: bool = False) -> tuple[Layout, Trace]:
     """`solve`, or `solve_global_baseline` when `flat` is set, from `_start`,
     stopping when solved."""
-    state, phases = _start(spec, config)
-    return _run(state, config, phases, flat, True)
+    state, imagined = _start(spec, config)
+    return _run(state, config, flat, imagined)
 
 
 def solve(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple[Layout, Trace]:
     """Optimize a scene from its imagined layout, or from its seeded random
     initialization when the imagined layout is not clean.
 
-    From the imagined layout, seeded noise is added and the solve runs a
-    stage-2 phase of `config.iterations` steps at REFINE_LR times every
-    rate, then a polish of half as many with the relation weight at
-    POLISH_RELATION.  From the random start it runs two stages of
-    `config.iterations` steps.  Every CHECK_EVERY steps the state is tested
-    as the seed sweep scores a solved layout: 0% collision and 0% out of
-    bounds by `harness.eval_physical`, and every relation penalty below
-    SATISFIED.  The first state that passes ends the solve, and
-    `trace.solved_at` records after how many steps.
+    From the imagined layout, seeded noise is added, and L-BFGS minimizes
+    the stage-2 objective with the relation weight at POLISH_RELATION, in
+    at most `config.iterations + config.iterations // 2` objective calls;
+    each accepted iterate is tested.  From the random start, two momentum
+    stages of `config.iterations` steps run, and every CHECK_EVERY steps
+    the state is tested.  The test is the seed sweep's score of a solved
+    layout: every relation penalty below SATISFIED, and 0% collision and 0%
+    out of bounds by `harness.eval_physical`.  The first state that passes
+    ends the solve, and `trace.solved_at` records after how many rows.
 
-    Returns the final layout and the per-iteration trace.  Raises
-    ValueError when `config.iterations` is below 1, InfeasibleRoomError for
-    rooms that cannot contain their assets and DivergenceError if the
-    objective or a parameter becomes non-finite.
+    Returns the final layout and the per-iterate trace.  Raises ValueError
+    when `config.iterations` is below 1, InfeasibleRoomError for rooms that
+    cannot contain their assets and DivergenceError if the objective or a
+    parameter becomes non-finite.
     """
     return _solve(spec, config)
 
@@ -524,9 +595,9 @@ def solve_global_baseline(spec: SceneSpec, config: OptimizerConfig = OptimizerCo
 
     Member locals are derived from the anchor each iteration, so the loss at
     identical geometry matches `solve` exactly (including the initial state,
-    which is transported from the same start, descended on the same
-    schedule).  Gradients of unit-internal terms now flow to both the
-    member and the anchor.  It stops when solved as `solve` does.
+    which is transported from the same start, descended by the same
+    method).  Gradients of unit-internal terms now flow to both the member
+    and the anchor.  It stops when solved as `solve` does.
     """
     return _solve(spec, config, flat=True)
 
@@ -601,7 +672,7 @@ def convergence_benchmark(
         try:
             for flat in (False, True):
                 state = init_state(spec, cfg.seed)
-                _, trace = _run(state, cfg, _two_stage(cfg.iterations), flat, stop=False)
+                _, trace = _run(state, cfg, flat, False, stop=False)
                 curves.append(tuple(r.total for r in trace.rows))
         except DivergenceError:
             pass

@@ -83,7 +83,7 @@ def reference_step(state, config, phase):
     total, grad, terms = reference_evaluate(state, phase.weights, phase.stage, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
-    factor = phase.scale * cosine_factor(state.step_index, phase.steps)
+    factor = cosine_factor(state.step_index, phase.steps)
 
     rows = grad[: state.index.pose_size].reshape(-1, 3)
     norms = np.array([math.hypot(gx, gy) for gx, gy, _ in rows.tolist()])

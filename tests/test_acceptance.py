@@ -295,7 +295,7 @@ _SWEEP_FLOORS = {
     "dining_set": (20, 20),
     "conflict_pair": (20, 20),
     "bookstore_rows": (20, 20),
-    "mixed_ten": (18, 18),
+    "mixed_ten": (20, 20),
 }
 
 

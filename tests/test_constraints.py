@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from layoutopt import constraints, geometry
+from layoutopt import constraints, geometry, optimizer
 from layoutopt.constraints import (
     _CORNER_SIGNS_XY,
     FACING_EPS,
@@ -83,9 +83,9 @@ def test_collision_frozen_values():
     b = (0.5, 0.0, 0.0, 0.5, 0.5)
     # inter 0.5, union 1.5, rho 0.5, d^2 0.25, span diag^2 1.5^2 + 1 = 3.25.
     lv = collision_loss(a, b)
-    assert lv.value == pytest.approx(1.0 / 3.0 - (0.25 / 3.25) * 0.5, abs=1e-12)
+    assert lv.value == pytest.approx(1.0 / 3.0 + 0.5 * (1.0 - 0.25 / 3.25), abs=1e-12)
     same = collision_loss(a, a)
-    assert same.value == pytest.approx(1.0, abs=1e-12)  # IoU 1, d 0
+    assert same.value == pytest.approx(2.0, abs=1e-12)  # IoU 1, rho 1, d 0
     apart = collision_loss(a, (3.0, 0.0, 0.0, 0.5, 0.5))
     assert apart.value == 0.0
     ga, gb = apart.grads
@@ -97,11 +97,24 @@ def test_collision_zero_iff_disjoint_and_bounded():
     for _ in range(400):
         a, b = random_box(rng), random_box(rng)
         lv = collision_loss(kernel_box(a), kernel_box(b))
-        assert lv.value >= -1.0
+        assert 0.0 <= lv.value <= 2.0
         if collide_proxy(a, b):
-            assert lv.value != 0.0
+            assert lv.value > 0.0
         else:
             assert lv.value == 0.0
+
+
+def test_collision_grows_with_depth_into_the_short_side_of_a_table():
+    # dining_set's 0.45 x 0.45 chair pushed into the short side of its
+    # 1.6 x 0.9 table: the term is 0 at contact and never falls as the
+    # chair goes deeper, so no overlap scores below a clean contact.
+    table = (0.0, 0.0, 0.0, 0.8, 0.45)
+    values = []
+    for depth in np.linspace(0.0, 0.20, 81).tolist():
+        chair = (0.8 + 0.225 - depth, 0.0, 0.0, 0.225, 0.225)
+        values.append(collision_loss(chair, table).value)
+    assert values[0] == 0.0 and values[-1] > 0.0
+    assert all(b >= a for a, b in zip(values, values[1:])), values
 
 
 def test_collision_symmetry():
@@ -216,12 +229,13 @@ def test_directional_frozen_values():
     left = SIDE_RULES["left_of"]
     tgt = (0.0, 0.0, 0.0, 0.5, 0.5)
     src_same = (0.0, 0.0, 0.0, 0.5, 0.5)
-    value, _, _ = directional_loss([src_same, tgt], 0.5, *left)
+    # The penalty report's form, which "satisfied" reads.
+    value, _, _ = directional_loss([src_same, tgt], 0.5, *left, square=False)
     assert value == pytest.approx(1.0, abs=1e-12)  # hinge (0+0.5+0.5)^2
     # Canonical zero: just clear of the left edge, centered.
     src_zero = (-1.1, 0.0, 0.0, 0.25, 0.25)
     tgt2 = (0.0, 0.0, 0.0, 0.5, 0.5)
-    value0, _, _ = directional_loss([src_zero, tgt2], 0.5, *left)
+    value0, _, _ = directional_loss([src_zero, tgt2], 0.5, *left, square=False)
     assert value0 == pytest.approx(0.0, abs=1e-12)
     # Rotating the frame moves the side with the target: its local -x now
     # points along world -y.
@@ -229,8 +243,12 @@ def test_directional_frozen_values():
         [(1.0, -1.1, 0.5 * math.pi, 0.25, 0.25), (1.0, 0.0, 0.5 * math.pi, 0.5, 0.5)],
         0.5,
         *left,
+        square=False,
     )
     assert shifted == pytest.approx(0.0, abs=1e-9)
+    # The objective's form has the same zeros and the same hinge.
+    assert directional_loss([src_same, tgt], 0.5, *left)[0] == value
+    assert directional_loss([src_zero, tgt2], 0.5, *left)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_directional_alignment_fraction():
@@ -238,10 +256,13 @@ def test_directional_alignment_fraction():
     left = SIDE_RULES["left_of"]
     tgt = (0.0, 0.0, 0.0, 0.5, 0.5)
     src = (-1.0, 0.25, 0.0, 0.25, 0.25)
-    value, _, _ = directional_loss([src, tgt], 1.0, *left)
+    value, _, _ = directional_loss([src, tgt], 1.0, *left, square=False)
     assert value == pytest.approx(0.0, abs=1e-12)
-    value2, _, _ = directional_loss([src, tgt], 0.0, *left)
+    value2, _, _ = directional_loss([src, tgt], 0.0, *left, square=False)
     assert value2 == pytest.approx(0.5, abs=1e-12)  # |0.25 - (-0.25)|
+    # The objective squares the same deviation.
+    assert directional_loss([src, tgt], 1.0, *left)[0] == pytest.approx(0.0, abs=1e-12)
+    assert directional_loss([src, tgt], 0.0, *left)[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_angle_offset_periodic():
@@ -390,9 +411,11 @@ def test_aggregate_local_relations_are_rigid_invariant():
             boxes[mid] = FootprintBox(pose, a.half_l, a.half_w)
         block = index.blocks[unit.id]
         ordered = [kernel_box(boxes[eid]) for eid in block.ids]
-        total = 0.0
+        total, xs = 0.0, x.tolist()
         for term in block.terms:
-            value, _, _ = term_loss(term, ordered, x.tolist())
+            # The kernel as the objective calls it.
+            param = term.value if term.param is None else xs[term.param]
+            value, _, _ = getattr(constraints, term.kernel)([ordered[k] for k in term.ends], param, *term.consts)
             total += value
         return total
 
@@ -601,7 +624,17 @@ def test_relation_penalties_agree_with_the_objective(name):
         assert set(pens) == labels
         assert len(pens) == len(spec.relations) - sum(r.kind == "around" for r in spec.relations) + len(groups)
         _, _, terms = evaluate(state, Weights(), 1, OptimizerConfig())
-        assert math.fsum(pens.values()) == pytest.approx(terms["relation"], rel=1e-12)
+        # The objective reads each term as the report does, but squares a
+        # directional term's alignment.
+        xs, objective_form = state.x.tolist(), {}
+        for block in index.blocks.values():
+            boxes, _ = _block_boxes(block, xs)
+            for term in block.terms:
+                param = term.value if term.param is None else xs[term.param]
+                value = getattr(constraints, term.kernel)([boxes[k] for k in term.ends], param, *term.consts)[0]
+                assert value == pens[term.label] or term.kernel == "directional_loss", term.label
+                objective_form[term.label] = value
+        assert math.fsum(objective_form.values()) == pytest.approx(terms["relation"], rel=1e-12)
     if name == "conflict_pair":
         # The reviser's appended relations are labelled by their index.
         appended = range(len(load_fixture(name).relations), len(spec.relations))
@@ -838,7 +871,7 @@ def _reference_collision(a: FootprintBox, b: FootprintBox) -> LossValue:
 
     iou = inter / union
     rho = inter / min_area
-    value = iou - (d2 / c2) * rho
+    value = iou + rho * (1.0 - d2 / c2)
 
     darea_a = 4.0 * (dax_a * ay_a + ax_a * day_a)  # d area_a / d theta_a
     darea_b = 4.0 * (dax_b * ay_b + ax_b * day_b)
@@ -878,7 +911,7 @@ def _reference_collision(a: FootprintBox, b: FootprintBox) -> LossValue:
         d_min = d_area_a if a_is_min else d_area_b
         d_rho = (d_inter * min_area - inter * d_min) / (min_area * min_area)
         d_ratio = (d_d2 * c2 - d2 * d_c2) / (c2 * c2)
-        out[idx] = d_iou - d_ratio * rho - (d2 / c2) * d_rho
+        out[idx] = d_iou + d_rho * (1.0 - d2 / c2) - rho * d_ratio
 
     return LossValue(value, {"a": ga, "b": gb})
 
@@ -1038,7 +1071,8 @@ def _reference_facing(a: FootprintBox, b: FootprintBox) -> LossValue:
     return LossValue(value, {"a": ga, "b": gb})
 
 
-def _reference_directional(src: FootprintBox, tgt: FootprintBox, direction: str, p: float) -> LossValue:
+def _reference_directional(src: FootprintBox, tgt: FootprintBox, direction: str, p: float, square: bool = False) -> LossValue:
+    # `square` set: the objective's form, its alignment w^2, not |w|.
     axis_i, sigma = SIDE_RULES[direction]
     ct, st = math.cos(tgt.pose.theta), math.sin(tgt.pose.theta)
     dx = src.pose.x - tgt.pose.x
@@ -1060,10 +1094,10 @@ def _reference_directional(src: FootprintBox, tgt: FootprintBox, direction: str,
     w = coords[other] - bar
 
     hinge = max(z, 0.0)
-    value = hinge * hinge + abs(w)
+    value = hinge * hinge + (w * w if square else abs(w))
 
     h2 = 2.0 * hinge
-    sw = math.copysign(1.0, w) if w != 0.0 else 0.0
+    sw = 2.0 * w if square else math.copysign(1.0, w) if w != 0.0 else 0.0
 
     # Derivatives of the target-frame coordinates.
     dxp_src = np.array([ct, st])
@@ -1295,13 +1329,22 @@ _FAMILIES = {
         [([box(1.0, 1.0, 0.5 * math.pi, 0.5, 0.5), box(1.0, 1.0, 0.0, 0.25, 0.5)], ())],  # coincident
     ),
     "directional": (
-        lambda b, q: keyed(directional_loss(_kernel_boxes(b), q[1], *SIDE_RULES[q[0]]), ("src", "tgt"), "p"),
+        lambda b, q: keyed(directional_loss(_kernel_boxes(b), q[1], *SIDE_RULES[q[0]], square=False), ("src", "tgt"), "p"),
         lambda b, q: _reference_directional(*b, *q),
         lambda rng: ([_kink_box(rng), _kink_box(rng)], (str(rng.choice(list(SIDE_RULES))), float(rng.uniform(0, 1)))),
         [
             # Hinge exactly 0 and w == 0: just clear of the left edge, centered.
             ([box(-0.75, 0.0, 0.0, 0.25, 0.25), box(0.0, 0.0, 0.0, 0.5, 0.5)], ("left_of", 0.5)),
             ([box(0.0, 0.75, math.pi, 0.25, 0.25), box(0.0, 0.0, 0.0, 0.5, 0.5)], ("behind_of", 0.5)),
+            ([box(0.75, 0.25, 0.0, 0.25, 0.25), box(0.0, 0.0, 0.0, 0.5, 0.5)], ("right_of", 1.0)),
+        ],
+    ),
+    "directional_squared": (
+        lambda b, q: keyed(directional_loss(_kernel_boxes(b), q[1], *SIDE_RULES[q[0]]), ("src", "tgt"), "p"),
+        lambda b, q: _reference_directional(*b, *q, square=True),
+        lambda rng: ([_kink_box(rng), _kink_box(rng)], (str(rng.choice(list(SIDE_RULES))), float(rng.uniform(0, 1)))),
+        [
+            ([box(-0.75, 0.0, 0.0, 0.25, 0.25), box(0.0, 0.0, 0.0, 0.5, 0.5)], ("left_of", 0.5)),
             ([box(0.75, 0.25, 0.0, 0.25, 0.25), box(0.0, 0.0, 0.0, 0.5, 0.5)], ("right_of", 1.0)),
         ],
     ),
@@ -1464,7 +1507,7 @@ def test_gap_screen_matches_the_full_scan_far_out_and_along_solves(monkeypatch):
         g = float(rng.uniform(0.0, 0.6))
         lv = keyed(gap_loss(_kernel_boxes([a, b]), g), ("a", "b"), "g")
         _assert_same_loss(lv, _reference_gap(a, b, g), (a, b, g))
-    calls = _solve_gap_calls(monkeypatch, ("conflict_pair", "mixed_ten"), (0, 1, 2))
+    calls = _solve_gap_calls(monkeypatch, ("conflict_pair", "mixed_ten"), range(80))
     assert len(calls) > 3000
     for boxes, g in calls:
         lv = keyed(gap_loss(boxes, g), ("a", "b"), "g")
@@ -1510,9 +1553,11 @@ def _every_kind_scene():
     )
 
 
-def _reference_term(spec, block, term, boxes, xs):
+def _reference_term(spec, block, term, boxes, xs, square=False):
     """The reference loss of a plan term on FootprintBoxes by entity id, its
-    gradient per end box, and its parameter gradient (None if unshared)."""
+    gradient per end box, and its parameter gradient (None if unshared); a
+    directional term's alignment squared when `square` is set, as the
+    objective has it, else as the penalty report has it."""
     if term.kernel == "around_loss":
         *sources, focal = (block.ids[k] for k in term.ends)
         rel = next(r for r in spec.relations if r.kind == "around" and r.source == sources[0])
@@ -1529,7 +1574,7 @@ def _reference_term(spec, block, term, boxes, xs):
         axis = "x" if kind == "h_place" else "y"
         ref, slots = _reference_placement(src, axis, v, room, rel.params["margin"]), ("box", "target")
     elif kind in SIDE_RULES:
-        ref, slots = _reference_directional(src, tgt, kind, v), ("src", "tgt", "p")
+        ref, slots = _reference_directional(src, tgt, kind, v, square), ("src", "tgt", "p")
     elif kind == "facing":
         ref, slots = _reference_facing(src, tgt), ("a", "b")
     else:
@@ -1587,7 +1632,7 @@ def _reference_aggregate(spec, index, block, x, weights):
                         grad[rows[eid]] += weights.collision * pull(eid, g)
     if weights.relation != 0.0:
         for term in block.terms:
-            ref, end_grads, param_grad = _reference_term(spec, block, term, boxes, xs)
+            ref, end_grads, param_grad = _reference_term(spec, block, term, boxes, xs, square=True)
             totals["relation"] += ref.value
             for k, g in zip(term.ends, end_grads):
                 eid = block.ids[k]
@@ -1654,6 +1699,50 @@ def test_term_loss_matches_the_numpy_reference_bitwise():
                 _assert_same_floats(g, want, context)
             if term.param is not None:
                 _assert_same_floats(param_grad, ref_param, context)
+
+
+def _report_matches_the_reference(index, spec, xs, context):
+    """Every penalty `relation_penalties` reports at `xs` is, bit for bit,
+    the numpy reference's value in the report's form: a directional term's
+    hinge^2 + |w|."""
+    pens = relation_penalties(index, np.array(xs))
+    directional = 0
+    for block in index.blocks.values():
+        kernel_boxes, _ = _block_boxes(block, xs)
+        boxes = {eid: box(*k) for eid, k in zip(block.ids, kernel_boxes)}
+        for term in block.terms:
+            ref, _, _ = _reference_term(spec, block, term, boxes, xs)
+            _assert_same_floats(pens[term.label], ref.value, (context, term.label))
+            directional += term.kernel == "directional_loss"
+    return directional
+
+
+def test_relation_penalties_keep_the_report_form_bitwise():
+    # The objective squares a directional term's alignment; the penalty
+    # report, and so "satisfied", keeps hinge^2 + |w|: on random poses of a
+    # scene with every kind, and at the final states of default solves of
+    # the five fixtures.
+    spec = _every_kind_scene()
+    index = param_index(spec)
+    rng = np.random.default_rng(RNG_SEED + 63)
+    for trial in range(200):
+        poses = {}
+        for a in spec.assets:
+            b = _kink_box(rng)
+            poses[a.id] = (b.pose.x + 3.0, b.pose.y + 2.5, b.pose.theta)
+        shared = {"reach": float(rng.uniform(0.5, 1.5)), "side": float(rng.uniform())}
+        _, x = _vector(spec, poses, shared)
+        assert _report_matches_the_reference(index, spec, x.tolist(), trial) == 4
+    seen = 0
+    for name in FIXTURE_NAMES:
+        spec = _bundled(name)
+        for seed in range(3):
+            config = OptimizerConfig(seed=seed)
+            state, imagined = optimizer._start(spec, config)
+            _, trace = optimizer._run(state, config, False, imagined)
+            assert repr(relation_penalties(state.index, state.x)) == repr(trace.final_penalties)
+            seen += _report_matches_the_reference(state.index, spec, state.x.tolist(), (name, seed))
+    assert seen > 0
 
 
 def _halves_of(spec, eid):

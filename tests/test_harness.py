@@ -561,10 +561,10 @@ def _diverging_on(seed, flat, run):
     """`run`, the benchmark's `_run`, except that its `flat` run diverges
     for `seed`."""
 
-    def wrapped(state, config, phases, flat_run, stop):
+    def wrapped(state, config, flat_run, imagined, stop):
         if config.seed == seed and flat_run == flat:
             raise DivergenceError("objective is not finite", 7)
-        return run(state, config, phases, flat_run, stop)
+        return run(state, config, flat_run, imagined, stop)
 
     return wrapped
 
@@ -587,7 +587,7 @@ def test_benchmark_records_a_diverged_flat_run_and_keeps_the_reparam_curve(monke
 def test_benchmark_records_a_diverged_reparam_run_without_the_flat_run(monkeypatch):
     spec = load_fixture("dining_set")
 
-    def run(state, config, phases, flat, stop):
+    def run(state, config, flat, imagined, stop):
         if flat:
             raise AssertionError("no flat run after a diverged reparam run")
         raise DivergenceError("objective is not finite", 7)
@@ -639,13 +639,14 @@ def test_cli_solve_writes_deterministic_artifacts(tmp_path, capsys):
 
 
 def test_cli_solve_names_why_it_stopped(tmp_path, capsys):
-    # star_unit's own seed is solved at step 50 of 900; a cap of 60 steps
-    # and a 30-step polish leave dining_set unsolved.
+    # star_unit's own seed is solved at its third iterate, the start
+    # counted; a cap of 4 + 2 objective calls leaves dining_set unsolved
+    # after the 6 iterates they accept.
     assert main(["solve", _write_fixture(tmp_path, "star_unit")]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first.endswith(" after 50 iterations (solved: clean and satisfied)"), first
-    assert main(["solve", _write_fixture(tmp_path, "dining_set"), "--iterations", "60"]) == 0
-    assert capsys.readouterr().out.splitlines()[0].endswith(" after 90 iterations (iteration cap)")
+    assert first.endswith(" after 3 iterations (solved: clean and satisfied)"), first
+    assert main(["solve", _write_fixture(tmp_path, "dining_set"), "--iterations", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(" after 6 iterations (iteration cap)")
 
 
 def test_cli_eval_reads_back_layout(tmp_path, capsys):

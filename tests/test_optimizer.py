@@ -15,7 +15,6 @@ from layoutopt.geometry import Pose2D, compose, relative
 from layoutopt.harness import _is_clean, eval_physical
 from layoutopt.imagination import imagine_and_revise, interpret_scene
 from layoutopt.optimizer import (
-    CHECK_EVERY,
     JITTER,
     SATISFIED,
     OptimizerConfig,
@@ -23,9 +22,7 @@ from layoutopt.optimizer import (
     Phase,
     _global_view,
     _reframe,
-    _refine,
     _run,
-    _solve,
     _start,
     _state_layout,
     _two_stage,
@@ -95,18 +92,21 @@ def _random_solve(spec, config, flat=False, stop=True):
     """A solve from `init_state`'s draw through the two stages, whatever
     the imagined layout: the fallback of `_start`."""
     seed = spec.seed if config.seed is None else config.seed
-    return _run(init_state(spec, seed), config, _two_stage(config.iterations), flat, stop)
+    return _run(init_state(spec, seed), config, flat, False, stop)
 
 
-def _fixed_budget_solve(spec, config):
-    """`_solve` from `_start` with the stop test off: the whole budget."""
-    state, phases = _start(spec, config)
-    return _run(state, config, phases, False, False)
+def _evaluations(monkeypatch, run):
+    """`run()`'s result and the number of `evaluate` calls it made."""
+    calls = []
 
+    def counted(*args):
+        calls.append(None)
+        return evaluate(*args)
 
-def _budget(spec, config) -> int:
-    """The steps of a solve that never stops: the sum of its phases'."""
-    return sum(phase.steps for phase in _start(spec, config)[1])
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "evaluate", counted)
+        out = run()
+    return out, len(calls)
 
 
 def test_cosine_factor_endpoints():
@@ -399,66 +399,88 @@ def test_unit_frame_fixed_under_intra_terms():
 def test_baseline_moves_anchor_under_intra_terms():
     spec = _intra_only_scene()
     config = OptimizerConfig(iterations=3, seed=3)
-    seed_state, _ = _start(spec, config)
+    seed_state, imagined = _start(spec, config)
+    # The chair a metre off the distance its relation asks for.
+    seed_state.pose("c")[0] += 1.0
     anchor_init = _global_pose(seed_state, "t")
-    layout, _ = solve_global_baseline(spec, config)
+    layout, _ = _run(seed_state, config, True, imagined)
     moved = np.array(layout.poses["t"])[[0, 1, 3]] - np.array(
         [anchor_init.x, anchor_init.y, anchor_init.theta]
     )
     assert np.linalg.norm(moved) > 1e-6
 
 
-def test_solver_matches_scalar_recursion_on_axis_target():
+def test_solver_matches_scalar_recursion_on_axis_target(monkeypatch):
     """One free box with a single x-target: the full machinery must reduce
-    exactly to a clipped heavy-ball recursion on the scalar error, phase by
-    phase, and stop where that recursion meets the stop rule: at a
-    checkpoint, after a step from a penalty of at most 1e-3, to a penalty
-    below 1e-3."""
+    to L-BFGS on the scalar error, iterate by iterate: a first step of
+    length FIRST_STEP downhill, then secant steps, each halved until it
+    meets the Armijo condition; and stop at the first iterate whose penalty
+    is below 1e-3."""
     spec = _scene(
         Room(20.0, 20.0, 3.0),
         (Asset("slider", "box", (1.0, 1.0, 1.0)),),
         relations=(Relation("h_place", "slider", "scene", {"x": 10.0, "margin": 0.0}),),
     )
-    config = OptimizerConfig(seed=5)
-    init, phases = _start(spec, config)
-    # The imagined pose sits on the target, at the room's centre: the solve
-    # refines it, then polishes at the raised relation weight.
-    assert phases == _refine(config.iterations)
-    x0, y0 = init.pose("slider")[0], init.pose("slider")[1]
-    # Preconditions for the 1-d reduction: interior start so the boundary
-    # term stays identically zero along the trajectory.
-    assert 1.0 < y0 < 19.0 and 1.0 < x0 < 19.0 and x0 != 10.0
+    w = optimizer.POLISH_RELATION
+    solved, lengths = set(), set()
+    for seed, offset, iterations in [(0, 0.0, 4), (4, 0.0, 4), (5, 2.5, 20), (6, -4.0, 20), (7, 0.7, 20), (7, 3.0, 1), (8, -3.0, 2)]:
+        config = OptimizerConfig(seed=seed, iterations=iterations)
+        init, imagined = _start(spec, config)
+        # The imagined pose sits on the target, at the room's centre; the
+        # offset moves it away.
+        assert imagined
+        init.pose("slider")[0] += offset
+        x0, y0 = init.pose("slider")[0], init.pose("slider")[1]
+        # Preconditions for the 1-d reduction: interior start so the
+        # boundary term stays identically zero along the trajectory.
+        assert 1.0 < y0 < 19.0 and 1.0 < x0 < 19.0 and x0 != 10.0
 
-    def recursion(stop):
-        x, steps = x0, 0
-        for p, phase in enumerate(phases):
-            v = 0.0
-            for t in range(phase.steps):
-                dev = x - 10.0
-                hinge = abs(dev)
-                sd = math.copysign(1.0, dev) if dev != 0.0 else 0.0
-                g = phase.weights.relation * (2.0 * hinge * sd)
-                norm = math.hypot(g, 0.0)
-                if norm > optimizer.CLIP_POSITION:
-                    g *= optimizer.CLIP_POSITION / norm
-                v = optimizer.MOMENTUM * v + g
-                x -= optimizer.LR_POSITION * (phase.scale * cosine_factor(t, phase.steps)) * v
-                steps += 1
-                checkpoint = (t + 1) % CHECK_EVERY == 0 and (p < len(phases) - 1 or t + 1 < phase.steps)
-                if stop and checkpoint and hinge * hinge <= SATISFIED and (x - 10.0) ** 2 < SATISFIED:
-                    return x, steps
-        return x, steps
+        def loss(x):
+            return (x - 10.0) * (x - 10.0), w * (2.0 * (x - 10.0))
 
-    for stop in (True, False):
-        layout, trace = _solve(spec, config) if stop else _fixed_budget_solve(spec, config)
-        x, steps = recursion(stop)
-        solved_x = layout.poses["slider"][0]
-        assert solved_x == pytest.approx(x, abs=1e-12), stop
-        assert len(trace.rows) == steps and trace.solved_at == (steps if stop else None)
-        # A stopped solve is satisfied; the full budget gets closer.
-        assert abs(solved_x - 10.0) < (math.sqrt(SATISFIED) if stop else 1e-2)
-        assert layout.poses["slider"][1] == pytest.approx(y0)
-    assert trace.rows[-1].total < 1e-4
+        x, (f, g) = x0, loss(x0)
+        xs, lrs, calls, pairs, t = [], [], 1, [], 0.0
+        while True:
+            xs.append(x)
+            lrs.append(t)
+            if f < optimizer.SATISFIED:
+                break
+            d = -g
+            if pairs:
+                s, y = pairs[-1]
+                d = -g * (s / y)  # the two-loop recursion in one dimension
+            if not (pairs and g * d < 0.0):
+                pairs = []
+                d = g * (-optimizer.FIRST_STEP / abs(g))
+            x_prev, g_prev, t = x, g, 1.0
+            accepted = False
+            while calls < config.iterations + config.iterations // 2:
+                trial, (ft, gt) = x_prev + t * d, loss(x_prev + t * d)
+                calls += 1
+                if w * ft <= w * f + optimizer.ARMIJO * t * (g * d):
+                    x, f, g, accepted = trial, ft, gt, True
+                    break
+                t *= 0.5
+            if not accepted:
+                break
+            if (x - x_prev) * (g - g_prev) > optimizer.CURVATURE_MIN:
+                pairs.append((x - x_prev, g - g_prev))
+
+        (layout, trace), n = _evaluations(monkeypatch, lambda: _run(init, config, False, True))
+        case = (seed, offset, iterations)
+        assert n == calls <= config.iterations + config.iterations // 2, case
+        assert [r.lr for r in trace.rows] == lrs, case
+        assert [r.iteration for r in trace.rows] == list(range(len(xs))), case
+        assert [r.stage for r in trace.rows] == [2] * len(xs), case
+        assert layout.poses["slider"][0] == pytest.approx(xs[-1], abs=1e-12), case
+        assert layout.poses["slider"][1] == y0
+        assert trace.solved_at == (len(xs) if f < optimizer.SATISFIED else None), case
+        solved.add(trace.solved_at is not None)
+        lengths.update(lrs[1:])
+    # Both ends occur, a stop when solved and the evaluation cap, and the
+    # line search both takes a whole step and halves one.
+    assert solved == {True, False}
+    assert {1.0, 0.5} <= lengths
 
 
 def test_shared_params_frozen_in_stage1_and_updated_in_stage2():
@@ -488,12 +510,14 @@ def test_trace_rows_and_csv_determinism():
     config = OptimizerConfig(iterations=20, seed=2)
     _, t1 = solve(spec, config)
     _, t2 = solve(spec, config)
-    # dining_set's imagined layout is clean: 20 refining steps, then the
-    # 10 of the polish, all stage 2, at a fifth of the rate.
-    assert len(t1.rows) == 30
-    assert [r.stage for r in t1.rows] == [2] * 30
-    assert t1.rows[0].lr == t1.rows[20].lr == optimizer.REFINE_LR
-    assert t1.rows[0].iteration == 0 and t1.rows[-1].iteration == 29
+    # dining_set's imagined layout is clean: one stage-2 row per accepted
+    # L-BFGS iterate, the start first at step length 0, each later one at
+    # the step length its line search accepted, a whole step or a halving.
+    n = len(t1.rows)
+    assert 2 < n <= 30 and t1.solved_at == n
+    assert [r.stage for r in t1.rows] == [2] * n
+    assert t1.rows[0].lr == 0.0 and all(0.0 < r.lr <= 1.0 and math.log2(r.lr).is_integer() for r in t1.rows[1:])
+    assert [r.iteration for r in t1.rows] == list(range(n))
     csv1, csv2 = t1.to_csv(), t2.to_csv()
     assert csv1 == csv2
     header, first = csv1.splitlines()[:2]
@@ -539,36 +563,41 @@ def _same_solve(got, want):
 
 
 @pytest.mark.parametrize("name", ["mixed_ten", "bookstore_rows"])
-def test_a_solve_that_never_passes_is_the_fixed_budget_run(name):
-    # From the random start, neither scene passes a checkpoint on seeds 0
-    # and 1; from its imagined start, mixed_ten misses on seed 0.
+def test_a_solve_that_never_passes_is_the_fixed_budget_run(name, monkeypatch):
+    # From the random start, these (seed, flat) runs pass no checkpoint.
+    # From its imagined start, a solve whose evaluation cap comes first
+    # makes exactly `iterations + iterations // 2` calls of `evaluate`, and
+    # ends at its last accepted iterate.
     spec = load_fixture(name)
-    for seed in (0, 1):
+    never = {"mixed_ten": [(0, False), (0, True), (1, False), (1, True)], "bookstore_rows": [(0, False), (2, False)]}
+    for seed, flat in never[name]:
         config = OptimizerConfig(seed=seed)
-        for flat in (False, True):
-            got = _random_solve(spec, config, flat)
-            assert got[1].solved_at is None and len(got[1].rows) == 2 * config.iterations, (seed, flat)
-            assert _same_solve(got, _random_solve(spec, config, flat, stop=False)), (seed, flat)
-    if name == "mixed_ten":
-        config = OptimizerConfig(seed=0)
-        got = _solve(spec, config)
-        assert got[1].solved_at is None and len(got[1].rows) == _budget(spec, config) == 900
-        assert _same_solve(got, _fixed_budget_solve(spec, config))
+        got = _random_solve(spec, config, flat)
+        assert got[1].solved_at is None and len(got[1].rows) == 2 * config.iterations, (seed, flat)
+        assert _same_solve(got, _random_solve(spec, config, flat, stop=False)), (seed, flat)
+    config = OptimizerConfig(seed=0, iterations=2)
+    for run in (solve, solve_global_baseline):
+        (layout, trace), calls = _evaluations(monkeypatch, lambda: run(spec, config))
+        assert trace.solved_at is None and calls == 3 and 1 <= len(trace.rows) <= calls, run.__name__
+        assert not _is_solved(spec, layout, trace), run.__name__
+        # The final state is the last row's: the cut line search is undone.
+        state, _ = _start(spec, config)
+        assert _run(state, config, run is solve_global_baseline, True)[0] == layout
+        total, _, _ = evaluate(state, Weights(relation=optimizer.POLISH_RELATION), 2, config)
+        assert total == trace.rows[-1].total, run.__name__
 
 
 @pytest.mark.parametrize("name, seed", [("star_unit", 0), ("star_unit", 1), ("dining_set", 0)])
-def test_a_stopped_solve_ends_at_a_checkpoint_clean_and_satisfied(name, seed):
+def test_a_stopped_solve_ends_at_a_checkpoint_clean_and_satisfied(name, seed, monkeypatch):
+    # From the imagined start every accepted iterate is a checkpoint: the
+    # solve stops at its first clean and satisfied one, well inside its cap.
     spec = load_fixture(name)
     config = OptimizerConfig(seed=seed)
-    layout, trace = solve(spec, config)
-    n, budget = len(trace.rows), _budget(spec, config)
-    assert trace.solved_at == n and n % CHECK_EVERY == 0 and n < budget
+    (layout, trace), calls = _evaluations(monkeypatch, lambda: solve(spec, config))
+    n = len(trace.rows)
+    assert trace.solved_at == n and n <= calls < 50
     assert _is_solved(spec, layout, trace)
     assert max(trace.final_penalties.values()) < SATISFIED
-    # The steps before the stop are the fixed-budget run's, row for row.
-    fixed_layout, fixed = _fixed_budget_solve(spec, config)
-    assert fixed.to_csv().startswith(trace.to_csv())
-    assert fixed.solved_at is None and len(fixed.rows) == budget
 
 
 def test_a_conflict_pair_seed_that_stage_2_lost_now_stops_in_stage_1():
@@ -585,8 +614,8 @@ def test_a_conflict_pair_seed_that_stage_2_lost_now_stops_in_stage_1():
 
 
 def test_convergence_benchmark_runs_the_full_budget():
-    # star_unit stops at step 50 on seeds 0 and 1 from its imagined start,
-    # yet the benchmark records whole curves from the random start and the
+    # star_unit stops within a few iterates on seeds 0 and 1 from its
+    # imagined start, yet the benchmark records whole curves from the random start and the
     # results its fixed budget gives.
     spec = load_fixture("star_unit")
     results = convergence_benchmark(spec, (0, 1))
@@ -629,11 +658,13 @@ def test_a_scene_whose_imagined_layout_collides_solves_from_the_random_start(nam
     else:
         spec, config = _rooms_scene(name, 40, monkeypatch), OptimizerConfig(iterations=40, seed=0)
     assert not _is_clean(spec, _state_layout(_imagined_state(spec)))
-    layout, trace = _fixed_budget_solve(spec, config)
+    start, imagined = _start(spec, config)
+    assert not imagined
+    layout, trace = _run(start, config, False, imagined, stop=False)
 
     state = init_state(spec, config.seed)
     rows = []
-    for phase in (Phase(1, Weights(), 1.0, config.iterations), Phase(2, Weights(), 1.0, config.iterations)):
+    for phase in (Phase(1, Weights(), config.iterations), Phase(2, Weights(), config.iterations)):
         state.reset_momentum()
         for _ in range(phase.steps):
             total, _, factor = reference_step(state, config, phase)
@@ -656,14 +687,13 @@ def test_the_imagined_start_is_taken_exactly_when_the_imagined_layout_is_clean(m
         seen[name] = clean
         for seed in (0, 7):
             config = OptimizerConfig(seed=seed)
-            state, phases = _start(spec, config)
+            state, from_imagined = _start(spec, config)
+            assert from_imagined == clean, name
             if clean:
-                assert phases == _refine(config.iterations), name
                 n = state.index.pose_size
                 want = imagined.x.copy()
                 want[:n] += np.random.default_rng(seed).normal(0.0, JITTER, n)
             else:
-                assert phases == _two_stage(config.iterations), name
                 want = init_state(spec, seed).x
             assert state.x.tobytes() == want.tobytes(), (name, seed)
             # Repeat runs give the same bytes, and both parameterizations
@@ -733,13 +763,15 @@ def _shared_across_frames_scene():
 def test_descent_matches_the_parts_summing_reference_bitwise(name, monkeypatch):
     # The pass visits the scene's block first, then each unit's; summing
     # aggregates in that order as arrays gives the same bits, for both
-    # parameterizations, through a whole two-stage solve.
+    # parameterizations, through a whole solve: L-BFGS from the imagined
+    # start, the two momentum stages from the random one.
     spec = _shared_across_frames_scene() if name == "shared_across_frames" else load_fixture(name)
     config = OptimizerConfig(iterations=40)
     for solver in (solve, solve_global_baseline):
         layout, trace = solver(spec, config)
         with monkeypatch.context() as m:
             m.setattr(optimizer, "step", reference_step)
+            m.setattr(optimizer, "evaluate", refopt.reference_evaluate)
             want_layout, want = solver(spec, config)
         assert trace.to_csv() == want.to_csv(), (name, solver.__name__)
         assert serialize_layout(layout) == serialize_layout(want_layout), (name, solver.__name__)
