@@ -140,7 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="optimize a scene into a layout")
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--seed", type=int, default=None, help="override scene seed")
-    p.add_argument("--iterations", type=int, default=None, help="cap on iterations per phase")
+    p.add_argument("--iterations", type=int, default=None, help="budget N (default 600): from the imagined start, "
+                   "at most N + N//2 objective evaluations by L-BFGS; from the random start, N momentum steps per stage")
     p.add_argument("--out", default=None, help="write layout JSON here")
     p.add_argument("--trace", default=None, help="write per-iteration loss CSV here")
     p.add_argument("--svg", default=None, help="write floor-plan SVG here")
@@ -166,7 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
     p.add_argument("--threshold", type=float, default=0.1, help="normalized loss target")
-    p.add_argument("--iterations", type=int, default=None, help="iterations per stage")
+    p.add_argument("--iterations", type=int, default=None,
+                   help="N momentum steps per stage (default 600), two stages: 2*N steps per run")
     p.add_argument("--curves", default=None, help="write smoothed loss curves CSV here")
     p.set_defaults(func=_cmd_bench)
     return parser

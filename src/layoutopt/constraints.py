@@ -7,7 +7,9 @@ constants that `_<family>_rule` (or `SIDE_RULES`) resolves.  It returns
 (value, one (d/dx, d/dy, d/dtheta) tuple per box, d/d parameter or None).
 Gradients are hand-derived; kinks coming from hinges, absolute values, and
 min/max selections use the subgradient that is zero at the kink (hinges) or
-the tie-broken branch (selections).
+the tie-broken branch (selections).  Separations are exact: `gap_loss`
+reads the corner-to-box distance of two boxes that are apart and minus
+their separating-axis depth when they overlap.
 
 Two aggregation levels mirror the pose parameterization: unit-local terms are
 evaluated in the unit frame and never touch the unit pose; scene-level terms
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import geometry
 from .errors import MissingEntityError
-from .geometry import enclosing_box, half_extents
+from .geometry import _CORNER_SIGNS, enclosing_box, half_extents
 from .scene_model import (
     DIRECTIONAL_KINDS,
     SCENE_ANCHORED_KINDS,
@@ -250,116 +252,71 @@ def _local_sdf_grad(ux: float, uy: float, half_l: float, half_w: float):
     return 0.0, math.copysign(1.0, uy)
 
 
-# Edge samples of the gap scan at odd eighths of each edge, after the four
-# corners: symmetric, and dense enough that the minimum over separated boxes
-# is still attained at a corner probe.
-_EDGE_FRACTIONS = (0.125, 0.375, 0.625, 0.875)
-# Rounding allowance of the gap scan's sample bounds, relative to the size of
-# the coordinates: about 1e6 times the rounding of the probe arithmetic.
-_SAMPLE_BOUND_MARGIN = 1e-9
-
-
-def _probe_sdf(px: float, py: float, box: tuple, cp: float, sp: float, other: tuple, co: float, so: float):
-    """Signed distance from the boundary point (px, py) of `box` to `other`,
-    the point's offset in box's frame and the point (ux, uy) in other's
-    frame; cp, sp and co, so are the two headings' cosines and sines."""
-    # Back out the probe's local offset to chain through the pose, then carry
-    # it into other's frame.
-    wx, wy = px - box[0], py - box[1]
-    offset = (cp * wx + sp * wy, -sp * wx + cp * wy)
-    dx = box[0] + cp * offset[0] - sp * offset[1] - other[0]
-    dy = box[1] + sp * offset[0] + cp * offset[1] - other[1]
-    ux, uy = co * dx + so * dy, -so * dx + co * dy
-    return _local_sdf(ux, uy, other[3], other[4]), offset, (ux, uy)
-
-
 def gap_loss(boxes: list, g: float):
-    """Squared error between the smallest boundary separation and target g.
+    """Squared error between the signed separation of two boxes and target g.
 
-    The separation is the minimum signed point-to-box distance over boundary
-    probes of both boxes: each box's 4 corners, then 4 samples per edge at
-    `_EDGE_FRACTIONS`.  Derivatives follow the winning probe, the first one
-    strictly below all before it.
-
-    The scan skips probes that cannot win, each against the best value so
-    far, with a rounding allowance `margin` that grows with the coordinates:
-    - A point's signed distance f to a box is 1-Lipschitz, and the sample at
-      fraction t of an edge P->Q of length L lies tL from P and (1 - t)L
-      from Q, so its distance is at least max(f(P) - tL, f(Q) - (1 - t)L).
-      A sample is skipped when that bound exceeds best + margin; a whole
-      edge is skipped when its smallest bound, max(f(P), f(Q)) - 7L/8, does.
-    - Before its exact `_probe_sdf`, a probe point is carried straight into
-      the other box's frame and `_local_sdf`'s value there, written out, is
-      taken less `margin`.  The exact probe backs out the point's offset and
-      carries it over again, which moves the value by rounding only, far
-      below `margin`; so this is a lower bound, and the probe is skipped
-      when it exceeds best.  A skipped corner's bound stands in for its
-      value in its edges' bounds, which stay lower bounds.
-    A skipped probe cannot be strictly below the best, so the winner, its
-    value and its derivatives are the ones of the full scan, bit for bit.
-    NaN compares false, so a NaN pose skips nothing.
-
-    The scan computes values only: a probe that does not win contributes
-    exactly nothing to the gradient, so only the winner's derivatives are
-    computed.  When no probe wins, every probe being NaN (a pose is not
-    finite), value and gradients are NaN.
+    The separation is exact (Ericson, Real-Time Collision Detection, ch. 5):
+    - Boxes whose projections overlap on all four edge normals read minus the
+      smallest overlap, the separating-axis depth (Gottschalk et al. 1996),
+      which for two rectangles is the shortest translation that parts them.
+      On a normal n of box P at heading phi the overlap is half_P +
+      hl_Q |cos(theta_Q - phi)| + hw_Q |sin(theta_Q - phi)| - |(c_Q - c_P) . n|.
+    - Disjoint or touching boxes read the smallest `_local_sdf` of the eight
+      corners against the other box: the distance between disjoint convex
+      polygons is reached at a vertex.  A corner is carried into the other
+      box's frame from the centre offset, not through world coordinates, so
+      that it keeps its precision far from the origin.
+    Derivatives follow the first strict minimum: a's normals (x, then y)
+    before b's, and a's corners before b's, each in `corner_points` order.
+    A NaN pose reads NaN, with NaN gradients.
     """
-    a, b = boxes
-    margin = _SAMPLE_BOUND_MARGIN * (
-        1.0 + abs(a[0]) + abs(a[1]) + abs(b[0]) + abs(b[1]) + abs(a[3]) + abs(a[4]) + abs(b[3]) + abs(b[4])
-    )
-    best = math.inf
-    winner = None
-    for box, other, on_b in ((a, b, False), (b, a, True)):
-        x, y, theta, box_l, box_w = box
-        ox, oy, other_theta, half_l, half_w = other
-        cp, sp = math.cos(theta), math.sin(theta)
-        co, so = math.cos(other_theta), math.sin(other_theta)
-        # `corner_points(*box)`: c * -h is -(c * h) exactly.
-        cl, sl, cw, sw = cp * box_l, sp * box_l, cp * box_w, sp * box_w
-        corners = ((x + cl - sw, y + sl + cw), (x - cl - sw, y - sl + cw), (x - cl + sw, y - sl - cw),
-                   (x + cl + sw, y + sl - cw))
-        values = []
-        for px, py in corners:
-            dx, dy = px - ox, py - oy
-            ex, ey = abs(co * dx + so * dy) - half_l, abs(-so * dx + co * dy) - half_w
-            value = (math.hypot(ex if ex > 0.0 else 0.0, ey if ey > 0.0 else 0.0) if ex > 0.0 or ey > 0.0
-                     else ex if ex >= ey else ey) - margin
-            if not value > best:
-                value, offset, u = _probe_sdf(px, py, box, cp, sp, other, co, so)
-                if value < best:
-                    best = value
-                    winner = (offset, u, cp, sp, co, so, other, on_b)
-            values.append(value)
-        for k in range(4):
-            (px, py), (qx, qy) = corners[k], corners[(k + 1) % 4]
-            fp, fq, length = values[k], values[(k + 1) % 4], math.hypot(qx - px, qy - py)
-            if max(fp, fq) - 0.875 * length > best + margin:
-                continue
-            for t in _EDGE_FRACTIONS:
-                if max(fp - t * length, fq - (1.0 - t) * length) > best + margin:
-                    continue
-                sx, sy = px + t * (qx - px), py + t * (qy - py)
-                dx, dy = sx - ox, sy - oy
-                ex, ey = abs(co * dx + so * dy) - half_l, abs(-so * dx + co * dy) - half_w
-                if (math.hypot(ex if ex > 0.0 else 0.0, ey if ey > 0.0 else 0.0) if ex > 0.0 or ey > 0.0
-                        else ex if ex >= ey else ey) - margin > best:
-                    continue
-                value, offset, u = _probe_sdf(sx, sy, box, cp, sp, other, co, so)
-                if value < best:
-                    best = value
-                    winner = (offset, u, cp, sp, co, so, other, on_b)
+    (x1, y1, t1, l1, w1), (x2, y2, t2, l2, w2) = boxes
+    c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
+    dx, dy = x2 - x1, y2 - y1
+    # cos and sin of b's heading less a's, and b's centre offset on each normal.
+    cd, sd = c1 * c2 + s1 * s2, c1 * s2 - s1 * c2
+    abs_cd, abs_sd = abs(cd), abs(sd)
+    pa, qa, pb, qb = c1 * dx + s1 * dy, c1 * dy - s1 * dx, c2 * dx + s2 * dy, c2 * dy - s2 * dx
+    overlaps = (l1 + l2 * abs_cd + w2 * abs_sd - abs(pa), w1 + l2 * abs_sd + w2 * abs_cd - abs(qa),
+                l2 + l1 * abs_cd + w1 * abs_sd - abs(pb), w2 + l1 * abs_sd + w1 * abs_cd - abs(qb))
+    if overlaps[0] > 0.0 and overlaps[1] > 0.0 and overlaps[2] > 0.0 and overlaps[3] > 0.0:
+        depth = min(overlaps)
+        k = overlaps.index(depth)
+        # The overlap's half extent of the other box, its normal, the offset
+        # on it and that offset's derivative by the normal's heading.
+        hl, hw, n0, n1, p, dp = ((l2, w2, c1, s1, pa, qa), (w2, l2, -s1, c1, qa, -pa),
+                                 (l1, w1, c2, s2, pb, qb), (w1, l1, -s2, c2, qb, -pb))[k]
+        # d/d theta_a of the other box's extent on the normal, through
+        # |cos| and |sin| of the relative heading; d/d theta_b is its negative.
+        d_ext = hl * math.copysign(1.0, cd) * sd - hw * math.copysign(1.0, sd) * cd
+        r = -depth - g
+        k2 = 2.0 * r
+        m = k2 * math.copysign(1.0, p)
+        g_a = (-m * n0, -m * n1, -k2 * d_ext + m * dp if k < 2 else -k2 * d_ext)
+        g_b = (m * n0, m * n1, k2 * d_ext if k < 2 else k2 * d_ext + m * dp)
+        return r * r, (g_a, g_b), -2.0 * r
+    best, winner = math.inf, None
+    # Each box's corners in the other's frame: its centre there plus its
+    # corner offsets turned by its heading less the other's.
+    for ux0, uy0, sr, box_l, box_w, half_l, half_w, on_b in ((-pb, -qb, -sd, l1, w1, l2, w2, False),
+                                                            (pa, qa, sd, l2, w2, l1, w1, True)):
+        for sx, sy in _CORNER_SIGNS:
+            ox, oy = sx * box_l, sy * box_w
+            ux, uy = ux0 + cd * ox - sr * oy, uy0 + sr * ox + cd * oy
+            value = _local_sdf(ux, uy, half_l, half_w)
+            if value < best:
+                best, winner = value, (ox, oy, ux, uy, sr, half_l, half_w, on_b)
     if winner is None:
         return math.nan, (_NAN, _NAN), math.nan
-    (o0, o1), (ux, uy), cp, sp, co, so, other, on_b = winner
-    gux, guy = _local_sdf_grad(ux, uy, other[3], other[4])
-    # World-frame gradient at the probe point, chained through both poses.
-    gq0, gq1 = co * gux - so * guy, so * gux + co * guy
+    ox, oy, ux, uy, sr, half_l, half_w, on_b = winner
+    gux, guy = _local_sdf_grad(ux, uy, half_l, half_w)
+    co, so = (c1, s1) if on_b else (c2, s2)
     r = best - g
-    k = 2.0 * r
-    g_point = (k * gq0, k * gq1, k * (gq0 * (-sp * o0 - cp * o1) + gq1 * (cp * o0 - sp * o1)))
-    g_other = (k * -gq0, k * -gq1, k * (gux * uy - guy * ux))
-    return r * r, ((g_other, g_point) if on_b else (g_point, g_other)), -2.0 * r
+    k2 = 2.0 * r
+    gq0, gq1 = k2 * (co * gux - so * guy), k2 * (so * gux + co * guy)
+    g_corner = (gq0, gq1, k2 * (gux * (-sr * ox - cd * oy) + guy * (cd * ox - sr * oy)))
+    g_other = (-gq0, -gq1, k2 * (gux * uy - guy * ux))
+    return r * r, ((g_other, g_corner) if on_b else (g_corner, g_other)), -2.0 * r
 
 
 WALL_RULES = {

@@ -32,7 +32,7 @@ from layoutopt.constraints import (
 )
 from layoutopt.geometry import Pose2D
 from layoutopt.scene_model import Room
-from refgeom import FootprintBox, boundary_sample_points, corners, signed_distance_point_box
+from refgeom import FootprintBox, axis_overlaps, corners, signed_distance_point_box
 
 def box_from_array(arr, half_l: float, half_w: float) -> FootprintBox:
     return FootprintBox(Pose2D(float(arr[0]), float(arr[1]), float(arr[2])), half_l, half_w)
@@ -212,21 +212,31 @@ def sample_gap(rng):
     hl_a, hw_a, hl_b, hw_b = rng.uniform(0.2, 1.0, size=4)
     while True:
         a, b = _pose(rng, 1.0), _pose(rng, 1.0)
-        b[:2] += np.array([3.0, 0.0]) if rng.random() < 0.5 else np.array([0.0, 3.0])
+        apart = rng.random() < 0.5
+        if apart:
+            b[:2] += np.array([3.0, 0.0]) if rng.random() < 0.5 else np.array([0.0, 3.0])
         g = float(rng.uniform(0.0, 1.5))
         box_a = box_from_array(a, hl_a, hw_a)
         box_b = box_from_array(b, hl_b, hw_b)
-        values = []
-        for box, other in ((box_a, box_b), (box_b, box_a)):
-            for probe in boundary_sample_points(box):
-                values.append(signed_distance_point_box(probe, other))
-        values.sort()
-        best = values[0]
-        # Unique winner, strictly outside, away from the corner/edge kinks.
-        if best < KINK_MARGIN or values[1] - values[0] < KINK_MARGIN:
-            continue
         if not (_theta_regular(a[2]) and _theta_regular(b[2])):
             continue
+        overlaps = axis_overlaps(box_a, box_b)
+        if apart:
+            # Apart on some edge normal and strictly outside, with a unique
+            # winning corner.
+            values = sorted(
+                signed_distance_point_box(p, other) for box, other in ((box_a, box_b), (box_b, box_a))
+                for p in corners(box)
+            )
+            if min(map(min, overlaps)) >= 0.0 or values[0] < KINK_MARGIN or values[1] - values[0] < KINK_MARGIN:
+                continue
+        else:
+            # Overlapping by more than the margin, with a unique winning
+            # one-sided overlap (so its centre offset is off zero too) and
+            # a relative heading off the quarter turns.
+            sides = sorted(v for pair in overlaps for v in pair)
+            if not _theta_regular(b[2] - a[2]) or sides[0] < KINK_MARGIN or sides[1] - sides[0] < KINK_MARGIN:
+                continue
 
         def value_fn(s):
             return gap_loss([kbox(s["a"], hl_a, hw_a), kbox(s["b"], hl_b, hw_b)], s["g"])[0]

@@ -4,13 +4,13 @@ The library handles a footprint as the tuple (x, y, theta, half_l, half_w)
 and its outline as the counter-clockwise corner list of
 `geometry.corner_points`.  The tests keep the object form they were written
 on: `FootprintBox` with its axis-aligned `Interval` bounds, the proxy test
-`collide_proxy`, the point-to-box signed distance and the boundary probe
-distance that the gap term's oracle reads.  `boundary_probes` lists every
-probe the gap kernel may scan, for the references that scan them all.
-`outline` turns a box into the library's corner list, `corners` into a
-(4, 2) array.  `reference_enclosing_box` is the stand-in box as it was
-built from a list of corner points and two axis lists.  The numpy polygon bodies the exact checks had before they ran
-on corner lists (`ConvexPolygon`, `reference_polygon_area`,
+`collide_proxy`, the point-to-box signed distance, and the gap term's
+oracle `box_separation` with the projected overlaps it reads on the edge
+normals, `axis_overlaps`.  `outline` turns a box into the library's corner
+list, `corners` into a (4, 2) array.  `reference_enclosing_box` is the
+stand-in box as it was built from a list of corner points and two axis
+lists.  The numpy polygon bodies the exact checks had before they ran on
+corner lists (`ConvexPolygon`, `reference_polygon_area`,
 `reference_intersection_area`) stay here as the reference those checks are
 compared with.  `reference_eval_physical` is the exact check as it was
 before it skipped the room clip of a footprint inside the room: it clips
@@ -182,42 +182,42 @@ def signed_distance_point_box(point, box: FootprintBox) -> float:
     return outside + min(max(qx, qy), 0.0)
 
 
-# Interior edge samples at odd eighths keep the probe set symmetric and dense
-# enough that the separated-box minimum is still attained at a vertex probe.
-_EDGE_FRACTIONS = (0.125, 0.375, 0.625, 0.875)
+def _segment_distance(p, s0, s1) -> float:
+    """Distance from the point p to the segment s0-s1."""
+    ex, ey = s1[0] - s0[0], s1[1] - s0[1]
+    t = min(max(((p[0] - s0[0]) * ex + (p[1] - s0[1]) * ey) / (ex * ex + ey * ey), 0.0), 1.0)
+    return math.hypot(p[0] - s0[0] - t * ex, p[1] - s0[1] - t * ey)
 
 
-def boundary_probes(x: float, y: float, theta: float, half_l: float, half_w: float) -> list:
-    """Probe points on the boundary of the footprint with pose (x, y, theta)
-    and the given half sizes, as (x, y) float pairs: the 4 corners of
-    `corner_points`, then 4 samples per edge."""
-    cs = corner_points(x, y, theta, half_l, half_w)
-    pts = list(cs)
-    for k in range(4):
-        (px, py), (qx, qy) = cs[k], cs[(k + 1) % 4]
-        for t in _EDGE_FRACTIONS:
-            pts.append((px + t * (qx - px), py + t * (qy - py)))
-    return pts
+def axis_overlaps(a: FootprintBox, b: FootprintBox) -> list:
+    """For each edge normal, a's local x and y, then b's, the two one-sided
+    overlaps of the boxes' corner projections on it: max(a) - min(b) and
+    max(b) - min(a).  The projections overlap by the smaller one."""
+    ca, cb = outline(a), outline(b)
+    out = []
+    for theta in (a.pose.theta, a.pose.theta + 0.5 * math.pi, b.pose.theta, b.pose.theta + 0.5 * math.pi):
+        n = (math.cos(theta), math.sin(theta))
+        pa = [x * n[0] + y * n[1] for x, y in ca]
+        pb = [x * n[0] + y * n[1] for x, y in cb]
+        out.append((max(pa) - min(pb), max(pb) - min(pa)))
+    return out
 
 
-def boundary_sample_points(box: FootprintBox) -> np.ndarray:
-    """Probe points on the box boundary, shape (20, 2); see `boundary_probes`."""
-    return np.asarray(boundary_probes(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w))
+def box_separation(a: FootprintBox, b: FootprintBox) -> float:
+    """Signed separation of two boxes, the quantity the gap term reads.
 
-
-def min_boundary_distance(a: FootprintBox, b: FootprintBox) -> float:
-    """Smallest boundary-to-boundary signed distance between two boxes.
-
-    Minimizes the point-to-box signed distance over boundary probes of both
-    boxes, in both directions.  Exact for disjoint boxes (the minimum is
-    attained at a corner probe); approximate when the boxes interpenetrate.
+    Disjoint or touching boxes (no intersection area): the smallest
+    distance from a corner of either box to an edge of the other.
+    Overlapping boxes: minus the separating-axis depth, the smallest
+    overlap of their projections over the four edge normals.
     """
-    best = math.inf
-    for p in boundary_sample_points(a):
-        best = min(best, signed_distance_point_box(p, b))
-    for p in boundary_sample_points(b):
-        best = min(best, signed_distance_point_box(p, a))
-    return best
+    ca, cb = outline(a), outline(b)
+    if polygon_intersection_area(ca, cb) == 0.0:
+        return min(
+            _segment_distance(p, q[k], q[(k + 1) % 4]) for points, q in ((ca, cb), (cb, ca)) for p in points
+            for k in range(4)
+        )
+    return -min(min(pair) for pair in axis_overlaps(a, b))
 
 
 def reference_eval_physical(spec, layout) -> PhysicalReport:

@@ -42,20 +42,13 @@ from layoutopt.constraints import (
 )
 from layoutopt.errors import MissingEntityError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
-from layoutopt.geometry import Pose2D, compose, half_extents
+from layoutopt.geometry import _CORNER_SIGNS, Pose2D, compose, half_extents
 from layoutopt.imagination import imagine_and_revise
-from layoutopt.optimizer import OptimizerConfig, evaluate, init_state, solve
+from layoutopt.optimizer import OptimizerConfig, evaluate, init_state
 from layoutopt.scene_model import SHARED_PARAM_SLOTS, Room, parse_scene, shared_param_priors
 
 from gradcheck import OP_SAMPLERS, assert_grads_close, fd_slots, kernel_box, keyed, keyed_around, run_op_fd
-from refgeom import (
-    FootprintBox,
-    boundary_probes,
-    boundary_sample_points,
-    collide_proxy,
-    corners,
-    min_boundary_distance,
-)
+from refgeom import FootprintBox, box_separation, collide_proxy, corners
 from refopt import reference_around_loss
 
 RNG_SEED = 915
@@ -176,16 +169,52 @@ def test_distance_zero_radius_is_regular():
     assert np.all(np.array(ga) == 0.0)
 
 
-def test_gap_matches_min_boundary_distance():
+def _separation(boxes, g=0.0) -> float:
+    """The signed separation `gap_loss` reads, from its parameter gradient
+    -2 (separation - g)."""
+    return g - 0.5 * gap_loss(boxes, g)[2]
+
+
+def test_gap_matches_box_separation():
     rng = np.random.default_rng(RNG_SEED + 3)
-    count = 0
-    while count < 100:
-        a, b = random_box(rng), random_box(rng)
+    overlapping = 0
+    for _ in range(400):
+        a, b = random_box(rng), random_box(rng, 1.0)
         g = rng.uniform(0.0, 1.0)
         value, _, _ = gap_loss([kernel_box(a), kernel_box(b)], float(g))
-        expect = (min_boundary_distance(a, b) - g) ** 2
-        assert value == pytest.approx(expect, abs=1e-9)
-        count += 1
+        expect = box_separation(a, b)
+        assert value == pytest.approx((expect - g) ** 2, abs=1e-9)
+        assert _separation([kernel_box(a), kernel_box(b)]) == pytest.approx(expect, abs=1e-9)
+        overlapping += expect < 0.0
+    assert 50 < overlapping < 350
+
+
+def test_gap_reads_crossing_boards_as_overlapping():
+    # Two 4 x 0.2 m boards crossing at their centres: every corner and
+    # boundary sample of each lies outside the other, 0.4 m from it at the
+    # least, yet they part only after 2.1 m, so a gap of 0.4 is far from
+    # satisfied.
+    boards = [(2.0, 2.0, 0.0, 2.0, 0.1), (2.0, 2.0, 0.5 * math.pi, 2.0, 0.1)]
+    assert _separation(boards) == pytest.approx(-2.1, abs=1e-12)
+    value, _, _ = gap_loss(boards, 0.4)
+    assert value == pytest.approx(2.5**2, abs=1e-12)
+
+
+def test_gap_reads_a_touching_pair_as_zero_from_both_sides():
+    # Touching reads 0; nudged apart the corner distances read the gap, and
+    # pushed in the projected overlap reads minus the depth, so the
+    # separation is continuous where the two forms meet.
+    for a, b, normal in (
+        ((0.0, 0.0, 0.0, 0.5, 0.5), (1.0, 0.3, 0.0, 0.5, 0.5), (1.0, 0.0)),  # face to face
+        ((0.0, 0.0, 0.0, 0.5, 0.25), (0.0, 0.5, math.pi, 0.25, 0.25), (0.0, 1.0)),  # turned half round
+        ((0.0, 0.0, 0.0, 0.5, 0.5), (0.5 + 0.5 * math.sqrt(2.0), 0.1, 0.25 * math.pi, 0.5, 0.5), (1.0, 0.0)),
+    ):
+        for boxes in ([a, b], [b, a]):
+            assert _separation(boxes) == pytest.approx(0.0, abs=1e-15)
+        for eps in (1e-9, -1e-9):
+            moved = (b[0] + eps * normal[0], b[1] + eps * normal[1], *b[2:])
+            for boxes in ([a, moved], [moved, a]):
+                assert _separation(boxes) == pytest.approx(eps, abs=1e-15)
 
 
 def test_against_wall_frozen_value():
@@ -777,42 +806,6 @@ def test_broadphase_keeps_aggregates_bit_exact(name, monkeypatch):
     assert sum(k for k, _ in kept) < sum(t for _, t in kept)
 
 
-def _eager_gap(a, b, g):
-    # The probe scan before it went value-only: gradients at every probe.
-    best, best_grads = math.inf, None
-    for box, other, slot_box, slot_other in ((a, b, "a", "b"), (b, a, "b", "a")):
-        cb, sb = math.cos(box.pose.theta), math.sin(box.pose.theta)
-        for p in boundary_sample_points(box):
-            wx, wy = p[0] - box.pose.x, p[1] - box.pose.y
-            offset = (cb * wx + sb * wy, -sb * wx + cb * wy)
-            value, g_point, g_other = _reference_point_box_sdf_grads(box, offset, other)
-            if value < best:
-                best, best_grads = value, {slot_box: g_point, slot_other: g_other}
-    r = best - g
-    out = {k: 2.0 * r * v for k, v in best_grads.items()}
-    out["g"] = -2.0 * r
-    return r * r, out
-
-
-def test_gap_scan_matches_eager_reference_bitwise():
-    rng = np.random.default_rng(RNG_SEED + 31)
-    for k in range(500):
-        if k % 4 == 0:
-            # Axis-aligned side by side: many probes tie for the minimum.
-            hl, hw = 0.25 * float(rng.integers(1, 5)), 0.25 * float(rng.integers(1, 5))
-            a = box(1.0, 2.0, 0.0, hl, hw)
-            b = box(1.0 + 2.0 * hl + 0.25 * float(rng.integers(0, 4)), 2.0, float(rng.choice([0.0, math.pi])), hl, hw)
-        else:
-            a, b = random_box(rng), random_box(rng)
-        g = float(rng.uniform(0.0, 0.6))
-        value, grads = _eager_gap(a, b, g)
-        lv = keyed(gap_loss([kernel_box(a), kernel_box(b)], g), ("a", "b"), "g")
-        assert lv.value == value
-        assert set(lv.grads) == set(grads)
-        for key, ref in grads.items():
-            assert np.array_equal(lv.grads[key], ref)
-
-
 # ---------------------------------------------------------------------------
 # Kernels against the per-term numpy bodies they replaced
 # ---------------------------------------------------------------------------
@@ -820,10 +813,6 @@ def test_gap_scan_matches_eager_reference_bitwise():
 # before those became scalar kernels, kept verbatim: on FootprintBoxes,
 # returning a LossValue keyed by slot name.  Every kernel, keyed by slot, and
 # `term_loss` on kernel boxes, must reproduce them bit for bit.
-
-
-def _probes(box):
-    return boundary_probes(box.pose.x, box.pose.y, box.pose.theta, box.half_l, box.half_w)
 
 
 def _reference_collision(a: FootprintBox, b: FootprintBox) -> LossValue:
@@ -955,54 +944,88 @@ def _reference_distance(a: FootprintBox, b: FootprintBox, d_star: float) -> Loss
     return LossValue(r * r, {"a": ga, "b": gb, "d": -2.0 * r})
 
 
-def _reference_point_box_sdf_grads(point_box: FootprintBox, offset, other: FootprintBox):
-    pp = point_box.pose
+def _reference_corner_sdf_grads(box: FootprintBox, offset, other: FootprintBox):
+    """`_local_sdf` of the corner of `box` at `offset` in its frame against
+    `other`, with its derivatives by box's pose and by other's: the corner
+    is carried into other's frame from the centre offset, turned by the
+    heading difference."""
+    pp, po = box.pose, other.pose
     cp, sp = math.cos(pp.theta), math.sin(pp.theta)
-    qx = pp.x + cp * offset[0] - sp * offset[1]
-    qy = pp.y + sp * offset[0] + cp * offset[1]
-
-    po = other.pose
     co, so = math.cos(po.theta), math.sin(po.theta)
-    dx, dy = qx - po.x, qy - po.y
-    ux = co * dx + so * dy
-    uy = -so * dx + co * dy
+    cr, sr = cp * co + sp * so, sp * co - cp * so
+    dx, dy = pp.x - po.x, pp.y - po.y
+    ux = co * dx + so * dy + cr * offset[0] - sr * offset[1]
+    uy = co * dy - so * dx + sr * offset[0] + cr * offset[1]
     value = _local_sdf(ux, uy, other.half_l, other.half_w)
     gux, guy = _local_sdf_grad(ux, uy, other.half_l, other.half_w)
-
-    # World-frame gradient at the probe point.
-    gq = np.array([co * gux - so * guy, so * gux + co * guy])
-    g_point = np.array(
-        [gq[0], gq[1], gq[0] * (-sp * offset[0] - cp * offset[1]) + gq[1] * (cp * offset[0] - sp * offset[1])]
+    g_box = np.array(
+        [co * gux - so * guy, so * gux + co * guy,
+         gux * (-sr * offset[0] - cr * offset[1]) + guy * (cr * offset[0] - sr * offset[1])]
     )
-    g_other = np.array([-gq[0], -gq[1], gux * uy - guy * ux])
-    return value, g_point, g_other
+    g_other = np.array([-(co * gux - so * guy), -(so * gux + co * guy), gux * uy - guy * ux])
+    return value, g_box, g_other
+
+
+def _reference_overlaps(a: FootprintBox, b: FootprintBox) -> list:
+    """On each edge normal n, a's x and y, then b's: the overlap of the
+    boxes' projections, the half size of n's box plus the other box's extent
+    on n less |(c_b - c_a) . n|; n; that offset on n, and its derivative by
+    n's heading; and the derivative of the extent by a's heading."""
+    cos_a, sin_a = math.cos(a.pose.theta), math.sin(a.pose.theta)
+    cos_b, sin_b = math.cos(b.pose.theta), math.sin(b.pose.theta)
+    dx, dy = b.pose.x - a.pose.x, b.pose.y - a.pose.y
+    # |cos| and |sin| of b's heading less a's, and their derivatives by a's.
+    c_rel, s_rel = cos_a * cos_b + sin_a * sin_b, cos_a * sin_b - sin_a * cos_b
+    dc, ds = math.copysign(1.0, c_rel) * s_rel, -math.copysign(1.0, s_rel) * c_rel
+    c_rel, s_rel = abs(c_rel), abs(s_rel)
+    out = []
+    # Each normal's half size, direction, and the other box with |cos| and
+    # |sin| of its heading less the normal's and their derivatives.
+    for half, n, other, trig in (
+        (a.half_l, (cos_a, sin_a), b, (c_rel, s_rel, dc, ds)),
+        (a.half_w, (-sin_a, cos_a), b, (s_rel, c_rel, ds, dc)),
+        (b.half_l, (cos_b, sin_b), a, (c_rel, s_rel, dc, ds)),
+        (b.half_w, (-sin_b, cos_b), a, (s_rel, c_rel, ds, dc)),
+    ):
+        cos_abs, sin_abs, d_cos, d_sin = trig
+        p = n[0] * dx + n[1] * dy
+        overlap = half + other.half_l * cos_abs + other.half_w * sin_abs - abs(p)
+        dp = -n[1] * dx + n[0] * dy
+        out.append((overlap, n, p, dp, other.half_l * d_cos + other.half_w * d_sin))
+    return out
 
 
 def _reference_gap(a: FootprintBox, b: FootprintBox, g: float) -> LossValue:
+    # The signed separation of `refgeom.box_separation`: minus the least
+    # projected overlap when the projections overlap on every edge normal,
+    # else the least corner-to-box distance.
+    overlaps = _reference_overlaps(a, b)
+    if all(o[0] > 0.0 for o in overlaps):
+        k = 0
+        for i in range(1, 4):
+            if overlaps[i][0] < overlaps[k][0]:
+                k = i
+        overlap, n, p, dp, d_ext = overlaps[k]
+        r = -overlap - g
+        k2 = 2.0 * r
+        m = k2 * math.copysign(1.0, p)
+        ga = np.array([-m * n[0], -m * n[1], -k2 * d_ext + m * dp if k < 2 else -k2 * d_ext])
+        gb = np.array([m * n[0], m * n[1], k2 * d_ext if k < 2 else k2 * d_ext + m * dp])
+        return LossValue(r * r, {"a": ga, "b": gb, "g": -2.0 * r})
     best = math.inf
     winner = None
     for box, other, slot_box, slot_other in ((a, b, "a", "b"), (b, a, "b", "a")):
-        pp, po = box.pose, other.pose
-        cp, sp = math.cos(pp.theta), math.sin(pp.theta)
-        co, so = math.cos(po.theta), math.sin(po.theta)
-        for px, py in _probes(box):
-            # Back out the probe's local offset to chain through the pose,
-            # then carry it into other's frame as `_reference_point_box_sdf_grads` does.
-            wx, wy = px - pp.x, py - pp.y
-            offset = (cp * wx + sp * wy, -sp * wx + cp * wy)
-            dx = pp.x + cp * offset[0] - sp * offset[1] - po.x
-            dy = pp.y + sp * offset[0] + cp * offset[1] - po.y
-            value = _local_sdf(co * dx + so * dy, -so * dx + co * dy, other.half_l, other.half_w)
+        for sx, sy in _CORNER_SIGNS:
+            offset = (sx * box.half_l, sy * box.half_w)
+            value, g_box, g_other = _reference_corner_sdf_grads(box, offset, other)
             if value < best:
                 best = value
-                winner = (box, offset, other, slot_box, slot_other)
+                winner = {slot_box: g_box, slot_other: g_other}
     if winner is None:
         nan = np.full(3, math.nan)
         return LossValue(math.nan, {"a": nan, "b": nan.copy(), "g": math.nan})
-    box, offset, other, slot_box, slot_other = winner
-    _, g_point, g_other = _reference_point_box_sdf_grads(box, offset, other)
     r = best - g
-    out = {slot_box: 2.0 * r * g_point, slot_other: 2.0 * r * g_other}
+    out = {slot: 2.0 * r * grad for slot, grad in winner.items()}
     out["g"] = -2.0 * r
     return LossValue(r * r, out)
 
@@ -1308,6 +1331,9 @@ _FAMILIES = {
         [
             ([box(0.0, 0.0, 0.0, 0.5, 0.5), box(1.0, 0.0, math.pi, 0.5, 0.5)], (0.0,)),  # touching
             ([box(0.0, 0.0, 0.0, 0.5, 0.5), box(0.0, 0.0, 0.0, 0.5, 0.5)], (0.25,)),  # coincident
+            ([box(2.0, 2.0, 0.0, 2.0, 0.1), box(2.0, 2.0, 0.5 * math.pi, 2.0, 0.1)], (0.4,)),  # crossing
+            ([box(1e5, -1e5, 0.3, 0.5, 0.25), box(1e5 + 0.9, -1e5, 1.2, 0.5, 0.25)], (0.1,)),  # far out
+            ([box(1.0, 1.0, 0.0, 1e-3, 2e-3), box(1.0 + 3e-3, 1.0, 0.7, 2e-3, 1e-3)], (0.0,)),  # tiny
         ],
     ),
     "against_wall": (
@@ -1393,125 +1419,6 @@ def test_adapters_match_the_numpy_reference_bitwise(family):
     cases = kinks + [draw(rng) for _ in range(400)]
     for boxes, params in cases:
         _assert_same_loss(kernel(boxes, params), reference(boxes, params), (family, boxes, params))
-
-
-def _gap_bound_cases(rng) -> list:
-    """Box pairs on both sides of the gap scan's sample bounds: far edges
-    it skips, near or tied edges it must scan, overlaps, large coordinates,
-    tiny and large half sizes, and NaN poses."""
-    cases = []
-    # Axis-aligned side by side in each direction, touching or apart: the
-    # facing edges tie, and their samples tie with the corners.
-    for ux, uy in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
-        for _ in range(20):
-            hl, hw = 0.25 * float(rng.integers(1, 9)), 0.25 * float(rng.integers(1, 9))
-            sep = 0.25 * float(rng.integers(0, 4))
-            x, y = 0.25 * float(rng.integers(-8, 9)), 0.25 * float(rng.integers(-8, 9))
-            a = box(x, y, 0.0, hl, hw)
-            b = box(x + ux * (2.0 * hl + sep), y + uy * (2.0 * hw + sep), float(rng.choice([0.0, math.pi])), hl, hw)
-            cases += [(a, b), (b, a)]
-    # Equal boxes, coincident or shifted along one axis, at each heading.
-    for theta in (0.0, 0.5 * math.pi, math.pi):
-        for _ in range(10):
-            hl, hw = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0))
-            shift = [(0.0, 0.0), (float(rng.uniform(0.0, 3.0)), 0.0), (0.0, float(rng.uniform(0.0, 3.0)))]
-            for sx, sy in shift:
-                cases.append((box(1.0, 2.0, theta, hl, hw), box(1.0 + sx, 2.0 + sy, theta, hl, hw)))
-    # Overlapping: b's center inside a or just past its edges, so that the
-    # deepest probe is often an edge sample.
-    for _ in range(200):
-        a = random_box(rng)
-        fx, fy = rng.uniform(-1.5, 1.5, 2)
-        c, s = math.cos(a.pose.theta), math.sin(a.pose.theta)
-        ox, oy = float(fx) * a.half_l, float(fy) * a.half_w
-        x, y, theta = a.pose.x + c * ox - s * oy, a.pose.y + s * ox + c * oy, float(rng.uniform(-6, 6))
-        cases.append((a, box(x, y, theta, *(float(h) for h in rng.uniform(0.1, 1.0, 2)))))
-    # Coordinates up to 1e5 m and half sizes from 1e-3 to 2 m, near each other.
-    for _ in range(120):
-        x, y = rng.uniform(-1e5, 1e5, 2)
-        halves = 10.0 ** rng.uniform(-3.0, math.log10(2.0), 4)
-        theta_a, theta_b = (
-            float(rng.choice(_QUARTER_TURNS)) if rng.random() < 0.5 else float(rng.uniform(-6, 6)) for _ in "ab"
-        )
-        dx, dy = rng.uniform(-3.0, 3.0, 2)
-        a = box(float(x), float(y), theta_a, float(halves[0]), float(halves[1]))
-        b = box(float(x + dx), float(y + dy), theta_b, float(halves[2]), float(halves[3]))
-        cases.append((a, b))
-    # NaN in each pose slot of either box.
-    for slot in range(3):
-        for which in range(2):
-            pose = [[1.0, 2.0, 0.3], [2.5, 2.0, 0.0]]
-            pose[which][slot] = math.nan
-            cases.append((box(*pose[0], 0.5, 0.4), box(*pose[1], 0.5, 0.4)))
-    return cases
-
-
-def test_gap_pruned_scan_matches_the_full_scan_bitwise():
-    # `_reference_gap` scans all 40 probes; the kernel skips the samples its
-    # Lipschitz bounds rule out.  Value and every gradient must agree.
-    rng = np.random.default_rng(RNG_SEED + 61)
-    for a, b in _gap_bound_cases(rng):
-        g = float(rng.uniform(0.0, 0.6))
-        lv = keyed(gap_loss(_kernel_boxes([a, b]), g), ("a", "b"), "g")
-        _assert_same_loss(lv, _reference_gap(a, b, g), (a, b, g))
-
-
-def _far_side_by_side_cases(rng) -> list:
-    """Axis-aligned boxes side by side, touching or a hair apart, at quarter
-    turns, with coordinates from 1e3 to 1e5: facing edges tie with each
-    other and with the corners, and the probe arithmetic rounds at the
-    coordinates' scale."""
-    cases = []
-    for _ in range(400):
-        scale = 10.0 ** rng.uniform(3.0, 5.0)
-        x, y = (float(v) for v in rng.choice([-1.0, 1.0], 2) * scale * rng.uniform(0.1, 1.0, 2))
-        hl, hw = (0.25 * float(k) for k in rng.integers(1, 9, 2))
-        theta_a, theta_b = (float(rng.choice(_QUARTER_TURNS)) for _ in "ab")
-        # The half extents of a quarter-turned box swap.
-        ax, ay = (hw, hl) if abs(math.sin(theta_a)) > 0.5 else (hl, hw)
-        bx, by = (hw, hl) if abs(math.sin(theta_b)) > 0.5 else (hl, hw)
-        sep = float(rng.choice([0.0, 1e-12 * scale, 1e-9 * scale, 0.25]))
-        ux, uy = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))[int(rng.integers(0, 4))]
-        a = box(x, y, theta_a, hl, hw)
-        b = box(x + ux * (ax + bx + sep), y + uy * (ay + by + sep), theta_b, hl, hw)
-        cases += [(a, b), (b, a)]
-    return cases
-
-
-def _solve_gap_calls(monkeypatch, names, seeds) -> list:
-    """Every `gap_loss` call of default solves of the named fixtures,
-    conflict_pair revised first (its gap relation comes from the revision)."""
-    specs = [load_fixture(name) for name in names]
-    specs = [imagine_and_revise(spec)[0] if name == "conflict_pair" else spec for name, spec in zip(names, specs)]
-    calls = []
-    kernel = constraints.gap_loss
-
-    def record(boxes, g):
-        calls.append((list(boxes), g))
-        return kernel(boxes, g)
-
-    with monkeypatch.context() as m:
-        m.setattr(constraints, "gap_loss", record)
-        for spec in specs:
-            for seed in seeds:
-                solve(spec, OptimizerConfig(seed=seed))
-    return calls
-
-
-def test_gap_screen_matches_the_full_scan_far_out_and_along_solves(monkeypatch):
-    # The screen carries each probe straight into the other box's frame,
-    # where the exact probe goes through the point's offset; the two differ
-    # by rounding, which `margin` must cover far from the origin as well.
-    rng = np.random.default_rng(RNG_SEED + 62)
-    for a, b in _far_side_by_side_cases(rng):
-        g = float(rng.uniform(0.0, 0.6))
-        lv = keyed(gap_loss(_kernel_boxes([a, b]), g), ("a", "b"), "g")
-        _assert_same_loss(lv, _reference_gap(a, b, g), (a, b, g))
-    calls = _solve_gap_calls(monkeypatch, ("conflict_pair", "mixed_ten"), range(80))
-    assert len(calls) > 3000
-    for boxes, g in calls:
-        lv = keyed(gap_loss(boxes, g), ("a", "b"), "g")
-        _assert_same_loss(lv, _reference_gap(*(box(*k) for k in boxes), g), (boxes, g))
 
 
 def _every_kind_scene():

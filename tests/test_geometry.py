@@ -32,10 +32,9 @@ from refgeom import (
     FootprintBox,
     Interval,
     axis_bounds,
-    boundary_sample_points,
+    box_separation,
     collide_proxy,
     corners,
-    min_boundary_distance,
     outline,
     reference_enclosing_box,
     reference_intersection_area,
@@ -496,33 +495,56 @@ def test_signed_distance_point_box_against_oracle():
         )
 
 
-def test_boundary_sample_points_lie_on_boundary():
-    rng = np.random.default_rng(RNG_SEED + 11)
-    box = random_box(rng)
-    pts = boundary_sample_points(box)
-    assert pts.shape == (20, 2)
-    for p in pts:
-        assert abs(signed_distance_point_box(p, box)) < 1e-9
-
-
-def test_min_boundary_distance_frozen_values():
+def test_box_separation_frozen_values():
     a = FootprintBox(Pose2D(0.0, 0.0, 0.0), 0.5, 0.5)
     b = FootprintBox(Pose2D(2.0, 0.0, 0.0), 0.5, 0.5)
-    assert min_boundary_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+    assert box_separation(a, b) == pytest.approx(1.0, abs=1e-12)
     # Diagonal separation: nearest corners are (0.5, 0.5) and (1.5, 1.5).
     c = FootprintBox(Pose2D(2.0, 2.0, 0.0), 0.5, 0.5)
-    assert min_boundary_distance(a, c) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert box_separation(a, c) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    # Touching faces, and a corner touching a face.
+    assert box_separation(a, FootprintBox(Pose2D(1.0, 0.3, 0.0), 0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
+    d = FootprintBox(Pose2D(0.5 + 0.5 * math.sqrt(2.0), 0.1, 0.25 * math.pi), 0.5, 0.5)
+    assert box_separation(a, d) == pytest.approx(0.0, abs=1e-12)
+    # Overlapping: minus the depth, here 0.5 m on the x normals.
+    e = FootprintBox(Pose2D(0.5, 0.0, 0.0), 0.5, 0.5)
+    assert box_separation(a, e) == pytest.approx(-0.5, abs=1e-12)
+    # Two 4 x 0.2 m boards crossing at their centres part only after
+    # 2.1 m, though every corner of each lies outside the other.
+    board = FootprintBox(Pose2D(2.0, 2.0, 0.0), 2.0, 0.1)
+    crossed = FootprintBox(Pose2D(2.0, 2.0, 0.5 * math.pi), 2.0, 0.1)
+    assert box_separation(board, crossed) == pytest.approx(-2.1, abs=1e-12)
 
 
-def test_min_boundary_distance_disjoint_matches_dense_oracle():
+def test_box_separation_matches_dense_oracle():
     rng = np.random.default_rng(RNG_SEED + 12)
-    checked = 0
-    while checked < 60:
-        a, b = random_box(rng, 4.0), random_box(rng, 4.0)
+    # Translating b by the overlap of the projections on a direction u,
+    # along u, parts the boxes; the depth is the least such translation.
+    angles = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
+    directions = np.stack([np.cos(angles), np.sin(angles)])
+    disjoint = overlapping = 0
+    while disjoint < 60 or overlapping < 60:
+        a = random_box(rng, 4.0)
+        b = random_box(rng, 4.0)
+        if overlapping < 60 and rng.random() < 0.5:
+            b = FootprintBox(Pose2D(a.pose.x + rng.uniform(-2.0, 2.0), a.pose.y + rng.uniform(-2.0, 2.0),
+                                    b.pose.theta), b.half_l, b.half_w)
         pa, pb = corners(a), corners(b)
+        got = box_separation(a, b)
         if polygon_intersection_area(outline(a), outline(b)) > 0.0:
+            if overlapping == 60:
+                continue
+            overlapping += 1
+            ra, rb = pa @ directions, pb @ directions
+            dense = float(np.minimum(ra.max(0) - rb.min(0), rb.max(0) - ra.min(0)).min())
+            # The edge normals attain the least overlap, so no direction
+            # does better, and the dense search comes as close as its step.
+            assert -got <= dense + 1e-9
+            assert -got == pytest.approx(dense, abs=1e-3)
             continue
-        checked += 1
+        if disjoint == 60:
+            continue
+        disjoint += 1
         # Dense oracle: min distance between boundary point clouds via
         # point-segment distances from each polygon's densified boundary.
         dense_a = np.concatenate(
@@ -536,14 +558,7 @@ def test_min_boundary_distance_disjoint_matches_dense_oracle():
             oracle = min(oracle, min(_segment_distance_oracle(p, pb[i], pb[(i + 1) % 4]) for i in range(4)))
         for p in dense_b:
             oracle = min(oracle, min(_segment_distance_oracle(p, pa[i], pa[(i + 1) % 4]) for i in range(4)))
-        got = min_boundary_distance(a, b)
         assert got == pytest.approx(oracle, abs=1e-6)
-
-
-def test_min_boundary_distance_overlapping_is_negative():
-    a = FootprintBox(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0)
-    b = FootprintBox(Pose2D(0.5, 0.0, 0.2), 1.0, 1.0)
-    assert min_boundary_distance(a, b) < 0.0
 
 
 def _outcome(fn, *args):
