@@ -495,7 +495,7 @@ def test_signed_distance_point_box_against_oracle():
         )
 
 
-def test_box_separation_frozen_values():
+def test_min_boundary_distance_frozen_values():
     a = FootprintBox(Pose2D(0.0, 0.0, 0.0), 0.5, 0.5)
     b = FootprintBox(Pose2D(2.0, 0.0, 0.0), 0.5, 0.5)
     assert box_separation(a, b) == pytest.approx(1.0, abs=1e-12)
@@ -506,7 +506,14 @@ def test_box_separation_frozen_values():
     assert box_separation(a, FootprintBox(Pose2D(1.0, 0.3, 0.0), 0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
     d = FootprintBox(Pose2D(0.5 + 0.5 * math.sqrt(2.0), 0.1, 0.25 * math.pi), 0.5, 0.5)
     assert box_separation(a, d) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_min_boundary_distance_overlapping_is_negative():
+    a = FootprintBox(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0)
+    b = FootprintBox(Pose2D(0.5, 0.0, 0.2), 1.0, 1.0)
+    assert box_separation(a, b) < 0.0
     # Overlapping: minus the depth, here 0.5 m on the x normals.
+    a = FootprintBox(Pose2D(0.0, 0.0, 0.0), 0.5, 0.5)
     e = FootprintBox(Pose2D(0.5, 0.0, 0.0), 0.5, 0.5)
     assert box_separation(a, e) == pytest.approx(-0.5, abs=1e-12)
     # Two 4 x 0.2 m boards crossing at their centres part only after
