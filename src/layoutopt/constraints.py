@@ -4,12 +4,14 @@ Each penalty family is one scalar kernel on plain floats, `<family>_loss`.
 A kernel takes its boxes as (x, y, theta, half_l, half_w) tuples: a relation
 kernel a list of its end boxes, the term's scalar parameter, then the
 constants that `_<family>_rule` (or `SIDE_RULES`) resolves.  It returns
-(value, one (d/dx, d/dy, d/dtheta) tuple per box, d/d parameter or None).
-Gradients are hand-derived; kinks coming from hinges, absolute values, and
-min/max selections use the subgradient that is zero at the kink (hinges) or
-the tie-broken branch (selections).  Separations are exact: `gap_loss`
-reads the corner-to-box distance of two boxes that are apart and minus
-their separating-axis depth when they overlap.
+(value, one (d/dx, d/dy, d/dtheta) tuple per box, d/d parameter or None),
+a relation kernel then its penalty, the value but in `directional_loss`,
+whose value squares the alignment w and whose penalty reads |w|.  Gradients
+are hand-derived; kinks coming from hinges, absolute values, and min/max
+selections use the subgradient that is zero at the kink (hinges) or the
+tie-broken branch (selections).  Separations are exact: `gap_loss` reads
+the corner-to-box distance of two boxes that are apart and minus their
+separating-axis depth when they overlap.
 
 Two aggregation levels mirror the pose parameterization: unit-local terms are
 evaluated in the unit frame and never touch the unit pose; scene-level terms
@@ -27,11 +29,11 @@ optional params defaulted as the parser defaults them.  The pass,
 `relation_penalties` and the imagination pass read that plan through
 `_block_boxes`, which builds unit stand-ins with `geometry.enclosing_box`;
 a heading that is not finite reads as NaN there.  The pass calls each
-term's kernel and routes its gradients inline (`term_loss` serves the
-penalty report, whose directional alignment reads |w| where the pass
-squares it); collisions go through `collision_loss`, once per pair the
-broadphase `_proxy_pairs` keeps, the pairs the imagination pass checks for
-conflicts.  Kernels are looked up by module attribute at call time.
+term's kernel, routes its gradients inline and records its penalty, which
+`relation_penalties` evaluates afresh; collisions go through
+`collision_loss`, once per pair the broadphase `_proxy_pairs` keeps, the
+pairs the imagination pass checks for conflicts.  Kernels are looked up by
+module attribute at call time.
 """
 
 from __future__ import annotations
@@ -65,12 +67,13 @@ _NAN = (math.nan, math.nan, math.nan)
 @dataclass
 class LossValue:
     """Result of an aggregate: the weighted objective, its gradient as one
-    flat array laid out by a ParamIndex (a list while `objective` runs), and
-    the raw total of each penalty family by name."""
+    flat array laid out by a ParamIndex (a list while `objective` runs), the
+    raw total of each penalty family by name, and each term's penalty."""
 
     value: float
     grads: np.ndarray
     terms: dict = field(default_factory=dict)
+    penalties: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -225,8 +228,8 @@ def distance_loss(boxes: list, d_star: float):
     r = dist - d_star
     if dist > 1e-12:
         k = 2.0 * r / dist
-        return r * r, ((k * dx, k * dy, 0.0), (-k * dx, -k * dy, 0.0)), -2.0 * r
-    return r * r, (_ZERO, _ZERO), -2.0 * r
+        return r * r, ((k * dx, k * dy, 0.0), (-k * dx, -k * dy, 0.0)), -2.0 * r, r * r
+    return r * r, (_ZERO, _ZERO), -2.0 * r, r * r
 
 
 def _local_sdf(ux: float, uy: float, half_l: float, half_w: float) -> float:
@@ -294,7 +297,7 @@ def gap_loss(boxes: list, g: float):
         m = k2 * math.copysign(1.0, p)
         g_a = (-m * n0, -m * n1, -k2 * d_ext + m * dp if k < 2 else -k2 * d_ext)
         g_b = (m * n0, m * n1, k2 * d_ext if k < 2 else k2 * d_ext + m * dp)
-        return r * r, (g_a, g_b), -2.0 * r
+        return r * r, (g_a, g_b), -2.0 * r, r * r
     best, winner = math.inf, None
     # Each box's corners in the other's frame: its centre there plus its
     # corner offsets turned by its heading less the other's.
@@ -307,7 +310,7 @@ def gap_loss(boxes: list, g: float):
             if value < best:
                 best, winner = value, (ox, oy, ux, uy, sr, half_l, half_w, on_b)
     if winner is None:
-        return math.nan, (_NAN, _NAN), math.nan
+        return math.nan, (_NAN, _NAN), math.nan, math.nan
     ox, oy, ux, uy, sr, half_l, half_w, on_b = winner
     gux, guy = _local_sdf_grad(ux, uy, half_l, half_w)
     co, so = (c1, s1) if on_b else (c2, s2)
@@ -316,7 +319,7 @@ def gap_loss(boxes: list, g: float):
     gq0, gq1 = k2 * (co * gux - so * guy), k2 * (so * gux + co * guy)
     g_corner = (gq0, gq1, k2 * (gux * (-sr * ox - cd * oy) + guy * (cd * ox - sr * oy)))
     g_other = (-gq0, -gq1, k2 * (gux * uy - guy * ux))
-    return r * r, ((g_other, g_corner) if on_b else (g_corner, g_other)), -2.0 * r
+    return r * r, ((g_other, g_corner) if on_b else (g_corner, g_other)), -2.0 * r, r * r
 
 
 WALL_RULES = {
@@ -349,7 +352,7 @@ def against_wall_loss(boxes: list, _, axis_i: int, sign: float, base: float, the
     value = r * r + 1.0 - math.cos(dth)
     g_theta = 2.0 * r * (-sign * dhalf) + math.sin(dth)
     g = (2.0 * r, 0.0, g_theta) if axis_i == 0 else (0.0, 2.0 * r, g_theta)
-    return value, (g,), None
+    return value, (g,), None, value
 
 
 _CORNER_SIGNS_XY = {"BL": (1.0, 1.0), "BR": (-1.0, 1.0), "TR": (-1.0, -1.0), "TL": (1.0, -1.0)}
@@ -375,7 +378,7 @@ def corner_loss(boxes: list, _, sx: float, sy: float, x_base: float, y_base: flo
     dth = theta - theta_star
     value = rx * rx + ry * ry + 1.0 - math.cos(dth)
     g = (2.0 * rx, 2.0 * ry, 2.0 * rx * (-sx * dax) + 2.0 * ry * (-sy * day) + math.sin(dth))
-    return value, (g,), None
+    return value, (g,), None, value
 
 
 def facing_loss(boxes: list, _):
@@ -385,14 +388,14 @@ def facing_loss(boxes: list, _):
     dx, dy = b[0] - a[0], b[1] - a[1]
     n = math.hypot(dx, dy)
     if n < 1e-12:
-        return 1.0, (_ZERO, _ZERO), None
+        return 1.0, (_ZERO, _ZERO), None, 1.0
     denom = n + FACING_EPS
     f = ca * dx + sa * dy
     value = 1.0 - f / denom
     # d value / d (dx, dy)
     gd0 = -(ca * denom - f * dx / n) / (denom * denom)
     gd1 = -(sa * denom - f * dy / n) / (denom * denom)
-    return value, ((-gd0, -gd1, -(-sa * dx + ca * dy) / denom), (gd0, gd1, 0.0)), None
+    return value, ((-gd0, -gd1, -(-sa * dx + ca * dy) / denom), (gd0, gd1, 0.0)), None, value
 
 
 # Directional side rules: primary axis (0 = target-local x, 1 = y) and the
@@ -405,18 +408,17 @@ SIDE_RULES = {
 }
 
 
-def directional_loss(boxes: list, p: float, axis_i: int, sigma: float, square: bool = True):
+def directional_loss(boxes: list, p: float, axis_i: int, sigma: float):
     """Side placement in the target's frame.
 
     The source center, expressed in the target frame, must clear the shared
     half extents along the side's axis (squared hinge) and line up on the
     perpendicular axis at the fraction p between the two touch extremes: the
-    deviation w enters squared, which the descent minimizes, or as |w| with
-    `square` unset, the form the penalty report reads (`term_loss`), so that
-    "satisfied" keeps its units.  Both forms share every expression but the
-    alignment's, and are zero at the same places.  Sides: left/right along
-    target-local x, behind/front along target-local y; the constants are the
-    side's `SIDE_RULES` entry.
+    value and its derivatives take the deviation w squared, which the
+    descent minimizes; the penalty, from the same hinge and w, takes |w|, so
+    that "satisfied" keeps its units.  Both forms are zero at the same
+    places.  Sides: left/right along target-local x, behind/front along
+    target-local y; the constants are the side's `SIDE_RULES` entry.
     """
     src, tgt = boxes
     ct, st = math.cos(tgt[2]), math.sin(tgt[2])
@@ -434,11 +436,7 @@ def directional_loss(boxes: list, p: float, axis_i: int, sigma: float, square: b
     w = coords[other] - bar
 
     hinge = max(z, 0.0)
-    h2 = 2.0 * hinge
-    if square:
-        value, sw = hinge * hinge + w * w, 2.0 * w
-    else:
-        value, sw = hinge * hinge + abs(w), math.copysign(1.0, w) if w != 0.0 else 0.0
+    h2, sw = 2.0 * hinge, 2.0 * w
 
     # Derivatives of the target-frame coordinates w.r.t. the source position
     # and the target heading.
@@ -461,14 +459,14 @@ def directional_loss(boxes: list, p: float, axis_i: int, sigma: float, square: b
         + h2 * (sigma * dcoord_tth[axis_i] - drr[axis_i])
         + sw * (dcoord_tth[other] - (2.0 * p - 1.0) * drr[other]),
     )
-    return value, (gsrc, gtgt), sw * (-2.0) * (ee[other] - rr[other])
+    return hinge * hinge + w * w, (gsrc, gtgt), sw * (-2.0) * (ee[other] - rr[other]), hinge * hinge + abs(w)
 
 
 def angle_offset_loss(boxes: list, alpha: float):
     """1 - cos of the heading difference minus the target offset alpha."""
     d = boxes[0][2] - boxes[1][2] - alpha
-    sd = math.sin(d)
-    return 1.0 - math.cos(d), ((0.0, 0.0, sd), (0.0, 0.0, -sd)), -sd
+    sd, value = math.sin(d), 1.0 - math.cos(d)
+    return value, ((0.0, 0.0, sd), (0.0, 0.0, -sd)), -sd, value
 
 
 def _placement_rule(axis: str, room: Room, margin: float) -> tuple:
@@ -485,7 +483,7 @@ def placement_loss(boxes: list, target: float, axis_i: int, slack: float):
     sd = math.copysign(1.0, dev) if dev != 0.0 else 0.0
     g_axis = 2.0 * hinge * sd
     g = (g_axis, 0.0, 0.0) if axis_i == 0 else (0.0, g_axis, 0.0)
-    return hinge * hinge, (g,), -2.0 * hinge * sd
+    return hinge * hinge, (g,), -2.0 * hinge * sd, hinge * hinge
 
 
 def around_loss(boxes: list, _, sweep: float, center: float):
@@ -565,7 +563,7 @@ def around_loss(boxes: list, _, sweep: float, center: float):
     d_term2_dcenter = -2.0 * m_res * (err0 * cc - err1 * sc)
     d_term2_dsweep = -2.0 * float(np.dot(err, (sc, cc))) * (dm_ddelta / (2.0 * (n - 1)))
     grads = (*zip(gx, gy, gt), (f0, f1, f2))
-    return term1 + term2, grads, (d_term1_dsweep + d_term2_dsweep, d_term2_dcenter)
+    return term1 + term2, grads, (d_term1_dsweep + d_term2_dsweep, d_term2_dcenter), term1 + term2
 
 
 # ---------------------------------------------------------------------------
@@ -753,29 +751,19 @@ def _block_boxes(block: Block, xs: list) -> tuple:
     return boxes, levers
 
 
-def term_loss(term: Term, boxes: list, xs) -> tuple:
-    """(value, pose gradient per end box, parameter gradient) of one term on
-    its block's kernel boxes, its parameter read from `xs` when shared, in
-    the penalty report's form: a directional term's alignment is |w|."""
-    value = term.value if term.param is None else xs[term.param]
-    ends = [boxes[k] for k in term.ends]
-    if term.kernel == "directional_loss":
-        return directional_loss(ends, value, *term.consts, square=False)
-    return globals()[term.kernel](ends, value, *term.consts)
-
-
 def objective(blocks, xs: list, weights: Weights, room: Room, start: LossValue) -> LossValue:
     """The weighted terms of `blocks`, in order, at the flat vector `xs` (a
     list), carrying on `start`'s sums; `start.grads`, a list laid out as
-    `xs`, is extended in place.  Family totals gain "boundary" on the scene.
-    Each block sums its value, totals and shared-parameter gradients from
-    0.0 and adds them in block order: the bits of summing one-block passes.
-    A stand-in's gradient reaches the unit pose through its lever, the
-    relation weight applied first."""
+    `xs`, is extended in place, and `start.penalties` gains each relation
+    term's penalty (none when the relation weight is 0).  Family totals
+    gain "boundary" on the scene.  Each block sums its value, totals and
+    shared-parameter gradients from 0.0 and adds them in block order: the
+    bits of summing one-block passes.  A stand-in's gradient reaches the
+    unit pose through its lever, the relation weight applied first."""
     kernels = globals()  # module attributes, read per call: a wrapper set on a kernel sees every call
     boundary, collision = kernels["boundary_loss"], kernels["collision_loss"]
     wb, wc, wr = weights.boundary, weights.collision, weights.relation
-    total, grad, totals = start.value, start.grads, dict(start.terms)
+    total, grad, totals, record = start.value, start.grads, dict(start.terms), start.penalties.append
     for block in blocks:
         boxes, levers = _block_boxes(block, xs)
         rows, scene = block.rows, block.unit is None
@@ -803,10 +791,11 @@ def objective(blocks, xs: list, weights: Weights, room: Room, start: LossValue) 
             shared: dict = {}
             for term in block.terms:
                 p, ends = term.param, term.ends
-                value, end_grads, param_grad = kernels[term.kernel](
+                value, end_grads, param_grad, penalty = kernels[term.kernel](
                     [boxes[k] for k in ends], term.value if p is None else xs[p], *term.consts
                 )
                 relation_total += value
+                record(penalty)
                 for k, (g0, g1, g2) in zip(ends, end_grads):
                     r, lever = rows[k], levers[k]
                     if lever is not None:
@@ -829,14 +818,14 @@ def objective(blocks, xs: list, weights: Weights, room: Room, start: LossValue) 
             total += wc * collision_total + wr * relation_total
         totals["collision"] = totals.get("collision", 0.0) + collision_total
         totals["relation"] = totals.get("relation", 0.0) + relation_total
-    return LossValue(total, grad, totals)
+    return LossValue(total, grad, totals, start.penalties)
 
 
 def _aggregate(block: Block, x, weights: Weights, room: Room) -> LossValue:
     """`objective` on one block from -0.0 (the exact identity) as an array."""
     xs = x.tolist()
     out = objective([block], xs, weights, room, LossValue(-0.0, [0.0] * len(xs)))
-    return LossValue(out.value, np.array(out.grads), out.terms)
+    return LossValue(out.value, np.array(out.grads), out.terms, out.penalties)
 
 
 def aggregate_local(
@@ -882,12 +871,13 @@ def relation_penalties(index: ParamIndex, x) -> dict:
     configuration, by the label of its first relation, 'relations[<index>]':
     an around group appears once, under its first member's label.  Intra
     terms are evaluated in their unit frame, inter terms on scene-level
-    boxes, from the plan in `index`.
+    boxes, from the plan in `index`; each is its kernel's penalty.
     """
     xs = x.tolist()
     out: dict = {}
     for block in index.blocks.values():
         boxes, _ = _block_boxes(block, xs)
         for term in block.terms:
-            out[term.label] = float(term_loss(term, boxes, xs)[0])
+            value = term.value if term.param is None else xs[term.param]
+            out[term.label] = float(globals()[term.kernel]([boxes[k] for k in term.ends], value, *term.consts)[3])
     return out

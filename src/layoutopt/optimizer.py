@@ -28,11 +28,11 @@ shared constraint parameters float under a quadratic prior at their
 declared values.  Each stage anneals over its own length.
 
 Each objective call is one `evaluate`, one pass over the relation plan into
-one gradient list; a momentum step is one `evaluate` and one `step`, which
-updates velocity and vector in place.  At every accepted L-BFGS iterate,
-and every `CHECK_EVERY` momentum steps, a solve tests its state as the seed
-sweep scores a solved layout (`_solved_penalties`), and the first pass ends
-it: `iterations` sets a cap.
+one gradient list and a record of the relation penalties; a momentum step
+is one `evaluate` and one `step`.  At every accepted L-BFGS iterate, on the
+penalties its `evaluate` recorded, and every `CHECK_EVERY` momentum steps,
+on `relation_penalties`, a solve tests its state as the seed sweep scores a
+solved layout (`_solved_penalties`): the first pass ends it.
 
 `convergence_benchmark` compares the two parameterizations: it runs both
 from `init_state`'s draw through the two-stage descent with the stop test
@@ -340,7 +340,8 @@ def _pull_back(state: ParamState, view: list, grad: list):
 
 
 def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerConfig):
-    """Objective value, its gradient over `state.x`, and per-term breakdown.
+    """Objective value, its gradient over `state.x`, per-term breakdown, and
+    relation penalties in the pass's order, the scene's then each unit's.
 
     `aggregate_global`, then `constraints.objective` over the unit blocks in
     plan order carrying on its sums in one list, then the prior and the
@@ -354,7 +355,8 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
     scene = aggregate_global(spec, index, x, eff)
     xs = x.tolist()
     units = [block for unit, block in index.blocks.items() if unit is not None]
-    out = objective(units, xs, eff, spec.room, LossValue(scene.value, scene.grads.tolist(), scene.terms))
+    start = LossValue(scene.value, scene.grads.tolist(), scene.terms, scene.penalties)
+    out = objective(units, xs, eff, spec.room, start)
     total, grad = out.value, out.grads
     terms = {"collision": 0.0, "boundary": 0.0, "relation": 0.0, "prior": 0.0, **out.terms}
 
@@ -369,14 +371,14 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
 
     if state.flat:
         _pull_back(state, xs, grad)
-    return total, grad, terms
+    return total, grad, terms, out.penalties
 
 
 def step(state: ParamState, config: OptimizerConfig, phase: Phase):
     """One momentum step of `phase` in place, on the objective at the
     phase's weights; returns (loss, terms, cosine factor) at the pre-step
     state.  Stage 1 leaves the shared parameters untouched."""
-    total, grad, terms = evaluate(state, phase.weights, phase.stage, config)
+    total, grad, terms, _ = evaluate(state, phase.weights, phase.stage, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
     factor = cosine_factor(state.step_index, phase.steps)
@@ -420,16 +422,18 @@ def _state_layout(state: ParamState) -> Layout:
     return Layout(poses)
 
 
-def _solved_penalties(state: ParamState, relation: float) -> dict | None:
-    """The relation penalties at `state` when it passes the seed sweep's
-    test of a solved layout, else None: every penalty is below SATISFIED
-    (read first, as it fails more often), then `harness.eval_physical`
-    would find 0% collision and 0% out of bounds.  A raw relation total
-    `relation` above SATISFIED times the number of terms cannot pass and
-    is not tested, so this screen can delay a stop, never make one."""
-    if relation > SATISFIED * sum(len(block.terms) for block in state.index.blocks.values()):
-        return None
-    penalties = relation_penalties(state.index, _derived_view(state))
+def _keyed(index: ParamIndex, penalties: list) -> dict:
+    """`evaluate`'s penalties keyed and ordered as `relation_penalties`'."""
+    labels = [term.label for block in index.blocks.values() for term in block.terms]
+    n = len(index.blocks[None].terms)  # the scene's terms come first in `evaluate`, last in plan order
+    return dict(zip(labels, penalties[n:] + penalties[:n]))
+
+
+def _solved_penalties(state: ParamState, penalties: dict) -> dict | None:
+    """`penalties`, the relation penalties at `state`, when `state` passes
+    the seed sweep's test of a solved layout, else None: every one below
+    SATISFIED (read first, as it fails more often), then 0% collision and
+    0% out of bounds by `harness.eval_physical`."""
     if all(v < SATISFIED for v in penalties.values()) and _is_clean(state.spec, _state_layout(state)):
         return penalties
     return None
@@ -452,19 +456,21 @@ def _descend(state: ParamState, config: OptimizerConfig, phases: tuple, stop: bo
 
     With `stop` set, the state after every CHECK_EVERY-th step of a phase,
     but the last step of the last phase, is tested by `_solved_penalties`
-    on the relation total `step` returned, at the state one step earlier,
-    and the first pass ends the solve.
+    on `relation_penalties` there, and the first pass ends the solve; not
+    when the relation total `step` returned exceeds SATISFIED per term, a
+    screen that can delay a stop, never make one.
     """
     trace = Trace()
     penalties = None
     last = len(phases) - 1
+    screen = SATISFIED * sum(len(block.terms) for block in state.index.blocks.values())
     for p, phase in enumerate(phases):
         state.reset_momentum()
         for t in range(1, phase.steps + 1):
             total, terms, factor = step(state, config, phase)
             _row(trace, phase.stage, total, terms, factor)
-            if stop and t % CHECK_EVERY == 0 and (p < last or t < phase.steps):
-                penalties = _solved_penalties(state, terms["relation"])
+            if stop and t % CHECK_EVERY == 0 and (p < last or t < phase.steps) and not terms["relation"] > screen:
+                penalties = _solved_penalties(state, relation_penalties(state.index, _derived_view(state)))
                 if penalties is not None:
                     trace.solved_at = len(trace.rows)
                     break
@@ -485,15 +491,16 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
     dropped and the direction is steepest descent, scaled so that its
     largest entry is FIRST_STEP.  The line search halves the step from 1
     until the Armijo condition holds at constant ARMIJO.  Each accepted
-    iterate is tested by `_solved_penalties`, and the first pass ends the
-    solve.  `evaluate` runs at most `iterations + iterations // 2` times; a
-    line search that the cap cuts, or whose step no longer moves `x`, ends
-    the solve at the last accepted iterate.
+    iterate is tested by `_solved_penalties` on the penalties its
+    `evaluate` recorded, and the first pass ends the solve.  `evaluate`
+    runs at most `iterations + iterations // 2` times; a line search that
+    the cap cuts, or whose step no longer moves `x`, ends the solve at the
+    last accepted iterate.
     """
     weights = replace(WEIGHTS, relation=POLISH_RELATION)
     budget = config.iterations + config.iterations // 2
     trace, x = Trace(), state.x
-    total, grad, terms = evaluate(state, weights, 2, config)
+    total, grad, terms, penalties = evaluate(state, weights, 2, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", 0)
     calls, pairs, t = 1, [], 0.0
@@ -508,10 +515,10 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
                 pairs.append((s, y, 1.0 / sy))
                 del pairs[:-LBFGS_MEMORY]
         _row(trace, 2, total, terms, t)
-        penalties = _solved_penalties(state, terms["relation"])
-        if penalties is not None:
+        report = _solved_penalties(state, _keyed(state.index, penalties))
+        if report is not None:
             trace.solved_at = len(trace.rows)
-            return _finish(state, trace, penalties)
+            return _finish(state, trace, report)
         d = -g
         if pairs:
             alphas = []
@@ -527,7 +534,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
             pairs.clear()
             largest = np.abs(g).max()
             if largest == 0.0:
-                return _finish(state, trace, None)
+                return _finish(state, trace, _keyed(state.index, penalties))
             d = g * (-FIRST_STEP / largest)
             slope = g @ d
         x0, g_prev, t = x.copy(), g, 1.0
@@ -535,11 +542,11 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
             x[:] = x0 + t * d
             if calls == budget or np.array_equal(x, x0):
                 x[:] = x0
-                return _finish(state, trace, None)
-            trial, grad, trial_terms = evaluate(state, weights, 2, config)
+                return _finish(state, trace, _keyed(state.index, penalties))
+            trial, grad, trial_terms, trial_penalties = evaluate(state, weights, 2, config)
             calls += 1
             if trial <= total + ARMIJO * t * slope:
-                total, terms = trial, trial_terms
+                total, terms, penalties = trial, trial_terms, trial_penalties
                 break
             t *= 0.5
 

@@ -343,10 +343,10 @@ class _Filled(type):
 class _Params(dict, metaclass=_Filled):
     """A parsed relation's params: a dict that refuses every edit, so the
     relation holds what the parser gave it; copy and pickle keep the type.
-    Construction fills it (`_Filled`), and an `__init__` called on it
-    afterwards is refused, empty or not.  A dict method called unbound,
-    `dict.__init__(params, ...)` or `dict.update(params, ...)`, still
-    bypasses the guard."""
+    Construction fills it (`_Filled`; the parser, at less cost, fills it by
+    `dict.update`), and an `__init__` called on it afterwards is refused,
+    empty or not.  A dict method called unbound, `dict.__init__(params,
+    ...)` or `dict.update(params, ...)`, still bypasses the guard."""
 
     __slots__ = ()
 
@@ -375,7 +375,9 @@ def _parse_relation_params(kind: str, raw, location: str) -> dict:
             params[name] = _number(params[name], loc, *bounds)
         if name == "sweep" and params[name] == 0.0:
             _err("sweep must be positive", loc)
-    return _Params(params)
+    read_only = dict.__new__(_Params)
+    dict.update(read_only, params)
+    return read_only
 
 
 def _parse_relation(data, location: str) -> Relation:

@@ -49,8 +49,9 @@ def kbox(arr, half_l: float, half_w: float) -> tuple:
 
 def keyed(out: tuple, slots: tuple, param_slot: str | None = None) -> LossValue:
     """A kernel's (value, grads, parameter gradient) keyed by slot name: the
-    gradient at each box position under its slot, then the parameter's."""
-    value, grads, param_grad = out
+    gradient at each box position under its slot, then the parameter's.  A
+    relation kernel's penalty, its fourth item, is left out."""
+    value, grads, param_grad = out[:3]
     lv = LossValue(value, {slot: np.array(g) for slot, g in zip(slots, grads)})
     if param_slot is not None:
         lv.grads[param_slot] = param_grad
@@ -60,7 +61,7 @@ def keyed(out: tuple, slots: tuple, param_slot: str | None = None) -> LossValue:
 def keyed_around(out: tuple) -> LossValue:
     """`around_loss`'s result keyed as "sources" (one row per source),
     "focal", "sweep" and "center"."""
-    value, grads, (d_sweep, d_center) = out
+    value, grads, (d_sweep, d_center) = out[:3]
     g_sources = np.array(grads[:-1]).reshape(-1, 3)
     return LossValue(
         value, {"sources": g_sources, "focal": np.array(grads[-1]), "sweep": d_sweep, "center": d_center}

@@ -4,7 +4,8 @@ against them bit for bit.
 
 `reference_evaluate` sums the aggregates' results as arrays:
 `aggregate_global`, then `aggregate_local` per unit in plan order, then the
-stage-2 prior, then the flat parameterization's numpy `_pull_back`.
+stage-2 prior, then the flat parameterization's numpy `_pull_back`; its
+relation penalties are the aggregates' in the same order.
 `reference_step` is the step around it, clipping with a norms array, a
 boolean mask and `np.clip`, on a `Phase` of the descent.  `reference_around_loss` is the around kernel
 with its per-source derivatives in numpy arrays.  `reference_reframe` is
@@ -76,11 +77,11 @@ def reference_evaluate(state, weights, stage: int, config):
 
     if state.flat:
         reference_pull_back(state, x, grad)
-    return total, grad, terms
+    return total, grad, terms, [v for part in parts for v in part.penalties]
 
 
 def reference_step(state, config, phase):
-    total, grad, terms = reference_evaluate(state, phase.weights, phase.stage, config)
+    total, grad, terms, _ = reference_evaluate(state, phase.weights, phase.stage, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
     factor = cosine_factor(state.step_index, phase.steps)
@@ -179,5 +180,5 @@ def reference_around_loss(boxes: list, _, sweep: float, center: float):
         dm_ddelta / (2.0 * (n - 1))
     )
     grads = (*map(tuple, g_sources.tolist()), tuple(g_focal.tolist()))
-    return term1 + term2, grads, (d_term1_dsweep + d_term2_dsweep, d_term2_dcenter)
+    return term1 + term2, grads, (d_term1_dsweep + d_term2_dsweep, d_term2_dcenter), term1 + term2
 

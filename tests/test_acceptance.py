@@ -138,7 +138,7 @@ def test_intra_relations_are_invariant_to_unit_pose():
         spec, twin, locals_map, frame = _random_unit_scene(rng)
         index = param_index(spec)
         state = ParamState(spec, index, index.pack({"u": frame, **locals_map}))
-        total, grads, _ = evaluate(state, Weights(), 1, OptimizerConfig())
+        total, grads, _, _ = evaluate(state, Weights(), 1, OptimizerConfig())
         g = grads[index.pose["u"]]
         worst_grad = max(worst_grad, float(np.abs(g).max()))
 

@@ -38,7 +38,6 @@ from layoutopt.constraints import (
     param_index,
     placement_loss,
     relation_penalties,
-    term_loss,
 )
 from layoutopt.errors import MissingEntityError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
@@ -154,7 +153,7 @@ def test_boundary_zero_iff_inside():
 def test_distance_frozen_value():
     a = (0.0, 0.0, 0.3, 0.5, 0.5)
     b = (3.0, 4.0, -0.7, 0.5, 0.5)
-    value, (ga, gb), gd = distance_loss([a, b], 2.0)
+    value, (ga, gb), gd, _ = distance_loss([a, b], 2.0)
     assert value == pytest.approx(9.0, abs=1e-12)
     assert np.allclose(ga[:2], [-3.6, -4.8], atol=1e-12)
     assert np.allclose(gb[:2], [3.6, 4.8], atol=1e-12)
@@ -164,7 +163,7 @@ def test_distance_frozen_value():
 
 def test_distance_zero_radius_is_regular():
     a = (1.0, 1.0, 0.0, 0.5, 0.5)
-    value, (ga, _), _ = distance_loss([a, (1.0, 1.0, 0.4, 0.3, 0.3)], 0.7)
+    value, (ga, _), _, _ = distance_loss([a, (1.0, 1.0, 0.4, 0.3, 0.3)], 0.7)
     assert value == pytest.approx(0.49, abs=1e-12)
     assert np.all(np.array(ga) == 0.0)
 
@@ -181,7 +180,7 @@ def test_gap_matches_box_separation():
     for _ in range(400):
         a, b = random_box(rng), random_box(rng, 1.0)
         g = rng.uniform(0.0, 1.0)
-        value, _, _ = gap_loss([kernel_box(a), kernel_box(b)], float(g))
+        value, _, _, _ = gap_loss([kernel_box(a), kernel_box(b)], float(g))
         expect = box_separation(a, b)
         assert value == pytest.approx((expect - g) ** 2, abs=1e-9)
         assert _separation([kernel_box(a), kernel_box(b)]) == pytest.approx(expect, abs=1e-9)
@@ -196,7 +195,7 @@ def test_gap_reads_crossing_boards_as_overlapping():
     # satisfied.
     boards = [(2.0, 2.0, 0.0, 2.0, 0.1), (2.0, 2.0, 0.5 * math.pi, 2.0, 0.1)]
     assert _separation(boards) == pytest.approx(-2.1, abs=1e-12)
-    value, _, _ = gap_loss(boards, 0.4)
+    value, _, _, _ = gap_loss(boards, 0.4)
     assert value == pytest.approx(2.5**2, abs=1e-12)
 
 
@@ -220,13 +219,13 @@ def test_gap_reads_a_touching_pair_as_zero_from_both_sides():
 def test_against_wall_frozen_value():
     room = Room(5.0, 4.0, 3.0)
     left, right = _against_wall_rule("L", room), _against_wall_rule("R", room)
-    value, _, _ = against_wall_loss([(0.7, 2.0, 0.0, 0.5, 0.5)], None, *left)
+    value, _, _, _ = against_wall_loss([(0.7, 2.0, 0.0, 0.5, 0.5)], None, *left)
     assert value == pytest.approx(0.04, abs=1e-12)
     # Flush and aligned: zero.
-    value0, _, _ = against_wall_loss([(0.5, 2.0, 0.0, 0.5, 0.5)], None, *left)
+    value0, _, _, _ = against_wall_loss([(0.5, 2.0, 0.0, 0.5, 0.5)], None, *left)
     assert value0 == pytest.approx(0.0, abs=1e-12)
     # Right wall wants theta = pi.
-    value_r, _, _ = against_wall_loss([(4.5, 2.0, math.pi, 0.5, 0.5)], None, *right)
+    value_r, _, _, _ = against_wall_loss([(4.5, 2.0, math.pi, 0.5, 0.5)], None, *right)
     assert value_r == pytest.approx(0.0, abs=1e-12)
 
 
@@ -234,10 +233,10 @@ def test_corner_frozen_values():
     room = Room(5.0, 4.0, 3.0)
     # Target for halves (0.5, 0.3) at theta 0 in corner BL is (0.5, 0.3).
     rule = _corner_rule("BL", "L", room)
-    value, _, _ = corner_loss([(0.6, 0.5, 0.0, 0.5, 0.3)], None, *rule)
+    value, _, _, _ = corner_loss([(0.6, 0.5, 0.0, 0.5, 0.3)], None, *rule)
     assert value == pytest.approx(0.05, abs=1e-12)
     # Same displacement with orientation off by pi/2 (extents swap).
-    value2, _, _ = corner_loss([(0.4, 0.7, 0.5 * math.pi, 0.5, 0.3)], None, *rule)
+    value2, _, _, _ = corner_loss([(0.4, 0.7, 0.5 * math.pi, 0.5, 0.3)], None, *rule)
     assert value2 == pytest.approx(1.05, abs=1e-12)
 
 
@@ -258,21 +257,20 @@ def test_directional_frozen_values():
     left = SIDE_RULES["left_of"]
     tgt = (0.0, 0.0, 0.0, 0.5, 0.5)
     src_same = (0.0, 0.0, 0.0, 0.5, 0.5)
-    # The penalty report's form, which "satisfied" reads.
-    value, _, _ = directional_loss([src_same, tgt], 0.5, *left, square=False)
+    # The penalty, the report's form, which "satisfied" reads.
+    _, _, _, value = directional_loss([src_same, tgt], 0.5, *left)
     assert value == pytest.approx(1.0, abs=1e-12)  # hinge (0+0.5+0.5)^2
     # Canonical zero: just clear of the left edge, centered.
     src_zero = (-1.1, 0.0, 0.0, 0.25, 0.25)
     tgt2 = (0.0, 0.0, 0.0, 0.5, 0.5)
-    value0, _, _ = directional_loss([src_zero, tgt2], 0.5, *left, square=False)
+    _, _, _, value0 = directional_loss([src_zero, tgt2], 0.5, *left)
     assert value0 == pytest.approx(0.0, abs=1e-12)
     # Rotating the frame moves the side with the target: its local -x now
     # points along world -y.
-    shifted, _, _ = directional_loss(
+    _, _, _, shifted = directional_loss(
         [(1.0, -1.1, 0.5 * math.pi, 0.25, 0.25), (1.0, 0.0, 0.5 * math.pi, 0.5, 0.5)],
         0.5,
         *left,
-        square=False,
     )
     assert shifted == pytest.approx(0.0, abs=1e-9)
     # The objective's form has the same zeros and the same hinge.
@@ -285,9 +283,9 @@ def test_directional_alignment_fraction():
     left = SIDE_RULES["left_of"]
     tgt = (0.0, 0.0, 0.0, 0.5, 0.5)
     src = (-1.0, 0.25, 0.0, 0.25, 0.25)
-    value, _, _ = directional_loss([src, tgt], 1.0, *left, square=False)
+    _, _, _, value = directional_loss([src, tgt], 1.0, *left)
     assert value == pytest.approx(0.0, abs=1e-12)
-    value2, _, _ = directional_loss([src, tgt], 0.0, *left, square=False)
+    _, _, _, value2 = directional_loss([src, tgt], 0.0, *left)
     assert value2 == pytest.approx(0.5, abs=1e-12)  # |0.25 - (-0.25)|
     # The objective squares the same deviation.
     assert directional_loss([src, tgt], 1.0, *left)[0] == pytest.approx(0.0, abs=1e-12)
@@ -297,21 +295,21 @@ def test_directional_alignment_fraction():
 def test_angle_offset_periodic():
     a = (0.0, 0.0, 0.3, 0.5, 0.5)
     b = (1.0, 0.0, 0.1, 0.5, 0.5)
-    value, _, _ = angle_offset_loss([a, b], 0.05)
+    value, _, _, _ = angle_offset_loss([a, b], 0.05)
     assert value == pytest.approx(1.0 - math.cos(0.15), abs=1e-12)
-    shifted, _, _ = angle_offset_loss([(0.0, 0.0, 0.3 + 2 * math.pi, 0.5, 0.5), b], 0.05)
+    shifted, _, _, _ = angle_offset_loss([(0.0, 0.0, 0.3 + 2 * math.pi, 0.5, 0.5), b], 0.05)
     assert shifted == pytest.approx(value, abs=1e-9)
 
 
 def test_placement_frozen_values():
     room = Room(10.0, 8.0, 3.0)
     b = (3.0, 1.0, 0.2, 0.5, 0.5)
-    value, (g,), g_target = placement_loss([b], 2.0, *_placement_rule("x", room, 0.0))
+    value, (g,), g_target, _ = placement_loss([b], 2.0, *_placement_rule("x", room, 0.0))
     assert value == pytest.approx(1.0, abs=1e-12)
     assert g[0] == pytest.approx(2.0, abs=1e-12)
     assert g_target == pytest.approx(-2.0, abs=1e-12)
     # Inside the slack band the loss vanishes.
-    value2, _, _ = placement_loss([b], 2.0, *_placement_rule("x", room, 0.2))
+    value2, _, _, _ = placement_loss([b], 2.0, *_placement_rule("x", room, 0.2))
     assert value2 == 0.0
 
 
@@ -338,7 +336,7 @@ def test_around_zero_at_even_spread():
     # resultant used as the target.
     for n in (2, 3, 5, 8):
         sources, focal = _around_zero_config(n, 2.0, 0.3, Pose2D(1.0, 0.5, 0.4))
-        value, _, _ = around_loss([*map(kernel_box, sources), kernel_box(focal)], None, 2.0, 0.3)
+        value, _, _, _ = around_loss([*map(kernel_box, sources), kernel_box(focal)], None, 2.0, 0.3)
         assert value == pytest.approx(0.0, abs=1e-10), n
 
 
@@ -444,7 +442,7 @@ def test_aggregate_local_relations_are_rigid_invariant():
         for term in block.terms:
             # The kernel as the objective calls it.
             param = term.value if term.param is None else xs[term.param]
-            value, _, _ = getattr(constraints, term.kernel)([ordered[k] for k in term.ends], param, *term.consts)
+            value, _, _, _ = getattr(constraints, term.kernel)([ordered[k] for k in term.ends], param, *term.consts)
             total += value
         return total
 
@@ -622,7 +620,7 @@ def test_around_groups_of_one_name_in_two_units_keep_their_own_entries():
     pens = relation_penalties(index, state.x)
     assert set(pens) == {"relations[0]", "relations[2]"}
     assert pens["relations[0]"] != pens["relations[2]"]
-    _, _, terms = evaluate(state, Weights(), 1, OptimizerConfig())
+    _, _, terms, _ = evaluate(state, Weights(), 1, OptimizerConfig())
     assert math.fsum(pens.values()) == pytest.approx(terms["relation"], rel=1e-12)
 
 
@@ -652,17 +650,18 @@ def test_relation_penalties_agree_with_the_objective(name):
         # One label per relation and per around group, none twice.
         assert set(pens) == labels
         assert len(pens) == len(spec.relations) - sum(r.kind == "around" for r in spec.relations) + len(groups)
-        _, _, terms = evaluate(state, Weights(), 1, OptimizerConfig())
-        # The objective reads each term as the report does, but squares a
-        # directional term's alignment.
+        _, _, terms, _ = evaluate(state, Weights(), 1, OptimizerConfig())
+        # The report reads each kernel's penalty; the objective its value,
+        # the same but for a directional term's squared alignment.
         xs, objective_form = state.x.tolist(), {}
         for block in index.blocks.values():
             boxes, _ = _block_boxes(block, xs)
             for term in block.terms:
                 param = term.value if term.param is None else xs[term.param]
-                value = getattr(constraints, term.kernel)([boxes[k] for k in term.ends], param, *term.consts)[0]
-                assert value == pens[term.label] or term.kernel == "directional_loss", term.label
-                objective_form[term.label] = value
+                out = getattr(constraints, term.kernel)([boxes[k] for k in term.ends], param, *term.consts)
+                assert repr(out[3]) == repr(pens[term.label]), term.label
+                assert out[0] == out[3] or term.kernel == "directional_loss", term.label
+                objective_form[term.label] = out[0]
         assert math.fsum(objective_form.values()) == pytest.approx(terms["relation"], rel=1e-12)
     if name == "conflict_pair":
         # The reviser's appended relations are labelled by their index.
@@ -812,7 +811,15 @@ def test_broadphase_keeps_aggregates_bit_exact(name, monkeypatch):
 # The `_reference_*` functions are the numpy bodies of the `*_loss` functions
 # before those became scalar kernels, kept verbatim: on FootprintBoxes,
 # returning a LossValue keyed by slot name.  Every kernel, keyed by slot, and
-# `term_loss` on kernel boxes, must reproduce them bit for bit.
+# a plan term's kernel on kernel boxes (`_term_loss`), must reproduce them
+# bit for bit.
+
+
+def _term_loss(term, boxes: list, xs) -> tuple:
+    """A plan term's kernel output on its block's kernel boxes, its
+    parameter read from `xs` when shared, as the pass calls it."""
+    param = term.value if term.param is None else xs[term.param]
+    return getattr(constraints, term.kernel)([boxes[k] for k in term.ends], param, *term.consts)
 
 
 def _reference_collision(a: FootprintBox, b: FootprintBox) -> LossValue:
@@ -1355,8 +1362,9 @@ _FAMILIES = {
         [([box(1.0, 1.0, 0.5 * math.pi, 0.5, 0.5), box(1.0, 1.0, 0.0, 0.25, 0.5)], ())],  # coincident
     ),
     "directional": (
-        lambda b, q: keyed(directional_loss(_kernel_boxes(b), q[1], *SIDE_RULES[q[0]], square=False), ("src", "tgt"), "p"),
-        lambda b, q: _reference_directional(*b, *q),
+        # The penalty, which the report reads: hinge^2 + |w|.
+        lambda b, q: LossValue(directional_loss(_kernel_boxes(b), q[1], *SIDE_RULES[q[0]])[3], {}),
+        lambda b, q: LossValue(_reference_directional(*b, *q).value, {}),
         lambda rng: ([_kink_box(rng), _kink_box(rng)], (str(rng.choice(list(SIDE_RULES))), float(rng.uniform(0, 1)))),
         [
             # Hinge exactly 0 and w == 0: just clear of the left edge, centered.
@@ -1597,10 +1605,13 @@ def test_term_loss_matches_the_numpy_reference_bitwise():
         boxes = {eid: box(*poses[eid], *_halves_of(spec, eid)) for eid in block.ids}
         kernel_boxes = [kernel_box(boxes[eid]) for eid in block.ids]
         for term in block.terms:
-            value, grads, param_grad = term_loss(term, kernel_boxes, xs)
-            ref, ref_grads, ref_param = _reference_term(spec, block, term, boxes, xs)
+            # The value and gradients in the objective's form, the penalty
+            # in the report's.
+            value, grads, param_grad, penalty = _term_loss(term, kernel_boxes, xs)
+            ref, ref_grads, ref_param = _reference_term(spec, block, term, boxes, xs, square=True)
             context = (trial, term.label)
             _assert_same_floats(value, ref.value, context)
+            _assert_same_floats(penalty, _reference_term(spec, block, term, boxes, xs)[0].value, context)
             assert len(grads) == len(ref_grads) == len(term.ends), context
             for g, want in zip(grads, ref_grads):
                 _assert_same_floats(g, want, context)
@@ -1669,10 +1680,10 @@ def _kernel_outputs(spec, block, k, xs) -> list:
             reads = term.kernel not in ("distance_loss", "placement_loss")
             if term.kernel == "facing_loss":
                 reads = term.ends[0] == k
-            calls.append((term_loss(term, boxes, xs), reads))
+            calls.append((_term_loss(term, boxes, xs), reads))
     out = []
-    for (value, grads, param_grad), reads in calls:
-        floats = [v for g in grads for v in g]
+    for (value, grads, param_grad, *penalty), reads in calls:
+        floats = [v for g in grads for v in g] + penalty
         if param_grad is not None:
             floats += np.atleast_1d(param_grad).tolist()
         out.append((value, floats, reads))

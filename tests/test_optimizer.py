@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from layoutopt import optimizer
-from layoutopt.constraints import Weights, param_index
+from layoutopt.constraints import Weights, param_index, relation_penalties
 from layoutopt.errors import DivergenceError, InfeasibleRoomError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import Pose2D, compose, relative
@@ -217,7 +217,7 @@ def test_evaluate_gradients_match_finite_differences():
     state = _assembled_scene()
     weights = Weights(collision=1.3, relation=0.8, boundary=1.7)
     config = OptimizerConfig(prior_weight=1.0)
-    total, grads, _ = evaluate(state, weights, stage=2, config=config)
+    total, grads, _, _ = evaluate(state, weights, stage=2, config=config)
     assert math.isfinite(total) and total > 0.0
 
     # Scene-level terms treat each unit's stand-in box as fixed geometry, so
@@ -283,7 +283,7 @@ def test_flat_gradients_match_finite_differences():
         # The start `solve_global_baseline` transports to global member poses.
         state.x[:] = _global_view(state)
         state.flat = True
-        total, grads, terms = evaluate(state, weights, stage=2, config=config)
+        total, grads, terms, _ = evaluate(state, weights, stage=2, config=config)
         assert terms["relation"] > 0.0 and terms["boundary"] == 0.0
         for slot in range(state.index.size):
             plus, minus = (ParamState(spec, state.index, state.x.copy(), flat=True) for _ in "+-")
@@ -296,19 +296,19 @@ def test_flat_gradients_match_finite_differences():
 def test_stage1_disables_collision_boundary_and_prior():
     state = _assembled_scene()
     config = OptimizerConfig()
-    total1, grads1, terms1 = evaluate(state, Weights(), stage=1, config=config)
+    total1, grads1, terms1, _ = evaluate(state, Weights(), stage=1, config=config)
     assert terms1["collision"] == 0.0
     assert terms1["boundary"] == 0.0
     assert terms1["prior"] == 0.0
     assert total1 == pytest.approx(terms1["relation"])
-    total2, _, terms2 = evaluate(state, Weights(), stage=2, config=config)
+    total2, _, terms2, _ = evaluate(state, Weights(), stage=2, config=config)
     assert terms2["collision"] > 0.0
     assert terms2["boundary"] > 0.0
     assert terms2["prior"] == pytest.approx((1.45 - 1.3) ** 2)
     assert total2 == pytest.approx(sum(terms2.values()))
     # The stage-1 shared-parameter gradient carries no prior term: it is the
     # stage-2 gradient with collision, boundary and prior switched off.
-    _, grads_free, _ = evaluate(
+    _, grads_free, _, _ = evaluate(
         state, Weights(collision=0.0, boundary=0.0), stage=2, config=replace(config, prior_weight=0.0)
     )
     params = list(state.index.param.values())
@@ -583,7 +583,7 @@ def test_a_solve_that_never_passes_is_the_fixed_budget_run(name, monkeypatch):
         # The final state is the last row's: the cut line search is undone.
         state, _ = _start(spec, config)
         assert _run(state, config, run is solve_global_baseline, True)[0] == layout
-        total, _, _ = evaluate(state, Weights(relation=optimizer.POLISH_RELATION), 2, config)
+        total, _, _, _ = evaluate(state, Weights(relation=optimizer.POLISH_RELATION), 2, config)
         assert total == trace.rows[-1].total, run.__name__
 
 
@@ -598,6 +598,70 @@ def test_a_stopped_solve_ends_at_a_checkpoint_clean_and_satisfied(name, seed, mo
     assert trace.solved_at == n and n <= calls < 50
     assert _is_solved(spec, layout, trace)
     assert max(trace.final_penalties.values()) < SATISFIED
+
+
+def _report_at(state):
+    """`relation_penalties` at `state`, as its items in order."""
+    return list(relation_penalties(state.index, optimizer._derived_view(state)).items())
+
+
+def _lbfgs_solve(spec, config, flat, monkeypatch):
+    """An L-BFGS solve from the imagined start, its final state, and what
+    the stop test got at each accepted iterate next to `relation_penalties`
+    there; a call of `relation_penalties` by the solver fails it."""
+    seen, stop = [], optimizer._solved_penalties
+
+    def spy(state, penalties):
+        seen.append((list(penalties.items()), _report_at(state)))
+        return stop(state, penalties)
+
+    def refused(*args):
+        raise AssertionError("an L-BFGS solve called relation_penalties")
+
+    state, imagined = _start(spec, config)
+    assert imagined
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "_solved_penalties", spy)
+        m.setattr(optimizer, "relation_penalties", refused)
+        _, trace = _run(state, config, flat, imagined)
+    return state, trace, seen
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_the_lbfgs_stop_test_reads_the_penalties_evaluate_recorded(name, monkeypatch):
+    # At every accepted iterate the stop test gets the penalties of the
+    # `evaluate` that accepted it: bit for bit `relation_penalties` at that
+    # state, the same items in the same order, units first, then the scene.
+    spec = load_fixture(name)
+    if name == "conflict_pair":
+        spec, _ = imagine_and_revise(spec)
+    for seed in range(10):
+        for flat in (False, True):
+            state, trace, seen = _lbfgs_solve(spec, OptimizerConfig(seed=seed), flat, monkeypatch)
+            assert len(seen) == len(trace.rows), (seed, flat)
+            for k, (got, want) in enumerate(seen):
+                assert repr(got) == repr(want), (seed, flat, k)
+            assert repr(list(trace.final_penalties.items())) == repr(_report_at(state)), (seed, flat)
+
+
+@pytest.mark.parametrize("name, seed, iterations", [*((n, 1, 2) for n in FIXTURE_NAMES), ("mixed_ten", 149, 600)])
+def test_an_unsolved_lbfgs_end_keeps_the_penalties_of_its_last_iterate(name, seed, iterations, monkeypatch):
+    # A solve that ends unsolved, at a cap of 3 `evaluate` calls or, for
+    # mixed_ten seed 149 (two-level), clean but unsatisfied after its whole
+    # budget, reports bit for bit `relation_penalties` at its final state.
+    spec = load_fixture(name)
+    if name == "conflict_pair":
+        spec, _ = imagine_and_revise(spec)
+    unsolved = []
+    for flat in (False, True):
+        state, trace, seen = _lbfgs_solve(spec, OptimizerConfig(seed=seed, iterations=iterations), flat, monkeypatch)
+        assert all(repr(got) == repr(want) for got, want in seen), flat
+        assert repr(list(trace.final_penalties.items())) == repr(_report_at(state)), flat
+        if trace.solved_at is None:
+            unsolved.append(flat)
+            if seed == 149:
+                assert _is_clean(spec, _state_layout(state)) and max(trace.final_penalties.values()) >= SATISFIED
+    assert unsolved == [False] if seed == 149 else unsolved
 
 
 def test_a_conflict_pair_seed_that_stage_2_lost_now_stops_in_stage_1():
@@ -793,22 +857,24 @@ def test_evaluate_matches_the_parts_summing_reference_bitwise(name):
                 state.x[:] = _global_view(state)
                 state.flat = True
             for stage in (1, 2):
-                total, grad, terms = evaluate(state, Weights(), stage, config)
-                want_total, want_grad, want_terms = refopt.reference_evaluate(state, Weights(), stage, config)
+                total, grad, terms, penalties = evaluate(state, Weights(), stage, config)
+                want = refopt.reference_evaluate(state, Weights(), stage, config)
+                want_total, want_grad, want_terms, want_penalties = want
                 context = (name, seed, flat, stage)
                 assert repr(total) == repr(want_total), context
                 assert np.array(grad).tobytes() == want_grad.tobytes(), context
                 assert repr(terms) == repr(want_terms), context
+                assert repr(penalties) == repr(want_penalties), context
 
 
 def _fixed_gradient(grad, array=False):
     """An `evaluate` stand-in returning `grad` at a finite objective, as the
     list `evaluate` returns, or with `array` set as the array
-    `refopt.reference_evaluate` returns."""
+    `refopt.reference_evaluate` returns, and no relation penalty."""
 
     def fake(state, weights, stage, config):
         g = np.array(grad, dtype=float)
-        return 1.0, g if array else g.tolist(), {"collision": 0.0, "boundary": 0.0, "relation": 1.0, "prior": 0.0}
+        return 1.0, g if array else g.tolist(), {"collision": 0.0, "boundary": 0.0, "relation": 1.0, "prior": 0.0}, []
 
     return fake
 
