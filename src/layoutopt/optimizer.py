@@ -341,7 +341,7 @@ def _pull_back(state: ParamState, view: list, grad: list):
 
 def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerConfig):
     """Objective value, its gradient over `state.x`, per-term breakdown, and
-    relation penalties in the pass's order, the scene's then each unit's.
+    relation penalties in plan order, each unit's then the scene's.
 
     `aggregate_global`, then `constraints.objective` over the unit blocks in
     plan order carrying on its sums in one list, then the prior and the
@@ -355,7 +355,7 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
     scene = aggregate_global(spec, index, x, eff)
     xs = x.tolist()
     units = [block for unit, block in index.blocks.items() if unit is not None]
-    start = LossValue(scene.value, scene.grads.tolist(), scene.terms, scene.penalties)
+    start = LossValue(scene.value, scene.grads.tolist(), scene.terms)
     out = objective(units, xs, eff, spec.room, start)
     total, grad = out.value, out.grads
     terms = {"collision": 0.0, "boundary": 0.0, "relation": 0.0, "prior": 0.0, **out.terms}
@@ -371,7 +371,7 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
 
     if state.flat:
         _pull_back(state, xs, grad)
-    return total, grad, terms, out.penalties
+    return total, grad, terms, out.penalties + scene.penalties
 
 
 def step(state: ParamState, config: OptimizerConfig, phase: Phase):
@@ -420,13 +420,6 @@ def _state_layout(state: ParamState) -> Layout:
         x, y, theta = g[at[a.id] : at[a.id] + 3]
         poses[a.id] = (x, y, 0.5 * a.size[2], theta)
     return Layout(poses)
-
-
-def _keyed(index: ParamIndex, penalties: list) -> dict:
-    """`evaluate`'s penalties keyed and ordered as `relation_penalties`'."""
-    labels = [term.label for block in index.blocks.values() for term in block.terms]
-    n = len(index.blocks[None].terms)  # the scene's terms come first in `evaluate`, last in plan order
-    return dict(zip(labels, penalties[n:] + penalties[:n]))
 
 
 def _solved_penalties(state: ParamState, penalties: dict) -> dict | None:
@@ -500,6 +493,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
     weights = replace(WEIGHTS, relation=POLISH_RELATION)
     budget = config.iterations + config.iterations // 2
     trace, x = Trace(), state.x
+    labels = [term.label for block in state.index.blocks.values() for term in block.terms]
     total, grad, terms, penalties = evaluate(state, weights, 2, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", 0)
@@ -515,8 +509,8 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
                 pairs.append((s, y, 1.0 / sy))
                 del pairs[:-LBFGS_MEMORY]
         _row(trace, 2, total, terms, t)
-        report = _solved_penalties(state, _keyed(state.index, penalties))
-        if report is not None:
+        report = dict(zip(labels, penalties, strict=True))
+        if _solved_penalties(state, report) is not None:
             trace.solved_at = len(trace.rows)
             return _finish(state, trace, report)
         d = -g
@@ -534,7 +528,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
             pairs.clear()
             largest = np.abs(g).max()
             if largest == 0.0:
-                return _finish(state, trace, _keyed(state.index, penalties))
+                return _finish(state, trace, report)
             d = g * (-FIRST_STEP / largest)
             slope = g @ d
         x0, g_prev, t = x.copy(), g, 1.0
@@ -542,7 +536,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
             x[:] = x0 + t * d
             if calls == budget or np.array_equal(x, x0):
                 x[:] = x0
-                return _finish(state, trace, _keyed(state.index, penalties))
+                return _finish(state, trace, report)
             trial, grad, trial_terms, trial_penalties = evaluate(state, weights, 2, config)
             calls += 1
             if trial <= total + ARMIJO * t * slope:

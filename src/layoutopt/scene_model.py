@@ -330,23 +330,13 @@ def _parse_unit(data, location: str) -> Unit:
     return Unit(uid, anchor, names)
 
 
-class _Filled(type):
-    """Builds a dict subclass filled by `dict.__init__`, bypassing the
-    class's own `__init__`."""
-
-    def __call__(cls, *args, **kwargs):
-        self = dict.__new__(cls)
-        dict.__init__(self, *args, **kwargs)
-        return self
-
-
-class _Params(dict, metaclass=_Filled):
+class _Params(dict):
     """A parsed relation's params: a dict that refuses every edit, so the
     relation holds what the parser gave it; copy and pickle keep the type.
-    Construction fills it (`_Filled`; the parser, at less cost, fills it by
-    `dict.update`), and an `__init__` called on it afterwards is refused,
-    empty or not.  A dict method called unbound, `dict.__init__(params,
-    ...)` or `dict.update(params, ...)`, still bypasses the guard."""
+    `_read_only` builds and fills it, and an `__init__` called on it
+    afterwards is refused, empty or not.  A dict method called unbound,
+    `dict.__init__(params, ...)` or `dict.update(params, ...)`, still
+    bypasses the guard."""
 
     __slots__ = ()
 
@@ -356,7 +346,13 @@ class _Params(dict, metaclass=_Filled):
     __init__ = __setitem__ = __delitem__ = __ior__ = update = pop = popitem = clear = setdefault = _refuse
 
     def __reduce__(self):
-        return _Params, (dict(self),)
+        return _read_only, (dict(self),)
+
+
+def _read_only(params: dict) -> _Params:
+    read_only = dict.__new__(_Params)
+    dict.update(read_only, params)
+    return read_only
 
 
 def _parse_relation_params(kind: str, raw, location: str) -> dict:
@@ -375,9 +371,7 @@ def _parse_relation_params(kind: str, raw, location: str) -> dict:
             params[name] = _number(params[name], loc, *bounds)
         if name == "sweep" and params[name] == 0.0:
             _err("sweep must be positive", loc)
-    read_only = dict.__new__(_Params)
-    dict.update(read_only, params)
-    return read_only
+    return _read_only(params)
 
 
 def _parse_relation(data, location: str) -> Relation:

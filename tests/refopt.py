@@ -5,7 +5,8 @@ against them bit for bit.
 `reference_evaluate` sums the aggregates' results as arrays:
 `aggregate_global`, then `aggregate_local` per unit in plan order, then the
 stage-2 prior, then the flat parameterization's numpy `_pull_back`; its
-relation penalties are the aggregates' in the same order.
+relation penalties are the aggregates' in plan order, each unit's then
+the scene's.
 `reference_step` is the step around it, clipping with a norms array, a
 boolean mask and `np.clip`, on a `Phase` of the descent.  `reference_around_loss` is the around kernel
 with its per-source derivatives in numpy arrays.  `reference_reframe` is
@@ -77,7 +78,7 @@ def reference_evaluate(state, weights, stage: int, config):
 
     if state.flat:
         reference_pull_back(state, x, grad)
-    return total, grad, terms, [v for part in parts for v in part.penalties]
+    return total, grad, terms, [v for part in parts[1:] + parts[:1] for v in part.penalties]
 
 
 def reference_step(state, config, phase):

@@ -664,6 +664,23 @@ def test_an_unsolved_lbfgs_end_keeps_the_penalties_of_its_last_iterate(name, see
     assert unsolved == [False] if seed == 149 else unsolved
 
 
+def test_a_record_short_of_the_plan_fails_the_lbfgs_solve(monkeypatch):
+    # A record missing a term must not pass the stop test on the terms it
+    # holds: the solve raises instead of reporting a solved layout.
+    spec, config = load_fixture("star_unit"), OptimizerConfig()
+    state, imagined = _start(spec, config)
+    assert imagined
+    full = optimizer.evaluate
+
+    def short(*args):
+        total, grad, terms, penalties = full(*args)
+        return total, grad, terms, penalties[:-1]
+
+    monkeypatch.setattr(optimizer, "evaluate", short)
+    with pytest.raises(ValueError, match="zip"):
+        _run(state, config, False, imagined)
+
+
 def test_a_conflict_pair_seed_that_stage_2_lost_now_stops_in_stage_1():
     # From the random start with the fixed budget, stage 2 leaves seed 20
     # colliding and unsatisfied, though its state passed the sweep's test
