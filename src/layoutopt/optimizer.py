@@ -20,7 +20,8 @@ A solve compiles the scene once and runs the imagination pass on that plan
 (`imagination._imagine`, which `interpret_scene` wraps).  When the imagined
 poses are clean (`harness._is_clean`), the solve starts there, with seeded
 N(0, JITTER) noise on every pose slot, and `_lbfgs` minimizes the stage-2
-objective at relation weight POLISH_RELATION.  Otherwise it falls back to
+objective at relation weight POLISH_RELATION, from one curvature guess
+per class of slots (`_slot_classes`).  Otherwise it falls back to
 `init_state`'s seeded random draw and two momentum stages of `iterations`
 steps: stage 1 optimizes poses under relation terms only, with constraint
 parameters frozen; stage 2 enables collision and boundary terms, and lets
@@ -292,6 +293,26 @@ def _unit_rows(index: ParamIndex) -> list:
     return [(r, [m for m in f.rows if m is not None]) for r, f in units]
 
 
+def _slot_classes(index: ParamIndex) -> np.ndarray:
+    """Each slot's class: (x, y) 0 and heading 1 of a unit frame, 2 and 3 of
+    a member, 4 and 5 of an independent asset; a shared parameter 6."""
+    classes = [4, 4, 5] * (index.pose_size // 3) + [6] * len(index.param)
+    for r, members in _unit_rows(index):
+        classes[r : r + 3] = 0, 0, 1
+        for m in members:
+            classes[m : m + 3] = 2, 2, 3
+    return np.array(classes)
+
+
+def _diagonal(classes: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The two-loop recursion's first inverse-Hessian guess: s_c.y_c / y_c.y_c
+    on each class c, or s.y / y.y where either is not positive, so that
+    every entry is positive when s.y is."""
+    sy, yy = np.bincount(classes, s * y).tolist(), np.bincount(classes, y * y).tolist()
+    whole = sum(sy) / sum(yy)
+    return np.array([a / b if a > 0.0 and b > 0.0 else whole for a, b in zip(sy, yy)])[classes]
+
+
 def _reframe(index: ParamIndex, x: np.ndarray, inverse: bool) -> np.ndarray:
     """Copy of `x` with each member row `p` replaced by `compose(frame, p)`,
     `frame` being its unit's row, or by `relative(frame, p)`, which is
@@ -480,20 +501,25 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
 
     The direction is the two-loop recursion over the last LBFGS_MEMORY
     curvature pairs, a pair kept only when its s.y exceeds CURVATURE_MIN.
-    With no pair, or when that direction does not descend, the pairs are
-    dropped and the direction is steepest descent, scaled so that its
-    largest entry is FIRST_STEP.  The line search halves the step from 1
-    until the Armijo condition holds at constant ARMIJO.  Each accepted
-    iterate is tested by `_solved_penalties` on the penalties its
-    `evaluate` recorded, and the first pass ends the solve.  `evaluate`
+    It starts from the last pair's `_diagonal` (Gilbert & Lemarechal,
+    1989): s.y / y.y over each slot class, the whole pair's where a class's
+    is not positive.  With no pair, or when that direction does not
+    descend, the pairs are dropped and the direction is steepest descent,
+    scaled so that its largest entry is FIRST_STEP.  The line search halves
+    the step from 1 until the Armijo condition holds at constant ARMIJO; a
+    two-loop direction it shrinks until `x` no longer moves gives way to
+    steepest descent, once.
+    Each accepted iterate is tested by `_solved_penalties` on the penalties
+    its `evaluate` recorded, and the first pass ends the solve.  `evaluate`
     runs at most `iterations + iterations // 2` times; a line search that
-    the cap cuts, or whose step no longer moves `x`, ends the solve at the
-    last accepted iterate.
+    the cap cuts, or whose steepest step no longer moves `x`, ends the
+    solve at the last accepted iterate.
     """
     weights = replace(WEIGHTS, relation=POLISH_RELATION)
     budget = config.iterations + config.iterations // 2
     trace, x = Trace(), state.x
     labels = [term.label for block in state.index.blocks.values() for term in block.terms]
+    classes = _slot_classes(state.index)
     total, grad, terms, penalties = evaluate(state, weights, 2, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", 0)
@@ -508,6 +534,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
             if sy > CURVATURE_MIN:
                 pairs.append((s, y, 1.0 / sy))
                 del pairs[:-LBFGS_MEMORY]
+                h0 = _diagonal(classes, s, y)
         _row(trace, 2, total, terms, t)
         report = dict(zip(labels, penalties, strict=True))
         if _solved_penalties(state, report) is not None:
@@ -519,8 +546,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
             for s, y, rho in reversed(pairs):
                 alphas.append(rho * (s @ d))
                 d -= alphas[-1] * y
-            s, y, _ = pairs[-1]
-            d *= (s @ y) / (y @ y)
+            d *= h0
             for (s, y, rho), a in zip(pairs, reversed(alphas)):
                 d += (a - rho * (y @ d)) * s
         slope = g @ d
@@ -536,7 +562,12 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
             x[:] = x0 + t * d
             if calls == budget or np.array_equal(x, x0):
                 x[:] = x0
-                return _finish(state, trace, report)
+                if calls == budget or not pairs:
+                    return _finish(state, trace, report)
+                pairs.clear()
+                d, t = g * (-FIRST_STEP / np.abs(g).max()), 1.0
+                slope = g @ d
+                continue
             trial, grad, trial_terms, trial_penalties = evaluate(state, weights, 2, config)
             calls += 1
             if trial <= total + ARMIJO * t * slope:
