@@ -48,6 +48,7 @@ from . import geometry
 from .errors import MissingEntityError
 from .geometry import _CORNER_SIGNS, enclosing_box, half_extents
 from .scene_model import (
+    CORNER_WALLS,
     DIRECTIONAL_KINDS,
     SCENE_ANCHORED_KINDS,
     SHARED_PARAM_SLOTS,
@@ -355,15 +356,13 @@ def against_wall_loss(boxes: list, _, axis_i: int, sign: float, base: float, the
     return value, (g,), None, value
 
 
-_CORNER_SIGNS_XY = {"BL": (1.0, 1.0), "BR": (-1.0, 1.0), "TR": (-1.0, -1.0), "TL": (1.0, -1.0)}
-
-
 def _corner_rule(corner_tag: str, wall: str, room: Room) -> tuple:
-    """Signs and wall coordinates of a room corner, and the named wall's
-    target angle."""
-    sx, sy = _CORNER_SIGNS_XY[corner_tag]
-    x_base = 0.0 if sx > 0.0 else room.length
-    y_base = 0.0 if sy > 0.0 else room.width
+    """Signs and wall coordinates of a room corner, read off the
+    `_against_wall_rule`s of its x wall and its y wall (`CORNER_WALLS`),
+    and the named wall's target angle."""
+    x_wall, y_wall = CORNER_WALLS[corner_tag]
+    _, sx, x_base, _ = _against_wall_rule(x_wall, room)
+    _, sy, y_base, _ = _against_wall_rule(y_wall, room)
     return sx, sy, x_base, y_base, WALL_RULES[wall][3]
 
 

@@ -31,9 +31,10 @@ declared values.  Each stage anneals over its own length.
 Each objective call is one `evaluate`, one pass over the relation plan into
 one gradient list and a record of the relation penalties; a momentum step
 is one `evaluate` and one `step`.  At every accepted L-BFGS iterate, on the
-penalties its `evaluate` recorded, and every `CHECK_EVERY` momentum steps,
-on `relation_penalties`, a solve tests its state as the seed sweep scores a
-solved layout (`_solved_penalties`): the first pass ends it.
+penalties its `evaluate` recorded, and every `CHECK_EVERY` momentum steps
+and at the momentum steps' end, on `relation_penalties`, a solve tests its
+state as the seed sweep scores a solved layout (`_solved`): the first pass
+ends it.  Every end hands `_finish` the penalties at the final state.
 
 `convergence_benchmark` compares the two parameterizations: it runs both
 from `init_state`'s draw through the two-stage descent with the stop test
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,21 +106,6 @@ class OptimizerConfig:
     seed: int | None = None
 
 
-class Phase(NamedTuple):
-    """One run of momentum steps: the objective's stage (1: relations only,
-    shared parameters frozen; 2: every term), the term weights, and the
-    number of steps, over which the rate anneals."""
-
-    stage: int
-    weights: Weights
-    steps: int
-
-
-def _two_stage(iterations: int) -> tuple:
-    """The schedule from a random start: stage 1, then stage 2."""
-    return Phase(1, WEIGHTS, iterations), Phase(2, WEIGHTS, iterations)
-
-
 def cosine_factor(t: int, total: int) -> float:
     """Annealing multiplier: 1 at t=0 decaying to ~0 at t=total."""
     return 0.5 * (1.0 + math.cos(math.pi * t / total))
@@ -155,8 +140,9 @@ class Trace:
     its step applied to every slot's learning rate, not a rate itself.
     `final_shared` and `final_penalties` snapshot the learned shared
     parameters and the raw per-relation penalties at the final state.
-    `solved_at` is the number of rows when the solve stopped because its
-    state was clean and satisfied, or None when it ran until its cap.
+    `solved_at` is the number of rows when a test found the solve's state
+    clean and satisfied, which ends it, or None when no test passed: at
+    most the number of rows, and equal to it when the solve ends solved.
     """
 
     rows: list = field(default_factory=list)
@@ -395,14 +381,15 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
     return total, grad, terms, out.penalties + scene.penalties
 
 
-def step(state: ParamState, config: OptimizerConfig, phase: Phase):
-    """One momentum step of `phase` in place, on the objective at the
-    phase's weights; returns (loss, terms, cosine factor) at the pre-step
-    state.  Stage 1 leaves the shared parameters untouched."""
-    total, grad, terms, _ = evaluate(state, phase.weights, phase.stage, config)
+def step(state: ParamState, config: OptimizerConfig, stage: int, steps: int):
+    """One momentum step in place on the `stage` objective at WEIGHTS (1:
+    relations only; 2: every term), its rate annealed over `steps`; returns
+    (loss, terms, cosine factor) at the pre-step state.  Stage 1 leaves the
+    shared parameters untouched."""
+    total, grad, terms, _ = evaluate(state, WEIGHTS, stage, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
-    factor = cosine_factor(state.step_index, phase.steps)
+    factor = cosine_factor(state.step_index, steps)
 
     # Each row's (x, y) gradient is scaled down to norm CLIP_POSITION, in
     # place in the list `grad`.  The norm uses math.hypot: np.hypot can
@@ -415,7 +402,7 @@ def step(state: ParamState, config: OptimizerConfig, phase: Phase):
         norm = math.hypot(gx, gy)
         if norm > clip:
             grad[r], grad[r + 1] = gx * (clip / norm), gy * (clip / norm)
-    n = n_pose if phase.stage == 1 else state.index.size
+    n = n_pose if stage == 1 else state.index.size
     limit, lr = state.limit[:n], state.lr[:n]
     vel, x = state.vel[:n], state.x[:n]
     vel *= MOMENTUM
@@ -443,14 +430,12 @@ def _state_layout(state: ParamState) -> Layout:
     return Layout(poses)
 
 
-def _solved_penalties(state: ParamState, penalties: dict) -> dict | None:
-    """`penalties`, the relation penalties at `state`, when `state` passes
-    the seed sweep's test of a solved layout, else None: every one below
-    SATISFIED (read first, as it fails more often), then 0% collision and
-    0% out of bounds by `harness.eval_physical`."""
-    if all(v < SATISFIED for v in penalties.values()) and _is_clean(state.spec, _state_layout(state)):
-        return penalties
-    return None
+def _solved(state: ParamState, penalties: dict) -> bool:
+    """Whether `state`, whose relation penalties are `penalties`, passes the
+    seed sweep's test of a solved layout: every penalty below SATISFIED
+    (read first, as it fails more often), then 0% collision and 0% out of
+    bounds by `harness.eval_physical`."""
+    return all(v < SATISFIED for v in penalties.values()) and _is_clean(state.spec, _state_layout(state))
 
 
 def _row(trace: Trace, stage: int, total: float, terms: dict, lr: float):
@@ -458,38 +443,37 @@ def _row(trace: Trace, stage: int, total: float, terms: dict, lr: float):
     trace.rows.append(TraceRow(len(trace.rows), stage, float(total), *families, lr))
 
 
-def _finish(state: ParamState, trace: Trace, penalties: dict | None) -> Trace:
+def _finish(state: ParamState, trace: Trace, penalties: dict) -> Trace:
     trace.final_shared = state.shared
-    trace.final_penalties = relation_penalties(state.index, _derived_view(state)) if penalties is None else penalties
+    trace.final_penalties = penalties
     return trace
 
 
-def _descend(state: ParamState, config: OptimizerConfig, phases: tuple, stop: bool) -> Trace:
-    """Run the momentum `phases` from `state` in place, each with fresh
-    momentum, and record the trace.
+def _descend(state: ParamState, config: OptimizerConfig, stop: bool) -> Trace:
+    """Run stage 1, then stage 2, each `config.iterations` momentum steps
+    with fresh momentum, from `state` in place, and record the trace.
 
-    With `stop` set, the state after every CHECK_EVERY-th step of a phase,
-    but the last step of the last phase, is tested by `_solved_penalties`
-    on `relation_penalties` there, and the first pass ends the solve; not
-    when the relation total `step` returned exceeds SATISFIED per term, a
-    screen that can delay a stop, never make one.
+    With `stop` set, the state after every CHECK_EVERY-th step of a stage
+    is tested by `_solved` on `relation_penalties` there, and the first
+    pass ends the solve; not when the relation total `step` returned
+    exceeds SATISFIED per term, a screen that can delay a stop, never make
+    one.  The state the steps end at is tested once more, unscreened.
     """
-    trace = Trace()
-    penalties = None
-    last = len(phases) - 1
+    trace, steps = Trace(), config.iterations
     screen = SATISFIED * sum(len(block.terms) for block in state.index.blocks.values())
-    for p, phase in enumerate(phases):
+    for stage in (1, 2):
         state.reset_momentum()
-        for t in range(1, phase.steps + 1):
-            total, terms, factor = step(state, config, phase)
-            _row(trace, phase.stage, total, terms, factor)
-            if stop and t % CHECK_EVERY == 0 and (p < last or t < phase.steps) and not terms["relation"] > screen:
-                penalties = _solved_penalties(state, relation_penalties(state.index, _derived_view(state)))
-                if penalties is not None:
+        for t in range(1, steps + 1):
+            total, terms, factor = step(state, config, stage, steps)
+            _row(trace, stage, total, terms, factor)
+            if stop and t % CHECK_EVERY == 0 and not terms["relation"] > screen:
+                penalties = relation_penalties(state.index, _derived_view(state))
+                if _solved(state, penalties):
                     trace.solved_at = len(trace.rows)
-                    break
-        if penalties is not None:
-            break
+                    return _finish(state, trace, penalties)
+    penalties = relation_penalties(state.index, _derived_view(state))
+    if stop and _solved(state, penalties):
+        trace.solved_at = len(trace.rows)
     return _finish(state, trace, penalties)
 
 
@@ -509,8 +493,8 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
     the step from 1 until the Armijo condition holds at constant ARMIJO; a
     two-loop direction it shrinks until `x` no longer moves gives way to
     steepest descent, once.
-    Each accepted iterate is tested by `_solved_penalties` on the penalties
-    its `evaluate` recorded, and the first pass ends the solve.  `evaluate`
+    Each accepted iterate is tested by `_solved` on the penalties its
+    `evaluate` recorded, and the first pass ends the solve.  `evaluate`
     runs at most `iterations + iterations // 2` times; a line search that
     the cap cuts, or whose steepest step no longer moves `x`, ends the
     solve at the last accepted iterate.
@@ -537,7 +521,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
                 h0 = _diagonal(classes, s, y)
         _row(trace, 2, total, terms, t)
         report = dict(zip(labels, penalties, strict=True))
-        if _solved_penalties(state, report) is not None:
+        if _solved(state, report):
             trace.solved_at = len(trace.rows)
             return _finish(state, trace, report)
         d = -g
@@ -589,7 +573,7 @@ def _run(state: ParamState, config: OptimizerConfig, flat: bool, imagined: bool,
     if imagined:
         trace = _lbfgs(state, config)
     else:
-        trace = _descend(state, config, _two_stage(config.iterations), stop)
+        trace = _descend(state, config, stop)
     return _state_layout(state), trace
 
 
@@ -609,10 +593,11 @@ def solve(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple
     at most `config.iterations + config.iterations // 2` objective calls;
     each accepted iterate is tested.  From the random start, two momentum
     stages of `config.iterations` steps run, and every CHECK_EVERY steps
-    the state is tested.  The test is the seed sweep's score of a solved
-    layout: every relation penalty below SATISFIED, and 0% collision and 0%
-    out of bounds by `harness.eval_physical`.  The first state that passes
-    ends the solve, and `trace.solved_at` records after how many rows.
+    and after the last one the state is tested.  The test is the seed
+    sweep's score of a solved layout: every relation penalty below
+    SATISFIED, and 0% collision and 0% out of bounds by
+    `harness.eval_physical`.  The first state that passes ends the solve,
+    and `trace.solved_at` records after how many rows.
 
     Returns the final layout and the per-iterate trace.  Raises ValueError
     when `config.iterations` is below 1, InfeasibleRoomError for rooms that

@@ -8,7 +8,8 @@ stage-2 prior, then the flat parameterization's numpy `_pull_back`; its
 relation penalties are the aggregates' in plan order, each unit's then
 the scene's.
 `reference_step` is the step around it, clipping with a norms array, a
-boolean mask and `np.clip`, on a `Phase` of the descent.  `reference_around_loss` is the around kernel
+boolean mask and `np.clip`, at a stage of the descent and the number of
+steps its rate anneals over.  `reference_around_loss` is the around kernel
 with its per-source derivatives in numpy arrays.  `reference_reframe` is
 the flat parameterization's change of frame through `Pose2D` objects and
 `geometry.relative` or `geometry.compose`.  The bodies are kept as they
@@ -81,18 +82,18 @@ def reference_evaluate(state, weights, stage: int, config):
     return total, grad, terms, [v for part in parts[1:] + parts[:1] for v in part.penalties]
 
 
-def reference_step(state, config, phase):
-    total, grad, terms, _ = reference_evaluate(state, phase.weights, phase.stage, config)
+def reference_step(state, config, stage: int, steps: int):
+    total, grad, terms, _ = reference_evaluate(state, optimizer.WEIGHTS, stage, config)
     if not math.isfinite(total):
         raise DivergenceError("objective is not finite", state.step_index)
-    factor = cosine_factor(state.step_index, phase.steps)
+    factor = cosine_factor(state.step_index, steps)
 
     rows = grad[: state.index.pose_size].reshape(-1, 3)
     norms = np.array([math.hypot(gx, gy) for gx, gy, _ in rows.tolist()])
     over = norms > optimizer.CLIP_POSITION
     rows[over, :2] *= (optimizer.CLIP_POSITION / norms[over])[:, None]
     limit, lr = state.limit, state.lr
-    n = state.index.pose_size if phase.stage == 1 else state.index.size
+    n = state.index.pose_size if stage == 1 else state.index.size
     g = np.clip(grad[:n], -limit[:n], limit[:n])
     state.vel[:n] = optimizer.MOMENTUM * state.vel[:n] + g
     state.x[:n] -= lr[:n] * factor * state.vel[:n]

@@ -11,7 +11,6 @@ import pytest
 
 from layoutopt import constraints, geometry, optimizer
 from layoutopt.constraints import (
-    _CORNER_SIGNS_XY,
     FACING_EPS,
     SIDE_RULES,
     WALL_RULES,
@@ -1055,8 +1054,13 @@ def _reference_against_wall(box: FootprintBox, wall: str, room: Room) -> LossVal
     return LossValue(value, {"box": g})
 
 
+# The signs of each room corner's x and y offsets from its walls, kept
+# apart from the library's wall tables.
+_REFERENCE_CORNER_SIGNS = {"BL": (1.0, 1.0), "BR": (-1.0, 1.0), "TR": (-1.0, -1.0), "TL": (1.0, -1.0)}
+
+
 def _reference_corner(box: FootprintBox, corner_tag: str, wall: str, room: Room) -> LossValue:
-    sx, sy = _CORNER_SIGNS_XY[corner_tag]
+    sx, sy = _REFERENCE_CORNER_SIGNS[corner_tag]
     ax, ay, dax, day = half_extents(box.half_l, box.half_w, box.pose.theta)
     x_base = 0.0 if sx > 0.0 else room.length
     y_base = 0.0 if sy > 0.0 else room.width
@@ -1352,7 +1356,7 @@ _FAMILIES = {
     "corner": (
         lambda b, q: keyed(corner_loss(_kernel_boxes(b), None, *_corner_rule(*q, KINK_ROOM)), ("box",)),
         lambda b, q: _reference_corner(*b, *q, KINK_ROOM),
-        lambda rng: ([_kink_box(rng)], (str(rng.choice(list(_CORNER_SIGNS_XY))), str(rng.choice(list(WALL_RULES))))),
+        lambda rng: ([_kink_box(rng)], (str(rng.choice(list(_REFERENCE_CORNER_SIGNS))), str(rng.choice(list(WALL_RULES))))),
         [([box(0.5, 0.25, 0.0, 0.5, 0.25)], ("BL", "L")), ([box(3.75, 2.5, 0.5 * math.pi, 0.5, 0.25)], ("TR", "R"))],
     ),
     "facing": (

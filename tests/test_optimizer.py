@@ -19,14 +19,12 @@ from layoutopt.optimizer import (
     SATISFIED,
     OptimizerConfig,
     ParamState,
-    Phase,
     _diagonal,
     _global_view,
     _reframe,
     _run,
     _start,
     _state_layout,
-    _two_stage,
     convergence_benchmark,
     cosine_factor,
     evaluate,
@@ -40,8 +38,9 @@ from layoutopt.scene_model import Asset, Relation, Room, SceneSpec, Unit, parse_
 import refopt
 from refopt import reference_step
 
-# The two stages of the random start at the default cap, by stage number.
-_STAGES = dict(enumerate(_two_stage(OptimizerConfig().iterations), 1))
+# The number of steps a stage of the random start anneals over, at the
+# default cap.
+_STEPS = OptimizerConfig().iterations
 
 
 def _scene(room, assets, units=(), relations=()):
@@ -321,7 +320,7 @@ def test_zero_gradient_step_is_noop():
     state = init_state(spec, seed=0)
     state.pose("box")[:] = (5.0, 5.0, 0.3)
     before = state.pose("box").copy()
-    step(state, OptimizerConfig(), _STAGES[2])
+    step(state, OptimizerConfig(), 2, _STEPS)
     assert np.array_equal(state.pose("box"), before)
     assert state.step_index == 1
 
@@ -357,7 +356,7 @@ def test_step_raises_on_nonfinite():
     state = init_state(spec, seed=0)
     state.pose("a")[0] = math.nan
     with pytest.raises(DivergenceError):
-        step(state, OptimizerConfig(), _STAGES[2])
+        step(state, OptimizerConfig(), 2, _STEPS)
 
 
 def test_step_raises_when_a_parameter_turns_infinite(monkeypatch):
@@ -372,7 +371,7 @@ def test_step_raises_when_a_parameter_turns_infinite(monkeypatch):
     state = init_state(spec, seed=0)
     state.step_index = 4
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="parameter is not finite") as info:
-        step(state, OptimizerConfig(), _STAGES[1])
+        step(state, OptimizerConfig(), 1, _STEPS)
     assert info.value.iteration == 5
 
 
@@ -392,7 +391,7 @@ def test_unit_frame_fixed_under_intra_terms():
     frame_before = state.pose("u").copy()
     local_before = state.pose("c").copy()
     for _ in range(5):
-        step(state, OptimizerConfig(), _STAGES[1])
+        step(state, OptimizerConfig(), 1, _STEPS)
     assert np.array_equal(state.pose("u"), frame_before)
     assert not np.array_equal(state.pose("c"), local_before)
 
@@ -492,9 +491,9 @@ def test_shared_params_frozen_in_stage1_and_updated_in_stage2():
     )
     state = init_state(spec, seed=1)
     for _ in range(4):
-        step(state, OptimizerConfig(), _STAGES[1])
+        step(state, OptimizerConfig(), 1, _STEPS)
     assert state.shared["sep"] == 2.0
-    step(state, OptimizerConfig(), _STAGES[2])
+    step(state, OptimizerConfig(), 2, _STEPS)
     assert state.shared["sep"] != 2.0
 
 
@@ -610,7 +609,7 @@ def _lbfgs_solve(spec, config, flat, monkeypatch):
     """An L-BFGS solve from the imagined start, its final state, and what
     the stop test got at each accepted iterate next to `relation_penalties`
     there; a call of `relation_penalties` by the solver fails it."""
-    seen, stop = [], optimizer._solved_penalties
+    seen, stop = [], optimizer._solved
 
     def spy(state, penalties):
         seen.append((list(penalties.items()), _report_at(state)))
@@ -622,7 +621,7 @@ def _lbfgs_solve(spec, config, flat, monkeypatch):
     state, imagined = _start(spec, config)
     assert imagined
     with monkeypatch.context() as m:
-        m.setattr(optimizer, "_solved_penalties", spy)
+        m.setattr(optimizer, "_solved", spy)
         m.setattr(optimizer, "relation_penalties", refused)
         _, trace = _run(state, config, flat, imagined)
     return state, trace, seen
@@ -739,6 +738,22 @@ def test_a_conflict_pair_seed_that_stage_2_lost_now_stops_in_stage_1():
     assert not _is_solved(spec, fixed_layout, fixed)
 
 
+def test_a_momentum_descent_that_ends_solved_reports_its_last_row():
+    # From init_state's draw at seed 4, dining_set passes no checkpoint of
+    # 40 steps per stage, but the state after the last step is clean and
+    # satisfied: the end test reports it, and the run is the fixed-budget
+    # run to the bit.
+    spec = load_fixture("dining_set")
+    config = OptimizerConfig(iterations=40, seed=4)
+    got = _random_solve(spec, config)
+    layout, trace = got
+    assert trace.solved_at == len(trace.rows) == 80
+    assert _is_solved(spec, layout, trace)
+    fixed = _random_solve(spec, config, stop=False)
+    assert fixed[1].solved_at is None
+    assert _same_solve(got, fixed)
+
+
 def test_convergence_benchmark_runs_the_full_budget():
     # star_unit stops within a few iterates on seeds 0 and 1 from its
     # imagined start, yet the benchmark records whole curves from the random start and the
@@ -790,11 +805,11 @@ def test_a_scene_whose_imagined_layout_collides_solves_from_the_random_start(nam
 
     state = init_state(spec, config.seed)
     rows = []
-    for phase in (Phase(1, Weights(), config.iterations), Phase(2, Weights(), config.iterations)):
+    for stage in (1, 2):
         state.reset_momentum()
-        for _ in range(phase.steps):
-            total, _, factor = reference_step(state, config, phase)
-            rows.append((phase.stage, float(total), factor))
+        for _ in range(config.iterations):
+            total, _, factor = reference_step(state, config, stage, config.iterations)
+            rows.append((stage, float(total), factor))
     assert [(r.stage, r.total, r.lr) for r in trace.rows] == rows
     assert serialize_layout(layout) == serialize_layout(_state_layout(state))
     assert repr(trace.final_shared) == repr(state.shared)
@@ -948,7 +963,7 @@ def test_step_does_not_scale_a_row_at_exactly_the_clip_norm(monkeypatch):
         state.pose("box")[:] = (5.0, 5.0, 0.3)
         monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(g))
         monkeypatch.setattr(optimizer, "CLIP_POSITION", 5.0)
-        step(state, OptimizerConfig(), _STAGES[2])
+        step(state, OptimizerConfig(), 2, _STEPS)
         assert state.pose("box").tolist() == [5.0 - moved[0], 5.0 - moved[1], 0.3], g
 
 
@@ -958,7 +973,7 @@ def test_stage1_step_leaves_shared_slots_and_their_velocity(monkeypatch):
     state.vel[shared] = 0.25
     x_before, vel_before = state.x[shared].copy(), state.vel[shared].copy()
     monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(np.full(state.index.size, 0.5)))
-    step(state, OptimizerConfig(), _STAGES[1])
+    step(state, OptimizerConfig(), 1, _STEPS)
     assert np.array_equal(state.x[shared], x_before)
     assert np.array_equal(state.vel[shared], vel_before)
     assert state.vel[0] == 0.5
@@ -981,7 +996,7 @@ def test_nan_gradient_diverges_at_the_reference_step(stage, monkeypatch):
             monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(grad))
             monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad, array=True))
             try:
-                stepper(state, OptimizerConfig(), _STAGES[stage])
+                stepper(state, OptimizerConfig(), stage, _STEPS)
                 outcomes.append(("ok", state.x.tobytes(), state.vel.tobytes(), state.step_index))
             except DivergenceError as exc:
                 outcomes.append(("diverged", str(exc), exc.iteration))
@@ -1017,7 +1032,7 @@ def test_step_matches_the_reference_step_on_edge_gradients(clip, monkeypatch):
             monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad, array=True))
             try:
                 with np.errstate(all="ignore"):  # the reference's inf * 0 in its row scaling
-                    stepper(state, config, _STAGES[stage])
+                    stepper(state, config, stage, _STEPS)
                 outcome = "ok"
             except DivergenceError as exc:
                 outcome = str(exc)
