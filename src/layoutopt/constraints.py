@@ -594,9 +594,9 @@ class Term:
     module attribute.  The scalar parameter is `x[param]` when it is shared,
     else `value`; `value` holds the shared parameter's prior when it is
     shared, else the relation's own, with the parser's default for an
-    optional param it omits.  Not frozen: the imagination pass compiles a
-    plan every round, and a frozen dataclass is several times slower to
-    build.
+    optional param it omits.  Not frozen: a solve compiles a plan, and the
+    revision loop one per fresh pass, and a frozen dataclass is several
+    times slower to build.
     """
 
     label: str

@@ -30,11 +30,11 @@ declared values.  Each stage anneals over its own length.
 
 Each objective call is one `evaluate`, one pass over the relation plan into
 one gradient list and a record of the relation penalties; a momentum step
-is one `evaluate` and one `step`.  At every accepted L-BFGS iterate, on the
-penalties its `evaluate` recorded, and every `CHECK_EVERY` momentum steps
-and at the momentum steps' end, on `relation_penalties`, a solve tests its
-state as the seed sweep scores a solved layout (`_solved`): the first pass
-ends it.  Every end hands `_finish` the penalties at the final state.
+is one `evaluate` and one `step`, the update alone.  At every accepted
+L-BFGS iterate and every `CHECK_EVERY` momentum steps, a solve tests its
+state on the penalties `evaluate` recorded there as the seed sweep scores a
+solved layout (`_solved`), and the first pass ends it; `relation_penalties`
+serves the momentum steps' end.  Every end goes through `_finish`.
 
 `convergence_benchmark` compares the two parameterizations: it runs both
 from `init_state`'s draw through the two-stage descent with the stop test
@@ -99,11 +99,15 @@ EMA_ALPHA = 0.85
 class OptimizerConfig:
     """Descent settings; `iterations` sets the cap of a solve (see `solve`;
     a solve ends sooner once it is solved), and a `seed` of None starts
-    from the scene's own seed."""
+    from the scene's own seed.  A negative seed raises ValueError."""
 
     iterations: int = 600
     prior_weight: float = 1.0
     seed: int | None = None
+
+    def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def cosine_factor(t: int, total: int) -> float:
@@ -177,7 +181,6 @@ class ParamState:
     x: np.ndarray
     flat: bool = False
     vel: np.ndarray = field(init=False)
-    step_index: int = field(default=0, init=False)
     limit: np.ndarray = field(init=False, repr=False, compare=False)
     lr: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -190,10 +193,6 @@ class ParamState:
         self.lr = np.full(size, LR_SHARED)
         self.lr[:n_pose] = LR_POSITION
         self.lr[2:n_pose:3] = LR_ROTATION
-
-    def reset_momentum(self):
-        self.vel[:] = 0.0
-        self.step_index = 0
 
     def pose(self, entity_id: str) -> np.ndarray:
         """Writable view of the pose row of a unit, member or independent asset."""
@@ -381,15 +380,11 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
     return total, grad, terms, out.penalties + scene.penalties
 
 
-def step(state: ParamState, config: OptimizerConfig, stage: int, steps: int):
-    """One momentum step in place on the `stage` objective at WEIGHTS (1:
-    relations only; 2: every term), its rate annealed over `steps`; returns
-    (loss, terms, cosine factor) at the pre-step state.  Stage 1 leaves the
-    shared parameters untouched."""
-    total, grad, terms, _ = evaluate(state, WEIGHTS, stage, config)
-    if not math.isfinite(total):
-        raise DivergenceError("objective is not finite", state.step_index)
-    factor = cosine_factor(state.step_index, steps)
+def step(state: ParamState, grad: list, stage: int, t: int, steps: int) -> float:
+    """Momentum step `t` of a `stage` of `steps` steps, in place, on `grad`,
+    the gradient `evaluate` returned at the state; returns its cosine
+    factor.  Stage 1 leaves the shared parameters untouched."""
+    factor = cosine_factor(t, steps)
 
     # Each row's (x, y) gradient is scaled down to norm CLIP_POSITION, in
     # place in the list `grad`.  The norm uses math.hypot: np.hypot can
@@ -409,10 +404,9 @@ def step(state: ParamState, config: OptimizerConfig, stage: int, steps: int):
     vel += np.minimum(np.maximum(grad[:n], -limit), limit)
     x -= lr * factor * vel
 
-    state.step_index += 1
     if not np.isfinite(state.x).all():
-        raise DivergenceError("parameter is not finite", state.step_index)
-    return total, terms, factor
+        raise DivergenceError("parameter is not finite", t + 1)
+    return factor
 
 
 def _state_layout(state: ParamState) -> Layout:
@@ -443,38 +437,43 @@ def _row(trace: Trace, stage: int, total: float, terms: dict, lr: float):
     trace.rows.append(TraceRow(len(trace.rows), stage, float(total), *families, lr))
 
 
-def _finish(state: ParamState, trace: Trace, penalties: dict) -> Trace:
+def _labels(index: ParamIndex) -> list:
+    """Each relation term's label, in the order `evaluate` records penalties."""
+    return [term.label for block in index.blocks.values() for term in block.terms]
+
+
+def _finish(state: ParamState, trace: Trace, penalties: dict, solved: bool) -> Trace:
     trace.final_shared = state.shared
     trace.final_penalties = penalties
+    if solved:
+        trace.solved_at = len(trace.rows)
     return trace
 
 
 def _descend(state: ParamState, config: OptimizerConfig, stop: bool) -> Trace:
     """Run stage 1, then stage 2, each `config.iterations` momentum steps
-    with fresh momentum, from `state` in place, and record the trace.
+    with fresh momentum, from `state` in place, one trace row per step.
 
     With `stop` set, the state after every CHECK_EVERY-th step of a stage
-    is tested by `_solved` on `relation_penalties` there, and the first
-    pass ends the solve; not when the relation total `step` returned
-    exceeds SATISFIED per term, a screen that can delay a stop, never make
-    one.  The state the steps end at is tested once more, unscreened.
+    (stage 1's last one included) is tested by `_solved` on the penalties
+    the next `evaluate` recorded, and the end state on
+    `relation_penalties`; the first pass ends the solve.
     """
     trace, steps = Trace(), config.iterations
-    screen = SATISFIED * sum(len(block.terms) for block in state.index.blocks.values())
+    labels = _labels(state.index)
     for stage in (1, 2):
-        state.reset_momentum()
-        for t in range(1, steps + 1):
-            total, terms, factor = step(state, config, stage, steps)
-            _row(trace, stage, total, terms, factor)
-            if stop and t % CHECK_EVERY == 0 and not terms["relation"] > screen:
-                penalties = relation_penalties(state.index, _derived_view(state))
-                if _solved(state, penalties):
-                    trace.solved_at = len(trace.rows)
-                    return _finish(state, trace, penalties)
+        state.vel[:] = 0.0
+        for t in range(steps):
+            total, grad, terms, penalties = evaluate(state, WEIGHTS, stage, config)
+            if not math.isfinite(total):
+                raise DivergenceError("objective is not finite", t)
+            if stop and trace.rows and t % CHECK_EVERY == 0:
+                report = dict(zip(labels, penalties, strict=True))
+                if _solved(state, report):
+                    return _finish(state, trace, report, True)
+            _row(trace, stage, total, terms, step(state, grad, stage, t, steps))
     penalties = relation_penalties(state.index, _derived_view(state))
-    if stop and _solved(state, penalties):
-        trace.solved_at = len(trace.rows)
-    return _finish(state, trace, penalties)
+    return _finish(state, trace, penalties, stop and _solved(state, penalties))
 
 
 def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
@@ -502,7 +501,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
     weights = replace(WEIGHTS, relation=POLISH_RELATION)
     budget = config.iterations + config.iterations // 2
     trace, x = Trace(), state.x
-    labels = [term.label for block in state.index.blocks.values() for term in block.terms]
+    labels = _labels(state.index)
     classes = _slot_classes(state.index)
     total, grad, terms, penalties = evaluate(state, weights, 2, config)
     if not math.isfinite(total):
@@ -522,8 +521,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
         _row(trace, 2, total, terms, t)
         report = dict(zip(labels, penalties, strict=True))
         if _solved(state, report):
-            trace.solved_at = len(trace.rows)
-            return _finish(state, trace, report)
+            return _finish(state, trace, report, True)
         d = -g
         if pairs:
             alphas = []
@@ -538,7 +536,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
             pairs.clear()
             largest = np.abs(g).max()
             if largest == 0.0:
-                return _finish(state, trace, report)
+                return _finish(state, trace, report, False)
             d = g * (-FIRST_STEP / largest)
             slope = g @ d
         x0, g_prev, t = x.copy(), g, 1.0
@@ -547,7 +545,7 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
             if calls == budget or np.array_equal(x, x0):
                 x[:] = x0
                 if calls == budget or not pairs:
-                    return _finish(state, trace, report)
+                    return _finish(state, trace, report, False)
                 pairs.clear()
                 d, t = g * (-FIRST_STEP / np.abs(g).max()), 1.0
                 slope = g @ d
@@ -592,10 +590,10 @@ def solve(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple
     the stage-2 objective with the relation weight at POLISH_RELATION, in
     at most `config.iterations + config.iterations // 2` objective calls;
     each accepted iterate is tested.  From the random start, two momentum
-    stages of `config.iterations` steps run, and every CHECK_EVERY steps
-    and after the last one the state is tested.  The test is the seed
-    sweep's score of a solved layout: every relation penalty below
-    SATISFIED, and 0% collision and 0% out of bounds by
+    stages of `config.iterations` steps run, and the state after every
+    CHECK_EVERY steps of a stage and after the last step is tested.  The
+    test is the seed sweep's score of a solved layout: every relation
+    penalty below SATISFIED, and 0% collision and 0% out of bounds by
     `harness.eval_physical`.  The first state that passes ends the solve,
     and `trace.solved_at` records after how many rows.
 
@@ -677,14 +675,13 @@ def convergence_benchmark(
     first.  Each run takes its full budget of `2 * config.iterations`
     steps: a solved state does not end it.  A diverged run ends its seed: it and the run not
     reached record the full iteration budget and no curve, at speedup 1.
-    Any other error propagates.
+    Any other error propagates; a negative seed raises before any run.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     results = []
     cap = 2 * config.iterations
-    for seed in seeds:
-        cfg = replace(config, seed=int(seed))
+    for cfg in [replace(config, seed=int(seed)) for seed in seeds]:
         curves = []
         try:
             for flat in (False, True):
@@ -696,7 +693,7 @@ def convergence_benchmark(
         iters = [_iterations_to_threshold(c, threshold) for c in curves] + [cap] * (2 - len(curves))
         diverged = len(curves) < 2
         speedup = 1.0 if diverged or iters == [0, 0] else iters[1] / max(iters[0], 1)
-        results.append(BenchmarkResult(spec.name, int(seed), *iters, speedup, diverged, *curves))
+        results.append(BenchmarkResult(spec.name, cfg.seed, *iters, speedup, diverged, *curves))
     return results
 
 

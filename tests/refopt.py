@@ -7,10 +7,11 @@ against them bit for bit.
 stage-2 prior, then the flat parameterization's numpy `_pull_back`; its
 relation penalties are the aggregates' in plan order, each unit's then
 the scene's.
-`reference_step` is the step around it, clipping with a norms array, a
-boolean mask and `np.clip`, at a stage of the descent and the number of
-steps its rate anneals over.  `reference_around_loss` is the around kernel
-with its per-source derivatives in numpy arrays.  `reference_reframe` is
+`reference_step` is the update on the gradient it returns, clipping with a
+norms array, a boolean mask and `np.clip`, at step `t` of a stage of the
+descent and the number of steps its rate anneals over.
+`reference_around_loss` is the around kernel with its per-source
+derivatives in numpy arrays.  `reference_reframe` is
 the flat parameterization's change of frame through `Pose2D` objects and
 `geometry.relative` or `geometry.compose`.  The bodies are kept as they
 were in the library.
@@ -82,11 +83,9 @@ def reference_evaluate(state, weights, stage: int, config):
     return total, grad, terms, [v for part in parts[1:] + parts[:1] for v in part.penalties]
 
 
-def reference_step(state, config, stage: int, steps: int):
-    total, grad, terms, _ = reference_evaluate(state, optimizer.WEIGHTS, stage, config)
-    if not math.isfinite(total):
-        raise DivergenceError("objective is not finite", state.step_index)
-    factor = cosine_factor(state.step_index, steps)
+def reference_step(state, grad, stage: int, t: int, steps: int):
+    grad = np.array(grad, dtype=float)
+    factor = cosine_factor(t, steps)
 
     rows = grad[: state.index.pose_size].reshape(-1, 3)
     norms = np.array([math.hypot(gx, gy) for gx, gy, _ in rows.tolist()])
@@ -98,10 +97,9 @@ def reference_step(state, config, stage: int, steps: int):
     state.vel[:n] = optimizer.MOMENTUM * state.vel[:n] + g
     state.x[:n] -= lr[:n] * factor * state.vel[:n]
 
-    state.step_index += 1
     if not np.all(np.isfinite(state.x)):
-        raise DivergenceError("parameter is not finite", state.step_index)
-    return total, terms, factor
+        raise DivergenceError("parameter is not finite", t + 1)
+    return factor
 
 
 def reference_around_loss(boxes: list, _, sweep: float, center: float):

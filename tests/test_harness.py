@@ -728,6 +728,22 @@ def test_cli_solve_rejects_iterations_below_one(tmp_path, capsys):
     assert _json_errors(capsys.readouterr().err) == ["ValueError", "ValueError"]
 
 
+def test_cli_solve_and_bench_reject_a_negative_seed(tmp_path, capsys, monkeypatch):
+    # The config rejects the seed in the scene parser's words, not numpy's,
+    # and bench does so before it runs any seed.
+    def refused(*args):
+        raise AssertionError("a seed ran")
+
+    scene = _write_fixture(tmp_path, "star_unit")
+    monkeypatch.setattr(optimizer, "_run", refused)
+    assert main(["solve", scene, "--seed", "-1"]) == 1
+    assert main(["bench", scene, "--seeds", "0,-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = {"error": "ValueError", "message": "seed must be a non-negative integer, got -1"}
+    assert [json.loads(line) for line in captured.err.splitlines()] == [error, error]
+
+
 def test_cli_bench_rejects_iterations_below_one(tmp_path, capsys):
     scene = _write_fixture(tmp_path, "star_unit")
     assert main(["bench", scene, "--seeds", "0", "--iterations", "0"]) == 1

@@ -95,6 +95,12 @@ def _random_solve(spec, config, flat=False, stop=True):
     return _run(init_state(spec, seed), config, flat, False, stop)
 
 
+def _gradient(state, stage):
+    """The gradient `evaluate` returns at `state` for `stage`, the list the
+    descent hands to `step`."""
+    return evaluate(state, optimizer.WEIGHTS, stage, OptimizerConfig())[1]
+
+
 def _evaluations(monkeypatch, run):
     """`run()`'s result and the number of `evaluate` calls it made."""
     calls = []
@@ -320,9 +326,8 @@ def test_zero_gradient_step_is_noop():
     state = init_state(spec, seed=0)
     state.pose("box")[:] = (5.0, 5.0, 0.3)
     before = state.pose("box").copy()
-    step(state, OptimizerConfig(), 2, _STEPS)
+    assert step(state, _gradient(state, 2), 2, 0, _STEPS) == 1.0
     assert np.array_equal(state.pose("box"), before)
-    assert state.step_index == 1
 
 
 def test_slot_constants_follow_the_module_constants(monkeypatch):
@@ -347,7 +352,10 @@ def test_slot_constants_pin_every_slot():
     assert lr[n_pose:].tolist() == [optimizer.LR_SHARED] * (size - n_pose)
 
 
-def test_step_raises_on_nonfinite():
+def test_step_raises_on_nonfinite(monkeypatch):
+    # The descent raises on a non-finite objective before it steps, at the
+    # number of steps its stage has taken: 0 at a NaN start, and 5 when the
+    # 26th objective value of a 20-step-per-stage descent is NaN.
     spec = _scene(
         Room(10.0, 10.0, 3.0),
         (Asset("a", "box", (1.0, 1.0, 1.0)), Asset("b", "box", (1.0, 1.0, 1.0))),
@@ -355,8 +363,21 @@ def test_step_raises_on_nonfinite():
     )
     state = init_state(spec, seed=0)
     state.pose("a")[0] = math.nan
-    with pytest.raises(DivergenceError):
-        step(state, OptimizerConfig(), 2, _STEPS)
+    with pytest.raises(DivergenceError, match="objective is not finite") as info:
+        _run(state, OptimizerConfig(), False, False)
+    assert info.value.iteration == 0
+
+    calls = []
+
+    def nan_at_26(*args):
+        calls.append(1)
+        total, grad, terms, penalties = evaluate(*args)
+        return math.nan if len(calls) == 26 else total, grad, terms, penalties
+
+    monkeypatch.setattr(optimizer, "evaluate", nan_at_26)
+    with pytest.raises(DivergenceError, match="objective is not finite") as info:
+        _run(init_state(spec, seed=0), OptimizerConfig(iterations=20), False, False)
+    assert len(calls) == 26 and info.value.iteration == 5
 
 
 def test_step_raises_when_a_parameter_turns_infinite(monkeypatch):
@@ -369,9 +390,8 @@ def test_step_raises_when_a_parameter_turns_infinite(monkeypatch):
     )
     monkeypatch.setattr(optimizer, "LR_POSITION", math.inf)
     state = init_state(spec, seed=0)
-    state.step_index = 4
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="parameter is not finite") as info:
-        step(state, OptimizerConfig(), 1, _STEPS)
+        step(state, _gradient(state, 1), 1, 4, _STEPS)
     assert info.value.iteration == 5
 
 
@@ -390,8 +410,8 @@ def test_unit_frame_fixed_under_intra_terms():
     state = init_state(_intra_only_scene(), seed=3)
     frame_before = state.pose("u").copy()
     local_before = state.pose("c").copy()
-    for _ in range(5):
-        step(state, OptimizerConfig(), 1, _STEPS)
+    for t in range(5):
+        step(state, _gradient(state, 1), 1, t, _STEPS)
     assert np.array_equal(state.pose("u"), frame_before)
     assert not np.array_equal(state.pose("c"), local_before)
 
@@ -490,10 +510,10 @@ def test_shared_params_frozen_in_stage1_and_updated_in_stage2():
         relations=(Relation("distance", "a", "b", {"d": 2.0}, "inter", None, "sep"),),
     )
     state = init_state(spec, seed=1)
-    for _ in range(4):
-        step(state, OptimizerConfig(), 1, _STEPS)
+    for t in range(4):
+        step(state, _gradient(state, 1), 1, t, _STEPS)
     assert state.shared["sep"] == 2.0
-    step(state, OptimizerConfig(), 2, _STEPS)
+    step(state, _gradient(state, 2), 2, 4, _STEPS)
     assert state.shared["sep"] != 2.0
 
 
@@ -642,6 +662,45 @@ def test_the_lbfgs_stop_test_reads_the_penalties_evaluate_recorded(name, monkeyp
             for k, (got, want) in enumerate(seen):
                 assert repr(got) == repr(want), (seed, flat, k)
             assert repr(list(trace.final_penalties.items())) == repr(_report_at(state)), (seed, flat)
+
+
+def test_the_momentum_stop_test_reads_the_penalties_evaluate_recorded(monkeypatch):
+    # Unrevised conflict_pair's imagined layout collides, so `solve` takes
+    # the random start.  The state after every 25th step of a stage is
+    # tested on the penalties of the `evaluate` at that state, bit for bit
+    # `relation_penalties` there, which the solver does not call: seed 0
+    # stops solved at its 47th test, after 1175 rows.  Seed 1 runs its whole
+    # budget, and its end is tested once more, on the one
+    # `relation_penalties` call of the solve.
+    spec = load_fixture("conflict_pair")
+    seen, stop, calls = [], optimizer._solved, []
+
+    def spy(state, penalties):
+        seen.append((list(penalties.items()), _report_at(state)))
+        return stop(state, penalties)
+
+    def refused(*args):
+        raise AssertionError("a momentum checkpoint called relation_penalties")
+
+    def counted(*args):
+        calls.append(1)
+        return relation_penalties(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "_solved", spy)
+        m.setattr(optimizer, "relation_penalties", refused)
+        _, trace = solve(spec, OptimizerConfig(seed=0))
+    assert trace.solved_at == len(trace.rows) == 1175
+    assert len(seen) == 47 and all(repr(got) == repr(want) for got, want in seen)
+    assert repr(list(trace.final_penalties.items())) == repr(seen[-1][1])
+
+    seen.clear()
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "_solved", spy)
+        m.setattr(optimizer, "relation_penalties", counted)
+        _, trace = solve(spec, OptimizerConfig(seed=1))
+    assert trace.solved_at is None and len(trace.rows) == 1200 and calls == [1]
+    assert len(seen) == 48 and all(repr(got) == repr(want) for got, want in seen)
 
 
 @pytest.mark.parametrize("name, seed, iterations", [*((n, 1, 2) for n in FIXTURE_NAMES), ("bookstore_rows", 40, 600)])
@@ -806,10 +865,10 @@ def test_a_scene_whose_imagined_layout_collides_solves_from_the_random_start(nam
     state = init_state(spec, config.seed)
     rows = []
     for stage in (1, 2):
-        state.reset_momentum()
-        for _ in range(config.iterations):
-            total, _, factor = reference_step(state, config, stage, config.iterations)
-            rows.append((stage, float(total), factor))
+        state.vel[:] = 0.0
+        for t in range(config.iterations):
+            total, grad, _, _ = refopt.reference_evaluate(state, optimizer.WEIGHTS, stage, config)
+            rows.append((stage, float(total), reference_step(state, grad, stage, t, config.iterations)))
     assert [(r.stage, r.total, r.lr) for r in trace.rows] == rows
     assert serialize_layout(layout) == serialize_layout(_state_layout(state))
     assert repr(trace.final_shared) == repr(state.shared)
@@ -944,26 +1003,13 @@ def test_evaluate_matches_the_parts_summing_reference_bitwise(name):
                 assert repr(penalties) == repr(want_penalties), context
 
 
-def _fixed_gradient(grad, array=False):
-    """An `evaluate` stand-in returning `grad` at a finite objective, as the
-    list `evaluate` returns, or with `array` set as the array
-    `refopt.reference_evaluate` returns, and no relation penalty."""
-
-    def fake(state, weights, stage, config):
-        g = np.array(grad, dtype=float)
-        return 1.0, g if array else g.tolist(), {"collision": 0.0, "boundary": 0.0, "relation": 1.0, "prior": 0.0}, []
-
-    return fake
-
-
 def test_step_does_not_scale_a_row_at_exactly_the_clip_norm(monkeypatch):
     spec = _scene(Room(10.0, 10.0, 3.0), (Asset("box", "box", (1.0, 1.0, 1.0)),))
     for g, moved in (((3.0, 4.0, 0.0), (1.5, 2.0)), ((6.0, 8.0, 0.0), (1.5, 2.0)), ((0.0, 5.0, 0.0), (0.0, 2.5))):
         state = init_state(spec, seed=0)
         state.pose("box")[:] = (5.0, 5.0, 0.3)
-        monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(g))
         monkeypatch.setattr(optimizer, "CLIP_POSITION", 5.0)
-        step(state, OptimizerConfig(), 2, _STEPS)
+        step(state, list(g), 2, 0, _STEPS)
         assert state.pose("box").tolist() == [5.0 - moved[0], 5.0 - moved[1], 0.3], g
 
 
@@ -972,32 +1018,27 @@ def test_stage1_step_leaves_shared_slots_and_their_velocity(monkeypatch):
     shared = list(state.index.param.values())
     state.vel[shared] = 0.25
     x_before, vel_before = state.x[shared].copy(), state.vel[shared].copy()
-    monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(np.full(state.index.size, 0.5)))
-    step(state, OptimizerConfig(), 1, _STEPS)
+    step(state, [0.5] * state.index.size, 1, 0, _STEPS)
     assert np.array_equal(state.x[shared], x_before)
     assert np.array_equal(state.vel[shared], vel_before)
     assert state.vel[0] == 0.5
 
 
 @pytest.mark.parametrize("stage", [1, 2])
-def test_nan_gradient_diverges_at_the_reference_step(stage, monkeypatch):
-    # A NaN in any gradient slot ends the same way as in the reference
-    # step: at the same step index, or, for a shared slot in stage 1, not
-    # at all and with the same state.
+def test_nan_gradient_diverges_at_the_reference_step(stage):
+    # A NaN in any gradient slot of step 3 ends the same way as in the
+    # reference step: at the same iteration, or, for a shared slot in stage
+    # 1, not at all, with the same state and cosine factor.
     base = _assembled_scene()
-    base.step_index = 3
     for slot in range(base.index.size):
         grad = np.linspace(-2.0, 2.0, base.index.size)
         grad[slot] = math.nan
         outcomes = []
         for stepper in (step, reference_step):
             state = _clone(base)
-            state.step_index = base.step_index
-            monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(grad))
-            monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad, array=True))
             try:
-                stepper(state, OptimizerConfig(), stage, _STEPS)
-                outcomes.append(("ok", state.x.tobytes(), state.vel.tobytes(), state.step_index))
+                factor = stepper(state, grad.tolist(), stage, 3, _STEPS)
+                outcomes.append(("ok", state.x.tobytes(), state.vel.tobytes(), factor))
             except DivergenceError as exc:
                 outcomes.append(("diverged", str(exc), exc.iteration))
         assert outcomes[0] == outcomes[1], (stage, slot)
@@ -1017,7 +1058,6 @@ def test_step_matches_the_reference_step_on_edge_gradients(clip, monkeypatch):
     if clip is not None:
         monkeypatch.setattr(optimizer, "CLIP_POSITION", clip)
         monkeypatch.setattr(optimizer, "CLIP_ROTATION", clip)
-    config = OptimizerConfig()
     base = _assembled_scene()
     rng = np.random.default_rng(7)
     base.vel[:] = rng.normal(0.0, 0.5, base.index.size)
@@ -1028,15 +1068,12 @@ def test_step_matches_the_reference_step_on_edge_gradients(clip, monkeypatch):
         for stepper in (step, reference_step):
             state = _clone(base)
             state.vel[:] = base.vel
-            monkeypatch.setattr(optimizer, "evaluate", _fixed_gradient(grad))
-            monkeypatch.setattr(refopt, "reference_evaluate", _fixed_gradient(grad, array=True))
             try:
                 with np.errstate(all="ignore"):  # the reference's inf * 0 in its row scaling
-                    stepper(state, config, stage, _STEPS)
-                outcome = "ok"
+                    outcome = stepper(state, grad.tolist(), stage, 0, _STEPS)
             except DivergenceError as exc:
-                outcome = str(exc)
-            outcomes.append((outcome, state.x.tobytes(), state.vel.tobytes(), state.step_index))
+                outcome = (str(exc), exc.iteration)
+            outcomes.append((outcome, state.x.tobytes(), state.vel.tobytes()))
         assert outcomes[0] == outcomes[1], (clip, trial, grad.tolist())
 
 
