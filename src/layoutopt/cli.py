@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .errors import DivergenceError, InfeasibleRoomError, LayoutError
 from .graph_analysis import build_graph, decomposition_savings
@@ -59,10 +58,8 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def _cmd_solve(args) -> int:
+    config = OptimizerConfig(args.iterations, seed=args.seed)
     spec = load_scene(args.scene)
-    config = OptimizerConfig(seed=args.seed)
-    if args.iterations is not None:
-        config = replace(config, iterations=args.iterations)
     layout, trace = solve(spec, config)
     report = eval_physical(spec, layout)
 
@@ -108,13 +105,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = load_scene(args.scene)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     if not seeds:
         raise ValueError("no seeds given")
-    config = OptimizerConfig()
-    if args.iterations is not None:
-        config = replace(config, iterations=args.iterations)
+    config = OptimizerConfig(args.iterations)
+    spec = load_scene(args.scene)
     results = convergence_benchmark(spec, seeds, threshold=args.threshold, config=config)
     for r in results:
         status = " (diverged)" if r.diverged else ""
@@ -140,8 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="optimize a scene into a layout")
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--seed", type=int, default=None, help="override scene seed")
-    p.add_argument("--iterations", type=int, default=None, help="budget N (default 600): from the imagined start, "
-                   "at most N + N//2 objective evaluations by L-BFGS; from the random start, N momentum steps per stage")
+    p.add_argument("--iterations", type=int, default=OptimizerConfig.iterations,
+                   help="budget N (default %(default)s): from the imagined start, at most N + N//2 objective "
+                   "evaluations by L-BFGS; from the random start, N momentum steps per stage")
     p.add_argument("--out", default=None, help="write layout JSON here")
     p.add_argument("--trace", default=None, help="write per-iteration loss CSV here")
     p.add_argument("--svg", default=None, help="write floor-plan SVG here")
@@ -167,8 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scene", help="scene JSON file")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
     p.add_argument("--threshold", type=float, default=0.1, help="normalized loss target")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="N momentum steps per stage (default 600), two stages: 2*N steps per run")
+    p.add_argument("--iterations", type=int, default=OptimizerConfig.iterations,
+                   help="N momentum steps per stage (default %(default)s), two stages: 2*N steps per run")
     p.add_argument("--curves", default=None, help="write smoothed loss curves CSV here")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .constraints import Block, Term, _block_boxes, _proxy_pairs, param_index
 from .errors import RevisionError, SceneSemanticError
 from .geometry import Pose2D, half_extents, normalize_angle
-from .scene_model import Relation, SceneSpec, _edited_positions, replace_relations
+from .scene_model import Relation, SceneSpec, _edited_positions, _integer_at_least, replace_relations
 
 # Imagined side/ring placements clear the proxy boxes by this much.
 SIDE_CLEARANCE = 0.01
@@ -582,7 +582,8 @@ def _places_alike(old: tuple, new: tuple, idle: set, positions) -> bool:
 
 
 def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 10):
-    """Imagine, detect, revise until conflict-free or out of budget.
+    """Imagine, detect, revise until conflict-free or out of `budget`
+    rounds, an integer of at least 1 (`scene_model._integer_at_least`).
 
     Returns (possibly revised spec, RevisionReport).  Edits outside the
     conflicting scopes raise RevisionError, and so does a revised relation
@@ -605,8 +606,8 @@ def imagine_and_revise(spec: SceneSpec, reviser=baseline_reviser, budget: int = 
     layout as it was (`_places_alike`): the reviser only edited distance or
     gap relations whose terms pinned nothing.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    if not _integer_at_least(budget, 1):
+        raise ValueError(f"budget must be an integer of at least 1, got {budget}")
     current = spec
     rounds = []
     keys = detected = None

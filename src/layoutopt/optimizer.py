@@ -21,7 +21,9 @@ A solve compiles the scene once and runs the imagination pass on that plan
 poses are clean (`harness._is_clean`), the solve starts there, with seeded
 N(0, JITTER) noise on every pose slot, and `_lbfgs` minimizes the stage-2
 objective at relation weight POLISH_RELATION, from one curvature guess
-per class of slots (`_slot_classes`).  Otherwise it falls back to
+per class of slots (`_slot_classes`), restarting by one rule to steepest
+descent; a steepest step that stalls, or the cap, ends it at the last
+accepted iterate.  Otherwise the solve falls back to
 `init_state`'s seeded random draw and two momentum stages of `iterations`
 steps: stage 1 optimizes poses under relation terms only, with constraint
 parameters frozen; stage 2 enables collision and boundary terms, and lets
@@ -60,7 +62,7 @@ from .constraints import (
 from .errors import DivergenceError, InfeasibleRoomError
 from .harness import _is_clean
 from .imagination import _imagine
-from .scene_model import Layout, SceneSpec
+from .scene_model import Layout, SceneSpec, _integer_at_least
 
 
 # Momentum steps between two tests of whether a solve is done, in each stage.
@@ -99,14 +101,19 @@ EMA_ALPHA = 0.85
 class OptimizerConfig:
     """Descent settings; `iterations` sets the cap of a solve (see `solve`;
     a solve ends sooner once it is solved), and a `seed` of None starts
-    from the scene's own seed.  A negative seed raises ValueError."""
+    from the scene's own seed.  Built, it raises ValueError unless
+    `iterations` is an integer of at least 1 and `seed` None or a
+    non-negative integer, an integer as the scene parser reads a seed
+    (`scene_model._integer_at_least`): numpy's pass, a bool does not."""
 
     iterations: int = 600
     prior_weight: float = 1.0
     seed: int | None = None
 
     def __post_init__(self):
-        if self.seed is not None and self.seed < 0:
+        if not _integer_at_least(self.iterations, 1):
+            raise ValueError(f"iterations must be an integer of at least 1, got {self.iterations}")
+        if self.seed is not None and not _integer_at_least(self.seed, 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
@@ -264,12 +271,6 @@ def _start(spec: SceneSpec, config: OptimizerConfig) -> tuple:
     return state, True
 
 
-def _stage_weights(weights: Weights, stage: int) -> Weights:
-    if stage == 1:
-        return Weights(collision=0.0, relation=weights.relation, boundary=0.0)
-    return weights
-
-
 def _unit_rows(index: ParamIndex) -> list:
     """(frame row, member rows) of each unit, from the plan: its stand-in's
     row in the scene block, and its own block's rows but the anchor's."""
@@ -356,7 +357,7 @@ def evaluate(state: ParamState, weights: Weights, stage: int, config: OptimizerC
     read it.
     """
     spec, index = state.spec, state.index
-    eff = _stage_weights(weights, stage)
+    eff = replace(weights, collision=0.0, boundary=0.0) if stage == 1 else weights
     x = _derived_view(state)
     scene = aggregate_global(spec, index, x, eff)
     xs = x.tolist()
@@ -483,20 +484,20 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
     trace row per accepted iterate, the start first.
 
     The direction is the two-loop recursion over the last LBFGS_MEMORY
-    curvature pairs, a pair kept only when its s.y exceeds CURVATURE_MIN.
-    It starts from the last pair's `_diagonal` (Gilbert & Lemarechal,
-    1989): s.y / y.y over each slot class, the whole pair's where a class's
-    is not positive.  With no pair, or when that direction does not
-    descend, the pairs are dropped and the direction is steepest descent,
-    scaled so that its largest entry is FIRST_STEP.  The line search halves
-    the step from 1 until the Armijo condition holds at constant ARMIJO; a
-    two-loop direction it shrinks until `x` no longer moves gives way to
-    steepest descent, once.
-    Each accepted iterate is tested by `_solved` on the penalties its
-    `evaluate` recorded, and the first pass ends the solve.  `evaluate`
-    runs at most `iterations + iterations // 2` times; a line search that
-    the cap cuts, or whose steepest step no longer moves `x`, ends the
-    solve at the last accepted iterate.
+    curvature pairs, a pair kept only when its s.y exceeds CURVATURE_MIN,
+    from the last pair's `_diagonal` (Gilbert & Lemarechal, 1989): s.y /
+    y.y over each slot class, the whole pair's where a class's is not
+    positive.  The line search halves the step from 1 until the Armijo
+    condition holds at constant ARMIJO.  One rule restarts: when there is
+    no pair, or the two-loop direction does not descend, or its line search
+    shrinks until `x` no longer moves, the pairs are dropped and the
+    direction is steepest descent, scaled so that its largest entry is
+    FIRST_STEP; a zero gradient there ends the solve.  Each accepted
+    iterate is tested by `_solved` on the penalties its `evaluate`
+    recorded, and the first pass ends the solve.  `evaluate` runs at most
+    `iterations + iterations // 2` times: the cap, or a steepest step that
+    no longer moves `x`, is stuck, and ends the solve at the last accepted
+    iterate.
     """
     weights = replace(WEIGHTS, relation=POLISH_RELATION)
     budget = config.iterations + config.iterations // 2
@@ -522,33 +523,32 @@ def _lbfgs(state: ParamState, config: OptimizerConfig) -> Trace:
         report = dict(zip(labels, penalties, strict=True))
         if _solved(state, report):
             return _finish(state, trace, report, True)
-        d = -g
+        x0, g_prev, d, t = x.copy(), g, None, 1.0
         if pairs:
-            alphas = []
+            d, alphas = -g, []
             for s, y, rho in reversed(pairs):
                 alphas.append(rho * (s @ d))
                 d -= alphas[-1] * y
             d *= h0
             for (s, y, rho), a in zip(pairs, reversed(alphas)):
                 d += (a - rho * (y @ d)) * s
-        slope = g @ d
-        if not (pairs and slope < 0.0):
-            pairs.clear()
-            largest = np.abs(g).max()
-            if largest == 0.0:
-                return _finish(state, trace, report, False)
-            d = g * (-FIRST_STEP / largest)
             slope = g @ d
-        x0, g_prev, t = x.copy(), g, 1.0
+            if not slope < 0.0:
+                d = None
         while True:
+            if d is None:  # the restart
+                pairs, t = [], 1.0
+                largest = np.abs(g).max()
+                if largest == 0.0:
+                    return _finish(state, trace, report, False)
+                d = g * (-FIRST_STEP / largest)
+                slope = g @ d
             x[:] = x0 + t * d
             if calls == budget or np.array_equal(x, x0):
-                x[:] = x0
-                if calls == budget or not pairs:
+                if calls == budget or not pairs:  # stuck
+                    x[:] = x0
                     return _finish(state, trace, report, False)
-                pairs.clear()
-                d, t = g * (-FIRST_STEP / np.abs(g).max()), 1.0
-                slope = g @ d
+                d = None
                 continue
             trial, grad, trial_terms, trial_penalties = evaluate(state, weights, 2, config)
             calls += 1
@@ -563,23 +563,11 @@ def _run(state: ParamState, config: OptimizerConfig, flat: bool, imagined: bool,
     `flat` is set: by `_lbfgs` from the imagined start, else by the two
     momentum stages, which with `stop` unset run their full budget whatever
     their state."""
-    if config.iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {config.iterations}")
     if flat:
         state.x[:] = _global_view(state)
         state.flat = True
-    if imagined:
-        trace = _lbfgs(state, config)
-    else:
-        trace = _descend(state, config, stop)
+    trace = _lbfgs(state, config) if imagined else _descend(state, config, stop)
     return _state_layout(state), trace
-
-
-def _solve(spec: SceneSpec, config: OptimizerConfig, flat: bool = False) -> tuple[Layout, Trace]:
-    """`solve`, or `solve_global_baseline` when `flat` is set, from `_start`,
-    stopping when solved."""
-    state, imagined = _start(spec, config)
-    return _run(state, config, flat, imagined)
 
 
 def solve(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple[Layout, Trace]:
@@ -597,12 +585,13 @@ def solve(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple
     `harness.eval_physical`.  The first state that passes ends the solve,
     and `trace.solved_at` records after how many rows.
 
-    Returns the final layout and the per-iterate trace.  Raises ValueError
-    when `config.iterations` is below 1, InfeasibleRoomError for rooms that
-    cannot contain their assets and DivergenceError if the objective or a
-    parameter becomes non-finite.
+    Returns the final layout and the per-iterate trace.  Raises
+    InfeasibleRoomError for rooms that cannot contain their assets and
+    DivergenceError if the objective or a parameter becomes non-finite; a
+    bad setting is the config's ValueError, raised when it is built.
     """
-    return _solve(spec, config)
+    state, imagined = _start(spec, config)
+    return _run(state, config, False, imagined)
 
 
 def solve_global_baseline(spec: SceneSpec, config: OptimizerConfig = OptimizerConfig()) -> tuple[Layout, Trace]:
@@ -614,7 +603,8 @@ def solve_global_baseline(spec: SceneSpec, config: OptimizerConfig = OptimizerCo
     method).  Gradients of unit-internal terms now flow to both the member
     and the anchor.  It stops when solved as `solve` does.
     """
-    return _solve(spec, config, flat=True)
+    state, imagined = _start(spec, config)
+    return _run(state, config, True, imagined)
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +665,14 @@ def convergence_benchmark(
     first.  Each run takes its full budget of `2 * config.iterations`
     steps: a solved state does not end it.  A diverged run ends its seed: it and the run not
     reached record the full iteration budget and no curve, at speedup 1.
-    Any other error propagates; a negative seed raises before any run.
+    Any other error propagates; a seed the config rejects, as given,
+    raises before any run.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     results = []
     cap = 2 * config.iterations
-    for cfg in [replace(config, seed=int(seed)) for seed in seeds]:
+    for cfg in [replace(config, seed=seed) for seed in seeds]:
         curves = []
         try:
             for flat in (False, True):

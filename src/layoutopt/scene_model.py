@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
@@ -262,6 +263,15 @@ def _number(value, location: str, minimum=None, maximum=None) -> float:
     if maximum is not None and v > maximum:
         _err(f"must be <= {maximum}", location)
     return v
+
+
+def _integer_at_least(value, least: int) -> bool:
+    """Whether `value` is an integer, anything `operator.index` takes but a
+    bool, of at least `least`."""
+    try:
+        return not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        return False
 
 
 def _string(value, location: str) -> str:
@@ -566,7 +576,7 @@ def parse_scene(text: str) -> SceneSpec:
     _validate_relation_list(relations)
 
     seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _integer_at_least(seed, 0):
         _err("seed must be a non-negative integer", "seed")
 
     name = data.get("name", "")

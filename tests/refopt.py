@@ -2,8 +2,8 @@
 objective became one pass over the plan.  The tests measure the library
 against them bit for bit.
 
-`reference_evaluate` sums the aggregates' results as arrays:
-`aggregate_global`, then `aggregate_local` per unit in plan order, then the
+`reference_evaluate` sums the aggregates' results as arrays, at the
+relation weight alone in stage 1: `aggregate_global`, then `aggregate_local` per unit in plan order, then the
 stage-2 prior, then the flat parameterization's numpy `_pull_back`; its
 relation penalties are the aggregates' in plan order, each unit's then
 the scene's.
@@ -24,10 +24,10 @@ import math
 import numpy as np
 
 from layoutopt import optimizer
-from layoutopt.constraints import aggregate_global, aggregate_local
+from layoutopt.constraints import Weights, aggregate_global, aggregate_local
 from layoutopt.errors import DivergenceError
 from layoutopt.geometry import Pose2D
-from layoutopt.optimizer import _derived_view, _stage_weights, _unit_rows, cosine_factor
+from layoutopt.optimizer import _derived_view, _unit_rows, cosine_factor
 
 
 def reference_reframe(index, x: np.ndarray, map_pose) -> np.ndarray:
@@ -56,7 +56,7 @@ def reference_pull_back(state, view: np.ndarray, grad: np.ndarray):
 
 def reference_evaluate(state, weights, stage: int, config):
     spec, index = state.spec, state.index
-    eff = _stage_weights(weights, stage)
+    eff = Weights(collision=0.0, relation=weights.relation, boundary=0.0) if stage == 1 else weights
     x = _derived_view(state)
     parts = [aggregate_global(spec, index, x, eff)]
     parts += [aggregate_local(spec, unit, index, x, eff) for unit in index.blocks if unit is not None]

@@ -545,6 +545,17 @@ def test_benchmark_rejects_bad_threshold():
             convergence_benchmark(spec, (0,), threshold=bad)
 
 
+def test_benchmark_hands_each_seed_to_the_config_as_given(monkeypatch):
+    # Each seed reaches the config as given: 2.7 is refused, not run as
+    # seed 2, before any seed runs.
+    def refused(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(optimizer, "_run", refused)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got 2.7"):
+        convergence_benchmark(load_fixture("dining_set"), (0, 2.7))
+
+
 def test_curves_csv_rows_and_equal_start():
     spec = load_fixture("dining_set")
     csv = benchmark_curves_csv(convergence_benchmark(spec, (0,), config=OptimizerConfig(iterations=10)))
@@ -726,6 +737,21 @@ def test_cli_solve_rejects_iterations_below_one(tmp_path, capsys):
     assert main(["solve", scene, "--iterations", "0"]) == 1
     assert main(["solve", scene, "--iterations", "-3"]) == 1
     assert _json_errors(capsys.readouterr().err) == ["ValueError", "ValueError"]
+
+
+def test_cli_settings_are_checked_before_the_scene_is_solved(tmp_path, capsys):
+    # A 5 x 1 asset cannot fit a 2 x 2 room, an InfeasibleRoomError (exit 2)
+    # once a solve starts; a bad `--iterations` is a usage error found first.
+    room = {"length": 2, "width": 2, "height": 3}
+    scene = tmp_path / "tight.json"
+    scene.write_text(json.dumps({"room": room, "assets": [{"id": "a", "size": [5, 1, 1]}]}))
+    assert main(["solve", str(scene), "--iterations", "0"]) == 1
+    assert main(["bench", str(scene), "--seeds", "0", "--iterations", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line)["error"] for line in captured.err.splitlines()] == ["ValueError", "ValueError"]
+    assert main(["solve", str(scene), "--iterations", "1"]) == 2
+    assert _json_errors(capsys.readouterr().err) == ["InfeasibleRoomError"]
 
 
 def test_cli_solve_and_bench_reject_a_negative_seed(tmp_path, capsys, monkeypatch):

@@ -472,6 +472,16 @@ def test_budget_must_be_positive():
         imagine_and_revise(load_fixture("dining_set"), budget=0)
 
 
+def test_budget_must_be_an_integer():
+    # A budget is an integer of at least 1 as the parser reads a seed: 2.5
+    # and True are refused as 0 is, and a numpy integer counts.
+    spec = load_fixture("dining_set")
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="budget must be an integer of at least 1"):
+            imagine_and_revise(spec, budget=bad)
+    assert imagine_and_revise(spec, budget=np.int64(1)) == imagine_and_revise(spec, budget=1)
+
+
 # --- incremental revision against the whole-scene round trip ---------------
 
 

@@ -185,6 +185,31 @@ def test_solvers_default_to_the_scene_seed():
         assert layout == seeded_layout and trace.to_csv() == seeded_trace.to_csv()
 
 
+@pytest.mark.parametrize(
+    "name, value", [("iterations", 3.5), ("iterations", True), ("iterations", 0), ("seed", 1.5), ("seed", True)]
+)
+def test_the_config_rejects_a_setting_that_is_not_an_integer_in_range(name, value):
+    # As the scene parser reads a seed, an integer is what `operator.index`
+    # takes but a bool; the config checks when it is built, and so when
+    # `replace` builds one.
+    for build in (OptimizerConfig, lambda **kw: replace(OptimizerConfig(), **kw)):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            build(**{name: value})
+
+
+def test_numpy_integer_settings_cap_a_solve_as_ints_do(monkeypatch):
+    # mixed_ten seed 149 does not solve within its cap of 3 + 3 // 2 = 4
+    # `evaluate` calls, and numpy integers cap it the same, bit for bit.
+    spec = load_fixture("mixed_ten")
+    runs = []
+    for seed, iterations in ((149, 3), (np.int64(149), np.int64(3))):
+        config = OptimizerConfig(seed=seed, iterations=iterations)
+        (layout, trace), calls = _evaluations(monkeypatch, lambda: solve(spec, config))
+        assert calls == 4 and trace.solved_at is None
+        runs.append((layout, trace.to_csv()))
+    assert runs[0] == runs[1]
+
+
 def test_global_pose_composes_member_locals():
     spec = _scene(
         Room(8.0, 8.0, 3.0),
