@@ -24,7 +24,7 @@ from .errors import DivergenceError, InfeasibleRoomError, LayoutError
 from .graph_analysis import build_graph, decomposition_savings
 from .harness import eval_physical, render_svg
 from .imagination import imagine_and_revise
-from .optimizer import OptimizerConfig, benchmark_curves_csv, convergence_benchmark, solve
+from .optimizer import OptimizerConfig, _compare, benchmark_curves_csv, solve
 from .scene_model import load_scene, parse_layout, serialize_layout, serialize_scene
 
 
@@ -108,9 +108,10 @@ def _cmd_bench(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     if not seeds:
         raise ValueError("no seeds given")
-    config = OptimizerConfig(args.iterations)
+    # A bad seed is a usage error, reported before the scene is read.
+    configs = [OptimizerConfig(args.iterations, seed=seed) for seed in seeds]
     spec = load_scene(args.scene)
-    results = convergence_benchmark(spec, seeds, threshold=args.threshold, config=config)
+    results = _compare(spec, configs, args.threshold)
     for r in results:
         status = " (diverged)" if r.diverged else ""
         print(

@@ -16,10 +16,12 @@ rule:
   `_pull_back` carries their gradients back, which re-couples the blocks.
   This serves as the reference point for convergence comparisons.
 
-A solve compiles the scene once and runs the imagination pass on that plan
-(`imagination._imagine`, which `interpret_scene` wraps).  When the imagined
-poses are clean (`harness._is_clean`), the solve starts there, with seeded
-N(0, JITTER) noise on every pose slot, and `_lbfgs` minimizes the stage-2
+A scene is compiled into its relation plan, imagined on that plan
+(`imagination._imagine`, which `interpret_scene` wraps) and its imagined
+poses checked (`harness._is_clean`) by `_compiled`, once for all the solves
+of a parsed spec: none of it reads the seed.  When the imagined poses are
+clean, the solve starts from a copy of them, with seeded N(0, JITTER)
+noise on every pose slot, and `_lbfgs` minimizes the stage-2
 objective at relation weight POLISH_RELATION, from one curvature guess
 per class of slots (`_slot_classes`), restarting by one rule to steepest
 descent; a steepest step that stalls, or the cap, ends it at the last
@@ -39,14 +41,16 @@ solved layout (`_solved`), and the first pass ends it; `relation_penalties`
 serves the momentum steps' end.  Every end goes through `_finish`.
 
 `convergence_benchmark` compares the two parameterizations: it runs both
-from `init_state`'s draw through the two-stage descent with the stop test
-off, and reads iterations-to-threshold off each run's loss curve.
+from `init_state`'s draw, on one plan compiled for all its seeds and never
+imagined, through the two-stage descent with the stop test off, and reads
+iterations-to-threshold off each run's loss curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import is_
 
 import numpy as np
 
@@ -249,23 +253,46 @@ def init_state(spec: SceneSpec, seed: int, index: ParamIndex | None = None) -> P
     return ParamState(spec, index, x)
 
 
-def _start(spec: SceneSpec, config: OptimizerConfig) -> tuple:
-    """The state a solve starts from, and whether it is the imagined one.
+def _compiled(spec: SceneSpec) -> tuple:
+    """The scene compiled for a solve: its plan, its imagined vector with
+    the shared slots at their priors (read-only), and whether the imagined
+    layout is clean (`harness._is_clean`).
 
-    The scene is compiled once and imagined on that plan.  When the
-    imagined poses are clean, they are the start, with seeded N(0, JITTER)
-    noise on every pose slot (the seed draws only this noise); otherwise
-    the start is `init_state`'s draw.  An asset the room cannot hold raises
-    before any imagining.
+    None of them reads the seed.  A spec the parser recorded
+    (`spec._parsed is spec.relations`) keeps them in `spec._compiled`, with
+    the relations, room, assets and units they were built from, and reuses
+    them while it holds those same objects, all immutable; any other spec
+    compiles afresh on every call.  No reader writes into the plan.
     """
-    _check_fits(spec)
-    seed = spec.seed if config.seed is None else config.seed
+    key = (spec.relations, spec.room, spec.assets, spec.units)
+    recorded = spec._parsed is spec.relations
+    if recorded and spec._compiled is not None and all(map(is_, spec._compiled[0], key)):
+        return spec._compiled[1]
     index = param_index(spec)
     x = np.array(_imagine(spec, index))
     x[index.pose_size :] = index.priors
-    state = ParamState(spec, index, x)
-    if not _is_clean(spec, _state_layout(state)):
+    clean = _is_clean(spec, _state_layout(ParamState(spec, index, x)))
+    x.flags.writeable = False
+    if recorded:
+        spec._compiled = key, (index, x, clean)
+    return index, x, clean
+
+
+def _start(spec: SceneSpec, config: OptimizerConfig) -> tuple:
+    """The state a solve starts from, and whether it is the imagined one.
+
+    An asset the room cannot hold raises first, before any imagining.  The
+    scene comes compiled and imagined from `_compiled`, once for all the
+    solves of a parsed spec.  When the imagined poses are clean, the start
+    is a copy of them with seeded N(0, JITTER) noise on every pose slot
+    (the seed draws only this noise); otherwise it is `init_state`'s draw.
+    """
+    _check_fits(spec)
+    seed = spec.seed if config.seed is None else config.seed
+    index, imagined, clean = _compiled(spec)
+    if not clean:
         return init_state(spec, seed, index), False
+    state = ParamState(spec, index, imagined.copy())
     n = index.pose_size
     state.x[:n] += np.random.default_rng(seed).normal(0.0, JITTER, n)
     return state, True
@@ -656,27 +683,37 @@ def convergence_benchmark(
 ) -> list:
     """Iterations-to-threshold for both parameterizations, per seed.
 
-    Both runs start from `init_state`'s draw for the seed, so they start
-    from the same configuration and the same initial loss, and descend the
-    two stages of the random start: the comparison measures the
-    parameterization, not the start.  The reported speedup is baseline
-    iterations over re-parameterized iterations, and 1 when both runs start
-    at zero loss and so both read 0 iterations.  The two-level run goes
-    first.  Each run takes its full budget of `2 * config.iterations`
-    steps: a solved state does not end it.  A diverged run ends its seed: it and the run not
-    reached record the full iteration budget and no curve, at speedup 1.
-    Any other error propagates; a seed the config rejects, as given,
-    raises before any run.
+    Each seed runs at `config` with that seed, as given: a seed the config
+    rejects raises before any run.  The runs are `_compare`'s.
+    """
+    return _compare(spec, [replace(config, seed=seed) for seed in seeds], threshold)
+
+
+def _compare(spec: SceneSpec, configs: list, threshold: float) -> list:
+    """`convergence_benchmark` over one built config per seed.
+
+    Both runs of a seed start from `init_state`'s draw for it, on one plan
+    compiled for all the seeds, so they start from the same configuration
+    and the same initial loss, and descend the two stages of the random
+    start: the comparison measures the parameterization, not the start.
+    The reported speedup is baseline iterations over re-parameterized
+    iterations, and 1 when both runs start at zero loss and so both read 0
+    iterations.  The two-level run goes first.  Each run takes its full
+    budget of `2 * iterations` steps: a solved state does not end it.  A
+    diverged run ends its seed: it and the run not reached record the full
+    iteration budget and no curve, at speedup 1.  Any other error
+    propagates.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
     results = []
-    cap = 2 * config.iterations
-    for cfg in [replace(config, seed=seed) for seed in seeds]:
+    index = param_index(spec)
+    for cfg in configs:
+        cap = 2 * cfg.iterations
         curves = []
         try:
             for flat in (False, True):
-                state = init_state(spec, cfg.seed)
+                state = init_state(spec, cfg.seed, index)
                 _, trace = _run(state, cfg, flat, False, stop=False)
                 curves.append(tuple(r.total for r in trace.rows))
         except DivergenceError:

@@ -145,8 +145,11 @@ class Relation:
 @dataclass
 class SceneSpec:
     """Validated scene: room, assets, units, relations, and a base seed.
-    `_parsed` records the relations the parser produced for it, if any
-    (the tuple `relations` was then, else None)."""
+    Two private records ride along, None until set: `_parsed`, the
+    relations the parser produced for it (the tuple `relations` was then),
+    and `_compiled`, the optimizer's plan, imagined start and its clean
+    verdict for a parsed spec, with the objects they were built from
+    (`optimizer._compiled`, which alone reads and writes it)."""
 
     room: Room
     assets: tuple[Asset, ...]
@@ -157,6 +160,7 @@ class SceneSpec:
 
     def __post_init__(self):
         self._parsed: tuple | None = None
+        self._compiled: tuple | None = None
         self._assets_by_id = {a.id: a for a in self.assets}
         self._units_by_id = {u.id: u for u in self.units}
         self._unit_of = {}

@@ -770,6 +770,19 @@ def test_cli_solve_and_bench_reject_a_negative_seed(tmp_path, capsys, monkeypatc
     assert [json.loads(line) for line in captured.err.splitlines()] == [error, error]
 
 
+def test_cli_solve_and_bench_reject_a_negative_seed_before_reading_the_scene(tmp_path, capsys):
+    # The scene lacks the room's width, which the parser would report with
+    # exit code 3: the seed is a usage error found first, by both commands.
+    scene = tmp_path / "no_width.json"
+    scene.write_text(json.dumps({"room": {"length": 4, "height": 3}, "assets": []}))
+    assert main(["solve", str(scene), "--seed", "-1"]) == 1
+    assert main(["bench", str(scene), "--seeds", "0,-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = {"error": "ValueError", "message": "seed must be a non-negative integer, got -1"}
+    assert [json.loads(line) for line in captured.err.splitlines()] == [error, error]
+
+
 def test_cli_bench_rejects_iterations_below_one(tmp_path, capsys):
     scene = _write_fixture(tmp_path, "star_unit")
     assert main(["bench", scene, "--seeds", "0", "--iterations", "0"]) == 1

@@ -1,5 +1,7 @@
 """Descent mechanics: initialization, gradient assembly, staging, baseline."""
 
+import copy
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 from layoutopt import optimizer
 from layoutopt.constraints import Weights, param_index, relation_penalties
-from layoutopt.errors import DivergenceError, InfeasibleRoomError
+from layoutopt.errors import DivergenceError, InfeasibleRoomError, SceneSyntaxError
 from layoutopt.fixtures import FIXTURE_NAMES, load_fixture
 from layoutopt.geometry import Pose2D, compose, relative
 from layoutopt.harness import _is_clean, eval_physical
@@ -33,7 +35,17 @@ from layoutopt.optimizer import (
     solve_global_baseline,
     step,
 )
-from layoutopt.scene_model import Asset, Relation, Room, SceneSpec, Unit, parse_scene, serialize_layout
+from layoutopt.scene_model import (
+    Asset,
+    Relation,
+    Room,
+    SceneSpec,
+    Unit,
+    parse_scene,
+    replace_relations,
+    serialize_layout,
+    serialize_scene,
+)
 
 import refopt
 from refopt import reference_step
@@ -751,6 +763,21 @@ def test_an_unsolved_lbfgs_end_keeps_the_penalties_of_its_last_iterate(name, see
     assert unsolved == [True] if seed == 40 else unsolved
 
 
+@pytest.mark.parametrize("seed, rows, solved", [(9, 14, True), (10, 23, True), (21, 5, False)])
+def test_a_stalled_lbfgs_line_search_restarts_from_steepest_descent(seed, rows, solved, monkeypatch):
+    # On revised conflict_pair (flat), the two-loop line search of seeds 9
+    # and 10 halves until `x` no longer moves; the restart to steepest
+    # descent goes on, and both end solved (ending there instead, they stop
+    # unsolved after 7 and 5 rows).  Seed 21's steepest step stalls too,
+    # which ends it unsolved, before the cap, at its last accepted iterate.
+    spec, _ = imagine_and_revise(load_fixture("conflict_pair"))
+    config = OptimizerConfig(seed=seed)
+    (state, trace, _), calls = _evaluations(monkeypatch, lambda: _lbfgs_solve(spec, config, True, monkeypatch))
+    assert len(trace.rows) == rows and trace.solved_at == (rows if solved else None)
+    assert calls < config.iterations + config.iterations // 2
+    assert repr(list(trace.final_penalties.items())) == repr(_report_at(state))
+
+
 def test_every_slot_falls_in_one_class_under_both_parameterizations(monkeypatch):
     # The revised conflict_pair has unit frames, members, independent assets
     # and shared parameters: the map L-BFGS scales by gives the (x, y) and
@@ -940,14 +967,153 @@ def test_the_imagined_start_is_taken_exactly_when_the_imagined_layout_is_clean(m
 
 
 def test_an_oversized_asset_raises_before_any_imagining(monkeypatch):
+    # Hand-built, parsed, or parsed and solved before its room shrank: the
+    # fit is checked first on every solve, a second one too.
     def imagine(spec, index):
         raise AssertionError("imagined a scene that cannot fit")
 
-    monkeypatch.setattr(optimizer, "_imagine", imagine)
     spec = _scene(Room(3.0, 2.0, 2.5), (Asset("slab", "slab", (3.5, 1.0, 0.2)),))
-    for run in (solve, solve_global_baseline):
-        with pytest.raises(InfeasibleRoomError, match="asset 'slab' cannot fit"):
-            run(spec, OptimizerConfig())
+    shrunk = load_fixture("star_unit")
+    solve(shrunk, OptimizerConfig(iterations=2))
+    shrunk.room = Room(0.8, 0.8, 2.5)
+    monkeypatch.setattr(optimizer, "_imagine", imagine)
+    for scene, name in ((spec, "slab"), (parse_scene(serialize_scene(spec)), "slab"), (shrunk, "hub")):
+        for run in (solve, solve_global_baseline) * 2:
+            with pytest.raises(InfeasibleRoomError, match=f"asset '{name}' cannot fit"):
+                run(scene, OptimizerConfig())
+
+
+# ---------------------------------------------------------------------------
+# A parsed scene compiled once for all its solves
+# ---------------------------------------------------------------------------
+
+
+def _compiles(monkeypatch) -> list:
+    """Spy on the solver's `param_index` and `_imagine`: the list of the
+    names called, in order."""
+    calls = []
+    for name in ("param_index", "_imagine"):
+
+        def spy(*args, real=getattr(optimizer, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, name, spy)
+    return calls
+
+
+def _outputs(got) -> tuple:
+    """A solve's layout text, trace CSV, final penalties and `solved_at`."""
+    layout, trace = got
+    return serialize_layout(layout), trace.to_csv(), repr(list(trace.final_penalties.items())), trace.solved_at
+
+
+@pytest.mark.parametrize("name, iterations", [("mixed_ten", 600), ("conflict_pair", 30)])
+def test_a_parsed_scene_compiles_once_for_all_its_solves(name, iterations, monkeypatch):
+    # mixed_ten starts from its imagined layout, unrevised conflict_pair
+    # from the random draw.  After the first solve, no solve of the spec
+    # compiles or imagines it again, and none writes into the plan or the
+    # imagined vector they share.  The random start and the benchmark read
+    # only a plan, never the record: `init_state` compiles one when given
+    # none, and `convergence_benchmark` one for all its seeds.
+    calls = _compiles(monkeypatch)
+    spec = load_fixture(name)
+    config = OptimizerConfig(iterations=iterations, seed=0)
+    solve(spec, config)
+    assert calls == ["param_index", "_imagine"]
+    index, imagined, clean = spec._compiled[1]
+    assert clean == (name == "mixed_ten") and not imagined.flags.writeable
+    plan, start = copy.deepcopy(index), imagined.tobytes()
+    for seed in (4, 0):
+        for run in (solve, solve_global_baseline):
+            run(spec, replace(config, seed=seed))
+    assert calls == ["param_index", "_imagine"]
+    assert spec._compiled[1][0] is index and index == plan and imagined.tobytes() == start
+    calls.clear()
+    assert init_state(spec, 2).index is not index
+    convergence_benchmark(spec, [1, 2], config=OptimizerConfig(iterations=3))
+    assert calls == ["param_index", "param_index"]
+
+
+def test_the_random_start_and_the_benchmark_never_imagine(monkeypatch):
+    # Chained distances of 1e308 imagine c at x = inf, which the clean test
+    # of the imagined layout refuses; the random draw and the benchmark do
+    # not imagine, so they run on the scene, as a solve cannot.
+    spec = parse_scene(
+        json.dumps(
+            {
+                "room": {"length": 8, "width": 8, "height": 3},
+                "assets": [{"id": i, "size": [1, 1, 1]} for i in "abc"],
+                "relations": [
+                    {"kind": "distance", "source": "b", "target": "a", "params": {"d": 1e308}},
+                    {"kind": "distance", "source": "c", "target": "b", "params": {"d": 1e308}},
+                ],
+            }
+        )
+    )
+    with pytest.raises(SceneSyntaxError, match="pose of 'c' must be finite"):
+        solve(spec, OptimizerConfig(iterations=3))
+    calls = _compiles(monkeypatch)
+    assert np.isfinite(init_state(spec, 0).x).all()
+    results = convergence_benchmark(spec, [0, 1], config=OptimizerConfig(iterations=3))
+    assert [r.seed for r in results] == [0, 1] and calls == ["param_index", "param_index"]
+
+
+def test_every_solve_of_a_reused_record_is_the_solve_of_a_fresh_parse(monkeypatch):
+    # The four clean fixtures, revised conflict_pair and rooms:0:0 (whose
+    # imagined layout collides), each solved over interleaved seeds in both
+    # parameterizations: every solve gives the bytes of the same solve on a
+    # freshly parsed copy of the scene.
+    specs = {name: load_fixture(name) for name in FIXTURE_NAMES}
+    specs["conflict_pair"], _ = imagine_and_revise(specs["conflict_pair"])
+    specs["rooms:0:0"] = _rooms_scene("rooms:0:0", 40, monkeypatch)
+    runs = [(5, solve), (0, solve_global_baseline), (5, solve_global_baseline), (0, solve), (12, solve)]
+    for name, spec in specs.items():
+        config = OptimizerConfig(iterations=40) if name.startswith("rooms") else OptimizerConfig()
+        text = serialize_scene(spec)
+        for seed, run in runs:
+            cfg = replace(config, seed=seed)
+            assert _outputs(run(spec, cfg)) == _outputs(run(parse_scene(text), cfg)), (name, seed, run.__name__)
+
+
+def test_an_edited_reassigned_or_hand_built_spec_compiles_afresh(monkeypatch):
+    calls = _compiles(monkeypatch)
+    spec = load_fixture("dining_set")
+    config = OptimizerConfig(seed=3)
+    solve(spec, config)
+    record = spec._compiled
+    fresh = ["param_index", "_imagine"]
+
+    # `replace_relations` copies the spec, record and all; the copy holds
+    # other relations, so it compiles its own.
+    edited = replace_relations(spec, spec.relations[:-1])
+    assert edited._compiled is record
+    calls.clear()
+    got = solve(edited, config)
+    assert calls == fresh and edited._compiled is not record and spec._compiled is record
+    assert _outputs(got) == _outputs(solve(parse_scene(serialize_scene(edited)), config))
+
+    # Relations reassigned are no longer the parser's: every solve compiles.
+    spec.relations = tuple(list(spec.relations))
+    calls.clear()
+    solve(spec, config)
+    solve(spec, config)
+    assert calls == fresh * 2
+
+    # A room reassigned is not the one the record was built from.
+    spec = load_fixture("dining_set")
+    solve(spec, config)
+    spec.room = Room(spec.room.length + 0.5, spec.room.width, spec.room.height)
+    calls.clear()
+    got = solve(spec, config)
+    assert calls == fresh
+    assert _outputs(got) == _outputs(solve(replace(spec), config))
+
+    # A hand-built spec has no parser record and keeps none.
+    built = SceneSpec(spec.room, spec.assets, spec.units, spec.relations)
+    calls.clear()
+    assert _outputs(solve(built, config)) == _outputs(solve(built, config))
+    assert calls == fresh * 2 and built._compiled is None
 
 
 # ---------------------------------------------------------------------------
